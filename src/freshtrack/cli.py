@@ -16,15 +16,14 @@ import tempfile
 import numpy as np
 import jsonschema
 
-from .baselines import WeightStrategy
+from .baselines import WeightStrategy, detect_divergence
 from .decomposition import TransformedSystem
-from .gain_design import BoundConstants, GainSet
+from .gain_design import BoundConstants
 from .graph_seq import Digraph, PeriodicGraphSequence, generate_random_jointly_connected
 from .scenarios import canned_scenarios
 from .sim_engine import (
     Scenario,
     Trace,
-    check_divergence,
     check_envelope,
     check_lemma_suite,
     run_scenario,
@@ -154,7 +153,8 @@ def run_checks(trace: Trace, config):
             results["envelope"] = report
             passed &= report["passed"]
     if "divergence_threshold" in wanted:
-        div = check_divergence(trace, wanted["divergence_threshold"])
+        k = detect_divergence(trace.err_total, wanted["divergence_threshold"])
+        div = {"first_crossing": k, "diverged": k is not None}
         if config["algorithm"]["type"] == "baseline":
             # Divergence is the predicted outcome for the naive baselines.
             div["passed"] = div["diverged"]

@@ -9,13 +9,14 @@ nonempty diagonal pair (A_jj, C_jj) is observable on its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
 from .system_model import (
     LtiPlant,
     default_rank_tol,
-    is_jointly_observable,
     numerical_rank,
     observability_matrix,
 )
@@ -23,6 +24,11 @@ from .system_model import (
 
 class DecompositionError(ValueError):
     """Raised when the plant is not jointly observable."""
+
+
+def block_offsets(block_dims):
+    """Block boundaries (0, n_1, n_1 + n_2, ..., n) as a tuple of ints."""
+    return tuple(accumulate((int(d) for d in block_dims), initial=0))
 
 
 @dataclass(frozen=True)
@@ -47,10 +53,10 @@ class TransformedSystem:
     def n_nodes(self):
         return len(self.block_dims)
 
-    @property
+    @cached_property
     def offsets(self):
         """Start index of each substate block; offsets[j] for 1-indexed j-1."""
-        return tuple(np.concatenate(([0], np.cumsum(self.block_dims))))
+        return block_offsets(self.block_dims)
 
     def block_slice(self, j):
         """Index slice of substate j (1-indexed) inside the z vector."""

@@ -7,7 +7,7 @@ to its own state implicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +24,13 @@ class Digraph:
                 raise ValueError(f"edge ({i}, {j}) outside node range 1..{n_nodes}")
         object.__setattr__(self, "n_nodes", int(n_nodes))
         object.__setattr__(self, "edges", clean)
+
+    def adjacency(self):
+        """N x N bool matrix whose entry [i-1, j-1] is true for the edge (i, j)."""
+        adj = np.zeros((self.n_nodes, self.n_nodes), dtype=bool)
+        e = np.array(list(self.edges), dtype=int).reshape(-1, 2)
+        adj[e[:, 0] - 1, e[:, 1] - 1] = True
+        return adj
 
     def in_neighbors(self, node):
         """Nodes that can send to ``node`` this round (excluding itself)."""

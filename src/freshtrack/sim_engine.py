@@ -4,24 +4,27 @@ Runs either the freshness-index observer or a consensus baseline over a graph
 sequence, records a full per-round trace, and verifies the structural index
 properties, the delayed-error identity, and the exponential error envelopes
 against constants computed from the trace itself.
+
+A freshness run steps ``ProtocolKernel`` on the (tau, z) arrays and copies
+each round's arrays into the trace; error norms are computed once at the end.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import WeightStrategy, baseline_round, detect_divergence
-from .decomposition import staircase_transform, to_transformed_coords
-from .gain_design import DEADBEAT, compute_bound_constants, design_gains
+from .baselines import WeightStrategy, baseline_round
+from .decomposition import block_offsets, staircase_transform
+from .gain_design import compute_bound_constants, design_gains
 from .graph_seq import (
     GraphSequence,
     certify_joint_strong_connectivity,
     certify_jointly_rooted,
 )
-from .observer_protocol import OMEGA, check_delayed_form, init_states, protocol_round
+from .observer_protocol import OMEGA, ProtocolKernel, check_delayed_form, initial_arrays
 from .system_model import LtiPlant, simulate_truth
 
 LOG_FLOOR = 1e-13     # error norms below this are numerical noise for log fits
@@ -47,9 +50,11 @@ class Trace:
     """Per-round record of estimates, indices, donors, and error norms.
 
     Indices: time-step k in 0..horizon, node ids and substates 1-indexed.
-    ``taus``/``donors`` use -1 for the never-informed marker and for
-    open-loop rounds respectively; ``donors[k]`` names the donor adopted in
-    the round that produced the state at time k.
+    The arrays stack the protocol kernel's per-round state along a leading
+    time axis: ``taus[k]`` is the N x N index array (-1 for never informed),
+    ``z_estimates[k]`` the N x n estimates, and ``donors[k]`` the donor ids
+    adopted in the round that produced the state at time k (-1 for
+    open-loop rounds).
     """
 
     def __init__(self, kind, n_nodes, horizon, period_t, block_dims, rho=None,
@@ -74,7 +79,7 @@ class Trace:
         self.gains = None
         self.constants = None
         self.warnings = []
-        self._offsets = np.concatenate(([0], np.cumsum(block_dims))).astype(int)
+        self._offsets = block_offsets(block_dims)
 
     def _slice(self, j):
         return slice(self._offsets[j - 1], self._offsets[j])
@@ -108,17 +113,17 @@ class Trace:
             zcols = ",".join(f"z{m}" for m in range(width))
             f.write("# tau = -1 encodes omega (never informed); donor = -1 encodes open-loop\n")
             f.write(f"k,node,substate,tau,donor,err_norm{',' if zcols else ''}{zcols}\n")
+            # (column, block start, block end, nan padding) per substate.
+            layout = [(j - 1, self._offsets[j - 1], self._offsets[j],
+                       ",nan" * (width - self.block_dims[j - 1])) for j in self.substates]
             for k in range(self.horizon + 1):
-                for i in range(1, self.n_nodes + 1):
-                    for j in self.substates:
-                        est = self.estimate(k, i, j)
-                        vals = [repr(float(v)) for v in est]
-                        vals += ["nan"] * (width - len(vals))
-                        f.write(
-                            f"{k},{i},{j},{self.taus[k, i - 1, j - 1]},"
-                            f"{self.donors[k, i - 1, j - 1]},"
-                            f"{float(self.err_block[k, i - 1, j - 1])!r}"
-                            f"{',' if vals else ''}{','.join(vals)}\n")
+                rows = zip(self.taus[k].tolist(), self.donors[k].tolist(),
+                           self.err_block[k].tolist(), self.z_estimates[k].tolist())
+                f.write("".join(
+                    f"{k},{i},{c + 1},{tau[c]},{donor[c]},{err[c]!r},"
+                    f"{','.join(map(repr, z[a:b]))}{pad}\n"
+                    for i, (tau, donor, err, z) in enumerate(rows, 1)
+                    for c, a, b, pad in layout))
         finally:
             if close:
                 f.close()
@@ -148,7 +153,8 @@ def _run_freshness(s: Scenario) -> Trace:
     ts = staircase_transform(plant)
     gains = design_gains(ts, rho=s.rho, deadbeat=s.deadbeat, seed=s.seed)
     truth = simulate_truth(plant, s.horizon)
-    z_truth = np.array([to_transformed_coords(x, ts) for x in truth.states])
+    # Transformed coordinates z = T^-1 x of every time-step in one solve.
+    z_truth = np.linalg.solve(ts.t_matrix, truth.states.T).T
 
     trace = Trace("freshness", n_nodes, s.horizon, s.graph.period_t,
                   ts.block_dims, rho=s.rho, deadbeat=s.deadbeat, seed=s.seed)
@@ -169,32 +175,27 @@ def _run_freshness(s: Scenario) -> Trace:
             else:
                 trace.warnings.append("connectivity certification failed")
 
-    init = None
+    z0 = None
     if s.initial_estimates is not None:
-        init = [to_transformed_coords(np.asarray(x0, dtype=float), ts)
-                for x0 in s.initial_estimates]
-    states = init_states(ts, init)
-
-    def record(k, states):
-        for st in states:
-            i = st.node_id
-            for j in trace.substates:
-                trace.taus[k, i - 1, j - 1] = -1 if st.taus[j] is OMEGA else st.taus[j]
-                d = st.last_donor.get(j)
-                trace.donors[k, i - 1, j - 1] = -1 if d is None else d
-                trace.z_estimates[k, i - 1, trace._slice(j)] = st.estimates[j]
-                trace.err_block[k, i - 1, j - 1] = np.linalg.norm(
-                    st.estimates[j] - z_truth[k][trace._slice(j)])
-            trace.err_total[k, i - 1] = np.sqrt(
-                np.sum(trace.err_block[k, i - 1] ** 2))
-
-    record(0, states)
+        z0 = np.linalg.solve(
+            ts.t_matrix, np.asarray(s.initial_estimates, dtype=float).T).T
+    tau, z = initial_arrays(ts, z0)
+    kernel = ProtocolKernel(ts, gains)
+    outputs = kernel.source_outputs(truth.measurements)
+    trace.taus[0], trace.z_estimates[0] = tau, z
     for k in range(s.horizon):
         graph_k = s.graph.graph(k)
         trace.graph_edges.append(sorted(graph_k.edges))
-        meas = {i: truth.measurement(i, k) for i in range(1, n_nodes + 1)}
-        states = protocol_round(states, graph_k, meas, ts, gains)
-        record(k + 1, states)
+        tau, z, donors = kernel.step(tau, z, graph_k.adjacency(), outputs[k])
+        trace.taus[k + 1], trace.donors[k + 1], trace.z_estimates[k + 1] = tau, donors, z
+
+    # Per-substate error norms: one segmented sum over the block columns.
+    sq = trace.z_estimates - z_truth[:, None, :]
+    np.square(sq, out=sq)
+    cols = [j - 1 for j in trace.substates]
+    trace.err_block[:, :, cols] = np.sqrt(
+        np.add.reduceat(sq, [ts.offsets[c] for c in cols], axis=2))
+    trace.err_total = np.sqrt(np.sum(trace.err_block ** 2, axis=2))
 
     if not s.deadbeat and s.rho is not None:
         t_bar = _t_bar(n_nodes, s.graph.period_t)
@@ -392,9 +393,3 @@ def check_lemma_suite(trace: Trace, ts=None, check_delayed=False,
             report["passed"] = False
 
     return report
-
-
-def check_divergence(trace: Trace, threshold: float):
-    """Wrap the baseline divergence detector over a trace's error norms."""
-    k = detect_divergence(trace.err_total, threshold)
-    return {"first_crossing": k, "diverged": k is not None}

@@ -6,11 +6,14 @@ import pytest
 
 from freshtrack.cli import (
     ConfigError,
+    _load_trace_csv,
+    build_report,
     build_scenario,
     cmd_check,
     main,
 )
 from freshtrack.scenarios import FIG1_GRAPH, FIG1_PLANT, canned_scenarios
+from freshtrack.sim_engine import run_scenario
 
 
 def small_config(**overrides):
@@ -167,3 +170,15 @@ def test_identical_runs_byte_identical(tmp_path, capsys):
     a = (tmp_path / "a" / "r_trace.csv").read_bytes()
     b = (tmp_path / "b" / "r_trace.csv").read_bytes()
     assert a == b
+
+
+@pytest.mark.parametrize("name", sorted(canned_scenarios()))
+def test_trace_csv_reads_back_bit_equal(tmp_path, name):
+    config = canned_scenarios()[name]
+    trace = run_scenario(build_scenario(config))
+    path = str(tmp_path / "trace.csv")
+    trace.to_csv(path)
+    report = json.loads(json.dumps(build_report(trace, config, {}, True)))
+    loaded = _load_trace_csv(path, report)
+    for attr in ("taus", "donors", "z_estimates", "err_block", "err_total"):
+        assert np.array_equal(getattr(loaded, attr), getattr(trace, attr)), attr

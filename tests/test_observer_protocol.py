@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from freshtrack.decomposition import staircase_transform, to_transformed_coords
 from freshtrack.gain_design import design_gains
-from freshtrack.graph_seq import Digraph, PeriodicGraphSequence
+from freshtrack.graph_seq import (
+    Digraph,
+    PeriodicGraphSequence,
+    generate_random_jointly_connected,
+)
 from freshtrack.observer_protocol import (
     OMEGA,
+    OPEN_LOOP,
     check_delayed_form,
     init_states,
     nonsource_step,
@@ -162,7 +169,7 @@ def reference_round(states, graph, meas, ts, gains):
     out = []
     for i in range(1, n_nodes + 1):
         st = old[i]
-        new_taus, new_ests = {}, {}
+        new_taus, new_ests, new_donors = {}, {}, {}
         for j in st.estimates:
             a_jj = ts.a_block(j, j)
             cross = np.zeros(a_jj.shape[0])
@@ -176,7 +183,7 @@ def reference_round(states, graph, meas, ts, gains):
                     if ts.block_dims[q - 1] > 0:
                         val = val + (ts.a_block(j, q) - l @ ts.c_block(j, q)) @ st.estimates[q]
                 val = val + l @ np.atleast_1d(meas[i])
-                new_taus[j], new_ests[j] = 0, val
+                new_taus[j], new_ests[j], new_donors[j] = 0, val, OPEN_LOOP
                 continue
             neigh = [l for l in range(1, n_nodes + 1)
                      if (l, i) in graph.edges]
@@ -190,13 +197,63 @@ def reference_round(states, graph, meas, ts, gains):
                 u = min(l for l in candidates if old[l].taus[j] == best)
                 new_taus[j] = old[u].taus[j] + 1
                 new_ests[j] = a_jj @ old[u].estimates[j] + cross
+                new_donors[j] = u
             else:
                 new_ests[j] = a_jj @ st.estimates[j] + cross
                 new_taus[j] = OMEGA if st.taus[j] is OMEGA else st.taus[j] + 1
+                new_donors[j] = OPEN_LOOP
         ns = st.snapshot()
-        ns.taus, ns.estimates = new_taus, new_ests
+        ns.taus, ns.estimates, ns.last_donor = new_taus, new_ests, new_donors
         out.append(ns)
     return out
+
+
+def per_node_round(states, graph, meas, ts, gains):
+    """The update rules composed from select_donor/source_step/nonsource_step,
+    one (node, substate) pair at a time."""
+    snapshots = {s.node_id: s for s in states}
+    new_states = []
+    for state in states:
+        i = state.node_id
+        neighbors = [l for l, m in sorted(graph.edges) if m == i]
+        new = state.snapshot()
+        new.last_donor = {}
+        for j in sorted(state.estimates):
+            if i == j:
+                new.taus[j] = 0
+                new.estimates[j] = source_step(j, state, meas[i], ts, gains)
+                new.last_donor[j] = OPEN_LOOP
+                continue
+            u = select_donor(state.taus[j], {l: snapshots[l].taus[j] for l in neighbors})
+            donor = None if u is None else (u, snapshots[u].taus[j])
+            new.taus[j], new.estimates[j] = nonsource_step(
+                j, state, donor, None if u is None else snapshots[u].estimates[j], ts)
+            new.last_donor[j] = OPEN_LOOP if u is None else u
+        new_states.append(new)
+    return new_states
+
+
+def estimate_tolerance(gains, scale):
+    """Allowed estimate difference between two evaluation orders of a round.
+
+    The kernel forms a source update as A z - L (C z - y), the per-node rules
+    as (A - L C) z + L y; their rounding differs by about eps * |L| * |z|.
+    """
+    gain = max([1.0] + [float(np.max(np.abs(g))) for g in gains.gains if g.size])
+    return 1e-12 * gain * max(1.0, scale)
+
+
+def assert_states_match(states, ref_states, gains):
+    """Equal indices and donors; estimates equal up to rounding."""
+    tol = estimate_tolerance(gains, max(
+        [0.0] + [float(np.max(np.abs(z))) for r in ref_states for z in r.estimates.values()]))
+    for s, r in zip(states, ref_states):
+        assert s.node_id == r.node_id
+        assert s.taus == r.taus
+        assert s.last_donor == r.last_donor
+        assert s.estimates.keys() == r.estimates.keys()
+        for j in s.estimates:
+            assert np.max(np.abs(s.estimates[j] - r.estimates[j]), initial=0.0) <= tol
 
 
 def test_round_matches_reference_implementation():
@@ -213,10 +270,87 @@ def test_round_matches_reference_implementation():
         meas = {i: traj.measurement(i, k) for i in range(1, 5)}
         states = protocol_round(states, graph, meas, ts, gains)
         ref_states = reference_round(ref_states, graph, meas, ts, gains)
-        for s, r in zip(states, ref_states):
-            assert s.taus == r.taus
-            for j in s.estimates:
-                assert np.allclose(s.estimates[j], r.estimates[j], atol=1e-12)
+        assert_states_match(states, ref_states, gains)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    blocks=hst.lists(hst.integers(1, 3), min_size=1, max_size=5),
+    blind=hst.lists(hst.integers(0, 5), max_size=2),
+    density=hst.sampled_from([0.0, 0.2, 0.5, 1.0]),
+    omega_share=hst.sampled_from([0.0, 0.5, 1.0]),
+    seed=hst.integers(0, 2**16),
+)
+def test_round_matches_reference_on_random_states(blocks, blind, density,
+                                                  omega_share, seed):
+    # Blind nodes (no sensor) get zero-dimension blocks wherever they sit.
+    base = make_multiblock_plant(tuple(blocks), seed=seed)
+    sensors = list(base.sensors)
+    for pos in blind:
+        sensors.insert(min(pos, len(sensors)), np.zeros((0, base.n)))
+    plant = LtiPlant(base.a_matrix, sensors, base.x0)
+    ts = staircase_transform(plant)
+    gains = design_gains(ts, rho=0.7, seed=seed)
+    n_nodes = plant.n_nodes
+    rng = np.random.default_rng(seed)
+    states = init_states(ts, [rng.standard_normal(plant.n) for _ in range(n_nodes)])
+    for st in states:
+        for j in st.taus:
+            if st.node_id != j and rng.random() >= omega_share:
+                st.taus[j] = int(rng.integers(0, 7))
+    traj = simulate_truth(plant, 3)
+    ref_states = [s.snapshot() for s in states]
+    for k in range(3):
+        mask = rng.random((n_nodes, n_nodes)) < density
+        graph = Digraph(n_nodes, [(a + 1, b + 1) for a, b in zip(*np.nonzero(mask))])
+        meas = {i: traj.measurement(i, k) for i in range(1, n_nodes + 1)}
+        states = protocol_round(states, graph, meas, ts, gains)
+        ref_states = reference_round(ref_states, graph, meas, ts, gains)
+        assert_states_match(states, ref_states, gains)
+
+
+@pytest.mark.parametrize("fig1,kw", [
+    (False, dict(rho=0.8)),
+    (False, dict(deadbeat=True)),
+    (False, dict(rho=0.6, initial_estimates="random")),
+    (True, dict(rho=0.6)),
+])
+def test_run_matches_per_node_rules(fig1, kw):
+    if fig1:
+        # Substates 2 and 3 have dimension zero.
+        plant = LtiPlant([[2.0]], [[[1.0]], [], []], [1.0])
+        graph = PeriodicGraphSequence(
+            [Digraph(3, [(1, 2), (2, 3)]), Digraph(3, [(1, 3), (3, 2)])], period_t=2)
+    else:
+        plant = make_multiblock_plant((2, 1, 1), seed=31)
+        graph = generate_random_jointly_connected(3, 2, seed=32)
+    if kw.get("initial_estimates") == "random":
+        rng = np.random.default_rng(33)
+        kw = dict(kw, initial_estimates=[rng.standard_normal(plant.n) for _ in range(3)])
+    trace = run_scenario(Scenario(plant=plant, graph=graph, horizon=30, seed=4, **kw))
+    ts, gains = trace.ts, trace.gains
+    traj = simulate_truth(plant, trace.horizon)
+    init = kw.get("initial_estimates")
+    states = init_states(ts, None if init is None else
+                         [to_transformed_coords(x, ts) for x in init])
+    tol = estimate_tolerance(gains, float(np.max(np.abs(trace.z_estimates))))
+    empty = [j - 1 for j in range(1, 4) if j not in trace.substates]
+    assert np.all(trace.taus[:, :, empty] == -1)
+    assert np.all(trace.donors[:, :, empty] == -1)
+    for k in range(trace.horizon + 1):
+        if k:
+            meas = {i: traj.measurement(i, k - 1) for i in (1, 2, 3)}
+            states = per_node_round(states, graph.graph(k - 1), meas, ts, gains)
+        z_truth = to_transformed_coords(traj.states[k], ts)
+        for st in states:
+            i = st.node_id
+            for j in trace.substates:
+                assert trace.tau(k, i, j) == st.taus[j]
+                if k:
+                    assert trace.donor(k - 1, i, j) == st.last_donor[j]
+                assert np.max(np.abs(trace.estimate(k, i, j) - st.estimates[j])) <= tol
+                err = np.linalg.norm(st.estimates[j] - z_truth[ts.block_slice(j)])
+                assert abs(trace.err_block[k, i - 1, j - 1] - err) <= 2 * tol
 
 
 def _delayed_form_scenario(seed, block_sizes=(2, 1, 1)):

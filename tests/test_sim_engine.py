@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from freshtrack.baselines import WeightStrategy
+from freshtrack.baselines import WeightStrategy, detect_divergence
 from freshtrack.gain_design import closed_loop_block
 from freshtrack.graph_seq import (
     Digraph,
@@ -12,7 +12,6 @@ from freshtrack.scenarios import FIG1_EDGE_LISTS, make_multiblock_plant
 from freshtrack.sim_engine import (
     Scenario,
     Trace,
-    check_divergence,
     check_envelope,
     check_lemma_suite,
     fit_decay_rate,
@@ -99,9 +98,9 @@ def test_baseline_divergence_rate_above_one():
                  strategy=WeightStrategy("uniform"), horizon=60)
     trace = run_scenario(s)
     assert fit_decay_rate(trace, 5) > 1.0
-    result = check_divergence(trace, 1e6)
-    assert result["diverged"]
-    assert result["first_crossing"] <= 60
+    first_crossing = detect_divergence(trace.err_total, 1e6)
+    assert first_crossing is not None
+    assert first_crossing <= 60
 
 
 def test_freshness_run_converges_and_certifies_envelope():
@@ -183,3 +182,23 @@ def test_trace_csv_round_numbers_stable():
     assert s1 == s2
     header = s1.splitlines()[1]
     assert header.startswith("k,node,substate,tau,donor,err_norm")
+
+
+def test_trace_csv_format_pinned():
+    trace = Trace("freshness", 2, 1, 1, (2, 1))
+    trace.taus[:] = [[[0, -1], [-1, 0]], [[0, 1], [1, 0]]]
+    trace.donors[1] = [[-1, 2], [1, -1]]
+    trace.z_estimates[:] = [[[0.5, -1.25, 3.0], [0.0, 2.0, 0.1]],
+                            [[1e-20, 0.3, -2.5], [4.0, 1.5, 7.0]]]
+    trace.err_block[:] = [[[0.25, 1.5], [2.0, 0.0]], [[1e-17, 0.75], [3.0, 0.125]]]
+    assert trace.to_csv_string() == (
+        "# tau = -1 encodes omega (never informed); donor = -1 encodes open-loop\n"
+        "k,node,substate,tau,donor,err_norm,z0,z1\n"
+        "0,1,1,0,-1,0.25,0.5,-1.25\n"
+        "0,1,2,-1,-1,1.5,3.0,nan\n"
+        "0,2,1,-1,-1,2.0,0.0,2.0\n"
+        "0,2,2,0,-1,0.0,0.1,nan\n"
+        "1,1,1,0,-1,1e-17,1e-20,0.3\n"
+        "1,1,2,1,2,0.75,-2.5,nan\n"
+        "1,2,1,1,1,3.0,4.0,1.5\n"
+        "1,2,2,0,-1,0.125,7.0,nan\n")
