@@ -15,8 +15,7 @@ from .graph_seq import (
     Digraph,
     GraphSequence,
     PeriodicGraphSequence,
-    union_graph,
-    is_strongly_connected,
+    window_unions,
     certify_joint_strong_connectivity,
     certify_jointly_rooted,
     generate_random_jointly_connected,
@@ -28,7 +27,7 @@ from .observer_protocol import (
     protocol_round,
     check_delayed_form,
 )
-from .baselines import WeightStrategy, baseline_round, detect_divergence
+from .baselines import WeightStrategy, baseline_round, detect_divergence, mixing_weights
 from .sim_engine import Scenario, Trace, run_scenario, fit_decay_rate, check_envelope, check_lemma_suite
 
 __version__ = "0.1.0"

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_seq import Digraph
-
 
 @dataclass(frozen=True)
 class WeightStrategy:
@@ -28,53 +26,57 @@ class WeightStrategy:
             raise ValueError("tree_rooted strategy requires a root")
 
 
-def _bfs_parents(g: Digraph, root: int):
-    """Parent of each node in a BFS tree rooted at ``root``; smallest-id parents."""
-    parents = {root: None}
-    frontier = [root]
-    while frontier:
-        next_frontier = []
-        for node in sorted(frontier):
-            for child in g.out_neighbors(node):
-                if child not in parents:
-                    parents[child] = node
-                    next_frontier.append(child)
-        frontier = next_frontier
-    return parents
+def _bfs_levels(adj, root):
+    """(H, N) BFS distance of every node from ``root`` in each round's graph.
+
+    ``adj`` is the (H, N, N) adjacency tensor; unreachable nodes get inf.
+    """
+    horizon, n, _ = adj.shape
+    dist = np.full((horizon, n), np.inf)
+    frontier = np.zeros((horizon, n), dtype=bool)
+    frontier[:, root - 1] = True
+    for level in range(n):
+        dist[frontier] = level
+        frontier = (frontier[:, :, None] & adj).any(axis=1) & np.isinf(dist)
+    return dist
 
 
-def round_weights(g: Digraph, node: int, strategy: WeightStrategy):
-    """Stochastic weight vector over in-neighbors and self for one round."""
-    neighbors = g.in_neighbors(node)
+def mixing_weights(adj, strategy: WeightStrategy):
+    """(H, N, N) row-stochastic weights: row i of round k mixes node i+1's reads.
+
+    Uniform averages a node's in-neighbors and itself.  Tree-rooted copies
+    the node's BFS-tree parent: its smallest-id in-neighbor one level closer
+    to the root.  The root and nodes the root cannot reach keep their own
+    estimate.
+    """
+    n = adj.shape[1]
+    eye = np.eye(n, dtype=bool)
     if strategy.kind == "uniform":
-        pool = neighbors + [node]
-        return {l: 1.0 / len(pool) for l in pool}
-    parents = _bfs_parents(g, strategy.root)
-    parent = parents.get(node)
-    if node == strategy.root or parent is None:
-        return {node: 1.0}
-    return {parent: 1.0}
+        pool = adj.transpose(0, 2, 1) | eye
+        return pool / pool.sum(axis=2, keepdims=True)
+    dist = _bfs_levels(adj, strategy.root)
+    # isfinite matters: inf - 1 == inf would pair up unreachable nodes.
+    is_parent = (adj & np.isfinite(dist)[:, :, None]
+                 & (dist[:, :, None] == dist[:, None, :] - 1))
+    parent = np.where(is_parent.any(axis=1), is_parent.argmax(axis=1), np.arange(n))
+    return eye[parent].astype(float)
 
 
-def baseline_round(estimates, graph_k, strategy, a_matrix, oracle_nodes, truth_k):
+def baseline_round(estimates, weights, a_matrix, oracle, truth_k):
     """One consensus round: convex combination of neighbors, then the dynamics.
 
-    ``estimates`` maps node id -> current estimate; oracle nodes are clamped
-    to ``truth_k`` before mixing and again after the update.
+    ``estimates`` is N x n, ``weights`` the round's N x N row-stochastic
+    matrix, and ``oracle`` an N bool mask of nodes clamped to ``truth_k``
+    before mixing and again after the update.
     """
     a = np.atleast_2d(np.asarray(a_matrix, dtype=float))
-    current = {
-        i: (np.asarray(truth_k, dtype=float) if i in oracle_nodes else est)
-        for i, est in estimates.items()
-    }
-    new = {}
-    for i in current:
-        if i in oracle_nodes:
-            new[i] = a @ np.asarray(truth_k, dtype=float)
-            continue
-        weights = round_weights(graph_k, i, strategy)
-        mix = sum(w * current[l] for l, w in weights.items())
-        new[i] = a @ mix
+    truth_k = np.asarray(truth_k, dtype=float)
+    current = np.where(oracle[:, None], truth_k, estimates)
+    # A stacked matrix-vector product rounds each row as ``a @ x`` does, so a
+    # node copying an oracle gets exactly the true next state; ``mix @ a.T``
+    # would not.
+    new = (a @ (weights @ current)[:, :, None])[:, :, 0]
+    new[oracle] = a @ truth_k
     return new
 
 

@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import jsonschema
@@ -83,22 +84,31 @@ CONFIG_SCHEMA = {
 }
 
 
+# Compiled once: jsonschema.validate would check the schema itself on every call.
+_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+
+
 class ConfigError(ValueError):
     pass
 
 
 def build_scenario(config) -> Scenario:
     """Validate a config dict and materialize the Scenario it describes."""
-    try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"invalid scenario config: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(config))
+    if error is not None:
+        raise ConfigError(f"invalid scenario config: {error.message}")
 
     try:
         plant = LtiPlant(config["plant"]["A"], config["plant"]["C"],
                          config["plant"]["x0"])
     except ConfigurationError as exc:
         raise ConfigError(str(exc)) from exc
+
+    init = config.get("init_estimates")
+    if init is not None and (len(init) != plant.n_nodes
+                             or any(len(x) != plant.n for x in init)):
+        raise ConfigError(f"init_estimates must be {plant.n_nodes} vectors "
+                          f"of length {plant.n}")
 
     seed = int(config.get("seed", 0))
     gspec = config["graph"]
@@ -108,7 +118,10 @@ def build_scenario(config) -> Scenario:
         edge_lists = params.get("edge_lists")
         if not edge_lists:
             raise ConfigError("periodic graph requires params.edge_lists")
-        graphs = [Digraph(plant.n_nodes, [tuple(e) for e in el]) for el in edge_lists]
+        try:
+            graphs = [Digraph(plant.n_nodes, el) for el in edge_lists]
+        except ValueError as exc:
+            raise ConfigError(f"invalid edge list: {exc}") from exc
         graph = PeriodicGraphSequence(graphs, t)
     else:
         n = params.get("n", plant.n_nodes)
@@ -120,7 +133,10 @@ def build_scenario(config) -> Scenario:
     strategy = None
     if algo["type"] == "baseline":
         kind = algo.get("strategy", "uniform")
-        strategy = WeightStrategy(kind, algo.get("root") if kind == "tree_rooted" else None)
+        root = algo.get("root")
+        if kind == "tree_rooted" and (root is None or root > plant.n_nodes):
+            raise ConfigError(f"tree_rooted needs a root in 1..{plant.n_nodes}, got {root}")
+        strategy = WeightStrategy(kind, root if kind == "tree_rooted" else None)
     return Scenario(
         plant=plant,
         graph=graph,
@@ -130,7 +146,7 @@ def build_scenario(config) -> Scenario:
         deadbeat=algo.get("deadbeat", False),
         horizon=config["horizon"],
         seed=seed,
-        initial_estimates=config.get("init_estimates"),
+        initial_estimates=init,
     )
 
 
@@ -207,7 +223,7 @@ def build_report(trace: Trace, config, results, passed):
         "rho": trace.rho,
         "deadbeat": trace.deadbeat,
         "warnings": list(trace.warnings),
-        "graph_edges": [[list(e) for e in edges] for edges in trace.graph_edges],
+        "graph_edges": [(np.argwhere(adj) + 1).tolist() for adj in trace.adjacency],
         "checks": _jsonable(results),
     }
     if trace.ts is not None:
@@ -296,8 +312,8 @@ def _load_trace_csv(path, report):
         report["algorithm"], report["n_nodes"], report["horizon"],
         report["period_t"], block_dims, rho=report.get("rho"),
         deadbeat=report.get("deadbeat", False), seed=report.get("seed", 0))
-    trace.graph_edges = [
-        [tuple(e) for e in edges] for edges in report.get("graph_edges", [])]
+    for k, edges in enumerate(report.get("graph_edges", [])):
+        trace.adjacency[k] = Digraph(trace.n_nodes, edges).adj
     trace.warnings = list(report.get("warnings", []))
     if "transform" in report:
         t = report["transform"]
@@ -316,27 +332,27 @@ def _load_trace_csv(path, report):
             c=np.array(c["c"]), c_bar=np.array(c["c_bar"]),
             radii=np.array(c["radii"]), t_bar=c["t_bar"])
 
-    seen = 0
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("k,"):
-                continue
-            parts = line.split(",")
-            k, node, sub = int(parts[0]), int(parts[1]), int(parts[2])
-            tau, donor = int(parts[3]), int(parts[4])
-            if tau < -1 or donor < -1:
-                raise ValueError(f"corrupt trace row at k={k}: tau/donor below -1")
-            err = float(parts[5])
-            trace.taus[k, node - 1, sub - 1] = tau
-            trace.donors[k, node - 1, sub - 1] = donor
-            trace.err_block[k, node - 1, sub - 1] = err
-            comps = [float(v) for v in parts[6:]]
-            nj = block_dims[sub - 1]
-            trace.z_estimates[k, node - 1, trace._slice(sub)] = comps[:nj]
-            seen += 1
-    if seen == 0:
+    # The header row starts with "k,": read as a comment, it is skipped too.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)   # "input contained no data"
+        rows = np.loadtxt(path, delimiter=",", comments=("#", "k,"), ndmin=2)
+    if not rows.size:
         raise ValueError("trace file contains no data rows")
+    ints = rows[:, :5].astype(int)
+    if not np.array_equal(ints, rows[:, :5]):
+        raise ValueError("trace k/node/substate/tau/donor columns must be integers")
+    k, node, sub, tau, donor = ints.T
+    if np.any(ints[:, :3] < [0, 1, 1]):
+        raise ValueError("corrupt trace: k below 0 or node/substate below 1")
+    if np.any(ints[:, 3:] < -1):
+        raise ValueError("corrupt trace: tau/donor below -1")
+    trace.taus[k, node - 1, sub - 1] = tau
+    trace.donors[k, node - 1, sub - 1] = donor
+    trace.err_block[k, node - 1, sub - 1] = rows[:, 5]
+    for j in trace.substates:
+        m = sub == j
+        trace.z_estimates[k[m], node[m] - 1, trace._slice(j)] = \
+            rows[m, 6:6 + block_dims[j - 1]]
     trace.err_total = np.sqrt(np.sum(trace.err_block ** 2, axis=2))
     return trace
 

@@ -71,10 +71,6 @@ class TransformedSystem:
         """C_jq block: rows of node j's transformed sensor on substate q."""
         return self.c_bar[j - 1][:, self.block_slice(q)]
 
-    def split(self, z):
-        """Slice a transformed-coordinate vector into per-substate pieces."""
-        return [np.asarray(z)[self.block_slice(j)] for j in range(1, self.n_nodes + 1)]
-
     def to_jsonable(self):
         return {
             "t_matrix": self.t_matrix.tolist(),

@@ -1,43 +1,34 @@
 """Time-varying directed graph sequences and connectivity certification.
 
 Nodes are 1-indexed.  An edge (i, j) means node i can send to node j during
-the round it is active.  Self-loops are never stored: a node always has access
-to its own state implicitly.
+the round it is active.  A round's graph is an N x N bool adjacency whose
+entry [i-1, j-1] is true for the edge (i, j), and a sequence over a horizon
+is the (horizon, N, N) stack of them.  Self-loops are never stored: a node
+always has access to its own state implicitly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import breadth_first_order, connected_components
+
+RANDOM_EXTRA_EDGES = 2   # random edges added to each window of a random sequence
 
 
-@dataclass(frozen=True)
 class Digraph:
-    n_nodes: int
-    edges: frozenset
+    """One round's graph, held as the read-only N x N bool adjacency ``adj``."""
 
     def __init__(self, n_nodes, edges):
-        clean = frozenset((int(i), int(j)) for i, j in edges if int(i) != int(j))
-        for i, j in clean:
-            if not (1 <= i <= n_nodes and 1 <= j <= n_nodes):
-                raise ValueError(f"edge ({i}, {j}) outside node range 1..{n_nodes}")
-        object.__setattr__(self, "n_nodes", int(n_nodes))
-        object.__setattr__(self, "edges", clean)
-
-    def adjacency(self):
-        """N x N bool matrix whose entry [i-1, j-1] is true for the edge (i, j)."""
-        adj = np.zeros((self.n_nodes, self.n_nodes), dtype=bool)
-        e = np.array(list(self.edges), dtype=int).reshape(-1, 2)
+        e = np.array([(int(i), int(j)) for i, j in edges if int(i) != int(j)],
+                     dtype=int).reshape(-1, 2)
+        bad = e[((e < 1) | (e > n_nodes)).any(axis=1)]
+        if bad.size:
+            raise ValueError(f"edge ({bad[0, 0]}, {bad[0, 1]}) outside node range 1..{n_nodes}")
+        adj = np.zeros((n_nodes, n_nodes), dtype=bool)
         adj[e[:, 0] - 1, e[:, 1] - 1] = True
-        return adj
-
-    def in_neighbors(self, node):
-        """Nodes that can send to ``node`` this round (excluding itself)."""
-        return sorted(i for i, j in self.edges if j == node)
-
-    def out_neighbors(self, node):
-        return sorted(j for i, j in self.edges if i == node)
+        adj.flags.writeable = False
+        self.adj = adj
 
 
 class GraphSequence:
@@ -48,7 +39,8 @@ class GraphSequence:
             raise ValueError(f"period T must be >= 1, got {period_t}")
         self.period_t = int(period_t)
 
-    def graph(self, k: int) -> Digraph:
+    def adjacency(self, horizon: int) -> np.ndarray:
+        """(horizon, N, N) bool tensor: entry [k] is the graph of round k."""
         raise NotImplementedError
 
 
@@ -59,122 +51,90 @@ class PeriodicGraphSequence(GraphSequence):
         super().__init__(period_t)
         if not graphs:
             raise ValueError("at least one graph is required")
-        self.graphs = list(graphs)
+        self.cycle = np.stack([g.adj for g in graphs])
 
-    def graph(self, k: int) -> Digraph:
-        return self.graphs[k % len(self.graphs)]
+    def adjacency(self, horizon: int) -> np.ndarray:
+        return self.cycle[np.arange(horizon) % len(self.cycle)]
 
 
 class RandomJointlyConnectedSequence(GraphSequence):
-    """Seeded generator whose every window [kT, (k+1)T) union is strongly connected.
+    """Seeded generator whose every window [wT, (w+1)T) union is strongly connected.
 
     Per window, the edges of a random Hamiltonian cycle are scattered across
-    the T slots, with a few extra random edges thrown in.  Windows are
-    memoized, so random access is deterministic per seed.
+    the T slots, with a few extra random edges thrown in.  Window w is drawn
+    from its own generator seeded with [seed, w], so a round's graph does not
+    depend on the horizon asked for.
     """
 
-    def __init__(self, n_nodes: int, period_t: int, seed: int, extra_edges: int = 2):
+    def __init__(self, n_nodes: int, period_t: int, seed: int):
         super().__init__(period_t)
         self.n_nodes = int(n_nodes)
         self.seed = int(seed)
-        self.extra_edges = int(extra_edges)
-        self._windows = {}
 
-    def _window(self, w: int):
-        if w in self._windows:
-            return self._windows[w]
-        rng = np.random.default_rng([self.seed, w])
+    def adjacency(self, horizon: int) -> np.ndarray:
         n, t = self.n_nodes, self.period_t
-        perm = rng.permutation(n) + 1
-        cycle = [(int(perm[i]), int(perm[(i + 1) % n])) for i in range(n)]
-        slots = [[] for _ in range(t)]
-        for edge in cycle:
-            slots[int(rng.integers(t))].append(edge)
-        for _ in range(self.extra_edges):
-            i, j = rng.integers(1, n + 1, size=2)
-            if i != j:
-                slots[int(rng.integers(t))].append((int(i), int(j)))
-        graphs = [Digraph(n, s) for s in slots]
-        self._windows[w] = graphs
-        return graphs
-
-    def graph(self, k: int) -> Digraph:
-        return self._window(k // self.period_t)[k % self.period_t]
+        n_windows = -(-horizon // t)
+        adj = np.zeros((n_windows * t, n, n), dtype=bool)
+        for w in range(n_windows):
+            rng = np.random.default_rng([self.seed, w])
+            perm = rng.permutation(n)
+            for a, b in zip(perm, np.roll(perm, -1)):
+                adj[w * t + rng.integers(t), a, b] = True
+            for _ in range(RANDOM_EXTRA_EDGES):
+                i, j = rng.integers(1, n + 1, size=2)
+                if i != j:
+                    adj[w * t + rng.integers(t), i - 1, j - 1] = True
+        adj[:, range(n), range(n)] = False   # the one-node "cycle" is a self-loop
+        return adj[:horizon]
 
 
-def union_graph(seq: GraphSequence, k1: int, k2: int) -> Digraph:
-    """Union of the edge sets over time-steps k1..k2 inclusive."""
-    if not 0 <= k1 < k2:
-        raise ValueError(f"need 0 <= k1 < k2, got ({k1}, {k2})")
-    edges = set()
-    n = None
-    for k in range(k1, k2 + 1):
-        g = seq.graph(k)
-        n = g.n_nodes
-        edges |= g.edges
-    return Digraph(n, edges)
+def window_unions(adj: np.ndarray, t: int) -> np.ndarray:
+    """Unions of the complete windows [wT, (w+1)T) of a (horizon, N, N) tensor."""
+    horizon, n, _ = adj.shape
+    return adj[:horizon // t * t].reshape(-1, t, n, n).any(axis=1)
 
 
-def _reachable_from(g: Digraph, root: int):
-    out = {i: [] for i in range(1, g.n_nodes + 1)}
-    for i, j in g.edges:
-        out[i].append(j)
-    seen = {root}
-    stack = [root]
-    while stack:
-        for j in out[stack.pop()]:
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return seen
+def _block_diagonal(unions, hub_root=None):
+    """Sparse graph with window w's union on nodes wN..wN+N-1.
+
+    With ``hub_root``, one more node (the last) gets an edge to every
+    window's copy of that 1-indexed node.
+    """
+    n_windows, n, _ = unions.shape
+    w, i, j = np.nonzero(unions)
+    rows, cols, size = w * n + i, w * n + j, n_windows * n
+    if hub_root is not None:
+        rows = np.append(rows, np.full(n_windows, size))
+        cols = np.append(cols, np.arange(n_windows) * n + hub_root - 1)
+        size += 1
+    return sparse.csr_matrix((np.ones(rows.size, dtype=bool), (rows, cols)),
+                             shape=(size, size))
 
 
-def is_strongly_connected(g: Digraph) -> bool:
-    """True iff every node reaches every other node."""
-    if g.n_nodes == 1:
-        return True
-    if len(_reachable_from(g, 1)) != g.n_nodes:
-        return False
-    reverse = Digraph(g.n_nodes, [(j, i) for i, j in g.edges])
-    return len(_reachable_from(reverse, 1)) == g.n_nodes
+def certify_joint_strong_connectivity(unions: np.ndarray) -> bool:
+    """True iff every window union in the (W, N, N) tensor is strongly connected.
+
+    One strongly-connected-components pass over the block-diagonal graph of
+    all windows: a window passes when all its nodes share one label.
+    """
+    n_windows, n, _ = unions.shape
+    _, labels = connected_components(_block_diagonal(unions), directed=True,
+                                     connection="strong")
+    labels = labels.reshape(n_windows, n)
+    return bool(np.all(labels == labels[:, :1]))
 
 
-def is_rooted_at(g: Digraph, root: int) -> bool:
-    """True iff all nodes are reachable from ``root``."""
-    return len(_reachable_from(g, root)) == g.n_nodes
+def certify_jointly_rooted(unions: np.ndarray, root: int) -> bool:
+    """True iff every window union has all nodes reachable from ``root``.
+
+    One breadth-first search from a hub node that feeds every window's copy
+    of ``root`` in the block-diagonal graph: it must reach every node.
+    """
+    graph = _block_diagonal(unions, hub_root=root)
+    hub = graph.shape[0] - 1
+    return breadth_first_order(graph, hub, return_predecessors=False).size == hub + 1
 
 
-def certify_joint_strong_connectivity(seq: GraphSequence, t: int, horizon: int) -> bool:
-    """Check every window [kT, (k+1)T) union up to the horizon."""
-    if horizon % t != 0:
-        raise ValueError(f"horizon {horizon} must be a multiple of T = {t}")
-    for k in range(horizon // t):
-        if t == 1:
-            window = seq.graph(k)
-        else:
-            window = union_graph(seq, k * t, (k + 1) * t - 1)
-        if not is_strongly_connected(window):
-            return False
-    return True
-
-
-def certify_jointly_rooted(seq: GraphSequence, t: int, horizon: int, root: int) -> bool:
-    """Check that every window union has all nodes reachable from ``root``."""
-    if horizon % t != 0:
-        raise ValueError(f"horizon {horizon} must be a multiple of T = {t}")
-    for k in range(horizon // t):
-        if t == 1:
-            window = seq.graph(k)
-        else:
-            window = union_graph(seq, k * t, (k + 1) * t - 1)
-        if not is_rooted_at(window, root):
-            return False
-    return True
-
-
-def generate_random_jointly_connected(n_nodes: int, t: int, seed: int,
-                                      horizon: int | None = None) -> GraphSequence:
+def generate_random_jointly_connected(n_nodes: int, t: int, seed: int) -> GraphSequence:
     """Seeded random sequence certified jointly strongly connected by construction."""
-    if t < 1:
-        raise ValueError(f"T must be >= 1, got {t}")
     return RandomJointlyConnectedSequence(n_nodes, t, seed)

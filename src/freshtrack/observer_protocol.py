@@ -242,7 +242,7 @@ def protocol_round(states, graph_k, measurements_k, ts, gains):
     kernel = ProtocolKernel(ts, gains)
     tau, z = _states_to_arrays(states, ts)
     y = kernel.source_outputs([measurements_k[i] for i in range(1, ts.n_nodes + 1)])
-    tau, z, donors = kernel.step(tau, z, graph_k.adjacency(), y)
+    tau, z, donors = kernel.step(tau, z, graph_k.adj, y)
     return _arrays_to_states(tau, z, donors, ts)
 
 

@@ -16,13 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import WeightStrategy, baseline_round
+from .baselines import WeightStrategy, baseline_round, mixing_weights
 from .decomposition import block_offsets, staircase_transform
 from .gain_design import compute_bound_constants, design_gains
 from .graph_seq import (
     GraphSequence,
     certify_joint_strong_connectivity,
     certify_jointly_rooted,
+    window_unions,
 )
 from .observer_protocol import OMEGA, ProtocolKernel, check_delayed_form, initial_arrays
 from .system_model import LtiPlant, simulate_truth
@@ -54,7 +55,7 @@ class Trace:
     time axis: ``taus[k]`` is the N x N index array (-1 for never informed),
     ``z_estimates[k]`` the N x n estimates, and ``donors[k]`` the donor ids
     adopted in the round that produced the state at time k (-1 for
-    open-loop rounds).
+    open-loop rounds).  ``adjacency[k]`` is the N x N bool graph of round k.
     """
 
     def __init__(self, kind, n_nodes, horizon, period_t, block_dims, rho=None,
@@ -74,7 +75,7 @@ class Trace:
         self.z_estimates = np.zeros((horizon + 1, n_nodes, n_state))
         self.err_block = np.zeros((horizon + 1, n_nodes, n_nodes))
         self.err_total = np.zeros((horizon + 1, n_nodes))
-        self.graph_edges = []
+        self.adjacency = np.zeros((horizon, n_nodes, n_nodes), dtype=bool)
         self.ts = None
         self.gains = None
         self.constants = None
@@ -162,13 +163,11 @@ def _run_freshness(s: Scenario) -> Trace:
     trace.gains = gains
     trace.warnings.extend(ts.warnings)
 
-    cert_horizon = (s.horizon // s.graph.period_t) * s.graph.period_t
-    if cert_horizon >= s.graph.period_t:
-        if not certify_joint_strong_connectivity(s.graph, s.graph.period_t, cert_horizon):
-            rooted = all(
-                certify_jointly_rooted(s.graph, s.graph.period_t, cert_horizon, j)
-                for j in trace.substates)
-            if rooted:
+    trace.adjacency = s.graph.adjacency(s.horizon)
+    if s.horizon >= s.graph.period_t:
+        unions = window_unions(trace.adjacency, s.graph.period_t)
+        if not certify_joint_strong_connectivity(unions):
+            if all(certify_jointly_rooted(unions, j) for j in trace.substates):
                 trace.warnings.append(
                     "rooted-mode: joint strong connectivity fails but every "
                     "source roots its window unions")
@@ -184,9 +183,7 @@ def _run_freshness(s: Scenario) -> Trace:
     outputs = kernel.source_outputs(truth.measurements)
     trace.taus[0], trace.z_estimates[0] = tau, z
     for k in range(s.horizon):
-        graph_k = s.graph.graph(k)
-        trace.graph_edges.append(sorted(graph_k.edges))
-        tau, z, donors = kernel.step(tau, z, graph_k.adjacency(), outputs[k])
+        tau, z, donors = kernel.step(tau, z, trace.adjacency[k], outputs[k])
         trace.taus[k + 1], trace.donors[k + 1], trace.z_estimates[k + 1] = tau, donors, z
 
     # Per-substate error norms: one segmented sum over the block columns.
@@ -227,27 +224,18 @@ def _run_baseline(s: Scenario) -> Trace:
     block_dims = [plant.n] + [0] * (n_nodes - 1)
     trace = Trace("baseline", n_nodes, s.horizon, s.graph.period_t,
                   block_dims, seed=s.seed)
-    estimates = {
-        i: (np.asarray(s.initial_estimates[i - 1], dtype=float)
-            if s.initial_estimates is not None else np.zeros(plant.n))
-        for i in range(1, n_nodes + 1)
-    }
-
-    def record(k):
-        for i in range(1, n_nodes + 1):
-            est = (truth.states[k] if i in s.oracle_nodes else estimates[i])
-            trace.z_estimates[k, i - 1] = est
-            err = np.linalg.norm(est - truth.states[k])
-            trace.err_block[k, i - 1, 0] = err
-            trace.err_total[k, i - 1] = err
-
-    record(0)
+    trace.adjacency = s.graph.adjacency(s.horizon)
+    weights = mixing_weights(trace.adjacency, s.strategy)
+    oracle = np.isin(np.arange(1, n_nodes + 1), list(s.oracle_nodes))
+    est = trace.z_estimates
+    if s.initial_estimates is not None:
+        est[0] = s.initial_estimates
     for k in range(s.horizon):
-        graph_k = s.graph.graph(k)
-        trace.graph_edges.append(sorted(graph_k.edges))
-        estimates = baseline_round(estimates, graph_k, s.strategy,
-                                   plant.a_matrix, s.oracle_nodes, truth.states[k])
-        record(k + 1)
+        est[k + 1] = baseline_round(est[k], weights[k], plant.a_matrix, oracle,
+                                    truth.states[k])
+    est[:, oracle] = truth.states[:, None, :]
+    trace.err_total = np.linalg.norm(est - truth.states[:, None, :], axis=2)
+    trace.err_block[:, :, 0] = trace.err_total
     return trace
 
 
@@ -360,17 +348,16 @@ def check_lemma_suite(trace: Trace, ts=None, check_delayed=False,
                 fail("index_step_bound", (i, j, int(step_bad[0])))
 
     # Whenever the source is an in-neighbor, it must be the adopted donor.
-    for k, edges in enumerate(trace.graph_edges):
-        senders = {}
-        for a, b in edges:
-            senders.setdefault(b, set()).add(a)
-        for j in trace.substates:
-            for i in range(1, n_nodes + 1):
-                if i == j or j not in senders.get(i, ()):
-                    continue
-                if trace.donor(k, i, j) != j:
-                    fail("source_preferred", (i, j, k))
-                    break
+    # bad[k, c, i]: source j = subs[c] sends to node i+1 in round k, which
+    # adopts another donor; argwhere's row-major order finds the first (k, j, i).
+    subs = np.array(trace.substates, dtype=int)
+    bad = (trace.adjacency[:, subs - 1, :]
+           & (trace.donors[1:, :, subs - 1].transpose(0, 2, 1) != subs[:, None]))
+    bad[:, np.arange(len(subs)), subs - 1] = False
+    hits = np.argwhere(bad)
+    if hits.size:
+        k, c, i = hits[0]
+        fail("source_preferred", (int(i) + 1, int(subs[c]), int(k)))
 
     if check_delayed:
         if ts is None:

@@ -63,10 +63,6 @@ class LtiPlant:
     def n_nodes(self):
         return len(self.sensors)
 
-    @property
-    def output_dims(self):
-        return tuple(c.shape[0] for c in self.sensors)
-
     def stacked_c(self):
         """Vertical stack of all observation matrices."""
         return np.vstack([c for c in self.sensors])
@@ -78,9 +74,6 @@ class Trajectory:
 
     states: np.ndarray          # (horizon+1, n)
     measurements: tuple         # per node: (horizon+1, r_i)
-
-    def state(self, k):
-        return self.states[k]
 
     def measurement(self, node, k):
         """Measurement of 1-indexed node at time-step k."""

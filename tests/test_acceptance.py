@@ -22,6 +22,7 @@ from freshtrack.graph_seq import (
     PeriodicGraphSequence,
     certify_joint_strong_connectivity,
     generate_random_jointly_connected,
+    window_unions,
 )
 from freshtrack.observer_protocol import OMEGA, check_delayed_form
 from freshtrack.scenarios import (
@@ -96,7 +97,7 @@ def test_deadbeat_finite_time_bounds():
 
     # Random n=5, N=4, T=3 strongly connected scenario: bound 5 + 2*4*3*3 = 77.
     plant, graph = random_jsc_setup()
-    assert certify_joint_strong_connectivity(graph, 3, 90)
+    assert certify_joint_strong_connectivity(window_unions(graph.adjacency(90), 3))
     s = Scenario(plant=plant, graph=graph, deadbeat=True, horizon=90, seed=7)
     trace = run_scenario(s)
     initial = float(np.max(trace.err_total[0]))
@@ -111,7 +112,7 @@ def test_deadbeat_finite_time_bounds():
 def test_spectral_rate_control_and_envelopes(rho, rate_cap):
     start = time.perf_counter()
     plant, graph = random_jsc_setup()
-    assert certify_joint_strong_connectivity(graph, 3, 300)
+    assert certify_joint_strong_connectivity(window_unions(graph.adjacency(300), 3))
     s = Scenario(plant=plant, graph=graph, rho=rho, horizon=300, seed=7)
     trace = run_scenario(s)
     assert not any("rooted" in w or "failed" in w for w in trace.warnings)
@@ -134,8 +135,8 @@ def test_freshness_index_invariants_batch():
         plant = make_diagonal_plant(n_nodes, seed=3000 + trial)
         graph = generate_random_jointly_connected(n_nodes, t, seed=4000 + trial)
         horizon = 4 * (n_nodes - 1) * t + 8
-        cert_h = (horizon // t) * t
-        assert certify_joint_strong_connectivity(graph, t, cert_h)
+        assert certify_joint_strong_connectivity(
+            window_unions(graph.adjacency(horizon), t))
         s = Scenario(plant=plant, graph=graph, rho=0.8, horizon=horizon,
                      seed=trial)
         trace = run_scenario(s)

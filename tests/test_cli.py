@@ -1,10 +1,12 @@
 import json
 import os
 
+import jsonschema
 import numpy as np
 import pytest
 
 from freshtrack.cli import (
+    CONFIG_SCHEMA,
     ConfigError,
     _load_trace_csv,
     build_report,
@@ -53,6 +55,42 @@ def test_build_scenario_rejects_bad_dimensions():
     config["plant"] = {"A": [[2.0]], "C": [[[1.0, 2.0]]], "x0": [1.0]}
     with pytest.raises(ConfigError):
         build_scenario(config)
+
+
+def test_config_schema_is_valid():
+    jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
+
+
+@pytest.mark.parametrize("algorithm", [
+    {"type": "freshness", "deadbeat": True},
+    {"type": "baseline", "strategy": "uniform"},
+])
+@pytest.mark.parametrize("init", [[[0.0], [0.0]], [[0.0], [0.0], [0.0, 1.0]]])
+def test_run_rejects_init_estimates_of_wrong_shape(tmp_path, capsys, algorithm, init):
+    # The Fig. 1 plant has 3 nodes and n = 1.
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(small_config(algorithm=algorithm, init_estimates=init)))
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "init_estimates" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algorithm", [
+    {"type": "baseline", "strategy": "tree_rooted", "root": 4},
+    {"type": "baseline", "strategy": "tree_rooted"},
+])
+def test_run_rejects_tree_root_outside_nodes(tmp_path, capsys, algorithm):
+    cfg = tmp_path / "root.json"
+    cfg.write_text(json.dumps(small_config(algorithm=algorithm)))
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "tree_rooted needs a root in 1..3" in capsys.readouterr().err
+
+
+def test_run_rejects_edge_outside_nodes(tmp_path, capsys):
+    cfg = tmp_path / "edge.json"
+    cfg.write_text(json.dumps(small_config(graph={
+        "mode": "periodic", "T": 2, "params": {"edge_lists": [[[1, 2], [2, 4]]]}})))
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "outside node range" in capsys.readouterr().err
 
 
 def test_list_contains_canned_scenarios(capsys):
@@ -182,3 +220,38 @@ def test_trace_csv_reads_back_bit_equal(tmp_path, name):
     loaded = _load_trace_csv(path, report)
     for attr in ("taus", "donors", "z_estimates", "err_block", "err_total"):
         assert np.array_equal(getattr(loaded, attr), getattr(trace, attr)), attr
+
+
+def _run_small(tmp_path, capsys):
+    cfg = tmp_path / "m.json"
+    cfg.write_text(json.dumps(small_config()))
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    return tmp_path / "m_trace.csv", tmp_path / "m_report.json"
+
+
+@pytest.mark.parametrize("node", [0, 4])
+def test_check_rejects_report_edge_outside_nodes(tmp_path, capsys, node):
+    trace, report = _run_small(tmp_path, capsys)
+    data = json.loads(report.read_text())
+    data["graph_edges"][5].append([node, 2])
+    report.write_text(json.dumps(data))
+    assert main(["check", str(trace), str(report)]) == 2
+    assert "outside node range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tamper", ["no_rows", "short_row", "long_row", "fraction"])
+def test_check_rejects_malformed_trace_rows(tmp_path, capsys, tamper):
+    trace, report = _run_small(tmp_path, capsys)
+    lines = trace.read_text().splitlines()
+    if tamper == "no_rows":
+        lines = lines[:2]
+    elif tamper == "short_row":
+        lines[7] = lines[7][:lines[7].rindex(",")]
+    elif tamper == "long_row":
+        lines[7] += ",1.0"
+    else:
+        lines[7] = "2.5" + lines[7][lines[7].index(","):]
+    trace.write_text("\n".join(lines) + "\n")
+    assert main(["check", str(trace), str(report)]) == 2
+    assert "malformed" in capsys.readouterr().err

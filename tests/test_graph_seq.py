@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from freshtrack.graph_seq import (
     Digraph,
@@ -9,52 +10,84 @@ from freshtrack.graph_seq import (
     certify_joint_strong_connectivity,
     certify_jointly_rooted,
     generate_random_jointly_connected,
-    is_rooted_at,
-    is_strongly_connected,
-    union_graph,
+    window_unions,
 )
 
 FIG1 = PeriodicGraphSequence(
     [Digraph(3, [(1, 2), (2, 3)]), Digraph(3, [(1, 3), (3, 2)])], period_t=2)
 
 
+def edges(adj):
+    """1-indexed edge set of an N x N adjacency."""
+    return {(int(i) + 1, int(j) + 1) for i, j in np.argwhere(adj)}
+
+
+def union(seq, k1, k2):
+    """Union of the graphs of rounds k1..k2 inclusive, as one window."""
+    return window_unions(seq.adjacency(k2 + 1)[k1:], k2 - k1 + 1)[0]
+
+
+def strongly_connected(adj):
+    return certify_joint_strong_connectivity(adj[None])
+
+
+def reach(adj, src):
+    """Nodes reachable from 1-indexed ``src``: the per-window DFS oracle."""
+    out = {v: [] for v in range(1, len(adj) + 1)}
+    for a, b in edges(adj):
+        out[a].append(b)
+    seen, stack = {src}, [src]
+    while stack:
+        for b in out[stack.pop()]:
+            if b not in seen:
+                seen.add(b)
+                stack.append(b)
+    return seen
+
+
 def test_union_graph_fig1_window():
-    g = union_graph(FIG1, 0, 1)
-    assert g.edges == frozenset({(1, 2), (2, 3), (1, 3), (3, 2)})
+    assert edges(union(FIG1, 0, 1)) == {(1, 2), (2, 3), (1, 3), (3, 2)}
 
 
 def test_union_of_static_graph_is_itself():
     g = Digraph(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
     seq = PeriodicGraphSequence([g], period_t=1)
-    assert union_graph(seq, 0, 5).edges == g.edges
+    assert np.array_equal(union(seq, 0, 5), g.adj)
 
 
 def test_union_matches_fold_of_sets():
     rng = np.random.default_rng(2)
     graphs = []
     for _ in range(3):
-        edges = {(int(i), int(j)) for i, j in rng.integers(1, 5, size=(6, 2)) if i != j}
-        graphs.append(Digraph(4, edges))
+        es = {(int(i), int(j)) for i, j in rng.integers(1, 5, size=(6, 2)) if i != j}
+        graphs.append(Digraph(4, es))
     seq = PeriodicGraphSequence(graphs, period_t=3)
     expected = set()
     for k in range(2, 8):
-        expected |= seq.graph(k).edges
-    assert union_graph(seq, 2, 7).edges == expected
+        expected |= edges(graphs[k % 3].adj)
+    assert edges(union(seq, 2, 7)) == expected
 
 
 def test_union_window_monotone():
     for k2 in range(2, 8):
-        smaller = union_graph(FIG1, 0, k2 - 1).edges
-        larger = union_graph(FIG1, 0, k2).edges
+        smaller = edges(union(FIG1, 0, k2 - 1))
+        larger = edges(union(FIG1, 0, k2))
         assert smaller <= larger
 
 
+def test_window_unions_drop_incomplete_window():
+    adj = FIG1.adjacency(5)
+    unions = window_unions(adj, 2)
+    assert unions.shape == (2, 3, 3)
+    assert np.array_equal(unions[1], adj[2] | adj[3])
+
+
 def test_two_cycle_strongly_connected():
-    assert is_strongly_connected(Digraph(2, [(1, 2), (2, 1)]))
+    assert strongly_connected(Digraph(2, [(1, 2), (2, 1)]).adj)
 
 
 def test_chain_not_strongly_connected():
-    assert not is_strongly_connected(Digraph(3, [(1, 2), (2, 3)]))
+    assert not strongly_connected(Digraph(3, [(1, 2), (2, 3)]).adj)
 
 
 def test_scc_matches_pairwise_reachability():
@@ -62,26 +95,31 @@ def test_scc_matches_pairwise_reachability():
     for _ in range(25):
         n = int(rng.integers(2, 7))
         # Random tournament: one direction per unordered pair.
-        edges = set()
+        es = set()
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
-                edges.add((i, j) if rng.random() < 0.5 else (j, i))
-        g = Digraph(n, edges)
+                es.add((i, j) if rng.random() < 0.5 else (j, i))
+        adj = Digraph(n, es).adj
+        oracle = all(len(reach(adj, v)) == n for v in range(1, n + 1))
+        assert strongly_connected(adj) == oracle
 
-        def reach(src):
-            out = {v: [] for v in range(1, n + 1)}
-            for a, b in edges:
-                out[a].append(b)
-            seen, stack = {src}, [src]
-            while stack:
-                for b in out[stack.pop()]:
-                    if b not in seen:
-                        seen.add(b)
-                        stack.append(b)
-            return seen
 
-        oracle = all(len(reach(v)) == n for v in range(1, n + 1))
-        assert is_strongly_connected(g) == oracle
+@settings(max_examples=200, deadline=None)
+@given(adj=st.tuples(st.integers(1, 5), st.integers(0, 9)).flatmap(
+           lambda s: arrays(bool, (s[1], s[0], s[0]))),
+       t=st.integers(1, 4), data=st.data())
+def test_certification_matches_per_window_dfs(adj, t, data):
+    # Random tensors, empty graphs and N=1 included; T need not divide H.
+    n = adj.shape[1]
+    adj = adj & ~np.eye(n, dtype=bool)
+    unions = window_unions(adj, t)
+    windows = [adj[w * t:(w + 1) * t].any(axis=0) for w in range(len(adj) // t)]
+    assert np.array_equal(unions, np.array(windows).reshape(-1, n, n))
+    strong = all(len(reach(u, v)) == n for u in windows for v in range(1, n + 1))
+    assert certify_joint_strong_connectivity(unions) == strong
+    root = data.draw(st.integers(1, n))
+    assert certify_jointly_rooted(unions, root) == all(len(reach(u, root)) == n
+                                                       for u in windows)
 
 
 def test_certify_ring_revealed_one_edge_per_step():
@@ -89,70 +127,88 @@ def test_certify_ring_revealed_one_edge_per_step():
     ring = [(i, i % n + 1) for i in range(1, n + 1)]
     graphs = [Digraph(n, [e]) for e in ring]
     seq = PeriodicGraphSequence(graphs, period_t=n)
-    assert certify_joint_strong_connectivity(seq, n, 4 * n)
+    assert certify_joint_strong_connectivity(window_unions(seq.adjacency(4 * n), n))
 
 
 def test_fig1_not_jointly_strongly_connected():
     # Window union is rooted at node 1, but 2 and 3 never reach back.
-    assert not certify_joint_strong_connectivity(FIG1, 2, 10)
-    assert certify_jointly_rooted(FIG1, 2, 10, root=1)
+    unions = window_unions(FIG1.adjacency(10), 2)
+    assert not certify_joint_strong_connectivity(unions)
+    assert certify_jointly_rooted(unions, root=1)
 
 
 def test_static_strongly_connected_t1():
     g = Digraph(3, [(1, 2), (2, 3), (3, 1)])
     seq = PeriodicGraphSequence([g], period_t=1)
-    assert certify_joint_strong_connectivity(seq, 1, 7)
+    assert certify_joint_strong_connectivity(window_unions(seq.adjacency(7), 1))
 
 
 def test_chain_rootedness():
     seq = PeriodicGraphSequence([Digraph(3, [(1, 2), (2, 3)])], period_t=1)
-    assert certify_jointly_rooted(seq, 1, 5, root=1)
-    assert not certify_jointly_rooted(seq, 1, 5, root=3)
+    unions = window_unions(seq.adjacency(5), 1)
+    assert certify_jointly_rooted(unions, root=1)
+    assert not certify_jointly_rooted(unions, root=3)
 
 
 def test_random_sequence_t1_every_graph_strongly_connected():
     seq = generate_random_jointly_connected(3, 1, seed=4)
-    for k in range(20):
-        assert is_strongly_connected(seq.graph(k))
+    for adj in seq.adjacency(20):
+        assert strongly_connected(adj)
 
 
 def test_random_sequence_certifies():
     seq = generate_random_jointly_connected(5, 3, seed=7)
-    assert certify_joint_strong_connectivity(seq, 3, 300)
+    assert certify_joint_strong_connectivity(window_unions(seq.adjacency(300), 3))
 
 
 def test_random_sequence_deterministic():
     s1 = generate_random_jointly_connected(4, 2, seed=9)
     s2 = generate_random_jointly_connected(4, 2, seed=9)
-    for k in range(40):
-        assert s1.graph(k).edges == s2.graph(k).edges
+    assert np.array_equal(s1.adjacency(40), s2.adjacency(40))
 
 
 def test_random_access_matches_sequential_access():
-    s1 = generate_random_jointly_connected(4, 3, seed=12)
-    s2 = generate_random_jointly_connected(4, 3, seed=12)
-    late = s1.graph(25).edges
-    for k in range(30):
-        s2.graph(k)
-    assert s2.graph(25).edges == late
+    # A round's graph does not depend on how many rounds are asked for.
+    seq = generate_random_jointly_connected(4, 3, seed=12)
+    late = seq.adjacency(26)[25]
+    assert np.array_equal(seq.adjacency(30)[25], late)
+    assert np.array_equal(seq.adjacency(25 + 3 * 7)[25], late)
+
+
+def test_random_sequence_windows_pinned():
+    # Edges drawn by the per-window generators of seed 12, N=4, T=3.
+    adj = generate_random_jointly_connected(4, 3, seed=12).adjacency(30)
+    assert [sorted(edges(a)) for a in adj[:6]] == [
+        [(1, 2), (3, 4), (4, 1)], [(1, 3)], [(2, 1), (2, 3)],
+        [(2, 3), (3, 1)], [(1, 4), (3, 1), (4, 2)], [(4, 2)]]
+    assert [sorted(edges(a)) for a in adj[27:]] == [
+        [(2, 3)], [(1, 2), (4, 1)], [(3, 4)]]
 
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10_000), n=st.integers(2, 6), t=st.integers(1, 4))
 def test_strong_connectivity_implies_rooted_everywhere(seed, n, t):
     seq = generate_random_jointly_connected(n, t, seed=seed)
-    horizon = 4 * t
-    assert certify_joint_strong_connectivity(seq, t, horizon)
+    unions = window_unions(seq.adjacency(4 * t), t)
+    assert certify_joint_strong_connectivity(unions)
     for root in range(1, n + 1):
-        assert certify_jointly_rooted(seq, t, horizon, root)
+        assert certify_jointly_rooted(unions, root)
 
 
 def test_no_self_loops_stored():
     g = Digraph(3, [(1, 1), (1, 2)])
-    assert g.edges == frozenset({(1, 2)})
+    assert edges(g.adj) == {(1, 2)}
+    assert not g.adj.flags.writeable
+
+
+def test_edge_outside_node_range_rejected():
+    for bad in [(0, 2), (1, 4)]:
+        with pytest.raises(ValueError, match="outside node range"):
+            Digraph(3, [(1, 2), bad])
 
 
 def test_in_neighbors_sorted():
+    # A column of the adjacency lists a node's in-neighbors in id order.
     g = Digraph(4, [(3, 1), (2, 1), (4, 2)])
-    assert g.in_neighbors(1) == [2, 3]
-    assert g.in_neighbors(4) == []
+    assert list(np.flatnonzero(g.adj[:, 0]) + 1) == [2, 3]
+    assert list(np.flatnonzero(g.adj[:, 3]) + 1) == []

@@ -186,7 +186,7 @@ def reference_round(states, graph, meas, ts, gains):
                 new_taus[j], new_ests[j], new_donors[j] = 0, val, OPEN_LOOP
                 continue
             neigh = [l for l in range(1, n_nodes + 1)
-                     if (l, i) in graph.edges]
+                     if graph.adj[l - 1, i - 1]]
             m_set = [l for l in neigh if old[l].taus[j] is not OMEGA]
             if st.taus[j] is OMEGA:
                 candidates = m_set
@@ -208,14 +208,14 @@ def reference_round(states, graph, meas, ts, gains):
     return out
 
 
-def per_node_round(states, graph, meas, ts, gains):
+def per_node_round(states, adj, meas, ts, gains):
     """The update rules composed from select_donor/source_step/nonsource_step,
     one (node, substate) pair at a time."""
     snapshots = {s.node_id: s for s in states}
     new_states = []
     for state in states:
         i = state.node_id
-        neighbors = [l for l, m in sorted(graph.edges) if m == i]
+        neighbors = [int(l) + 1 for l in np.flatnonzero(adj[:, i - 1])]
         new = state.snapshot()
         new.last_donor = {}
         for j in sorted(state.estimates):
@@ -340,7 +340,7 @@ def test_run_matches_per_node_rules(fig1, kw):
     for k in range(trace.horizon + 1):
         if k:
             meas = {i: traj.measurement(i, k - 1) for i in (1, 2, 3)}
-            states = per_node_round(states, graph.graph(k - 1), meas, ts, gains)
+            states = per_node_round(states, trace.adjacency[k - 1], meas, ts, gains)
         z_truth = to_transformed_coords(traj.states[k], ts)
         for st in states:
             i = st.node_id

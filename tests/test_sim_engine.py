@@ -202,3 +202,17 @@ def test_trace_csv_format_pinned():
         "1,1,2,1,2,0.75,-2.5,nan\n"
         "1,2,1,1,1,3.0,4.0,1.5\n"
         "1,2,2,0,-1,0.125,7.0,nan\n")
+
+
+def test_lemma_suite_reports_first_source_preferred_violation():
+    trace = run_scenario(random_scenario(seed=7))
+    # (k, j, i): source j sends to node i in round k, so i must adopt j.
+    sends = [(k, j, i) for k in range(trace.horizon) for j in trace.substates
+             for i in range(1, trace.n_nodes + 1)
+             if i != j and trace.adjacency[k, j - 1, i - 1]]
+    for k, j, i in (sends[-1], sends[3]):
+        trace.donors[k + 1, i - 1, j - 1] = -1
+    report = check_lemma_suite(trace)
+    k, j, i = sends[3]
+    assert report["checks"]["source_preferred"] == {
+        "passed": False, "counterexample": (i, j, k)}
