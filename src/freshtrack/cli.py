@@ -18,7 +18,7 @@ import numpy as np
 import jsonschema
 
 from .baselines import WeightStrategy, detect_divergence
-from .decomposition import TransformedSystem
+from .decomposition import DecompositionError, TransformedSystem, block_offsets
 from .gain_design import BoundConstants
 from .graph_seq import Digraph, PeriodicGraphSequence, generate_random_jointly_connected
 from .scenarios import canned_scenarios
@@ -109,6 +109,8 @@ def build_scenario(config) -> Scenario:
                              or any(len(x) != plant.n for x in init)):
         raise ConfigError(f"init_estimates must be {plant.n_nodes} vectors "
                           f"of length {plant.n}")
+    if init is not None and not np.all(np.isfinite(init)):
+        raise ConfigError("init_estimates must be finite (no NaN or inf)")
 
     seed = int(config.get("seed", 0))
     gspec = config["graph"]
@@ -312,7 +314,13 @@ def _load_trace_csv(path, report):
         report["algorithm"], report["n_nodes"], report["horizon"],
         report["period_t"], block_dims, rho=report.get("rho"),
         deadbeat=report.get("deadbeat", False), seed=report.get("seed", 0))
-    for k, edges in enumerate(report.get("graph_edges", [])):
+    # Every round's graph is needed: a missing round would read as an empty
+    # graph, and source_preferred would pass without checking it.
+    rounds = report.get("graph_edges")
+    if rounds is None or len(rounds) != trace.horizon:
+        raise ValueError(f"report must list graph_edges for all {trace.horizon} rounds, "
+                         f"found {'none' if rounds is None else len(rounds)}")
+    for k, edges in enumerate(rounds):
         trace.adjacency[k] = Digraph(trace.n_nodes, edges).adj
     trace.warnings = list(report.get("warnings", []))
     if "transform" in report:
@@ -349,9 +357,10 @@ def _load_trace_csv(path, report):
     trace.taus[k, node - 1, sub - 1] = tau
     trace.donors[k, node - 1, sub - 1] = donor
     trace.err_block[k, node - 1, sub - 1] = rows[:, 5]
+    off = block_offsets(block_dims)
     for j in trace.substates:
         m = sub == j
-        trace.z_estimates[k[m], node[m] - 1, trace._slice(j)] = \
+        trace.z_estimates[k[m], node[m] - 1, off[j - 1]:off[j]] = \
             rows[m, 6:6 + block_dims[j - 1]]
     trace.err_total = np.sqrt(np.sum(trace.err_block ** 2, axis=2))
     return trace
@@ -404,7 +413,7 @@ def main(argv=None):
         if args.command == "check":
             return cmd_check(args.trace, args.report)
         return cmd_list_scenarios()
-    except ConfigError as exc:
+    except (ConfigError, DecompositionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,59 +1,32 @@
 """The freshness-index distributed observer.
 
-Each node keeps, per substate, an estimate and a freshness index: either the
-distinguished OMEGA ("never informed") or the age, in rounds, of its
-information relative to the substate's source node.  Rounds are strictly
-synchronous: every right-hand-side quantity is a start-of-round snapshot.
+Each node keeps, per substate, an estimate and a freshness index: the age, in
+rounds, of its information relative to the substate's source node, or -1 when
+the node has never been informed.  Rounds are strictly synchronous: every
+right-hand-side quantity is a start-of-round snapshot.
 
 A run holds the whole network's state as two arrays.  ``tau`` is N x N int:
-``tau[i, j]`` is node i+1's index for substate j+1, with -1 encoding OMEGA
+``tau[i, j]`` is node i+1's index for substate j+1, with -1 for never informed
 (and staying -1 for zero-dimension substates).  ``z`` is N x n: row i is node
 i+1's estimate of every substate in transformed coordinates.
 ``ProtocolKernel.step`` advances both by one round in O(N^2 n) array work: a
 masked argmin over in-neighbor indices picks the donors, then one
 block-lower-triangular product and a source correction update the estimates.
 It returns the donors as 1-indexed node ids, with -1 for open-loop rounds.
+The same -1 encodings run through ``Trace`` and the trace CSV.
 
-``protocol_round`` is the same round over per-node ``NodeState`` objects;
 ``select_donor``, ``source_step`` and ``nonsource_step`` are the per-node
-reading of the update rules, kept as the reference the kernel is tested
-against.
+reading of the update rules, over one node's n-vector and plain int indices;
+the tests compare the kernel against them.  ``check_delayed_form`` is the
+per-point closed form of the delayed-error identity, the reference for the
+array check in ``sim_engine``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-OMEGA = None          # "infinite delay" marker for freshness indices
-OPEN_LOOP = None      # donor marker when no informative neighbor exists
-
 _NO_DONOR = np.iinfo(np.int64).max
-
-
-@dataclass
-class NodeState:
-    """Per-node observer state: one entry per nonempty substate.
-
-    ``taus[j]`` is OMEGA or a nonnegative int; ``estimates[j]`` is the n_j
-    estimate vector; ``last_donor[j]`` records the donor node id of the most
-    recent round (OPEN_LOOP when the node ran open-loop), for lineage
-    reconstruction only.
-    """
-
-    node_id: int
-    taus: dict
-    estimates: dict
-    last_donor: dict = field(default_factory=dict)
-
-    def snapshot(self):
-        return NodeState(
-            node_id=self.node_id,
-            taus=dict(self.taus),
-            estimates={j: z.copy() for j, z in self.estimates.items()},
-            last_donor=dict(self.last_donor),
-        )
 
 
 class ProtocolKernel:
@@ -127,38 +100,8 @@ class ProtocolKernel:
         return new_tau, new_z, donors
 
 
-def _states_to_arrays(states, ts):
-    n_nodes = ts.n_nodes
-    tau = np.full((n_nodes, n_nodes), -1, dtype=np.int64)
-    z = np.zeros((n_nodes, ts.n))
-    for st in states:
-        i = st.node_id - 1
-        for j, t in st.taus.items():
-            tau[i, j - 1] = -1 if t is OMEGA else t
-        for j, est in st.estimates.items():
-            z[i, ts.block_slice(j)] = est
-    return tau, z
-
-
-def _arrays_to_states(tau, z, donors, ts):
-    states = []
-    for i in range(ts.n_nodes):
-        st = NodeState(node_id=i + 1, taus={}, estimates={})
-        for j in range(1, ts.n_nodes + 1):
-            if ts.block_dims[j - 1] == 0:
-                continue
-            t = int(tau[i, j - 1])
-            st.taus[j] = OMEGA if t < 0 else t
-            st.estimates[j] = z[i, ts.block_slice(j)].copy()
-            if donors is not None:
-                d = int(donors[i, j - 1])
-                st.last_donor[j] = OPEN_LOOP if d < 0 else d
-        states.append(st)
-    return states
-
-
 def initial_arrays(ts, z0=None):
-    """Start-of-run (tau, z): each source's own index is 0, all others OMEGA.
+    """Start-of-run (tau, z): each source's own index is 0, all others -1.
 
     ``z0`` holds per-node n-vectors in transformed coordinates (default all
     zeros).
@@ -172,78 +115,49 @@ def initial_arrays(ts, z0=None):
     return tau, np.array(z0, dtype=float).reshape(n_nodes, ts.n)
 
 
-def init_states(ts, initial_estimates=None):
-    """Initial node states: the source's own index is 0, all others OMEGA.
-
-    ``initial_estimates`` are per-node n-vectors in transformed coordinates
-    (default all zeros); they are sliced into substates per the block layout.
-    """
-    tau, z = initial_arrays(ts, initial_estimates)
-    return _arrays_to_states(tau, z, None, ts)
-
-
-def source_step(j, state, y_j, ts, gains):
-    """Source update for substate j; the source's index stays pinned at 0."""
-    a_jj = ts.a_block(j, j)
-    c_jj = ts.c_block(j, j)
+def source_step(j, z, y_j, ts, gains):
+    """Source update of substate j from node j's n-vector ``z``; its index stays 0."""
     l_j = gains.gain(j)
-    new = (a_jj - l_j @ c_jj) @ state.estimates[j]
+    new = (ts.a_block(j, j) - l_j @ ts.c_block(j, j)) @ z[ts.block_slice(j)]
     for q in range(1, j):
         if ts.block_dims[q - 1] == 0:
             continue
-        new = new + (ts.a_block(j, q) - l_j @ ts.c_block(j, q)) @ state.estimates[q]
-    new = new + l_j @ np.atleast_1d(y_j)
-    return new
+        new = new + (ts.a_block(j, q) - l_j @ ts.c_block(j, q)) @ z[ts.block_slice(q)]
+    return new + l_j @ np.atleast_1d(y_j)
 
 
 def select_donor(own_tau, neighbor_taus):
     """Donor choice among in-neighbors, given their freshness indices.
 
-    ``neighbor_taus`` maps node id -> index.  A never-informed node takes the
-    freshest informed neighbor; an informed node only accepts a strictly
-    fresher one.  Ties break toward the smallest node id.
+    ``neighbor_taus`` maps node id -> index, -1 for never informed.  A
+    never-informed node takes the freshest informed neighbor; an informed node
+    only accepts a strictly fresher one.  Ties break toward the smallest node
+    id.  Returns -1 when no neighbor qualifies (an open-loop round).
     """
-    informed = {l: m for l, m in neighbor_taus.items() if m is not OMEGA}
-    if own_tau is not OMEGA:
-        informed = {l: m for l, m in informed.items() if m < own_tau}
+    informed = {l: m for l, m in neighbor_taus.items()
+                if m >= 0 and (own_tau < 0 or m < own_tau)}
     if not informed:
-        return None
+        return -1
     return min(informed, key=lambda l: (informed[l], l))
 
 
-def nonsource_step(j, state, donor, donor_estimate, ts):
-    """Non-source update for substate j: adopt the donor or run open-loop.
+def nonsource_step(j, z, tau, donor_z, donor_tau, ts):
+    """Non-source update of substate j: adopt the donor or run open-loop.
 
-    Cross-substate terms always use the node's own start-of-round estimates.
-    Returns (new index, new estimate).
+    ``z`` and ``tau`` are the node's own n-vector and index; ``donor_z`` and
+    ``donor_tau`` the donor's, with ``donor_tau`` -1 for an open-loop round
+    (``donor_z`` is then unused).  Cross-substate terms always use the
+    node's own start-of-round estimates.  Returns (new index, new estimate).
     """
-    a_jj = ts.a_block(j, j)
-    base = donor_estimate if donor is not None else state.estimates[j]
-    new = a_jj @ base
+    base = z if donor_tau < 0 else donor_z
+    new = ts.a_block(j, j) @ base[ts.block_slice(j)]
     for q in range(1, j):
         if ts.block_dims[q - 1] == 0:
             continue
-        new = new + ts.a_block(j, q) @ state.estimates[q]
-    if donor is not None:
-        return donor[1] + 1, new
-    if state.taus[j] is OMEGA:
-        return OMEGA, new
-    return state.taus[j] + 1, new
-
-
-def protocol_round(states, graph_k, measurements_k, ts, gains):
-    """One synchronous round of the source and non-source update rules.
-
-    ``measurements_k`` maps 1-indexed node id to its measurement at this round.
-    All nodes read start-of-round snapshots; donor ids are recorded on the new
-    states for lineage reconstruction.  This is ``ProtocolKernel.step`` over
-    per-node states, for callers that hold ``NodeState`` lists.
-    """
-    kernel = ProtocolKernel(ts, gains)
-    tau, z = _states_to_arrays(states, ts)
-    y = kernel.source_outputs([measurements_k[i] for i in range(1, ts.n_nodes + 1)])
-    tau, z, donors = kernel.step(tau, z, graph_k.adj, y)
-    return _arrays_to_states(tau, z, donors, ts)
+        new = new + ts.a_block(j, q) @ z[ts.block_slice(q)]
+    if donor_tau >= 0:
+        return donor_tau + 1, new
+    return (tau + 1 if tau >= 0 else -1), new
 
 
 def check_delayed_form(trace, ts, j, k, i):
@@ -252,23 +166,33 @@ def check_delayed_form(trace, ts, j, k, i):
     A finite index tau means the estimate equals the source's estimate from
     tau rounds ago pushed through the substate dynamics, plus cross-substate
     feed-ins collected along the recorded donor lineage.  Returns the relative
-    residual ||lhs - rhs|| / max(1, ||lhs||).
+    residual ||lhs - rhs|| / max(1, ||lhs||), and 0 for tau of -1 and for
+    the source's own index of 0.  Raises ValueError when tau is not the
+    length of the recorded lineage.  This is the paper's statement read
+    point by point; ``check_lemma_suite`` evaluates the same identity for a
+    whole trace in one forward pass.
     """
-    tau = trace.tau(k, i, j)
-    if tau is OMEGA or tau == 0:
+    tau = int(trace.taus[k, i - 1, j - 1])
+    if tau < 0 or (tau == 0 and i == j):
         return 0.0
+    if tau > k:
+        raise ValueError(f"index {tau} of node {i}, substate {j} exceeds k={k}")
+    cols = ts.block_slice(j)
     a_jj = ts.a_block(j, j)
-    lhs = trace.estimate(k, i, j)
-    rhs = np.linalg.matrix_power(a_jj, tau) @ trace.estimate(k - tau, j, j)
+    lhs = trace.z_estimates[k, i - 1, cols]
+    rhs = np.linalg.matrix_power(a_jj, tau) @ trace.z_estimates[k - tau, j - 1, cols]
 
     # Walk the donor chain backwards: the node holding the lineage value at
-    # time t+1 got it from its recorded donor during round t.
+    # time t+1 got it from the donor recorded for round t (at time t+1).
     node = i
     lineage = {}
     for t in range(k - 1, k - tau - 1, -1):
+        if node == j:
+            raise ValueError(f"lineage for node {i}, substate {j} at k={k} reaches "
+                             f"the source at {t + 1}, after k - tau = {k - tau}")
         lineage[t] = node
-        donor = trace.donor(t, node, j)
-        if donor is not OPEN_LOOP:
+        donor = int(trace.donors[t + 1, node - 1, j - 1])
+        if donor >= 0:
             node = donor
     if node != j:
         raise ValueError(
@@ -281,5 +205,5 @@ def check_delayed_form(trace, ts, j, k, i):
         for t in range(k - tau, k):
             v = lineage[t]
             rhs = rhs + np.linalg.matrix_power(a_jj, k - t - 1) @ (
-                a_jq @ trace.estimate(t, v, q))
+                a_jq @ trace.z_estimates[t, v - 1, ts.block_slice(q)])
     return float(np.linalg.norm(lhs - rhs) / max(1.0, np.linalg.norm(lhs)))

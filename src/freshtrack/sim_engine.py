@@ -7,6 +7,10 @@ against constants computed from the trace itself.
 
 A freshness run steps ``ProtocolKernel`` on the (tau, z) arrays and copies
 each round's arrays into the trace; error norms are computed once at the end.
+Every check is array work over the trace's stacked arrays, with -1 for a
+never-informed index and for an open-loop donor throughout.  The
+delayed-error identity is checked by one forward pass over the rounds that
+evaluates its closed form by Horner's rule along the recorded donors.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .graph_seq import (
     certify_jointly_rooted,
     window_unions,
 )
-from .observer_protocol import OMEGA, ProtocolKernel, check_delayed_form, initial_arrays
+from .observer_protocol import ProtocolKernel, initial_arrays
 from .system_model import LtiPlant, simulate_truth
 
 LOG_FLOOR = 1e-13     # error norms below this are numerical noise for log fits
@@ -52,10 +56,13 @@ class Trace:
 
     Indices: time-step k in 0..horizon, node ids and substates 1-indexed.
     The arrays stack the protocol kernel's per-round state along a leading
-    time axis: ``taus[k]`` is the N x N index array (-1 for never informed),
+    time axis: ``taus[k]`` is the N x S index array (-1 for never informed),
     ``z_estimates[k]`` the N x n estimates, and ``donors[k]`` the donor ids
     adopted in the round that produced the state at time k (-1 for
-    open-loop rounds).  ``adjacency[k]`` is the N x N bool graph of round k.
+    open-loop rounds).  S = len(block_dims) substate slots; the columns of
+    zero-dimension substates stay -1.  ``adjacency[k]`` is the N x N bool
+    graph of round k.  Callers index the arrays directly, slicing the
+    estimate columns with ``block_offsets(block_dims)``.
     """
 
     def __init__(self, kind, n_nodes, horizon, period_t, block_dims, rho=None,
@@ -69,11 +76,11 @@ class Trace:
         self.deadbeat = deadbeat
         self.seed = seed
         self.substates = [j for j in range(1, len(block_dims) + 1) if block_dims[j - 1] > 0]
-        n_state = int(sum(block_dims))
-        self.taus = -np.ones((horizon + 1, n_nodes, n_nodes), dtype=int)
-        self.donors = -np.ones((horizon + 1, n_nodes, n_nodes), dtype=int)
+        n_state, n_slots = int(sum(block_dims)), len(block_dims)
+        self.taus = -np.ones((horizon + 1, n_nodes, n_slots), dtype=int)
+        self.donors = -np.ones((horizon + 1, n_nodes, n_slots), dtype=int)
         self.z_estimates = np.zeros((horizon + 1, n_nodes, n_state))
-        self.err_block = np.zeros((horizon + 1, n_nodes, n_nodes))
+        self.err_block = np.zeros((horizon + 1, n_nodes, n_slots))
         self.err_total = np.zeros((horizon + 1, n_nodes))
         self.adjacency = np.zeros((horizon, n_nodes, n_nodes), dtype=bool)
         self.ts = None
@@ -81,21 +88,6 @@ class Trace:
         self.constants = None
         self.warnings = []
         self._offsets = block_offsets(block_dims)
-
-    def _slice(self, j):
-        return slice(self._offsets[j - 1], self._offsets[j])
-
-    def tau(self, k, i, j):
-        v = self.taus[k, i - 1, j - 1]
-        return OMEGA if v < 0 else int(v)
-
-    def donor(self, round_k, i, j):
-        """Donor adopted by node i for substate j during round ``round_k``."""
-        v = self.donors[round_k + 1, i - 1, j - 1]
-        return None if v < 0 else int(v)
-
-    def estimate(self, k, i, j):
-        return self.z_estimates[k, i - 1, self._slice(j)]
 
     def max_error(self):
         """Max-over-nodes total error norm per time-step."""
@@ -221,9 +213,8 @@ def _run_baseline(s: Scenario) -> Trace:
     truth = simulate_truth(plant, s.horizon)
 
     # Baseline traces use the original coordinates and a single substate slot.
-    block_dims = [plant.n] + [0] * (n_nodes - 1)
     trace = Trace("baseline", n_nodes, s.horizon, s.graph.period_t,
-                  block_dims, seed=s.seed)
+                  (plant.n,), seed=s.seed)
     trace.adjacency = s.graph.adjacency(s.horizon)
     weights = mixing_weights(trace.adjacency, s.strategy)
     oracle = np.isin(np.arange(1, n_nodes + 1), list(s.oracle_nodes))
@@ -244,24 +235,31 @@ def fit_decay_rate(trace: Trace, k_start: int) -> float:
 
     Stops at the numerical floor; requires at least 10 usable points.
     """
-    maxed = trace.max_error()
-    ks, logs = [], []
-    for k in range(k_start, trace.horizon + 1):
-        if maxed[k] <= LOG_FLOOR:
-            break
-        ks.append(k)
-        logs.append(np.log(maxed[k]))
-    if len(ks) < 10:
-        raise ValueError(f"only {len(ks)} usable points above the numerical floor")
-    slope = np.polyfit(ks, logs, 1)[0]
+    maxed = trace.max_error()[k_start:]
+    floor_hits = np.nonzero(maxed <= LOG_FLOOR)[0]
+    if floor_hits.size:
+        maxed = maxed[:floor_hits[0]]
+    if maxed.size < 10:
+        raise ValueError(f"only {maxed.size} usable points above the numerical floor")
+    ks = np.arange(k_start, k_start + maxed.size)
+    slope = np.polyfit(ks, np.log(maxed), 1)[0]
     return float(np.exp(slope))
+
+
+def _substate_axis(trace: Trace):
+    """Index of the nonempty substate slots: a view-making slice when every
+    slot is nonempty, else the index array (which copies)."""
+    if len(trace.substates) == len(trace.block_dims):
+        return slice(None)
+    return np.array(trace.substates) - 1
 
 
 def check_envelope(trace: Trace, constants=None, rho=None):
     """Verify the per-substate and total exponential error envelopes.
 
     Returns a dict with a (possibly empty) list of violating (node, substate,
-    k) triples; substate 0 marks total-envelope violations.
+    k) triples: substate envelopes in (substate, k, node) order, then the
+    total envelope, marked substate 0, in (k, node) order.
     """
     if constants is None:
         constants = trace.constants
@@ -270,26 +268,82 @@ def check_envelope(trace: Trace, constants=None, rho=None):
     if rho is None:
         rho = trace.rho
     t_bar = constants.t_bar
-    n_nodes = trace.n_nodes
     slack = 1.0 + 1e-9
-    violations = []
-    for j in trace.substates:
-        rho_j = constants.radii[j - 1]
-        cbar_j = constants.c_bar[j - 1]
-        start = (2 * j - 1) * t_bar
-        for k in range(start, trace.horizon + 1):
-            bound = cbar_j * rho_j ** k * slack + 1e-300
-            for i in range(1, n_nodes + 1):
-                if trace.err_block[k, i - 1, j - 1] > bound:
-                    violations.append((i, j, k))
+    ks = np.arange(trace.horizon + 1)
+    subs = np.array(trace.substates) - 1
+    # bound[k, c] for substate subs[c], which counts from k = (2j-1) T_bar on.
+    bound = (constants.c_bar[subs] * constants.radii[subs] ** ks[:, None] * slack
+             + 1e-300)
+    live = ks[:, None] >= (2 * subs + 1) * t_bar
+    over = ((trace.err_block[:, :, _substate_axis(trace)] > bound[:, None, :])
+            & live[:, None, :])
+    violations = [(int(i) + 1, int(subs[c]) + 1, int(k))
+                  for c, k, i in np.argwhere(over.transpose(2, 0, 1))]
     total_amp = float(np.sqrt(np.sum(constants.c_bar ** 2)))
-    start = (2 * trace.n_nodes - 1) * t_bar
-    for k in range(start, trace.horizon + 1):
-        bound = total_amp * rho ** k * slack + 1e-300
-        for i in range(1, n_nodes + 1):
-            if trace.err_total[k, i - 1] > bound:
-                violations.append((i, 0, k))
+    bound = total_amp * rho ** ks * slack + 1e-300
+    live = ks >= (2 * trace.n_nodes - 1) * t_bar
+    over = (trace.err_total > bound[:, None]) & live[:, None]
+    violations += [(int(i) + 1, 0, int(k)) for k, i in np.argwhere(over)]
     return {"violations": violations, "passed": not violations}
+
+
+def _delayed_residuals(trace: Trace, ts):
+    """Delayed-error identity residuals at every (k, node, substate), k = 1..H.
+
+    The identity says that an informed node's estimate of substate j at time
+    k is A_jj^tau z_{k-tau}[j, j] plus A_jj^(k-t-1) A_jq z_t[v_t, q] summed
+    over rounds t in k-tau..k-1 and q < j, where v_t is the node on the
+    recorded donor lineage in round t.  By Horner's rule that is one forward
+    recursion over the rounds: R_k = z_{k-1} A_lower^T + R_{k-1}[reader]
+    A_diag^T, where a substate's reader is the donor adopted in round k-1
+    (``donors[k]``) or else the node itself, and each source's own block is
+    reset to z_k (tau = 0 there).  The cross terms use the node's own
+    recorded estimates, as in the identity.  The lineage's length (its age)
+    is carried along the same readers: 0 at each source, one more per round,
+    -1 while the lineage does not reach the source.  Neither recursion reads
+    the recorded indices or calls the protocol kernel, so a defect in the
+    kernel's estimates, donors or indices still shows here.
+
+    Returns an (H, N, S) array over the trace's nonempty substates: the
+    relative residual ||z_k - R_k|| / max(1, ||z_k||) per block, 0 for
+    sources and never-informed entries, and NaN where an informed entry's
+    index is not the length of its recorded lineage (including a lineage
+    that does not reach the source).
+    """
+    z = trace.z_estimates
+    subs = np.array(trace.substates) - 1
+    own = (subs, np.arange(subs.size))
+    sel = _substate_axis(trace)
+    col_block = np.repeat(np.arange(len(ts.block_dims)), ts.block_dims)
+    cols = np.arange(ts.n)
+    starts = np.asarray(ts.offsets)[subs]
+    a_lower_t = np.where(col_block[:, None] > col_block[None, :], ts.a_bar, 0.0).T
+    a_diag_t = np.where(col_block[:, None] == col_block[None, :], ts.a_bar, 0.0).T
+    nodes, slots = np.arange(trace.n_nodes), np.arange(trace.taus.shape[2])
+    recon = z[0]
+    age = -np.ones(trace.taus.shape[1:], dtype=int)
+    age[subs, subs] = 0
+    resid = np.zeros((trace.horizon, trace.n_nodes, subs.size))
+    for k in range(1, trace.horizon + 1):
+        donors = trace.donors[k]
+        reader = np.where(donors >= 0, donors - 1, nodes[:, None])
+        recon = (z[k - 1] @ a_lower_t
+                 + recon[reader[:, col_block], cols] @ a_diag_t)
+        recon[col_block, cols] = z[k, col_block, cols]
+        age = age[reader, slots]
+        age[age >= 0] += 1
+        age[subs, subs] = 0
+
+        diff = recon - z[k]
+        np.square(diff, out=diff)
+        res = np.sqrt(np.add.reduceat(diff, starts, axis=1))
+        res /= np.maximum(1.0, np.sqrt(np.add.reduceat(np.square(z[k]), starts, axis=1)))
+        res[own] = 0.0
+        taus = trace.taus[k][:, sel]
+        res[taus < 0] = 0.0
+        res[(taus >= 0) & (age[:, sel] != taus)] = np.nan
+        resid[k - 1] = res
+    return resid
 
 
 def check_lemma_suite(trace: Trace, ts=None, check_delayed=False,
@@ -299,11 +353,13 @@ def check_lemma_suite(trace: Trace, ts=None, check_delayed=False,
     Covers: all indices finite by (N-1)T, the 2(N-1)T delay ceiling, the
     one-step index growth bound, the source index pinned at zero, and
     source-preferred donor selection.  Optionally also the delayed-error
-    identity at every reachable (node, substate, k).
+    identity at every informed (node, substate, k).  A failing check carries
+    its first counterexample (node, substate, k): in (substate, node, k)
+    order for the index checks, (substate, k) for the pinned source and
+    (k, substate, node) for donor selection and the delayed identity, whose
+    ``at`` is the first worst residual.
     """
-    n_nodes = trace.n_nodes
-    t = trace.period_t
-    trigger_k = (n_nodes - 1) * t
+    trigger_k = (trace.n_nodes - 1) * trace.period_t
     report = {"passed": True, "checks": {}, "mode": "strong"}
     if any("rooted-mode" in w for w in trace.warnings):
         report["mode"] = "rooted"
@@ -315,64 +371,48 @@ def check_lemma_suite(trace: Trace, ts=None, check_delayed=False,
         }
         return report
 
-    def fail(name, counterexample):
-        report["passed"] = False
-        report["checks"][name] = {"passed": False, "counterexample": counterexample}
+    subs = np.array(trace.substates) - 1
+    sel = _substate_axis(trace)
+    taus = trace.taus[:, :, sel]                    # [k, node, substate]
+    nonsource = np.ones(taus.shape[1:], dtype=bool)
+    nonsource[subs, np.arange(subs.size)] = False
+    late = taus[trigger_k:]
 
-    def ok(name):
-        report["checks"].setdefault(name, {"passed": True})
+    def first(bad, order=(2, 1, 0), k0=0):
+        """(node, substate, k) of the first True of bad[k, node, c], searched
+        in the axis ``order`` ((substate, node, k) by default), or None."""
+        searched = bad.transpose(order)
+        if not searched.any():
+            return None
+        hit = np.unravel_index(int(np.argmax(searched)), searched.shape)
+        k, i, c = np.array(hit)[np.argsort(order)]
+        return (int(i) + 1, int(subs[c]) + 1, int(k) + k0)
 
-    # All indices finite from (N-1)T on.
-    for name in ("indices_finite", "delay_ceiling", "index_step_bound",
-                 "source_pinned", "source_preferred"):
-        ok(name)
-    ceiling = 2 * (n_nodes - 1) * t
-    for j in trace.substates:
-        for i in range(1, n_nodes + 1):
-            col = trace.taus[:, i - 1, j - 1]
-            if i == j:
-                bad = np.nonzero(col != 0)[0]
-                if bad.size:
-                    fail("source_pinned", (i, j, int(bad[0])))
-                continue
-            late = col[trigger_k:]
-            omega_hits = np.nonzero(late < 0)[0]
-            if omega_hits.size and report["checks"]["indices_finite"]["passed"]:
-                fail("indices_finite", (i, j, int(trigger_k + omega_hits[0])))
-            high = np.nonzero(late > ceiling)[0]
-            if high.size and report["checks"]["delay_ceiling"]["passed"]:
-                fail("delay_ceiling", (i, j, int(trigger_k + high[0])))
-            finite = col >= 0
-            step_bad = np.nonzero(finite[:-1] & (col[1:] > col[:-1] + 1))[0]
-            if step_bad.size and report["checks"]["index_step_bound"]["passed"]:
-                fail("index_step_bound", (i, j, int(step_bad[0])))
-
-    # Whenever the source is an in-neighbor, it must be the adopted donor.
-    # bad[k, c, i]: source j = subs[c] sends to node i+1 in round k, which
-    # adopts another donor; argwhere's row-major order finds the first (k, j, i).
-    subs = np.array(trace.substates, dtype=int)
-    bad = (trace.adjacency[:, subs - 1, :]
-           & (trace.donors[1:, :, subs - 1].transpose(0, 2, 1) != subs[:, None]))
-    bad[:, np.arange(len(subs)), subs - 1] = False
-    hits = np.argwhere(bad)
-    if hits.size:
-        k, c, i = hits[0]
-        fail("source_preferred", (int(i) + 1, int(subs[c]), int(k)))
+    faults = {
+        "indices_finite": first((late < 0) & nonsource, k0=trigger_k),
+        "delay_ceiling": first((late > 2 * trigger_k) & nonsource, k0=trigger_k),
+        "index_step_bound": first((taus[:-1] >= 0) & (taus[1:] > taus[:-1] + 1)
+                                  & nonsource),
+        # One node per substate can fail here, so this is (substate, k) order.
+        "source_pinned": first((taus != 0) & ~nonsource),
+        # Whenever the source is an in-neighbor in round k, it must be the
+        # adopted donor; searched in (k, substate, node) order.
+        "source_preferred": first(trace.adjacency[:, sel, :].transpose(0, 2, 1)
+                                  & (trace.donors[1:, :, sel] != subs + 1)
+                                  & nonsource, order=(0, 2, 1)),
+    }
+    for name, counterexample in faults.items():
+        if counterexample is None:
+            report["checks"][name] = {"passed": True}
+        else:
+            report["passed"] = False
+            report["checks"][name] = {"passed": False, "counterexample": counterexample}
 
     if check_delayed:
-        if ts is None:
-            ts = trace.ts
-        worst = 0.0
-        worst_at = None
-        for k in range(1, trace.horizon + 1):
-            for j in trace.substates:
-                for i in range(1, n_nodes + 1):
-                    tau = trace.tau(k, i, j)
-                    if i == j or tau is OMEGA or k - tau < 0:
-                        continue
-                    res = check_delayed_form(trace, ts, j, k, i)
-                    if res > worst:
-                        worst, worst_at = res, (i, j, k)
+        resid = _delayed_residuals(trace, trace.ts if ts is None else ts)
+        worst = float(np.max(resid, initial=0.0))    # NaN if any residual is NaN
+        worst_at = None if worst == 0.0 else first(
+            np.isnan(resid) | (resid == worst), order=(0, 2, 1), k0=1)
         entry = {"passed": worst <= delayed_tol, "max_residual": worst,
                  "at": worst_at}
         report["checks"]["delayed_form"] = entry

@@ -8,7 +8,7 @@ import numpy as np
 
 
 class ConfigurationError(ValueError):
-    """Raised when plant matrices have inconsistent dimensions."""
+    """Raised when plant matrices have inconsistent dimensions or non-finite entries."""
 
 
 def _as_matrix(m, cols=None):
@@ -39,6 +39,9 @@ class LtiPlant:
         x = np.asarray(x0, dtype=float).reshape(-1)
         if x.shape[0] != n:
             raise ConfigurationError(f"x0 has length {x.shape[0]}, expected {n}")
+        for name, m in (("system matrix", a), ("x0", x)):
+            if not np.all(np.isfinite(m)):
+                raise ConfigurationError(f"{name} has NaN or inf entries")
         if len(sensors) < 1:
             raise ConfigurationError("at least one sensor node is required")
         cs = []
@@ -47,6 +50,8 @@ class LtiPlant:
             if cm.shape[1] != n:
                 raise ConfigurationError(
                     f"sensor {i + 1} has {cm.shape[1]} columns, expected {n}")
+            if not np.all(np.isfinite(cm)):
+                raise ConfigurationError(f"sensor {i + 1} has NaN or inf entries")
             cm.flags.writeable = False
             cs.append(cm)
         a.flags.writeable = False

@@ -24,7 +24,6 @@ from freshtrack.graph_seq import (
     generate_random_jointly_connected,
     window_unions,
 )
-from freshtrack.observer_protocol import OMEGA, check_delayed_form
 from freshtrack.scenarios import (
     FIG1_EDGE_LISTS,
     canned_scenarios,
@@ -163,14 +162,14 @@ def test_delayed_error_identity_batch():
         a_11 = ts.a_block(1, 1)
         truth = simulate_truth(plant, trace.horizon)
         z_truth = [to_transformed_coords(x, ts) for x in truth.states]
+        cols = ts.block_slice(1)
         for k in range(1, trace.horizon + 1):
             for i in range(2, trace.n_nodes + 1):
-                tau = trace.tau(k, i, 1)
-                if tau is OMEGA or k - tau < 0:
+                tau = trace.taus[k, i - 1, 0]
+                if tau < 0 or k - tau < 0:
                     continue
-                e_i = trace.estimate(k, i, 1) - z_truth[k][ts.block_slice(1)]
-                e_src = (trace.estimate(k - tau, 1, 1)
-                         - z_truth[k - tau][ts.block_slice(1)])
+                e_i = trace.z_estimates[k, i - 1, cols] - z_truth[k][cols]
+                e_src = trace.z_estimates[k - tau, 0, cols] - z_truth[k - tau][cols]
                 rhs = np.linalg.matrix_power(a_11, tau) @ e_src
                 ok &= bool(np.linalg.norm(e_i - rhs)
                            <= 1e-8 * max(1.0, np.linalg.norm(e_i)))

@@ -255,3 +255,75 @@ def test_check_rejects_malformed_trace_rows(tmp_path, capsys, tamper):
     trace.write_text("\n".join(lines) + "\n")
     assert main(["check", str(trace), str(report)]) == 2
     assert "malformed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rounds", ["missing", "short", "long"])
+def test_check_rejects_report_without_every_graph_round(tmp_path, capsys, rounds):
+    trace, report = _run_small(tmp_path, capsys)
+    data = json.loads(report.read_text())
+    if rounds == "missing":
+        del data["graph_edges"]
+    elif rounds == "short":
+        data["graph_edges"] = data["graph_edges"][:3]
+    else:
+        data["graph_edges"].append([])
+    report.write_text(json.dumps(data))
+    assert main(["check", str(trace), str(report)]) == 2
+    assert "graph_edges for all 40 rounds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("A", [[float("nan")]], "system matrix has NaN or inf"),
+    ("C", [[[float("inf")]], [], []], "sensor 1 has NaN or inf"),
+    ("x0", [float("nan")], "x0 has NaN or inf"),
+    ("init_estimates", [[float("inf")], [1.0], [0.0]], "init_estimates must be finite"),
+])
+def test_run_rejects_non_finite_inputs(tmp_path, capsys, field, value, message):
+    config = small_config(algorithm={"type": "freshness", "rho": 0.6})
+    if field == "init_estimates":
+        config[field] = value
+    else:
+        config["plant"] = dict(config["plant"], **{field: value})
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config))       # written as NaN / Infinity
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_run_rejects_plant_not_jointly_observable(tmp_path, capsys):
+    # Both nodes measure only the first state; the second is never seen.
+    cfg = tmp_path / "blind.json"
+    cfg.write_text(json.dumps(small_config(
+        plant={"A": [[0.5, 0.0], [0.0, 0.5]], "C": [[[1.0, 0.0]], [[1.0, 0.0]]],
+               "x0": [1.0, 1.0]},
+        graph={"mode": "random", "T": 2})))
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: plant is not jointly observable")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_run_jobs_matches_serial_run(tmp_path, capsys):
+    names = ["fig1_freshness_deadbeat", "fig1_uniform_baseline"]
+    codes = [main(["run", *names, "--out", str(tmp_path / d), "--jobs", jobs])
+             for d, jobs in (("serial", "1"), ("pooled", "2"))]
+    out = capsys.readouterr().out.splitlines()
+    assert codes == [0, 0]
+    assert out[:2] == out[2:]
+    for name in names:
+        for suffix in ("_trace.csv", "_report.json"):
+            serial = (tmp_path / "serial" / f"{name}{suffix}").read_bytes()
+            assert (tmp_path / "pooled" / f"{name}{suffix}").read_bytes() == serial
+
+
+def test_check_loads_baseline_report_with_padded_block_dims(tmp_path, capsys):
+    # Baseline reports used to pad block_dims with a zero per extra node.
+    assert main(["run", "fig1_uniform_baseline", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    report = tmp_path / "fig1_uniform_baseline_report.json"
+    data = json.loads(report.read_text())
+    assert data["block_dims"] == [1]
+    data["block_dims"] = [1, 0, 0]
+    report.write_text(json.dumps(data))
+    trace = tmp_path / "fig1_uniform_baseline_trace.csv"
+    assert main(["check", str(trace), str(report)]) == 0

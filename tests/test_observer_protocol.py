@@ -11,12 +11,10 @@ from freshtrack.graph_seq import (
     generate_random_jointly_connected,
 )
 from freshtrack.observer_protocol import (
-    OMEGA,
-    OPEN_LOOP,
+    ProtocolKernel,
     check_delayed_form,
-    init_states,
+    initial_arrays,
     nonsource_step,
-    protocol_round,
     select_donor,
     source_step,
 )
@@ -37,36 +35,37 @@ def scalar_setup(rho=0.5):
 def test_init_states_scalar_example():
     plant = LtiPlant([[2.0]], [[[1.0]], [], []], [1.0])
     ts = staircase_transform(plant)
-    states = init_states(ts)
-    assert states[0].taus[1] == 0
-    assert states[1].taus[1] is OMEGA
-    assert states[2].taus[1] is OMEGA
+    tau, _ = initial_arrays(ts)
+    assert tau[0, 0] == 0
+    assert tau[1, 0] == -1
+    assert tau[2, 0] == -1
 
 
 def test_init_states_single_node():
     plant = LtiPlant([[0.5]], [[[1.0]]], [1.0])
     ts = staircase_transform(plant)
-    (state,) = init_states(ts)
-    assert state.taus[1] == 0
+    tau, _ = initial_arrays(ts)
+    assert tau.shape == (1, 1)
+    assert tau[0, 0] == 0
 
 
 def test_init_states_zero_estimates():
     plant = make_multiblock_plant((1, 1, 1, 1), seed=3)
     ts = staircase_transform(plant)
-    states = init_states(ts)
-    for st in states:
-        for j, z in st.estimates.items():
-            assert np.allclose(z, 0.0)
-            assert (st.taus[j] == 0) == (st.node_id == j)
+    tau, z = initial_arrays(ts)
+    for i in range(4):
+        for j in range(1, 5):
+            assert np.allclose(z[i, ts.block_slice(j)], 0.0)
+            assert (tau[i, j - 1] == 0) == (i + 1 == j)
 
 
 def test_source_step_zero_error_fixed_point():
     plant, ts, gains = scalar_setup()
     # Estimate equal to truth: next estimate must be next truth (error stays 0).
-    states = init_states(ts, [np.array([5.0]) * ts.t_matrix[0, 0]] * 3)
+    _, z = initial_arrays(ts, [np.array([5.0]) * ts.t_matrix[0, 0]] * 3)
     sign = ts.t_matrix[0, 0]
     y = np.array([5.0])  # C_1 x with x = 5
-    new = source_step(1, states[0], y, ts, gains)
+    new = source_step(1, z[0], y, ts, gains)
     assert np.allclose(new * sign, 10.0)
 
 
@@ -79,11 +78,11 @@ def test_source_step_error_contraction():
 
 
 def test_select_donor_untriggered_takes_min_finite():
-    assert select_donor(OMEGA, {2: OMEGA, 3: 3, 4: 5}) == 3
+    assert select_donor(-1, {2: -1, 3: 3, 4: 5}) == 3
 
 
 def test_select_donor_strict_inequality():
-    assert select_donor(2, {2: 2, 3: 3}) is None
+    assert select_donor(2, {2: 2, 3: 3}) == -1
 
 
 def test_select_donor_prefers_source():
@@ -91,50 +90,55 @@ def test_select_donor_prefers_source():
 
 
 def test_select_donor_tie_breaks_smallest_id():
-    assert select_donor(OMEGA, {5: 2, 3: 2}) == 3
+    assert select_donor(-1, {5: 2, 3: 2}) == 3
 
 
 def test_nonsource_step_adopt():
     plant, ts, gains = scalar_setup()
-    states = init_states(ts, [np.array([7.0]), np.zeros(1), np.zeros(1)])
-    donor_est = states[0].estimates[1]
-    tau, est = nonsource_step(1, states[1], (1, 0), donor_est, ts)
-    assert tau == 1
+    tau, z = initial_arrays(ts, [np.array([7.0]), np.zeros(1), np.zeros(1)])
+    donor_est = z[0, ts.block_slice(1)]
+    new_tau, est = nonsource_step(1, z[1], tau[1, 0], z[0], tau[0, 0], ts)
+    assert new_tau == 1
     assert np.allclose(est, 2.0 * donor_est)
 
 
 def test_nonsource_step_open_loop_untriggered():
     plant, ts, gains = scalar_setup()
-    states = init_states(ts, [np.zeros(1), np.array([3.0]), np.zeros(1)])
-    tau, est = nonsource_step(1, states[1], None, None, ts)
-    assert tau is OMEGA
-    assert np.allclose(est, 2.0 * states[1].estimates[1])
+    tau, z = initial_arrays(ts, [np.zeros(1), np.array([3.0]), np.zeros(1)])
+    new_tau, est = nonsource_step(1, z[1], tau[1, 0], None, -1, ts)
+    assert new_tau == -1
+    assert np.allclose(est, 2.0 * z[1, ts.block_slice(1)])
 
 
 def test_nonsource_step_open_loop_increments_index():
     plant, ts, gains = scalar_setup()
-    states = init_states(ts)
-    states[1].taus[1] = 4
-    states[1].estimates[1] = np.array([1.5])
-    tau, est = nonsource_step(1, states[1], None, None, ts)
-    assert tau == 5
+    tau, z = initial_arrays(ts)
+    tau[1, 0] = 4
+    z[1, ts.block_slice(1)] = 1.5
+    new_tau, est = nonsource_step(1, z[1], tau[1, 0], None, -1, ts)
+    assert new_tau == 5
     assert np.allclose(est, 3.0)
+
+
+def kernel_round(kernel, tau, z, adj, meas):
+    """One kernel round; ``meas`` lists each node's measurement, node 1 first."""
+    return kernel.step(tau, z, adj, kernel.source_outputs(meas))
 
 
 def test_round_scalar_example_first_step():
     # Round 0 on the 1->2->3 chain: node 2 adopts node 1, node 3 has only an
     # uninformed neighbor and stays never-informed.
     plant, ts, gains = scalar_setup()
-    states = init_states(ts)
+    tau, z = initial_arrays(ts)
     graph = Digraph(3, [(1, 2), (2, 3)])
     traj = simulate_truth(plant, 1)
-    meas = {i: traj.measurement(i, 0) for i in (1, 2, 3)}
-    new = protocol_round(states, graph, meas, ts, gains)
-    assert new[0].taus[1] == 0
-    assert new[1].taus[1] == 1
-    assert new[1].last_donor[1] == 1
-    assert new[2].taus[1] is OMEGA
-    assert new[2].last_donor[1] is None
+    meas = [traj.measurement(i, 0) for i in (1, 2, 3)]
+    tau, z, donors = kernel_round(ProtocolKernel(ts, gains), tau, z, graph.adj, meas)
+    assert tau[0, 0] == 0
+    assert tau[1, 0] == 1
+    assert donors[1, 0] == 1
+    assert tau[2, 0] == -1
+    assert donors[2, 0] == -1
 
 
 def test_round_closed_under_perfection():
@@ -145,92 +149,92 @@ def test_round_closed_under_perfection():
     traj = simulate_truth(plant, horizon)
     z_truth = [to_transformed_coords(x, ts) for x in traj.states]
     # Exact estimates, all indices finite.
-    states = init_states(ts)
-    for st in states:
-        for j in st.taus:
-            st.taus[j] = 0 if st.node_id == j else 1
-        for j in st.estimates:
-            st.estimates[j] = z_truth[0][ts.block_slice(j)].copy()
+    subs = [j for j in range(3) if ts.block_dims[j] > 0]
+    tau, z = initial_arrays(ts, [z_truth[0]] * 3)
+    tau[:, subs] = 1
+    tau[subs, subs] = 0
     graph = Digraph(3, [(1, 2), (2, 3), (3, 1)])
+    kernel = ProtocolKernel(ts, gains)
     for k in range(horizon):
-        meas = {i: traj.measurement(i, k) for i in (1, 2, 3)}
-        states = protocol_round(states, graph, meas, ts, gains)
-        for st in states:
-            for j in st.estimates:
-                err = st.estimates[j] - z_truth[k + 1][ts.block_slice(j)]
+        meas = [traj.measurement(i, k) for i in (1, 2, 3)]
+        tau, z, _ = kernel_round(kernel, tau, z, graph.adj, meas)
+        for i in range(3):
+            for j in subs:
+                cols = ts.block_slice(j + 1)
+                err = z[i, cols] - z_truth[k + 1][cols]
                 assert np.linalg.norm(err) < 1e-9
 
 
-def reference_round(states, graph, meas, ts, gains):
-    """Straight-line reading of the update rules, kept independent of the
-    production implementation."""
-    old = {s.node_id: s for s in states}
-    n_nodes = len(states)
-    out = []
-    for i in range(1, n_nodes + 1):
-        st = old[i]
-        new_taus, new_ests, new_donors = {}, {}, {}
-        for j in st.estimates:
+def reference_round(tau, z, adj, meas, ts, gains):
+    """Straight-line reading of the update rules over the (tau, z) arrays,
+    kept independent of the production implementation.
+
+    ``meas`` lists each node's measurement, node 1 first.  Returns the new
+    (tau, z) and the donors, -1 for open-loop rounds.
+    """
+    n_nodes = tau.shape[0]
+    new_tau, new_z = tau.copy(), z.copy()
+    donors = np.full_like(tau, -1)
+    for i in range(n_nodes):
+        for j in range(1, n_nodes + 1):
+            if ts.block_dims[j - 1] == 0:
+                continue
+            cols = ts.block_slice(j)
             a_jj = ts.a_block(j, j)
             cross = np.zeros(a_jj.shape[0])
             for q in range(1, j):
                 if ts.block_dims[q - 1] > 0:
-                    cross = cross + ts.a_block(j, q) @ st.estimates[q]
-            if i == j:
+                    cross = cross + ts.a_block(j, q) @ z[i, ts.block_slice(q)]
+            if i + 1 == j:
                 l = gains.gain(j)
-                val = (a_jj - l @ ts.c_block(j, j)) @ st.estimates[j]
+                val = (a_jj - l @ ts.c_block(j, j)) @ z[i, cols]
                 for q in range(1, j):
                     if ts.block_dims[q - 1] > 0:
-                        val = val + (ts.a_block(j, q) - l @ ts.c_block(j, q)) @ st.estimates[q]
-                val = val + l @ np.atleast_1d(meas[i])
-                new_taus[j], new_ests[j], new_donors[j] = 0, val, OPEN_LOOP
+                        val = val + (ts.a_block(j, q) - l @ ts.c_block(j, q)) @ z[
+                            i, ts.block_slice(q)]
+                new_tau[i, j - 1] = 0
+                new_z[i, cols] = val + l @ np.atleast_1d(meas[i])
                 continue
-            neigh = [l for l in range(1, n_nodes + 1)
-                     if graph.adj[l - 1, i - 1]]
-            m_set = [l for l in neigh if old[l].taus[j] is not OMEGA]
-            if st.taus[j] is OMEGA:
+            own = tau[i, j - 1]
+            m_set = [l for l in range(n_nodes) if adj[l, i] and tau[l, j - 1] >= 0]
+            if own < 0:
                 candidates = m_set
             else:
-                candidates = [l for l in m_set if old[l].taus[j] < st.taus[j]]
+                candidates = [l for l in m_set if tau[l, j - 1] < own]
             if candidates:
-                best = min(old[l].taus[j] for l in candidates)
-                u = min(l for l in candidates if old[l].taus[j] == best)
-                new_taus[j] = old[u].taus[j] + 1
-                new_ests[j] = a_jj @ old[u].estimates[j] + cross
-                new_donors[j] = u
+                best = min(tau[l, j - 1] for l in candidates)
+                u = min(l for l in candidates if tau[l, j - 1] == best)
+                new_tau[i, j - 1] = best + 1
+                new_z[i, cols] = a_jj @ z[u, cols] + cross
+                donors[i, j - 1] = u + 1
             else:
-                new_ests[j] = a_jj @ st.estimates[j] + cross
-                new_taus[j] = OMEGA if st.taus[j] is OMEGA else st.taus[j] + 1
-                new_donors[j] = OPEN_LOOP
-        ns = st.snapshot()
-        ns.taus, ns.estimates, ns.last_donor = new_taus, new_ests, new_donors
-        out.append(ns)
-    return out
+                new_z[i, cols] = a_jj @ z[i, cols] + cross
+                new_tau[i, j - 1] = -1 if own < 0 else own + 1
+    return new_tau, new_z, donors
 
 
-def per_node_round(states, adj, meas, ts, gains):
+def per_node_round(tau, z, adj, meas, ts, gains):
     """The update rules composed from select_donor/source_step/nonsource_step,
-    one (node, substate) pair at a time."""
-    snapshots = {s.node_id: s for s in states}
-    new_states = []
-    for state in states:
-        i = state.node_id
-        neighbors = [int(l) + 1 for l in np.flatnonzero(adj[:, i - 1])]
-        new = state.snapshot()
-        new.last_donor = {}
-        for j in sorted(state.estimates):
-            if i == j:
-                new.taus[j] = 0
-                new.estimates[j] = source_step(j, state, meas[i], ts, gains)
-                new.last_donor[j] = OPEN_LOOP
+    one (node, substate) pair at a time, over start-of-round (tau, z)."""
+    n_nodes = tau.shape[0]
+    new_tau, new_z = tau.copy(), z.copy()
+    donors = np.full_like(tau, -1)
+    for i in range(n_nodes):
+        neighbors = [int(l) for l in np.flatnonzero(adj[:, i])]
+        for j in range(1, n_nodes + 1):
+            if ts.block_dims[j - 1] == 0:
                 continue
-            u = select_donor(state.taus[j], {l: snapshots[l].taus[j] for l in neighbors})
-            donor = None if u is None else (u, snapshots[u].taus[j])
-            new.taus[j], new.estimates[j] = nonsource_step(
-                j, state, donor, None if u is None else snapshots[u].estimates[j], ts)
-            new.last_donor[j] = OPEN_LOOP if u is None else u
-        new_states.append(new)
-    return new_states
+            cols = ts.block_slice(j)
+            if i + 1 == j:
+                new_tau[i, j - 1] = 0
+                new_z[i, cols] = source_step(j, z[i], meas[i], ts, gains)
+                continue
+            u = select_donor(tau[i, j - 1], {l + 1: tau[l, j - 1] for l in neighbors})
+            donor_tau = -1 if u < 0 else tau[u - 1, j - 1]
+            new_tau[i, j - 1], new_z[i, cols] = nonsource_step(
+                j, z[i], tau[i, j - 1], None if u < 0 else z[u - 1], donor_tau, ts)
+            donors[i, j - 1] = u
+    return new_tau, new_z, donors
 
 
 def estimate_tolerance(gains, scale):
@@ -243,17 +247,16 @@ def estimate_tolerance(gains, scale):
     return 1e-12 * gain * max(1.0, scale)
 
 
-def assert_states_match(states, ref_states, gains):
-    """Equal indices and donors; estimates equal up to rounding."""
-    tol = estimate_tolerance(gains, max(
-        [0.0] + [float(np.max(np.abs(z))) for r in ref_states for z in r.estimates.values()]))
-    for s, r in zip(states, ref_states):
-        assert s.node_id == r.node_id
-        assert s.taus == r.taus
-        assert s.last_donor == r.last_donor
-        assert s.estimates.keys() == r.estimates.keys()
-        for j in s.estimates:
-            assert np.max(np.abs(s.estimates[j] - r.estimates[j]), initial=0.0) <= tol
+def assert_states_match(state, ref_state, gains):
+    """Equal indices and donors; estimates equal up to rounding.
+
+    Each state is a (tau, z, donors) triple of arrays.
+    """
+    (tau, z, donors), (ref_tau, ref_z, ref_donors) = state, ref_state
+    tol = estimate_tolerance(gains, float(np.max(np.abs(ref_z), initial=0.0)))
+    assert np.array_equal(tau, ref_tau)
+    assert np.array_equal(donors, ref_donors)
+    assert np.max(np.abs(z - ref_z), initial=0.0) <= tol
 
 
 def test_round_matches_reference_implementation():
@@ -262,15 +265,17 @@ def test_round_matches_reference_implementation():
     ts = staircase_transform(plant)
     gains = design_gains(ts, rho=0.7, seed=4)
     traj = simulate_truth(plant, 12)
-    states = init_states(ts, [rng.standard_normal(plant.n) for _ in range(4)])
-    ref_states = [s.snapshot() for s in states]
+    kernel = ProtocolKernel(ts, gains)
+    tau, z = initial_arrays(ts, [rng.standard_normal(plant.n) for _ in range(4)])
+    ref_tau, ref_z = tau, z
     for k in range(12):
         edges = {(int(i), int(j)) for i, j in rng.integers(1, 5, size=(5, 2)) if i != j}
         graph = Digraph(4, edges)
-        meas = {i: traj.measurement(i, k) for i in range(1, 5)}
-        states = protocol_round(states, graph, meas, ts, gains)
-        ref_states = reference_round(ref_states, graph, meas, ts, gains)
-        assert_states_match(states, ref_states, gains)
+        meas = [traj.measurement(i, k) for i in range(1, 5)]
+        tau, z, donors = kernel_round(kernel, tau, z, graph.adj, meas)
+        ref_tau, ref_z, ref_donors = reference_round(ref_tau, ref_z, graph.adj, meas,
+                                                     ts, gains)
+        assert_states_match((tau, z, donors), (ref_tau, ref_z, ref_donors), gains)
 
 
 @settings(max_examples=60, deadline=None)
@@ -293,20 +298,22 @@ def test_round_matches_reference_on_random_states(blocks, blind, density,
     gains = design_gains(ts, rho=0.7, seed=seed)
     n_nodes = plant.n_nodes
     rng = np.random.default_rng(seed)
-    states = init_states(ts, [rng.standard_normal(plant.n) for _ in range(n_nodes)])
-    for st in states:
-        for j in st.taus:
-            if st.node_id != j and rng.random() >= omega_share:
-                st.taus[j] = int(rng.integers(0, 7))
+    tau, z = initial_arrays(ts, [rng.standard_normal(plant.n) for _ in range(n_nodes)])
+    for i in range(n_nodes):
+        for j in range(n_nodes):
+            if ts.block_dims[j] > 0 and i != j and rng.random() >= omega_share:
+                tau[i, j] = int(rng.integers(0, 7))
     traj = simulate_truth(plant, 3)
-    ref_states = [s.snapshot() for s in states]
+    kernel = ProtocolKernel(ts, gains)
+    ref_tau, ref_z = tau, z
     for k in range(3):
         mask = rng.random((n_nodes, n_nodes)) < density
         graph = Digraph(n_nodes, [(a + 1, b + 1) for a, b in zip(*np.nonzero(mask))])
-        meas = {i: traj.measurement(i, k) for i in range(1, n_nodes + 1)}
-        states = protocol_round(states, graph, meas, ts, gains)
-        ref_states = reference_round(ref_states, graph, meas, ts, gains)
-        assert_states_match(states, ref_states, gains)
+        meas = [traj.measurement(i, k) for i in range(1, n_nodes + 1)]
+        tau, z, donors = kernel_round(kernel, tau, z, graph.adj, meas)
+        ref_tau, ref_z, ref_donors = reference_round(ref_tau, ref_z, graph.adj, meas,
+                                                     ts, gains)
+        assert_states_match((tau, z, donors), (ref_tau, ref_z, ref_donors), gains)
 
 
 @pytest.mark.parametrize("fig1,kw", [
@@ -331,26 +338,27 @@ def test_run_matches_per_node_rules(fig1, kw):
     ts, gains = trace.ts, trace.gains
     traj = simulate_truth(plant, trace.horizon)
     init = kw.get("initial_estimates")
-    states = init_states(ts, None if init is None else
-                         [to_transformed_coords(x, ts) for x in init])
+    tau, z = initial_arrays(ts, None if init is None else
+                            [to_transformed_coords(x, ts) for x in init])
     tol = estimate_tolerance(gains, float(np.max(np.abs(trace.z_estimates))))
     empty = [j - 1 for j in range(1, 4) if j not in trace.substates]
     assert np.all(trace.taus[:, :, empty] == -1)
     assert np.all(trace.donors[:, :, empty] == -1)
     for k in range(trace.horizon + 1):
         if k:
-            meas = {i: traj.measurement(i, k - 1) for i in (1, 2, 3)}
-            states = per_node_round(states, trace.adjacency[k - 1], meas, ts, gains)
+            meas = [traj.measurement(i, k - 1) for i in (1, 2, 3)]
+            tau, z, donors = per_node_round(tau, z, trace.adjacency[k - 1], meas, ts,
+                                            gains)
         z_truth = to_transformed_coords(traj.states[k], ts)
-        for st in states:
-            i = st.node_id
+        for i in range(3):
             for j in trace.substates:
-                assert trace.tau(k, i, j) == st.taus[j]
+                cols = ts.block_slice(j)
+                assert trace.taus[k, i, j - 1] == tau[i, j - 1]
                 if k:
-                    assert trace.donor(k - 1, i, j) == st.last_donor[j]
-                assert np.max(np.abs(trace.estimate(k, i, j) - st.estimates[j])) <= tol
-                err = np.linalg.norm(st.estimates[j] - z_truth[ts.block_slice(j)])
-                assert abs(trace.err_block[k, i - 1, j - 1] - err) <= 2 * tol
+                    assert trace.donors[k, i, j - 1] == donors[i, j - 1]
+                assert np.max(np.abs(trace.z_estimates[k, i, cols] - z[i, cols])) <= tol
+                err = np.linalg.norm(z[i, cols] - z_truth[cols])
+                assert abs(trace.err_block[k, i, j - 1] - err) <= 2 * tol
 
 
 def _delayed_form_scenario(seed, block_sizes=(2, 1, 1)):
@@ -370,14 +378,14 @@ def test_delayed_form_first_substate_closed_form():
     truth = simulate_truth(plant, trace.horizon)
     z_truth = [to_transformed_coords(x, ts) for x in truth.states]
     checked = 0
+    cols = ts.block_slice(1)
     for k in range(1, trace.horizon + 1):
         for i in range(2, trace.n_nodes + 1):
-            tau = trace.tau(k, i, 1)
-            if tau is OMEGA or k - tau < 0:
+            tau = trace.taus[k, i - 1, 0]
+            if tau < 0 or k - tau < 0:
                 continue
-            e_i = trace.estimate(k, i, 1) - z_truth[k][ts.block_slice(1)]
-            e_src = (trace.estimate(k - tau, 1, 1)
-                     - z_truth[k - tau][ts.block_slice(1)])
+            e_i = trace.z_estimates[k, i - 1, cols] - z_truth[k][cols]
+            e_src = trace.z_estimates[k - tau, 0, cols] - z_truth[k - tau][cols]
             rhs = np.linalg.matrix_power(a_11, tau) @ e_src
             assert np.linalg.norm(e_i - rhs) <= 1e-8 * max(1.0, np.linalg.norm(e_i))
             checked += 1
@@ -391,8 +399,8 @@ def test_delayed_form_residuals_via_lineage():
     for k in range(1, trace.horizon + 1):
         for j in trace.substates:
             for i in range(1, trace.n_nodes + 1):
-                tau = trace.tau(k, i, j)
-                if i == j or tau is OMEGA or k - tau < 0:
+                tau = trace.taus[k, i - 1, j - 1]
+                if i == j or tau < 0 or k - tau < 0:
                     continue
                 res = check_delayed_form(trace, ts, j, k, i)
                 assert res <= 1e-8, (i, j, k, res)

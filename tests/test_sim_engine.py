@@ -1,17 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from freshtrack.baselines import WeightStrategy, detect_divergence
+from freshtrack.decomposition import staircase_transform
 from freshtrack.gain_design import closed_loop_block
 from freshtrack.graph_seq import (
     Digraph,
     PeriodicGraphSequence,
     generate_random_jointly_connected,
 )
+from freshtrack.observer_protocol import check_delayed_form
 from freshtrack.scenarios import FIG1_EDGE_LISTS, make_multiblock_plant
 from freshtrack.sim_engine import (
     Scenario,
     Trace,
+    _delayed_residuals,
     check_envelope,
     check_lemma_suite,
     fit_decay_rate,
@@ -64,10 +69,10 @@ def test_single_node_matches_classical_observer():
     truth = simulate_truth(plant, 40)
     for k in range(41):
         z_truth = to_transformed_coords(truth.states[k], trace.ts)
-        err = trace.estimate(k, 1, 1) - z_truth
+        err = trace.z_estimates[k, 0] - z_truth
         assert np.linalg.norm(err - e) <= 1e-9 * max(1.0, np.linalg.norm(e))
         e = cl @ e
-    assert trace.tau(17, 1, 1) == 0
+    assert trace.taus[17, 0, 0] == 0
 
 
 def test_error_norms_are_pythagorean():
@@ -216,3 +221,249 @@ def test_lemma_suite_reports_first_source_preferred_violation():
     k, j, i = sends[3]
     assert report["checks"]["source_preferred"] == {
         "passed": False, "counterexample": (i, j, k)}
+
+
+def test_lemma_suite_reports_first_source_pinned_violation():
+    trace = run_scenario(random_scenario(seed=7))
+    trace.taus[30, 2, 2] = 1
+    trace.taus[40, 0, 0] = 2
+    report = check_lemma_suite(trace)
+    # The first in (substate, k) order, not the last source tampered.
+    assert report["checks"]["source_pinned"] == {
+        "passed": False, "counterexample": (1, 1, 40)}
+
+
+def test_envelope_violations_keep_their_order():
+    trace = run_scenario(random_scenario(seed=7))
+    t_bar = trace.constants.t_bar
+    assert (2 * trace.n_nodes - 1) * t_bar == 20
+    for i, j, k in [(1, 3, 25), (2, 1, 30), (1, 1, 30), (1, 1, 2)]:
+        trace.err_block[k, i - 1, j - 1] = 1e6
+    for i, k in [(3, 40), (1, 40), (2, 35), (2, 19)]:
+        trace.err_total[k, i - 1] = 1e6
+    # Substates in (substate, k, node) order, then the total in (k, node)
+    # order; k = 2 and k = 19 fall before their envelopes start.
+    assert check_envelope(trace)["violations"] == [
+        (1, 1, 30), (2, 1, 30), (1, 3, 25), (2, 0, 35), (1, 0, 40), (3, 0, 40)]
+
+
+def reference_lemma_faults(trace):
+    """First counterexample of each lemma check, by straight-line loops over
+    (substate, node, k), and over (k, substate, node) for donor selection."""
+    n_nodes, horizon = trace.n_nodes, trace.horizon
+    trigger = (n_nodes - 1) * trace.period_t
+    ceiling = 2 * trigger
+    faults = dict.fromkeys(("indices_finite", "delay_ceiling", "index_step_bound",
+                            "source_pinned", "source_preferred"))
+
+    def note(name, at):
+        if faults[name] is None:
+            faults[name] = at
+
+    for j in trace.substates:
+        for i in range(1, n_nodes + 1):
+            for k in range(horizon + 1):
+                tau = trace.taus[k, i - 1, j - 1]
+                if i == j:
+                    if tau != 0:
+                        note("source_pinned", (i, j, k))
+                    continue
+                if k >= trigger and tau < 0:
+                    note("indices_finite", (i, j, k))
+                if k >= trigger and tau > ceiling:
+                    note("delay_ceiling", (i, j, k))
+                if k < horizon and tau >= 0 and trace.taus[k + 1, i - 1, j - 1] > tau + 1:
+                    note("index_step_bound", (i, j, k))
+    for k in range(horizon):
+        for j in trace.substates:
+            for i in range(1, n_nodes + 1):
+                if (i != j and trace.adjacency[k, j - 1, i - 1]
+                        and trace.donors[k + 1, i - 1, j - 1] != j):
+                    note("source_preferred", (i, j, k))
+    return faults
+
+
+@settings(max_examples=40, deadline=None)
+@given(fig1=hst.booleans(), seed=hst.integers(0, 2**16), tampered=hst.integers(0, 8))
+def test_lemma_suite_matches_straight_line_reference(fig1, seed, tampered):
+    if fig1:
+        # Substates 2 and 3 have dimension zero.
+        trace = run_scenario(Scenario(plant=fig1_plant(), graph=fig1_graph(), rho=0.6,
+                                      horizon=30, seed=seed))
+    else:
+        trace = run_scenario(random_scenario(seed=seed, horizon=30))
+    rng = np.random.default_rng(seed)
+    n_nodes = trace.n_nodes
+    ceiling = 2 * (n_nodes - 1) * trace.period_t
+    for _ in range(tampered):
+        k, i, j = (int(rng.integers(0, trace.horizon + 1)), int(rng.integers(0, n_nodes)),
+                   int(rng.integers(0, n_nodes)))
+        if rng.random() < 0.5:
+            trace.taus[k, i, j] = rng.integers(-1, ceiling + 3)
+        else:
+            trace.donors[k, i, j] = rng.integers(-1, n_nodes + 1)
+    report = check_lemma_suite(trace)
+    found = {name: report["checks"][name].get("counterexample")
+             for name in reference_lemma_faults(trace)}
+    assert found == reference_lemma_faults(trace)
+    assert report["passed"] == all(v is None for v in found.values())
+
+
+def couple_substates(plant, scale, seed):
+    """The plant with random A_jq (q < j) blocks added in staircase coordinates.
+
+    make_multiblock_plant's blocks are uncoupled, which leaves the
+    cross-substate terms of the delayed-error identity at zero.
+    """
+    ts = staircase_transform(plant)
+    block = np.repeat(np.arange(len(ts.block_dims)), ts.block_dims)
+    lower = block[:, None] > block[None, :]
+    coupling = scale * np.random.default_rng(seed).standard_normal(lower.shape) * lower
+    a = ts.t_matrix @ (ts.a_bar + coupling) @ np.linalg.inv(ts.t_matrix)
+    return LtiPlant(a, plant.sensors, plant.x0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    blocks=hst.lists(hst.integers(1, 3), min_size=1, max_size=4),
+    blind=hst.lists(hst.integers(0, 4), max_size=2),
+    coupling=hst.sampled_from([0.0, 0.5]),
+    seed=hst.integers(0, 2**16),
+    tamper=hst.sampled_from([None, "estimate", "tau"]),
+)
+def test_delayed_check_matches_per_point_closed_form(blocks, blind, coupling, seed,
+                                                     tamper):
+    # Blind nodes (no sensor) give zero-dimension substates wherever they sit.
+    base = make_multiblock_plant(tuple(blocks), seed=seed)
+    sensors = list(base.sensors)
+    for pos in blind:
+        sensors.insert(min(pos, len(sensors)), np.zeros((0, base.n)))
+    plant = couple_substates(LtiPlant(base.a_matrix, sensors, base.x0), coupling, seed)
+    graph = generate_random_jointly_connected(plant.n_nodes, 2, seed=seed + 1)
+    trace = run_scenario(Scenario(plant=plant, graph=graph, rho=0.8, horizon=24,
+                                  seed=seed))
+    ts = trace.ts
+    rng = np.random.default_rng(seed)
+    if tamper == "estimate":
+        # One estimate entry off by one: both evaluations read the same
+        # recorded estimates, so they must still agree point by point.
+        k, i, col = (rng.integers(0, trace.horizon + 1), rng.integers(0, plant.n_nodes),
+                     rng.integers(0, ts.n))
+        trace.z_estimates[k, i, col] += 1.0
+    elif tamper == "tau":
+        # One index shifted off its lineage's length (or onto it, by chance).
+        k, i = rng.integers(1, trace.horizon + 1), rng.integers(0, plant.n_nodes)
+        j = trace.substates[rng.integers(0, len(trace.substates))] - 1
+        trace.taus[k, i, j] = max(-1, trace.taus[k, i, j] + rng.choice([-2, -1, 1, 2]))
+    resid = _delayed_residuals(trace, ts)
+    refs = []
+    for k in range(1, trace.horizon + 1):
+        for c, j in enumerate(trace.substates):
+            for i in range(1, plant.n_nodes + 1):
+                try:
+                    ref = check_delayed_form(trace, ts, j, k, i)
+                except ValueError:
+                    ref = np.nan
+                if np.isnan(ref):
+                    assert np.isnan(resid[k - 1, i - 1, c]), (i, j, k)
+                else:
+                    assert abs(resid[k - 1, i - 1, c] - ref) <= 1e-12, (i, j, k)
+                refs.append(ref)
+    worst = np.max(refs, initial=0.0)                # NaN if any point raised
+    entry = check_lemma_suite(trace, check_delayed=True)["checks"]["delayed_form"]
+    assert entry["passed"] == (worst <= 1e-8)
+    if np.isnan(worst):
+        assert np.isnan(entry["max_residual"])
+    else:
+        assert entry["max_residual"] == pytest.approx(worst, abs=1e-12)
+
+
+def relay_trace(horizon=10):
+    """A (2, 1, 1) plant on a 2-cycle: round A is 1->2->3, round B is 3->1 only.
+
+    A round-B round is the only one where node 1 hears source 3, and no
+    other node hears anyone.
+    """
+    plant = make_multiblock_plant((2, 1, 1), seed=12)
+    graph = PeriodicGraphSequence([Digraph(3, [(1, 2), (2, 3)]), Digraph(3, [(3, 1)])],
+                                  period_t=2)
+    trace = run_scenario(Scenario(plant=plant, graph=graph, rho=0.8, horizon=horizon,
+                                  initial_estimates=[np.ones(plant.n)] * 3))
+    assert check_lemma_suite(trace, check_delayed=True)["passed"]
+    return trace
+
+
+@pytest.mark.parametrize("entry", ["estimate", "donor", "source_estimate"])
+def test_delayed_check_locates_single_tampered_entry(entry):
+    trace = relay_trace()
+    h = trace.horizon
+    if entry == "estimate":
+        # Node 2's estimate of substate 1 at the last step.
+        trace.z_estimates[h, 1, 0] += 0.5
+        expected = (2, 1, h)
+    elif entry == "donor":
+        # Node 2 ran open-loop in the last round; claim it adopted source 1.
+        assert trace.donors[h, 1, 0] == -1
+        trace.donors[h, 1, 0] = 1
+        expected = (2, 1, h)
+    else:
+        # Source 3's own estimate entering the last round, which only node 1
+        # reads (as its donor).
+        assert trace.donors[h, 0, 2] == 3
+        trace.z_estimates[h - 1, 2, 3] += 0.5
+        expected = (1, 3, h)
+    entry = check_lemma_suite(trace, check_delayed=True)["checks"]["delayed_form"]
+    assert not entry["passed"]
+    assert entry["at"] == expected
+
+
+def test_delayed_check_fails_lineage_from_uninformed_node():
+    trace = relay_trace()
+    # Round 0: node 2 adopts source 1; claim it adopted node 3, never informed.
+    assert trace.donors[1, 1, 0] == 1 and trace.taus[0, 2, 0] == -1
+    trace.donors[1, 1, 0] = 3
+    with pytest.raises(ValueError, match="does not reach the source"):
+        check_delayed_form(trace, trace.ts, 1, 1, 2)
+    entry = check_lemma_suite(trace, check_delayed=True)["checks"]["delayed_form"]
+    assert not entry["passed"]
+    assert np.isnan(entry["max_residual"])
+    assert entry["at"] == (2, 1, 1)
+
+
+@pytest.mark.parametrize("defect", ["open_loop_keeps_index", "adoption_adds_two"])
+def test_delayed_check_fails_index_off_its_lineage(defect):
+    trace = relay_trace()
+    h = trace.horizon
+    if defect == "open_loop_keeps_index":
+        # Node 2 ran open-loop in the last round; record its index unchanged.
+        assert trace.donors[h, 1, 0] == -1 and trace.taus[h - 1, 1, 0] >= 0
+        trace.taus[h, 1, 0] = trace.taus[h - 1, 1, 0]
+        expected = (2, 1, h)
+    else:
+        # Node 1 adopted source 3 in the last round; record donor index + 2.
+        assert trace.donors[h, 0, 2] == 3
+        trace.taus[h, 0, 2] = trace.taus[h - 1, 2, 2] + 2
+        expected = (1, 3, h)
+    report = check_lemma_suite(trace, check_delayed=True)
+    # Neither defect moves an index by more than one step, so only the
+    # delayed identity sees it.
+    assert all(entry["passed"] for name, entry in report["checks"].items()
+               if name != "delayed_form")
+    entry = report["checks"]["delayed_form"]
+    assert not entry["passed"]
+    assert np.isnan(entry["max_residual"])
+    assert entry["at"] == expected
+    i, j, k = expected
+    with pytest.raises(ValueError):
+        check_delayed_form(trace, trace.ts, j, k, i)
+
+
+def test_delayed_check_on_empty_horizon():
+    plant = make_multiblock_plant((1,), seed=0)
+    graph = PeriodicGraphSequence([Digraph(1, [])], period_t=1)
+    run = run_scenario(Scenario(plant=plant, graph=graph, rho=0.5, horizon=1))
+    # Runs need a horizon of at least 1; a library Trace may hold k = 0 only.
+    trace = Trace("freshness", 1, 0, 1, run.block_dims)
+    trace.taus[0], trace.z_estimates[0], trace.ts = run.taus[0], run.z_estimates[0], run.ts
+    entry = check_lemma_suite(trace, check_delayed=True)["checks"]["delayed_form"]
+    assert entry == {"passed": True, "max_residual": 0.0, "at": None}
