@@ -19,7 +19,7 @@ import jsonschema
 
 from .baselines import WeightStrategy, detect_divergence
 from .decomposition import DecompositionError, TransformedSystem, block_offsets
-from .gain_design import BoundConstants
+from .gain_design import BoundConstants, GainDesignError
 from .graph_seq import Digraph, PeriodicGraphSequence, generate_random_jointly_connected
 from .scenarios import canned_scenarios
 from .sim_engine import (
@@ -52,7 +52,17 @@ CONFIG_SCHEMA = {
             "properties": {
                 "mode": {"enum": ["periodic", "random"]},
                 "T": {"type": "integer", "minimum": 1},
-                "params": {"type": "object"},
+                "params": {
+                    "type": "object",
+                    "properties": {
+                        "seed": {"type": "integer", "minimum": 0},
+                        "n": {"type": "integer", "minimum": 1},
+                        "edge_lists": {"type": "array", "items": {
+                            "type": "array", "items": {
+                                "type": "array", "items": {"type": "integer"},
+                                "minItems": 2, "maxItems": 2}}},
+                    },
+                },
             },
         },
         "algorithm": {
@@ -129,7 +139,7 @@ def build_scenario(config) -> Scenario:
         n = params.get("n", plant.n_nodes)
         if n != plant.n_nodes:
             raise ConfigError(f"graph has {n} nodes but plant has {plant.n_nodes}")
-        graph = generate_random_jointly_connected(n, t, params.get("seed", seed))
+        graph = generate_random_jointly_connected(n, t, int(params.get("seed", seed)))
 
     algo = config["algorithm"]
     strategy = None
@@ -330,7 +340,6 @@ def _load_trace_csv(path, report):
             a_bar=np.array(t["a_bar"]),
             c_bar=tuple(np.array(c).reshape(-1, len(t["a_bar"])) for c in t["c_bar"]),
             block_dims=tuple(t["block_dims"]),
-            warnings=tuple(t.get("warnings", [])),
         )
     if "constants" in report:
         c = report["constants"]
@@ -413,7 +422,7 @@ def main(argv=None):
         if args.command == "check":
             return cmd_check(args.trace, args.report)
         return cmd_list_scenarios()
-    except (ConfigError, DecompositionError) as exc:
+    except (ConfigError, DecompositionError, GainDesignError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,16 +14,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .system_model import (
-    LtiPlant,
-    default_rank_tol,
-    numerical_rank,
-    observability_matrix,
-)
-
-
-class DecompositionError(ValueError):
-    """Raised when the plant is not jointly observable."""
+from .system_model import (EPS, DecompositionError, LtiPlant, observability_staircase,
+                           staircase_deflation)
 
 
 def block_offsets(block_dims):
@@ -35,7 +27,7 @@ def block_offsets(block_dims):
 class TransformedSystem:
     """Similarity transform T and the block lower-triangular pair it produces.
 
-    a_bar = T^-1 A T, c_bar[i] = C_i T.  Column blocks of T are mutually
+    a_bar = T^T A T, c_bar[i] = C_i T.  Column blocks of T are mutually
     orthonormal, so T is orthogonal and T^-1 = T^T.
     """
 
@@ -43,7 +35,6 @@ class TransformedSystem:
     a_bar: np.ndarray
     c_bar: tuple
     block_dims: tuple
-    warnings: tuple = ()
 
     @property
     def n(self):
@@ -77,83 +68,50 @@ class TransformedSystem:
             "a_bar": self.a_bar.tolist(),
             "c_bar": [c.tolist() for c in self.c_bar],
             "block_dims": list(self.block_dims),
-            "warnings": list(self.warnings),
         }
 
 
-def _nullspace(m: np.ndarray, rank_tol: float) -> np.ndarray:
-    """Orthonormal basis of the null space of m (columns)."""
-    n = m.shape[1]
-    if m.size == 0:
-        return np.eye(n)
-    _, sv, vt = np.linalg.svd(m)
-    if sv.size == 0 or sv[0] == 0.0:
-        return np.eye(n)
-    rank = int(np.sum(sv > rank_tol * sv[0]))
-    return vt[rank:].T
+def staircase_transform(plant: LtiPlant) -> TransformedSystem:
+    """Build the staircase transform, deflating node by node in index order.
 
-
-def staircase_transform(plant: LtiPlant, rank_tol: float | None = None) -> TransformedSystem:
-    """Build the staircase transform, iterating over nodes in index order.
-
-    Let U_j be the unobservable subspace of (A, [C_1; ...; C_j]).  These nest,
-    U_0 = R^n down to U_N = {0} under joint observability, and each is
-    A-invariant.  Block j is an orthonormal basis of the part of U_{j-1}
-    orthogonal to U_j, so span(blocks j..N) = U_{j-1}; invariance makes the
-    transformed system block lower-triangular and C_i z-blocks vanish for
-    q > i because U_i lies inside ker(C_i).
+    V is an orthonormal basis of the subspace nodes 1..j-1 leave unobserved;
+    it is A-invariant, so (V^T A V, C_j V) is the pair node j faces on it.
+    Block j is V times that pair's observed basis, and V moves on to its
+    unobserved one.  The blocks are mutually orthonormal, so T is orthogonal;
+    invariance makes T^T A T block lower-triangular, and C_i T vanishes on
+    blocks q > i because those lie inside ker(C_i).
     """
     n = plant.n
-    if rank_tol is None:
-        rank_tol = default_rank_tol(n)
     a = plant.a_matrix
-
-    unobs = [np.eye(n)]
-    stacked = []
-    for c in plant.sensors:
-        stacked.append(c)
-        obs = observability_matrix(a, np.vstack(stacked))
-        unobs.append(_nullspace(obs, rank_tol))
-
-    achieved = n - unobs[-1].shape[1]
-    if achieved != n:
-        raise DecompositionError(
-            f"plant is not jointly observable: achieved total rank {achieved} of {n}")
-
+    v = np.eye(n)
     blocks = []
-    dims = []
-    for j in range(1, plant.n_nodes + 1):
-        prev, cur = unobs[j - 1], unobs[j]
-        nj = prev.shape[1] - cur.shape[1]
-        dims.append(nj)
-        if nj == 0:
-            continue
-        # Component of U_{j-1} orthogonal to U_j, orthonormalized via SVD.
-        proj = prev - cur @ (cur.T @ prev)
-        u, sv, _ = np.linalg.svd(proj, full_matrices=False)
-        blocks.append(u[:, :nj])
+    rounding = EPS
+    for sensor in plant.sensors:
+        # Rows of C_j V that earlier nodes already see are rounding residue
+        # of V; they are judged against ||C_j|| and V's rounding estimate.
+        observed, unobserved, rounding = staircase_deflation(
+            v.T @ a @ v, sensor @ v, np.linalg.norm(sensor), rounding)
+        blocks.append(v @ observed)
+        v = v @ unobserved
+    if v.shape[1]:
+        raise DecompositionError(
+            f"plant is not jointly observable: achieved total rank {n - v.shape[1]} of {n}")
 
-    t = np.hstack(blocks) if blocks else np.eye(n)
-    warnings = []
-    cond = np.linalg.cond(t)
-    if cond > 1e8:
-        warnings.append(f"ill-conditioned transform: cond(T) = {cond:.3e}")
-
-    t_inv = np.linalg.inv(t)
-    a_bar = t_inv @ a @ t
-    c_bar = tuple(c @ t for c in plant.sensors)
+    t = np.hstack(blocks)
     return TransformedSystem(
         t_matrix=t,
-        a_bar=a_bar,
-        c_bar=c_bar,
-        block_dims=tuple(dims),
-        warnings=tuple(warnings),
+        a_bar=t.T @ a @ t,
+        c_bar=tuple(c @ t for c in plant.sensors),
+        block_dims=tuple(b.shape[1] for b in blocks),
     )
 
 
 def to_transformed_coords(x, ts: TransformedSystem):
-    """Map original coordinates to transformed ones: z = T^-1 x."""
-    return np.linalg.solve(ts.t_matrix, np.asarray(x, dtype=float))
+    """Map original coordinates to transformed ones: z = T^T x.
+
+    ``x`` is one state or a stack of states, one per row.
+    """
+    return np.asarray(x, dtype=float) @ ts.t_matrix
 
 
 def from_transformed_coords(z, ts: TransformedSystem):
@@ -161,12 +119,7 @@ def from_transformed_coords(z, ts: TransformedSystem):
     return ts.t_matrix @ np.asarray(z, dtype=float)
 
 
-def block_pair_observable(ts: TransformedSystem, j: int, rank_tol: float | None = None) -> bool:
+def block_pair_observable(ts: TransformedSystem, j: int) -> bool:
     """Check observability of the diagonal pair (A_jj, C_jj), 1-indexed."""
-    nj = ts.block_dims[j - 1]
-    if nj == 0:
-        return True
-    if rank_tol is None:
-        rank_tol = default_rank_tol(nj)
-    obs = observability_matrix(ts.a_block(j, j), ts.c_block(j, j))
-    return numerical_rank(obs, rank_tol) == nj
+    observed, _ = observability_staircase(ts.a_block(j, j), ts.c_block(j, j))
+    return observed.shape[1] == ts.block_dims[j - 1]

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.linalg import solve_sylvester
 
 from .decomposition import TransformedSystem
-from .system_model import default_rank_tol, numerical_rank, observability_matrix
+from .system_model import observability_matrix, observability_staircase
 
 DEADBEAT = "deadbeat"
 
@@ -98,9 +98,8 @@ def _spectral_targets(rho_j: float, nj: int):
 
 
 def _check_observable(a, c):
-    n = a.shape[0]
-    if n >= 1 and (c.shape[0] == 0 or
-                   numerical_rank(observability_matrix(a, c), default_rank_tol(n)) != n):
+    observed, _ = observability_staircase(a, c)
+    if observed.shape[1] != a.shape[0]:
         raise GainDesignError("block pair is not observable; cannot place poles")
 
 
@@ -196,14 +195,20 @@ def place_deadbeat(a_jj, c_jj, seed: int = 0):
     c = np.atleast_2d(np.asarray(c_jj, dtype=float))
     _check_observable(a, c)
     rng = np.random.default_rng(seed)
-    return _deadbeat_recursive(a, c, rng)
+    gain = _deadbeat_recursive(a, c, rng)
+    # Ackermann's O^-1 loses long or weakly observable chains.  Demand the
+    # finite-time check's tolerance for a unit initial error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = np.linalg.norm(np.linalg.matrix_power(a - gain @ c, a.shape[0]))
+    if not residual <= 1e-6:
+        raise GainDesignError(f"deadbeat gain is not nilpotent: ||(A - L C)^n|| = {residual:.2e}")
+    return gain
 
 
 def _deadbeat_recursive(a, c, rng):
     n, r = a.shape[0], c.shape[0]
     if n == 0:
         return np.zeros((0, r))
-    tol = default_rank_tol(n)
 
     # Pick the output combination whose single-row pair sees the most of the
     # state; a random combination is generically maximal.
@@ -211,12 +216,13 @@ def _deadbeat_recursive(a, c, rng):
     for _ in range(_PLACEMENT_RETRIES):
         eta = rng.standard_normal(r)
         row = (eta @ c).reshape(1, n)
-        d = numerical_rank(observability_matrix(a, row), tol)
-        if best is None or d > best[0]:
-            best = (d, eta, row)
-        if d == n:
+        observed, unobserved = observability_staircase(a, row)
+        if best is None or observed.shape[1] > best[0].shape[1]:
+            best = (observed, unobserved, eta, row)
+        if not unobserved.shape[1]:
             break
-    d, eta, row = best
+    observed, unobserved, eta, row = best
+    d = observed.shape[1]
     if d == 0:
         raise GainDesignError("no output combination observes any direction")
 
@@ -224,11 +230,7 @@ def _deadbeat_recursive(a, c, rng):
         return _ackermann_deadbeat(a, row) @ eta.reshape(1, r)
 
     # Kalman decomposition w.r.t. the combined row: observable part first.
-    obs = observability_matrix(a, row)
-    _, sv, vt = np.linalg.svd(obs)
-    v_obs = vt[:d].T
-    v_un = vt[d:].T
-    t = np.hstack([v_obs, v_un])
+    t = np.hstack([observed, unobserved])
     a_t = t.T @ a @ t
     c_t = c @ t
     a11 = a_t[:d, :d]

@@ -54,32 +54,34 @@ def make_multiblock_plant(block_sizes, seed, spectral_radius=0.3, row_dims=None)
 
     Built block-diagonal with node i sensing only block i, then conjugated by
     a random orthogonal matrix so the structure is hidden in the original
-    coordinates.  Guarantees n_j = block_sizes[j-1] for every node.
+    coordinates.  Guarantees n_j = block_sizes[j-1] for every node.  Draws
+    with seed, seed + 1, ... until a plant is jointly observable.
     """
-    rng = np.random.default_rng(seed)
     n = int(sum(block_sizes))
     if row_dims is None:
         row_dims = [1] * len(block_sizes)
-    blocks = []
-    for nb in block_sizes:
-        b = rng.standard_normal((nb, nb))
-        radius = np.max(np.abs(np.linalg.eigvals(b)))
-        blocks.append(b * (spectral_radius / max(radius, 1e-3)))
-    a = np.zeros((n, n))
-    sensors = []
-    off = 0
-    for nb, r, b in zip(block_sizes, row_dims, blocks):
-        a[off:off + nb, off:off + nb] = b
-        c = np.zeros((r, n))
-        c[:, off:off + nb] = rng.standard_normal((r, nb))
-        sensors.append(c)
-        off += nb
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    plant = LtiPlant(q @ a @ q.T, [c @ q.T for c in sensors],
-                     rng.standard_normal(n))
-    if not is_jointly_observable(plant):
-        return make_multiblock_plant(block_sizes, seed + 1, spectral_radius, row_dims)
-    return plant
+    for attempt in range(seed, seed + 64):
+        rng = np.random.default_rng(attempt)
+        blocks = []
+        for nb in block_sizes:
+            b = rng.standard_normal((nb, nb))
+            radius = np.max(np.abs(np.linalg.eigvals(b)))
+            blocks.append(b * (spectral_radius / max(radius, 1e-3)))
+        a = np.zeros((n, n))
+        sensors = []
+        off = 0
+        for nb, r, b in zip(block_sizes, row_dims, blocks):
+            a[off:off + nb, off:off + nb] = b
+            c = np.zeros((r, n))
+            c[:, off:off + nb] = rng.standard_normal((r, nb))
+            sensors.append(c)
+            off += nb
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        plant = LtiPlant(q @ a @ q.T, [c @ q.T for c in sensors],
+                         rng.standard_normal(n))
+        if is_jointly_observable(plant):
+            return plant
+    raise RuntimeError(f"failed to draw a jointly observable plant (seed={seed})")
 
 
 def make_diagonal_plant(n_nodes, seed):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import WeightStrategy, baseline_round, mixing_weights
-from .decomposition import block_offsets, staircase_transform
+from .decomposition import block_offsets, staircase_transform, to_transformed_coords
 from .gain_design import compute_bound_constants, design_gains
 from .graph_seq import (
     GraphSequence,
@@ -146,14 +146,12 @@ def _run_freshness(s: Scenario) -> Trace:
     ts = staircase_transform(plant)
     gains = design_gains(ts, rho=s.rho, deadbeat=s.deadbeat, seed=s.seed)
     truth = simulate_truth(plant, s.horizon)
-    # Transformed coordinates z = T^-1 x of every time-step in one solve.
-    z_truth = np.linalg.solve(ts.t_matrix, truth.states.T).T
+    z_truth = to_transformed_coords(truth.states, ts)
 
     trace = Trace("freshness", n_nodes, s.horizon, s.graph.period_t,
                   ts.block_dims, rho=s.rho, deadbeat=s.deadbeat, seed=s.seed)
     trace.ts = ts
     trace.gains = gains
-    trace.warnings.extend(ts.warnings)
 
     trace.adjacency = s.graph.adjacency(s.horizon)
     if s.horizon >= s.graph.period_t:
@@ -168,8 +166,7 @@ def _run_freshness(s: Scenario) -> Trace:
 
     z0 = None
     if s.initial_estimates is not None:
-        z0 = np.linalg.solve(
-            ts.t_matrix, np.asarray(s.initial_estimates, dtype=float).T).T
+        z0 = to_transformed_coords(s.initial_estimates, ts)
     tau, z = initial_arrays(ts, z0)
     kernel = ProtocolKernel(ts, gains)
     outputs = kernel.source_outputs(truth.measurements)

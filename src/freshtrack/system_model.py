@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+EPS = np.finfo(float).eps
+
 
 class ConfigurationError(ValueError):
     """Raised when plant matrices have inconsistent dimensions or non-finite entries."""
@@ -99,7 +101,11 @@ def simulate_truth(plant: LtiPlant, horizon: int) -> Trajectory:
 
 
 def observability_matrix(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Stack [C; CA; ...; CA^(n-1)] for the pair (A, C)."""
+    """Stack [C; CA; ...; CA^(n-1)] for the pair (A, C).
+
+    Its powers lose small directions at moderate n; observability verdicts
+    come from `observability_staircase`.
+    """
     n = a.shape[0]
     blocks = []
     block = c
@@ -110,8 +116,8 @@ def observability_matrix(a: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def default_rank_tol(n: int) -> float:
-    # Scale-invariant threshold applied to singular values relative to the
-    # largest one; robust for desk-scale n <= 12.
+    # For numerical_rank: a singular value counts when it exceeds this
+    # fraction of the largest one.
     return n * np.finfo(float).eps * 64
 
 
@@ -124,9 +130,84 @@ def numerical_rank(m: np.ndarray, rank_tol: float) -> int:
     return int(np.sum(sv > rank_tol * sv[0]))
 
 
-def is_jointly_observable(plant: LtiPlant, rank_tol: float | None = None) -> bool:
+# Rank decisions of the staircase.  A step's singular values, relative to
+# ||C|| at the first step and to ||A|| after it, are weighed against the
+# rounding the deflation has accumulated: the caller's share, n eps, and eps
+# times the condition number of the unit-scaled Krylov blocks C, CA, ... it
+# has followed.  Where a chain ends, the computed value is that rounding and
+# grows with the chain: it stayed within 16 times the estimate on 3000
+# hidden-staircase layouts (blocks of 1-4, n <= 64) and within 5 times on
+# pairs of single-output blocks up to 32, with true directions 80 to 1e10
+# times above.  Between the two factors below there is no clear gap.
+# Values above SEEN_FLOOR always count: on long generic chains the estimate
+# saturates while the values stay large (single-output n = 64: all > 1.4e-3).
+RESIDUE_FACTOR = 100.0
+DIRECTION_FACTOR = 1e3
+SEEN_FLOOR = 1e-3
+
+
+class DecompositionError(ValueError):
+    """Raised when the staircase cannot be built: a plant that is not jointly
+    observable, or a rank decision without a clear gap."""
+
+
+def _staircase_rank(rel, rounding):
+    """Number of directions among descending relative singular values ``rel``."""
+    direction = (rel > SEEN_FLOOR) | (rel > DIRECTION_FACTOR * rounding)
+    residue = rel <= min(SEEN_FLOOR, RESIDUE_FACTOR * rounding)
+    unclear = ~(direction | residue)
+    if unclear.any():
+        raise DecompositionError(
+            f"staircase rank decision has no clear gap: singular value "
+            f"{rel[unclear][0]:.2e} against rounding estimate {rounding:.2e}")
+    return int(np.sum(direction))
+
+
+def staircase_deflation(a, c, c_scale, rounding):
+    """Deflating staircase of (A, C); see `observability_staircase`.
+
+    ``c_scale`` is the reference of the first step's singular values and
+    ``rounding`` the error the caller has already accumulated in (A, C).
+    Returns the two bases and the rounding estimate after the deflation.
+    """
+    n = a.shape[0]
+    seen, rest = [np.zeros((n, 0))], np.eye(n)
+    rows, scale = c, c_scale
+    krylov, power = [], c
+    rounding = inherited = rounding + n * EPS
+    while rest.shape[1] and rows.size:
+        _, sv, vt = np.linalg.svd(rows)
+        rank = _staircase_rank(sv / (scale or 1.0), rounding)
+        if rank == 0:
+            break
+        seen.append(rest @ vt[:rank].T)
+        rest = rest @ vt[rank:].T
+        rows = seen[-1].T @ a @ rest
+        scale = np.linalg.norm(a, 2)
+        krylov.append(power / (np.linalg.norm(power) or 1.0))
+        power = krylov[-1] @ a
+        k = np.linalg.svd(np.vstack(krylov), compute_uv=False)
+        rounding = inherited + EPS * k[0] / k[n - rest.shape[1] - 1]
+    return np.hstack(seen), rest, rounding
+
+
+def observability_staircase(a: np.ndarray, c: np.ndarray):
+    """Orthonormal bases ``(observed, unobserved)`` of R^n for the pair (A, C).
+
+    Van Dooren's deflating staircase: an SVD of the rows still to be
+    annihilated splits the remaining space into the directions they see and
+    the rest, and ``seen^T A rest`` are the next rows.  It stops when the
+    rows see nothing new; ``unobserved`` then spans the unobservable subspace
+    ker [C; CA; ...], which is A-invariant.  Each rank decision weighs the
+    singular values against the deflation's own rounding (see
+    ``RESIDUE_FACTOR``) and raises `DecompositionError` when one is neither
+    residue nor direction.
+    """
+    observed, unobserved, _ = staircase_deflation(a, c, np.linalg.norm(c), EPS)
+    return observed, unobserved
+
+
+def is_jointly_observable(plant: LtiPlant) -> bool:
     """True iff (A, C) is observable for C the stack of every node's sensor."""
-    if rank_tol is None:
-        rank_tol = default_rank_tol(plant.n)
-    obs = observability_matrix(plant.a_matrix, plant.stacked_c())
-    return numerical_rank(obs, rank_tol) == plant.n
+    observed, _ = observability_staircase(plant.a_matrix, plant.stacked_c())
+    return observed.shape[1] == plant.n

@@ -176,7 +176,7 @@ def test_alternating_graph_baseline_grows_monotonically(strategy):
     assert detect_divergence(trace.err_total, 1e6) is not None
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(graph=graphs, data=st.data())
 def test_tree_parents_match_bfs_reference(graph, data):
     # Several rounds at once: the BFS levels are computed over the whole tensor.
@@ -193,7 +193,7 @@ def test_tree_parents_match_bfs_reference(graph, data):
             assert np.array_equal(w[node - 1], np.eye(n)[expected - 1])
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(graph=graphs, data=st.data(), kind=st.sampled_from(["uniform", "tree_rooted"]))
 def test_array_round_matches_per_node_rule(graph, data, kind):
     n, edges = graph

@@ -14,7 +14,13 @@ from freshtrack.cli import (
     cmd_check,
     main,
 )
-from freshtrack.scenarios import FIG1_GRAPH, FIG1_PLANT, canned_scenarios
+from freshtrack.scenarios import (
+    FIG1_GRAPH,
+    FIG1_PLANT,
+    _plant_config,
+    canned_scenarios,
+    make_multiblock_plant,
+)
 from freshtrack.sim_engine import run_scenario
 
 
@@ -327,3 +333,58 @@ def test_check_loads_baseline_report_with_padded_block_dims(tmp_path, capsys):
     report.write_text(json.dumps(data))
     trace = tmp_path / "fig1_uniform_baseline_trace.csv"
     assert main(["check", str(trace), str(report)]) == 0
+
+
+@pytest.mark.parametrize("params,message", [
+    ({"seed": -1}, "minimum"),
+    ({"seed": 1.5}, "integer"),
+    ({"n": 0}, "minimum"),
+    ({"edge_lists": [[[1, 2, 3]]]}, "long"),
+])
+def test_run_rejects_bad_graph_params(tmp_path, capsys, params, message):
+    cfg = tmp_path / "params.json"
+    cfg.write_text(json.dumps(small_config(graph={"mode": "random", "T": 2, "params": params})))
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid scenario config") and message in err
+
+
+def test_check_loads_report_with_transform_warnings(tmp_path, capsys):
+    # Older reports carried a "warnings" list inside "transform".
+    assert main(["run", "fig1_freshness_spectral", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    report = tmp_path / "fig1_freshness_spectral_report.json"
+    data = json.loads(report.read_text())
+    assert "warnings" not in data["transform"]
+    data["transform"]["warnings"] = []
+    report.write_text(json.dumps(data))
+    trace = tmp_path / "fig1_freshness_spectral_trace.csv"
+    assert main(["check", str(trace), str(report)]) == 0
+
+
+def test_deadbeat_run_on_long_single_output_blocks_converges(tmp_path, capsys):
+    # Two 32-dim single-output blocks: a fixed staircase threshold folded
+    # them into one 64-dim block, and the deadbeat run diverged.
+    plant = make_multiblock_plant((32, 32), seed=0, spectral_radius=0.9)
+    cfg = tmp_path / "long.json"
+    cfg.write_text(json.dumps(small_config(
+        plant=_plant_config(plant), horizon=150,
+        graph={"mode": "random", "T": 1, "params": {"n": 2, "seed": 0}})))
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "long_report.json").read_text())
+    assert report["block_dims"] == [32, 32]
+    assert report["checks"]["finite_time"]["passed"]
+
+
+def test_run_exits_2_when_deadbeat_gain_misses_nilpotency(tmp_path, capsys):
+    # Node 1 sees ten eigenvalues within 0.01 of each other through one
+    # output; its deadbeat gain leaves rounding noise of size 1e21.
+    a = np.diag(np.append(0.5 + 0.001 * np.arange(10), 0.3))
+    c1 = np.append(np.ones(10), 0.0).reshape(1, 11)
+    c2 = np.eye(11)[10:]
+    cfg = tmp_path / "clustered.json"
+    cfg.write_text(json.dumps(small_config(
+        plant={"A": a.tolist(), "C": [c1.tolist(), c2.tolist()], "x0": [1.0] * 11},
+        graph={"mode": "random", "T": 1, "params": {"n": 2, "seed": 0}})))
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: deadbeat gain is not nilpotent")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from freshtrack.decomposition import (
     DecompositionError,
@@ -9,7 +11,7 @@ from freshtrack.decomposition import (
     to_transformed_coords,
 )
 from freshtrack.system_model import LtiPlant, is_jointly_observable
-from freshtrack.scenarios import make_random_plant
+from freshtrack.scenarios import make_multiblock_plant, make_random_plant
 
 
 def assert_staircase_invariants(plant, ts):
@@ -115,3 +117,89 @@ def test_property_random_plants():
         plant = make_random_plant(n, n_nodes, seed=1000 + trial)
         ts = staircase_transform(plant)
         assert_staircase_invariants(plant, ts)
+
+
+@hst.composite
+def multiblock_layouts(draw):
+    """Hidden-staircase layouts: up to 32 nodes, blocks of 1-4, n <= 64."""
+    n_nodes = draw(hst.integers(1, 32))
+    sizes = draw(hst.lists(hst.integers(1, 4), min_size=n_nodes, max_size=n_nodes))
+    while sum(sizes) > 64:
+        sizes.pop()
+    rows = draw(hst.lists(hst.integers(1, 2), min_size=len(sizes), max_size=len(sizes)))
+    return tuple(sizes), rows
+
+
+@settings(max_examples=40)
+@given(layout=multiblock_layouts(), seed=hst.integers(0, 2**16))
+@example(layout=((4,) * 16, [1] * 16), seed=0)
+@example(layout=((2,) * 32, [2, 1] * 16), seed=0)
+def test_staircase_recovers_hidden_blocks(layout, seed):
+    sizes, rows = layout
+    plant = make_multiblock_plant(sizes, seed=seed, row_dims=rows)
+    ts = staircase_transform(plant)
+    assert ts.block_dims == sizes
+    n = plant.n
+    t = ts.t_matrix
+    assert np.linalg.norm(t.T @ t - np.eye(n)) <= 1e-12 * n
+    tol = 1e-9 * np.linalg.norm(plant.a_matrix)
+    off = ts.offsets
+    for j in range(len(sizes)):
+        assert np.linalg.norm(ts.a_bar[off[j]:off[j + 1], off[j + 1]:]) <= tol
+        assert np.linalg.norm(ts.c_bar[j][:, off[j + 1]:]) <= tol
+
+
+@pytest.mark.parametrize("sizes,seed", [((8, 8), 3), ((16, 16), 0), ((12, 4), 0)])
+def test_staircase_threshold_clears_rounding_residue(sizes, seed):
+    # Where node 1's rows leave block 2, the deflation leaves rounding residue
+    # well above 64 n eps on these plants; it must not count as a direction.
+    assert staircase_transform(make_multiblock_plant(sizes, seed=seed)).block_dims == sizes
+
+
+@pytest.mark.parametrize("k", [24, 32, 40])
+@pytest.mark.parametrize("radius", [0.3, 0.9])
+def test_long_single_output_blocks_stay_apart(k, radius):
+    # Where node 1's chain of k steps ends, the deflation's residue grows
+    # with the chain (up to 2e-4 of ||A|| at k = 32); a fixed threshold
+    # folded block 2 into block 1 on some seeds.
+    for seed in range(5):
+        plant = make_multiblock_plant((k, k), seed=seed, spectral_radius=radius)
+        assert staircase_transform(plant).block_dims == (k, k)
+
+
+def test_single_output_block_of_24_is_recovered():
+    assert staircase_transform(make_multiblock_plant((24,), seed=1)).block_dims == (24,)
+
+
+def test_staircase_of_64_scalar_blocks():
+    ts = staircase_transform(make_multiblock_plant((1,) * 64, seed=1))
+    assert ts.block_dims == (1,) * 64
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e6])
+@pytest.mark.parametrize("node", [0, 1, 2])
+def test_block_dims_ignore_sensor_scale(scale, node):
+    plant = make_multiblock_plant((12, 1, 3), seed=0, row_dims=[1, 2, 1])
+    sensors = list(plant.sensors)
+    sensors[node] = sensors[node] * scale
+    scaled = LtiPlant(plant.a_matrix, sensors, plant.x0)
+    assert staircase_transform(scaled).block_dims == (12, 1, 3)
+
+
+def test_duplicated_sensor_adds_no_block():
+    # Node 2 repeats node 1's row; only rounding of node 1's span reaches it.
+    plant = make_multiblock_plant((2, 2), seed=3)
+    c1, c2 = plant.sensors
+    dup = LtiPlant(plant.a_matrix, [c1, c1, c2], plant.x0)
+    assert staircase_transform(dup).block_dims == (2, 0, 2)
+    # A repeated row next to a weak new one: only the new row's block counts.
+    mixed = LtiPlant(plant.a_matrix, [c1, np.vstack([c1, 1e-4 * c2]), c2], plant.x0)
+    assert staircase_transform(mixed).block_dims == (2, 2, 0)
+    with pytest.raises(DecompositionError, match="rank 2 of 4"):
+        staircase_transform(LtiPlant(plant.a_matrix, [c1, c1], plant.x0))
+
+
+def test_multiblock_plant_gives_up_with_runtime_error():
+    # Node 2 has no rows, so no seed yields a jointly observable plant.
+    with pytest.raises(RuntimeError, match="seed=0"):
+        make_multiblock_plant((1, 1), seed=0, row_dims=[1, 0])

@@ -104,6 +104,14 @@ def test_place_deadbeat_random_multi_output():
     assert np.linalg.norm(p) <= 1e-8 * max(1.0, np.linalg.norm(a, 2)) ** 4
 
 
+def test_place_deadbeat_rejects_gain_that_is_not_nilpotent():
+    # Six clustered eigenvalues seen through one output: the Ackermann gain
+    # is so large that (A - L C)^6 is rounding noise of size 1e9, not zero.
+    a = np.diag(0.5 + 0.1 * np.arange(6) / 6)
+    with pytest.raises(GainDesignError, match="not nilpotent"):
+        place_deadbeat(a, np.ones((1, 6)))
+
+
 def test_bound_constants_scalar_block():
     plant = LtiPlant([[2.0]], [[[1.0]], [], []], [1.0])
     ts = staircase_transform(plant)

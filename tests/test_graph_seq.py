@@ -104,7 +104,7 @@ def test_scc_matches_pairwise_reachability():
         assert strongly_connected(adj) == oracle
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(adj=st.tuples(st.integers(1, 5), st.integers(0, 9)).flatmap(
            lambda s: arrays(bool, (s[1], s[0], s[0]))),
        t=st.integers(1, 4), data=st.data())
@@ -185,7 +185,7 @@ def test_random_sequence_windows_pinned():
         [(2, 3)], [(1, 2), (4, 1)], [(3, 4)]]
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(seed=st.integers(0, 10_000), n=st.integers(2, 6), t=st.integers(1, 4))
 def test_strong_connectivity_implies_rooted_everywhere(seed, n, t):
     seq = generate_random_jointly_connected(n, t, seed=seed)

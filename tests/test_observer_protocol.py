@@ -278,7 +278,7 @@ def test_round_matches_reference_implementation():
         assert_states_match((tau, z, donors), (ref_tau, ref_z, ref_donors), gains)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     blocks=hst.lists(hst.integers(1, 3), min_size=1, max_size=5),
     blind=hst.lists(hst.integers(0, 5), max_size=2),

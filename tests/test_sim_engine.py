@@ -283,7 +283,7 @@ def reference_lemma_faults(trace):
     return faults
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(fig1=hst.booleans(), seed=hst.integers(0, 2**16), tampered=hst.integers(0, 8))
 def test_lemma_suite_matches_straight_line_reference(fig1, seed, tampered):
     if fig1:
@@ -323,7 +323,7 @@ def couple_substates(plant, scale, seed):
     return LtiPlant(a, plant.sensors, plant.x0)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(
     blocks=hst.lists(hst.integers(1, 3), min_size=1, max_size=4),
     blind=hst.lists(hst.integers(0, 4), max_size=2),

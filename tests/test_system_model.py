@@ -3,8 +3,13 @@ import pytest
 
 from freshtrack.system_model import (
     ConfigurationError,
+    DecompositionError,
     LtiPlant,
+    default_rank_tol,
     is_jointly_observable,
+    numerical_rank,
+    observability_matrix,
+    observability_staircase,
     simulate_truth,
 )
 
@@ -102,3 +107,79 @@ def test_observability_invariant_under_similarity():
                 break
         transformed = LtiPlant(np.linalg.solve(t, a @ t), [c @ t], np.zeros(n))
         assert is_jointly_observable(plant) == is_jointly_observable(transformed)
+
+
+def krylov_rank(a, c):
+    return numerical_rank(observability_matrix(a, c), default_rank_tol(a.shape[0]))
+
+
+def unobservable_pair(rng, n_seen, n_hidden, r):
+    """(A, C) with an n_hidden-dim unobservable part, hidden by a rotation."""
+    n = n_seen + n_hidden
+    a = np.zeros((n, n))
+    a[:n_seen, :n_seen] = rng.standard_normal((n_seen, n_seen))
+    a[n_seen:, :] = rng.standard_normal((n_hidden, n))
+    c = np.zeros((r, n))
+    c[:, :n_seen] = rng.standard_normal((r, n_seen))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return q @ a @ q.T, c @ q.T
+
+
+def test_staircase_bases_split_the_space():
+    rng = np.random.default_rng(8)
+    a, c = unobservable_pair(rng, 3, 2, 1)
+    observed, unobserved = observability_staircase(a, c)
+    assert (observed.shape[1], unobserved.shape[1]) == (3, 2)
+    t = np.hstack([observed, unobserved])
+    assert np.linalg.norm(t.T @ t - np.eye(5)) <= 1e-12 * 5
+    # The unobserved span is A-invariant and inside ker C.
+    assert np.linalg.norm(observed.T @ a @ unobserved) <= 1e-12 * np.linalg.norm(a)
+    assert np.linalg.norm(c @ unobserved) <= 1e-12 * np.linalg.norm(c)
+
+
+def test_staircase_verdict_matches_krylov_on_small_pairs():
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        n = int(rng.integers(1, 9))
+        r = int(rng.integers(1, 3))
+        a, c = rng.standard_normal((n, n)), rng.standard_normal((r, n))
+        observed, _ = observability_staircase(a, c)
+        assert observed.shape[1] == krylov_rank(a, c) == n
+    for _ in range(100):
+        n_seen = int(rng.integers(0, 6))
+        n_hidden = int(rng.integers(1, 9 - max(n_seen, 1)))
+        r = int(rng.integers(1, 3))
+        a, c = unobservable_pair(rng, n_seen, n_hidden, r)
+        observed, _ = observability_staircase(a, c)
+        assert observed.shape[1] == n_seen
+        assert krylov_rank(a, c) < a.shape[0]
+    # Repeated eigenvalues: one output sees one direction of a scaled identity.
+    for n in range(2, 9):
+        a, c = 0.7 * np.eye(n), rng.standard_normal((1, n))
+        observed, _ = observability_staircase(a, c)
+        assert observed.shape[1] == krylov_rank(a, c) == 1
+
+
+@pytest.mark.parametrize("coupling,seen", [(1e-14, 1), (1e-13, None), (1e-11, 2)])
+def test_staircase_rank_decision_needs_a_clear_gap(coupling, seen):
+    # The second step's value is the coupling over ||A||, against a rounding
+    # estimate of 4 eps: residue up to 100x that, a direction above 1000x,
+    # and no decision in between.
+    a = np.array([[0.5, coupling], [0.0, 0.5]])
+    c = np.array([[1.0, 0.0]])
+    if seen is None:
+        with pytest.raises(DecompositionError, match="no clear gap"):
+            observability_staircase(a, c)
+    else:
+        assert observability_staircase(a, c)[0].shape[1] == seen
+
+
+@pytest.mark.parametrize("n,radius", [(20, 0.3), (24, 0.3), (48, 0.9)])
+def test_single_output_pairs_are_observable_beyond_toy_size(n, radius):
+    # The stacked powers C A^k lose these directions at this size.
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, n))
+        a *= radius / np.max(np.abs(np.linalg.eigvals(a)))
+        plant = LtiPlant(a, [rng.standard_normal((1, n))], np.zeros(n))
+        assert is_jointly_observable(plant)
