@@ -94,8 +94,50 @@ CONFIG_SCHEMA = {
 }
 
 
+_COUNT = {"type": "integer", "minimum": 1}
+
+# Types and ranges of a report's top-level fields.  The arrays inside them
+# (plant, graph_edges, transform, constants) are left to the loader: walking
+# them item by item costs more than the check itself on wide plants.
+REPORT_SCHEMA = {
+    "type": "object",
+    "required": ["scenario", "algorithm", "n_nodes", "horizon", "period_t",
+                 "block_dims"],
+    "properties": {
+        "scenario": {
+            "type": "object",
+            "required": ["algorithm"],
+            "properties": {
+                "algorithm": CONFIG_SCHEMA["properties"]["algorithm"],
+                "checks": CONFIG_SCHEMA["properties"]["checks"],
+            },
+        },
+        "algorithm": {"enum": ["freshness", "baseline"]},
+        "n_nodes": _COUNT,
+        "horizon": _COUNT,
+        "period_t": _COUNT,
+        "block_dims": {"type": "array", "items": {"type": "integer", "minimum": 0}},
+        "rho": {"type": ["number", "null"]},
+        "deadbeat": {"type": "boolean"},
+        "seed": {"type": "integer", "minimum": 0},
+        "warnings": {"type": "array", "items": {"type": "string"}},
+        "graph_edges": {"type": "array"},
+        "checks": {"type": "object"},
+        "transform": {"type": "object"},
+        "constants": {"type": "object",
+                      "properties": {"t_bar": {"type": "integer", "minimum": 0}}},
+    },
+}
+
+# JSON Schema counts 40.0 as an integer, but numpy rejects it as a size.
+_Validator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, x: isinstance(x, int) and not isinstance(x, bool)))
+
 # Compiled once: jsonschema.validate would check the schema itself on every call.
-_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+_VALIDATOR = _Validator(CONFIG_SCHEMA)
+_REPORT_VALIDATOR = _Validator(REPORT_SCHEMA)
 
 
 class ConfigError(ValueError):
@@ -379,12 +421,16 @@ def cmd_check(trace_path, report_path):
     try:
         with open(report_path) as f:
             report = json.load(f)
+        error = jsonschema.exceptions.best_match(_REPORT_VALIDATOR.iter_errors(report))
+        if error is not None:
+            raise ValueError(f"invalid report at {error.json_path}: {error.message}")
+        config = report["scenario"]
         trace = _load_trace_csv(trace_path, report)
     except (OSError, ValueError, KeyError, IndexError) as exc:
         print(f"error: malformed trace or report: {exc}", file=sys.stderr)
         return 2
 
-    results, passed = run_checks(trace, report["scenario"])
+    results, passed = run_checks(trace, config)
     recorded = report.get("checks", {})
     agree = _jsonable(results) == recorded
     for name, res in results.items():

@@ -1,8 +1,10 @@
 """Output-injection gain synthesis and convergence-envelope constants.
 
-Spectral mode places distinct real closed-loop eigenvalues with a prescribed
-spectral radius per block; deadbeat mode makes every closed-loop block
-nilpotent so the observer converges in finitely many steps.
+Spectral mode gives block j an envelope radius rho_j and places its
+closed-loop eigenvalues evenly on the circle of radius 0.75 * rho_j; a
+discrete Lyapunov certificate turns that margin into the envelope constant
+alpha_j.  Deadbeat mode makes every closed-loop block nilpotent so the
+observer converges in finitely many steps.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ class GainDesignError(ValueError):
 class GainSet:
     """Per-block output-injection gains plus the targeted spectral radii.
 
-    ``target_radii`` holds each block's radius in (0, 1), or the string
-    ``"deadbeat"`` for nilpotent designs.  Blocks with dimension zero carry an
-    empty gain.
+    ``target_radii`` holds each block's envelope radius rho_j in (0, 1), or
+    the string ``"deadbeat"`` for nilpotent designs; a spectral block's closed
+    loop sits at 0.75 * rho_j.  Blocks with dimension zero carry an empty gain.
     """
 
     gains: tuple
@@ -92,9 +94,20 @@ def choose_radii(rho: float, n_blocks: int):
     return [rho * (0.5 + j / (2.0 * (n_blocks + 1))) for j in range(1, n_blocks + 1)]
 
 
-def _spectral_targets(rho_j: float, nj: int):
-    # All targets positive, distinct, with exact maximum rho_j.
-    return np.array([rho_j * (1.0 - (m - 1) / (2.0 * nj)) for m in range(1, nj + 1)])
+def _rotation_target(r: float, n: int):
+    """Real n x n matrix with eigenvalues r * exp(2 pi i m / n), m = 0..n-1.
+
+    Conjugate pairs sit in 2 x 2 rotation blocks; +r (and -r for even n) on
+    the diagonal.  Well-spread targets keep the eigenvectors well conditioned.
+    """
+    d = np.zeros((n, n))
+    d[0, 0] = r
+    if n % 2 == 0:
+        d[-1, -1] = -r
+    for m in range(1, (n + 1) // 2):
+        cos, sin = r * np.cos(2 * np.pi * m / n), r * np.sin(2 * np.pi * m / n)
+        d[2 * m - 1:2 * m + 1, 2 * m - 1:2 * m + 1] = [[cos, -sin], [sin, cos]]
+    return d
 
 
 def _check_observable(a, c):
@@ -103,73 +116,32 @@ def _check_observable(a, c):
         raise GainDesignError("block pair is not observable; cannot place poles")
 
 
-def _refine_placement(a, c, l0, targets):
-    """Newton-polish a gain so eig(A - L C) lands on the sorted targets.
-
-    Uses first-order eigenvalue sensitivities; returns (residual, gain) for
-    the best iterate seen, where the residual also penalizes imaginary parts.
-    """
-    n, r = a.shape[0], c.shape[0]
-    targets = np.sort(targets)
-    l = l0
-    best = (np.inf, l0)
-    for _ in range(10):
-        vals, vecs = np.linalg.eig(a - l @ c)
-        try:
-            left = np.linalg.inv(vecs)
-        except np.linalg.LinAlgError:
-            break
-        order = np.argsort(vals.real)
-        res = vals.real[order] - targets
-        metric = np.max(np.abs(res)) + 1e6 * np.max(np.abs(vals.imag))
-        if metric < best[0]:
-            best = (metric, l.copy())
-        if metric < 1e-10:
-            break
-        jac = np.zeros((n, n * r))
-        for row, i in enumerate(order):
-            jac[row] = -np.real(np.outer(left[i], c @ vecs[:, i])).ravel()
-        step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
-        l = l + step.reshape(n, r)
-    return best
-
-
 def place_spectral(a_jj, c_jj, rho_j: float, seed: int = 0):
-    """Gain L with eig(A - L C) real, distinct, and spectral radius rho_j.
+    """Gain L with spectral radius of A - L C equal to 0.75 * rho_j.
 
-    Uses eigenstructure assignment on the dual pair: solve the Sylvester
-    equation A^T X - X D = C^T G for a seeded random G, then L = (G X^-1)^T,
-    polished by a Newton pass on the eigenvalue residuals.  Keeps the best
-    result over several random G's.
+    Eigenstructure assignment on the dual pair: solve the Sylvester equation
+    A^T X - X D = C^T G for a seeded random G and the rotation target D, then
+    L = (G X^-1)^T.  Returns the first gain that is finite with closed-loop
+    spectral radius below rho_j.
     """
     a = np.atleast_2d(np.asarray(a_jj, dtype=float))
     c = np.atleast_2d(np.asarray(c_jj, dtype=float))
     _check_observable(a, c)
     n, r = a.shape[0], c.shape[0]
-    targets = _spectral_targets(rho_j, n)
-    d = np.diag(targets)
+    d = _rotation_target(0.75 * rho_j, n)
     rng = np.random.default_rng(seed)
-    best = (np.inf, None)
     for _ in range(_PLACEMENT_RETRIES):
         g = rng.standard_normal((r, n))
+        x = solve_sylvester(a.T, -d, c.T @ g)
         try:
-            x = solve_sylvester(a.T, -d, c.T @ g)
-            l0 = (g @ np.linalg.inv(x)).T
-        except Exception:
+            l = np.linalg.solve(x.T, g.T)
+        except np.linalg.LinAlgError:
             continue
-        if not np.all(np.isfinite(l0)):
-            continue
-        candidate = _refine_placement(a, c, l0, targets)
-        if candidate[0] < best[0]:
-            best = candidate
-        if best[0] < 1e-10:
-            break
-    metric, l = best
-    if l is None or metric > 1e-7 * max(1.0, rho_j):
-        raise GainDesignError(
-            f"spectral placement failed after {_PLACEMENT_RETRIES} retries "
-            f"(best residual = {metric})")
-    return l
+        if (np.all(np.isfinite(l))
+                and np.max(np.abs(np.linalg.eigvals(a - l @ c))) < rho_j):
+            return l
+    raise GainDesignError(
+        f"spectral placement failed after {_PLACEMENT_RETRIES} retries")
 
 
 def _ackermann_deadbeat(a, c_row):
@@ -272,7 +244,30 @@ def closed_loop_block(ts: TransformedSystem, gains: GainSet, j: int):
     return ts.a_block(j, j) - gains.gain(j) @ ts.c_block(j, j)
 
 
-def compute_bound_constants(ts: TransformedSystem, gains: GainSet, radii,
+def _lyapunov_alpha(m):
+    """sqrt(cond(P)) for P = sum_k (m^k)^T m^k, which solves m^T P m - P = -I.
+
+    Bounds ||m^k|| for every k.  Summed term by term, P stays positive
+    definite where a Schur-based solve loses it (cond(P) ~ 1e12 on long
+    single-output blocks).  The partial sum P_K is a certificate of its own
+    once ||m^K|| <= 1, since m^T P_K m = P_K - I + (m^K)^T m^K; stopping at
+    ||m^K||_F^2 < 1e-8 keeps P - P_K below 1e-8 ||P||.  P >= I, and its
+    smallest eigenvalue is taken net of eigvalsh's rounding.
+    """
+    p = np.zeros_like(m)
+    power = np.eye(len(m))
+    for _ in range(10_000):
+        if np.vdot(power, power) < 1e-8:
+            break
+        p += power.T @ power
+        power = m @ power
+    else:
+        raise GainDesignError("closed-loop block does not contract at its envelope radius")
+    eig = np.linalg.eigvalsh(p)
+    return np.sqrt(eig[-1] / max(1.0, eig[0] - len(m) * np.finfo(float).eps * eig[-1]))
+
+
+def compute_bound_constants(ts: TransformedSystem, gains: GainSet,
                             e0_source_norms, t_bar: int) -> BoundConstants:
     """Envelope constants for spectral-mode gains.
 
@@ -280,12 +275,16 @@ def compute_bound_constants(ts: TransformedSystem, gains: GainSet, radii,
     substate-j error at that block's reference time: time 0 for j = 1, and
     time (2j-3)*t_bar for j >= 2.  Blocks of dimension zero contribute zero
     amplitudes and drop out of the recursion.
+
+    alpha[j] is sqrt(cond(P)) for the P solving (M/rho_j)^T P (M/rho_j) - P
+    = -I with M the closed-loop block: ||M^k|| <= alpha[j] * rho_j^k for any
+    M of spectral radius below rho_j, diagonalisable or not.
     """
     if gains.mode == DEADBEAT:
         raise ValueError("bound constants are defined for spectral-mode gains")
     n_blocks = ts.n_nodes
     n = ts.n
-    radii = np.asarray(radii, dtype=float)
+    radii = np.asarray(gains.target_radii, dtype=float)
     k_cap = 4 * n + 4 * t_bar
 
     alpha = np.zeros(n_blocks)
@@ -300,11 +299,7 @@ def compute_bound_constants(ts: TransformedSystem, gains: GainSet, radii,
             beta[j - 1] = 1.0
             gamma[j - 1] = 1.0
             continue
-        cl = closed_loop_block(ts, gains, j)
-        eigvals, eigvecs = np.linalg.eig(cl)
-        if np.max(np.abs(eigvals.imag)) > 1e-8:
-            raise GainDesignError(f"closed-loop block {j} has complex eigenvalues")
-        alpha[j - 1] = np.linalg.cond(eigvecs)
+        alpha[j - 1] = _lyapunov_alpha(closed_loop_block(ts, gains, j) / radii[j - 1])
         a_jj = ts.a_block(j, j)
         gamma[j - 1] = max(1.0, np.max(np.abs(np.linalg.eigvals(a_jj)))) * 1.01
         power = np.eye(nj)

@@ -194,8 +194,7 @@ def _run_freshness(s: Scenario) -> Trace:
                 break
             ref_norms[j - 1] = trace.err_block[ref_time, j - 1, j - 1]
         if ok:
-            trace.constants = compute_bound_constants(
-                ts, gains, gains.target_radii, ref_norms, t_bar)
+            trace.constants = compute_bound_constants(ts, gains, ref_norms, t_bar)
         else:
             trace.warnings.append(
                 "horizon too short for envelope constants; skipped")

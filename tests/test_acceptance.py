@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_discrete_lyapunov
 
 from freshtrack.baselines import WeightStrategy
 from freshtrack.cli import _execute
@@ -212,16 +213,14 @@ def test_gain_placement_batch():
         rho = float(rng.uniform(0.3, 0.95))
 
         l_s = place_spectral(a, c, rho, seed=trial)
-        eigvals, eigvecs = np.linalg.eig(a - l_s @ c)
-        ok &= bool(np.max(np.abs(eigvals.imag)) < 1e-8)
-        if n > 1:
-            ok &= bool(np.min(np.diff(np.sort(eigvals.real))) > 0)
-        ok &= bool(abs(np.max(np.abs(eigvals)) - rho) <= 1e-6)
-
-        # Empirical power envelope with the eigenvector condition number.
-        alpha = np.linalg.cond(eigvecs)
-        power = np.eye(n)
         cl = a - l_s @ c
+        eigvals = np.linalg.eigvals(cl)
+        targets = 0.75 * rho * np.exp(2j * np.pi * np.arange(n) / n)
+        ok &= bool(np.max(np.min(np.abs(eigvals[:, None] - targets), axis=0)) <= 1e-6)
+
+        # Empirical power envelope with the Lyapunov constant sqrt(cond(P)).
+        alpha = np.sqrt(np.linalg.cond(solve_discrete_lyapunov((cl / rho).T, np.eye(n))))
+        power = np.eye(n)
         for k in range(201):
             ok &= bool(np.linalg.norm(power, 2) <= alpha * rho ** k * (1 + 1e-9))
             power = cl @ power

@@ -183,6 +183,51 @@ def test_check_malformed_report_exits_2(tmp_path, capsys):
     assert main(["check", str(trace), str(report)]) == 2
 
 
+def _set(key, value):
+    def tamper(data):
+        data[key] = value
+        return data
+    return tamper
+
+
+def _set_t_bar(data):
+    data["constants"]["t_bar"] = "4"
+    return data
+
+
+def _drop_scenario(data):
+    del data["scenario"]
+    return data
+
+
+@pytest.mark.parametrize("tamper,message", [
+    (_set("n_nodes", "3"), "$.n_nodes: '3' is not of type 'integer'"),
+    (_set("horizon", 200.5), "$.horizon: 200.5 is not of type 'integer'"),
+    (_set("horizon", 200.0), "$.horizon: 200.0 is not of type 'integer'"),
+    (_set("rho", "x"), "$.rho: 'x' is not of type 'number', 'null'"),
+    (_set_t_bar, "$.constants.t_bar: '4' is not of type 'integer'"),
+    (lambda data: [data], "at $: [{"),
+    (_drop_scenario, "'scenario' is a required property"),
+    (_set("period_t", 0), "$.period_t: 0 is less than the minimum of 1"),
+], ids=["n_nodes_text", "horizon_fraction", "horizon_float", "rho_text", "t_bar_text",
+        "list", "no_scenario", "period_zero"])
+def test_check_rejects_malformed_report_fields(tmp_path, capsys, tamper, message):
+    name = "fig1_freshness_spectral"
+    assert main(["run", name, "--out", str(tmp_path)]) == 0
+    report = tmp_path / f"{name}_report.json"
+    report.write_text(json.dumps(tamper(json.loads(report.read_text()))))
+    capsys.readouterr()
+    assert main(["check", str(tmp_path / f"{name}_trace.csv"), str(report)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_run_rejects_integer_written_as_float(tmp_path, capsys):
+    cfg = tmp_path / "f.json"
+    cfg.write_text(json.dumps(small_config(horizon=40.0)))
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "40.0 is not of type 'integer'" in capsys.readouterr().err
+
+
 def test_run_failing_check_exits_1(tmp_path, capsys):
     # A freshness run with a divergence threshold it cannot avoid crossing:
     # threshold 0 means any nonzero error counts as divergence.

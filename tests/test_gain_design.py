@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_discrete_lyapunov
 
-from freshtrack.decomposition import staircase_transform
+from freshtrack.decomposition import TransformedSystem, staircase_transform
 from freshtrack.gain_design import (
     GainDesignError,
+    GainSet,
     choose_radii,
     closed_loop_block,
     compute_bound_constants,
@@ -11,7 +13,7 @@ from freshtrack.gain_design import (
     place_deadbeat,
     place_spectral,
 )
-from freshtrack.scenarios import make_multiblock_plant
+from freshtrack.scenarios import make_multiblock_plant, make_random_plant
 from freshtrack.system_model import (
     LtiPlant,
     default_rank_tol,
@@ -48,8 +50,9 @@ def test_choose_radii_bounds():
 
 
 def test_place_spectral_scalar():
+    # The closed loop sits at 0.75 * rho_j = 0.375.
     l = place_spectral([[2.0]], [[1.0]], 0.5)
-    assert np.allclose(l, [[1.5]])
+    assert np.allclose(l, [[1.625]])
 
 
 def test_place_spectral_scalar_small_radius_approaches_deadbeat():
@@ -62,10 +65,40 @@ def test_place_spectral_random_single_output():
     a, c = random_observable_pair(rng, 3, 1)
     l = place_spectral(a, c, 0.8, seed=2)
     eigvals = np.linalg.eigvals(a - l @ c)
-    assert np.max(np.abs(eigvals.imag)) < 1e-8
-    real = np.sort(eigvals.real)
-    assert np.min(np.diff(real)) > 1e-6 * 0.8
-    assert abs(np.max(np.abs(eigvals)) - 0.8) < 1e-6
+    for target in 0.6 * np.exp(2j * np.pi * np.arange(3) / 3):
+        assert np.min(np.abs(eigvals - target)) < 1e-6
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+@pytest.mark.parametrize("r", [1, 2])
+def test_place_spectral_long_blocks_meet_the_lyapunov_envelope(n, r):
+    # Radius-0.9 blocks seen through one or two outputs.  Three single-output
+    # draws (n = 32 seed 4, n = 64 seeds 2 and 3) give cond(P) ~ 1e12, where
+    # a Schur-based Lyapunov solve returns an indefinite P.
+    for seed in range(5):
+        rng = np.random.default_rng([n, r, seed])
+        a = rng.standard_normal((n, n))
+        a *= 0.9 / np.max(np.abs(np.linalg.eigvals(a)))
+        c = rng.standard_normal((r, n))
+        l = place_spectral(a, c, 0.8, seed=seed)
+        cl = a - l @ c
+        assert np.max(np.abs(np.linalg.eigvals(cl))) < 0.8
+        ts = TransformedSystem(np.eye(n), a, (c,), (n,))
+        gains = GainSet(gains=(l,), target_radii=(0.8,))
+        alpha = compute_bound_constants(ts, gains, [1.0], t_bar=1).alpha[0]
+        power = np.eye(n)
+        for k in range(201):
+            assert np.linalg.norm(power, 2) <= alpha * 0.8 ** k * (1 + 1e-9)
+            power = cl @ power
+
+
+@pytest.mark.parametrize("plant,rho", [
+    (make_random_plant(4, 4, 5), 0.7),
+    (make_multiblock_plant((2, 1, 1), seed=31), 0.8),
+])
+def test_spectral_gains_stay_moderate_on_small_plants(plant, rho):
+    gains = design_gains(staircase_transform(plant), rho=rho, seed=5)
+    assert max(np.max(np.abs(g)) for g in gains.gains if g.size) <= 100
 
 
 def test_place_spectral_deterministic():
@@ -116,8 +149,7 @@ def test_bound_constants_scalar_block():
     plant = LtiPlant([[2.0]], [[[1.0]], [], []], [1.0])
     ts = staircase_transform(plant)
     gains = design_gains(ts, rho=0.9, seed=0)
-    radii = gains.target_radii
-    constants = compute_bound_constants(ts, gains, radii, [1.0, 0.0, 0.0], t_bar=4)
+    constants = compute_bound_constants(ts, gains, [1.0, 0.0, 0.0], t_bar=4)
     assert constants.alpha[0] == pytest.approx(1.0)
     assert constants.c[0] == pytest.approx(1.0)
 
@@ -127,7 +159,7 @@ def test_bound_constants_single_block_cbar_formula():
     ts = staircase_transform(plant)
     gains = design_gains(ts, rho=0.8, seed=0)
     t_bar = 3
-    constants = compute_bound_constants(ts, gains, gains.target_radii, [2.5], t_bar)
+    constants = compute_bound_constants(ts, gains, [2.5], t_bar)
     expected = (constants.c[0] * constants.beta[0]
                 * (constants.gamma[0] / constants.radii[0]) ** (2 * t_bar))
     assert constants.c_bar[0] == pytest.approx(expected)
@@ -137,15 +169,25 @@ def test_closed_loop_power_envelope_two_blocks():
     plant = make_multiblock_plant((2, 2), seed=40, spectral_radius=1.1)
     ts = staircase_transform(plant)
     gains = design_gains(ts, rho=0.8, seed=1)
-    constants = compute_bound_constants(
-        ts, gains, gains.target_radii, [1.0, 1.0], t_bar=2)
+    constants = compute_bound_constants(ts, gains, [1.0, 1.0], t_bar=2)
     for j in (1, 2):
         cl = closed_loop_block(ts, gains, j)
         rho_j = constants.radii[j - 1]
+        p = solve_discrete_lyapunov((cl / rho_j).T, np.eye(cl.shape[0]))
+        assert constants.alpha[j - 1] == pytest.approx(np.sqrt(np.linalg.cond(p)), rel=1e-6)
         power = np.eye(cl.shape[0])
         for k in range(201):
             assert np.linalg.norm(power, 2) <= constants.alpha[j - 1] * rho_j ** k * (1 + 1e-9)
             power = cl @ power
+
+
+def test_bound_constants_refuse_a_block_that_does_not_contract():
+    # A hand-made gain that leaves the closed loop exactly at its radius.
+    plant = LtiPlant([[0.5]], [[[1.0]]], [1.0])
+    ts = staircase_transform(plant)
+    gains = GainSet(gains=(np.zeros((1, 1)),), target_radii=(0.5,))
+    with pytest.raises(GainDesignError, match="does not contract"):
+        compute_bound_constants(ts, gains, [1.0], t_bar=0)
 
 
 def test_growth_envelope_beta_gamma():
@@ -153,8 +195,7 @@ def test_growth_envelope_beta_gamma():
     ts = staircase_transform(plant)
     gains = design_gains(ts, rho=0.7, seed=2)
     t_bar = 2
-    constants = compute_bound_constants(
-        ts, gains, gains.target_radii, [1.0, 1.0], t_bar)
+    constants = compute_bound_constants(ts, gains, [1.0, 1.0], t_bar)
     k_cap = 4 * ts.n + 4 * t_bar
     for j in (1, 2):
         a_jj = ts.a_block(j, j)

