@@ -184,6 +184,8 @@ def build_scenario(config) -> Scenario:
         graph = generate_random_jointly_connected(n, t, int(params.get("seed", seed)))
 
     algo = config["algorithm"]
+    if algo["type"] == "freshness" and "rho" not in algo and not algo.get("deadbeat"):
+        raise ConfigError('a freshness run needs "rho" or "deadbeat": true')
     strategy = None
     if algo["type"] == "baseline":
         kind = algo.get("strategy", "uniform")

@@ -89,7 +89,7 @@ def staircase_transform(plant: LtiPlant) -> TransformedSystem:
     for sensor in plant.sensors:
         # Rows of C_j V that earlier nodes already see are rounding residue
         # of V; they are judged against ||C_j|| and V's rounding estimate.
-        observed, unobserved, rounding = staircase_deflation(
+        observed, unobserved, rounding, _ = staircase_deflation(
             v.T @ a @ v, sensor @ v, np.linalg.norm(sensor), rounding)
         blocks.append(v @ observed)
         v = v @ unobserved

@@ -4,7 +4,10 @@ Spectral mode gives block j an envelope radius rho_j and places its
 closed-loop eigenvalues evenly on the circle of radius 0.75 * rho_j; a
 discrete Lyapunov certificate turns that margin into the envelope constant
 alpha_j.  Deadbeat mode makes every closed-loop block nilpotent so the
-observer converges in finitely many steps.
+observer converges in finitely many steps: an orthogonal back-substitution
+over the steps of the block's deflating observability staircase (Van Dooren,
+"Deadbeat control: a special inverse eigenvalue problem", BIT 24, 1984)
+gives a nilpotency index equal to the number of steps.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_sylvester
 
-from .decomposition import TransformedSystem
-from .system_model import observability_matrix, observability_staircase
+from .decomposition import TransformedSystem, block_offsets
+from .system_model import EPS, observability_staircase, staircase_deflation
 
 DEADBEAT = "deadbeat"
 
@@ -144,72 +147,46 @@ def place_spectral(a_jj, c_jj, rho_j: float, seed: int = 0):
         f"spectral placement failed after {_PLACEMENT_RETRIES} retries")
 
 
-def _ackermann_deadbeat(a, c_row):
-    """Single-output deadbeat gain: L = A^n * O^-1 * e_n."""
-    n = a.shape[0]
-    obs = observability_matrix(a, c_row)
-    e_n = np.zeros(n)
-    e_n[-1] = 1.0
-    x = np.linalg.solve(obs, e_n)
-    return (np.linalg.matrix_power(a, n) @ x).reshape(n, 1)
+def place_deadbeat(a_jj, c_jj):
+    """Gain L making A - L C nilpotent, by back-substitution on the staircase.
 
-
-def place_deadbeat(a_jj, c_jj, seed: int = 0):
-    """Gain L making A - L C nilpotent.
-
-    Single-output blocks use the observer-form Ackermann construction.  For
-    multiple outputs, a seeded random output combination eta^T C drives a
-    Kalman-decomposition deflation: the combination's observable part is
-    dead-beaten via Ackermann, the unobservable remainder is handled
-    recursively, and the block-triangular assembly stays nilpotent.
+    With S the first staircase step's basis (what C sees) and R the rest,
+    L = A (S + R K) (C S)^+ for K the deadbeat gain of the trailing pair
+    (R^T A R, S^T A R).  Then A - L C = A R (R^T - K S^T), whose powers
+    reduce to those of the trailing closed loop R^T A R - K S^T A R.
+    Unrolled from the last step to the first, A - L C is similar to a block
+    strictly upper-triangular matrix: nilpotent, with index the number of
+    steps.  No matrix powers, any number of outputs.
     """
     a = np.atleast_2d(np.asarray(a_jj, dtype=float))
     c = np.atleast_2d(np.asarray(c_jj, dtype=float))
-    _check_observable(a, c)
-    rng = np.random.default_rng(seed)
-    gain = _deadbeat_recursive(a, c, rng)
-    # Ackermann's O^-1 loses long or weakly observable chains.  Demand the
-    # finite-time check's tolerance for a unit initial error.
+    observed, unobserved, _, widths = staircase_deflation(a, c, np.linalg.norm(c), EPS)
+    if unobserved.shape[1]:
+        raise GainDesignError("block pair is not observable; cannot place poles")
+    # In the staircase basis Q, the pair that starts at step k is the trailing
+    # part of Q^T A Q from step k on, seen through C Q (k = 0) or through the
+    # block above step k, which is zero beyond its columns.  ``lift`` holds
+    # Q^T R K for the pair after step k, zero outside the steps it spans.
+    n = a.shape[0]
+    a_q = observed.T @ a @ observed
+    off = block_offsets(widths)
+    lift = np.zeros((n, widths[-1]))
+    for k in reversed(range(len(widths))):
+        step = slice(off[k], off[k + 1])
+        seen_by = c @ observed[:, step] if k == 0 else a_q[off[k - 1]:off[k], step]
+        # Rows of A (S + R K) on the steps from k on.
+        image = a_q[off[k]:, step] + a_q[off[k]:] @ lift
+        lift = np.zeros((n, seen_by.shape[0]))
+        lift[off[k]:] = image @ np.linalg.pinv(seen_by)
+    gain = observed @ lift
+    # Rounding in a long or weakly observable chain can still leave A - L C
+    # far from nilpotent.  Demand the finite-time check's tolerance for a unit
+    # initial error.
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = np.linalg.norm(np.linalg.matrix_power(a - gain @ c, a.shape[0]))
+        residual = np.linalg.norm(np.linalg.matrix_power(a - gain @ c, n))
     if not residual <= 1e-6:
         raise GainDesignError(f"deadbeat gain is not nilpotent: ||(A - L C)^n|| = {residual:.2e}")
     return gain
-
-
-def _deadbeat_recursive(a, c, rng):
-    n, r = a.shape[0], c.shape[0]
-    if n == 0:
-        return np.zeros((0, r))
-
-    # Pick the output combination whose single-row pair sees the most of the
-    # state; a random combination is generically maximal.
-    best = None
-    for _ in range(_PLACEMENT_RETRIES):
-        eta = rng.standard_normal(r)
-        row = (eta @ c).reshape(1, n)
-        observed, unobserved = observability_staircase(a, row)
-        if best is None or observed.shape[1] > best[0].shape[1]:
-            best = (observed, unobserved, eta, row)
-        if not unobserved.shape[1]:
-            break
-    observed, unobserved, eta, row = best
-    d = observed.shape[1]
-    if d == 0:
-        raise GainDesignError("no output combination observes any direction")
-
-    if d == n:
-        return _ackermann_deadbeat(a, row) @ eta.reshape(1, r)
-
-    # Kalman decomposition w.r.t. the combined row: observable part first.
-    t = np.hstack([observed, unobserved])
-    a_t = t.T @ a @ t
-    c_t = c @ t
-    a11 = a_t[:d, :d]
-    row1 = (eta @ c_t[:, :d]).reshape(1, d)
-    l1 = _ackermann_deadbeat(a11, row1) @ eta.reshape(1, r)
-    l2 = _deadbeat_recursive(a_t[d:, d:], c_t[:, d:], rng)
-    return t @ np.vstack([l1, l2])
 
 
 def design_gains(ts: TransformedSystem, rho: float | None = None,
@@ -233,7 +210,7 @@ def design_gains(ts: TransformedSystem, rho: float | None = None,
         a_jj = ts.a_block(j, j)
         c_jj = ts.c_block(j, j)
         if deadbeat:
-            gains.append(place_deadbeat(a_jj, c_jj, seed=seed + j))
+            gains.append(place_deadbeat(a_jj, c_jj))
         else:
             gains.append(place_spectral(a_jj, c_jj, radii[j - 1], seed=seed + j))
     return GainSet(gains=tuple(gains), target_radii=tuple(radii))
@@ -302,12 +279,12 @@ def compute_bound_constants(ts: TransformedSystem, gains: GainSet,
         alpha[j - 1] = _lyapunov_alpha(closed_loop_block(ts, gains, j) / radii[j - 1])
         a_jj = ts.a_block(j, j)
         gamma[j - 1] = max(1.0, np.max(np.abs(np.linalg.eigvals(a_jj)))) * 1.01
-        power = np.eye(nj)
-        best = 0.0
-        for k in range(k_cap + 1):
-            best = max(best, np.linalg.norm(power, 2) / gamma[j - 1] ** k)
-            power = a_jj @ power
-        beta[j - 1] = best
+        powers = np.empty((k_cap + 1, nj, nj))
+        powers[0] = np.eye(nj)
+        for k in range(k_cap):
+            powers[k + 1] = a_jj @ powers[k]
+        beta[j - 1] = max(norm / gamma[j - 1] ** k for k, norm
+                          in enumerate(np.linalg.norm(powers, 2, axis=(1, 2))))
         lj = gains.gain(j)
         for q in range(1, j):
             if ts.block_dims[q - 1] == 0:

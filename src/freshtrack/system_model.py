@@ -100,36 +100,6 @@ def simulate_truth(plant: LtiPlant, horizon: int) -> Trajectory:
     return Trajectory(states=states, measurements=meas)
 
 
-def observability_matrix(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Stack [C; CA; ...; CA^(n-1)] for the pair (A, C).
-
-    Its powers lose small directions at moderate n; observability verdicts
-    come from `observability_staircase`.
-    """
-    n = a.shape[0]
-    blocks = []
-    block = c
-    for _ in range(n):
-        blocks.append(block)
-        block = block @ a
-    return np.vstack(blocks)
-
-
-def default_rank_tol(n: int) -> float:
-    # For numerical_rank: a singular value counts when it exceeds this
-    # fraction of the largest one.
-    return n * np.finfo(float).eps * 64
-
-
-def numerical_rank(m: np.ndarray, rank_tol: float) -> int:
-    if m.size == 0:
-        return 0
-    sv = np.linalg.svd(m, compute_uv=False)
-    if sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > rank_tol * sv[0]))
-
-
 # Rank decisions of the staircase.  A step's singular values, relative to
 # ||C|| at the first step and to ||A|| after it, are weighed against the
 # rounding the deflation has accumulated: the caller's share, n eps, and eps
@@ -168,7 +138,8 @@ def staircase_deflation(a, c, c_scale, rounding):
 
     ``c_scale`` is the reference of the first step's singular values and
     ``rounding`` the error the caller has already accumulated in (A, C).
-    Returns the two bases and the rounding estimate after the deflation.
+    Returns the two bases, the rounding estimate after the deflation and the
+    widths of the steps: ``observed`` is the steps' bases side by side.
     """
     n = a.shape[0]
     seen, rest = [np.zeros((n, 0))], np.eye(n)
@@ -188,7 +159,7 @@ def staircase_deflation(a, c, c_scale, rounding):
         power = krylov[-1] @ a
         k = np.linalg.svd(np.vstack(krylov), compute_uv=False)
         rounding = inherited + EPS * k[0] / k[n - rest.shape[1] - 1]
-    return np.hstack(seen), rest, rounding
+    return np.hstack(seen), rest, rounding, tuple(s.shape[1] for s in seen[1:])
 
 
 def observability_staircase(a: np.ndarray, c: np.ndarray):
@@ -203,7 +174,7 @@ def observability_staircase(a: np.ndarray, c: np.ndarray):
     ``RESIDUE_FACTOR``) and raises `DecompositionError` when one is neither
     residue nor direction.
     """
-    observed, unobserved, _ = staircase_deflation(a, c, np.linalg.norm(c), EPS)
+    observed, unobserved, _, _ = staircase_deflation(a, c, np.linalg.norm(c), EPS)
     return observed, unobserved
 
 

@@ -63,6 +63,17 @@ def test_build_scenario_rejects_bad_dimensions():
         build_scenario(config)
 
 
+@pytest.mark.parametrize("algorithm", [
+    {"type": "freshness"},
+    {"type": "freshness", "deadbeat": False},
+])
+def test_run_exits_2_when_freshness_has_neither_rho_nor_deadbeat(tmp_path, capsys, algorithm):
+    cfg = tmp_path / "no_gain_mode.json"
+    cfg.write_text(json.dumps(small_config(algorithm=algorithm)))
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "rho" in capsys.readouterr().err
+
+
 def test_config_schema_is_valid():
     jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
 

@@ -14,19 +14,15 @@ from freshtrack.gain_design import (
     place_spectral,
 )
 from freshtrack.scenarios import make_multiblock_plant, make_random_plant
-from freshtrack.system_model import (
-    LtiPlant,
-    default_rank_tol,
-    numerical_rank,
-    observability_matrix,
-)
+from freshtrack.system_model import LtiPlant
+from krylov import ackermann_deadbeat, krylov_rank
 
 
 def random_observable_pair(rng, n, r):
     while True:
         a = rng.standard_normal((n, n))
         c = rng.standard_normal((r, n))
-        if numerical_rank(observability_matrix(a, c), default_rank_tol(n)) == n:
+        if krylov_rank(a, c) == n:
             return a, c
 
 
@@ -131,15 +127,63 @@ def test_place_deadbeat_observer_canonical_2x2():
 def test_place_deadbeat_random_multi_output():
     rng = np.random.default_rng(31)
     a, c = random_observable_pair(rng, 4, 2)
-    l = place_deadbeat(a, c, seed=3)
+    l = place_deadbeat(a, c)
     cl = a - l @ c
     p = np.linalg.matrix_power(cl, 4)
     assert np.linalg.norm(p) <= 1e-8 * max(1.0, np.linalg.norm(a, 2)) ** 4
 
 
+def test_place_deadbeat_rejects_unobservable():
+    with pytest.raises(GainDesignError, match="not observable"):
+        place_deadbeat(np.eye(2), [[1.0, 0.0]])
+
+
+def nilpotency_residual(a, c, l, power):
+    return np.linalg.norm(np.linalg.matrix_power(a - l @ c, power))
+
+
+@pytest.mark.parametrize("n,r", [(48, 1), (48, 2), (64, 1), (64, 2)])
+def test_place_deadbeat_passes_the_guard_on_large_random_blocks(n, r):
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, n)) / np.sqrt(n)
+        c = rng.standard_normal((r, n))
+        assert nilpotency_residual(a, c, place_deadbeat(a, c), n) <= 1e-6
+
+
+def test_place_deadbeat_passes_the_guard_on_a_two_output_block_of_64():
+    for seed in range(5):
+        plant = make_multiblock_plant((64,), seed, 0.9, row_dims=[2])
+        a, c = plant.a_matrix, plant.sensors[0]
+        assert nilpotency_residual(a, c, place_deadbeat(a, c), 64) <= 1e-6
+
+
+@pytest.mark.parametrize("n,r", [(8, 2), (9, 3), (12, 4), (16, 2)])
+def test_place_deadbeat_index_is_the_number_of_staircase_steps(n, r):
+    # A generic r-output pair has ceil(n / r) steps of r directions each.
+    steps = -(-n // r)
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, n))
+        c = rng.standard_normal((r, n))
+        residual = nilpotency_residual(a, c, place_deadbeat(a, c), steps)
+        assert residual <= 1e-8 * max(1.0, np.linalg.norm(a, 2)) ** steps
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 16])
+def test_single_output_deadbeat_gain_is_ackermanns(n):
+    # A single output has one deadbeat gain; compare with the exact one.
+    for seed in range(2):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, n)) / np.sqrt(n)
+        c = rng.standard_normal((1, n))
+        ref = ackermann_deadbeat(a, c)
+        assert np.linalg.norm(place_deadbeat(a, c) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 def test_place_deadbeat_rejects_gain_that_is_not_nilpotent():
-    # Six clustered eigenvalues seen through one output: the Ackermann gain
-    # is so large that (A - L C)^6 is rounding noise of size 1e9, not zero.
+    # Six clustered eigenvalues seen through one output: the deadbeat gain
+    # is so large that (A - L C)^6 is rounding noise of size 3e9, not zero.
     a = np.diag(0.5 + 0.1 * np.arange(6) / 6)
     with pytest.raises(GainDesignError, match="not nilpotent"):
         place_deadbeat(a, np.ones((1, 6)))
@@ -204,6 +248,27 @@ def test_growth_envelope_beta_gamma():
             bound = constants.beta[j - 1] * constants.gamma[j - 1] ** k
             assert np.linalg.norm(power, 2) <= bound * (1 + 1e-9)
             power = a_jj @ power
+
+
+@pytest.mark.parametrize("blocks,radius,t_bar", [
+    ((1,) * 10, 0.3, 18),
+    ((2, 1, 1, 1, 1, 1, 1), 0.9, 18),
+    ((3, 2, 1), 1.3, 4),
+])
+def test_beta_equals_the_one_power_at_a_time_loop(blocks, radius, t_bar):
+    # The batched 2-norms take the same SVDs of the same powers.
+    plant = make_multiblock_plant(blocks, seed=1, spectral_radius=radius)
+    ts = staircase_transform(plant)
+    gains = design_gains(ts, rho=0.9, seed=1)
+    constants = compute_bound_constants(ts, gains, [1.0] * len(blocks), t_bar)
+    for j in range(1, len(blocks) + 1):
+        a_jj, gamma = ts.a_block(j, j), constants.gamma[j - 1]
+        power = np.eye(a_jj.shape[0])
+        beta = 0.0
+        for k in range(4 * ts.n + 4 * t_bar + 1):
+            beta = max(beta, np.linalg.norm(power, 2) / gamma ** k)
+            power = a_jj @ power
+        assert constants.beta[j - 1] == beta
 
 
 def test_design_gains_skips_empty_blocks():

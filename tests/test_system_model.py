@@ -5,13 +5,11 @@ from freshtrack.system_model import (
     ConfigurationError,
     DecompositionError,
     LtiPlant,
-    default_rank_tol,
     is_jointly_observable,
-    numerical_rank,
-    observability_matrix,
     observability_staircase,
     simulate_truth,
 )
+from krylov import krylov_rank
 
 
 def scalar_three_node_plant():
@@ -107,10 +105,6 @@ def test_observability_invariant_under_similarity():
                 break
         transformed = LtiPlant(np.linalg.solve(t, a @ t), [c @ t], np.zeros(n))
         assert is_jointly_observable(plant) == is_jointly_observable(transformed)
-
-
-def krylov_rank(a, c):
-    return numerical_rank(observability_matrix(a, c), default_rank_tol(a.shape[0]))
 
 
 def unobservable_pair(rng, n_seen, n_hidden, r):
