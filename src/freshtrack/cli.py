@@ -20,7 +20,12 @@ import jsonschema
 from .baselines import WeightStrategy, detect_divergence
 from .decomposition import DecompositionError, TransformedSystem, block_offsets
 from .gain_design import BoundConstants, GainDesignError
-from .graph_seq import Digraph, PeriodicGraphSequence, generate_random_jointly_connected
+from .graph_seq import (
+    Digraph,
+    PeriodicGraphSequence,
+    edge_tensor,
+    generate_random_jointly_connected,
+)
 from .scenarios import canned_scenarios
 from .sim_engine import (
     Scenario,
@@ -31,8 +36,10 @@ from .sim_engine import (
 )
 from .system_model import ConfigurationError, LtiPlant
 
-_MATRIX = {"type": "array", "items": {"type": "array", "items": {"type": "number"}}}
-_VECTOR = {"type": "array", "items": {"type": "number"}}
+# "numeric": a list of lists of numbers (2) or of numbers (1), checked in one
+# loop by `_numeric` below instead of one schema descent per entry.
+_MATRIX = {"type": "array", "numeric": 2}
+_VECTOR = {"type": "array", "numeric": 1}
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -79,7 +86,7 @@ CONFIG_SCHEMA = {
         },
         "horizon": {"type": "integer", "minimum": 1},
         "seed": {"type": "integer", "minimum": 0},
-        "init_estimates": {"type": "array", "items": _VECTOR},
+        "init_estimates": _MATRIX,
         "checks": {
             "type": "object",
             "additionalProperties": False,
@@ -97,8 +104,9 @@ CONFIG_SCHEMA = {
 _COUNT = {"type": "integer", "minimum": 1}
 
 # Types and ranges of a report's top-level fields.  The arrays inside them
-# (plant, graph_edges, transform, constants) are left to the loader: walking
-# them item by item costs more than the check itself on wide plants.
+# (plant, graph_edges, transform, constants) are left to the loader, which
+# reads each with one numpy conversion (graph_edges: one scatter for all
+# rounds); walking them item by item costs more than the check itself.
 REPORT_SCHEMA = {
     "type": "object",
     "required": ["scenario", "algorithm", "n_nodes", "horizon", "period_t",
@@ -129,9 +137,31 @@ REPORT_SCHEMA = {
     },
 }
 
+
+def _numeric(validator, depth, instance, schema):
+    """The ``numeric`` keyword: ``depth`` levels of lists around numbers.
+
+    One loop over the entries; yields a single error, at the first row that
+    is not a list or entry that is not a number.
+    """
+    if not isinstance(instance, list):
+        return                                  # left to "type"
+    rows = instance if depth == 2 else [instance]
+    for i, row in enumerate(rows):
+        if not isinstance(row, list):
+            yield jsonschema.ValidationError(f"{row!r} is not of type 'array'", path=[i])
+            return
+        for j, x in enumerate(row):
+            if not isinstance(x, (int, float)) or isinstance(x, bool):
+                yield jsonschema.ValidationError(f"{x!r} is not of type 'number'",
+                                                 path=[i, j] if depth == 2 else [j])
+                return
+
+
 # JSON Schema counts 40.0 as an integer, but numpy rejects it as a size.
 _Validator = jsonschema.validators.extend(
     jsonschema.Draft202012Validator,
+    validators={"numeric": _numeric},
     type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
         "integer", lambda _, x: isinstance(x, int) and not isinstance(x, bool)))
 
@@ -266,6 +296,19 @@ def _jsonable(obj):
     return obj
 
 
+def _edge_lists(adjacency):
+    """Per-round 1-indexed (i, j) edge lists of a (H, N, N) bool tensor."""
+    edges = (np.argwhere(adjacency)[:, 1:] + 1).tolist()
+    ends = np.cumsum(adjacency.sum(axis=(1, 2))).tolist()
+    return [edges[a:b] for a, b in zip([0] + ends, ends)]
+
+
+def _report_text(report):
+    """One top-level field per line, each value through the C JSON encoder."""
+    return "{\n" + ",\n".join(f"  {json.dumps(k)}: {json.dumps(v)}"
+                               for k, v in report.items()) + "\n}\n"
+
+
 def build_report(trace: Trace, config, results, passed):
     report = {
         "scenario": config,
@@ -279,7 +322,7 @@ def build_report(trace: Trace, config, results, passed):
         "rho": trace.rho,
         "deadbeat": trace.deadbeat,
         "warnings": list(trace.warnings),
-        "graph_edges": [(np.argwhere(adj) + 1).tolist() for adj in trace.adjacency],
+        "graph_edges": _edge_lists(trace.adjacency),
         "checks": _jsonable(results),
     }
     if trace.ts is not None:
@@ -326,8 +369,7 @@ def _execute(name, config, out_dir):
     results, passed = run_checks(trace, config)
     report = build_report(trace, config, results, passed)
     _atomic_write(os.path.join(out_dir, f"{name}_trace.csv"), trace.to_csv_string())
-    _atomic_write(os.path.join(out_dir, f"{name}_report.json"),
-                  json.dumps(report, indent=2) + "\n")
+    _atomic_write(os.path.join(out_dir, f"{name}_report.json"), _report_text(report))
     return name, passed
 
 
@@ -374,8 +416,7 @@ def _load_trace_csv(path, report):
     if rounds is None or len(rounds) != trace.horizon:
         raise ValueError(f"report must list graph_edges for all {trace.horizon} rounds, "
                          f"found {'none' if rounds is None else len(rounds)}")
-    for k, edges in enumerate(rounds):
-        trace.adjacency[k] = Digraph(trace.n_nodes, edges).adj
+    trace.adjacency = edge_tensor(trace.n_nodes, rounds)
     trace.warnings = list(report.get("warnings", []))
     if "transform" in report:
         t = report["transform"]
@@ -393,12 +434,20 @@ def _load_trace_csv(path, report):
             c=np.array(c["c"]), c_bar=np.array(c["c_bar"]),
             radii=np.array(c["radii"]), t_bar=c["t_bar"])
 
-    # The header row starts with "k,": read as a comment, it is skipped too.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)   # "input contained no data"
-        rows = np.loadtxt(path, delimiter=",", comments=("#", "k,"), ndmin=2)
+    with open(path) as f:
+        header = f.readline() + f.readline()
+        if header != trace.csv_header():
+            raise ValueError(f"trace must open with the lines {trace.csv_header()!r} "
+                             "for the report's block_dims")
+        # One comment character keeps loadtxt on numpy's C parser.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)   # "input contained no data"
+            rows = np.loadtxt(f, delimiter=",", comments="#", ndmin=2)
     if not rows.size:
         raise ValueError("trace file contains no data rows")
+    n_cols = len(header.splitlines()[1].split(","))
+    if rows.shape[1] != n_cols:
+        raise ValueError(f"trace rows have {rows.shape[1]} columns, the header {n_cols}")
     ints = rows[:, :5].astype(int)
     if not np.array_equal(ints, rows[:, :5]):
         raise ValueError("trace k/node/substate/tau/donor columns must be integers")

@@ -9,6 +9,8 @@ always has access to its own state implicitly.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import breadth_first_order, connected_components
@@ -16,17 +18,37 @@ from scipy.sparse.csgraph import breadth_first_order, connected_components
 RANDOM_EXTRA_EDGES = 2   # random edges added to each window of a random sequence
 
 
+def edge_tensor(n_nodes, rounds):
+    """(len(rounds), N, N) bool adjacency of per-round edge lists, in one scatter.
+
+    Each round lists ``(i, j)`` pairs of 1-indexed node ids, converted with
+    ``int()`` semantics.  Self-loops are dropped; an edge outside 1..N, or an
+    entry that is not a pair of node ids, raises `ValueError`.
+    """
+    try:
+        counts = [len(edges) for edges in rounds]
+        flat = np.asarray(list(itertools.chain.from_iterable(rounds)))
+        e = flat.astype(int) if len(flat) else np.zeros((0, 2), dtype=int)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"edges must be pairs of node ids: {exc}") from None
+    if e.ndim != 2 or e.shape[1] != 2:
+        raise ValueError(f"edges must be pairs of node ids, got shape {flat.shape}")
+    k = np.repeat(np.arange(len(counts)), counts)
+    keep = e[:, 0] != e[:, 1]
+    k, e = k[keep], e[keep]
+    bad = e[((e < 1) | (e > n_nodes)).any(axis=1)]
+    if bad.size:
+        raise ValueError(f"edge ({bad[0, 0]}, {bad[0, 1]}) outside node range 1..{n_nodes}")
+    adj = np.zeros((len(counts), n_nodes, n_nodes), dtype=bool)
+    adj[k, e[:, 0] - 1, e[:, 1] - 1] = True
+    return adj
+
+
 class Digraph:
     """One round's graph, held as the read-only N x N bool adjacency ``adj``."""
 
     def __init__(self, n_nodes, edges):
-        e = np.array([(int(i), int(j)) for i, j in edges if int(i) != int(j)],
-                     dtype=int).reshape(-1, 2)
-        bad = e[((e < 1) | (e > n_nodes)).any(axis=1)]
-        if bad.size:
-            raise ValueError(f"edge ({bad[0, 0]}, {bad[0, 1]}) outside node range 1..{n_nodes}")
-        adj = np.zeros((n_nodes, n_nodes), dtype=bool)
-        adj[e[:, 0] - 1, e[:, 1] - 1] = True
+        adj = edge_tensor(n_nodes, [edges])[0]
         adj.flags.writeable = False
         self.adj = adj
 

@@ -6,6 +6,9 @@ also be dumped to a file and edited.
 
 from __future__ import annotations
 
+import copy
+import functools
+
 import numpy as np
 
 from .system_model import LtiPlant, is_jointly_observable
@@ -102,12 +105,17 @@ def _plant_config(plant: LtiPlant):
     }
 
 
+@functools.cache
 def _random_jsc_plant():
+    # LtiPlant is frozen with read-only arrays, so one build serves every call.
     return make_multiblock_plant((2, 1, 1, 1), seed=2024, spectral_radius=0.3)
 
 
 def canned_scenarios():
-    """Name -> config dict for every built-in scenario, stable-sorted by name."""
+    """Name -> config dict for every built-in scenario, stable-sorted by name.
+
+    Every call returns fresh dicts and lists: a caller may edit them.
+    """
     random_plant = _plant_config(_random_jsc_plant())
     random_graph = {"mode": "random", "T": 3, "params": {"n": 4, "seed": 11}}
     init = [[0.0] * 5 for _ in range(4)]
@@ -163,4 +171,4 @@ def canned_scenarios():
             "checks": {"lemmas": True},
         },
     }
-    return dict(sorted(scenarios.items()))
+    return copy.deepcopy(dict(sorted(scenarios.items())))

@@ -93,8 +93,21 @@ class Trace:
         """Max-over-nodes total error norm per time-step."""
         return np.max(self.err_total, axis=1)
 
+    def csv_header(self):
+        """The two lines that open `to_csv`'s file: a comment and the column names."""
+        width = max((self.block_dims[j - 1] for j in self.substates), default=0)
+        zcols = "".join(f",z{m}" for m in range(width))
+        return ("# tau = -1 encodes omega (never informed); donor = -1 encodes open-loop\n"
+                f"k,node,substate,tau,donor,err_norm{zcols}\n")
+
     def to_csv(self, path_or_buf):
-        """Numeric CSV; one row per (k, node, substate)."""
+        """Numeric CSV; one row per (k, node, substate).
+
+        Its time goes to ``repr`` of the estimates, which are tiny floats on
+        converged runs: median |z| about 3e-52 on a 350-round, 10-node run,
+        1.3-1.5 us per float on one thread of a 2-vCPU x86-64 VM.  Array-wide
+        templates that give the same bytes ran no faster.
+        """
         close = False
         if isinstance(path_or_buf, (str, bytes)):
             f = open(path_or_buf, "w")
@@ -103,9 +116,7 @@ class Trace:
             f = path_or_buf
         try:
             width = max((self.block_dims[j - 1] for j in self.substates), default=0)
-            zcols = ",".join(f"z{m}" for m in range(width))
-            f.write("# tau = -1 encodes omega (never informed); donor = -1 encodes open-loop\n")
-            f.write(f"k,node,substate,tau,donor,err_norm{',' if zcols else ''}{zcols}\n")
+            f.write(self.csv_header())
             # (column, block start, block end, nan padding) per substate.
             layout = [(j - 1, self._offsets[j - 1], self._offsets[j],
                        ",nan" * (width - self.block_dims[j - 1])) for j in self.substates]

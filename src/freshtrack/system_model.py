@@ -13,8 +13,15 @@ class ConfigurationError(ValueError):
     """Raised when plant matrices have inconsistent dimensions or non-finite entries."""
 
 
-def _as_matrix(m, cols=None):
-    a = np.atleast_2d(np.asarray(m, dtype=float))
+def _as_float_array(m, name):
+    try:
+        return np.asarray(m, dtype=float)
+    except (TypeError, ValueError) as exc:    # ragged rows, text entries
+        raise ConfigurationError(f"{name} is not a numeric array: {exc}") from None
+
+
+def _as_matrix(m, name, cols=None):
+    a = np.atleast_2d(_as_float_array(m, name))
     if cols is not None and a.size == 0:
         a = a.reshape(0, cols)
     return a
@@ -34,11 +41,11 @@ class LtiPlant:
     x0: np.ndarray
 
     def __init__(self, a_matrix, sensors, x0):
-        a = _as_matrix(a_matrix)
+        a = _as_matrix(a_matrix, "system matrix")
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise ConfigurationError(f"system matrix must be square, got shape {a.shape}")
         n = a.shape[0]
-        x = np.asarray(x0, dtype=float).reshape(-1)
+        x = _as_float_array(x0, "x0").reshape(-1)
         if x.shape[0] != n:
             raise ConfigurationError(f"x0 has length {x.shape[0]}, expected {n}")
         for name, m in (("system matrix", a), ("x0", x)):
@@ -48,7 +55,7 @@ class LtiPlant:
             raise ConfigurationError("at least one sensor node is required")
         cs = []
         for i, c in enumerate(sensors):
-            cm = _as_matrix(c, cols=n)
+            cm = _as_matrix(c, f"sensor {i + 1}", cols=n)
             if cm.shape[1] != n:
                 raise ConfigurationError(
                     f"sensor {i + 1} has {cm.shape[1]} columns, expected {n}")
@@ -154,7 +161,8 @@ def staircase_deflation(a, c, c_scale, rounding):
         seen.append(rest @ vt[:rank].T)
         rest = rest @ vt[rank:].T
         rows = seen[-1].T @ a @ rest
-        scale = np.linalg.norm(a, 2)
+        if len(seen) == 2:      # later steps are relative to ||A||, one SVD of A
+            scale = np.linalg.norm(a, 2)
         krylov.append(power / (np.linalg.norm(power) or 1.0))
         power = krylov[-1] @ a
         k = np.linalg.svd(np.vstack(krylov), compute_uv=False)

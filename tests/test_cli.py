@@ -9,11 +9,14 @@ from freshtrack.cli import (
     CONFIG_SCHEMA,
     ConfigError,
     _load_trace_csv,
+    _report_text,
     build_report,
     build_scenario,
     cmd_check,
     main,
+    run_checks,
 )
+from freshtrack.graph_seq import Digraph, edge_tensor
 from freshtrack.scenarios import (
     FIG1_GRAPH,
     FIG1_PLANT,
@@ -444,3 +447,99 @@ def test_run_exits_2_when_deadbeat_gain_misses_nilpotency(tmp_path, capsys):
         graph={"mode": "random", "T": 1, "params": {"n": 2, "seed": 0}})))
     assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error: deadbeat gain is not nilpotent")
+
+
+@pytest.mark.parametrize("field", ["A", "C"])
+def test_run_rejects_ragged_or_text_plant_arrays(tmp_path, capsys, field):
+    # A 4-state, 4-node plant: A with a short first row, or a text entry in C_1.
+    plant = make_multiblock_plant((1, 1, 1, 1), seed=0)
+    config = small_config(plant=_plant_config(plant),
+                          graph={"mode": "random", "T": 2, "params": {"seed": 0}})
+    if field == "A":
+        config["plant"]["A"][0] = config["plant"]["A"][0][:-1]
+    else:
+        config["plant"]["C"][0] = [[1, "x", 0, 0]]
+    cfg = tmp_path / "ragged.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+    name = "system matrix" if field == "A" else "sensor 1"
+    assert capsys.readouterr().err.startswith(f"error: {name} is not a numeric array")
+
+
+@pytest.mark.parametrize("value", [True, "1.5", None], ids=["true", "text", "null"])
+@pytest.mark.parametrize("field", ["A", "x0", "init_estimates"])
+def test_run_rejects_non_number_in_numeric_arrays(tmp_path, capsys, field, value):
+    config = small_config(plant=dict(FIG1_PLANT), init_estimates=[[0.0], [0.0], [0.0]])
+    if field == "A":
+        config["plant"]["A"] = [[value]]
+    elif field == "x0":
+        config["plant"]["x0"] = [value]
+    else:
+        config["init_estimates"][1] = [value]
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid scenario config")
+    assert f"{value!r} is not of type 'number'" in err
+
+
+def _bench_config(blocks, horizon, period_t):
+    plant = make_multiblock_plant(blocks, seed=1)
+    return {"plant": _plant_config(plant),
+            "graph": {"mode": "random", "T": period_t, "params": {"seed": 1}},
+            "algorithm": {"type": "freshness", "rho": 0.9}, "horizon": horizon,
+            "seed": 1, "checks": {"lemmas": True, "envelope": True}}
+
+
+@pytest.fixture(scope="module")
+def runs():
+    """(trace, report) of every canned scenario and of a long and a wide run."""
+    configs = dict(canned_scenarios(),
+                   protocol_long=_bench_config([1] * 10, 350, 2),
+                   design_wide=_bench_config([2] * 32, 1, 1))
+    out = {}
+    for name, config in configs.items():
+        trace = run_scenario(build_scenario(config))
+        results, passed = run_checks(trace, config)
+        out[name] = trace, build_report(trace, config, results, passed)
+    return out
+
+
+def test_report_text_parses_like_indented_dump(runs):
+    for name, (_, report) in runs.items():
+        text = _report_text(report)
+        assert json.loads(text) == json.loads(json.dumps(report, indent=2)), name
+        assert len(text.splitlines()) == len(report) + 2, name
+
+
+def test_edge_scatter_matches_per_round_graphs(runs):
+    for name, (trace, report) in runs.items():
+        rounds = report["graph_edges"]
+        adj = edge_tensor(trace.n_nodes, rounds)
+        assert np.array_equal(adj, trace.adjacency), name
+        assert np.array_equal(adj, np.stack([Digraph(trace.n_nodes, e).adj
+                                             for e in rounds])), name
+
+
+@pytest.mark.parametrize("tamper", ["stripped", "replaced"])
+def test_check_rejects_trace_without_its_header(tmp_path, capsys, tamper):
+    trace, report = _run_small(tmp_path, capsys)
+    lines = trace.read_text().splitlines()
+    if tamper == "stripped":
+        lines = lines[2:]
+    else:
+        lines[1] = "k,node,substate,tau,donor,err"
+    trace.write_text("\n".join(lines) + "\n")
+    assert main(["check", str(trace), str(report)]) == 2
+    assert "trace must open with the lines" in capsys.readouterr().err
+
+
+def test_canned_scenarios_return_fresh_configs():
+    first = canned_scenarios()
+    for config in first.values():
+        config["plant"]["A"][0][0] = 99.0
+        config["graph"]["T"] = 99
+    for config in canned_scenarios().values():
+        assert config["plant"]["A"][0][0] != 99.0
+        assert config["graph"]["T"] != 99

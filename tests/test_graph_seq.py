@@ -207,6 +207,12 @@ def test_edge_outside_node_range_rejected():
             Digraph(3, [(1, 2), bad])
 
 
+@pytest.mark.parametrize("bad", [(1, 2, 3), (None, 2), (), "ab"])
+def test_edge_that_is_not_a_pair_of_ids_rejected(bad):
+    with pytest.raises(ValueError, match="pairs of node ids"):
+        Digraph(3, [(1, 2), bad])
+
+
 def test_in_neighbors_sorted():
     # A column of the adjacency lists a node's in-neighbors in id order.
     g = Digraph(4, [(3, 1), (2, 1), (4, 2)])
