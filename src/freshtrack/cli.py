@@ -18,7 +18,7 @@ import numpy as np
 import jsonschema
 
 from .baselines import WeightStrategy, detect_divergence
-from .decomposition import DecompositionError, TransformedSystem, block_offsets
+from .decomposition import DecompositionError
 from .gain_design import BoundConstants, GainDesignError
 from .graph_seq import (
     Digraph,
@@ -404,35 +404,40 @@ def cmd_list_scenarios():
     return 0
 
 
+def _load_constants(c, n):
+    """The report's envelope constants: n numbers each, n x n for g and h."""
+    arrays = {}
+    for name in ("alpha", "beta", "gamma", "g", "h", "c", "c_bar", "radii"):
+        shape = (n, n) if name in ("g", "h") else (n,)
+        try:
+            a = arrays[name] = np.asarray(c[name], dtype=float)    # null reads as NaN
+            ok = a.shape == shape and not np.isnan(a).any()
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise ValueError(f"constants.{name} must be a {shape} array of numbers")
+    return BoundConstants(**arrays, t_bar=int(c["t_bar"]))
+
+
 def _load_trace_csv(path, report):
     block_dims = report["block_dims"]
     trace = Trace(
         report["algorithm"], report["n_nodes"], report["horizon"],
         report["period_t"], block_dims, rho=report.get("rho"),
         deadbeat=report.get("deadbeat", False), seed=report.get("seed", 0))
+    h1, n_nodes, s = trace.horizon + 1, trace.n_nodes, len(block_dims)
+    if trace.kind == "freshness" and s != n_nodes:
+        raise ValueError(f"a freshness report needs {n_nodes} block_dims, found {s}")
     # Every round's graph is needed: a missing round would read as an empty
     # graph, and source_preferred would pass without checking it.
     rounds = report.get("graph_edges")
     if rounds is None or len(rounds) != trace.horizon:
         raise ValueError(f"report must list graph_edges for all {trace.horizon} rounds, "
                          f"found {'none' if rounds is None else len(rounds)}")
-    trace.adjacency = edge_tensor(trace.n_nodes, rounds)
+    trace.adjacency = edge_tensor(n_nodes, rounds)
     trace.warnings = list(report.get("warnings", []))
-    if "transform" in report:
-        t = report["transform"]
-        trace.ts = TransformedSystem(
-            t_matrix=np.array(t["t_matrix"]),
-            a_bar=np.array(t["a_bar"]),
-            c_bar=tuple(np.array(c).reshape(-1, len(t["a_bar"])) for c in t["c_bar"]),
-            block_dims=tuple(t["block_dims"]),
-        )
     if "constants" in report:
-        c = report["constants"]
-        trace.constants = BoundConstants(
-            alpha=np.array(c["alpha"]), beta=np.array(c["beta"]),
-            gamma=np.array(c["gamma"]), g=np.array(c["g"]), h=np.array(c["h"]),
-            c=np.array(c["c"]), c_bar=np.array(c["c_bar"]),
-            radii=np.array(c["radii"]), t_bar=c["t_bar"])
+        trace.constants = _load_constants(report["constants"], s)
 
     with open(path) as f:
         header = f.readline() + f.readline()
@@ -443,27 +448,20 @@ def _load_trace_csv(path, report):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)   # "input contained no data"
             rows = np.loadtxt(f, delimiter=",", comments="#", ndmin=2)
-    if not rows.size:
-        raise ValueError("trace file contains no data rows")
-    n_cols = len(header.splitlines()[1].split(","))
-    if rows.shape[1] != n_cols:
-        raise ValueError(f"trace rows have {rows.shape[1]} columns, the header {n_cols}")
-    ints = rows[:, :5].astype(int)
-    if not np.array_equal(ints, rows[:, :5]):
-        raise ValueError("trace k/node/substate/tau/donor columns must be integers")
-    k, node, sub, tau, donor = ints.T
-    if np.any(ints[:, :3] < [0, 1, 1]):
-        raise ValueError("corrupt trace: k below 0 or node/substate below 1")
-    if np.any(ints[:, 3:] < -1):
+    shape = (h1 * n_nodes, 2 + 3 * s + trace.z_estimates.shape[2])
+    if rows.shape != shape:
+        raise ValueError(f"trace rows x columns are {rows.shape}, the report's {shape}")
+    if not np.array_equal(rows[:, :2], np.indices((h1, n_nodes)).reshape(2, -1).T + [0, 1]):
+        raise ValueError("trace rows must be (k, node) for k = 0..H, node = 1..N, in order")
+    with np.errstate(invalid="ignore"):
+        ints = rows[:, 2:2 + 2 * s].astype(int)
+    if not np.array_equal(ints, rows[:, 2:2 + 2 * s]):
+        raise ValueError("trace tau/donor columns must be integers")
+    if np.any(ints < -1):
         raise ValueError("corrupt trace: tau/donor below -1")
-    trace.taus[k, node - 1, sub - 1] = tau
-    trace.donors[k, node - 1, sub - 1] = donor
-    trace.err_block[k, node - 1, sub - 1] = rows[:, 5]
-    off = block_offsets(block_dims)
-    for j in trace.substates:
-        m = sub == j
-        trace.z_estimates[k[m], node[m] - 1, off[j - 1]:off[j]] = \
-            rows[m, 6:6 + block_dims[j - 1]]
+    trace.taus[:], trace.donors[:] = ints.reshape(h1, n_nodes, 2, s).transpose(2, 0, 1, 3)
+    floats = rows[:, 2 + 2 * s:].reshape(h1, n_nodes, -1)
+    trace.err_block[:], trace.z_estimates[:] = floats[:, :, :s], floats[:, :, s:]
     trace.err_total = np.sqrt(np.sum(trace.err_block ** 2, axis=2))
     return trace
 

@@ -156,11 +156,12 @@ def test_check_detects_corrupted_index(tmp_path, capsys):
     capsys.readouterr()
     trace = tmp_path / "c_trace.csv"
     lines = trace.read_text().splitlines()
+    tau = lines[1].split(",").index("tau1")
     # Corrupt one data row's tau below the allowed -1 marker.
     for idx, line in enumerate(lines):
         if line and not line.startswith(("#", "k,")):
             parts = line.split(",")
-            parts[3] = "-7"
+            parts[tau] = "-7"
             lines[idx] = ",".join(parts)
             break
     trace.write_text("\n".join(lines) + "\n")
@@ -176,12 +177,13 @@ def test_check_detects_tampered_errors(tmp_path, capsys):
     capsys.readouterr()
     trace = tmp_path / "t_trace.csv"
     lines = trace.read_text().splitlines()
+    err = lines[1].split(",").index("err1")
     # Blow up a late error norm: the divergence check flips, so the offline
     # re-check disagrees with the recorded report.
     for idx, line in enumerate(lines):
         if line.startswith("30,"):
             parts = line.split(",")
-            parts[5] = "1e12"
+            parts[err] = "1e12"
             lines[idx] = ",".join(parts)
             break
     trace.write_text("\n".join(lines) + "\n")
@@ -191,7 +193,7 @@ def test_check_detects_tampered_errors(tmp_path, capsys):
 
 def test_check_malformed_report_exits_2(tmp_path, capsys):
     trace = tmp_path / "x_trace.csv"
-    trace.write_text("k,node,substate,tau,donor,err_norm\n")
+    trace.write_text("k,node,tau1,donor1,err1,z0\n")
     report = tmp_path / "x_report.json"
     report.write_text("{not json")
     assert main(["check", str(trace), str(report)]) == 2
@@ -204,9 +206,11 @@ def _set(key, value):
     return tamper
 
 
-def _set_t_bar(data):
-    data["constants"]["t_bar"] = "4"
-    return data
+def _set_constant(name, value):
+    def tamper(data):
+        data["constants"][name] = value
+        return data
+    return tamper
 
 
 def _drop_scenario(data):
@@ -219,12 +223,20 @@ def _drop_scenario(data):
     (_set("horizon", 200.5), "$.horizon: 200.5 is not of type 'integer'"),
     (_set("horizon", 200.0), "$.horizon: 200.0 is not of type 'integer'"),
     (_set("rho", "x"), "$.rho: 'x' is not of type 'number', 'null'"),
-    (_set_t_bar, "$.constants.t_bar: '4' is not of type 'integer'"),
+    (_set_constant("t_bar", "4"), "$.constants.t_bar: '4' is not of type 'integer'"),
     (lambda data: [data], "at $: [{"),
     (_drop_scenario, "'scenario' is a required property"),
     (_set("period_t", 0), "$.period_t: 0 is less than the minimum of 1"),
+    (_set("block_dims", [1, 0, 0, 0]), "a freshness report needs 3 block_dims, found 4"),
+    (_set_constant("c_bar", "x"), "constants.c_bar must be a (3,) array of numbers"),
+    (_set_constant("radii", [None]), "constants.radii must be a (3,) array of numbers"),
+    (_set_constant("radii", [None] * 3), "constants.radii must be a (3,) array of numbers"),
+    (_set_constant("alpha", [[1.0], 2.0, 3.0]), "constants.alpha must be a (3,) array"),
+    (_set_constant("g", [1.0, 2.0, 3.0]), "constants.g must be a (3, 3) array of numbers"),
+    (_set_constant("h", {"a": 1}), "constants.h must be a (3, 3) array of numbers"),
 ], ids=["n_nodes_text", "horizon_fraction", "horizon_float", "rho_text", "t_bar_text",
-        "list", "no_scenario", "period_zero"])
+        "list", "no_scenario", "period_zero", "block_dims_per_node", "c_bar_text",
+        "radii_null", "radii_nulls", "alpha_ragged", "g_vector", "h_object"])
 def test_check_rejects_malformed_report_fields(tmp_path, capsys, tamper, message):
     name = "fig1_freshness_spectral"
     assert main(["run", name, "--out", str(tmp_path)]) == 0
@@ -273,18 +285,6 @@ def test_identical_runs_byte_identical(tmp_path, capsys):
     a = (tmp_path / "a" / "r_trace.csv").read_bytes()
     b = (tmp_path / "b" / "r_trace.csv").read_bytes()
     assert a == b
-
-
-@pytest.mark.parametrize("name", sorted(canned_scenarios()))
-def test_trace_csv_reads_back_bit_equal(tmp_path, name):
-    config = canned_scenarios()[name]
-    trace = run_scenario(build_scenario(config))
-    path = str(tmp_path / "trace.csv")
-    trace.to_csv(path)
-    report = json.loads(json.dumps(build_report(trace, config, {}, True)))
-    loaded = _load_trace_csv(path, report)
-    for attr in ("taus", "donors", "z_estimates", "err_block", "err_total"):
-        assert np.array_equal(getattr(loaded, attr), getattr(trace, attr)), attr
 
 
 def _run_small(tmp_path, capsys):
@@ -381,8 +381,9 @@ def test_run_jobs_matches_serial_run(tmp_path, capsys):
             assert (tmp_path / "pooled" / f"{name}{suffix}").read_bytes() == serial
 
 
-def test_check_loads_baseline_report_with_padded_block_dims(tmp_path, capsys):
-    # Baseline reports used to pad block_dims with a zero per extra node.
+def test_check_rejects_baseline_report_with_padded_block_dims(tmp_path, capsys):
+    # Baseline reports used to pad block_dims with a zero per extra node.  The
+    # trace then had other columns; such a pair is regenerated by a new run.
     assert main(["run", "fig1_uniform_baseline", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     report = tmp_path / "fig1_uniform_baseline_report.json"
@@ -391,7 +392,8 @@ def test_check_loads_baseline_report_with_padded_block_dims(tmp_path, capsys):
     data["block_dims"] = [1, 0, 0]
     report.write_text(json.dumps(data))
     trace = tmp_path / "fig1_uniform_baseline_trace.csv"
-    assert main(["check", str(trace), str(report)]) == 0
+    assert main(["check", str(trace), str(report)]) == 2
+    assert "trace must open with the lines" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("params,message", [
@@ -506,6 +508,16 @@ def runs():
     return out
 
 
+@pytest.mark.parametrize("name", sorted(canned_scenarios()) + ["protocol_long", "design_wide"])
+def test_trace_csv_reads_back_bit_equal(tmp_path, runs, name):
+    trace, report = runs[name]
+    path = str(tmp_path / "trace.csv")
+    trace.to_csv(path)
+    loaded = _load_trace_csv(path, json.loads(_report_text(report)))
+    for attr in ("taus", "donors", "z_estimates", "err_block", "err_total"):
+        assert np.array_equal(getattr(loaded, attr), getattr(trace, attr)), attr
+
+
 def test_report_text_parses_like_indented_dump(runs):
     for name, (_, report) in runs.items():
         text = _report_text(report)
@@ -543,3 +555,35 @@ def test_canned_scenarios_return_fresh_configs():
     for config in canned_scenarios().values():
         assert config["plant"]["A"][0][0] != 99.0
         assert config["graph"]["T"] != 99
+
+
+@pytest.mark.parametrize("tamper", ["missing", "duplicated", "swapped"])
+def test_check_rejects_incomplete_or_unordered_trace(tmp_path, capsys, tamper):
+    name = "random_jsc_theorem1"
+    assert main(["run", name, "--out", str(tmp_path)]) == 0
+    trace = tmp_path / f"{name}_trace.csv"
+    lines = trace.read_text().splitlines()
+    row = next(i for i, line in enumerate(lines) if line.startswith("0,2,"))
+    if tamper == "missing":
+        del lines[row]
+    elif tamper == "duplicated":
+        lines.append(lines[row])
+    else:
+        lines[row], lines[row + 1] = lines[row + 1], lines[row]
+    trace.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["check", str(trace), str(tmp_path / f"{name}_report.json")]) == 2
+    assert "malformed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,value", [("block_dims", 5), ("a_bar", "x")])
+def test_check_ignores_report_transform(tmp_path, capsys, field, value):
+    # No check on the check path reads the transform, so a broken one is
+    # neither loaded nor a crash.
+    name = "fig1_freshness_spectral"
+    assert main(["run", name, "--out", str(tmp_path)]) == 0
+    report = tmp_path / f"{name}_report.json"
+    data = json.loads(report.read_text())
+    data["transform"][field] = value
+    report.write_text(json.dumps(data))
+    assert main(["check", str(tmp_path / f"{name}_trace.csv"), str(report)]) == 0

@@ -160,7 +160,7 @@ def test_lemma_suite_passes_on_strong_scenario():
 def test_lemma_suite_rooted_mode_flagged():
     s = Scenario(plant=fig1_plant(), graph=fig1_graph(), rho=0.6, horizon=50)
     trace = run_scenario(s)
-    assert any("rooted-mode" in w for w in trace.warnings)
+    assert "rooted_mode" in trace.warnings
     report = check_lemma_suite(trace)
     assert report["passed"]
     assert report["mode"] == "rooted"
@@ -198,27 +198,28 @@ def test_trace_csv_round_numbers_stable():
     s2 = trace.to_csv_string()
     assert s1 == s2
     header = s1.splitlines()[1]
-    assert header.startswith("k,node,substate,tau,donor,err_norm")
+    assert header.startswith("k,node,tau1,")
 
 
 def test_trace_csv_format_pinned():
-    trace = Trace("freshness", 2, 1, 1, (2, 1))
-    trace.taus[:] = [[[0, -1], [-1, 0]], [[0, 1], [1, 0]]]
-    trace.donors[1] = [[-1, 2], [1, -1]]
-    trace.z_estimates[:] = [[[0.5, -1.25, 3.0], [0.0, 2.0, 0.1]],
-                            [[1e-20, 0.3, -2.5], [4.0, 1.5, 7.0]]]
-    trace.err_block[:] = [[[0.25, 1.5], [2.0, 0.0]], [[1e-17, 0.75], [3.0, 0.125]]]
+    # Slot 2 has dimension zero: its tau and donor stay -1 and its err 0.0.
+    trace = Trace("freshness", 3, 1, 1, (2, 0, 1))
+    trace.taus[:] = [[[0, -1, -1], [-1, -1, -1], [-1, -1, 0]],
+                     [[0, -1, 1], [1, -1, 1], [1, -1, 0]]]
+    trace.donors[1] = [[-1, -1, 3], [1, -1, 3], [1, -1, -1]]
+    trace.z_estimates[:] = [[[0.5, -1.25, 3.0], [0.0, 2.0, 0.1], [0.0, 0.0, -0.0]],
+                            [[1e-20, 0.3, -2.5], [4.0, 1.5, 7.0], [0.5, -1.25, 1e-300]]]
+    trace.err_block[:] = [[[0.25, 0.0, 1.5], [2.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+                          [[1e-17, 0.0, 0.75], [3.0, 0.0, 0.125], [0.5, 0.0, 0.0]]]
     assert trace.to_csv_string() == (
         "# tau = -1 encodes omega (never informed); donor = -1 encodes open-loop\n"
-        "k,node,substate,tau,donor,err_norm,z0,z1\n"
-        "0,1,1,0,-1,0.25,0.5,-1.25\n"
-        "0,1,2,-1,-1,1.5,3.0,nan\n"
-        "0,2,1,-1,-1,2.0,0.0,2.0\n"
-        "0,2,2,0,-1,0.0,0.1,nan\n"
-        "1,1,1,0,-1,1e-17,1e-20,0.3\n"
-        "1,1,2,1,2,0.75,-2.5,nan\n"
-        "1,2,1,1,1,3.0,4.0,1.5\n"
-        "1,2,2,0,-1,0.125,7.0,nan\n")
+        "k,node,tau1,tau2,tau3,donor1,donor2,donor3,err1,err2,err3,z0,z1,z2\n"
+        "0,1,0,-1,-1,-1,-1,-1,0.25,0.0,1.5,0.5,-1.25,3.0\n"
+        "0,2,-1,-1,-1,-1,-1,-1,2.0,0.0,0.0,0.0,2.0,0.1\n"
+        "0,3,-1,-1,0,-1,-1,-1,1.0,0.0,0.0,0.0,0.0,-0.0\n"
+        "1,1,0,-1,1,-1,-1,3,1e-17,0.0,0.75,1e-20,0.3,-2.5\n"
+        "1,2,1,-1,1,1,-1,3,3.0,0.0,0.125,4.0,1.5,7.0\n"
+        "1,3,1,-1,0,1,-1,-1,0.5,0.0,0.0,0.5,-1.25,1e-300\n")
 
 
 def test_lemma_suite_reports_first_source_preferred_violation():
