@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import json
 import os
 import sys
@@ -32,9 +33,10 @@ from .sim_engine import (
     Trace,
     check_envelope,
     check_lemma_suite,
+    error_norms,
     run_scenario,
 )
-from .system_model import ConfigurationError, LtiPlant
+from .system_model import ConfigurationError, LtiPlant, simulate_truth
 
 # "numeric": a list of lists of numbers (2) or of numbers (1), checked in one
 # loop by `_numeric` below instead of one schema descent per entry.
@@ -104,8 +106,8 @@ CONFIG_SCHEMA = {
 _COUNT = {"type": "integer", "minimum": 1}
 
 # Types and ranges of a report's top-level fields.  The arrays inside them
-# (plant, graph_edges, transform, constants) are left to the loader, which
-# reads each with one numpy conversion (graph_edges: one scatter for all
+# (plant, graph_edges, transform.t_matrix, constants) are left to the loader,
+# which reads each with one numpy conversion (graph_edges: one scatter for all
 # rounds); walking them item by item costs more than the check itself.
 REPORT_SCHEMA = {
     "type": "object",
@@ -114,8 +116,9 @@ REPORT_SCHEMA = {
     "properties": {
         "scenario": {
             "type": "object",
-            "required": ["algorithm"],
+            "required": ["algorithm", "plant"],
             "properties": {
+                "plant": {"type": "object", "required": ["A", "C", "x0"]},
                 "algorithm": CONFIG_SCHEMA["properties"]["algorithm"],
                 "checks": CONFIG_SCHEMA["properties"]["checks"],
             },
@@ -285,6 +288,9 @@ def _finite_time_check(trace: Trace):
 
 
 def _jsonable(obj):
+    """Plain JSON values of results, arrays and dataclasses (field by field)."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -325,12 +331,10 @@ def build_report(trace: Trace, config, results, passed):
         "graph_edges": _edge_lists(trace.adjacency),
         "checks": _jsonable(results),
     }
-    if trace.ts is not None:
-        report["transform"] = trace.ts.to_jsonable()
-    if trace.gains is not None:
-        report["gains"] = trace.gains.to_jsonable()
-    if trace.constants is not None:
-        report["constants"] = trace.constants.to_jsonable()
+    for key, value in (("transform", trace.ts), ("gains", trace.gains),
+                       ("constants", trace.constants)):
+        if value is not None:
+            report[key] = _jsonable(value)
     return report
 
 
@@ -406,17 +410,24 @@ def cmd_list_scenarios():
 
 def _load_constants(c, n):
     """The report's envelope constants: n numbers each, n x n for g and h."""
-    arrays = {}
-    for name in ("alpha", "beta", "gamma", "g", "h", "c", "c_bar", "radii"):
-        shape = (n, n) if name in ("g", "h") else (n,)
-        try:
-            a = arrays[name] = np.asarray(c[name], dtype=float)    # null reads as NaN
-            ok = a.shape == shape and not np.isnan(a).any()
-        except (TypeError, ValueError):
-            ok = False
-        if not ok:
-            raise ValueError(f"constants.{name} must be a {shape} array of numbers")
+    arrays = {f.name: _float_array(c[f.name], (n, n) if f.name in ("g", "h") else (n,),
+                                   f"constants.{f.name}")
+              for f in dataclasses.fields(BoundConstants) if f.name != "t_bar"}
     return BoundConstants(**arrays, t_bar=int(c["t_bar"]))
+
+
+def _float_array(value, shape, name, finite=False):
+    """``value`` as a float array of ``shape`` without NaN (null reads as
+    NaN), and without inf when ``finite``."""
+    try:
+        a = np.asarray(value, dtype=float)
+        bad = ~np.isfinite(a) if finite else np.isnan(a)
+        ok = a.shape == shape and not bad.any()
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be a {'finite ' * finite}{shape} array of numbers")
+    return a
 
 
 def _load_trace_csv(path, report):
@@ -448,7 +459,7 @@ def _load_trace_csv(path, report):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)   # "input contained no data"
             rows = np.loadtxt(f, delimiter=",", comments="#", ndmin=2)
-    shape = (h1 * n_nodes, 2 + 3 * s + trace.z_estimates.shape[2])
+    shape = (h1 * n_nodes, 2 + 2 * s + trace.z_estimates.shape[2])
     if rows.shape != shape:
         raise ValueError(f"trace rows x columns are {rows.shape}, the report's {shape}")
     if not np.array_equal(rows[:, :2], np.indices((h1, n_nodes)).reshape(2, -1).T + [0, 1]):
@@ -460,9 +471,18 @@ def _load_trace_csv(path, report):
     if np.any(ints < -1):
         raise ValueError("corrupt trace: tau/donor below -1")
     trace.taus[:], trace.donors[:] = ints.reshape(h1, n_nodes, 2, s).transpose(2, 0, 1, 3)
-    floats = rows[:, 2 + 2 * s:].reshape(h1, n_nodes, -1)
-    trace.err_block[:], trace.z_estimates[:] = floats[:, :, :s], floats[:, :, s:]
-    trace.err_total = np.sqrt(np.sum(trace.err_block ** 2, axis=2))
+    trace.z_estimates[:] = rows[:, 2 + 2 * s:].reshape(h1, n_nodes, -1)
+
+    # The errors come from the plant's trajectory, through T for a freshness run.
+    spec, n = report["scenario"]["plant"], trace.z_estimates.shape[2]
+    plant = LtiPlant(spec["A"], spec["C"], spec["x0"])
+    if plant.n != n:
+        raise ValueError(f"scenario.plant has {plant.n} states, the trace {n}")
+    truth = simulate_truth(plant, trace.horizon).states
+    if trace.kind == "freshness":
+        truth = truth @ _float_array(report["transform"]["t_matrix"], (n, n),
+                                     "transform.t_matrix", finite=True)
+    trace.err_block, trace.err_total = error_norms(trace.z_estimates, truth, block_dims)
     return trace
 
 

@@ -62,14 +62,6 @@ class TransformedSystem:
         """C_jq block: rows of node j's transformed sensor on substate q."""
         return self.c_bar[j - 1][:, self.block_slice(q)]
 
-    def to_jsonable(self):
-        return {
-            "t_matrix": self.t_matrix.tolist(),
-            "a_bar": self.a_bar.tolist(),
-            "c_bar": [c.tolist() for c in self.c_bar],
-            "block_dims": list(self.block_dims),
-        }
-
 
 def staircase_transform(plant: LtiPlant) -> TransformedSystem:
     """Build the staircase transform, deflating node by node in index order.

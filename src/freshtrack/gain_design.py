@@ -49,12 +49,6 @@ class GainSet:
         """Gain L_j for 1-indexed block j."""
         return self.gains[j - 1]
 
-    def to_jsonable(self):
-        return {
-            "gains": [g.tolist() for g in self.gains],
-            "target_radii": list(self.target_radii),
-        }
-
 
 @dataclass(frozen=True)
 class BoundConstants:
@@ -75,19 +69,6 @@ class BoundConstants:
     c_bar: np.ndarray
     radii: np.ndarray
     t_bar: int
-
-    def to_jsonable(self):
-        return {
-            "alpha": self.alpha.tolist(),
-            "beta": self.beta.tolist(),
-            "gamma": self.gamma.tolist(),
-            "g": self.g.tolist(),
-            "h": self.h.tolist(),
-            "c": self.c.tolist(),
-            "c_bar": self.c_bar.tolist(),
-            "radii": self.radii.tolist(),
-            "t_bar": self.t_bar,
-        }
 
 
 def choose_radii(rho: float, n_blocks: int):

@@ -13,7 +13,8 @@ i+1's estimate of every substate in transformed coordinates.
 masked argmin over in-neighbor indices picks the donors, then one
 block-lower-triangular product and a source correction update the estimates.
 It returns the donors as 1-indexed node ids, with -1 for open-loop rounds.
-The same -1 encodings run through ``Trace`` and the trace CSV.
+The same -1 encodings run through ``Trace`` and the trace CSV, which holds
+only this state (tau, donors, z) per round; error norms are derived from it.
 
 ``select_donor``, ``source_step`` and ``nonsource_step`` are the per-node
 reading of the update rules, over one node's n-vector and plain int indices;

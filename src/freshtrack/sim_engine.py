@@ -6,7 +6,8 @@ properties, the delayed-error identity, and the exponential error envelopes
 against constants computed from the trace itself.
 
 A freshness run steps ``ProtocolKernel`` on the (tau, z) arrays and copies
-each round's arrays into the trace; error norms are computed once at the end.
+each round's arrays into the trace; ``error_norms`` derives the error norms
+from them and the plant's trajectory, in a run and in a trace read back.
 Every check is array work over the trace's stacked arrays, with -1 for a
 never-informed index and for an open-loop donor throughout.  The
 delayed-error identity is checked by one forward pass over the rounds that
@@ -15,13 +16,15 @@ evaluates its closed form by Horner's rule along the recorded donors.
 
 from __future__ import annotations
 
+import contextlib
 import io
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .baselines import WeightStrategy, baseline_round, mixing_weights
-from .decomposition import staircase_transform, to_transformed_coords
+from .decomposition import block_offsets, staircase_transform, to_transformed_coords
 from .gain_design import compute_bound_constants, design_gains
 from .graph_seq import (
     GraphSequence,
@@ -33,6 +36,7 @@ from .observer_protocol import ProtocolKernel, initial_arrays
 from .system_model import LtiPlant, simulate_truth
 
 LOG_FLOOR = 1e-13     # error norms below this are numerical noise for log fits
+DELAYED_TOL = 1e-8    # largest relative residual the delayed-error identity passes
 
 
 @dataclass
@@ -61,7 +65,8 @@ class Trace:
     adopted in the round that produced the state at time k (-1 for
     open-loop rounds).  S = len(block_dims) substate slots; the columns of
     zero-dimension substates stay -1.  ``adjacency[k]`` is the N x N bool
-    graph of round k.  Callers index the arrays directly, slicing the
+    graph of round k; ``err_block`` and ``err_total`` come from
+    `error_norms`.  Callers index the arrays directly, slicing the
     estimate columns with ``block_offsets(block_dims)``.
     """
 
@@ -80,8 +85,7 @@ class Trace:
         self.taus = -np.ones((horizon + 1, n_nodes, n_slots), dtype=int)
         self.donors = -np.ones((horizon + 1, n_nodes, n_slots), dtype=int)
         self.z_estimates = np.zeros((horizon + 1, n_nodes, n_state))
-        self.err_block = np.zeros((horizon + 1, n_nodes, n_slots))
-        self.err_total = np.zeros((horizon + 1, n_nodes))
+        self.err_block = self.err_total = None
         self.adjacency = np.zeros((horizon, n_nodes, n_nodes), dtype=bool)
         self.ts = None
         self.gains = None
@@ -96,46 +100,50 @@ class Trace:
     def csv_header(self):
         """The two lines that open `to_csv`'s file: a comment and the column names."""
         slots = range(1, len(self.block_dims) + 1)
-        cols = [f"{name}{j}" for name in ("tau", "donor", "err") for j in slots]
+        cols = [f"{name}{j}" for name in ("tau", "donor") for j in slots]
         cols += [f"z{m}" for m in range(self.z_estimates.shape[2])]
         return ("# tau = -1 encodes omega (never informed); donor = -1 encodes open-loop\n"
                 f"k,node,{','.join(cols)}\n")
 
     def to_csv(self, path_or_buf):
-        """Numeric CSV of the arrays; one row per (k, node), k outer.
+        """Numeric CSV of the protocol's arrays; one row per (k, node), k outer.
 
-        A row is k, node, then that node's ``taus[k]``, ``donors[k]`` and
-        ``err_block[k]`` rows (one column per slot, zero-dimension slots
-        included) and its ``z_estimates[k]`` row.  Ints are written with
-        ``str`` and floats with ``repr``, so reading the file back gives the
-        arrays bit for bit.  Its time goes to ``repr`` of the estimates,
-        which are tiny floats on converged runs (median |z| about 3e-52):
-        a median of 0.14 s for a 350-round, 10-node run (1.8 MB) on one
-        thread of a 2-vCPU x86-64 VM.
+        A row is k, node, then that node's ``taus[k]`` and ``donors[k]`` rows
+        (one column per slot, zero-dimension slots included) and its
+        ``z_estimates[k]`` row.  The error norms are not written: they follow
+        from the estimates and the plant.  Ints are written with ``str`` and
+        floats with ``repr``, so reading the file back gives the arrays bit
+        for bit.  ``path_or_buf`` is a path (str, bytes or ``os.PathLike``)
+        or an open text file.
         """
-        close = False
-        if isinstance(path_or_buf, (str, bytes)):
-            f = open(path_or_buf, "w")
-            close = True
-        else:
-            f = path_or_buf
-        try:
+        is_path = isinstance(path_or_buf, (str, bytes, os.PathLike))
+        with open(path_or_buf, "w") if is_path else contextlib.nullcontext(path_or_buf) as f:
             f.write(self.csv_header())
             for k in range(self.horizon + 1):
                 rows = zip(self.taus[k].tolist(), self.donors[k].tolist(),
-                           self.err_block[k].tolist(), self.z_estimates[k].tolist())
+                           self.z_estimates[k].tolist())
                 f.write("".join(
                     f"{k},{i},{','.join(map(str, tau + donor))},"
-                    f"{','.join(map(repr, err + z))}\n"
-                    for i, (tau, donor, err, z) in enumerate(rows, 1)))
-        finally:
-            if close:
-                f.close()
+                    f"{','.join(map(repr, z))}\n"
+                    for i, (tau, donor, z) in enumerate(rows, 1)))
 
     def to_csv_string(self):
         buf = io.StringIO()
         self.to_csv(buf)
         return buf.getvalue()
+
+
+def error_norms(estimates, truth, block_dims):
+    """``(err_block, err_total)`` of estimates (H+1, N, n) against the truth
+    (H+1, n): the (H+1, N, S) norms per slot of ``block_dims``, 0 in
+    zero-dimension slots, and the (H+1, N) norms over all columns."""
+    sq = estimates - truth[:, None, :]
+    np.square(sq, out=sq)       # in place: one (H+1, N, n) temporary, not two
+    off = block_offsets(block_dims)
+    cols = [c for c, d in enumerate(block_dims) if d > 0]
+    err_block = np.zeros(sq.shape[:2] + (len(block_dims),))
+    err_block[:, :, cols] = np.sqrt(np.add.reduceat(sq, [off[c] for c in cols], axis=2))
+    return err_block, np.sqrt(np.sum(err_block ** 2, axis=2))
 
 
 def _t_bar(n_nodes, period_t):
@@ -184,13 +192,7 @@ def _run_freshness(s: Scenario) -> Trace:
         tau, z, donors = kernel.step(tau, z, trace.adjacency[k], outputs[k])
         trace.taus[k + 1], trace.donors[k + 1], trace.z_estimates[k + 1] = tau, donors, z
 
-    # Per-substate error norms: one segmented sum over the block columns.
-    sq = trace.z_estimates - z_truth[:, None, :]
-    np.square(sq, out=sq)
-    cols = [j - 1 for j in trace.substates]
-    trace.err_block[:, :, cols] = np.sqrt(
-        np.add.reduceat(sq, [ts.offsets[c] for c in cols], axis=2))
-    trace.err_total = np.sqrt(np.sum(trace.err_block ** 2, axis=2))
+    trace.err_block, trace.err_total = error_norms(trace.z_estimates, z_truth, ts.block_dims)
 
     if not s.deadbeat and s.rho is not None:
         t_bar = _t_bar(n_nodes, s.graph.period_t)
@@ -229,8 +231,7 @@ def _run_baseline(s: Scenario) -> Trace:
         est[k + 1] = baseline_round(est[k], weights[k], plant.a_matrix, oracle,
                                     truth.states[k])
     est[:, oracle] = truth.states[:, None, :]
-    trace.err_total = np.linalg.norm(est - truth.states[:, None, :], axis=2)
-    trace.err_block[:, :, 0] = trace.err_total
+    trace.err_block, trace.err_total = error_norms(est, truth.states, (plant.n,))
     return trace
 
 
@@ -258,19 +259,16 @@ def _substate_axis(trace: Trace):
     return np.array(trace.substates) - 1
 
 
-def check_envelope(trace: Trace, constants=None, rho=None):
+def check_envelope(trace: Trace):
     """Verify the per-substate and total exponential error envelopes.
 
     Returns a dict with a (possibly empty) list of violating (node, substate,
     k) triples: substate envelopes in (substate, k, node) order, then the
     total envelope, marked substate 0, in (k, node) order.
     """
-    if constants is None:
-        constants = trace.constants
+    constants, rho = trace.constants, trace.rho
     if constants is None:
         raise ValueError("trace carries no envelope constants")
-    if rho is None:
-        rho = trace.rho
     t_bar = constants.t_bar
     slack = 1.0 + 1e-9
     ks = np.arange(trace.horizon + 1)
@@ -350,14 +348,14 @@ def _delayed_residuals(trace: Trace, ts):
     return resid
 
 
-def check_lemma_suite(trace: Trace, ts=None, check_delayed=False,
-                      delayed_tol=1e-8):
+def check_lemma_suite(trace: Trace, check_delayed=False):
     """Run the structural freshness-index checks against a recorded trace.
 
     Covers: all indices finite by (N-1)T, the 2(N-1)T delay ceiling, the
     one-step index growth bound, the source index pinned at zero, and
     source-preferred donor selection.  Optionally also the delayed-error
-    identity at every informed (node, substate, k).  A failing check carries
+    identity at every informed (node, substate, k), through ``trace.ts``,
+    with relative residuals up to ``DELAYED_TOL``.  A failing check carries
     its first counterexample (node, substate, k): in (substate, node, k)
     order for the index checks, (substate, k) for the pinned source and
     (k, substate, node) for donor selection and the delayed identity, whose
@@ -413,11 +411,11 @@ def check_lemma_suite(trace: Trace, ts=None, check_delayed=False,
             report["checks"][name] = {"passed": False, "counterexample": counterexample}
 
     if check_delayed:
-        resid = _delayed_residuals(trace, trace.ts if ts is None else ts)
+        resid = _delayed_residuals(trace, trace.ts)
         worst = float(np.max(resid, initial=0.0))    # NaN if any residual is NaN
         worst_at = None if worst == 0.0 else first(
             np.isnan(resid) | (resid == worst), order=(0, 2, 1), k0=1)
-        entry = {"passed": worst <= delayed_tol, "max_residual": worst,
+        entry = {"passed": worst <= DELAYED_TOL, "max_residual": worst,
                  "at": worst_at}
         report["checks"]["delayed_form"] = entry
         if not entry["passed"]:

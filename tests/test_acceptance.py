@@ -149,7 +149,7 @@ def test_delayed_error_identity_batch():
         graph = generate_random_jointly_connected(3, 2, seed=6000 + trial)
         s = Scenario(plant=plant, graph=graph, rho=0.8, horizon=40, seed=trial)
         trace = run_scenario(s)
-        rep = check_lemma_suite(trace, check_delayed=True, delayed_tol=1e-8)
+        rep = check_lemma_suite(trace, check_delayed=True)
         ok &= rep["checks"]["delayed_form"]["passed"]
 
         # Leading substate in closed form: the error of any informed node is

@@ -177,13 +177,13 @@ def test_check_detects_tampered_errors(tmp_path, capsys):
     capsys.readouterr()
     trace = tmp_path / "t_trace.csv"
     lines = trace.read_text().splitlines()
-    err = lines[1].split(",").index("err1")
-    # Blow up a late error norm: the divergence check flips, so the offline
-    # re-check disagrees with the recorded report.
+    z0 = lines[1].split(",").index("z0")
+    # Blow up a late estimate: its error norm, derived on load, crosses the
+    # divergence threshold, so the offline re-check disagrees with the report.
     for idx, line in enumerate(lines):
         if line.startswith("30,"):
             parts = line.split(",")
-            parts[err] = "1e12"
+            parts[z0] = "1e12"
             lines[idx] = ",".join(parts)
             break
     trace.write_text("\n".join(lines) + "\n")
@@ -193,7 +193,7 @@ def test_check_detects_tampered_errors(tmp_path, capsys):
 
 def test_check_malformed_report_exits_2(tmp_path, capsys):
     trace = tmp_path / "x_trace.csv"
-    trace.write_text("k,node,tau1,donor1,err1,z0\n")
+    trace.write_text("k,node,tau1,donor1,z0\n")
     report = tmp_path / "x_report.json"
     report.write_text("{not json")
     assert main(["check", str(trace), str(report)]) == 2
@@ -518,6 +518,15 @@ def test_trace_csv_reads_back_bit_equal(tmp_path, runs, name):
         assert np.array_equal(getattr(loaded, attr), getattr(trace, attr)), attr
 
 
+def test_trace_csv_writes_to_a_path_object(tmp_path, runs):
+    trace, report = runs["fig1_freshness_spectral"]
+    path = tmp_path / "trace.csv"
+    trace.to_csv(path)
+    assert path.read_text() == trace.to_csv_string()
+    loaded = _load_trace_csv(path, json.loads(_report_text(report)))
+    assert np.array_equal(loaded.z_estimates, trace.z_estimates)
+
+
 def test_report_text_parses_like_indented_dump(runs):
     for name, (_, report) in runs.items():
         text = _report_text(report)
@@ -578,8 +587,8 @@ def test_check_rejects_incomplete_or_unordered_trace(tmp_path, capsys, tamper):
 
 @pytest.mark.parametrize("field,value", [("block_dims", 5), ("a_bar", "x")])
 def test_check_ignores_report_transform(tmp_path, capsys, field, value):
-    # No check on the check path reads the transform, so a broken one is
-    # neither loaded nor a crash.
+    # The check path reads only the transform's t_matrix, so a broken other
+    # field is neither loaded nor a crash.
     name = "fig1_freshness_spectral"
     assert main(["run", name, "--out", str(tmp_path)]) == 0
     report = tmp_path / f"{name}_report.json"
@@ -587,3 +596,59 @@ def test_check_ignores_report_transform(tmp_path, capsys, field, value):
     data["transform"][field] = value
     report.write_text(json.dumps(data))
     assert main(["check", str(tmp_path / f"{name}_trace.csv"), str(report)]) == 0
+
+
+def _tampered_report(tmp_path, name, tamper):
+    """Run ``name``, apply ``tamper`` to its report and return the check's
+    exit code."""
+    assert main(["run", name, "--out", str(tmp_path)]) == 0
+    report = tmp_path / f"{name}_report.json"
+    data = json.loads(report.read_text())
+    tamper(data)
+    report.write_text(json.dumps(data))
+    return main(["check", str(tmp_path / f"{name}_trace.csv"), str(report)])
+
+
+@pytest.mark.parametrize("name", ["fig1_freshness_spectral", "fig1_uniform_baseline"])
+def test_check_derives_errors_from_the_report_plant(tmp_path, capsys, name):
+    # The errors come from the plant the report names, not from the trace:
+    # another initial state gives other errors, and the re-check disagrees.
+    def move_x0(data):
+        data["scenario"]["plant"]["x0"] = [3.0]
+    assert _tampered_report(tmp_path, name, move_x0) == 1
+    assert "disagrees" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [None, [[1.0, 0.0]], [[1.0], [0.0]], [["x"]],
+                                   [[float("nan")]], [[float("inf")]]],
+                         ids=["null", "wide", "tall", "text", "nan", "inf"])
+def test_check_rejects_bad_t_matrix(tmp_path, capsys, value):
+    def set_t(data):
+        data["transform"]["t_matrix"] = value
+    assert _tampered_report(tmp_path, "fig1_freshness_spectral", set_t) == 2
+    assert "transform.t_matrix must be a finite (1, 1) array" in capsys.readouterr().err
+
+
+def _drop_plant(data):
+    del data["scenario"]["plant"]
+
+
+def _ragged_plant(data):
+    data["scenario"]["plant"]["A"] = [[0.5, 0.1, 0.0], [0.2, 0.4]]
+
+
+def _wrong_size_plant(data):
+    data["scenario"]["plant"].update(A=[[0.5, 0.0], [0.0, 0.5]], x0=[1.0, 1.0],
+                                     C=[[[1.0, 0.0]], [], []])
+
+
+@pytest.mark.parametrize("name", ["random_jsc_theorem1", "fig1_tree_baseline"])
+@pytest.mark.parametrize("tamper,message", [
+    (_drop_plant, "'plant' is a required property"),
+    (_ragged_plant, "system matrix is not a numeric array"),
+    (_wrong_size_plant, "scenario.plant has 2 states"),
+], ids=["missing", "ragged", "wrong_size"])
+def test_check_rejects_missing_or_ragged_plant(tmp_path, capsys, name, tamper, message):
+    assert _tampered_report(tmp_path, name, tamper) == 2
+    err = capsys.readouterr().err
+    assert "malformed" in err and message in err

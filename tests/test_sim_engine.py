@@ -19,6 +19,7 @@ from freshtrack.sim_engine import (
     _delayed_residuals,
     check_envelope,
     check_lemma_suite,
+    error_norms,
     fit_decay_rate,
     run_scenario,
 )
@@ -82,6 +83,14 @@ def test_error_norms_are_pythagorean():
             total = trace.err_total[k, i - 1]
             blocks = np.sqrt(np.sum(trace.err_block[k, i - 1] ** 2))
             assert total == pytest.approx(blocks, rel=1e-10, abs=1e-12)
+
+
+def test_error_norms_split_by_block_and_skip_empty_slots():
+    truth = np.array([[1.0, 2.0, 3.0]])
+    estimates = np.array([[[4.0, 6.0, 3.0], [1.0, 2.0, 1.0]]])
+    err_block, err_total = error_norms(estimates, truth, (2, 0, 1))
+    assert err_block.tolist() == [[[5.0, 0.0, 0.0], [0.0, 0.0, 2.0]]]
+    assert err_total.tolist() == [[5.0, 2.0]]
 
 
 def test_fit_decay_rate_exact_geometric():
@@ -202,24 +211,22 @@ def test_trace_csv_round_numbers_stable():
 
 
 def test_trace_csv_format_pinned():
-    # Slot 2 has dimension zero: its tau and donor stay -1 and its err 0.0.
+    # Slot 2 has dimension zero: its tau and donor stay -1.
     trace = Trace("freshness", 3, 1, 1, (2, 0, 1))
     trace.taus[:] = [[[0, -1, -1], [-1, -1, -1], [-1, -1, 0]],
                      [[0, -1, 1], [1, -1, 1], [1, -1, 0]]]
     trace.donors[1] = [[-1, -1, 3], [1, -1, 3], [1, -1, -1]]
     trace.z_estimates[:] = [[[0.5, -1.25, 3.0], [0.0, 2.0, 0.1], [0.0, 0.0, -0.0]],
                             [[1e-20, 0.3, -2.5], [4.0, 1.5, 7.0], [0.5, -1.25, 1e-300]]]
-    trace.err_block[:] = [[[0.25, 0.0, 1.5], [2.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
-                          [[1e-17, 0.0, 0.75], [3.0, 0.0, 0.125], [0.5, 0.0, 0.0]]]
     assert trace.to_csv_string() == (
         "# tau = -1 encodes omega (never informed); donor = -1 encodes open-loop\n"
-        "k,node,tau1,tau2,tau3,donor1,donor2,donor3,err1,err2,err3,z0,z1,z2\n"
-        "0,1,0,-1,-1,-1,-1,-1,0.25,0.0,1.5,0.5,-1.25,3.0\n"
-        "0,2,-1,-1,-1,-1,-1,-1,2.0,0.0,0.0,0.0,2.0,0.1\n"
-        "0,3,-1,-1,0,-1,-1,-1,1.0,0.0,0.0,0.0,0.0,-0.0\n"
-        "1,1,0,-1,1,-1,-1,3,1e-17,0.0,0.75,1e-20,0.3,-2.5\n"
-        "1,2,1,-1,1,1,-1,3,3.0,0.0,0.125,4.0,1.5,7.0\n"
-        "1,3,1,-1,0,1,-1,-1,0.5,0.0,0.0,0.5,-1.25,1e-300\n")
+        "k,node,tau1,tau2,tau3,donor1,donor2,donor3,z0,z1,z2\n"
+        "0,1,0,-1,-1,-1,-1,-1,0.5,-1.25,3.0\n"
+        "0,2,-1,-1,-1,-1,-1,-1,0.0,2.0,0.1\n"
+        "0,3,-1,-1,0,-1,-1,-1,0.0,0.0,-0.0\n"
+        "1,1,0,-1,1,-1,-1,3,1e-20,0.3,-2.5\n"
+        "1,2,1,-1,1,1,-1,3,4.0,1.5,7.0\n"
+        "1,3,1,-1,0,1,-1,-1,0.5,-1.25,1e-300\n")
 
 
 def test_lemma_suite_reports_first_source_preferred_violation():
