@@ -52,7 +52,8 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "required": ["A", "C", "x0"],
-            "properties": {"A": _MATRIX, "C": {"type": "array"}, "x0": _VECTOR},
+            "properties": {"A": _MATRIX, "C": {"type": "array", "items": _MATRIX},
+                           "x0": _VECTOR},
         },
         "graph": {
             "type": "object",
@@ -103,40 +104,20 @@ CONFIG_SCHEMA = {
 }
 
 
-_COUNT = {"type": "integer", "minimum": 1}
-
-# Types and ranges of a report's top-level fields.  The arrays inside them
-# (plant, graph_edges, transform.t_matrix, constants) are left to the loader,
-# which reads each with one numpy conversion (graph_edges: one scatter for all
-# rounds); walking them item by item costs more than the check itself.
+# What `check` reads of a report besides ``scenario``, which goes through
+# `build_scenario` as a config does.  The loader checks the arrays' shapes,
+# NaN and inf, and scatters graph_edges in one pass for all rounds.
 REPORT_SCHEMA = {
     "type": "object",
-    "required": ["scenario", "algorithm", "n_nodes", "horizon", "period_t",
-                 "block_dims"],
+    "required": ["scenario", "block_dims"],
     "properties": {
-        "scenario": {
-            "type": "object",
-            "required": ["algorithm", "plant"],
-            "properties": {
-                "plant": {"type": "object", "required": ["A", "C", "x0"]},
-                "algorithm": CONFIG_SCHEMA["properties"]["algorithm"],
-                "checks": CONFIG_SCHEMA["properties"]["checks"],
-            },
-        },
-        "algorithm": {"enum": ["freshness", "baseline"]},
-        "n_nodes": _COUNT,
-        "horizon": _COUNT,
-        "period_t": _COUNT,
         "block_dims": {"type": "array", "items": {"type": "integer", "minimum": 0}},
-        "rho": {"type": ["number", "null"]},
-        "deadbeat": {"type": "boolean"},
-        "seed": {"type": "integer", "minimum": 0},
         "warnings": {"type": "array", "items": {"type": "string"}},
         "graph_edges": {"type": "array"},
-        "checks": {"type": "object"},
-        "transform": {"type": "object"},
-        "constants": {"type": "object",
-                      "properties": {"t_bar": {"type": "integer", "minimum": 0}}},
+        "transform": {"type": "object", "properties": {"t_matrix": _MATRIX}},
+        "constants": {"type": "object", "properties": {
+            f.name: _MATRIX if f.name in ("g", "h") else _VECTOR
+            for f in dataclasses.fields(BoundConstants)}},
     },
 }
 
@@ -144,8 +125,9 @@ REPORT_SCHEMA = {
 def _numeric(validator, depth, instance, schema):
     """The ``numeric`` keyword: ``depth`` levels of lists around numbers.
 
-    One loop over the entries; yields a single error, at the first row that
-    is not a list or entry that is not a number.
+    One loop over the rows, which takes a row of plain ints and floats whole;
+    yields a single error, at the first row that is not a list or entry that
+    is not a number.
     """
     if not isinstance(instance, list):
         return                                  # left to "type"
@@ -154,6 +136,8 @@ def _numeric(validator, depth, instance, schema):
         if not isinstance(row, list):
             yield jsonschema.ValidationError(f"{row!r} is not of type 'array'", path=[i])
             return
+        if set(map(type, row)) <= {int, float}:
+            continue
         for j, x in enumerate(row):
             if not isinstance(x, (int, float)) or isinstance(x, bool):
                 yield jsonschema.ValidationError(f"{x!r} is not of type 'number'",
@@ -319,14 +303,9 @@ def build_report(trace: Trace, config, results, passed):
     report = {
         "scenario": config,
         "passed": passed,
-        "seed": trace.seed,
-        "algorithm": trace.kind,
         "n_nodes": trace.n_nodes,
         "horizon": trace.horizon,
-        "period_t": trace.period_t,
         "block_dims": list(trace.block_dims),
-        "rho": trace.rho,
-        "deadbeat": trace.deadbeat,
         "warnings": list(trace.warnings),
         "graph_edges": _edge_lists(trace.adjacency),
         "checks": _jsonable(results),
@@ -410,10 +389,10 @@ def cmd_list_scenarios():
 
 def _load_constants(c, n):
     """The report's envelope constants: n numbers each, n x n for g and h."""
-    arrays = {f.name: _float_array(c[f.name], (n, n) if f.name in ("g", "h") else (n,),
-                                   f"constants.{f.name}")
-              for f in dataclasses.fields(BoundConstants) if f.name != "t_bar"}
-    return BoundConstants(**arrays, t_bar=int(c["t_bar"]))
+    return BoundConstants(**{
+        f.name: _float_array(c[f.name], (n, n) if f.name in ("g", "h") else (n,),
+                             f"constants.{f.name}")
+        for f in dataclasses.fields(BoundConstants)})
 
 
 def _float_array(value, shape, name, finite=False):
@@ -430,14 +409,14 @@ def _float_array(value, shape, name, finite=False):
     return a
 
 
-def _load_trace_csv(path, report):
-    block_dims = report["block_dims"]
-    trace = Trace(
-        report["algorithm"], report["n_nodes"], report["horizon"],
-        report["period_t"], block_dims, rho=report.get("rho"),
-        deadbeat=report.get("deadbeat", False), seed=report.get("seed", 0))
+def _load_trace_csv(path, report, scenario: Scenario):
+    """The run's `Trace` from its trace file, ``scenario`` (the report's
+    ``scenario`` through `build_scenario`) and the report's other fields."""
+    block_dims, freshness = report["block_dims"], scenario.algorithm == "freshness"
+    trace = Trace(scenario.plant.n_nodes, scenario.horizon, scenario.graph.period_t,
+                  block_dims, rho=scenario.rho)
     h1, n_nodes, s = trace.horizon + 1, trace.n_nodes, len(block_dims)
-    if trace.kind == "freshness" and s != n_nodes:
+    if freshness and s != n_nodes:
         raise ValueError(f"a freshness report needs {n_nodes} block_dims, found {s}")
     # Every round's graph is needed: a missing round would read as an empty
     # graph, and source_preferred would pass without checking it.
@@ -448,6 +427,8 @@ def _load_trace_csv(path, report):
     trace.adjacency = edge_tensor(n_nodes, rounds)
     trace.warnings = list(report.get("warnings", []))
     if "constants" in report:
+        if scenario.rho is None:      # the envelope's radii come from rho
+            raise ValueError("report has constants but its scenario has no rho")
         trace.constants = _load_constants(report["constants"], s)
 
     with open(path) as f:
@@ -474,12 +455,11 @@ def _load_trace_csv(path, report):
     trace.z_estimates[:] = rows[:, 2 + 2 * s:].reshape(h1, n_nodes, -1)
 
     # The errors come from the plant's trajectory, through T for a freshness run.
-    spec, n = report["scenario"]["plant"], trace.z_estimates.shape[2]
-    plant = LtiPlant(spec["A"], spec["C"], spec["x0"])
+    plant, n = scenario.plant, trace.z_estimates.shape[2]
     if plant.n != n:
         raise ValueError(f"scenario.plant has {plant.n} states, the trace {n}")
     truth = simulate_truth(plant, trace.horizon).states
-    if trace.kind == "freshness":
+    if freshness:
         truth = truth @ _float_array(report["transform"]["t_matrix"], (n, n),
                                      "transform.t_matrix", finite=True)
     trace.err_block, trace.err_total = error_norms(trace.z_estimates, truth, block_dims)
@@ -494,7 +474,7 @@ def cmd_check(trace_path, report_path):
         if error is not None:
             raise ValueError(f"invalid report at {error.json_path}: {error.message}")
         config = report["scenario"]
-        trace = _load_trace_csv(trace_path, report)
+        trace = _load_trace_csv(trace_path, report, build_scenario(config))
     except (OSError, ValueError, KeyError, IndexError) as exc:
         print(f"error: malformed trace or report: {exc}", file=sys.stderr)
         return 2
@@ -510,7 +490,7 @@ def cmd_check(trace_path, report_path):
     return 0 if passed else 1
 
 
-def main(argv=None):
+def _make_parser():
     parser = argparse.ArgumentParser(
         prog="freshtrack",
         description="Freshness-index distributed observer simulator")
@@ -528,8 +508,14 @@ def main(argv=None):
     p_check.add_argument("report")
 
     sub.add_parser("list", help="list canned scenarios")
+    return parser
 
-    args = parser.parse_args(argv)
+
+_PARSER = _make_parser()
+
+
+def main(argv=None):
+    args = _PARSER.parse_args(argv)
     try:
         if args.command == "run":
             return cmd_run(args.configs, out_dir=args.out, seed=args.seed,

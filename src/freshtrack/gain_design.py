@@ -54,10 +54,10 @@ class GainSet:
 class BoundConstants:
     """Constants of the per-substate exponential error envelopes.
 
-    For each block j: ||(A_jj - L_j C_jj)^k|| <= alpha[j] * radii[j]^k, and
-    ||A_jj^k|| <= beta[j] * gamma[j]^k.  ``c`` and ``c_bar`` are the envelope
-    amplitudes built recursively from coupling norms g and h; ``t_bar`` is the
-    window constant (N-1)T.
+    For each block j: ||(A_jj - L_j C_jj)^k|| <= alpha[j] * rho_j^k, with
+    rho_j the gains' ``target_radii[j]``, and ||A_jj^k|| <= beta[j] *
+    gamma[j]^k.  ``c`` and ``c_bar`` are the envelope amplitudes built
+    recursively from coupling norms g and h.
     """
 
     alpha: np.ndarray
@@ -67,8 +67,6 @@ class BoundConstants:
     h: np.ndarray
     c: np.ndarray
     c_bar: np.ndarray
-    radii: np.ndarray
-    t_bar: int
 
 
 def choose_radii(rho: float, n_blocks: int):
@@ -300,4 +298,4 @@ def compute_bound_constants(ts: TransformedSystem, gains: GainSet,
             c[j - 1] * (gamma[j - 1] / rho_j) ** (2 * t_bar) + tail)
 
     return BoundConstants(alpha=alpha, beta=beta, gamma=gamma, g=g, h=h,
-                          c=c, c_bar=c_bar, radii=radii, t_bar=t_bar)
+                          c=c, c_bar=c_bar)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .baselines import WeightStrategy, baseline_round, mixing_weights
 from .decomposition import block_offsets, staircase_transform, to_transformed_coords
-from .gain_design import compute_bound_constants, design_gains
+from .gain_design import choose_radii, compute_bound_constants, design_gains
 from .graph_seq import (
     GraphSequence,
     certify_joint_strong_connectivity,
@@ -52,7 +52,6 @@ class Scenario:
     horizon: int = 100
     seed: int = 0
     initial_estimates: list | None = None   # per-node n-vectors, original coords
-    oracle_nodes: frozenset = frozenset({1})
 
 
 class Trace:
@@ -70,16 +69,12 @@ class Trace:
     estimate columns with ``block_offsets(block_dims)``.
     """
 
-    def __init__(self, kind, n_nodes, horizon, period_t, block_dims, rho=None,
-                 deadbeat=False, seed=0):
-        self.kind = kind
+    def __init__(self, n_nodes, horizon, period_t, block_dims, rho=None):
         self.n_nodes = n_nodes
         self.horizon = horizon
         self.period_t = period_t
         self.block_dims = tuple(block_dims)
         self.rho = rho
-        self.deadbeat = deadbeat
-        self.seed = seed
         self.substates = [j for j in range(1, len(block_dims) + 1) if block_dims[j - 1] > 0]
         n_state, n_slots = int(sum(block_dims)), len(block_dims)
         self.taus = -np.ones((horizon + 1, n_nodes, n_slots), dtype=int)
@@ -167,8 +162,7 @@ def _run_freshness(s: Scenario) -> Trace:
     truth = simulate_truth(plant, s.horizon)
     z_truth = to_transformed_coords(truth.states, ts)
 
-    trace = Trace("freshness", n_nodes, s.horizon, s.graph.period_t,
-                  ts.block_dims, rho=s.rho, deadbeat=s.deadbeat, seed=s.seed)
+    trace = Trace(n_nodes, s.horizon, s.graph.period_t, ts.block_dims, rho=s.rho)
     trace.ts = ts
     trace.gains = gains
 
@@ -219,11 +213,10 @@ def _run_baseline(s: Scenario) -> Trace:
     truth = simulate_truth(plant, s.horizon)
 
     # Baseline traces use the original coordinates and a single substate slot.
-    trace = Trace("baseline", n_nodes, s.horizon, s.graph.period_t,
-                  (plant.n,), seed=s.seed)
+    trace = Trace(n_nodes, s.horizon, s.graph.period_t, (plant.n,))
     trace.adjacency = s.graph.adjacency(s.horizon)
     weights = mixing_weights(trace.adjacency, s.strategy)
-    oracle = np.isin(np.arange(1, n_nodes + 1), list(s.oracle_nodes))
+    oracle = np.arange(n_nodes) == 0      # node 1 is the oracle: it knows x(k)
     est = trace.z_estimates
     if s.initial_estimates is not None:
         est[0] = s.initial_estimates
@@ -262,19 +255,22 @@ def _substate_axis(trace: Trace):
 def check_envelope(trace: Trace):
     """Verify the per-substate and total exponential error envelopes.
 
-    Returns a dict with a (possibly empty) list of violating (node, substate,
-    k) triples: substate envelopes in (substate, k, node) order, then the
-    total envelope, marked substate 0, in (k, node) order.
+    The envelopes take ``trace.constants``, t_bar = (N-1)T and the radii
+    rho_j that `design_gains` draws from ``trace.rho``.  Returns a dict with
+    a (possibly empty) list of violating (node, substate, k) triples:
+    substate envelopes in (substate, k, node) order, then the total
+    envelope, marked substate 0, in (k, node) order.
     """
     constants, rho = trace.constants, trace.rho
     if constants is None:
         raise ValueError("trace carries no envelope constants")
-    t_bar = constants.t_bar
+    t_bar = _t_bar(trace.n_nodes, trace.period_t)
+    radii = np.asarray(choose_radii(rho, len(trace.block_dims)))
     slack = 1.0 + 1e-9
     ks = np.arange(trace.horizon + 1)
     subs = np.array(trace.substates) - 1
     # bound[k, c] for substate subs[c], which counts from k = (2j-1) T_bar on.
-    bound = (constants.c_bar[subs] * constants.radii[subs] ** ks[:, None] * slack
+    bound = (constants.c_bar[subs] * radii[subs] ** ks[:, None] * slack
              + 1e-300)
     live = ks[:, None] >= (2 * subs + 1) * t_bar
     over = ((trace.err_block[:, :, _substate_axis(trace)] > bound[:, None, :])

@@ -213,30 +213,42 @@ def _set_constant(name, value):
     return tamper
 
 
+def _set_scenario(*path_and_value):
+    *path, key, value = path_and_value
+    def tamper(data):
+        target = data["scenario"]
+        for step in path:
+            target = target[step]
+        target[key] = value
+        return data
+    return tamper
+
+
 def _drop_scenario(data):
     del data["scenario"]
     return data
 
 
 @pytest.mark.parametrize("tamper,message", [
-    (_set("n_nodes", "3"), "$.n_nodes: '3' is not of type 'integer'"),
-    (_set("horizon", 200.5), "$.horizon: 200.5 is not of type 'integer'"),
-    (_set("horizon", 200.0), "$.horizon: 200.0 is not of type 'integer'"),
-    (_set("rho", "x"), "$.rho: 'x' is not of type 'number', 'null'"),
-    (_set_constant("t_bar", "4"), "$.constants.t_bar: '4' is not of type 'integer'"),
+    (_set_scenario("horizon", 200.5), "invalid scenario config: 200.5 is not of type 'integer'"),
+    (_set_scenario("horizon", 200.0), "invalid scenario config: 200.0 is not of type 'integer'"),
+    (_set_scenario("algorithm", "rho", "x"),
+     "invalid scenario config: 'x' is not of type 'number'"),
     (lambda data: [data], "at $: [{"),
     (_drop_scenario, "'scenario' is a required property"),
-    (_set("period_t", 0), "$.period_t: 0 is less than the minimum of 1"),
+    (_set_scenario("graph", "T", 0), "invalid scenario config: 0 is less than the minimum of 1"),
     (_set("block_dims", [1, 0, 0, 0]), "a freshness report needs 3 block_dims, found 4"),
-    (_set_constant("c_bar", "x"), "constants.c_bar must be a (3,) array of numbers"),
-    (_set_constant("radii", [None]), "constants.radii must be a (3,) array of numbers"),
-    (_set_constant("radii", [None] * 3), "constants.radii must be a (3,) array of numbers"),
-    (_set_constant("alpha", [[1.0], 2.0, 3.0]), "constants.alpha must be a (3,) array"),
-    (_set_constant("g", [1.0, 2.0, 3.0]), "constants.g must be a (3, 3) array of numbers"),
-    (_set_constant("h", {"a": 1}), "constants.h must be a (3, 3) array of numbers"),
-], ids=["n_nodes_text", "horizon_fraction", "horizon_float", "rho_text", "t_bar_text",
-        "list", "no_scenario", "period_zero", "block_dims_per_node", "c_bar_text",
-        "radii_null", "radii_nulls", "alpha_ragged", "g_vector", "h_object"])
+    (_set_constant("c_bar", "x"), "$.constants.c_bar: 'x' is not of type 'array'"),
+    (_set_constant("c_bar", [1.0]), "constants.c_bar must be a (3,) array of numbers"),
+    (_set_constant("c_bar", [float("nan")] * 3),
+     "constants.c_bar must be a (3,) array of numbers"),
+    (_set_constant("alpha", [[1.0], 2.0, 3.0]),
+     "$.constants.alpha[0]: [1.0] is not of type 'number'"),
+    (_set_constant("g", [1.0, 2.0, 3.0]), "$.constants.g[0]: 1.0 is not of type 'array'"),
+    (_set_constant("h", {"a": 1}), "$.constants.h: {'a': 1} is not of type 'array'"),
+], ids=["horizon_fraction", "horizon_float", "rho_text", "list", "no_scenario",
+        "period_zero", "block_dims_per_node", "c_bar_text", "c_bar_short", "c_bar_nan",
+        "alpha_ragged", "g_vector", "h_object"])
 def test_check_rejects_malformed_report_fields(tmp_path, capsys, tamper, message):
     name = "fig1_freshness_spectral"
     assert main(["run", name, "--out", str(tmp_path)]) == 0
@@ -273,7 +285,7 @@ def test_seed_override_changes_report(tmp_path, capsys):
     main(["run", str(cfg), "--out", str(tmp_path), "--seed", "5"])
     capsys.readouterr()
     report = json.loads((tmp_path / "s_report.json").read_text())
-    assert report["seed"] == 5
+    assert report["scenario"]["seed"] == 5
 
 
 def test_identical_runs_byte_identical(tmp_path, capsys):
@@ -464,16 +476,19 @@ def test_run_rejects_ragged_or_text_plant_arrays(tmp_path, capsys, field):
     cfg = tmp_path / "ragged.json"
     cfg.write_text(json.dumps(config))
     assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
-    name = "system matrix" if field == "A" else "sensor 1"
-    assert capsys.readouterr().err.startswith(f"error: {name} is not a numeric array")
+    assert capsys.readouterr().err.startswith(
+        "error: system matrix is not a numeric array" if field == "A"
+        else "error: invalid scenario config: 'x' is not of type 'number'")
 
 
 @pytest.mark.parametrize("value", [True, "1.5", None], ids=["true", "text", "null"])
-@pytest.mark.parametrize("field", ["A", "x0", "init_estimates"])
+@pytest.mark.parametrize("field", ["A", "C", "x0", "init_estimates"])
 def test_run_rejects_non_number_in_numeric_arrays(tmp_path, capsys, field, value):
     config = small_config(plant=dict(FIG1_PLANT), init_estimates=[[0.0], [0.0], [0.0]])
     if field == "A":
         config["plant"]["A"] = [[value]]
+    elif field == "C":
+        config["plant"]["C"] = [[[1.0]], [], [[value]]]
     elif field == "x0":
         config["plant"]["x0"] = [value]
     else:
@@ -508,12 +523,19 @@ def runs():
     return out
 
 
+def _load_back(path, report):
+    """The trace at ``path`` read as `check` reads it, with ``report`` taken
+    through its JSON text."""
+    report = json.loads(_report_text(report))
+    return _load_trace_csv(path, report, build_scenario(report["scenario"]))
+
+
 @pytest.mark.parametrize("name", sorted(canned_scenarios()) + ["protocol_long", "design_wide"])
 def test_trace_csv_reads_back_bit_equal(tmp_path, runs, name):
     trace, report = runs[name]
     path = str(tmp_path / "trace.csv")
     trace.to_csv(path)
-    loaded = _load_trace_csv(path, json.loads(_report_text(report)))
+    loaded = _load_back(path, report)
     for attr in ("taus", "donors", "z_estimates", "err_block", "err_total"):
         assert np.array_equal(getattr(loaded, attr), getattr(trace, attr)), attr
 
@@ -523,7 +545,7 @@ def test_trace_csv_writes_to_a_path_object(tmp_path, runs):
     path = tmp_path / "trace.csv"
     trace.to_csv(path)
     assert path.read_text() == trace.to_csv_string()
-    loaded = _load_trace_csv(path, json.loads(_report_text(report)))
+    loaded = _load_back(path, report)
     assert np.array_equal(loaded.z_estimates, trace.z_estimates)
 
 
@@ -619,14 +641,22 @@ def test_check_derives_errors_from_the_report_plant(tmp_path, capsys, name):
     assert "disagrees" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", [None, [[1.0, 0.0]], [[1.0], [0.0]], [["x"]],
-                                   [[float("nan")]], [[float("inf")]]],
-                         ids=["null", "wide", "tall", "text", "nan", "inf"])
-def test_check_rejects_bad_t_matrix(tmp_path, capsys, value):
+_BAD_SHAPE = "transform.t_matrix must be a finite (1, 1) array"
+
+
+@pytest.mark.parametrize("value,message", [
+    (None, "$.transform.t_matrix: None is not of type 'array'"),
+    ([[1.0, 0.0]], _BAD_SHAPE),
+    ([[1.0], [0.0]], _BAD_SHAPE),
+    ([["x"]], "$.transform.t_matrix[0][0]: 'x' is not of type 'number'"),
+    ([[float("nan")]], _BAD_SHAPE),
+    ([[float("inf")]], _BAD_SHAPE),
+], ids=["null", "wide", "tall", "text", "nan", "inf"])
+def test_check_rejects_bad_t_matrix(tmp_path, capsys, value, message):
     def set_t(data):
         data["transform"]["t_matrix"] = value
     assert _tampered_report(tmp_path, "fig1_freshness_spectral", set_t) == 2
-    assert "transform.t_matrix must be a finite (1, 1) array" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def _drop_plant(data):
@@ -638,8 +668,13 @@ def _ragged_plant(data):
 
 
 def _wrong_size_plant(data):
-    data["scenario"]["plant"].update(A=[[0.5, 0.0], [0.0, 0.5]], x0=[1.0, 1.0],
-                                     C=[[[1.0, 0.0]], [], []])
+    # Two states on the run's nodes, without its initial estimates, which
+    # build_scenario would reject first.
+    scenario = data["scenario"]
+    scenario.pop("init_estimates", None)
+    nodes = len(scenario["plant"]["C"])
+    scenario["plant"].update(A=[[0.5, 0.0], [0.0, 0.5]], x0=[1.0, 1.0],
+                             C=[[[1.0, 0.0]]] + [[]] * (nodes - 1))
 
 
 @pytest.mark.parametrize("name", ["random_jsc_theorem1", "fig1_tree_baseline"])
@@ -652,3 +687,23 @@ def test_check_rejects_missing_or_ragged_plant(tmp_path, capsys, name, tamper, m
     assert _tampered_report(tmp_path, name, tamper) == 2
     err = capsys.readouterr().err
     assert "malformed" in err and message in err
+
+
+@pytest.mark.parametrize("name,tamper,code,message", [
+    ("fig1_freshness_spectral", _set_scenario("algorithm", "rho", 0.1), 1, "disagrees"),
+    ("fig1_freshness_spectral", _set_scenario("horizon", 50), 2, "graph_edges for all 50 rounds"),
+    ("random_jsc_theorem1", _set_scenario("graph", "T", 1), 1, "disagrees"),
+    ("fig1_freshness_spectral", _set_scenario(
+        "algorithm", {"type": "freshness", "deadbeat": True}), 2,
+     "report has constants but its scenario has no rho"),
+    ("fig1_freshness_spectral", _set_scenario("extra", 1), 2,
+     "invalid scenario config: Additional properties are not allowed"),
+    ("fig1_freshness_spectral", _set_constant("c_bar", ["1e300", 0, 0]), 2,
+     "$.constants.c_bar[0]: '1e300' is not of type 'number'"),
+], ids=["rho_lowered", "horizon_shortened", "window_of_one", "rho_removed", "unknown_key",
+        "c_bar_text"])
+def test_check_takes_the_run_from_scenario(tmp_path, capsys, name, tamper, code, message):
+    # rho, T and the horizon are read from the report's scenario, through the
+    # validator that run uses, so editing them there changes what is checked.
+    assert _tampered_report(tmp_path, name, tamper) == code
+    assert message in capsys.readouterr().err

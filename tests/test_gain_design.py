@@ -205,7 +205,7 @@ def test_bound_constants_single_block_cbar_formula():
     t_bar = 3
     constants = compute_bound_constants(ts, gains, [2.5], t_bar)
     expected = (constants.c[0] * constants.beta[0]
-                * (constants.gamma[0] / constants.radii[0]) ** (2 * t_bar))
+                * (constants.gamma[0] / gains.target_radii[0]) ** (2 * t_bar))
     assert constants.c_bar[0] == pytest.approx(expected)
 
 
@@ -216,7 +216,7 @@ def test_closed_loop_power_envelope_two_blocks():
     constants = compute_bound_constants(ts, gains, [1.0, 1.0], t_bar=2)
     for j in (1, 2):
         cl = closed_loop_block(ts, gains, j)
-        rho_j = constants.radii[j - 1]
+        rho_j = gains.target_radii[j - 1]
         p = solve_discrete_lyapunov((cl / rho_j).T, np.eye(cl.shape[0]))
         assert constants.alpha[j - 1] == pytest.approx(np.sqrt(np.linalg.cond(p)), rel=1e-6)
         power = np.eye(cl.shape[0])

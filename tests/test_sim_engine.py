@@ -94,14 +94,14 @@ def test_error_norms_split_by_block_and_skip_empty_slots():
 
 
 def test_fit_decay_rate_exact_geometric():
-    trace = Trace("freshness", 2, 50, 1, (1, 1))
+    trace = Trace(2, 50, 1, (1, 1))
     ks = np.arange(51)
     trace.err_total = np.outer(3.0 * 0.5 ** ks, np.ones(2))
     assert fit_decay_rate(trace, 0) == pytest.approx(0.5, abs=1e-9)
 
 
 def test_fit_decay_rate_requires_points_above_floor():
-    trace = Trace("freshness", 1, 50, 1, (1,))
+    trace = Trace(1, 50, 1, (1,))
     trace.err_total = np.full((51, 1), 1e-15)
     with pytest.raises(ValueError, match="usable points"):
         fit_decay_rate(trace, 0)
@@ -139,10 +139,10 @@ def test_spectral_runs_on_long_blocks_pass_lemmas_and_envelope(shape):
 
 def test_envelope_detects_injected_fault():
     trace = run_scenario(random_scenario(seed=7))
-    t_bar = trace.constants.t_bar
+    t_bar = (trace.n_nodes - 1) * trace.period_t
     j = trace.substates[-1]
     k = (2 * j - 1) * t_bar + 3
-    bound = trace.constants.c_bar[j - 1] * trace.constants.radii[j - 1] ** k
+    bound = trace.constants.c_bar[j - 1] * trace.gains.target_radii[j - 1] ** k
     trace.err_block[k, 1, j - 1] = 2.0 * bound + 1.0
     report = check_envelope(trace)
     assert not report["passed"]
@@ -150,7 +150,7 @@ def test_envelope_detects_injected_fault():
 
 
 def test_envelope_requires_constants():
-    trace = Trace("freshness", 2, 10, 1, (1, 1), rho=0.5)
+    trace = Trace(2, 10, 1, (1, 1), rho=0.5)
     with pytest.raises(ValueError, match="constants"):
         check_envelope(trace)
 
@@ -212,7 +212,7 @@ def test_trace_csv_round_numbers_stable():
 
 def test_trace_csv_format_pinned():
     # Slot 2 has dimension zero: its tau and donor stay -1.
-    trace = Trace("freshness", 3, 1, 1, (2, 0, 1))
+    trace = Trace(3, 1, 1, (2, 0, 1))
     trace.taus[:] = [[[0, -1, -1], [-1, -1, -1], [-1, -1, 0]],
                      [[0, -1, 1], [1, -1, 1], [1, -1, 0]]]
     trace.donors[1] = [[-1, -1, 3], [1, -1, 3], [1, -1, -1]]
@@ -255,7 +255,7 @@ def test_lemma_suite_reports_first_source_pinned_violation():
 
 def test_envelope_violations_keep_their_order():
     trace = run_scenario(random_scenario(seed=7))
-    t_bar = trace.constants.t_bar
+    t_bar = (trace.n_nodes - 1) * trace.period_t
     assert (2 * trace.n_nodes - 1) * t_bar == 20
     for i, j, k in [(1, 3, 25), (2, 1, 30), (1, 1, 30), (1, 1, 2)]:
         trace.err_block[k, i - 1, j - 1] = 1e6
@@ -483,7 +483,7 @@ def test_delayed_check_on_empty_horizon():
     graph = PeriodicGraphSequence([Digraph(1, [])], period_t=1)
     run = run_scenario(Scenario(plant=plant, graph=graph, rho=0.5, horizon=1))
     # Runs need a horizon of at least 1; a library Trace may hold k = 0 only.
-    trace = Trace("freshness", 1, 0, 1, run.block_dims)
+    trace = Trace(1, 0, 1, run.block_dims)
     trace.taus[0], trace.z_estimates[0], trace.ts = run.taus[0], run.z_estimates[0], run.ts
     entry = check_lemma_suite(trace, check_delayed=True)["checks"]["delayed_form"]
     assert entry == {"passed": True, "max_residual": 0.0, "at": None}
