@@ -20,7 +20,6 @@ from .graph_seq import (
     certify_jointly_rooted,
     generate_random_jointly_connected,
 )
-from .observer_protocol import check_delayed_form
 from .baselines import WeightStrategy, baseline_round, detect_divergence, mixing_weights
 from .sim_engine import Scenario, Trace, run_scenario, fit_decay_rate, check_envelope, check_lemma_suite
 

@@ -100,8 +100,7 @@ class RandomJointlyConnectedSequence(GraphSequence):
         for w in range(n_windows):
             rng = np.random.default_rng([self.seed, w])
             perm = rng.permutation(n)
-            for a, b in zip(perm, np.roll(perm, -1)):
-                adj[w * t + rng.integers(t), a, b] = True
+            adj[w * t + rng.integers(t, size=n), perm, np.r_[perm[1:], perm[:1]]] = True
             for _ in range(RANDOM_EXTRA_EDGES):
                 i, j = rng.integers(1, n + 1, size=2)
                 if i != j:

@@ -18,9 +18,7 @@ only this state (tau, donors, z) per round; error norms are derived from it.
 
 ``select_donor``, ``source_step`` and ``nonsource_step`` are the per-node
 reading of the update rules, over one node's n-vector and plain int indices;
-the tests compare the kernel against them.  ``check_delayed_form`` is the
-per-point closed form of the delayed-error identity, the reference for the
-array check in ``sim_engine``.
+the tests compare the kernel against them.
 """
 
 from __future__ import annotations
@@ -159,52 +157,3 @@ def nonsource_step(j, z, tau, donor_z, donor_tau, ts):
     if donor_tau >= 0:
         return donor_tau + 1, new
     return (tau + 1 if tau >= 0 else -1), new
-
-
-def check_delayed_form(trace, ts, j, k, i):
-    """Residual of the delayed-error identity for node i, substate j, time k.
-
-    A finite index tau means the estimate equals the source's estimate from
-    tau rounds ago pushed through the substate dynamics, plus cross-substate
-    feed-ins collected along the recorded donor lineage.  Returns the relative
-    residual ||lhs - rhs|| / max(1, ||lhs||), and 0 for tau of -1 and for
-    the source's own index of 0.  Raises ValueError when tau is not the
-    length of the recorded lineage.  This is the paper's statement read
-    point by point; ``check_lemma_suite`` evaluates the same identity for a
-    whole trace in one forward pass.
-    """
-    tau = int(trace.taus[k, i - 1, j - 1])
-    if tau < 0 or (tau == 0 and i == j):
-        return 0.0
-    if tau > k:
-        raise ValueError(f"index {tau} of node {i}, substate {j} exceeds k={k}")
-    cols = ts.block_slice(j)
-    a_jj = ts.a_block(j, j)
-    lhs = trace.z_estimates[k, i - 1, cols]
-    rhs = np.linalg.matrix_power(a_jj, tau) @ trace.z_estimates[k - tau, j - 1, cols]
-
-    # Walk the donor chain backwards: the node holding the lineage value at
-    # time t+1 got it from the donor recorded for round t (at time t+1).
-    node = i
-    lineage = {}
-    for t in range(k - 1, k - tau - 1, -1):
-        if node == j:
-            raise ValueError(f"lineage for node {i}, substate {j} at k={k} reaches "
-                             f"the source at {t + 1}, after k - tau = {k - tau}")
-        lineage[t] = node
-        donor = int(trace.donors[t + 1, node - 1, j - 1])
-        if donor >= 0:
-            node = donor
-    if node != j:
-        raise ValueError(
-            f"lineage for node {i}, substate {j} at k={k} does not reach the source")
-
-    for q in range(1, j):
-        if ts.block_dims[q - 1] == 0:
-            continue
-        a_jq = ts.a_block(j, q)
-        for t in range(k - tau, k):
-            v = lineage[t]
-            rhs = rhs + np.linalg.matrix_power(a_jj, k - t - 1) @ (
-                a_jq @ trace.z_estimates[t, v - 1, ts.block_slice(q)])
-    return float(np.linalg.norm(lhs - rhs) / max(1.0, np.linalg.norm(lhs)))

@@ -11,7 +11,10 @@ from them and the plant's trajectory, in a run and in a trace read back.
 Every check is array work over the trace's stacked arrays, with -1 for a
 never-informed index and for an open-loop donor throughout.  The
 delayed-error identity is checked by one forward pass over the rounds that
-evaluates its closed form by Horner's rule along the recorded donors.
+evaluates its closed form by Horner's rule along the recorded donors.  The
+pass goes in chunks of ``DELAYED_CHUNK`` rounds: only the recursion steps
+run per round, the rest is array work over the chunk, so its buffers stay
+O(DELAYED_CHUNK * N * n) besides the (H, N, S) residuals.
 """
 
 from __future__ import annotations
@@ -37,6 +40,12 @@ from .system_model import LtiPlant, simulate_truth
 
 LOG_FLOOR = 1e-13     # error norms below this are numerical noise for log fits
 DELAYED_TOL = 1e-8    # largest relative residual the delayed-error identity passes
+# Rounds per whole-array pass of the delayed-identity check.  At N = n = 64
+# a chunk's (chunk, N, n) float64 buffer is 1 MiB, and its int64 gather
+# indices are as large.  There (H = 400, two runs each) the pass took 0.12 s
+# with 64-round chunks and 0.095-0.10 s with 8-32; at the benchmark's sizes
+# the length made no difference.
+DELAYED_CHUNK = 32
 
 
 @dataclass
@@ -297,10 +306,16 @@ def _delayed_residuals(trace: Trace, ts):
     (``donors[k]``) or else the node itself, and each source's own block is
     reset to z_k (tau = 0 there).  The cross terms use the node's own
     recorded estimates, as in the identity.  The lineage's length (its age)
-    is carried along the same readers: 0 at each source, one more per round,
-    -1 while the lineage does not reach the source.  Neither recursion reads
-    the recorded indices or calls the protocol kernel, so a defect in the
-    kernel's estimates, donors or indices still shows here.
+    follows from the round it left the source, carried along the same
+    readers: k at each source, -1 while the lineage does not reach the
+    source.  Neither recursion reads the recorded indices or calls the
+    protocol kernel, so a defect in the kernel's estimates, donors or
+    indices still shows here.
+
+    The rounds go in chunks of ``DELAYED_CHUNK``.  Per round only the two
+    recursions run; the cross-substate products, the readers, the norms and
+    the masks are whole-chunk array work.  Beyond the result the pass holds
+    O(DELAYED_CHUNK * N * n) of buffers, whatever the horizon.
 
     Returns an (H, N, S) array over the trace's nonempty substates: the
     relative residual ||z_k - R_k|| / max(1, ||z_k||) per block, 0 for
@@ -309,38 +324,52 @@ def _delayed_residuals(trace: Trace, ts):
     that does not reach the source).
     """
     z = trace.z_estimates
+    n_nodes, n_slots = trace.taus.shape[1:]
     subs = np.array(trace.substates) - 1
-    own = (subs, np.arange(subs.size))
     sel = _substate_axis(trace)
     col_block = np.repeat(np.arange(len(ts.block_dims)), ts.block_dims)
     cols = np.arange(ts.n)
     starts = np.asarray(ts.offsets)[subs]
     a_lower_t = np.where(col_block[:, None] > col_block[None, :], ts.a_bar, 0.0).T
     a_diag_t = np.where(col_block[:, None] == col_block[None, :], ts.a_bar, 0.0).T
-    nodes, slots = np.arange(trace.n_nodes), np.arange(trace.taus.shape[2])
+    # Flat positions of the sources' own blocks in an N x n estimate array
+    # and of their own slots in an N x S lineage array.
+    own_cols = col_block * ts.n + cols
+    own_slots = subs * n_slots + subs
     recon = z[0]
-    age = -np.ones(trace.taus.shape[1:], dtype=int)
-    age[subs, subs] = 0
-    resid = np.zeros((trace.horizon, trace.n_nodes, subs.size))
-    for k in range(1, trace.horizon + 1):
-        donors = trace.donors[k]
-        reader = np.where(donors >= 0, donors - 1, nodes[:, None])
-        recon = (z[k - 1] @ a_lower_t
-                 + recon[reader[:, col_block], cols] @ a_diag_t)
-        recon[col_block, cols] = z[k, col_block, cols]
-        age = age[reader, slots]
-        age[age >= 0] += 1
-        age[subs, subs] = 0
+    origin = np.full((n_nodes, n_slots), -1)
+    origin.put(own_slots, 0)
+    resid = np.zeros((trace.horizon, n_nodes, subs.size))
+    for k0 in range(1, trace.horizon + 1, DELAYED_CHUNK):
+        k1 = min(k0 + DELAYED_CHUNK, trace.horizon + 1)
+        donors = trace.donors[k0:k1]
+        reader = np.where(donors >= 0, donors - 1, np.arange(n_nodes)[:, None])
+        z_gather = reader[:, :, col_block] * ts.n + cols
+        slot_gather = reader * n_slots + np.arange(n_slots)
+        z_own = z[k0:k1].reshape(k1 - k0, -1)[:, own_cols]
+        recons = z[k0 - 1:k1 - 1] @ a_lower_t
+        origins = np.empty(reader.shape, dtype=origin.dtype)
+        for c, k in enumerate(range(k0, k1)):
+            recons[c] += recon.take(z_gather[c]) @ a_diag_t
+            recon = recons[c]
+            recon.put(own_cols, z_own[c])
+            origin = origin.take(slot_gather[c])
+            origin.put(own_slots, k)
+            origins[c] = origin
+        # The residual pass below overwrites recons: carry a copy.
+        recon = recon.copy()
 
-        diff = recon - z[k]
+        zs = z[k0:k1]
+        diff = np.subtract(recons, zs, out=recons)
         np.square(diff, out=diff)
-        res = np.sqrt(np.add.reduceat(diff, starts, axis=1))
-        res /= np.maximum(1.0, np.sqrt(np.add.reduceat(np.square(z[k]), starts, axis=1)))
-        res[own] = 0.0
-        taus = trace.taus[k][:, sel]
+        res = resid[k0 - 1:k1 - 1]
+        np.sqrt(np.add.reduceat(diff, starts, axis=2), out=res)
+        res /= np.maximum(1.0, np.sqrt(np.add.reduceat(np.square(zs), starts, axis=2)))
+        res[:, subs, np.arange(subs.size)] = 0.0
+        taus = trace.taus[k0:k1][:, :, sel]
+        ages = np.where(origins >= 0, np.arange(k0, k1)[:, None, None] - origins, -1)
         res[taus < 0] = 0.0
-        res[(taus >= 0) & (age[:, sel] != taus)] = np.nan
-        resid[k - 1] = res
+        res[(taus >= 0) & (ages[:, :, sel] != taus)] = np.nan
     return resid
 
 

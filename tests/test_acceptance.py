@@ -41,6 +41,7 @@ from freshtrack.sim_engine import (
 )
 from freshtrack.system_model import LtiPlant, simulate_truth
 from krylov import krylov_rank
+from reference import couple_substates
 
 
 def report(name, passed):
@@ -144,8 +145,13 @@ def test_freshness_index_invariants_batch():
 
 def test_delayed_error_identity_batch():
     ok = True
-    for trial in range(20):
+    # Ten of the plants couple the substates, so the identity's cross terms
+    # along the donor lineages are not zero.
+    cases = [(trial, 0.0) for trial in range(20)] + [(trial, 0.5) for trial in range(10)]
+    for trial, coupling in cases:
         plant = make_multiblock_plant((2, 1, 1), seed=5000 + trial)
+        if coupling:
+            plant = couple_substates(plant, coupling, 5000 + trial)
         graph = generate_random_jointly_connected(3, 2, seed=6000 + trial)
         s = Scenario(plant=plant, graph=graph, rho=0.8, horizon=40, seed=trial)
         trace = run_scenario(s)
@@ -169,7 +175,8 @@ def test_delayed_error_identity_batch():
                 rhs = np.linalg.matrix_power(a_11, tau) @ e_src
                 ok &= bool(np.linalg.norm(e_i - rhs)
                            <= 1e-8 * max(1.0, np.linalg.norm(e_i)))
-    report("delayed-error identity on 20 random scenarios (residual <= 1e-8)", ok)
+    report("delayed-error identity on 30 random scenarios, 10 coupled (residual <= 1e-8)",
+           ok)
 
 
 def test_staircase_decomposition_batch():

@@ -12,6 +12,7 @@ from freshtrack.decomposition import (
 )
 from freshtrack.system_model import LtiPlant, is_jointly_observable
 from freshtrack.scenarios import make_multiblock_plant, make_random_plant
+from reference import couple_substates
 
 
 def assert_staircase_invariants(plant, ts):
@@ -165,6 +166,28 @@ def test_long_single_output_blocks_stay_apart(k, radius):
     for seed in range(5):
         plant = make_multiblock_plant((k, k), seed=seed, spectral_radius=radius)
         assert staircase_transform(plant).block_dims == (k, k)
+
+
+@pytest.mark.parametrize("sizes", [(2, 1, 1), (3, 2, 1, 2), (4, 4)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_coupled_multiblock_plant_keeps_its_blocks(sizes, seed):
+    plant = couple_substates(make_multiblock_plant(sizes, seed=seed), 0.5, seed)
+    ts = staircase_transform(plant)
+    assert ts.block_dims == sizes
+    # The coupling shows up below the diagonal blocks of the staircase.
+    off = ts.offsets
+    for j in range(1, len(sizes)):
+        assert np.linalg.norm(ts.a_bar[off[j]:off[j + 1], :off[j]]) > 1e-3
+
+
+@pytest.mark.xfail(raises=DecompositionError, strict=True,
+                   reason="rank decision without a clear gap on a coupled plant")
+@pytest.mark.parametrize("seed", [198, 212])
+def test_coupled_plant_staircase_refusals(seed):
+    # Valid jointly observable plants with the hidden block dims, which the
+    # staircase refuses for want of a clear gap in a rank decision.
+    plant = couple_substates(make_multiblock_plant((3, 3, 3, 3), seed=seed), 0.5, seed)
+    assert staircase_transform(plant).block_dims == (3, 3, 3, 3)
 
 
 def test_single_output_block_of_24_is_recovered():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from freshtrack.graph_seq import (
+    RANDOM_EXTRA_EDGES,
     Digraph,
     PeriodicGraphSequence,
     certify_joint_strong_connectivity,
@@ -183,6 +184,32 @@ def test_random_sequence_windows_pinned():
         [(2, 3), (3, 1)], [(1, 4), (3, 1), (4, 2)], [(4, 2)]]
     assert [sorted(edges(a)) for a in adj[27:]] == [
         [(2, 3)], [(1, 2), (4, 1)], [(3, 4)]]
+
+
+def scalar_draw_adjacency(n, t, seed, horizon):
+    """The random sequence drawn one cycle slot at a time: the reference
+    for the generator's batched draw, which must consume the same stream."""
+    n_windows = -(-horizon // t)
+    adj = np.zeros((n_windows * t, n, n), dtype=bool)
+    for w in range(n_windows):
+        rng = np.random.default_rng([seed, w])
+        perm = rng.permutation(n)
+        for a, b in zip(perm, np.roll(perm, -1)):
+            adj[w * t + rng.integers(t), a, b] = True
+        for _ in range(RANDOM_EXTRA_EDGES):
+            i, j = rng.integers(1, n + 1, size=2)
+            if i != j:
+                adj[w * t + rng.integers(t), i - 1, j - 1] = True
+    adj[:, range(n), range(n)] = False
+    return adj[:horizon]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10, 16, 33])
+@pytest.mark.parametrize("t", [1, 2, 3, 5])
+def test_random_sequence_matches_scalar_draws(n, t):
+    for seed in range(20):
+        adj = generate_random_jointly_connected(n, t, seed=seed).adjacency(60)
+        assert np.array_equal(adj, scalar_draw_adjacency(n, t, seed, 60)), seed
 
 
 @settings(max_examples=30)

@@ -12,7 +12,6 @@ from freshtrack.graph_seq import (
 )
 from freshtrack.observer_protocol import (
     ProtocolKernel,
-    check_delayed_form,
     initial_arrays,
     nonsource_step,
     select_donor,
@@ -21,6 +20,7 @@ from freshtrack.observer_protocol import (
 from freshtrack.scenarios import make_multiblock_plant
 from freshtrack.sim_engine import Scenario, run_scenario
 from freshtrack.system_model import LtiPlant, simulate_truth
+from reference import check_delayed_form
 
 
 def scalar_setup(rho=0.5):
