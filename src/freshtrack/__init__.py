@@ -12,7 +12,6 @@ from .gain_design import (
     compute_bound_constants,
 )
 from .graph_seq import (
-    Digraph,
     GraphSequence,
     PeriodicGraphSequence,
     window_unions,

@@ -22,7 +22,6 @@ from .baselines import WeightStrategy, detect_divergence
 from .decomposition import DecompositionError
 from .gain_design import BoundConstants, GainDesignError
 from .graph_seq import (
-    Digraph,
     PeriodicGraphSequence,
     edge_tensor,
     generate_random_jointly_connected,
@@ -190,10 +189,9 @@ def build_scenario(config) -> Scenario:
         if not edge_lists:
             raise ConfigError("periodic graph requires params.edge_lists")
         try:
-            graphs = [Digraph(plant.n_nodes, el) for el in edge_lists]
+            graph = PeriodicGraphSequence(edge_tensor(plant.n_nodes, edge_lists), t)
         except ValueError as exc:
             raise ConfigError(f"invalid edge list: {exc}") from exc
-        graph = PeriodicGraphSequence(graphs, t)
     else:
         n = params.get("n", plant.n_nodes)
         if n != plant.n_nodes:
@@ -210,6 +208,11 @@ def build_scenario(config) -> Scenario:
         if kind == "tree_rooted" and (root is None or root > plant.n_nodes):
             raise ConfigError(f"tree_rooted needs a root in 1..{plant.n_nodes}, got {root}")
         strategy = WeightStrategy(kind, root if kind == "tree_rooted" else None)
+    checks = config.get("checks", {})
+    if algo["type"] == "baseline" and (checks.get("lemmas") or checks.get("envelope")):
+        raise ConfigError('the "lemmas" and "envelope" checks need a freshness run')
+    if algo.get("deadbeat") and checks.get("envelope"):
+        raise ConfigError('the "envelope" check needs a spectral run, not "deadbeat": true')
     return Scenario(
         plant=plant,
         graph=graph,
@@ -368,7 +371,8 @@ def cmd_run(specs, out_dir=None, seed=None, jobs=1):
 
     results = []
     if jobs > 1 and len(configs) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        # The pool starts all its workers at the first submit.
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(configs))) as pool:
             futures = [pool.submit(_execute, *c) for c in configs]
             results = [f.result() for f in futures]
     else:

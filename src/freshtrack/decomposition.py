@@ -14,8 +14,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .system_model import (EPS, DecompositionError, LtiPlant, observability_staircase,
-                           staircase_deflation)
+from .system_model import EPS, DecompositionError, LtiPlant, staircase_deflation
 
 
 def block_offsets(block_dims):
@@ -104,14 +103,3 @@ def to_transformed_coords(x, ts: TransformedSystem):
     ``x`` is one state or a stack of states, one per row.
     """
     return np.asarray(x, dtype=float) @ ts.t_matrix
-
-
-def from_transformed_coords(z, ts: TransformedSystem):
-    """Map transformed coordinates back: x = T z."""
-    return ts.t_matrix @ np.asarray(z, dtype=float)
-
-
-def block_pair_observable(ts: TransformedSystem, j: int) -> bool:
-    """Check observability of the diagonal pair (A_jj, C_jj), 1-indexed."""
-    observed, _ = observability_staircase(ts.a_block(j, j), ts.c_block(j, j))
-    return observed.shape[1] == ts.block_dims[j - 1]

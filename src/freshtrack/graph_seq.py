@@ -21,18 +21,18 @@ RANDOM_EXTRA_EDGES = 2   # random edges added to each window of a random sequenc
 def edge_tensor(n_nodes, rounds):
     """(len(rounds), N, N) bool adjacency of per-round edge lists, in one scatter.
 
-    Each round lists ``(i, j)`` pairs of 1-indexed node ids, converted with
-    ``int()`` semantics.  Self-loops are dropped; an edge outside 1..N, or an
-    entry that is not a pair of node ids, raises `ValueError`.
+    Each round lists ``(i, j)`` pairs of 1-indexed node ids.  Self-loops are
+    dropped; an edge outside 1..N, or an entry that is not a pair of integer
+    node ids (``1.5`` and ``"1"`` included), raises `ValueError`.
     """
     try:
         counts = [len(edges) for edges in rounds]
-        flat = np.asarray(list(itertools.chain.from_iterable(rounds)))
-        e = flat.astype(int) if len(flat) else np.zeros((0, 2), dtype=int)
+        e = np.asarray(list(itertools.chain.from_iterable(rounds)))
     except (TypeError, ValueError) as exc:
         raise ValueError(f"edges must be pairs of node ids: {exc}") from None
-    if e.ndim != 2 or e.shape[1] != 2:
-        raise ValueError(f"edges must be pairs of node ids, got shape {flat.shape}")
+    e = e if len(e) else np.zeros((0, 2), dtype=int)
+    if e.dtype.kind not in "iu" or e.ndim != 2 or e.shape[1] != 2:
+        raise ValueError(f"edges must be pairs of node ids, not {e.dtype} of shape {e.shape}")
     k = np.repeat(np.arange(len(counts)), counts)
     keep = e[:, 0] != e[:, 1]
     k, e = k[keep], e[keep]
@@ -42,15 +42,6 @@ def edge_tensor(n_nodes, rounds):
     adj = np.zeros((len(counts), n_nodes, n_nodes), dtype=bool)
     adj[k, e[:, 0] - 1, e[:, 1] - 1] = True
     return adj
-
-
-class Digraph:
-    """One round's graph, held as the read-only N x N bool adjacency ``adj``."""
-
-    def __init__(self, n_nodes, edges):
-        adj = edge_tensor(n_nodes, [edges])[0]
-        adj.flags.writeable = False
-        self.adj = adj
 
 
 class GraphSequence:
@@ -67,13 +58,14 @@ class GraphSequence:
 
 
 class PeriodicGraphSequence(GraphSequence):
-    """Cycles through an explicit list of digraphs."""
+    """Cycles through a (P, N, N) bool tensor of graphs, such as `edge_tensor`'s."""
 
-    def __init__(self, graphs, period_t: int):
+    def __init__(self, cycle, period_t: int):
         super().__init__(period_t)
-        if not graphs:
+        if not len(cycle):
             raise ValueError("at least one graph is required")
-        self.cycle = np.stack([g.adj for g in graphs])
+        self.cycle = np.array(cycle, dtype=bool)      # a read-only copy
+        self.cycle.flags.writeable = False
 
     def adjacency(self, horizon: int) -> np.ndarray:
         return self.cycle[np.arange(horizon) % len(self.cycle)]

@@ -16,9 +16,7 @@ It returns the donors as 1-indexed node ids, with -1 for open-loop rounds.
 The same -1 encodings run through ``Trace`` and the trace CSV, which holds
 only this state (tau, donors, z) per round; error norms are derived from it.
 
-``select_donor``, ``source_step`` and ``nonsource_step`` are the per-node
-reading of the update rules, over one node's n-vector and plain int indices;
-the tests compare the kernel against them.
+The tests pin ``ProtocolKernel.step`` to the per-node rules in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -75,9 +73,13 @@ class ProtocolKernel:
         """Advance (tau, z) by one round; return (new tau, new z, donors).
 
         ``adjacency[l, i]`` is true when node l+1 sends to node i+1 this round;
-        ``y`` is this round's ``source_outputs``.  An informed node only
-        accepts a strictly fresher in-neighbor; argmin keeps the first of
-        equally fresh ones, i.e. the smallest node id.
+        ``y`` is this round's ``source_outputs``; all else is start-of-round
+        state.  For substate j a node adopts the freshest informed in-neighbor
+        (if informed itself, only a strictly fresher one), ties going to the
+        smallest node id: its index + 1 and A_jj z_donor[j].  With no such
+        donor it runs open-loop on A_jj z_i[j], its index + 1 or still -1.
+        The cross terms A_jq z_i[q], q < j, are always the node's own.  Source
+        j keeps index 0 and adds the correction -L_j (C_j z_j - y_j).
         """
         nbr = tau[None, :, :]
         own = tau[:, None, :]
@@ -112,48 +114,3 @@ def initial_arrays(ts, z0=None):
     if z0 is None:
         return tau, np.zeros((n_nodes, ts.n))
     return tau, np.array(z0, dtype=float).reshape(n_nodes, ts.n)
-
-
-def source_step(j, z, y_j, ts, gains):
-    """Source update of substate j from node j's n-vector ``z``; its index stays 0."""
-    l_j = gains.gain(j)
-    new = (ts.a_block(j, j) - l_j @ ts.c_block(j, j)) @ z[ts.block_slice(j)]
-    for q in range(1, j):
-        if ts.block_dims[q - 1] == 0:
-            continue
-        new = new + (ts.a_block(j, q) - l_j @ ts.c_block(j, q)) @ z[ts.block_slice(q)]
-    return new + l_j @ np.atleast_1d(y_j)
-
-
-def select_donor(own_tau, neighbor_taus):
-    """Donor choice among in-neighbors, given their freshness indices.
-
-    ``neighbor_taus`` maps node id -> index, -1 for never informed.  A
-    never-informed node takes the freshest informed neighbor; an informed node
-    only accepts a strictly fresher one.  Ties break toward the smallest node
-    id.  Returns -1 when no neighbor qualifies (an open-loop round).
-    """
-    informed = {l: m for l, m in neighbor_taus.items()
-                if m >= 0 and (own_tau < 0 or m < own_tau)}
-    if not informed:
-        return -1
-    return min(informed, key=lambda l: (informed[l], l))
-
-
-def nonsource_step(j, z, tau, donor_z, donor_tau, ts):
-    """Non-source update of substate j: adopt the donor or run open-loop.
-
-    ``z`` and ``tau`` are the node's own n-vector and index; ``donor_z`` and
-    ``donor_tau`` the donor's, with ``donor_tau`` -1 for an open-loop round
-    (``donor_z`` is then unused).  Cross-substate terms always use the
-    node's own start-of-round estimates.  Returns (new index, new estimate).
-    """
-    base = z if donor_tau < 0 else donor_z
-    new = ts.a_block(j, j) @ base[ts.block_slice(j)]
-    for q in range(1, j):
-        if ts.block_dims[q - 1] == 0:
-            continue
-        new = new + ts.a_block(j, q) @ z[ts.block_slice(q)]
-    if donor_tau >= 0:
-        return donor_tau + 1, new
-    return (tau + 1 if tau >= 0 else -1), new

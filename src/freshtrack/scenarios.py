@@ -87,16 +87,6 @@ def make_multiblock_plant(block_sizes, seed, spectral_radius=0.3, row_dims=None)
     raise RuntimeError(f"failed to draw a jointly observable plant (seed={seed})")
 
 
-def make_diagonal_plant(n_nodes, seed):
-    """Plant where node i alone observes coordinate i: one substate per node."""
-    rng = np.random.default_rng(seed)
-    vals = np.linspace(0.2, 0.8, n_nodes) + rng.uniform(-0.05, 0.05, n_nodes)
-    a = np.diag(vals)
-    sensors = [np.eye(n_nodes)[i:i + 1] for i in range(n_nodes)]
-    x0 = rng.standard_normal(n_nodes)
-    return LtiPlant(a, sensors, x0)
-
-
 def _plant_config(plant: LtiPlant):
     return {
         "A": plant.a_matrix.tolist(),

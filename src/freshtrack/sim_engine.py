@@ -268,7 +268,8 @@ def check_envelope(trace: Trace):
     rho_j that `design_gains` draws from ``trace.rho``.  Returns a dict with
     a (possibly empty) list of violating (node, substate, k) triples:
     substate envelopes in (substate, k, node) order, then the total
-    envelope, marked substate 0, in (k, node) order.
+    envelope, marked substate 0, in (k, node) order.  A point whose error
+    or bound is NaN is a violation.
     """
     constants, rho = trace.constants, trace.rho
     if constants is None:
@@ -282,14 +283,14 @@ def check_envelope(trace: Trace):
     bound = (constants.c_bar[subs] * radii[subs] ** ks[:, None] * slack
              + 1e-300)
     live = ks[:, None] >= (2 * subs + 1) * t_bar
-    over = ((trace.err_block[:, :, _substate_axis(trace)] > bound[:, None, :])
+    over = (~(trace.err_block[:, :, _substate_axis(trace)] <= bound[:, None, :])
             & live[:, None, :])
     violations = [(int(i) + 1, int(subs[c]) + 1, int(k))
                   for c, k, i in np.argwhere(over.transpose(2, 0, 1))]
     total_amp = float(np.sqrt(np.sum(constants.c_bar ** 2)))
     bound = total_amp * rho ** ks * slack + 1e-300
     live = ks >= (2 * trace.n_nodes - 1) * t_bar
-    over = (trace.err_total > bound[:, None]) & live[:, None]
+    over = ~(trace.err_total <= bound[:, None]) & live[:, None]
     violations += [(int(i) + 1, 0, int(k)) for k, i in np.argwhere(over)]
     return {"violations": violations, "passed": not violations}
 

@@ -77,10 +77,6 @@ class LtiPlant:
     def n_nodes(self):
         return len(self.sensors)
 
-    def stacked_c(self):
-        """Vertical stack of all observation matrices."""
-        return np.vstack([c for c in self.sensors])
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -88,10 +84,6 @@ class Trajectory:
 
     states: np.ndarray          # (horizon+1, n)
     measurements: tuple         # per node: (horizon+1, r_i)
-
-    def measurement(self, node, k):
-        """Measurement of 1-indexed node at time-step k."""
-        return self.measurements[node - 1][k]
 
 
 def simulate_truth(plant: LtiPlant, horizon: int) -> Trajectory:
@@ -188,5 +180,5 @@ def observability_staircase(a: np.ndarray, c: np.ndarray):
 
 def is_jointly_observable(plant: LtiPlant) -> bool:
     """True iff (A, C) is observable for C the stack of every node's sensor."""
-    observed, _ = observability_staircase(plant.a_matrix, plant.stacked_c())
+    observed, _ = observability_staircase(plant.a_matrix, np.vstack(plant.sensors))
     return observed.shape[1] == plant.n

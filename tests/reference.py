@@ -1,17 +1,92 @@
-"""Test-side references and plants for the checks in ``freshtrack.sim_engine``.
+"""Test-side reference rules, maps and plants.
+
+``select_donor``, ``source_step`` and ``nonsource_step`` are the per-node
+reading of the observer's update rules, over one node's n-vector and plain
+int indices (-1 for never informed and for an open-loop round).  The tests
+pin ``observer_protocol.ProtocolKernel.step``, which applies them to the
+whole network's arrays at once, to them.
 
 ``check_delayed_form`` reads the delayed-error identity one (node, substate,
 k) at a time with matrix powers and an explicit walk down the donor
 lineage.  The tests pin ``sim_engine._delayed_residuals``, which evaluates
 the same identity for a whole trace in chunked forward passes, to it.
-``couple_substates`` gives the tests plants whose identity has nonzero
-cross-substate terms.
+
+``from_transformed_coords`` and ``block_pair_observable`` check the
+staircase transform from the outside.  ``make_diagonal_plant`` and
+``couple_substates`` build test plants: one coordinate per node, and plants
+whose identity has nonzero cross-substate terms.
 """
 
 import numpy as np
 
 from freshtrack.decomposition import staircase_transform
-from freshtrack.system_model import LtiPlant
+from freshtrack.system_model import LtiPlant, observability_staircase
+
+
+def select_donor(own_tau, neighbor_taus):
+    """Donor choice among in-neighbors, given their freshness indices.
+
+    ``neighbor_taus`` maps node id -> index, -1 for never informed.  A
+    never-informed node takes the freshest informed neighbor; an informed node
+    only accepts a strictly fresher one.  Ties break toward the smallest node
+    id.  Returns -1 when no neighbor qualifies (an open-loop round).
+    """
+    informed = {l: m for l, m in neighbor_taus.items()
+                if m >= 0 and (own_tau < 0 or m < own_tau)}
+    if not informed:
+        return -1
+    return min(informed, key=lambda l: (informed[l], l))
+
+
+def source_step(j, z, y_j, ts, gains):
+    """Source update of substate j from node j's n-vector ``z``; its index stays 0."""
+    l_j = gains.gain(j)
+    new = (ts.a_block(j, j) - l_j @ ts.c_block(j, j)) @ z[ts.block_slice(j)]
+    for q in range(1, j):
+        if ts.block_dims[q - 1] == 0:
+            continue
+        new = new + (ts.a_block(j, q) - l_j @ ts.c_block(j, q)) @ z[ts.block_slice(q)]
+    return new + l_j @ np.atleast_1d(y_j)
+
+
+def nonsource_step(j, z, tau, donor_z, donor_tau, ts):
+    """Non-source update of substate j: adopt the donor or run open-loop.
+
+    ``z`` and ``tau`` are the node's own n-vector and index; ``donor_z`` and
+    ``donor_tau`` the donor's, with ``donor_tau`` -1 for an open-loop round
+    (``donor_z`` is then unused).  Cross-substate terms always use the
+    node's own start-of-round estimates.  Returns (new index, new estimate).
+    """
+    base = z if donor_tau < 0 else donor_z
+    new = ts.a_block(j, j) @ base[ts.block_slice(j)]
+    for q in range(1, j):
+        if ts.block_dims[q - 1] == 0:
+            continue
+        new = new + ts.a_block(j, q) @ z[ts.block_slice(q)]
+    if donor_tau >= 0:
+        return donor_tau + 1, new
+    return (tau + 1 if tau >= 0 else -1), new
+
+
+def from_transformed_coords(z, ts):
+    """Map transformed coordinates back: x = T z."""
+    return ts.t_matrix @ np.asarray(z, dtype=float)
+
+
+def block_pair_observable(ts, j):
+    """Check observability of the diagonal pair (A_jj, C_jj), 1-indexed."""
+    observed, _ = observability_staircase(ts.a_block(j, j), ts.c_block(j, j))
+    return observed.shape[1] == ts.block_dims[j - 1]
+
+
+def make_diagonal_plant(n_nodes, seed):
+    """Plant where node i alone observes coordinate i: one substate per node."""
+    rng = np.random.default_rng(seed)
+    vals = np.linspace(0.2, 0.8, n_nodes) + rng.uniform(-0.05, 0.05, n_nodes)
+    a = np.diag(vals)
+    sensors = [np.eye(n_nodes)[i:i + 1] for i in range(n_nodes)]
+    x0 = rng.standard_normal(n_nodes)
+    return LtiPlant(a, sensors, x0)
 
 
 def couple_substates(plant, scale, seed):

@@ -12,23 +12,18 @@ from scipy.linalg import solve_discrete_lyapunov
 
 from freshtrack.baselines import WeightStrategy
 from freshtrack.cli import _execute
-from freshtrack.decomposition import (
-    block_pair_observable,
-    staircase_transform,
-    to_transformed_coords,
-)
+from freshtrack.decomposition import staircase_transform, to_transformed_coords
 from freshtrack.gain_design import place_deadbeat, place_spectral
 from freshtrack.graph_seq import (
-    Digraph,
     PeriodicGraphSequence,
     certify_joint_strong_connectivity,
+    edge_tensor,
     generate_random_jointly_connected,
     window_unions,
 )
 from freshtrack.scenarios import (
     FIG1_EDGE_LISTS,
     canned_scenarios,
-    make_diagonal_plant,
     make_multiblock_plant,
     make_random_plant,
 )
@@ -41,7 +36,7 @@ from freshtrack.sim_engine import (
 )
 from freshtrack.system_model import LtiPlant, simulate_truth
 from krylov import krylov_rank
-from reference import couple_substates
+from reference import block_pair_observable, couple_substates, make_diagonal_plant
 
 
 def report(name, passed):
@@ -54,9 +49,7 @@ def fig1_plant():
 
 
 def fig1_graph():
-    return PeriodicGraphSequence(
-        [Digraph(3, [tuple(e) for e in edges]) for edges in FIG1_EDGE_LISTS],
-        period_t=2)
+    return PeriodicGraphSequence(edge_tensor(3, FIG1_EDGE_LISTS), period_t=2)
 
 
 def random_jsc_setup():

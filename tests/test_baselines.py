@@ -9,15 +9,16 @@ from freshtrack.baselines import (
     detect_divergence,
     mixing_weights,
 )
-from freshtrack.graph_seq import Digraph, PeriodicGraphSequence
+from freshtrack.graph_seq import PeriodicGraphSequence, edge_tensor
 from freshtrack.scenarios import FIG1_EDGE_LISTS
 from freshtrack.sim_engine import Scenario, run_scenario
 from freshtrack.system_model import LtiPlant
 
 
 def round_weights(g, node, strategy):
-    """Node ``node``'s row of the round's mixing weights, as {node id: weight}."""
-    row = mixing_weights(g.adj[None], strategy)[0, node - 1]
+    """Node ``node``'s row of the mixing weights of the one-round tensor ``g``,
+    as {node id: weight}."""
+    row = mixing_weights(g, strategy)[0, node - 1]
     return {int(l) + 1: float(row[l]) for l in np.flatnonzero(row)}
 
 
@@ -73,7 +74,7 @@ def test_strategy_validation():
 
 
 def test_uniform_weights_are_stochastic():
-    g = Digraph(4, [(1, 2), (3, 2), (4, 2)])
+    g = edge_tensor(4, [[(1, 2), (3, 2), (4, 2)]])
     w = round_weights(g, 2, WeightStrategy("uniform"))
     assert set(w) == {1, 2, 3, 4}
     assert sum(w.values()) == pytest.approx(1.0)
@@ -81,13 +82,13 @@ def test_uniform_weights_are_stochastic():
 
 
 def test_uniform_weights_isolated_node_self_only():
-    g = Digraph(3, [(1, 2)])
+    g = edge_tensor(3, [[(1, 2)]])
     w = round_weights(g, 3, WeightStrategy("uniform"))
     assert w == {3: pytest.approx(1.0)}
 
 
 def test_tree_weights_copy_parent():
-    g = Digraph(3, [(1, 2), (2, 3)])
+    g = edge_tensor(3, [[(1, 2), (2, 3)]])
     strat = WeightStrategy("tree_rooted", root=1)
     assert round_weights(g, 2, strat) == {1: 1.0}
     assert round_weights(g, 3, strat) == {2: 1.0}
@@ -95,14 +96,14 @@ def test_tree_weights_copy_parent():
 
 
 def test_tree_weights_unreachable_node_keeps_self():
-    g = Digraph(3, [(1, 2)])
+    g = edge_tensor(3, [[(1, 2)]])
     strat = WeightStrategy("tree_rooted", root=1)
     assert round_weights(g, 3, strat) == {3: 1.0}
 
 
 def test_tree_parent_tie_breaks_smallest_id():
     # Both 1 and 2 can parent 3; BFS explores smaller ids first.
-    g = Digraph(3, [(1, 2), (1, 3), (2, 3)])
+    g = edge_tensor(3, [[(1, 2), (1, 3), (2, 3)]])
     strat = WeightStrategy("tree_rooted", root=1)
     assert round_weights(g, 3, strat) == {1: 1.0}
 
@@ -110,10 +111,10 @@ def test_tree_parent_tie_breaks_smallest_id():
 def test_uniform_round_hand_value():
     # Scalar a = 2, edge 1 -> 2: node 2 averages its neighbor and itself,
     # then applies the dynamics: 2 * (x1 + x2) / 2 = x1 + x2.
-    g = Digraph(3, [(1, 2)])
+    g = edge_tensor(3, [[(1, 2)]])
     est = np.array([[5.0], [3.0], [1.0]])
     truth = np.array([5.0])
-    weights = mixing_weights(g.adj[None], WeightStrategy("uniform"))[0]
+    weights = mixing_weights(g, WeightStrategy("uniform"))[0]
     new = baseline_round(est, weights, [[2.0]], np.array([True, False, False]), truth)
     assert new[1] == pytest.approx([8.0])
     assert new[2] == pytest.approx([2.0])
@@ -126,8 +127,8 @@ def test_round_exactness_preserved():
     a = rng.standard_normal((3, 3))
     truth = rng.standard_normal(3)
     est = np.tile(truth, (3, 1))
-    g = Digraph(3, [(1, 2), (2, 3), (3, 1)])
-    weights = mixing_weights(g.adj[None], WeightStrategy("uniform"))[0]
+    g = edge_tensor(3, [[(1, 2), (2, 3), (3, 1)]])
+    weights = mixing_weights(g, WeightStrategy("uniform"))[0]
     new = baseline_round(est, weights, a, np.array([True, False, False]), truth)
     for i in range(3):
         assert np.allclose(new[i], a @ truth)
@@ -136,9 +137,9 @@ def test_round_exactness_preserved():
 def test_oracle_clamped_before_mixing():
     # Node 2 copies node 1 through the tree; node 1's stale stored estimate
     # must be replaced with the truth before node 2 reads it.
-    g = Digraph(2, [(1, 2)])
+    g = edge_tensor(2, [[(1, 2)]])
     est = np.array([[999.0], [0.0]])
-    weights = mixing_weights(g.adj[None], WeightStrategy("tree_rooted", root=1))[0]
+    weights = mixing_weights(g, WeightStrategy("tree_rooted", root=1))[0]
     new = baseline_round(est, weights, [[1.0]], np.array([True, False]), np.array([7.0]))
     assert new[1] == pytest.approx([7.0])
 
@@ -163,9 +164,7 @@ def test_alternating_graph_baseline_grows_monotonically(strategy):
     # The unstable scalar plant with alternating graphs: consensus mixing
     # cannot keep up and the worst-node error blows up steadily.
     plant = LtiPlant([[2.0]], [[[1.0]], [], []], [1.0])
-    graph = PeriodicGraphSequence(
-        [Digraph(3, [tuple(e) for e in edges]) for edges in FIG1_EDGE_LISTS],
-        period_t=2)
+    graph = PeriodicGraphSequence(edge_tensor(3, FIG1_EDGE_LISTS), period_t=2)
     s = Scenario(plant=plant, graph=graph, algorithm="baseline",
                  strategy=strategy, horizon=100,
                  initial_estimates=[[0.0], [0.0], [0.0]])
@@ -185,7 +184,7 @@ def test_tree_parents_match_bfs_reference(graph, data):
         st.sets(st.tuples(st.integers(1, n), st.integers(1, n))), max_size=3))
     root = data.draw(st.integers(1, n))
     strategy = WeightStrategy("tree_rooted", root=root)
-    weights = mixing_weights(np.array([Digraph(n, e).adj for e in rounds]), strategy)
+    weights = mixing_weights(edge_tensor(n, rounds), strategy)
     for w, edges in zip(weights, rounds):
         parents = reference_parents({(i, j) for i, j in edges if i != j}, n, root)
         for node in range(1, n + 1):
@@ -197,7 +196,7 @@ def test_tree_parents_match_bfs_reference(graph, data):
 @given(graph=graphs, data=st.data(), kind=st.sampled_from(["uniform", "tree_rooted"]))
 def test_array_round_matches_per_node_rule(graph, data, kind):
     n, edges = graph
-    g = Digraph(n, edges)
+    g = edge_tensor(n, [edges])
     edges = {(i, j) for i, j in edges if i != j}
     dim = data.draw(st.integers(1, 4))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -206,7 +205,7 @@ def test_array_round_matches_per_node_rule(graph, data, kind):
     truth = rng.standard_normal(dim)
     oracle = rng.random(n) < 0.3
     strategy = WeightStrategy(kind, root=data.draw(st.integers(1, n)))
-    weights = mixing_weights(g.adj[None], strategy)[0]
+    weights = mixing_weights(g, strategy)[0]
     assert np.allclose(weights.sum(axis=1), 1.0)
     new = baseline_round(est, weights, a, oracle, truth)
     ref = reference_round({i + 1: est[i] for i in range(n)}, edges, n, strategy, a,

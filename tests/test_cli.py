@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 
@@ -5,6 +6,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from freshtrack import cli
 from freshtrack.cli import (
     CONFIG_SCHEMA,
     ConfigError,
@@ -16,7 +18,7 @@ from freshtrack.cli import (
     main,
     run_checks,
 )
-from freshtrack.graph_seq import Digraph, edge_tensor
+from freshtrack.graph_seq import edge_tensor
 from freshtrack.scenarios import (
     FIG1_GRAPH,
     FIG1_PLANT,
@@ -64,6 +66,25 @@ def test_build_scenario_rejects_bad_dimensions():
     config["plant"] = {"A": [[2.0]], "C": [[[1.0, 2.0]]], "x0": [1.0]}
     with pytest.raises(ConfigError):
         build_scenario(config)
+
+
+_NEEDS_FRESHNESS = 'the "lemmas" and "envelope" checks need a freshness run'
+
+
+@pytest.mark.parametrize("algorithm,checks,message", [
+    ({"type": "baseline", "strategy": "uniform"}, {"lemmas": True, "envelope": True},
+     _NEEDS_FRESHNESS),
+    ({"type": "baseline", "strategy": "uniform"}, {"lemmas": True}, _NEEDS_FRESHNESS),
+    ({"type": "baseline", "strategy": "tree_rooted", "root": 1}, {"envelope": True},
+     _NEEDS_FRESHNESS),
+    ({"type": "freshness", "deadbeat": True}, {"lemmas": True, "envelope": True},
+     'the "envelope" check needs a spectral run, not "deadbeat": true'),
+], ids=["both_on_baseline", "lemmas_on_baseline", "envelope_on_tree", "envelope_on_deadbeat"])
+def test_run_refuses_checks_that_do_not_apply(tmp_path, capsys, algorithm, checks, message):
+    cfg = tmp_path / "checks.json"
+    cfg.write_text(json.dumps(small_config(algorithm=algorithm, checks=checks)))
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("algorithm", [
@@ -224,6 +245,13 @@ def _set_scenario(*path_and_value):
     return tamper
 
 
+def _set_first_round(edges):
+    def tamper(data):
+        data["graph_edges"][0] = edges
+        return data
+    return tamper
+
+
 def _drop_scenario(data):
     del data["scenario"]
     return data
@@ -246,9 +274,11 @@ def _drop_scenario(data):
      "$.constants.alpha[0]: [1.0] is not of type 'number'"),
     (_set_constant("g", [1.0, 2.0, 3.0]), "$.constants.g[0]: 1.0 is not of type 'array'"),
     (_set_constant("h", {"a": 1}), "$.constants.h: {'a': 1} is not of type 'array'"),
+    (_set_first_round([[1.9, 2.2], [2, 3]]), "edges must be pairs of node ids, not float64"),
+    (_set_first_round([["1", "2"], ["2", "3"]]), "edges must be pairs of node ids, not <U"),
 ], ids=["horizon_fraction", "horizon_float", "rho_text", "list", "no_scenario",
         "period_zero", "block_dims_per_node", "c_bar_text", "c_bar_short", "c_bar_nan",
-        "alpha_ragged", "g_vector", "h_object"])
+        "alpha_ragged", "g_vector", "h_object", "edges_fraction", "edges_text"])
 def test_check_rejects_malformed_report_fields(tmp_path, capsys, tamper, message):
     name = "fig1_freshness_spectral"
     assert main(["run", name, "--out", str(tmp_path)]) == 0
@@ -391,6 +421,33 @@ def test_run_jobs_matches_serial_run(tmp_path, capsys):
         for suffix in ("_trace.csv", "_report.json"):
             serial = (tmp_path / "serial" / f"{name}{suffix}").read_bytes()
             assert (tmp_path / "pooled" / f"{name}{suffix}").read_bytes() == serial
+
+
+def test_run_jobs_pool_is_capped_at_the_config_count(tmp_path, monkeypatch, capsys):
+    # The pool starts all its workers at the first submit: --jobs 500 on two
+    # configs must ask for two.  The fake pool runs the calls inline.
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    names = ["fig1_freshness_deadbeat", "fig1_uniform_baseline"]
+    assert main(["run", *names, "--out", str(tmp_path), "--jobs", "500"]) == 0
+    assert sizes == [2]
+    assert capsys.readouterr().out.splitlines() == [f"{n}: PASS" for n in names]
 
 
 def test_check_rejects_baseline_report_with_padded_block_dims(tmp_path, capsys):
@@ -561,7 +618,7 @@ def test_edge_scatter_matches_per_round_graphs(runs):
         rounds = report["graph_edges"]
         adj = edge_tensor(trace.n_nodes, rounds)
         assert np.array_equal(adj, trace.adjacency), name
-        assert np.array_equal(adj, np.stack([Digraph(trace.n_nodes, e).adj
+        assert np.array_equal(adj, np.stack([edge_tensor(trace.n_nodes, [e])[0]
                                              for e in rounds])), name
 
 
@@ -689,19 +746,26 @@ def test_check_rejects_missing_or_ragged_plant(tmp_path, capsys, name, tamper, m
     assert "malformed" in err and message in err
 
 
+def _deadbeat_lemmas_only(data):
+    data["scenario"].update(algorithm={"type": "freshness", "deadbeat": True},
+                            checks={"lemmas": True})
+
+
 @pytest.mark.parametrize("name,tamper,code,message", [
     ("fig1_freshness_spectral", _set_scenario("algorithm", "rho", 0.1), 1, "disagrees"),
     ("fig1_freshness_spectral", _set_scenario("horizon", 50), 2, "graph_edges for all 50 rounds"),
     ("random_jsc_theorem1", _set_scenario("graph", "T", 1), 1, "disagrees"),
+    ("fig1_freshness_spectral", _deadbeat_lemmas_only, 2,
+     "report has constants but its scenario has no rho"),
     ("fig1_freshness_spectral", _set_scenario(
         "algorithm", {"type": "freshness", "deadbeat": True}), 2,
-     "report has constants but its scenario has no rho"),
+     'the "envelope" check needs a spectral run'),
     ("fig1_freshness_spectral", _set_scenario("extra", 1), 2,
      "invalid scenario config: Additional properties are not allowed"),
     ("fig1_freshness_spectral", _set_constant("c_bar", ["1e300", 0, 0]), 2,
      "$.constants.c_bar[0]: '1e300' is not of type 'number'"),
-], ids=["rho_lowered", "horizon_shortened", "window_of_one", "rho_removed", "unknown_key",
-        "c_bar_text"])
+], ids=["rho_lowered", "horizon_shortened", "window_of_one", "rho_removed",
+        "envelope_on_deadbeat", "unknown_key", "c_bar_text"])
 def test_check_takes_the_run_from_scenario(tmp_path, capsys, name, tamper, code, message):
     # rho, T and the horizon are read from the report's scenario, through the
     # validator that run uses, so editing them there changes what is checked.

@@ -5,14 +5,12 @@ from hypothesis import strategies as hst
 
 from freshtrack.decomposition import (
     DecompositionError,
-    block_pair_observable,
-    from_transformed_coords,
     staircase_transform,
     to_transformed_coords,
 )
 from freshtrack.system_model import LtiPlant, is_jointly_observable
 from freshtrack.scenarios import make_multiblock_plant, make_random_plant
-from reference import couple_substates
+from reference import block_pair_observable, couple_substates, from_transformed_coords
 
 
 def assert_staircase_invariants(plant, ts):

@@ -6,16 +6,16 @@ from hypothesis.extra.numpy import arrays
 
 from freshtrack.graph_seq import (
     RANDOM_EXTRA_EDGES,
-    Digraph,
     PeriodicGraphSequence,
     certify_joint_strong_connectivity,
     certify_jointly_rooted,
+    edge_tensor,
     generate_random_jointly_connected,
     window_unions,
 )
 
-FIG1 = PeriodicGraphSequence(
-    [Digraph(3, [(1, 2), (2, 3)]), Digraph(3, [(1, 3), (3, 2)])], period_t=2)
+FIG1 = PeriodicGraphSequence(edge_tensor(3, [[(1, 2), (2, 3)], [(1, 3), (3, 2)]]),
+                             period_t=2)
 
 
 def edges(adj):
@@ -51,21 +51,20 @@ def test_union_graph_fig1_window():
 
 
 def test_union_of_static_graph_is_itself():
-    g = Digraph(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
-    seq = PeriodicGraphSequence([g], period_t=1)
-    assert np.array_equal(union(seq, 0, 5), g.adj)
+    g = edge_tensor(4, [[(1, 2), (2, 3), (3, 4), (4, 1)]])
+    seq = PeriodicGraphSequence(g, period_t=1)
+    assert np.array_equal(union(seq, 0, 5), g[0])
 
 
 def test_union_matches_fold_of_sets():
     rng = np.random.default_rng(2)
-    graphs = []
-    for _ in range(3):
-        es = {(int(i), int(j)) for i, j in rng.integers(1, 5, size=(6, 2)) if i != j}
-        graphs.append(Digraph(4, es))
+    graphs = edge_tensor(4, [
+        {(int(i), int(j)) for i, j in rng.integers(1, 5, size=(6, 2)) if i != j}
+        for _ in range(3)])
     seq = PeriodicGraphSequence(graphs, period_t=3)
     expected = set()
     for k in range(2, 8):
-        expected |= edges(graphs[k % 3].adj)
+        expected |= edges(graphs[k % 3])
     assert edges(union(seq, 2, 7)) == expected
 
 
@@ -84,11 +83,11 @@ def test_window_unions_drop_incomplete_window():
 
 
 def test_two_cycle_strongly_connected():
-    assert strongly_connected(Digraph(2, [(1, 2), (2, 1)]).adj)
+    assert strongly_connected(edge_tensor(2, [[(1, 2), (2, 1)]])[0])
 
 
 def test_chain_not_strongly_connected():
-    assert not strongly_connected(Digraph(3, [(1, 2), (2, 3)]).adj)
+    assert not strongly_connected(edge_tensor(3, [[(1, 2), (2, 3)]])[0])
 
 
 def test_scc_matches_pairwise_reachability():
@@ -100,7 +99,7 @@ def test_scc_matches_pairwise_reachability():
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
                 es.add((i, j) if rng.random() < 0.5 else (j, i))
-        adj = Digraph(n, es).adj
+        adj = edge_tensor(n, [es])[0]
         oracle = all(len(reach(adj, v)) == n for v in range(1, n + 1))
         assert strongly_connected(adj) == oracle
 
@@ -126,8 +125,7 @@ def test_certification_matches_per_window_dfs(adj, t, data):
 def test_certify_ring_revealed_one_edge_per_step():
     n = 4
     ring = [(i, i % n + 1) for i in range(1, n + 1)]
-    graphs = [Digraph(n, [e]) for e in ring]
-    seq = PeriodicGraphSequence(graphs, period_t=n)
+    seq = PeriodicGraphSequence(edge_tensor(n, [[e] for e in ring]), period_t=n)
     assert certify_joint_strong_connectivity(window_unions(seq.adjacency(4 * n), n))
 
 
@@ -139,13 +137,12 @@ def test_fig1_not_jointly_strongly_connected():
 
 
 def test_static_strongly_connected_t1():
-    g = Digraph(3, [(1, 2), (2, 3), (3, 1)])
-    seq = PeriodicGraphSequence([g], period_t=1)
+    seq = PeriodicGraphSequence(edge_tensor(3, [[(1, 2), (2, 3), (3, 1)]]), period_t=1)
     assert certify_joint_strong_connectivity(window_unions(seq.adjacency(7), 1))
 
 
 def test_chain_rootedness():
-    seq = PeriodicGraphSequence([Digraph(3, [(1, 2), (2, 3)])], period_t=1)
+    seq = PeriodicGraphSequence(edge_tensor(3, [[(1, 2), (2, 3)]]), period_t=1)
     unions = window_unions(seq.adjacency(5), 1)
     assert certify_jointly_rooted(unions, root=1)
     assert not certify_jointly_rooted(unions, root=3)
@@ -223,25 +220,35 @@ def test_strong_connectivity_implies_rooted_everywhere(seed, n, t):
 
 
 def test_no_self_loops_stored():
-    g = Digraph(3, [(1, 1), (1, 2)])
-    assert edges(g.adj) == {(1, 2)}
-    assert not g.adj.flags.writeable
+    cycle = edge_tensor(3, [[(1, 1), (1, 2)], [(2, 2)]])
+    assert edges(cycle[0]) == {(1, 2)} and edges(cycle[1]) == set()
+    # The sequence keeps its own read-only copy of the cycle.
+    seq = PeriodicGraphSequence(cycle, period_t=1)
+    assert not seq.cycle.flags.writeable
+    cycle[0, 2, 0] = True
+    assert edges(seq.adjacency(1)[0]) == {(1, 2)}
+
+
+def test_periodic_sequence_refuses_an_empty_cycle():
+    with pytest.raises(ValueError, match="at least one graph"):
+        PeriodicGraphSequence(edge_tensor(3, []), period_t=1)
 
 
 def test_edge_outside_node_range_rejected():
     for bad in [(0, 2), (1, 4)]:
         with pytest.raises(ValueError, match="outside node range"):
-            Digraph(3, [(1, 2), bad])
+            edge_tensor(3, [[(1, 2), bad]])
 
 
-@pytest.mark.parametrize("bad", [(1, 2, 3), (None, 2), (), "ab"])
+@pytest.mark.parametrize("bad", [(1, 2, 3), (None, 2), (), "ab", (1.9, 2.2), ("1", "2"),
+                                 (2.0, 3.0)])
 def test_edge_that_is_not_a_pair_of_ids_rejected(bad):
     with pytest.raises(ValueError, match="pairs of node ids"):
-        Digraph(3, [(1, 2), bad])
+        edge_tensor(3, [[(1, 2), bad]])
 
 
 def test_in_neighbors_sorted():
     # A column of the adjacency lists a node's in-neighbors in id order.
-    g = Digraph(4, [(3, 1), (2, 1), (4, 2)])
-    assert list(np.flatnonzero(g.adj[:, 0]) + 1) == [2, 3]
-    assert list(np.flatnonzero(g.adj[:, 3]) + 1) == []
+    adj = edge_tensor(4, [[(3, 1), (2, 1), (4, 2)]])[0]
+    assert list(np.flatnonzero(adj[:, 0]) + 1) == [2, 3]
+    assert list(np.flatnonzero(adj[:, 3]) + 1) == []

@@ -6,21 +6,15 @@ from hypothesis import strategies as hst
 from freshtrack.decomposition import staircase_transform, to_transformed_coords
 from freshtrack.gain_design import design_gains
 from freshtrack.graph_seq import (
-    Digraph,
     PeriodicGraphSequence,
+    edge_tensor,
     generate_random_jointly_connected,
 )
-from freshtrack.observer_protocol import (
-    ProtocolKernel,
-    initial_arrays,
-    nonsource_step,
-    select_donor,
-    source_step,
-)
+from freshtrack.observer_protocol import ProtocolKernel, initial_arrays
 from freshtrack.scenarios import make_multiblock_plant
 from freshtrack.sim_engine import Scenario, run_scenario
 from freshtrack.system_model import LtiPlant, simulate_truth
-from reference import check_delayed_form
+from reference import check_delayed_form, nonsource_step, select_donor, source_step
 
 
 def scalar_setup(rho=0.5):
@@ -131,10 +125,10 @@ def test_round_scalar_example_first_step():
     # uninformed neighbor and stays never-informed.
     plant, ts, gains = scalar_setup()
     tau, z = initial_arrays(ts)
-    graph = Digraph(3, [(1, 2), (2, 3)])
+    adj = edge_tensor(3, [[(1, 2), (2, 3)]])[0]
     traj = simulate_truth(plant, 1)
-    meas = [traj.measurement(i, 0) for i in (1, 2, 3)]
-    tau, z, donors = kernel_round(ProtocolKernel(ts, gains), tau, z, graph.adj, meas)
+    meas = [m[0] for m in traj.measurements]
+    tau, z, donors = kernel_round(ProtocolKernel(ts, gains), tau, z, adj, meas)
     assert tau[0, 0] == 0
     assert tau[1, 0] == 1
     assert donors[1, 0] == 1
@@ -154,11 +148,11 @@ def test_round_closed_under_perfection():
     tau, z = initial_arrays(ts, [z_truth[0]] * 3)
     tau[:, subs] = 1
     tau[subs, subs] = 0
-    graph = Digraph(3, [(1, 2), (2, 3), (3, 1)])
+    adj = edge_tensor(3, [[(1, 2), (2, 3), (3, 1)]])[0]
     kernel = ProtocolKernel(ts, gains)
     for k in range(horizon):
-        meas = [traj.measurement(i, k) for i in (1, 2, 3)]
-        tau, z, _ = kernel_round(kernel, tau, z, graph.adj, meas)
+        meas = [m[k] for m in traj.measurements]
+        tau, z, _ = kernel_round(kernel, tau, z, adj, meas)
         for i in range(3):
             for j in subs:
                 cols = ts.block_slice(j + 1)
@@ -271,11 +265,10 @@ def test_round_matches_reference_implementation():
     ref_tau, ref_z = tau, z
     for k in range(12):
         edges = {(int(i), int(j)) for i, j in rng.integers(1, 5, size=(5, 2)) if i != j}
-        graph = Digraph(4, edges)
-        meas = [traj.measurement(i, k) for i in range(1, 5)]
-        tau, z, donors = kernel_round(kernel, tau, z, graph.adj, meas)
-        ref_tau, ref_z, ref_donors = reference_round(ref_tau, ref_z, graph.adj, meas,
-                                                     ts, gains)
+        adj = edge_tensor(4, [edges])[0]
+        meas = [m[k] for m in traj.measurements]
+        tau, z, donors = kernel_round(kernel, tau, z, adj, meas)
+        ref_tau, ref_z, ref_donors = reference_round(ref_tau, ref_z, adj, meas, ts, gains)
         assert_states_match((tau, z, donors), (ref_tau, ref_z, ref_donors), gains)
 
 
@@ -309,12 +302,14 @@ def test_round_matches_reference_on_random_states(blocks, blind, density,
     ref_tau, ref_z = tau, z
     for k in range(3):
         mask = rng.random((n_nodes, n_nodes)) < density
-        graph = Digraph(n_nodes, [(a + 1, b + 1) for a, b in zip(*np.nonzero(mask))])
-        meas = [traj.measurement(i, k) for i in range(1, n_nodes + 1)]
-        tau, z, donors = kernel_round(kernel, tau, z, graph.adj, meas)
-        ref_tau, ref_z, ref_donors = reference_round(ref_tau, ref_z, graph.adj, meas,
-                                                     ts, gains)
+        adj = mask & ~np.eye(n_nodes, dtype=bool)
+        meas = [m[k] for m in traj.measurements]
+        # The per-node rules of tests/reference.py, from the same start state.
+        rules = per_node_round(tau, z, adj, meas, ts, gains)
+        tau, z, donors = kernel_round(kernel, tau, z, adj, meas)
+        ref_tau, ref_z, ref_donors = reference_round(ref_tau, ref_z, adj, meas, ts, gains)
         assert_states_match((tau, z, donors), (ref_tau, ref_z, ref_donors), gains)
+        assert_states_match((tau, z, donors), rules, gains)
 
 
 @pytest.mark.parametrize("fig1,kw", [
@@ -328,7 +323,7 @@ def test_run_matches_per_node_rules(fig1, kw):
         # Substates 2 and 3 have dimension zero.
         plant = LtiPlant([[2.0]], [[[1.0]], [], []], [1.0])
         graph = PeriodicGraphSequence(
-            [Digraph(3, [(1, 2), (2, 3)]), Digraph(3, [(1, 3), (3, 2)])], period_t=2)
+            edge_tensor(3, [[(1, 2), (2, 3)], [(1, 3), (3, 2)]]), period_t=2)
     else:
         plant = make_multiblock_plant((2, 1, 1), seed=31)
         graph = generate_random_jointly_connected(3, 2, seed=32)
@@ -347,7 +342,7 @@ def test_run_matches_per_node_rules(fig1, kw):
     assert np.all(trace.donors[:, :, empty] == -1)
     for k in range(trace.horizon + 1):
         if k:
-            meas = [traj.measurement(i, k - 1) for i in (1, 2, 3)]
+            meas = [m[k - 1] for m in traj.measurements]
             tau, z, donors = per_node_round(tau, z, trace.adjacency[k - 1], meas, ts,
                                             gains)
         z_truth = to_transformed_coords(traj.states[k], ts)

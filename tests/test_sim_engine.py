@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
@@ -5,13 +7,14 @@ from hypothesis import strategies as hst
 
 from freshtrack import sim_engine
 from freshtrack.baselines import WeightStrategy, detect_divergence
+from freshtrack.cli import build_scenario
 from freshtrack.gain_design import closed_loop_block
 from freshtrack.graph_seq import (
-    Digraph,
     PeriodicGraphSequence,
+    edge_tensor,
     generate_random_jointly_connected,
 )
-from freshtrack.scenarios import FIG1_EDGE_LISTS, make_multiblock_plant
+from freshtrack.scenarios import FIG1_EDGE_LISTS, canned_scenarios, make_multiblock_plant
 from freshtrack.sim_engine import (
     Scenario,
     Trace,
@@ -27,9 +30,7 @@ from reference import check_delayed_form, couple_substates
 
 
 def fig1_graph():
-    return PeriodicGraphSequence(
-        [Digraph(3, [tuple(e) for e in edges]) for edges in FIG1_EDGE_LISTS],
-        period_t=2)
+    return PeriodicGraphSequence(edge_tensor(3, FIG1_EDGE_LISTS), period_t=2)
 
 
 def fig1_plant():
@@ -60,7 +61,7 @@ def test_single_node_matches_classical_observer():
     a = rng.standard_normal((3, 3))
     a *= 0.9 / np.max(np.abs(np.linalg.eigvals(a)))
     plant = LtiPlant(a, [rng.standard_normal((2, 3))], rng.standard_normal(3))
-    graph = PeriodicGraphSequence([Digraph(1, [])], period_t=1)
+    graph = PeriodicGraphSequence(edge_tensor(1, [[]]), period_t=1)
     s = Scenario(plant=plant, graph=graph, rho=0.5, horizon=40, seed=3,
                  initial_estimates=[np.zeros(3)])
     trace = run_scenario(s)
@@ -147,6 +148,28 @@ def test_envelope_detects_injected_fault():
     report = check_envelope(trace)
     assert not report["passed"]
     assert (2, j, k) in report["violations"]
+
+
+@pytest.mark.parametrize("field", ["c_bar", "err_block", "err_total"])
+def test_envelope_fails_on_nan(field):
+    # NaN compares False both ways: a NaN bound or error is a violation.
+    trace = run_scenario(build_scenario(canned_scenarios()["random_jsc_theorem1"]))
+    assert check_envelope(trace)["passed"]
+    k = trace.horizon
+    if field == "c_bar":
+        c_bar = trace.constants.c_bar.copy()
+        c_bar[2] = np.nan
+        trace.constants = dataclasses.replace(trace.constants, c_bar=c_bar)
+        expected = [(1, 3, k), (1, 0, k)]
+    elif field == "err_block":
+        trace.err_block[k, 1, 2] = np.nan
+        expected = [(2, 3, k)]
+    else:
+        trace.err_total[k, 1] = np.nan
+        expected = [(2, 0, k)]
+    report = check_envelope(trace)
+    assert not report["passed"]
+    assert set(expected) <= set(report["violations"])
 
 
 def test_envelope_requires_constants():
@@ -404,8 +427,7 @@ def relay_trace(horizon=10):
     other node hears anyone.
     """
     plant = make_multiblock_plant((2, 1, 1), seed=12)
-    graph = PeriodicGraphSequence([Digraph(3, [(1, 2), (2, 3)]), Digraph(3, [(3, 1)])],
-                                  period_t=2)
+    graph = PeriodicGraphSequence(edge_tensor(3, [[(1, 2), (2, 3)], [(3, 1)]]), period_t=2)
     trace = run_scenario(Scenario(plant=plant, graph=graph, rho=0.8, horizon=horizon,
                                   initial_estimates=[np.ones(plant.n)] * 3))
     assert check_lemma_suite(trace, check_delayed=True)["passed"]
@@ -479,7 +501,7 @@ def test_delayed_check_fails_index_off_its_lineage(defect):
 
 def test_delayed_check_on_empty_horizon():
     plant = make_multiblock_plant((1,), seed=0)
-    graph = PeriodicGraphSequence([Digraph(1, [])], period_t=1)
+    graph = PeriodicGraphSequence(edge_tensor(1, [[]]), period_t=1)
     run = run_scenario(Scenario(plant=plant, graph=graph, rho=0.5, horizon=1))
     # Runs need a horizon of at least 1; a library Trace may hold k = 0 only.
     trace = Trace(1, 0, 1, run.block_dims)

@@ -58,7 +58,7 @@ def test_measurement_lengths_match_sensor_rows():
     traj = simulate_truth(plant, 4)
     for i, c in enumerate(sensors):
         for k in range(5):
-            assert traj.measurement(i + 1, k).shape == (c.shape[0],)
+            assert traj.measurements[i][k].shape == (c.shape[0],)
 
 
 def test_dimension_mismatch_rejected():
