@@ -6,6 +6,7 @@ from .gain_design import (
     GainSet,
     BoundConstants,
     choose_radii,
+    envelope_schedule,
     place_spectral,
     place_deadbeat,
     design_gains,

@@ -10,6 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.csgraph import shortest_path
+
+from .graph_seq import block_diagonal
 
 
 @dataclass(frozen=True)
@@ -26,21 +29,6 @@ class WeightStrategy:
             raise ValueError("tree_rooted strategy requires a root")
 
 
-def _bfs_levels(adj, root):
-    """(H, N) BFS distance of every node from ``root`` in each round's graph.
-
-    ``adj`` is the (H, N, N) adjacency tensor; unreachable nodes get inf.
-    """
-    horizon, n, _ = adj.shape
-    dist = np.full((horizon, n), np.inf)
-    frontier = np.zeros((horizon, n), dtype=bool)
-    frontier[:, root - 1] = True
-    for level in range(n):
-        dist[frontier] = level
-        frontier = (frontier[:, :, None] & adj).any(axis=1) & np.isinf(dist)
-    return dist
-
-
 def mixing_weights(adj, strategy: WeightStrategy):
     """(H, N, N) row-stochastic weights: row i of round k mixes node i+1's reads.
 
@@ -49,12 +37,15 @@ def mixing_weights(adj, strategy: WeightStrategy):
     to the root.  The root and nodes the root cannot reach keep their own
     estimate.
     """
-    n = adj.shape[1]
+    horizon, n, _ = adj.shape
     eye = np.eye(n, dtype=bool)
     if strategy.kind == "uniform":
         pool = adj.transpose(0, 2, 1) | eye
         return pool / pool.sum(axis=2, keepdims=True)
-    dist = _bfs_levels(adj, strategy.root)
+    # Hop distance from the root in each round's graph (inf if unreachable):
+    # one search from a hub one hop before every round's copy of the root.
+    dist = shortest_path(block_diagonal(adj, hub_root=strategy.root), unweighted=True,
+                         indices=horizon * n)[:-1].reshape(horizon, n) - 1
     # isfinite matters: inf - 1 == inf would pair up unreachable nodes.
     is_parent = (adj & np.isfinite(dist)[:, :, None]
                  & (dist[:, :, None] == dist[:, None, :] - 1))

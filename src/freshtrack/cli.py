@@ -230,20 +230,11 @@ def run_checks(trace: Trace, config):
     """Execute the checks requested in a config against a fresh trace."""
     wanted = config.get("checks", {})
     results = {}
-    passed = True
     if wanted.get("lemmas"):
-        report = check_lemma_suite(trace)
-        results["lemmas"] = report
-        passed &= report["passed"]
+        results["lemmas"] = check_lemma_suite(trace)
     if wanted.get("envelope"):
-        if trace.constants is None:
-            results["envelope"] = {"passed": False,
-                                   "detail": "no envelope constants available"}
-            passed = False
-        else:
-            report = check_envelope(trace)
-            results["envelope"] = report
-            passed &= report["passed"]
+        results["envelope"] = (check_envelope(trace) if trace.constants is not None else
+                               {"passed": False, "detail": "no envelope constants available"})
     if "divergence_threshold" in wanted:
         k = detect_divergence(trace.err_total, wanted["divergence_threshold"])
         div = {"first_crossing": k, "diverged": k is not None}
@@ -253,12 +244,9 @@ def run_checks(trace: Trace, config):
         else:
             div["passed"] = not div["diverged"]
         results["divergence"] = div
-        passed &= div["passed"]
     if config["algorithm"].get("deadbeat") and config["algorithm"]["type"] == "freshness":
-        div = _finite_time_check(trace)
-        results["finite_time"] = div
-        passed &= div["passed"]
-    return results, passed
+        results["finite_time"] = _finite_time_check(trace)
+    return results, all(r["passed"] for r in results.values())
 
 
 def _finite_time_check(trace: Trace):

@@ -13,6 +13,7 @@ gives a nilpotency index equal to the number of steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_sylvester
@@ -74,6 +75,24 @@ def choose_radii(rho: float, n_blocks: int):
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must lie in (0, 1), got {rho}")
     return [rho * (0.5 + j / (2.0 * (n_blocks + 1))) for j in range(1, n_blocks + 1)]
+
+
+class EnvelopeSchedule(NamedTuple):
+    """Times of the envelope proof, in rounds; arrays run over substates j."""
+
+    t_bar: int                  # (N-1)T: every index is finite by then
+    reference: np.ndarray       # max(0, 2j-3) t_bar: c_j reads the source's error
+    start: np.ndarray           # (2j-1) t_bar: substate j's envelope holds on
+    total_start: int            # (2N-1) t_bar: the total envelope holds on
+
+
+def envelope_schedule(n_nodes: int, period_t: int | None = None, t_bar: int | None = None):
+    """The `EnvelopeSchedule` of N nodes, with t_bar = (N-1)T unless given."""
+    if t_bar is None:
+        t_bar = (n_nodes - 1) * period_t
+    j = np.arange(1, n_nodes + 1)
+    return EnvelopeSchedule(t_bar, np.maximum(0, 2 * j - 3) * t_bar, (2 * j - 1) * t_bar,
+                            (2 * n_nodes - 1) * t_bar)
 
 
 def _rotation_target(r: float, n: int):
@@ -228,9 +247,9 @@ def compute_bound_constants(ts: TransformedSystem, gains: GainSet,
     """Envelope constants for spectral-mode gains.
 
     ``e0_source_norms[j-1]`` is the measured norm of the source node's own
-    substate-j error at that block's reference time: time 0 for j = 1, and
-    time (2j-3)*t_bar for j >= 2.  Blocks of dimension zero contribute zero
-    amplitudes and drop out of the recursion.
+    substate-j error at the block's `envelope_schedule` reference time.  One
+    pass over the nonempty blocks builds c_j and c_bar_j from the blocks
+    before j; an empty block keeps alpha = beta = gamma = 1 and zeros.
 
     alpha[j] is sqrt(cond(P)) for the P solving (M/rho_j)^T P (M/rho_j) - P
     = -I with M the closed-loop block: ||M^k|| <= alpha[j] * rho_j^k for any
@@ -239,63 +258,37 @@ def compute_bound_constants(ts: TransformedSystem, gains: GainSet,
     if gains.mode == DEADBEAT:
         raise ValueError("bound constants are defined for spectral-mode gains")
     n_blocks = ts.n_nodes
-    n = ts.n
     radii = np.asarray(gains.target_radii, dtype=float)
-    k_cap = 4 * n + 4 * t_bar
+    ref_times = envelope_schedule(n_blocks, t_bar=t_bar).reference
+    k_cap = 4 * ts.n + 4 * t_bar
 
-    alpha = np.zeros(n_blocks)
-    beta = np.zeros(n_blocks)
-    gamma = np.zeros(n_blocks)
-    g = np.zeros((n_blocks, n_blocks))
-    h = np.zeros((n_blocks, n_blocks))
-    for j in range(1, n_blocks + 1):
-        nj = ts.block_dims[j - 1]
-        if nj == 0:
-            alpha[j - 1] = 1.0
-            beta[j - 1] = 1.0
-            gamma[j - 1] = 1.0
-            continue
-        alpha[j - 1] = _lyapunov_alpha(closed_loop_block(ts, gains, j) / radii[j - 1])
-        a_jj = ts.a_block(j, j)
-        gamma[j - 1] = max(1.0, np.max(np.abs(np.linalg.eigvals(a_jj)))) * 1.01
+    alpha, beta, gamma = np.ones(n_blocks), np.ones(n_blocks), np.ones(n_blocks)
+    g, h = np.zeros((n_blocks, n_blocks)), np.zeros((n_blocks, n_blocks))
+    c, c_bar = np.zeros(n_blocks), np.zeros(n_blocks)
+    done = []       # the nonempty blocks before j, 0-indexed as j is here
+    for j in [j for j, nj in enumerate(ts.block_dims) if nj]:
+        nj, rho_j = ts.block_dims[j], radii[j]
+        alpha[j] = _lyapunov_alpha(closed_loop_block(ts, gains, j + 1) / rho_j)
+        a_jj = ts.a_block(j + 1, j + 1)
+        gamma[j] = max(1.0, np.max(np.abs(np.linalg.eigvals(a_jj)))) * 1.01
         powers = np.empty((k_cap + 1, nj, nj))
         powers[0] = np.eye(nj)
         for k in range(k_cap):
             powers[k + 1] = a_jj @ powers[k]
-        beta[j - 1] = max(norm / gamma[j - 1] ** k for k, norm
-                          in enumerate(np.linalg.norm(powers, 2, axis=(1, 2))))
-        lj = gains.gain(j)
-        for q in range(1, j):
-            if ts.block_dims[q - 1] == 0:
-                continue
-            g[j - 1, q - 1] = np.linalg.norm(
-                ts.a_block(j, q) - lj @ ts.c_block(j, q), 2)
-            h[j - 1, q - 1] = np.linalg.norm(ts.a_block(j, q), 2)
+        beta[j] = max(norm / gamma[j] ** k for k, norm
+                      in enumerate(np.linalg.norm(powers, 2, axis=(1, 2))))
+        for q in done:
+            a_jq = ts.a_block(j + 1, q + 1)
+            g[j, q] = np.linalg.norm(a_jq - gains.gain(j + 1) @ ts.c_block(j + 1, q + 1), 2)
+            h[j, q] = np.linalg.norm(a_jq, 2)
 
-    c = np.zeros(n_blocks)
-    c_bar = np.zeros(n_blocks)
-    for j in range(1, n_blocks + 1):
-        if ts.block_dims[j - 1] == 0:
-            continue
-        rho_j = radii[j - 1]
-        a_j = alpha[j - 1]
-        ref_norm = float(e0_source_norms[j - 1])
-        if j == 1:
-            c[0] = a_j * ref_norm
-            c_bar[0] = c[0] * beta[0] * (gamma[0] / rho_j) ** (2 * t_bar)
-            continue
-        ref_time = (2 * j - 3) * t_bar
-        coupling = sum(
-            g[j - 1, q - 1] * c_bar[q - 1] / (rho_j - radii[q - 1])
-            * radii[q - 1] ** ref_time
-            for q in range(1, j) if ts.block_dims[q - 1] > 0)
-        c[j - 1] = a_j / rho_j ** ref_time * (ref_norm + coupling)
-        tail = sum(
-            h[j - 1, q - 1] * c_bar[q - 1] / (gamma[j - 1] - radii[q - 1])
-            * (gamma[j - 1] / radii[q - 1]) ** (2 * t_bar)
-            for q in range(1, j) if ts.block_dims[q - 1] > 0)
-        c_bar[j - 1] = beta[j - 1] * (
-            c[j - 1] * (gamma[j - 1] / rho_j) ** (2 * t_bar) + tail)
+        ref = ref_times[j]
+        coupling = sum(g[j, q] * c_bar[q] / (rho_j - radii[q]) * radii[q] ** ref for q in done)
+        c[j] = alpha[j] / rho_j ** ref * (float(e0_source_norms[j]) + coupling)
+        tail = sum(h[j, q] * c_bar[q] / (gamma[j] - radii[q])
+                   * (gamma[j] / radii[q]) ** (2 * t_bar) for q in done)
+        c_bar[j] = beta[j] * (c[j] * (gamma[j] / rho_j) ** (2 * t_bar) + tail)
+        done.append(j)
 
     return BoundConstants(alpha=alpha, beta=beta, gamma=gamma, g=g, h=h,
                           c=c, c_bar=c_bar)

@@ -23,11 +23,15 @@ def edge_tensor(n_nodes, rounds):
 
     Each round lists ``(i, j)`` pairs of 1-indexed node ids.  Self-loops are
     dropped; an edge outside 1..N, or an entry that is not a pair of integer
-    node ids (``1.5`` and ``"1"`` included), raises `ValueError`.
+    node ids (``1.5``, ``"1"`` and ``True`` included), raises `ValueError`.
     """
     try:
         counts = [len(edges) for edges in rounds]
-        e = np.asarray(list(itertools.chain.from_iterable(rounds)))
+        pairs = list(itertools.chain.from_iterable(rounds))
+        # np.asarray would read True as 1 among ints: test the types first.
+        if bool in set(map(type, itertools.chain.from_iterable(pairs))):
+            raise ValueError("true and false are not node ids")
+        e = np.asarray(pairs)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"edges must be pairs of node ids: {exc}") from None
     e = e if len(e) else np.zeros((0, 2), dtype=int)
@@ -107,14 +111,14 @@ def window_unions(adj: np.ndarray, t: int) -> np.ndarray:
     return adj[:horizon // t * t].reshape(-1, t, n, n).any(axis=1)
 
 
-def _block_diagonal(unions, hub_root=None):
-    """Sparse graph with window w's union on nodes wN..wN+N-1.
+def block_diagonal(graphs, hub_root=None):
+    """Sparse graph with graph w of a (W, N, N) stack on nodes wN..wN+N-1.
 
     With ``hub_root``, one more node (the last) gets an edge to every
-    window's copy of that 1-indexed node.
+    graph's copy of that 1-indexed node.
     """
-    n_windows, n, _ = unions.shape
-    w, i, j = np.nonzero(unions)
+    n_windows, n, _ = graphs.shape
+    w, i, j = np.nonzero(graphs)
     rows, cols, size = w * n + i, w * n + j, n_windows * n
     if hub_root is not None:
         rows = np.append(rows, np.full(n_windows, size))
@@ -131,7 +135,7 @@ def certify_joint_strong_connectivity(unions: np.ndarray) -> bool:
     all windows: a window passes when all its nodes share one label.
     """
     n_windows, n, _ = unions.shape
-    _, labels = connected_components(_block_diagonal(unions), directed=True,
+    _, labels = connected_components(block_diagonal(unions), directed=True,
                                      connection="strong")
     labels = labels.reshape(n_windows, n)
     return bool(np.all(labels == labels[:, :1]))
@@ -143,7 +147,7 @@ def certify_jointly_rooted(unions: np.ndarray, root: int) -> bool:
     One breadth-first search from a hub node that feeds every window's copy
     of ``root`` in the block-diagonal graph: it must reach every node.
     """
-    graph = _block_diagonal(unions, hub_root=root)
+    graph = block_diagonal(unions, hub_root=root)
     hub = graph.shape[0] - 1
     return breadth_first_order(graph, hub, return_predecessors=False).size == hub + 1
 

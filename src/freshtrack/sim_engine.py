@@ -3,7 +3,8 @@
 Runs either the freshness-index observer or a consensus baseline over a graph
 sequence, records a full per-round trace, and verifies the structural index
 properties, the delayed-error identity, and the exponential error envelopes
-against constants computed from the trace itself.
+against constants computed from the trace itself, at the times of
+`envelope_schedule`.  A failed check names its first (node, substate, k).
 
 A freshness run steps ``ProtocolKernel`` on the (tau, z) arrays and copies
 each round's arrays into the trace; ``error_norms`` derives the error norms
@@ -28,7 +29,7 @@ import numpy as np
 
 from .baselines import WeightStrategy, baseline_round, mixing_weights
 from .decomposition import block_offsets, staircase_transform, to_transformed_coords
-from .gain_design import choose_radii, compute_bound_constants, design_gains
+from .gain_design import choose_radii, compute_bound_constants, design_gains, envelope_schedule
 from .graph_seq import (
     GraphSequence,
     certify_joint_strong_connectivity,
@@ -150,10 +151,6 @@ def error_norms(estimates, truth, block_dims):
     return err_block, np.sqrt(np.sum(err_block ** 2, axis=2))
 
 
-def _t_bar(n_nodes, period_t):
-    return (n_nodes - 1) * period_t
-
-
 def run_scenario(s: Scenario) -> Trace:
     """Execute a scenario deterministically and return its trace."""
     if s.algorithm == "baseline":
@@ -198,17 +195,13 @@ def _run_freshness(s: Scenario) -> Trace:
     trace.err_block, trace.err_total = error_norms(trace.z_estimates, z_truth, ts.block_dims)
 
     if not s.deadbeat and s.rho is not None:
-        t_bar = _t_bar(n_nodes, s.graph.period_t)
-        ref_norms = np.zeros(n_nodes)
-        ok = True
-        for j in trace.substates:
-            ref_time = 0 if j == 1 else (2 * j - 3) * t_bar
-            if ref_time > s.horizon:
-                ok = False
-                break
-            ref_norms[j - 1] = trace.err_block[ref_time, j - 1, j - 1]
-        if ok:
-            trace.constants = compute_bound_constants(ts, gains, ref_norms, t_bar)
+        schedule = envelope_schedule(n_nodes, s.graph.period_t)
+        subs = np.array(trace.substates) - 1
+        if schedule.reference[subs[-1]] <= s.horizon:
+            # Each source's own error at its substate's reference time.
+            ref_norms = np.zeros(n_nodes)
+            ref_norms[subs] = trace.err_block[schedule.reference[subs], subs, subs]
+            trace.constants = compute_bound_constants(ts, gains, ref_norms, schedule.t_bar)
         else:
             trace.warnings.append("envelope_horizon_short")
     return trace
@@ -253,6 +246,18 @@ def fit_decay_rate(trace: Trace, k_start: int) -> float:
     return float(np.exp(slope))
 
 
+def _first(bad, subs, order=(2, 1, 0), k0=0):
+    """(node, substate, k) of the first True of bad[k, node, c], searched in
+    the axis ``order`` ((substate, node, k) by default), or None.  Column c
+    is substate subs[c] + 1, and row k is time k + k0."""
+    searched = bad.transpose(order)
+    if not searched.any():
+        return None
+    hit = np.unravel_index(int(np.argmax(searched)), searched.shape)
+    k, i, c = np.array(hit)[np.argsort(order)]
+    return (int(i) + 1, int(subs[c]) + 1, int(k) + k0)
+
+
 def _substate_axis(trace: Trace):
     """Index of the nonempty substate slots: a view-making slice when every
     slot is nonempty, else the index array (which copies)."""
@@ -264,35 +269,35 @@ def _substate_axis(trace: Trace):
 def check_envelope(trace: Trace):
     """Verify the per-substate and total exponential error envelopes.
 
-    The envelopes take ``trace.constants``, t_bar = (N-1)T and the radii
-    rho_j that `design_gains` draws from ``trace.rho``.  Returns a dict with
-    a (possibly empty) list of violating (node, substate, k) triples:
-    substate envelopes in (substate, k, node) order, then the total
-    envelope, marked substate 0, in (k, node) order.  A point whose error
-    or bound is NaN is a violation.
+    The envelopes take ``trace.constants``, the start times of
+    `envelope_schedule` and the radii rho_j that `design_gains` draws from
+    ``trace.rho``.  Returns ``{"passed", "violations", "counterexample"}``:
+    the number of violating (node, substate, k) points and the first of
+    them, or None.  Substate envelopes are searched in (substate, k, node)
+    order, then the total envelope, marked substate 0, in (k, node) order.
+    A point whose error or bound is NaN is a violation.
     """
     constants, rho = trace.constants, trace.rho
     if constants is None:
         raise ValueError("trace carries no envelope constants")
-    t_bar = _t_bar(trace.n_nodes, trace.period_t)
+    schedule = envelope_schedule(trace.n_nodes, trace.period_t)
     radii = np.asarray(choose_radii(rho, len(trace.block_dims)))
     slack = 1.0 + 1e-9
     ks = np.arange(trace.horizon + 1)
     subs = np.array(trace.substates) - 1
-    # bound[k, c] for substate subs[c], which counts from k = (2j-1) T_bar on.
-    bound = (constants.c_bar[subs] * radii[subs] ** ks[:, None] * slack
-             + 1e-300)
-    live = ks[:, None] >= (2 * subs + 1) * t_bar
+    # bound[k, c] for substate subs[c], which counts from its start on.
+    bound = constants.c_bar[subs] * radii[subs] ** ks[:, None] * slack + 1e-300
+    live = ks[:, None] >= schedule.start[subs]
     over = (~(trace.err_block[:, :, _substate_axis(trace)] <= bound[:, None, :])
             & live[:, None, :])
-    violations = [(int(i) + 1, int(subs[c]) + 1, int(k))
-                  for c, k, i in np.argwhere(over.transpose(2, 0, 1))]
     total_amp = float(np.sqrt(np.sum(constants.c_bar ** 2)))
     bound = total_amp * rho ** ks * slack + 1e-300
-    live = ks >= (2 * trace.n_nodes - 1) * t_bar
-    over = ~(trace.err_total <= bound[:, None]) & live[:, None]
-    violations += [(int(i) + 1, 0, int(k)) for k, i in np.argwhere(over)]
-    return {"violations": violations, "passed": not violations}
+    live = ks >= schedule.total_start
+    # One column, which _first reads as substate 0 through subs = [-1].
+    over_total = (~(trace.err_total <= bound[:, None]) & live[:, None])[:, :, None]
+    count = int(np.count_nonzero(over) + np.count_nonzero(over_total))
+    at = _first(over, subs, (2, 0, 1)) or _first(over_total, np.array([-1]), (0, 1, 2))
+    return {"passed": count == 0, "violations": count, "counterexample": at}
 
 
 def _delayed_residuals(trace: Trace, ts):
@@ -387,7 +392,7 @@ def check_lemma_suite(trace: Trace, check_delayed=False):
     (k, substate, node) for donor selection and the delayed identity, whose
     ``at`` is the first worst residual.
     """
-    trigger_k = (trace.n_nodes - 1) * trace.period_t
+    trigger_k = envelope_schedule(trace.n_nodes, trace.period_t).t_bar
     report = {"passed": True, "checks": {}, "mode": "strong"}
     if "rooted_mode" in trace.warnings:
         report["mode"] = "rooted"
@@ -406,28 +411,18 @@ def check_lemma_suite(trace: Trace, check_delayed=False):
     nonsource[subs, np.arange(subs.size)] = False
     late = taus[trigger_k:]
 
-    def first(bad, order=(2, 1, 0), k0=0):
-        """(node, substate, k) of the first True of bad[k, node, c], searched
-        in the axis ``order`` ((substate, node, k) by default), or None."""
-        searched = bad.transpose(order)
-        if not searched.any():
-            return None
-        hit = np.unravel_index(int(np.argmax(searched)), searched.shape)
-        k, i, c = np.array(hit)[np.argsort(order)]
-        return (int(i) + 1, int(subs[c]) + 1, int(k) + k0)
-
     faults = {
-        "indices_finite": first((late < 0) & nonsource, k0=trigger_k),
-        "delay_ceiling": first((late > 2 * trigger_k) & nonsource, k0=trigger_k),
-        "index_step_bound": first((taus[:-1] >= 0) & (taus[1:] > taus[:-1] + 1)
-                                  & nonsource),
+        "indices_finite": _first((late < 0) & nonsource, subs, k0=trigger_k),
+        "delay_ceiling": _first((late > 2 * trigger_k) & nonsource, subs, k0=trigger_k),
+        "index_step_bound": _first((taus[:-1] >= 0) & (taus[1:] > taus[:-1] + 1)
+                                   & nonsource, subs),
         # One node per substate can fail here, so this is (substate, k) order.
-        "source_pinned": first((taus != 0) & ~nonsource),
+        "source_pinned": _first((taus != 0) & ~nonsource, subs),
         # Whenever the source is an in-neighbor in round k, it must be the
         # adopted donor; searched in (k, substate, node) order.
-        "source_preferred": first(trace.adjacency[:, sel, :].transpose(0, 2, 1)
-                                  & (trace.donors[1:, :, sel] != subs + 1)
-                                  & nonsource, order=(0, 2, 1)),
+        "source_preferred": _first(trace.adjacency[:, sel, :].transpose(0, 2, 1)
+                                   & (trace.donors[1:, :, sel] != subs + 1)
+                                   & nonsource, subs, order=(0, 2, 1)),
     }
     for name, counterexample in faults.items():
         if counterexample is None:
@@ -439,8 +434,8 @@ def check_lemma_suite(trace: Trace, check_delayed=False):
     if check_delayed:
         resid = _delayed_residuals(trace, trace.ts)
         worst = float(np.max(resid, initial=0.0))    # NaN if any residual is NaN
-        worst_at = None if worst == 0.0 else first(
-            np.isnan(resid) | (resid == worst), order=(0, 2, 1), k0=1)
+        worst_at = None if worst == 0.0 else _first(
+            np.isnan(resid) | (resid == worst), subs, order=(0, 2, 1), k0=1)
         entry = {"passed": worst <= DELAYED_TOL, "max_residual": worst,
                  "at": worst_at}
         report["checks"]["delayed_form"] = entry

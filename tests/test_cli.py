@@ -276,9 +276,13 @@ def _drop_scenario(data):
     (_set_constant("h", {"a": 1}), "$.constants.h: {'a': 1} is not of type 'array'"),
     (_set_first_round([[1.9, 2.2], [2, 3]]), "edges must be pairs of node ids, not float64"),
     (_set_first_round([["1", "2"], ["2", "3"]]), "edges must be pairs of node ids, not <U"),
+    # numpy reads true among ints as node 1: the edge 1 -> 2 would pass.
+    (_set_first_round([[True, 2], [2, 3]]), "true and false are not node ids"),
+    (_set_first_round([[1, 2], [2, False]]), "true and false are not node ids"),
 ], ids=["horizon_fraction", "horizon_float", "rho_text", "list", "no_scenario",
         "period_zero", "block_dims_per_node", "c_bar_text", "c_bar_short", "c_bar_nan",
-        "alpha_ragged", "g_vector", "h_object", "edges_fraction", "edges_text"])
+        "alpha_ragged", "g_vector", "h_object", "edges_fraction", "edges_text",
+        "edges_true", "edges_false"])
 def test_check_rejects_malformed_report_fields(tmp_path, capsys, tamper, message):
     name = "fig1_freshness_spectral"
     assert main(["run", name, "--out", str(tmp_path)]) == 0

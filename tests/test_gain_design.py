@@ -16,6 +16,7 @@ from freshtrack.gain_design import (
 from freshtrack.scenarios import make_multiblock_plant, make_random_plant
 from freshtrack.system_model import LtiPlant
 from krylov import ackermann_deadbeat, krylov_rank
+from reference import couple_substates
 
 
 def random_observable_pair(rng, n, r):
@@ -278,3 +279,31 @@ def test_design_gains_skips_empty_blocks():
     assert gains.gain(1).shape == (1, 1)
     assert gains.gain(2).shape == (0, 0)
     assert gains.gain(3).shape == (0, 0)
+
+
+def test_bound_constants_skip_an_empty_block_before_a_nonempty_one():
+    # Blind node 2 between two coupled blocks: blocks (2, 0, 1).
+    base = make_multiblock_plant((2, 1), seed=3)
+    sensors = [base.sensors[0], np.zeros((0, base.n)), base.sensors[1]]
+    plant = couple_substates(LtiPlant(base.a_matrix, sensors, base.x0), 0.5, seed=3)
+    ts = staircase_transform(plant)
+    assert ts.block_dims == (2, 0, 1)
+    gains = design_gains(ts, rho=0.9, seed=3)
+    t_bar, e0, r = 4, [0.7, 0.0, 1.3], gains.target_radii
+    bc = compute_bound_constants(ts, gains, e0, t_bar)
+    alpha, beta, gamma, g, h = bc.alpha, bc.beta, bc.gamma, bc.g, bc.h
+
+    assert (alpha[1], beta[1], gamma[1], bc.c[1], bc.c_bar[1]) == (1, 1, 1, 0, 0)
+    assert not (g[1].any() or g[:, 1].any() or h[1].any() or h[:, 1].any())
+    assert g[2, 0] == np.linalg.norm(ts.a_block(3, 1) - gains.gain(3) @ ts.c_block(3, 1), 2)
+    assert h[2, 0] == np.linalg.norm(ts.a_block(3, 1), 2) > 0
+
+    # Block 1 at reference time 0; block 3 at (2*3-3) t_bar, fed by block 1 only.
+    c1 = alpha[0] * e0[0]
+    c_bar1 = beta[0] * c1 * (gamma[0] / r[0]) ** (2 * t_bar)
+    assert (bc.c[0], bc.c_bar[0]) == pytest.approx((c1, c_bar1), rel=1e-14)
+    ref = 3 * t_bar
+    c3 = alpha[2] / r[2] ** ref * (e0[2] + g[2, 0] * c_bar1 / (r[2] - r[0]) * r[0] ** ref)
+    tail = h[2, 0] * c_bar1 / (gamma[2] - r[0]) * (gamma[2] / r[0]) ** (2 * t_bar)
+    c_bar3 = beta[2] * (c3 * (gamma[2] / r[2]) ** (2 * t_bar) + tail)
+    assert (bc.c[2], bc.c_bar[2]) == pytest.approx((c3, c_bar3), rel=1e-14)

@@ -241,7 +241,7 @@ def test_edge_outside_node_range_rejected():
 
 
 @pytest.mark.parametrize("bad", [(1, 2, 3), (None, 2), (), "ab", (1.9, 2.2), ("1", "2"),
-                                 (2.0, 3.0)])
+                                 (2.0, 3.0), (True, 2)])
 def test_edge_that_is_not_a_pair_of_ids_rejected(bad):
     with pytest.raises(ValueError, match="pairs of node ids"):
         edge_tensor(3, [[(1, 2), bad]])

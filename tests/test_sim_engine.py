@@ -8,7 +8,7 @@ from hypothesis import strategies as hst
 from freshtrack import sim_engine
 from freshtrack.baselines import WeightStrategy, detect_divergence
 from freshtrack.cli import build_scenario
-from freshtrack.gain_design import closed_loop_block
+from freshtrack.gain_design import closed_loop_block, envelope_schedule
 from freshtrack.graph_seq import (
     PeriodicGraphSequence,
     edge_tensor,
@@ -121,9 +121,8 @@ def test_baseline_divergence_rate_above_one():
 def test_freshness_run_converges_and_certifies_envelope():
     trace = run_scenario(random_scenario(seed=7))
     assert trace.max_error()[-1] < 1e-6
-    report = check_envelope(trace)
-    assert report["passed"]
-    assert report["violations"] == []
+    assert check_envelope(trace) == {"passed": True, "violations": 0,
+                                     "counterexample": None}
 
 
 @pytest.mark.parametrize("shape", [(12,), (16,), (24, 8), (16, 2, 1)])
@@ -145,9 +144,8 @@ def test_envelope_detects_injected_fault():
     k = (2 * j - 1) * t_bar + 3
     bound = trace.constants.c_bar[j - 1] * trace.gains.target_radii[j - 1] ** k
     trace.err_block[k, 1, j - 1] = 2.0 * bound + 1.0
-    report = check_envelope(trace)
-    assert not report["passed"]
-    assert (2, j, k) in report["violations"]
+    assert check_envelope(trace) == {"passed": False, "violations": 1,
+                                     "counterexample": (2, j, k)}
 
 
 @pytest.mark.parametrize("field", ["c_bar", "err_block", "err_total"])
@@ -155,21 +153,24 @@ def test_envelope_fails_on_nan(field):
     # NaN compares False both ways: a NaN bound or error is a violation.
     trace = run_scenario(build_scenario(canned_scenarios()["random_jsc_theorem1"]))
     assert check_envelope(trace)["passed"]
-    k = trace.horizon
+    k, n_nodes = trace.horizon, trace.n_nodes
     if field == "c_bar":
+        # Every live point of substate 3 and of the total envelope.
         c_bar = trace.constants.c_bar.copy()
         c_bar[2] = np.nan
         trace.constants = dataclasses.replace(trace.constants, c_bar=c_bar)
-        expected = [(1, 3, k), (1, 0, k)]
+        schedule = envelope_schedule(n_nodes, trace.period_t)
+        count = n_nodes * (2 * k + 2 - schedule.start[2] - schedule.total_start)
+        expected = (count, (1, 3, schedule.start[2]))
     elif field == "err_block":
         trace.err_block[k, 1, 2] = np.nan
-        expected = [(2, 3, k)]
+        expected = (1, (2, 3, k))
     else:
         trace.err_total[k, 1] = np.nan
-        expected = [(2, 0, k)]
+        expected = (1, (2, 0, k))
     report = check_envelope(trace)
     assert not report["passed"]
-    assert set(expected) <= set(report["violations"])
+    assert (report["violations"], report["counterexample"]) == expected
 
 
 def test_envelope_requires_constants():
@@ -285,9 +286,17 @@ def test_envelope_violations_keep_their_order():
     for i, k in [(3, 40), (1, 40), (2, 35), (2, 19)]:
         trace.err_total[k, i - 1] = 1e6
     # Substates in (substate, k, node) order, then the total in (k, node)
-    # order; k = 2 and k = 19 fall before their envelopes start.
-    assert check_envelope(trace)["violations"] == [
-        (1, 1, 30), (2, 1, 30), (1, 3, 25), (2, 0, 35), (1, 0, 40), (3, 0, 40)]
+    # order; k = 2 and k = 19 fall before their envelopes start.  Mending
+    # each counterexample in turn walks the violations in that order.
+    expected = [(1, 1, 30), (2, 1, 30), (1, 3, 25), (2, 0, 35), (1, 0, 40), (3, 0, 40)]
+    for m, (i, j, k) in enumerate(expected):
+        assert check_envelope(trace) == {"passed": False, "violations": len(expected) - m,
+                                         "counterexample": (i, j, k)}
+        if j:
+            trace.err_block[k, i - 1, j - 1] = 0.0
+        else:
+            trace.err_total[k, i - 1] = 0.0
+    assert check_envelope(trace)["passed"]
 
 
 def reference_lemma_faults(trace):
