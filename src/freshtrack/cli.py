@@ -23,6 +23,7 @@ from .decomposition import DecompositionError
 from .gain_design import BoundConstants, GainDesignError
 from .graph_seq import (
     PeriodicGraphSequence,
+    connectivity_warnings,
     edge_tensor,
     generate_random_jointly_connected,
 )
@@ -104,15 +105,13 @@ CONFIG_SCHEMA = {
 
 
 # What `check` reads of a report besides ``scenario``, which goes through
-# `build_scenario` as a config does.  The loader checks the arrays' shapes,
-# NaN and inf, and scatters graph_edges in one pass for all rounds.
+# `build_scenario` as a config does and gives the graph.  The loader checks
+# the arrays' shapes, NaN and inf.
 REPORT_SCHEMA = {
     "type": "object",
     "required": ["scenario", "block_dims"],
     "properties": {
         "block_dims": {"type": "array", "items": {"type": "integer", "minimum": 0}},
-        "warnings": {"type": "array", "items": {"type": "string"}},
-        "graph_edges": {"type": "array"},
         "transform": {"type": "object", "properties": {"t_matrix": _MATRIX}},
         "constants": {"type": "object", "properties": {
             f.name: _MATRIX if f.name in ("g", "h") else _VECTOR
@@ -277,13 +276,6 @@ def _jsonable(obj):
     return obj
 
 
-def _edge_lists(adjacency):
-    """Per-round 1-indexed (i, j) edge lists of a (H, N, N) bool tensor."""
-    edges = (np.argwhere(adjacency)[:, 1:] + 1).tolist()
-    ends = np.cumsum(adjacency.sum(axis=(1, 2))).tolist()
-    return [edges[a:b] for a, b in zip([0] + ends, ends)]
-
-
 def _report_text(report):
     """One top-level field per line, each value through the C JSON encoder."""
     return "{\n" + ",\n".join(f"  {json.dumps(k)}: {json.dumps(v)}"
@@ -298,7 +290,6 @@ def build_report(trace: Trace, config, results, passed):
         "horizon": trace.horizon,
         "block_dims": list(trace.block_dims),
         "warnings": list(trace.warnings),
-        "graph_edges": _edge_lists(trace.adjacency),
         "checks": _jsonable(results),
     }
     for key, value in (("transform", trace.ts), ("gains", trace.gains),
@@ -403,21 +394,17 @@ def _float_array(value, shape, name, finite=False):
 
 def _load_trace_csv(path, report, scenario: Scenario):
     """The run's `Trace` from its trace file, ``scenario`` (the report's
-    ``scenario`` through `build_scenario`) and the report's other fields."""
+    ``scenario`` through `build_scenario`, which also gives the graph and
+    its connectivity code) and the report's other fields."""
     block_dims, freshness = report["block_dims"], scenario.algorithm == "freshness"
     trace = Trace(scenario.plant.n_nodes, scenario.horizon, scenario.graph.period_t,
                   block_dims, rho=scenario.rho)
     h1, n_nodes, s = trace.horizon + 1, trace.n_nodes, len(block_dims)
     if freshness and s != n_nodes:
         raise ValueError(f"a freshness report needs {n_nodes} block_dims, found {s}")
-    # Every round's graph is needed: a missing round would read as an empty
-    # graph, and source_preferred would pass without checking it.
-    rounds = report.get("graph_edges")
-    if rounds is None or len(rounds) != trace.horizon:
-        raise ValueError(f"report must list graph_edges for all {trace.horizon} rounds, "
-                         f"found {'none' if rounds is None else len(rounds)}")
-    trace.adjacency = edge_tensor(n_nodes, rounds)
-    trace.warnings = list(report.get("warnings", []))
+    trace.adjacency = scenario.graph.adjacency(trace.horizon)
+    if freshness:
+        trace.warnings = connectivity_warnings(trace.adjacency, trace.period_t, trace.substates)
     if "constants" in report:
         if scenario.rho is None:      # the envelope's radii come from rho
             raise ValueError("report has constants but its scenario has no rho")

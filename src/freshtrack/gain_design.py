@@ -242,6 +242,8 @@ def _lyapunov_alpha(m):
     return np.sqrt(eig[-1] / max(1.0, eig[0] - len(m) * np.finfo(float).eps * eig[-1]))
 
 
+# Powers that under- or overflow leave a constant not finite: a coded, failed envelope.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def compute_bound_constants(ts: TransformedSystem, gains: GainSet,
                             e0_source_norms, t_bar: int) -> BoundConstants:
     """Envelope constants for spectral-mode gains.

@@ -1,10 +1,10 @@
 """Time-varying directed graph sequences and connectivity certification.
 
 Nodes are 1-indexed.  An edge (i, j) means node i can send to node j during
-the round it is active.  A round's graph is an N x N bool adjacency whose
-entry [i-1, j-1] is true for the edge (i, j), and a sequence over a horizon
-is the (horizon, N, N) stack of them.  Self-loops are never stored: a node
-always has access to its own state implicitly.
+the round it is active; self-loops are never stored (a node always has its
+own state).  A round's graph is an N x N bool adjacency, true at [i-1, j-1]
+for the edge (i, j).  A sequence's `adjacency(horizon)` stacks its rounds and
+depends only on the sequence's parameters, so a re-check regenerates it.
 """
 
 from __future__ import annotations
@@ -79,9 +79,9 @@ class RandomJointlyConnectedSequence(GraphSequence):
     """Seeded generator whose every window [wT, (w+1)T) union is strongly connected.
 
     Per window, the edges of a random Hamiltonian cycle are scattered across
-    the T slots, with a few extra random edges thrown in.  Window w is drawn
-    from its own generator seeded with [seed, w], so a round's graph does not
-    depend on the horizon asked for.
+    the T slots, with a few extra random edges (no self-loops) thrown in.
+    Window w reads row w of one ``default_rng(seed).random((W, 2N + 3E))``
+    draw, filled row by row: a round's graph does not depend on the horizon.
     """
 
     def __init__(self, n_nodes: int, period_t: int, seed: int):
@@ -90,19 +90,20 @@ class RandomJointlyConnectedSequence(GraphSequence):
         self.seed = int(seed)
 
     def adjacency(self, horizon: int) -> np.ndarray:
-        n, t = self.n_nodes, self.period_t
+        n, t, e = self.n_nodes, self.period_t, RANDOM_EXTRA_EDGES
         n_windows = -(-horizon // t)
+        u = np.random.default_rng(self.seed).random((n_windows, 2 * n + 3 * e))
+        order = np.argsort(u[:, :n], axis=1)
+        rounds = np.arange(n_windows)[:, None] * t + (u[:, n:2 * n + e] * t).astype(int)
+        ends = (u[:, 2 * n + e:] * n).astype(int)
         adj = np.zeros((n_windows * t, n, n), dtype=bool)
-        for w in range(n_windows):
-            rng = np.random.default_rng([self.seed, w])
-            perm = rng.permutation(n)
-            adj[w * t + rng.integers(t, size=n), perm, np.r_[perm[1:], perm[:1]]] = True
-            for _ in range(RANDOM_EXTRA_EDGES):
-                i, j = rng.integers(1, n + 1, size=2)
-                if i != j:
-                    adj[w * t + rng.integers(t), i - 1, j - 1] = True
-        adj[:, range(n), range(n)] = False   # the one-node "cycle" is a self-loop
+        adj[rounds[:, :n], order, np.roll(order, -1, axis=1)] = True
+        adj[rounds[:, n:], ends[:, :e], ends[:, e:]] = True
+        adj[:, range(n), range(n)] = False   # the one-node cycle and extra self-loops
         return adj[:horizon]
+
+
+generate_random_jointly_connected = RandomJointlyConnectedSequence
 
 
 def window_unions(adj: np.ndarray, t: int) -> np.ndarray:
@@ -152,6 +153,12 @@ def certify_jointly_rooted(unions: np.ndarray, root: int) -> bool:
     return breadth_first_order(graph, hub, return_predecessors=False).size == hub + 1
 
 
-def generate_random_jointly_connected(n_nodes: int, t: int, seed: int) -> GraphSequence:
-    """Seeded random sequence certified jointly strongly connected by construction."""
-    return RandomJointlyConnectedSequence(n_nodes, t, seed)
+def connectivity_warnings(adj: np.ndarray, t: int, sources) -> list:
+    """[] when every complete T-window union of the (H, N, N) tensor is
+    strongly connected; else ["rooted_mode"] when each of the 1-indexed
+    ``sources`` reaches every node in each union, or ["connectivity_uncertified"]."""
+    unions = window_unions(adj, t)
+    if certify_joint_strong_connectivity(unions):
+        return []
+    rooted = all(certify_jointly_rooted(unions, j) for j in sources)
+    return ["rooted_mode" if rooted else "connectivity_uncertified"]

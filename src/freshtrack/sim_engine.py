@@ -30,12 +30,7 @@ import numpy as np
 from .baselines import WeightStrategy, baseline_round, mixing_weights
 from .decomposition import block_offsets, staircase_transform, to_transformed_coords
 from .gain_design import choose_radii, compute_bound_constants, design_gains, envelope_schedule
-from .graph_seq import (
-    GraphSequence,
-    certify_joint_strong_connectivity,
-    certify_jointly_rooted,
-    window_unions,
-)
+from .graph_seq import GraphSequence, connectivity_warnings
 from .observer_protocol import ProtocolKernel, initial_arrays
 from .system_model import LtiPlant, simulate_truth
 
@@ -95,7 +90,7 @@ class Trace:
         self.ts = None
         self.gains = None
         self.constants = None
-        # Codes: rooted_mode, connectivity_uncertified, envelope_horizon_short.
+        # Codes (README lists them): rooted_mode, connectivity_uncertified, envelope_*.
         self.warnings = []
 
     def max_error(self):
@@ -173,13 +168,7 @@ def _run_freshness(s: Scenario) -> Trace:
     trace.gains = gains
 
     trace.adjacency = s.graph.adjacency(s.horizon)
-    if s.horizon >= s.graph.period_t:
-        unions = window_unions(trace.adjacency, s.graph.period_t)
-        if not certify_joint_strong_connectivity(unions):
-            if all(certify_jointly_rooted(unions, j) for j in trace.substates):
-                trace.warnings.append("rooted_mode")
-            else:
-                trace.warnings.append("connectivity_uncertified")
+    trace.warnings += connectivity_warnings(trace.adjacency, s.graph.period_t, trace.substates)
 
     z0 = None
     if s.initial_estimates is not None:
@@ -202,6 +191,8 @@ def _run_freshness(s: Scenario) -> Trace:
             ref_norms = np.zeros(n_nodes)
             ref_norms[subs] = trace.err_block[schedule.reference[subs], subs, subs]
             trace.constants = compute_bound_constants(ts, gains, ref_norms, schedule.t_bar)
+            if not np.all(np.isfinite(trace.constants.c_bar)):
+                trace.warnings.append("envelope_constants_not_finite")
         else:
             trace.warnings.append("envelope_horizon_short")
     return trace
@@ -275,7 +266,7 @@ def check_envelope(trace: Trace):
     the number of violating (node, substate, k) points and the first of
     them, or None.  Substate envelopes are searched in (substate, k, node)
     order, then the total envelope, marked substate 0, in (k, node) order.
-    A point whose error or bound is NaN is a violation.
+    A point whose error is NaN or whose bound is not finite is a violation.
     """
     constants, rho = trace.constants, trace.rho
     if constants is None:
@@ -285,16 +276,19 @@ def check_envelope(trace: Trace):
     slack = 1.0 + 1e-9
     ks = np.arange(trace.horizon + 1)
     subs = np.array(trace.substates) - 1
-    # bound[k, c] for substate subs[c], which counts from its start on.
-    bound = constants.c_bar[subs] * radii[subs] ** ks[:, None] * slack + 1e-300
+    # bound[k, c] for substate subs[c], which counts from its start on.  The
+    # hypot overflows only where the norm does, unlike a sum of squares.  A
+    # bound that is not finite reads as -1, which every error exceeds.
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = constants.c_bar[subs] * radii[subs] ** ks[:, None] * slack + 1e-300
+        total = np.hypot.reduce(constants.c_bar) * rho ** ks * slack + 1e-300
+    bound, total = (np.nan_to_num(b, nan=-1.0, posinf=-1.0) for b in (bound, total))
     live = ks[:, None] >= schedule.start[subs]
     over = (~(trace.err_block[:, :, _substate_axis(trace)] <= bound[:, None, :])
             & live[:, None, :])
-    total_amp = float(np.sqrt(np.sum(constants.c_bar ** 2)))
-    bound = total_amp * rho ** ks * slack + 1e-300
     live = ks >= schedule.total_start
     # One column, which _first reads as substate 0 through subs = [-1].
-    over_total = (~(trace.err_total <= bound[:, None]) & live[:, None])[:, :, None]
+    over_total = (~(trace.err_total <= total[:, None]) & live[:, None])[:, :, None]
     count = int(np.count_nonzero(over) + np.count_nonzero(over_total))
     at = _first(over, subs, (2, 0, 1)) or _first(over_total, np.array([-1]), (0, 1, 2))
     return {"passed": count == 0, "violations": count, "counterexample": at}

@@ -245,11 +245,12 @@ def _set_scenario(*path_and_value):
     return tamper
 
 
+_BAD_EDGE = "invalid scenario config: "
+
+
 def _set_first_round(edges):
-    def tamper(data):
-        data["graph_edges"][0] = edges
-        return data
-    return tamper
+    # The graph is the scenario's: its edge lists are what check reads.
+    return _set_scenario("graph", "params", "edge_lists", [edges, [[1, 3], [3, 2]]])
 
 
 def _drop_scenario(data):
@@ -274,11 +275,10 @@ def _drop_scenario(data):
      "$.constants.alpha[0]: [1.0] is not of type 'number'"),
     (_set_constant("g", [1.0, 2.0, 3.0]), "$.constants.g[0]: 1.0 is not of type 'array'"),
     (_set_constant("h", {"a": 1}), "$.constants.h: {'a': 1} is not of type 'array'"),
-    (_set_first_round([[1.9, 2.2], [2, 3]]), "edges must be pairs of node ids, not float64"),
-    (_set_first_round([["1", "2"], ["2", "3"]]), "edges must be pairs of node ids, not <U"),
-    # numpy reads true among ints as node 1: the edge 1 -> 2 would pass.
-    (_set_first_round([[True, 2], [2, 3]]), "true and false are not node ids"),
-    (_set_first_round([[1, 2], [2, False]]), "true and false are not node ids"),
+    (_set_first_round([[1.9, 2.2], [2, 3]]), f"{_BAD_EDGE}2.2 is not of type 'integer'"),
+    (_set_first_round([["1", "2"], [2, 3]]), f"{_BAD_EDGE}'2' is not of type 'integer'"),
+    (_set_first_round([[True, 2], [2, 3]]), f"{_BAD_EDGE}True is not of type 'integer'"),
+    (_set_first_round([[1, 2], [2, False]]), f"{_BAD_EDGE}False is not of type 'integer'"),
 ], ids=["horizon_fraction", "horizon_float", "rho_text", "list", "no_scenario",
         "period_zero", "block_dims_per_node", "c_bar_text", "c_bar_short", "c_bar_nan",
         "alpha_ragged", "g_vector", "h_object", "edges_fraction", "edges_text",
@@ -345,7 +345,7 @@ def _run_small(tmp_path, capsys):
 def test_check_rejects_report_edge_outside_nodes(tmp_path, capsys, node):
     trace, report = _run_small(tmp_path, capsys)
     data = json.loads(report.read_text())
-    data["graph_edges"][5].append([node, 2])
+    data["scenario"]["graph"]["params"]["edge_lists"][1].append([node, 2])
     report.write_text(json.dumps(data))
     assert main(["check", str(trace), str(report)]) == 2
     assert "outside node range" in capsys.readouterr().err
@@ -368,19 +368,28 @@ def test_check_rejects_malformed_trace_rows(tmp_path, capsys, tamper):
     assert "malformed" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("rounds", ["missing", "short", "long"])
-def test_check_rejects_report_without_every_graph_round(tmp_path, capsys, rounds):
+def test_check_takes_the_graph_from_scenario_not_a_report_copy(tmp_path, capsys):
+    # Node 2 adopts node 3 in round 0 although the source, node 1, sends to
+    # it.  Older reports carried each round's edges as "graph_edges"; one
+    # without the edge 1 -> 2 must not hide the fault, since check rebuilds
+    # the graph from the scenario.
     trace, report = _run_small(tmp_path, capsys)
+    lines = trace.read_text().splitlines()
+    donor = lines[1].split(",").index("donor1")
+    row = next(i for i, line in enumerate(lines) if line.startswith("1,2,"))
+    parts = lines[row].split(",")
+    assert parts[donor] == "1"
+    parts[donor] = "3"
+    lines[row] = ",".join(parts)
+    trace.write_text("\n".join(lines) + "\n")
     data = json.loads(report.read_text())
-    if rounds == "missing":
-        del data["graph_edges"]
-    elif rounds == "short":
-        data["graph_edges"] = data["graph_edges"][:3]
-    else:
-        data["graph_edges"].append([])
+    adj = build_scenario(data["scenario"]).graph.adjacency(data["horizon"])
+    data["graph_edges"] = [(np.argwhere(a) + 1).tolist() for a in adj]
+    data["graph_edges"][0].remove([1, 2])
     report.write_text(json.dumps(data))
-    assert main(["check", str(trace), str(report)]) == 2
-    assert "graph_edges for all 40 rounds" in capsys.readouterr().err
+    assert main(["check", str(trace), str(report)]) == 1
+    captured = capsys.readouterr()
+    assert "lemmas: FAIL" in captured.out and "disagrees" in captured.err
 
 
 @pytest.mark.parametrize("field,value,message", [
@@ -597,7 +606,7 @@ def test_trace_csv_reads_back_bit_equal(tmp_path, runs, name):
     path = str(tmp_path / "trace.csv")
     trace.to_csv(path)
     loaded = _load_back(path, report)
-    for attr in ("taus", "donors", "z_estimates", "err_block", "err_total"):
+    for attr in ("taus", "donors", "z_estimates", "err_block", "err_total", "adjacency"):
         assert np.array_equal(getattr(loaded, attr), getattr(trace, attr)), attr
 
 
@@ -617,13 +626,14 @@ def test_report_text_parses_like_indented_dump(runs):
         assert len(text.splitlines()) == len(report) + 2, name
 
 
-def test_edge_scatter_matches_per_round_graphs(runs):
-    for name, (trace, report) in runs.items():
-        rounds = report["graph_edges"]
-        adj = edge_tensor(trace.n_nodes, rounds)
-        assert np.array_equal(adj, trace.adjacency), name
-        assert np.array_equal(adj, np.stack([edge_tensor(trace.n_nodes, [e])[0]
-                                             for e in rounds])), name
+def test_edge_scatter_matches_per_round_graphs():
+    for name, config in canned_scenarios().items():
+        rounds = config["graph"]["params"].get("edge_lists")
+        if rounds is None:
+            continue
+        n_nodes = len(config["plant"]["C"])
+        assert np.array_equal(edge_tensor(n_nodes, rounds),
+                              np.stack([edge_tensor(n_nodes, [e])[0] for e in rounds])), name
 
 
 @pytest.mark.parametrize("tamper", ["stripped", "replaced"])
@@ -702,6 +712,16 @@ def test_check_derives_errors_from_the_report_plant(tmp_path, capsys, name):
     assert "disagrees" in capsys.readouterr().err
 
 
+def test_check_derives_the_connectivity_mode_from_the_graph(tmp_path, capsys):
+    # The Fig. 1 windows are rooted at node 1 but not strongly connected.
+    # The lemma report's mode comes from the graph, not the report's warnings.
+    def drop_warnings(data):
+        assert data["warnings"] == ["rooted_mode"]
+        assert data["checks"]["lemmas"]["mode"] == "rooted"
+        data["warnings"] = []
+    assert _tampered_report(tmp_path, "fig1_freshness_spectral", drop_warnings) == 0
+
+
 _BAD_SHAPE = "transform.t_matrix must be a finite (1, 1) array"
 
 
@@ -757,8 +777,13 @@ def _deadbeat_lemmas_only(data):
 
 @pytest.mark.parametrize("name,tamper,code,message", [
     ("fig1_freshness_spectral", _set_scenario("algorithm", "rho", 0.1), 1, "disagrees"),
-    ("fig1_freshness_spectral", _set_scenario("horizon", 50), 2, "graph_edges for all 50 rounds"),
+    ("fig1_freshness_spectral", _set_scenario("horizon", 50), 2,
+     "trace rows x columns are (603, 9), the report's (153, 9)"),
     ("random_jsc_theorem1", _set_scenario("graph", "T", 1), 1, "disagrees"),
+    ("random_jsc_theorem1", _set_scenario("graph", "params", "seed", 12), 1, "disagrees"),
+    ("fig1_freshness_spectral", _set_scenario(
+        "graph", "params", "edge_lists", [[[1, 2], [2, 3], [1, 3]], [[1, 3], [3, 2]]]), 1,
+     "disagrees"),
     ("fig1_freshness_spectral", _deadbeat_lemmas_only, 2,
      "report has constants but its scenario has no rho"),
     ("fig1_freshness_spectral", _set_scenario(
@@ -768,10 +793,12 @@ def _deadbeat_lemmas_only(data):
      "invalid scenario config: Additional properties are not allowed"),
     ("fig1_freshness_spectral", _set_constant("c_bar", ["1e300", 0, 0]), 2,
      "$.constants.c_bar[0]: '1e300' is not of type 'number'"),
-], ids=["rho_lowered", "horizon_shortened", "window_of_one", "rho_removed",
-        "envelope_on_deadbeat", "unknown_key", "c_bar_text"])
+], ids=["rho_lowered", "horizon_shortened", "window_of_one", "graph_seed_changed",
+        "edge_lists_changed", "rho_removed", "envelope_on_deadbeat", "unknown_key",
+        "c_bar_text"])
 def test_check_takes_the_run_from_scenario(tmp_path, capsys, name, tamper, code, message):
-    # rho, T and the horizon are read from the report's scenario, through the
-    # validator that run uses, so editing them there changes what is checked.
+    # rho, T, the graph and the horizon are read from the report's scenario,
+    # through the validator that run uses, so editing them there changes
+    # what is checked.
     assert _tampered_report(tmp_path, name, tamper) == code
     assert message in capsys.readouterr().err

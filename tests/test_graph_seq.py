@@ -174,30 +174,32 @@ def test_random_access_matches_sequential_access():
 
 
 def test_random_sequence_windows_pinned():
-    # Edges drawn by the per-window generators of seed 12, N=4, T=3.
+    # Edges drawn from the uniform rows of seed 12, N=4, T=3.
     adj = generate_random_jointly_connected(4, 3, seed=12).adjacency(30)
     assert [sorted(edges(a)) for a in adj[:6]] == [
-        [(1, 2), (3, 4), (4, 1)], [(1, 3)], [(2, 1), (2, 3)],
-        [(2, 3), (3, 1)], [(1, 4), (3, 1), (4, 2)], [(4, 2)]]
+        [(2, 4), (3, 1)], [(4, 3)], [(1, 2), (3, 2)],
+        [(1, 2), (2, 3)], [], [(1, 3), (3, 4), (4, 1)]]
     assert [sorted(edges(a)) for a in adj[27:]] == [
-        [(2, 3)], [(1, 2), (4, 1)], [(3, 4)]]
+        [(1, 4), (4, 1)], [(3, 2)], [(2, 1), (4, 3)]]
 
 
 def scalar_draw_adjacency(n, t, seed, horizon):
-    """The random sequence drawn one cycle slot at a time: the reference
-    for the generator's batched draw, which must consume the same stream."""
+    """The random sequence built one edge at a time from the same uniform
+    rows: the reference for the generator's scatters.  Row w holds window
+    w's cycle keys (N), its cycle edges' slots (N), its extra edges' slots
+    (E), senders (E) and receivers (E); a self-loop is never stored."""
+    e = RANDOM_EXTRA_EDGES
     n_windows = -(-horizon // t)
+    rows = np.random.default_rng(seed).random((n_windows, 2 * n + 3 * e))
     adj = np.zeros((n_windows * t, n, n), dtype=bool)
-    for w in range(n_windows):
-        rng = np.random.default_rng([seed, w])
-        perm = rng.permutation(n)
-        for a, b in zip(perm, np.roll(perm, -1)):
-            adj[w * t + rng.integers(t), a, b] = True
-        for _ in range(RANDOM_EXTRA_EDGES):
-            i, j = rng.integers(1, n + 1, size=2)
-            if i != j:
-                adj[w * t + rng.integers(t), i - 1, j - 1] = True
-    adj[:, range(n), range(n)] = False
+    for w, row in enumerate(rows.tolist()):
+        cycle = sorted(range(n), key=lambda i: row[i])
+        ends = [(a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1])]
+        ends += [(int(row[2 * n + e + m] * n), int(row[2 * n + 2 * e + m] * n))
+                 for m in range(e)]
+        for (a, b), u in zip(ends, row[n:2 * n + e]):
+            if a != b:
+                adj[w * t + int(u * t), a, b] = True
     return adj[:horizon]
 
 

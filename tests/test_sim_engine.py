@@ -173,6 +173,46 @@ def test_envelope_fails_on_nan(field):
     assert (report["violations"], report["counterexample"]) == expected
 
 
+def _live_points(trace, subs):
+    """(node, k) points from each of ``subs``' start on and from the total's."""
+    schedule = envelope_schedule(trace.n_nodes, trace.period_t)
+    starts = [schedule.start[j] for j in subs] + [schedule.total_start]
+    return trace.n_nodes * sum(max(0, trace.horizon + 1 - k) for k in starts)
+
+
+@pytest.mark.parametrize("name", ["fig1_freshness_spectral", "random_jsc_theorem1"])
+def test_envelope_fails_on_infinite_constants(name):
+    # An inf c_bar gives inf bounds, which no error may pass, even one
+    # raised by 1: every live point is a violation.
+    trace = run_scenario(build_scenario(canned_scenarios()[name]))
+    assert check_envelope(trace)["passed"]
+    trace.constants = dataclasses.replace(
+        trace.constants, c_bar=np.full_like(trace.constants.c_bar, np.inf))
+    trace.err_block += 1.0
+    trace.err_total += 1.0
+    subs = np.array(trace.substates) - 1
+    start = envelope_schedule(trace.n_nodes, trace.period_t).start[subs[0]]
+    assert check_envelope(trace) == {"passed": False,
+                                     "violations": _live_points(trace, subs),
+                                     "counterexample": (1, subs[0] + 1, start)}
+
+
+def test_overflowing_constants_fail_the_envelope_with_a_code():
+    # At rho = 0.1 an 8-node chain's radii, raised to the reference times,
+    # underflow: 3 of the 8 c_bar are not finite.  The run reports a code,
+    # not numpy's RuntimeWarnings (errors under this suite's settings), and
+    # every live point of those substates fails.
+    plant = make_multiblock_plant((1,) * 8, seed=1)
+    graph = generate_random_jointly_connected(8, 4, seed=1)
+    trace = run_scenario(Scenario(plant=plant, graph=graph, rho=0.1, horizon=380))
+    bad = np.flatnonzero(~np.isfinite(trace.constants.c_bar))
+    assert bad.size == 3
+    assert "envelope_constants_not_finite" in trace.warnings
+    report = check_envelope(trace)
+    assert not report["passed"]
+    assert report["violations"] >= _live_points(trace, bad) > 0
+
+
 def test_envelope_requires_constants():
     trace = Trace(2, 10, 1, (1, 1), rho=0.5)
     with pytest.raises(ValueError, match="constants"):
