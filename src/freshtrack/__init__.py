@@ -21,6 +21,6 @@ from .graph_seq import (
     generate_random_jointly_connected,
 )
 from .baselines import WeightStrategy, baseline_round, detect_divergence, mixing_weights
-from .sim_engine import Scenario, Trace, run_scenario, fit_decay_rate, check_envelope, check_lemma_suite
+from .sim_engine import Scenario, Trace, run_scenario, check_envelope, check_lemma_suite
 
 __version__ = "0.1.0"

@@ -301,7 +301,10 @@ def build_report(trace: Trace, config, results, passed):
 
 def _atomic_write(path, text):
     d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
+    try:
+        os.makedirs(d, exist_ok=True)
+    except OSError as exc:          # e.g. --out names an existing file
+        raise ConfigError(f"cannot write to output directory {d}: {exc}") from exc
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
     try:
         with os.fdopen(fd, "w") as f:
@@ -319,11 +322,13 @@ def _resolve_config(spec):
         return spec, canned[spec]
     if not os.path.exists(spec):
         raise ConfigError(f"no such config file or canned scenario: {spec}")
-    with open(spec) as f:
-        try:
+    try:
+        with open(spec, encoding="utf-8") as f:
             config = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:    # a directory, unreadable, not UTF-8
+        raise ConfigError(f"cannot read config {spec}: {exc}") from exc
     name = os.path.splitext(os.path.basename(spec))[0]
     return name, config
 

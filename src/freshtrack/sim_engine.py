@@ -10,12 +10,12 @@ A freshness run steps ``ProtocolKernel`` on the (tau, z) arrays and copies
 each round's arrays into the trace; ``error_norms`` derives the error norms
 from them and the plant's trajectory, in a run and in a trace read back.
 Every check is array work over the trace's stacked arrays, with -1 for a
-never-informed index and for an open-loop donor throughout.  The
-delayed-error identity is checked by one forward pass over the rounds that
-evaluates its closed form by Horner's rule along the recorded donors.  The
-pass goes in chunks of ``DELAYED_CHUNK`` rounds: only the recursion steps
-run per round, the rest is array work over the chunk, so its buffers stay
-O(DELAYED_CHUNK * N * n) besides the (H, N, S) residuals.
+never-informed index and for an open-loop donor throughout.  One pass
+applies the update rule to every recorded round over its graph; the next
+round must equal what it gives.  The delayed-error identity is one forward
+pass of its closed form by Horner's rule along the recorded donors.  Both go
+in chunks of ``CHUNK_ROUNDS`` rounds, so that their buffers do not grow with
+the horizon besides the (H, N, S) residuals.
 """
 
 from __future__ import annotations
@@ -34,14 +34,13 @@ from .graph_seq import GraphSequence, connectivity_warnings
 from .observer_protocol import ProtocolKernel, initial_arrays
 from .system_model import LtiPlant, simulate_truth
 
-LOG_FLOOR = 1e-13     # error norms below this are numerical noise for log fits
 DELAYED_TOL = 1e-8    # largest relative residual the delayed-error identity passes
-# Rounds per whole-array pass of the delayed-identity check.  At N = n = 64
-# a chunk's (chunk, N, n) float64 buffer is 1 MiB, and its int64 gather
-# indices are as large.  There (H = 400, two runs each) the pass took 0.12 s
-# with 64-round chunks and 0.095-0.10 s with 8-32; at the benchmark's sizes
-# the length made no difference.
-DELAYED_CHUNK = 32
+# Rounds per whole-array pass of the rule and delayed-identity checks.  At
+# N = n = 64 a chunk's (chunk, N, n) float64 buffer is 1 MiB, and its int64
+# gather indices are as large.  There (H = 400, two runs each) the delayed
+# pass took 0.12 s with 64-round chunks and 0.095-0.10 s with 8-32.
+CHUNK_ROUNDS = 32
+_NONE = np.iinfo(np.int64).max   # the rule pass's "no index": above every real one
 
 
 @dataclass
@@ -92,10 +91,6 @@ class Trace:
         self.constants = None
         # Codes (README lists them): rooted_mode, connectivity_uncertified, envelope_*.
         self.warnings = []
-
-    def max_error(self):
-        """Max-over-nodes total error norm per time-step."""
-        return np.max(self.err_total, axis=1)
 
     def csv_header(self):
         """The two lines that open `to_csv`'s file: a comment and the column names."""
@@ -221,22 +216,6 @@ def _run_baseline(s: Scenario) -> Trace:
     return trace
 
 
-def fit_decay_rate(trace: Trace, k_start: int) -> float:
-    """Least-squares exponential rate of the max-node error from k_start on.
-
-    Stops at the numerical floor; requires at least 10 usable points.
-    """
-    maxed = trace.max_error()[k_start:]
-    floor_hits = np.nonzero(maxed <= LOG_FLOOR)[0]
-    if floor_hits.size:
-        maxed = maxed[:floor_hits[0]]
-    if maxed.size < 10:
-        raise ValueError(f"only {maxed.size} usable points above the numerical floor")
-    ks = np.arange(k_start, k_start + maxed.size)
-    slope = np.polyfit(ks, np.log(maxed), 1)[0]
-    return float(np.exp(slope))
-
-
 def _first(bad, subs, order=(2, 1, 0), k0=0):
     """(node, substate, k) of the first True of bad[k, node, c], searched in
     the axis ``order`` ((substate, node, k) by default), or None.  Column c
@@ -267,15 +246,20 @@ def check_envelope(trace: Trace):
     them, or None.  Substate envelopes are searched in (substate, k, node)
     order, then the total envelope, marked substate 0, in (k, node) order.
     A point whose error is NaN or whose bound is not finite is a violation.
+    A horizon that ends before the first start fails with a ``detail``.
     """
     constants, rho = trace.constants, trace.rho
     if constants is None:
         raise ValueError("trace carries no envelope constants")
     schedule = envelope_schedule(trace.n_nodes, trace.period_t)
+    subs = np.array(trace.substates) - 1
+    first = int(schedule.start[subs].min())
+    if trace.horizon < first:
+        return {"passed": False,
+                "detail": f"insufficient horizon {trace.horizon} < first envelope start {first}"}
     radii = np.asarray(choose_radii(rho, len(trace.block_dims)))
     slack = 1.0 + 1e-9
     ks = np.arange(trace.horizon + 1)
-    subs = np.array(trace.substates) - 1
     # bound[k, c] for substate subs[c], which counts from its start on.  The
     # hypot overflows only where the norm does, unlike a sum of squares.  A
     # bound that is not finite reads as -1, which every error exceeds.
@@ -305,26 +289,18 @@ def _delayed_residuals(trace: Trace, ts):
     A_diag^T, where a substate's reader is the donor adopted in round k-1
     (``donors[k]``) or else the node itself, and each source's own block is
     reset to z_k (tau = 0 there).  The cross terms use the node's own
-    recorded estimates, as in the identity.  The lineage's length (its age)
-    follows from the round it left the source, carried along the same
-    readers: k at each source, -1 while the lineage does not reach the
-    source.  Neither recursion reads the recorded indices or calls the
-    protocol kernel, so a defect in the kernel's estimates, donors or
-    indices still shows here.
+    recorded estimates, as in the identity.  It calls no protocol kernel;
+    that tau is the lineage's age follows from `check_lemma_suite`'s rule.
 
-    The rounds go in chunks of ``DELAYED_CHUNK``.  Per round only the two
-    recursions run; the cross-substate products, the readers, the norms and
-    the masks are whole-chunk array work.  Beyond the result the pass holds
-    O(DELAYED_CHUNK * N * n) of buffers, whatever the horizon.
+    The rounds go in chunks of ``CHUNK_ROUNDS``.  Per round only the
+    recursion runs; the products, readers and norms are whole-chunk array
+    work, so the buffers are O(CHUNK_ROUNDS * N * n) whatever the horizon.
 
     Returns an (H, N, S) array over the trace's nonempty substates: the
     relative residual ||z_k - R_k|| / max(1, ||z_k||) per block, 0 for
-    sources and never-informed entries, and NaN where an informed entry's
-    index is not the length of its recorded lineage (including a lineage
-    that does not reach the source).
+    sources and never-informed entries.
     """
     z = trace.z_estimates
-    n_nodes, n_slots = trace.taus.shape[1:]
     subs = np.array(trace.substates) - 1
     sel = _substate_axis(trace)
     col_block = np.repeat(np.arange(len(ts.block_dims)), ts.block_dims)
@@ -332,30 +308,21 @@ def _delayed_residuals(trace: Trace, ts):
     starts = np.asarray(ts.offsets)[subs]
     a_lower_t = np.where(col_block[:, None] > col_block[None, :], ts.a_bar, 0.0).T
     a_diag_t = np.where(col_block[:, None] == col_block[None, :], ts.a_bar, 0.0).T
-    # Flat positions of the sources' own blocks in an N x n estimate array
-    # and of their own slots in an N x S lineage array.
+    # Flat positions of the sources' own blocks in an N x n estimate array.
     own_cols = col_block * ts.n + cols
-    own_slots = subs * n_slots + subs
     recon = z[0]
-    origin = np.full((n_nodes, n_slots), -1)
-    origin.put(own_slots, 0)
-    resid = np.zeros((trace.horizon, n_nodes, subs.size))
-    for k0 in range(1, trace.horizon + 1, DELAYED_CHUNK):
-        k1 = min(k0 + DELAYED_CHUNK, trace.horizon + 1)
+    resid = np.zeros((trace.horizon, trace.n_nodes, subs.size))
+    for k0 in range(1, trace.horizon + 1, CHUNK_ROUNDS):
+        k1 = min(k0 + CHUNK_ROUNDS, trace.horizon + 1)
         donors = trace.donors[k0:k1]
-        reader = np.where(donors >= 0, donors - 1, np.arange(n_nodes)[:, None])
+        reader = np.where(donors >= 0, donors - 1, np.arange(trace.n_nodes)[:, None])
         z_gather = reader[:, :, col_block] * ts.n + cols
-        slot_gather = reader * n_slots + np.arange(n_slots)
         z_own = z[k0:k1].reshape(k1 - k0, -1)[:, own_cols]
         recons = z[k0 - 1:k1 - 1] @ a_lower_t
-        origins = np.empty(reader.shape, dtype=origin.dtype)
-        for c, k in enumerate(range(k0, k1)):
+        for c in range(k1 - k0):
             recons[c] += recon.take(z_gather[c]) @ a_diag_t
             recon = recons[c]
             recon.put(own_cols, z_own[c])
-            origin = origin.take(slot_gather[c])
-            origin.put(own_slots, k)
-            origins[c] = origin
         # The residual pass below overwrites recons: carry a copy.
         recon = recon.copy()
 
@@ -366,25 +333,55 @@ def _delayed_residuals(trace: Trace, ts):
         np.sqrt(np.add.reduceat(diff, starts, axis=2), out=res)
         res /= np.maximum(1.0, np.sqrt(np.add.reduceat(np.square(zs), starts, axis=2)))
         res[:, subs, np.arange(subs.size)] = 0.0
-        taus = trace.taus[k0:k1][:, :, sel]
-        ages = np.where(origins >= 0, np.arange(k0, k1)[:, None, None] - origins, -1)
-        res[taus < 0] = 0.0
-        res[(taus >= 0) & (ages[:, :, sel] != taus)] = np.nan
+        res[trace.taus[k0:k1][:, :, sel] < 0] = 0.0
     return resid
+
+
+def _rule_rounds(trace: Trace):
+    """Yield (k0, taus, donors): the rule's (rounds, N, S) indices and donors
+    of the nonempty slots at times k0, k0 + 1, ...  Time 0 is the initial
+    state; time k + 1 is what round k makes of the recorded ``taus[k]`` over
+    ``adjacency[k]`` by the rule ``ProtocolKernel.step`` states (a source
+    holds index 0 and donor -1).  Edge by edge, in chunks of
+    ``CHUNK_ROUNDS``: one minimum per receiver finds the freshest usable
+    index, and one the smallest id that sends it.
+    """
+    subs = np.array(trace.substates) - 1
+    sel = _substate_axis(trace)
+    own = (slice(None), subs, np.arange(subs.size))   # each source's own slot
+    start = np.full((1, trace.n_nodes, subs.size), -1)
+    start[own] = 0
+    yield 0, start, np.full_like(start, -1)
+    for k0 in range(0, trace.horizon, CHUNK_ROUNDS):
+        k1 = min(k0 + CHUNK_ROUNDS, trace.horizon)
+        prev = trace.taus[k0:k1][:, :, sel]
+        held = np.where(prev >= 0, prev, _NONE)   # never informed: no index
+        t, sender, receiver = np.nonzero(trace.adjacency[k0:k1])
+        sent = held[t, sender]
+        sent[sent >= held[t, receiver]] = _NONE   # usable only if strictly fresher
+        best, donor = np.full((2,) + prev.shape, _NONE)
+        np.minimum.at(best, (t, receiver), sent)
+        np.minimum.at(donor, (t, receiver),
+                      np.where(sent == best[t, receiver], sender[:, None], _NONE))
+        held = np.minimum(best, held)             # the adopted index, else its own
+        taus = np.where(held != _NONE, held, -2) + 1
+        donors = np.where(best != _NONE, donor, -2) + 1
+        taus[own], donors[own] = 0, -1
+        yield k0 + 1, taus, donors
 
 
 def check_lemma_suite(trace: Trace, check_delayed=False):
     """Run the structural freshness-index checks against a recorded trace.
 
-    Covers: all indices finite by (N-1)T, the 2(N-1)T delay ceiling, the
-    one-step index growth bound, the source index pinned at zero, and
-    source-preferred donor selection.  Optionally also the delayed-error
-    identity at every informed (node, substate, k), through ``trace.ts``,
-    with relative residuals up to ``DELAYED_TOL``.  A failing check carries
-    its first counterexample (node, substate, k): in (substate, node, k)
-    order for the index checks, (substate, k) for the pinned source and
-    (k, substate, node) for donor selection and the delayed identity, whose
-    ``at`` is the first worst residual.
+    Covers the paper's lemma, all indices finite by (N-1)T and none above
+    2(N-1)T, and the rule: every round's indices and donors equal what
+    `_rule_rounds` gives, so by induction the indices are the graph's own
+    ages, each the age of its recorded donor lineage.  Optionally also the
+    delayed-error identity at every informed (node, substate, k), through
+    ``trace.ts``, with relative residuals up to ``DELAYED_TOL``.  A failing
+    check carries its first (node, substate, k): in (substate, node, k)
+    order for the lemma, else (k, substate, node), where the delayed
+    identity's ``at`` is its first worst residual.
     """
     trigger_k = envelope_schedule(trace.n_nodes, trace.period_t).t_bar
     report = {"passed": True, "checks": {}, "mode": "strong"}
@@ -400,30 +397,27 @@ def check_lemma_suite(trace: Trace, check_delayed=False):
 
     subs = np.array(trace.substates) - 1
     sel = _substate_axis(trace)
-    taus = trace.taus[:, :, sel]                    # [k, node, substate]
-    nonsource = np.ones(taus.shape[1:], dtype=bool)
+    late = trace.taus[trigger_k:, :, sel]           # [k, node, substate]
+    nonsource = np.ones(late.shape[1:], dtype=bool)
     nonsource[subs, np.arange(subs.size)] = False
-    late = taus[trigger_k:]
 
     faults = {
         "indices_finite": _first((late < 0) & nonsource, subs, k0=trigger_k),
         "delay_ceiling": _first((late > 2 * trigger_k) & nonsource, subs, k0=trigger_k),
-        "index_step_bound": _first((taus[:-1] >= 0) & (taus[1:] > taus[:-1] + 1)
-                                   & nonsource, subs),
-        # One node per substate can fail here, so this is (substate, k) order.
-        "source_pinned": _first((taus != 0) & ~nonsource, subs),
-        # Whenever the source is an in-neighbor in round k, it must be the
-        # adopted donor; searched in (k, substate, node) order.
-        "source_preferred": _first(trace.adjacency[:, sel, :].transpose(0, 2, 1)
-                                   & (trace.donors[1:, :, sel] != subs + 1)
-                                   & nonsource, subs, order=(0, 2, 1)),
+        "indices_match_graph": None,
+        "donors_match_graph": None,
     }
-    for name, counterexample in faults.items():
-        if counterexample is None:
-            report["checks"][name] = {"passed": True}
-        else:
-            report["passed"] = False
-            report["checks"][name] = {"passed": False, "counterexample": counterexample}
+    # Rounds come in time order: the first chunk that differs holds the first.
+    for k0, taus, donors in _rule_rounds(trace):
+        rows = slice(k0, k0 + len(taus))
+        for name, recorded, expected in (("indices_match_graph", trace.taus, taus),
+                                         ("donors_match_graph", trace.donors, donors)):
+            faults[name] = faults[name] or _first(
+                recorded[rows][:, :, sel] != expected, subs, order=(0, 2, 1), k0=k0)
+    for name, at in faults.items():
+        report["checks"][name] = ({"passed": True} if at is None else
+                                  {"passed": False, "counterexample": at})
+    report["passed"] = all(at is None for at in faults.values())
 
     if check_delayed:
         resid = _delayed_residuals(trace, trace.ts)

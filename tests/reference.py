@@ -11,8 +11,9 @@ k) at a time with matrix powers and an explicit walk down the donor
 lineage.  The tests pin ``sim_engine._delayed_residuals``, which evaluates
 the same identity for a whole trace in chunked forward passes, to it.
 
-``from_transformed_coords`` and ``block_pair_observable`` check the
-staircase transform from the outside.  ``make_diagonal_plant`` and
+``max_error`` and ``fit_decay_rate`` read a run's convergence rate off its
+error norms.  ``from_transformed_coords`` and ``block_pair_observable``
+check the staircase transform from the outside.  ``make_diagonal_plant`` and
 ``couple_substates`` build test plants: one coordinate per node, and plants
 whose identity has nonzero cross-substate terms.
 """
@@ -21,6 +22,8 @@ import numpy as np
 
 from freshtrack.decomposition import staircase_transform
 from freshtrack.system_model import LtiPlant, observability_staircase
+
+LOG_FLOOR = 1e-13     # error norms below this are numerical noise for log fits
 
 
 def select_donor(own_tau, neighbor_taus):
@@ -66,6 +69,27 @@ def nonsource_step(j, z, tau, donor_z, donor_tau, ts):
     if donor_tau >= 0:
         return donor_tau + 1, new
     return (tau + 1 if tau >= 0 else -1), new
+
+
+def max_error(trace):
+    """Max-over-nodes total error norm per time-step."""
+    return np.max(trace.err_total, axis=1)
+
+
+def fit_decay_rate(trace, k_start):
+    """Least-squares exponential rate of the max-node error from k_start on.
+
+    Stops at the numerical floor; requires at least 10 usable points.
+    """
+    maxed = max_error(trace)[k_start:]
+    floor_hits = np.nonzero(maxed <= LOG_FLOOR)[0]
+    if floor_hits.size:
+        maxed = maxed[:floor_hits[0]]
+    if maxed.size < 10:
+        raise ValueError(f"only {maxed.size} usable points above the numerical floor")
+    ks = np.arange(k_start, k_start + maxed.size)
+    slope = np.polyfit(ks, np.log(maxed), 1)[0]
+    return float(np.exp(slope))
 
 
 def from_transformed_coords(z, ts):

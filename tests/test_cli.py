@@ -147,6 +147,34 @@ def test_run_missing_scenario_exits_2(capsys):
     assert "no such config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["config_is_a_directory", "config_not_utf8",
+                                  "out_is_a_file"])
+def test_run_exits_2_on_unusable_paths(tmp_path, capsys, case):
+    cfg, out = tmp_path / "config.json", tmp_path / "out"
+    if case == "config_is_a_directory":
+        cfg.mkdir()
+    elif case == "config_not_utf8":
+        cfg.write_bytes(json.dumps(small_config()).encode("utf-16"))
+    else:
+        cfg.write_text(json.dumps(small_config()))
+        out.write_text("")
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert str(out if case == "out_is_a_file" else cfg) in capsys.readouterr().err
+
+
+def test_envelope_that_compares_no_point_fails(tmp_path, capsys):
+    # Fig. 1's substate 1 envelope starts at t_bar = 4 and the total at 20,
+    # so a horizon of 3 compares nothing.
+    cfg = tmp_path / "short.json"
+    cfg.write_text(json.dumps(small_config(algorithm={"type": "freshness", "rho": 0.6},
+                                           horizon=3, checks={"envelope": True})))
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == 1
+    report = tmp_path / "short_report.json"
+    assert json.loads(report.read_text())["checks"]["envelope"] == {
+        "passed": False, "detail": "insufficient horizon 3 < first envelope start 4"}
+    assert main(["check", str(tmp_path / "short_trace.csv"), str(report)]) == 1
+
+
 def test_run_config_file_and_check_roundtrip(tmp_path, capsys):
     cfg = tmp_path / "scenario.json"
     cfg.write_text(json.dumps(small_config()))

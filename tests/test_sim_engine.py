@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as hst
 
-from freshtrack import sim_engine
+from freshtrack import cli, sim_engine
 from freshtrack.baselines import WeightStrategy, detect_divergence
 from freshtrack.cli import build_scenario
 from freshtrack.gain_design import closed_loop_block, envelope_schedule
@@ -22,11 +22,17 @@ from freshtrack.sim_engine import (
     check_envelope,
     check_lemma_suite,
     error_norms,
-    fit_decay_rate,
     run_scenario,
 )
+from freshtrack.observer_protocol import ProtocolKernel
 from freshtrack.system_model import DecompositionError, LtiPlant, simulate_truth
-from reference import check_delayed_form, couple_substates
+from reference import (
+    check_delayed_form,
+    couple_substates,
+    fit_decay_rate,
+    max_error,
+    select_donor,
+)
 
 
 def fig1_graph():
@@ -120,7 +126,7 @@ def test_baseline_divergence_rate_above_one():
 
 def test_freshness_run_converges_and_certifies_envelope():
     trace = run_scenario(random_scenario(seed=7))
-    assert trace.max_error()[-1] < 1e-6
+    assert max_error(trace)[-1] < 1e-6
     assert check_envelope(trace) == {"passed": True, "violations": 0,
                                      "counterexample": None}
 
@@ -225,9 +231,9 @@ def test_lemma_suite_passes_on_strong_scenario():
     assert report["passed"]
     assert report["mode"] == "strong"
     assert report["checks"]["delayed_form"]["max_residual"] <= 1e-8
-    for name in ("indices_finite", "delay_ceiling", "index_step_bound",
-                 "source_pinned", "source_preferred"):
-        assert report["checks"][name]["passed"]
+    assert list(report["checks"]) == ["indices_finite", "delay_ceiling", "indices_match_graph",
+                                      "donors_match_graph", "delayed_form"]
+    assert all(entry["passed"] for entry in report["checks"].values())
 
 
 def test_lemma_suite_rooted_mode_flagged():
@@ -302,19 +308,29 @@ def test_lemma_suite_reports_first_source_preferred_violation():
     for k, j, i in (sends[-1], sends[3]):
         trace.donors[k + 1, i - 1, j - 1] = -1
     report = check_lemma_suite(trace)
+    # The donor recorded at time k + 1, which round k produced.
     k, j, i = sends[3]
-    assert report["checks"]["source_preferred"] == {
-        "passed": False, "counterexample": (i, j, k)}
+    assert report["checks"]["donors_match_graph"] == {
+        "passed": False, "counterexample": (i, j, k + 1)}
+    assert report["checks"]["indices_match_graph"]["passed"]
 
 
 def test_lemma_suite_reports_first_source_pinned_violation():
     trace = run_scenario(random_scenario(seed=7))
     trace.taus[30, 2, 2] = 1
-    trace.taus[40, 0, 0] = 2
+    trace.taus[40, 0, 0] = 3
     report = check_lemma_suite(trace)
-    # The first in (substate, k) order, not the last source tampered.
-    assert report["checks"]["source_pinned"] == {
+    # The first in (k, substate, node) order.
+    assert report["checks"]["indices_match_graph"] == {
+        "passed": False, "counterexample": (3, 3, 30)}
+    trace.taus[30, 2, 2] = 0
+    report = check_lemma_suite(trace)
+    assert report["checks"]["indices_match_graph"] == {
         "passed": False, "counterexample": (1, 1, 40)}
+    # Round 40's one edge brings source 1 a fresher index than the 3 claimed,
+    # yet a source adopts no donor.
+    assert np.argwhere(trace.adjacency[40]).tolist() == [[2, 0]] and trace.taus[40, 2, 0] == 2
+    assert report["checks"]["donors_match_graph"]["passed"]
 
 
 def test_envelope_violations_keep_their_order():
@@ -340,13 +356,14 @@ def test_envelope_violations_keep_their_order():
 
 
 def reference_lemma_faults(trace):
-    """First counterexample of each lemma check, by straight-line loops over
-    (substate, node, k), and over (k, substate, node) for donor selection."""
+    """First counterexample of each lemma check, by straight-line loops: over
+    (substate, node, k) for the index lemma, and over (k, substate, node) for
+    the rule, whose every expected entry comes from `select_donor`."""
     n_nodes, horizon = trace.n_nodes, trace.horizon
     trigger = (n_nodes - 1) * trace.period_t
     ceiling = 2 * trigger
-    faults = dict.fromkeys(("indices_finite", "delay_ceiling", "index_step_bound",
-                            "source_pinned", "source_preferred"))
+    faults = dict.fromkeys(("indices_finite", "delay_ceiling", "indices_match_graph",
+                            "donors_match_graph"))
 
     def note(name, at):
         if faults[name] is None:
@@ -354,24 +371,30 @@ def reference_lemma_faults(trace):
 
     for j in trace.substates:
         for i in range(1, n_nodes + 1):
-            for k in range(horizon + 1):
+            for k in range(trigger, horizon + 1):
                 tau = trace.taus[k, i - 1, j - 1]
-                if i == j:
-                    if tau != 0:
-                        note("source_pinned", (i, j, k))
-                    continue
-                if k >= trigger and tau < 0:
+                if i != j and tau < 0:
                     note("indices_finite", (i, j, k))
-                if k >= trigger and tau > ceiling:
+                if i != j and tau > ceiling:
                     note("delay_ceiling", (i, j, k))
-                if k < horizon and tau >= 0 and trace.taus[k + 1, i - 1, j - 1] > tau + 1:
-                    note("index_step_bound", (i, j, k))
-    for k in range(horizon):
+    for k in range(horizon + 1):
         for j in trace.substates:
             for i in range(1, n_nodes + 1):
-                if (i != j and trace.adjacency[k, j - 1, i - 1]
-                        and trace.donors[k + 1, i - 1, j - 1] != j):
-                    note("source_preferred", (i, j, k))
+                if i == j or k == 0:
+                    # A source keeps index 0; at time 0 no one else is informed.
+                    tau, donor = (0 if i == j else -1), -1
+                else:
+                    own = int(trace.taus[k - 1, i - 1, j - 1])
+                    heard = {l: int(trace.taus[k - 1, l - 1, j - 1])
+                             for l in range(1, n_nodes + 1)
+                             if trace.adjacency[k - 1, l - 1, i - 1]}
+                    donor = select_donor(own, heard)
+                    held = heard[donor] if donor > 0 else own
+                    tau = held + 1 if held >= 0 else -1
+                if trace.taus[k, i - 1, j - 1] != tau:
+                    note("indices_match_graph", (i, j, k))
+                if trace.donors[k, i - 1, j - 1] != donor:
+                    note("donors_match_graph", (i, j, k))
     return faults
 
 
@@ -399,6 +422,11 @@ def test_lemma_suite_matches_straight_line_reference(fig1, seed, tampered):
              for name in reference_lemma_faults(trace)}
     assert found == reference_lemma_faults(trace)
     assert report["passed"] == all(v is None for v in found.values())
+    # The chunk length moves no counterexample.
+    for chunk in (1, 4):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim_engine, "CHUNK_ROUNDS", chunk)
+            assert check_lemma_suite(trace) == report
 
 
 @settings(max_examples=25)
@@ -429,6 +457,7 @@ def test_delayed_check_matches_per_point_closed_form(blocks, blind, coupling, se
         reject()
     ts = trace.ts
     rng = np.random.default_rng(seed)
+    tampered = None
     if tamper == "estimate":
         # One estimate entry off by one: both evaluations read the same
         # recorded estimates, so they must still agree point by point.
@@ -436,17 +465,23 @@ def test_delayed_check_matches_per_point_closed_form(blocks, blind, coupling, se
                      rng.integers(0, ts.n))
         trace.z_estimates[k, i, col] += 1.0
     elif tamper == "tau":
-        # One index shifted off its lineage's length (or onto it, by chance).
+        # One index shifted off its lineage's length (or onto -1, by chance).
         k, i = rng.integers(1, trace.horizon + 1), rng.integers(0, plant.n_nodes)
         j = trace.substates[rng.integers(0, len(trace.substates))] - 1
-        trace.taus[k, i, j] = max(-1, trace.taus[k, i, j] + rng.choice([-2, -1, 1, 2]))
+        old = trace.taus[k, i, j]
+        trace.taus[k, i, j] = max(-1, old + rng.choice([-2, -1, 1, 2]))
+        if trace.taus[k, i, j] != old:
+            tampered = (i + 1, j + 1, k)
     resid = _delayed_residuals(trace, ts)
     # The chunk length moves no bit: chunks of one round, chunks that do
     # and do not divide the horizon, and one chunk longer than it.
     for chunk in (1, 3, 5, trace.horizon + 1):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sim_engine, "DELAYED_CHUNK", chunk)
-            assert np.array_equal(_delayed_residuals(trace, ts), resid, equal_nan=True)
+            mp.setattr(sim_engine, "CHUNK_ROUNDS", chunk)
+            assert np.array_equal(_delayed_residuals(trace, ts), resid)
+    checks = check_lemma_suite(trace, check_delayed=True)["checks"]
+    # The rule check finds a shifted index where the index lemma may not.
+    assert checks["indices_match_graph"].get("counterexample") == tampered
     refs = []
     for k in range(1, trace.horizon + 1):
         for c, j in enumerate(trace.substates):
@@ -454,19 +489,15 @@ def test_delayed_check_matches_per_point_closed_form(blocks, blind, coupling, se
                 try:
                     ref = check_delayed_form(trace, ts, j, k, i)
                 except ValueError:
-                    ref = np.nan
-                if np.isnan(ref):
-                    assert np.isnan(resid[k - 1, i - 1, c]), (i, j, k)
-                else:
-                    assert abs(resid[k - 1, i - 1, c] - ref) <= 1e-12, (i, j, k)
+                    # An index off its recorded lineage: the rule check's point.
+                    assert (i, j, k) == tampered
+                    continue
+                assert abs(resid[k - 1, i - 1, c] - ref) <= 1e-12, (i, j, k)
                 refs.append(ref)
-    worst = np.max(refs, initial=0.0)                # NaN if any point raised
-    entry = check_lemma_suite(trace, check_delayed=True)["checks"]["delayed_form"]
+    worst = np.max(refs, initial=0.0)
+    entry = checks["delayed_form"]
     assert entry["passed"] == (worst <= 1e-8)
-    if np.isnan(worst):
-        assert np.isnan(entry["max_residual"])
-    else:
-        assert entry["max_residual"] == pytest.approx(worst, abs=1e-12)
+    assert entry["max_residual"] == pytest.approx(worst, abs=1e-12)
 
 
 def relay_trace(horizon=10):
@@ -507,21 +538,21 @@ def test_delayed_check_locates_single_tampered_entry(entry):
     assert entry["at"] == expected
 
 
-def test_delayed_check_fails_lineage_from_uninformed_node():
+def test_lemma_suite_fails_lineage_from_uninformed_node():
     trace = relay_trace()
     # Round 0: node 2 adopts source 1; claim it adopted node 3, never informed.
     assert trace.donors[1, 1, 0] == 1 and trace.taus[0, 2, 0] == -1
     trace.donors[1, 1, 0] = 3
     with pytest.raises(ValueError, match="does not reach the source"):
         check_delayed_form(trace, trace.ts, 1, 1, 2)
-    entry = check_lemma_suite(trace, check_delayed=True)["checks"]["delayed_form"]
-    assert not entry["passed"]
-    assert np.isnan(entry["max_residual"])
-    assert entry["at"] == (2, 1, 1)
+    report = check_lemma_suite(trace, check_delayed=True)
+    assert not report["passed"]
+    assert report["checks"]["donors_match_graph"] == {"passed": False,
+                                                      "counterexample": (2, 1, 1)}
 
 
 @pytest.mark.parametrize("defect", ["open_loop_keeps_index", "adoption_adds_two"])
-def test_delayed_check_fails_index_off_its_lineage(defect):
+def test_lemma_suite_fails_index_off_its_lineage(defect):
     trace = relay_trace()
     h = trace.horizon
     if defect == "open_loop_keeps_index":
@@ -535,14 +566,11 @@ def test_delayed_check_fails_index_off_its_lineage(defect):
         trace.taus[h, 0, 2] = trace.taus[h - 1, 2, 2] + 2
         expected = (1, 3, h)
     report = check_lemma_suite(trace, check_delayed=True)
-    # Neither defect moves an index by more than one step, so only the
-    # delayed identity sees it.
-    assert all(entry["passed"] for name, entry in report["checks"].items()
-               if name != "delayed_form")
-    entry = report["checks"]["delayed_form"]
-    assert not entry["passed"]
-    assert np.isnan(entry["max_residual"])
-    assert entry["at"] == expected
+    # Neither defect moves an index past the lemma's bounds or an estimate,
+    # so only the rule check sees it.
+    assert {name: entry for name, entry in report["checks"].items()
+            if not entry["passed"]} == {
+        "indices_match_graph": {"passed": False, "counterexample": expected}}
     i, j, k = expected
     with pytest.raises(ValueError):
         check_delayed_form(trace, trace.ts, j, k, i)
@@ -557,3 +585,101 @@ def test_delayed_check_on_empty_horizon():
     trace.taus[0], trace.z_estimates[0], trace.ts = run.taus[0], run.z_estimates[0], run.ts
     entry = check_lemma_suite(trace, check_delayed=True)["checks"]["delayed_form"]
     assert entry == {"passed": True, "max_residual": 0.0, "at": None}
+
+
+def _usable(tau, adjacency):
+    """[i, l, j]: node l+1 may be node i+1's donor for substate j+1 by the rule."""
+    nbr, own = tau[None, :, :], tau[:, None, :]
+    return adjacency.T[:, :, None] & (nbr >= 0) & ((own < 0) | (nbr < own))
+
+
+class _ChoiceKernel(ProtocolKernel):
+    """A faulty kernel that adopts the usable donor ``choose`` names instead
+    of the freshest: the real step over each substate's chosen edges only."""
+
+    def step(self, tau, z, adjacency, y):
+        pick = self.choose(tau, _usable(tau, adjacency))   # 0-based, -1 for none
+        new_tau, new_z, donors = np.empty_like(tau), np.empty_like(z), np.empty_like(tau)
+        for j in range(tau.shape[1]):
+            chosen = np.zeros_like(adjacency)
+            has = pick[:, j] >= 0
+            chosen[pick[has, j], np.flatnonzero(has)] = True
+            tau_j, z_j, donors_j = super().step(tau, z, chosen, y)
+            cols = self._col_block == j
+            new_tau[:, j], donors[:, j] = tau_j[:, j], donors_j[:, j]
+            new_z[:, cols] = z_j[:, cols]
+        return new_tau, new_z, donors
+
+
+def _stalest(tau, usable):
+    return np.where(usable.any(axis=1), np.where(usable, tau[None], -1).argmax(axis=1), -1)
+
+
+class StalestRelayKernel(_ChoiceKernel):
+    """The source when it is a usable in-neighbour, else the stalest usable relay."""
+
+    def choose(self, tau, usable):
+        pick = _stalest(tau, usable)
+        src = self.sources
+        pick[:, src] = np.where(usable[:, src, src], src, pick[:, src])
+        return pick
+
+
+class StalestAnyKernel(_ChoiceKernel):
+    """The stalest usable in-neighbour, the source included."""
+
+    def choose(self, tau, usable):
+        return _stalest(tau, usable)
+
+
+class SourceOnlyKernel(_ChoiceKernel):
+    """The source when it is a usable in-neighbour, else no one."""
+
+    def choose(self, tau, usable):
+        pick = np.full_like(tau, -1)
+        src = self.sources
+        pick[:, src] = np.where(usable[:, src, src], src, -1)
+        return pick
+
+
+class OpenLoopKeepsIndexKernel(ProtocolKernel):
+    """An informed node that runs open-loop keeps its index."""
+
+    def step(self, tau, z, adjacency, y):
+        new_tau, new_z, donors = super().step(tau, z, adjacency, y)
+        return np.where((donors < 0) & (tau >= 0), tau, new_tau), new_z, donors
+
+
+class AdoptionAddsTwoKernel(ProtocolKernel):
+    """An adopted index is the donor's + 2."""
+
+    def step(self, tau, z, adjacency, y):
+        new_tau, new_z, donors = super().step(tau, z, adjacency, y)
+        return np.where(donors > 0, new_tau + 1, new_tau), new_z, donors
+
+
+@pytest.mark.parametrize("name", ["random_jsc_theorem1", "random_jsc_corollary1"])
+def test_check_fails_stalest_relay_kernel(tmp_path, monkeypatch, capsys, name):
+    # Its indices stay within the lemma's bounds and its estimates follow its
+    # donors, so only the rule checks see that it skips the freshest relay.
+    with monkeypatch.context() as mp:
+        mp.setattr(sim_engine, "ProtocolKernel", StalestRelayKernel)
+        trace = run_scenario(build_scenario(canned_scenarios()[name]))
+        assert cli.main(["run", name, "--out", str(tmp_path)]) == 1
+    report = check_lemma_suite(trace, check_delayed=True)
+    assert {n for n, entry in report["checks"].items() if not entry["passed"]} == {
+        "indices_match_graph", "donors_match_graph"}
+    stem = str(tmp_path / name)
+    assert cli.main(["check", f"{stem}_trace.csv", f"{stem}_report.json"]) == 1
+    assert "lemmas: FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("kernel", [SourceOnlyKernel, StalestAnyKernel,
+                                    OpenLoopKeepsIndexKernel, AdoptionAddsTwoKernel])
+def test_lemma_suite_fails_faulty_kernels(monkeypatch, kernel):
+    monkeypatch.setattr(sim_engine, "ProtocolKernel", kernel)
+    trace = run_scenario(build_scenario(canned_scenarios()["random_jsc_theorem1"]))
+    report = check_lemma_suite(trace, check_delayed=True)
+    assert not report["passed"]
+    assert not (report["checks"]["indices_match_graph"]["passed"]
+                and report["checks"]["donors_match_graph"]["passed"])
