@@ -38,6 +38,7 @@ class ProtocolKernel:
         n_nodes, n = ts.n_nodes, ts.n
         self.n_nodes = n_nodes
         self.sources = [j for j in range(n_nodes) if ts.block_dims[j] > 0]
+        self._own_rows = np.arange(n_nodes)[:, None]
         self._col_block = np.repeat(np.arange(n_nodes), ts.block_dims)
         self._cols = np.arange(n)
         lower = self._col_block[:, None] > self._col_block[None, :]
@@ -81,19 +82,21 @@ class ProtocolKernel:
         The cross terms A_jq z_i[q], q < j, are always the node's own.  Source
         j keeps index 0 and adds the correction -L_j (C_j z_j - y_j).
         """
-        nbr = tau[None, :, :]
-        own = tau[:, None, :]
-        usable = adjacency.T[:, :, None] & (nbr >= 0) & ((own < 0) | (nbr < own))
+        # A never-informed index reads as _NO_DONOR, above every real one:
+        # "usable" is then just "strictly fresher", informed or not.
+        ages = np.where(tau >= 0, tau, _NO_DONOR)
+        nbr = ages[None, :, :]
+        usable = adjacency.T[:, :, None] & (nbr < ages[:, None, :])
         key = np.where(usable, nbr, _NO_DONOR)
         pick = key.argmin(axis=1)
-        best = np.take_along_axis(key, pick[:, None, :], axis=1)[:, 0, :]
+        best = key.min(axis=1)
         adopted = best != _NO_DONOR
         held = np.where(adopted, best, tau)
         new_tau = np.where(held >= 0, held + 1, -1)
         new_tau[self.sources, self.sources] = 0
         donors = np.where(adopted, pick + 1, -1)
 
-        reader = np.where(adopted, pick, np.arange(self.n_nodes)[:, None])
+        reader = np.where(adopted, pick, self._own_rows)
         base = z[reader[:, self._col_block], self._cols]
         new_z = z @ self._a_lower_t + base @ self._a_diag_t
         resid = np.einsum("rc,rc->r", self._c_rows, z[self._row_owner]) - y

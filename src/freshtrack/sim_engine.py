@@ -35,10 +35,11 @@ from .observer_protocol import ProtocolKernel, initial_arrays
 from .system_model import LtiPlant, simulate_truth
 
 DELAYED_TOL = 1e-8    # largest relative residual the delayed-error identity passes
-# Rounds per whole-array pass of the rule and delayed-identity checks.  At
-# N = n = 64 a chunk's (chunk, N, n) float64 buffer is 1 MiB, and its int64
-# gather indices are as large.  There (H = 400, two runs each) the delayed
-# pass took 0.12 s with 64-round chunks and 0.095-0.10 s with 8-32.
+# Rounds per whole-array pass of the rule and delayed-identity checks and of
+# the trace writer.  At N = n = 64 a chunk's (chunk, N, n) float64 buffer is
+# 1 MiB, and its int64 gather indices are as large.  There (H = 400, two
+# runs each) the delayed pass took 0.12 s with 64-round chunks and
+# 0.095-0.10 s with 8-32.
 CHUNK_ROUNDS = 32
 _NONE = np.iinfo(np.int64).max   # the rule pass's "no index": above every real one
 
@@ -110,17 +111,34 @@ class Trace:
         floats with ``repr``, so reading the file back gives the arrays bit
         for bit.  ``path_or_buf`` is a path (str, bytes or ``os.PathLike``)
         or an open text file.
+
+        The rows go in chunks of ``CHUNK_ROUNDS`` rounds, one write each.  A
+        chunk formats each distinct float bit pattern once (bits, not values,
+        so that -0.0 stays apart from 0.0) and takes its int cells from one
+        table of ``str`` over the trace's int range, so its buffers do not
+        grow with the horizon.
         """
+        n_nodes, n_slots = self.taus.shape[1:]
+        lo = min(-1, self.taus.min(), self.donors.min())
+        hi = max(self.horizon, n_nodes, self.taus.max(), self.donors.max())
+        table = np.array([str(v) for v in range(lo, hi + 1)], dtype=object)
         is_path = isinstance(path_or_buf, (str, bytes, os.PathLike))
         with open(path_or_buf, "w") if is_path else contextlib.nullcontext(path_or_buf) as f:
             f.write(self.csv_header())
-            for k in range(self.horizon + 1):
-                rows = zip(self.taus[k].tolist(), self.donors[k].tolist(),
-                           self.z_estimates[k].tolist())
-                f.write("".join(
-                    f"{k},{i},{','.join(map(str, tau + donor))},"
-                    f"{','.join(map(repr, z))}\n"
-                    for i, (tau, donor, z) in enumerate(rows, 1)))
+            for k0 in range(0, self.horizon + 1, CHUNK_ROUNDS):
+                k1 = min(k0 + CHUNK_ROUNDS, self.horizon + 1)
+                ints = np.empty((k1 - k0, n_nodes, 2 + 2 * n_slots), dtype=np.int64)
+                ints[:, :, 0] = np.arange(k0, k1)[:, None]
+                ints[:, :, 1] = np.arange(1, n_nodes + 1)
+                ints[:, :, 2:2 + n_slots] = self.taus[k0:k1]
+                ints[:, :, 2 + n_slots:] = self.donors[k0:k1]
+                ints -= lo
+                z = self.z_estimates[k0:k1]
+                bits, where = np.unique(z.view(np.int64).ravel(), return_inverse=True)
+                reprs = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+                cells = np.concatenate([table[ints], reprs[where].reshape(z.shape)], axis=2)
+                rows = map(",".join, cells.reshape(-1, cells.shape[2]).tolist())
+                f.write("\n".join(rows) + "\n")
 
     def to_csv_string(self):
         buf = io.StringIO()
@@ -188,6 +206,8 @@ def _run_freshness(s: Scenario) -> Trace:
             trace.constants = compute_bound_constants(ts, gains, ref_norms, schedule.t_bar)
             if not np.all(np.isfinite(trace.constants.c_bar)):
                 trace.warnings.append("envelope_constants_not_finite")
+            if schedule.total_start > s.horizon:   # the last envelope to start
+                trace.warnings.append("envelope_horizon_partial")
         else:
             trace.warnings.append("envelope_horizon_short")
     return trace

@@ -11,12 +11,18 @@ k) at a time with matrix powers and an explicit walk down the donor
 lineage.  The tests pin ``sim_engine._delayed_residuals``, which evaluates
 the same identity for a whole trace in chunked forward passes, to it.
 
+``reference_csv`` is the trace file written one row at a time, the
+layout ``sim_engine.Trace.to_csv`` writes in chunked array passes; the
+tests require both to give the same bytes.
+
 ``max_error`` and ``fit_decay_rate`` read a run's convergence rate off its
 error norms.  ``from_transformed_coords`` and ``block_pair_observable``
 check the staircase transform from the outside.  ``make_diagonal_plant`` and
 ``couple_substates`` build test plants: one coordinate per node, and plants
 whose identity has nonzero cross-substate terms.
 """
+
+import io
 
 import numpy as np
 
@@ -69,6 +75,21 @@ def nonsource_step(j, z, tau, donor_z, donor_tau, ts):
     if donor_tau >= 0:
         return donor_tau + 1, new
     return (tau + 1 if tau >= 0 else -1), new
+
+
+def reference_csv(trace):
+    """The text of ``trace.to_csv``: after ``csv_header``, one f-string row
+    per (k, node), ints by ``str`` and floats by ``repr``."""
+    f = io.StringIO()
+    f.write(trace.csv_header())
+    for k in range(trace.horizon + 1):
+        rows = zip(trace.taus[k].tolist(), trace.donors[k].tolist(),
+                   trace.z_estimates[k].tolist())
+        f.write("".join(
+            f"{k},{i},{','.join(map(str, tau + donor))},"
+            f"{','.join(map(repr, z))}\n"
+            for i, (tau, donor, z) in enumerate(rows, 1)))
+    return f.getvalue()
 
 
 def max_error(trace):

@@ -1,9 +1,12 @@
 import dataclasses
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as hst
+from hypothesis.extra.numpy import arrays
 
 from freshtrack import cli, sim_engine
 from freshtrack.baselines import WeightStrategy, detect_divergence
@@ -31,6 +34,7 @@ from reference import (
     couple_substates,
     fit_decay_rate,
     max_error,
+    reference_csv,
     select_donor,
 )
 
@@ -219,6 +223,19 @@ def test_overflowing_constants_fail_the_envelope_with_a_code():
     assert report["violations"] >= _live_points(trace, bad) > 0
 
 
+@pytest.mark.parametrize("horizon, partial", [(35, True), (41, True), (42, False)])
+def test_envelope_horizon_partial_warns(horizon, partial):
+    # Four nodes, T = 2: the reference times end at 30, and substate 4's and
+    # the total envelope start at 42.  Below 42 the check compares only some
+    # envelopes, and the run says so.
+    plant = make_multiblock_plant((1, 1, 1, 1), seed=1)
+    graph = generate_random_jointly_connected(4, 2, seed=1)
+    trace = run_scenario(Scenario(plant=plant, graph=graph, rho=0.9, horizon=horizon))
+    assert trace.constants is not None
+    assert ("envelope_horizon_partial" in trace.warnings) == partial
+    assert check_envelope(trace)["passed"]
+
+
 def test_envelope_requires_constants():
     trace = Trace(2, 10, 1, (1, 1), rho=0.5)
     with pytest.raises(ValueError, match="constants"):
@@ -297,6 +314,60 @@ def test_trace_csv_format_pinned():
         "1,1,0,-1,1,-1,-1,3,1e-20,0.3,-2.5\n"
         "1,2,1,-1,1,1,-1,3,4.0,1.5,7.0\n"
         "1,3,1,-1,0,1,-1,-1,0.5,-1.25,1e-300\n")
+
+
+# Values whose text or bits a writer could confuse: signed zeros, NaN, the
+# infinities, subnormals, and a tiny normal like the runs' settled estimates.
+_EDGE_FLOATS = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -2.5e-310, 1e-51, 0.1]
+
+
+@hst.composite
+def csv_traces(draw):
+    """A `Trace` of arbitrary contents: a one-slot baseline layout, or slots
+    of dimension 0-2 with at least one nonempty; any horizon up to 40."""
+    n_nodes, horizon = draw(hst.integers(1, 4)), draw(hst.integers(0, 40))
+    if draw(hst.booleans()):
+        dims = (draw(hst.integers(1, 3)),)
+    else:
+        dims = tuple(draw(hst.lists(hst.integers(0, 2), min_size=1, max_size=4)
+                          .filter(lambda d: sum(d) > 0)))
+    trace = Trace(n_nodes, horizon, 1, dims)
+    ints = hst.integers(-3, 2 * horizon + 5)
+    trace.taus[:] = draw(arrays(np.int64, trace.taus.shape, elements=ints))
+    trace.donors[:] = draw(arrays(np.int64, trace.donors.shape, elements=ints))
+    floats = hst.sampled_from(_EDGE_FLOATS) | hst.floats()
+    trace.z_estimates[:] = draw(arrays(np.float64, trace.z_estimates.shape, elements=floats))
+    return trace
+
+
+@settings(max_examples=150)
+@given(trace=csv_traces(), chunk=hst.sampled_from([1, 3, sim_engine.CHUNK_ROUNDS]))
+def test_trace_csv_matches_the_per_row_writer(trace, chunk):
+    with mock.patch.object(sim_engine, "CHUNK_ROUNDS", chunk):
+        assert trace.to_csv_string() == reference_csv(trace)
+
+
+def test_trace_csv_matches_the_per_row_writer_on_runs():
+    for config in canned_scenarios().values():
+        trace = run_scenario(build_scenario(config))
+        assert trace.to_csv_string() == reference_csv(trace)
+
+
+def test_trace_csv_memory_does_not_grow_with_the_horizon(tmp_path):
+    # The writer's buffers are per chunk: ten times the rounds may not cost
+    # more than a quarter more peak memory (about 1.6 MB at H = 200).
+    plant = make_multiblock_plant((1,) * 16, seed=1)
+    graph = generate_random_jointly_connected(16, 2, seed=1)
+    peaks = []
+    for horizon in (200, 2000):
+        trace = run_scenario(Scenario(plant=plant, graph=graph, rho=0.9, horizon=horizon))
+        tracemalloc.start()
+        try:
+            trace.to_csv(tmp_path / "trace.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 def test_lemma_suite_reports_first_source_preferred_violation():
