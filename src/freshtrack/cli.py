@@ -299,7 +299,9 @@ def build_report(trace: Trace, config, results, passed):
     return report
 
 
-def _atomic_write(path, text):
+def _atomic_write(path, write):
+    """Fill a temp file in ``path``'s directory with ``write(f)``, then
+    rename it to ``path``: a reader never sees a half-written file."""
     d = os.path.dirname(os.path.abspath(path))
     try:
         os.makedirs(d, exist_ok=True)
@@ -308,7 +310,7 @@ def _atomic_write(path, text):
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
     try:
         with os.fdopen(fd, "w") as f:
-            f.write(text)
+            write(f)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -338,9 +340,15 @@ def _execute(name, config, out_dir):
     trace = run_scenario(scenario)
     results, passed = run_checks(trace, config)
     report = build_report(trace, config, results, passed)
-    _atomic_write(os.path.join(out_dir, f"{name}_trace.csv"), trace.to_csv_string())
-    _atomic_write(os.path.join(out_dir, f"{name}_report.json"), _report_text(report))
+    _write_run(out_dir, name, trace, report)
     return name, passed
+
+
+def _write_run(out_dir, name, trace, report):
+    """The run's two files; the trace streams into its temp file chunk by chunk."""
+    _atomic_write(os.path.join(out_dir, f"{name}_trace.csv"), trace.to_csv)
+    text = _report_text(report)
+    _atomic_write(os.path.join(out_dir, f"{name}_report.json"), lambda f: f.write(text))
 
 
 def cmd_run(specs, out_dir=None, seed=None, jobs=1):

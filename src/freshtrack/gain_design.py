@@ -220,26 +220,34 @@ def closed_loop_block(ts: TransformedSystem, gains: GainSet, j: int):
 
 
 def _lyapunov_alpha(m):
-    """sqrt(cond(P)) for P = sum_k (m^k)^T m^k, which solves m^T P m - P = -I.
+    """sqrt(cond(P_b)) for each P_b = sum_k (m_b^k)^T m_b^k, which solves
+    m_b^T P_b m_b - P_b = -I, over a stack m of same-size blocks m_b.
 
-    Bounds ||m^k|| for every k.  Summed term by term, P stays positive
+    Bounds ||m_b^k|| for every k.  Summed term by term, P stays positive
     definite where a Schur-based solve loses it (cond(P) ~ 1e12 on long
     single-output blocks).  The partial sum P_K is a certificate of its own
     once ||m^K|| <= 1, since m^T P_K m = P_K - I + (m^K)^T m^K; stopping at
-    ||m^K||_F^2 < 1e-8 keeps P - P_K below 1e-8 ||P||.  P >= I, and its
-    smallest eigenvalue is taken net of eigvalsh's rounding.
+    ||m^K||_F^2 < 1e-8 keeps P - P_K below 1e-8 ||P||.  Each block stops at
+    its own K and adds zeros after it; its ||m^K||_F^2 is a vector-vector
+    matmul, the dot product that np.vdot takes.  P >= I, and its smallest
+    eigenvalue is taken net of eigvalsh's rounding.
     """
+    n_stack, n = m.shape[:2]
     p = np.zeros_like(m)
-    power = np.eye(len(m))
+    power = np.broadcast_to(np.eye(n), m.shape).copy()
+    live = np.ones(n_stack, dtype=bool)
     for _ in range(10_000):
-        if np.vdot(power, power) < 1e-8:
+        flat = power.reshape(n_stack, 1, n * n)
+        # Not ">= 1e-8": a NaN norm never stops its block.
+        live &= ~((flat @ flat.transpose(0, 2, 1))[:, 0, 0] < 1e-8)
+        if not live.any():
             break
-        p += power.T @ power
+        p += np.where(live[:, None, None], power.transpose(0, 2, 1) @ power, 0.0)
         power = m @ power
     else:
         raise GainDesignError("closed-loop block does not contract at its envelope radius")
     eig = np.linalg.eigvalsh(p)
-    return np.sqrt(eig[-1] / max(1.0, eig[0] - len(m) * np.finfo(float).eps * eig[-1]))
+    return np.sqrt(eig[:, -1] / np.fmax(1.0, eig[:, 0] - n * np.finfo(float).eps * eig[:, -1]))
 
 
 # Powers that under- or overflow leave a constant not finite: a coded, failed envelope.
@@ -249,9 +257,11 @@ def compute_bound_constants(ts: TransformedSystem, gains: GainSet,
     """Envelope constants for spectral-mode gains.
 
     ``e0_source_norms[j-1]`` is the measured norm of the source node's own
-    substate-j error at the block's `envelope_schedule` reference time.  One
+    substate-j error at the block's `envelope_schedule` reference time.  The
+    nonempty blocks of each size get alpha, beta and gamma as one stack, the
+    coupling norms g and h take one batched 2-norm per block shape, and one
     pass over the nonempty blocks builds c_j and c_bar_j from the blocks
-    before j; an empty block keeps alpha = beta = gamma = 1 and zeros.
+    before j.  An empty block keeps alpha = beta = gamma = 1 and zeros.
 
     alpha[j] is sqrt(cond(P)) for the P solving (M/rho_j)^T P (M/rho_j) - P
     = -I with M the closed-loop block: ||M^k|| <= alpha[j] * rho_j^k for any
@@ -263,34 +273,47 @@ def compute_bound_constants(ts: TransformedSystem, gains: GainSet,
     radii = np.asarray(gains.target_radii, dtype=float)
     ref_times = envelope_schedule(n_blocks, t_bar=t_bar).reference
     k_cap = 4 * ts.n + 4 * t_bar
+    nonempty = [j for j, nj in enumerate(ts.block_dims) if nj]
 
     alpha, beta, gamma = np.ones(n_blocks), np.ones(n_blocks), np.ones(n_blocks)
-    g, h = np.zeros((n_blocks, n_blocks)), np.zeros((n_blocks, n_blocks))
-    c, c_bar = np.zeros(n_blocks), np.zeros(n_blocks)
-    done = []       # the nonempty blocks before j, 0-indexed as j is here
-    for j in [j for j, nj in enumerate(ts.block_dims) if nj]:
-        nj, rho_j = ts.block_dims[j], radii[j]
-        alpha[j] = _lyapunov_alpha(closed_loop_block(ts, gains, j + 1) / rho_j)
-        a_jj = ts.a_block(j + 1, j + 1)
-        gamma[j] = max(1.0, np.max(np.abs(np.linalg.eigvals(a_jj)))) * 1.01
-        powers = np.empty((k_cap + 1, nj, nj))
+    by_size = {}
+    for j in nonempty:
+        by_size.setdefault(ts.block_dims[j], []).append(j)
+    for nj, js in by_size.items():
+        alpha[js] = _lyapunov_alpha(
+            np.stack([closed_loop_block(ts, gains, j + 1) / radii[j] for j in js]))
+        a_jj = np.stack([ts.a_block(j + 1, j + 1) for j in js])
+        gamma[js] = np.fmax(1.0, np.abs(np.linalg.eigvals(a_jj)).max(axis=1)) * 1.01
+        powers = np.empty((k_cap + 1, len(js), nj, nj))
         powers[0] = np.eye(nj)
         for k in range(k_cap):
             powers[k + 1] = a_jj @ powers[k]
-        beta[j] = max(norm / gamma[j] ** k for k, norm
-                      in enumerate(np.linalg.norm(powers, 2, axis=(1, 2))))
-        for q in done:
-            a_jq = ts.a_block(j + 1, q + 1)
-            g[j, q] = np.linalg.norm(a_jq - gains.gain(j + 1) @ ts.c_block(j + 1, q + 1), 2)
-            h[j, q] = np.linalg.norm(a_jq, 2)
+        # gamma_j ** k one scalar at a time: numpy's vector pow can differ
+        # in the last bit.  fmax, as max() did, lets no NaN ratio (both
+        # overflowed) win.
+        decay = np.array([list(map(gm.__pow__, range(k_cap + 1))) for gm in gamma[js]])
+        beta[js] = np.fmax.reduce(np.linalg.norm(powers, 2, axis=(2, 3)).T / decay, axis=1)
 
-        ref = ref_times[j]
+    g, h = np.zeros((n_blocks, n_blocks)), np.zeros((n_blocks, n_blocks))
+    pairs = {}      # (n_j, n_q) -> [(j, q, A_jq - L_j C_jq, A_jq)] for q < j
+    for i, j in enumerate(nonempty):
+        for q in nonempty[:i]:
+            a_jq = ts.a_block(j + 1, q + 1)
+            pairs.setdefault(a_jq.shape, []).append(
+                (j, q, a_jq - gains.gain(j + 1) @ ts.c_block(j + 1, q + 1), a_jq))
+    for group in pairs.values():
+        js, qs, coupled, own = zip(*group)
+        norms = np.linalg.norm(np.stack(coupled + own), 2, axis=(1, 2))
+        g[js, qs], h[js, qs] = norms[:len(js)], norms[len(js):]
+
+    c, c_bar = np.zeros(n_blocks), np.zeros(n_blocks)
+    for i, j in enumerate(nonempty):
+        done, rho_j, ref = nonempty[:i], radii[j], ref_times[j]
         coupling = sum(g[j, q] * c_bar[q] / (rho_j - radii[q]) * radii[q] ** ref for q in done)
         c[j] = alpha[j] / rho_j ** ref * (float(e0_source_norms[j]) + coupling)
         tail = sum(h[j, q] * c_bar[q] / (gamma[j] - radii[q])
                    * (gamma[j] / radii[q]) ** (2 * t_bar) for q in done)
         c_bar[j] = beta[j] * (c[j] * (gamma[j] / rho_j) ** (2 * t_bar) + tail)
-        done.append(j)
 
     return BoundConstants(alpha=alpha, beta=beta, gamma=gamma, g=g, h=h,
                           c=c, c_bar=c_bar)

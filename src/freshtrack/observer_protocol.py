@@ -10,8 +10,9 @@ A run holds the whole network's state as two arrays.  ``tau`` is N x N int:
 (and staying -1 for zero-dimension substates).  ``z`` is N x n: row i is node
 i+1's estimate of every substate in transformed coordinates.
 ``ProtocolKernel.step`` advances both by one round in O(N^2 n) array work: a
-masked argmin over in-neighbor indices picks the donors, then one
-block-lower-triangular product and a source correction update the estimates.
+minimum over the in-neighbors' keys, each an index and a node id encoded in
+one int64, picks the donors, then one block-lower-triangular product and a
+source correction update the estimates.
 It returns the donors as 1-indexed node ids, with -1 for open-loop rounds.
 The same -1 encodings run through ``Trace`` and the trace CSV, which holds
 only this state (tau, donors, z) per round; error norms are derived from it.
@@ -23,7 +24,13 @@ from __future__ import annotations
 
 import numpy as np
 
-_NO_DONOR = np.iinfo(np.int64).max
+# A donor key is tau * (N + 1) + the sender's 1-indexed id, a node's own key
+# tau * (N + 1): one minimum then orders by index, ties by id, and keeps the
+# node's own index against an equal one.  A never-informed index reads as
+# _NEVER, above every real one.  The keys are exact for tau < 2**40 and
+# (2**40 + 1)(N + 1) < 2**63; an index never exceeds the rounds run.
+_NEVER = np.int64(2 ** 40)
+_NOT_SENT = np.iinfo(np.int64).max
 
 
 class ProtocolKernel:
@@ -37,8 +44,9 @@ class ProtocolKernel:
         off = ts.offsets
         n_nodes, n = ts.n_nodes, ts.n
         self.n_nodes = n_nodes
-        self.sources = [j for j in range(n_nodes) if ts.block_dims[j] > 0]
+        self.sources = np.flatnonzero(np.asarray(ts.block_dims) > 0)
         self._own_rows = np.arange(n_nodes)[:, None]
+        self._ids = np.arange(1, n_nodes + 1)[:, None]
         self._col_block = np.repeat(np.arange(n_nodes), ts.block_dims)
         self._cols = np.arange(n)
         lower = self._col_block[:, None] > self._col_block[None, :]
@@ -81,26 +89,31 @@ class ProtocolKernel:
         donor it runs open-loop on A_jj z_i[j], its index + 1 or still -1.
         The cross terms A_jq z_i[q], q < j, are always the node's own.  Source
         j keeps index 0 and adds the correction -L_j (C_j z_j - y_j).
-        """
-        # A never-informed index reads as _NO_DONOR, above every real one:
-        # "usable" is then just "strictly fresher", informed or not.
-        ages = np.where(tau >= 0, tau, _NO_DONOR)
-        nbr = ages[None, :, :]
-        usable = adjacency.T[:, :, None] & (nbr < ages[:, None, :])
-        key = np.where(usable, nbr, _NO_DONOR)
-        pick = key.argmin(axis=1)
-        best = key.min(axis=1)
-        adopted = best != _NO_DONOR
-        held = np.where(adopted, best, tau)
-        new_tau = np.where(held >= 0, held + 1, -1)
-        new_tau[self.sources, self.sources] = 0
-        donors = np.where(adopted, pick + 1, -1)
 
-        reader = np.where(adopted, pick, self._own_rows)
+        The choice is one minimum of the in-neighbors' keys and the node's
+        own key (see ``_NEVER``); its divmod by N + 1 is the held index and
+        the donor's id, 0 for the node's own.
+        """
+        n_nodes = self.n_nodes
+        own = tau % (_NEVER + 1) * (n_nodes + 1)      # -1 reads as _NEVER
+        keys = own + self._ids
+        # sent[i, l, j] is node l+1's key for substate j+1, as node i+1 sees
+        # it: a zero-stride view of keys along i, made directly because
+        # np.broadcast_to costs about as much as the reduction at N = 10.
+        sent = np.ndarray((n_nodes,) + keys.shape, keys.dtype, keys, 0, (0,) + keys.strides)
+        best = np.minimum.reduce(sent, axis=1, where=adjacency.T[:, :, None],
+                                 initial=_NOT_SENT)
+        held, donors = np.divmod(np.minimum(best, own), n_nodes + 1)
+        new_tau = held + 1
+        new_tau[held == _NEVER] = -1
+        new_tau[self.sources, self.sources] = 0
+
+        reader = np.where(donors > 0, donors - 1, self._own_rows)
         base = z[reader[:, self._col_block], self._cols]
         new_z = z @ self._a_lower_t + base @ self._a_diag_t
         resid = np.einsum("rc,rc->r", self._c_rows, z[self._row_owner]) - y
         new_z[self._col_block, self._cols] -= self._l_cols @ resid
+        donors[donors == 0] = -1
         return new_tau, new_z, donors
 
 

@@ -21,7 +21,6 @@ the horizon besides the (H, N, S) residuals.
 from __future__ import annotations
 
 import contextlib
-import io
 import os
 from dataclasses import dataclass
 
@@ -139,11 +138,6 @@ class Trace:
                 cells = np.concatenate([table[ints], reprs[where].reshape(z.shape)], axis=2)
                 rows = map(",".join, cells.reshape(-1, cells.shape[2]).tolist())
                 f.write("\n".join(rows) + "\n")
-
-    def to_csv_string(self):
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()
 
 
 def error_norms(estimates, truth, block_dims):

@@ -13,7 +13,14 @@ the same identity for a whole trace in chunked forward passes, to it.
 
 ``reference_csv`` is the trace file written one row at a time, the
 layout ``sim_engine.Trace.to_csv`` writes in chunked array passes; the
-tests require both to give the same bytes.
+tests require both to give the same bytes.  ``to_csv_string`` is
+``to_csv``'s text.
+
+``ArgminKernel`` picks the donors by a masked argmin over the in-neighbors'
+indices, and ``compute_bound_constants`` (with ``_lyapunov_alpha``) takes
+one block at a time.  The tests require ``ProtocolKernel.step``'s
+key-encoded minimum and the production constants' batched stacks and norms
+to give the same bits.
 
 ``max_error`` and ``fit_decay_rate`` read a run's convergence rate off its
 error norms.  ``from_transformed_coords`` and ``block_pair_observable``
@@ -26,10 +33,21 @@ import io
 
 import numpy as np
 
-from freshtrack.decomposition import staircase_transform
+from freshtrack.decomposition import TransformedSystem, staircase_transform
+from freshtrack.gain_design import (
+    DEADBEAT,
+    BoundConstants,
+    GainDesignError,
+    GainSet,
+    closed_loop_block,
+    envelope_schedule,
+)
+from freshtrack.observer_protocol import ProtocolKernel
 from freshtrack.system_model import LtiPlant, observability_staircase
 
 LOG_FLOOR = 1e-13     # error norms below this are numerical noise for log fits
+
+_NO_DONOR = np.iinfo(np.int64).max
 
 
 def select_donor(own_tau, neighbor_taus):
@@ -90,6 +108,118 @@ def reference_csv(trace):
             f"{','.join(map(repr, z))}\n"
             for i, (tau, donor, z) in enumerate(rows, 1)))
     return f.getvalue()
+
+
+def to_csv_string(trace):
+    """The text ``trace.to_csv`` writes."""
+    buf = io.StringIO()
+    trace.to_csv(buf)
+    return buf.getvalue()
+
+
+class ArgminKernel(ProtocolKernel):
+    """``ProtocolKernel`` with the donors picked by a masked argmin."""
+
+    def step(self, tau, z, adjacency, y):
+        """``ProtocolKernel.step``, the donors by argmin and min over a masked
+        N x N x N tensor of the in-neighbors' indices."""
+        # A never-informed index reads as _NO_DONOR, above every real one:
+        # "usable" is then just "strictly fresher", informed or not.
+        ages = np.where(tau >= 0, tau, _NO_DONOR)
+        nbr = ages[None, :, :]
+        usable = adjacency.T[:, :, None] & (nbr < ages[:, None, :])
+        key = np.where(usable, nbr, _NO_DONOR)
+        pick = key.argmin(axis=1)
+        best = key.min(axis=1)
+        adopted = best != _NO_DONOR
+        held = np.where(adopted, best, tau)
+        new_tau = np.where(held >= 0, held + 1, -1)
+        new_tau[self.sources, self.sources] = 0
+        donors = np.where(adopted, pick + 1, -1)
+
+        reader = np.where(adopted, pick, self._own_rows)
+        base = z[reader[:, self._col_block], self._cols]
+        new_z = z @ self._a_lower_t + base @ self._a_diag_t
+        resid = np.einsum("rc,rc->r", self._c_rows, z[self._row_owner]) - y
+        new_z[self._col_block, self._cols] -= self._l_cols @ resid
+        return new_tau, new_z, donors
+
+
+def _lyapunov_alpha(m):
+    """sqrt(cond(P)) for P = sum_k (m^k)^T m^k, which solves m^T P m - P = -I.
+
+    Bounds ||m^k|| for every k.  Summed term by term, P stays positive
+    definite where a Schur-based solve loses it (cond(P) ~ 1e12 on long
+    single-output blocks).  The partial sum P_K is a certificate of its own
+    once ||m^K|| <= 1, since m^T P_K m = P_K - I + (m^K)^T m^K; stopping at
+    ||m^K||_F^2 < 1e-8 keeps P - P_K below 1e-8 ||P||.  P >= I, and its
+    smallest eigenvalue is taken net of eigvalsh's rounding.
+    """
+    p = np.zeros_like(m)
+    power = np.eye(len(m))
+    for _ in range(10_000):
+        if np.vdot(power, power) < 1e-8:
+            break
+        p += power.T @ power
+        power = m @ power
+    else:
+        raise GainDesignError("closed-loop block does not contract at its envelope radius")
+    eig = np.linalg.eigvalsh(p)
+    return np.sqrt(eig[-1] / max(1.0, eig[0] - len(m) * np.finfo(float).eps * eig[-1]))
+
+
+# Powers that under- or overflow leave a constant not finite: a coded, failed envelope.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def compute_bound_constants(ts: TransformedSystem, gains: GainSet,
+                            e0_source_norms, t_bar: int) -> BoundConstants:
+    """Envelope constants for spectral-mode gains.
+
+    ``e0_source_norms[j-1]`` is the measured norm of the source node's own
+    substate-j error at the block's `envelope_schedule` reference time.  One
+    pass over the nonempty blocks builds c_j and c_bar_j from the blocks
+    before j; an empty block keeps alpha = beta = gamma = 1 and zeros.
+
+    alpha[j] is sqrt(cond(P)) for the P solving (M/rho_j)^T P (M/rho_j) - P
+    = -I with M the closed-loop block: ||M^k|| <= alpha[j] * rho_j^k for any
+    M of spectral radius below rho_j, diagonalisable or not.
+    """
+    if gains.mode == DEADBEAT:
+        raise ValueError("bound constants are defined for spectral-mode gains")
+    n_blocks = ts.n_nodes
+    radii = np.asarray(gains.target_radii, dtype=float)
+    ref_times = envelope_schedule(n_blocks, t_bar=t_bar).reference
+    k_cap = 4 * ts.n + 4 * t_bar
+
+    alpha, beta, gamma = np.ones(n_blocks), np.ones(n_blocks), np.ones(n_blocks)
+    g, h = np.zeros((n_blocks, n_blocks)), np.zeros((n_blocks, n_blocks))
+    c, c_bar = np.zeros(n_blocks), np.zeros(n_blocks)
+    done = []       # the nonempty blocks before j, 0-indexed as j is here
+    for j in [j for j, nj in enumerate(ts.block_dims) if nj]:
+        nj, rho_j = ts.block_dims[j], radii[j]
+        alpha[j] = _lyapunov_alpha(closed_loop_block(ts, gains, j + 1) / rho_j)
+        a_jj = ts.a_block(j + 1, j + 1)
+        gamma[j] = max(1.0, np.max(np.abs(np.linalg.eigvals(a_jj)))) * 1.01
+        powers = np.empty((k_cap + 1, nj, nj))
+        powers[0] = np.eye(nj)
+        for k in range(k_cap):
+            powers[k + 1] = a_jj @ powers[k]
+        beta[j] = max(norm / gamma[j] ** k for k, norm
+                      in enumerate(np.linalg.norm(powers, 2, axis=(1, 2))))
+        for q in done:
+            a_jq = ts.a_block(j + 1, q + 1)
+            g[j, q] = np.linalg.norm(a_jq - gains.gain(j + 1) @ ts.c_block(j + 1, q + 1), 2)
+            h[j, q] = np.linalg.norm(a_jq, 2)
+
+        ref = ref_times[j]
+        coupling = sum(g[j, q] * c_bar[q] / (rho_j - radii[q]) * radii[q] ** ref for q in done)
+        c[j] = alpha[j] / rho_j ** ref * (float(e0_source_norms[j]) + coupling)
+        tail = sum(h[j, q] * c_bar[q] / (gamma[j] - radii[q])
+                   * (gamma[j] / radii[q]) ** (2 * t_bar) for q in done)
+        c_bar[j] = beta[j] * (c[j] * (gamma[j] / rho_j) ** (2 * t_bar) + tail)
+        done.append(j)
+
+    return BoundConstants(alpha=alpha, beta=beta, gamma=gamma, g=g, h=h,
+                          c=c, c_bar=c_bar)
 
 
 def max_error(trace):

@@ -1,9 +1,13 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_discrete_lyapunov
 
+import reference
 from freshtrack.decomposition import TransformedSystem, staircase_transform
 from freshtrack.gain_design import (
+    BoundConstants,
     GainDesignError,
     GainSet,
     choose_radii,
@@ -233,6 +237,85 @@ def test_bound_constants_refuse_a_block_that_does_not_contract():
     gains = GainSet(gains=(np.zeros((1, 1)),), target_radii=(0.5,))
     with pytest.raises(GainDesignError, match="does not contract"):
         compute_bound_constants(ts, gains, [1.0], t_bar=0)
+
+
+def test_bound_constants_refuse_a_non_contracting_block_among_contracting_ones():
+    # Two one-dimensional blocks in one stack: the first contracts at its
+    # radius, the second sits exactly on it.
+    plant = LtiPlant(np.diag([0.5, 0.4]), [[[1.0, 0.0]], [[0.0, 1.0]]], [1.0, 1.0])
+    ts = staircase_transform(plant)
+    gains = GainSet(gains=(np.zeros((1, 1)), np.zeros((1, 1))), target_radii=(0.6, 0.4))
+    with pytest.raises(GainDesignError, match="does not contract"):
+        compute_bound_constants(ts, gains, [1.0, 1.0], t_bar=1)
+
+
+def _blind_plant():
+    base = make_multiblock_plant((2, 1, 3), seed=2)
+    blind = np.zeros((0, base.n))
+    sensors = [base.sensors[0], blind, base.sensors[1], blind, base.sensors[2]]
+    return LtiPlant(base.a_matrix, sensors, base.x0)
+
+
+_CONSTANT_PLANTS = {
+    "3-2-1-2": lambda: make_multiblock_plant((3, 2, 1, 2), seed=1),
+    "3-2-1-2-unstable": lambda: make_multiblock_plant((3, 2, 1, 2), seed=2, spectral_radius=1.3),
+    "2-1x6": lambda: make_multiblock_plant((2, 1, 1, 1, 1, 1, 1), seed=1),
+    "1x10": lambda: make_multiblock_plant((1,) * 10, seed=1),
+    "2x8": lambda: make_multiblock_plant((2,) * 8, seed=1),
+    "blind": _blind_plant,
+    "coupled": lambda: couple_substates(make_multiblock_plant((2, 1, 1, 2), seed=3), 0.5, seed=3),
+}
+
+
+def assert_constants_bit_equal(got, want):
+    for field in fields(BoundConstants):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert a.shape == b.shape, field.name
+        assert np.array_equal(a.view(np.int64), b.view(np.int64)), field.name
+
+
+@pytest.mark.parametrize("name", sorted(_CONSTANT_PLANTS))
+@pytest.mark.parametrize("t_bar", [0, 4, 27])
+def test_bound_constants_equal_the_per_block_loop_bit_for_bit(name, t_bar):
+    ts = staircase_transform(_CONSTANT_PLANTS[name]())
+    gains = design_gains(ts, rho=0.9, seed=1)
+    e0 = np.linspace(0.5, 2.0, ts.n_nodes)
+    assert_constants_bit_equal(compute_bound_constants(ts, gains, e0, t_bar),
+                               reference.compute_bound_constants(ts, gains, e0, t_bar))
+
+
+def test_bound_constants_equal_the_per_block_loop_on_hand_built_blocks():
+    # Block 1 (a Jordan-like 2 x 2) has its largest ||A^k|| / gamma^k at
+    # k = 3, where numpy's vector pow gives 1.01**3 one bit off on some
+    # hosts.  Blocks 1 and 2, one stack, contract at different rates: their
+    # Lyapunov sums stop at different K.
+    a_bar = np.zeros((5, 5))
+    a_bar[:2, :2] = [[0.678, 3.0], [0.0, 0.678]]
+    a_bar[2:4, 2:4] = [[0.5, 0.0], [0.0, 0.3]]
+    a_bar[4] = [0.1, 0.4, 0.2, -0.3, 0.8]
+    a_bar[2:4, :2] = [[0.3, -0.2], [0.0, 0.5]]
+    c_bar = (np.array([[1.0, 0.0, 0.0, 0.0, 0.0]]), np.array([[0.5, 0.0, 1.0, 1.0, 0.0]]),
+             np.array([[0.0, 0.3, 0.0, 0.0, 1.0]]))
+    ts = TransformedSystem(t_matrix=np.eye(5), a_bar=a_bar, c_bar=c_bar, block_dims=(2, 2, 1))
+    gains = GainSet(gains=(place_spectral(a_bar[:2, :2], c_bar[0][:, :2], 0.5),
+                           np.zeros((2, 1)), np.array([[0.38]])),
+                    target_radii=(0.5, 0.9, 0.6))
+    e0 = [1.0, 0.5, 2.0]
+    assert_constants_bit_equal(compute_bound_constants(ts, gains, e0, t_bar=3),
+                               reference.compute_bound_constants(ts, gains, e0, 3))
+
+
+def test_beta_lets_no_overflowed_ratio_win():
+    # Block 1's powers overflow from k = 2 on, and so does gamma_1^k: those
+    # ratios are inf / inf = NaN.  beta_1 stays the largest ratio before them.
+    ts = TransformedSystem(t_matrix=np.eye(2), a_bar=np.diag([1e200, 0.5]),
+                           c_bar=(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])),
+                           block_dims=(1, 1))
+    gains = GainSet(gains=(np.array([[1e200]]), np.array([[0.3]])), target_radii=(0.5, 0.6))
+    constants = compute_bound_constants(ts, gains, [1.0, 1.0], t_bar=1)
+    assert constants.beta[0] == 1.0
+    assert_constants_bit_equal(constants,
+                               reference.compute_bound_constants(ts, gains, [1.0, 1.0], 1))
 
 
 def test_growth_envelope_beta_gamma():

@@ -14,7 +14,13 @@ from freshtrack.observer_protocol import ProtocolKernel, initial_arrays
 from freshtrack.scenarios import make_multiblock_plant
 from freshtrack.sim_engine import Scenario, run_scenario
 from freshtrack.system_model import LtiPlant, simulate_truth
-from reference import check_delayed_form, nonsource_step, select_donor, source_step
+from reference import (
+    ArgminKernel,
+    check_delayed_form,
+    nonsource_step,
+    select_donor,
+    source_step,
+)
 
 
 def scalar_setup(rho=0.5):
@@ -274,15 +280,18 @@ def test_round_matches_reference_implementation():
 
 @settings(max_examples=60)
 @given(
-    blocks=hst.lists(hst.integers(1, 3), min_size=1, max_size=5),
-    blind=hst.lists(hst.integers(0, 5), max_size=2),
+    blocks=hst.lists(hst.integers(1, 3), min_size=1, max_size=10),
+    blind=hst.lists(hst.integers(0, 10), max_size=2),
     density=hst.sampled_from([0.0, 0.2, 0.5, 1.0]),
     omega_share=hst.sampled_from([0.0, 0.5, 1.0]),
+    tau_base=hst.sampled_from([0, 2**39]),
     seed=hst.integers(0, 2**16),
 )
 def test_round_matches_reference_on_random_states(blocks, blind, density,
-                                                  omega_share, seed):
+                                                  omega_share, tau_base, seed):
     # Blind nodes (no sensor) get zero-dimension blocks wherever they sit.
+    # Indices near 2**39 come close to the donor keys' range; a small spread
+    # keeps ties.
     base = make_multiblock_plant(tuple(blocks), seed=seed)
     sensors = list(base.sensors)
     for pos in blind:
@@ -296,9 +305,9 @@ def test_round_matches_reference_on_random_states(blocks, blind, density,
     for i in range(n_nodes):
         for j in range(n_nodes):
             if ts.block_dims[j] > 0 and i != j and rng.random() >= omega_share:
-                tau[i, j] = int(rng.integers(0, 7))
+                tau[i, j] = tau_base + int(rng.integers(0, 7))
     traj = simulate_truth(plant, 3)
-    kernel = ProtocolKernel(ts, gains)
+    kernel, argmin = ProtocolKernel(ts, gains), ArgminKernel(ts, gains)
     ref_tau, ref_z = tau, z
     for k in range(3):
         mask = rng.random((n_nodes, n_nodes)) < density
@@ -306,7 +315,10 @@ def test_round_matches_reference_on_random_states(blocks, blind, density,
         meas = [m[k] for m in traj.measurements]
         # The per-node rules of tests/reference.py, from the same start state.
         rules = per_node_round(tau, z, adj, meas, ts, gains)
+        pinned = kernel_round(argmin, tau, z, adj, meas)
         tau, z, donors = kernel_round(kernel, tau, z, adj, meas)
+        assert np.array_equal(tau, pinned[0]) and np.array_equal(donors, pinned[2])
+        assert np.array_equal(z.view(np.int64), pinned[1].view(np.int64))
         ref_tau, ref_z, ref_donors = reference_round(ref_tau, ref_z, adj, meas, ts, gains)
         assert_states_match((tau, z, donors), (ref_tau, ref_z, ref_donors), gains)
         assert_states_match((tau, z, donors), rules, gains)

@@ -30,12 +30,14 @@ from freshtrack.sim_engine import (
 from freshtrack.observer_protocol import ProtocolKernel
 from freshtrack.system_model import DecompositionError, LtiPlant, simulate_truth
 from reference import (
+    ArgminKernel,
     check_delayed_form,
     couple_substates,
     fit_decay_rate,
     max_error,
     reference_csv,
     select_donor,
+    to_csv_string,
 )
 
 
@@ -290,8 +292,8 @@ def test_baseline_requires_strategy():
 
 def test_trace_csv_round_numbers_stable():
     trace = run_scenario(random_scenario(seed=7, horizon=10))
-    s1 = trace.to_csv_string()
-    s2 = trace.to_csv_string()
+    s1 = to_csv_string(trace)
+    s2 = to_csv_string(trace)
     assert s1 == s2
     header = s1.splitlines()[1]
     assert header.startswith("k,node,tau1,")
@@ -305,7 +307,7 @@ def test_trace_csv_format_pinned():
     trace.donors[1] = [[-1, -1, 3], [1, -1, 3], [1, -1, -1]]
     trace.z_estimates[:] = [[[0.5, -1.25, 3.0], [0.0, 2.0, 0.1], [0.0, 0.0, -0.0]],
                             [[1e-20, 0.3, -2.5], [4.0, 1.5, 7.0], [0.5, -1.25, 1e-300]]]
-    assert trace.to_csv_string() == (
+    assert to_csv_string(trace) == (
         "# tau = -1 encodes omega (never informed); donor = -1 encodes open-loop\n"
         "k,node,tau1,tau2,tau3,donor1,donor2,donor3,z0,z1,z2\n"
         "0,1,0,-1,-1,-1,-1,-1,0.5,-1.25,3.0\n"
@@ -344,13 +346,13 @@ def csv_traces(draw):
 @given(trace=csv_traces(), chunk=hst.sampled_from([1, 3, sim_engine.CHUNK_ROUNDS]))
 def test_trace_csv_matches_the_per_row_writer(trace, chunk):
     with mock.patch.object(sim_engine, "CHUNK_ROUNDS", chunk):
-        assert trace.to_csv_string() == reference_csv(trace)
+        assert to_csv_string(trace) == reference_csv(trace)
 
 
 def test_trace_csv_matches_the_per_row_writer_on_runs():
     for config in canned_scenarios().values():
         trace = run_scenario(build_scenario(config))
-        assert trace.to_csv_string() == reference_csv(trace)
+        assert to_csv_string(trace) == reference_csv(trace)
 
 
 def test_trace_csv_memory_does_not_grow_with_the_horizon(tmp_path):
@@ -656,6 +658,24 @@ def test_delayed_check_on_empty_horizon():
     trace.taus[0], trace.z_estimates[0], trace.ts = run.taus[0], run.z_estimates[0], run.ts
     entry = check_lemma_suite(trace, check_delayed=True)["checks"]["delayed_form"]
     assert entry == {"passed": True, "max_residual": 0.0, "at": None}
+
+
+_PINNED = {name: build_scenario(config) for name, config in canned_scenarios().items()}
+_PINNED.update({f"multiblock_{seed}": Scenario(
+    plant=make_multiblock_plant((1,) * 10, seed),
+    graph=generate_random_jointly_connected(10, 2, seed=seed), rho=0.9, horizon=200)
+    for seed in (1, 2, 3)})
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED))
+def test_run_equals_the_argmin_kernel_bit_for_bit(monkeypatch, name):
+    scenario = _PINNED[name]
+    trace = run_scenario(scenario)
+    monkeypatch.setattr(sim_engine, "ProtocolKernel", ArgminKernel)
+    pinned = run_scenario(scenario)
+    assert np.array_equal(trace.taus, pinned.taus)
+    assert np.array_equal(trace.donors, pinned.donors)
+    assert np.array_equal(trace.z_estimates.view(np.int64), pinned.z_estimates.view(np.int64))
 
 
 def _usable(tau, adjacency):
