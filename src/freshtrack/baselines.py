@@ -10,9 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import shortest_path
 
-from .graph_seq import block_diagonal
+from .graph_seq import hops
 
 
 @dataclass(frozen=True)
@@ -37,17 +36,15 @@ def mixing_weights(adj, strategy: WeightStrategy):
     to the root.  The root and nodes the root cannot reach keep their own
     estimate.
     """
-    horizon, n, _ = adj.shape
+    n = adj.shape[1]
     eye = np.eye(n, dtype=bool)
     if strategy.kind == "uniform":
         pool = adj.transpose(0, 2, 1) | eye
         return pool / pool.sum(axis=2, keepdims=True)
-    # Hop distance from the root in each round's graph (inf if unreachable):
-    # one search from a hub one hop before every round's copy of the root.
-    dist = shortest_path(block_diagonal(adj, hub_root=strategy.root), unweighted=True,
-                         indices=horizon * n)[:-1].reshape(horizon, n) - 1
-    # isfinite matters: inf - 1 == inf would pair up unreachable nodes.
-    is_parent = (adj & np.isfinite(dist)[:, :, None]
+    # Hop distance from the root in each round's graph, -1 if unreachable.
+    dist = hops(adj, strategy.root)
+    # dist >= 0 matters: an unreachable node (-1) would parent the root (0).
+    is_parent = (adj & (dist >= 0)[:, :, None]
                  & (dist[:, :, None] == dist[:, None, :] - 1))
     parent = np.where(is_parent.any(axis=1), is_parent.argmax(axis=1), np.arange(n))
     return eye[parent].astype(float)

@@ -1,8 +1,9 @@
 """Output-injection gain synthesis and convergence-envelope constants.
 
 Spectral mode gives block j an envelope radius rho_j and places its
-closed-loop eigenvalues evenly on the circle of radius 0.75 * rho_j; a
-discrete Lyapunov certificate turns that margin into the envelope constant
+closed-loop eigenvalues evenly on the circle of radius 0.75 * rho_j, by a
+Sylvester solve taken in numpy from the target's eigenpairs; a discrete
+Lyapunov certificate turns that margin into the envelope constant
 alpha_j.  Deadbeat mode makes every closed-loop block nilpotent so the
 observer converges in finitely many steps: an orthogonal back-substitution
 over the steps of the block's deflating observability staircase (Van Dooren,
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_sylvester
 
 from .decomposition import TransformedSystem, block_offsets
 from .system_model import EPS, observability_staircase, staircase_deflation
@@ -111,6 +111,32 @@ def _rotation_target(r: float, n: int):
     return d
 
 
+def _solve_sylvester(a, d, f):
+    """X with A X - X D = F, for a real normal D with distinct eigenvalues.
+
+    D = V diag(lam) V^H with V unitary, so y = X v solves (A - lam I) y = F v
+    for each eigenpair and X = sum y v^H.  A conjugate pair's terms are
+    conjugates: one batched complex solve over the eigenvalues with
+    Im lam >= 0 gives X = Re sum w y v^H, w = 2 for a pair, 1 for a real one.
+    A shift that is exactly singular (a target eigenvalue that is one of A's)
+    moves off by LAPACK trsyl's smin, eps times the largest |a_ik| or |lam|,
+    as scipy's Bartels-Stewart solve does.
+    """
+    lam, v = np.linalg.eig(d)
+    upper = lam.imag >= 0
+    lam, v = lam[upper], v[:, upper]
+    diag = np.arange(a.shape[0])
+    shifted = np.repeat(a[None].astype(complex), lam.size, axis=0)
+    shifted[:, diag, diag] -= lam[:, None]
+    rhs = (f @ v).T[:, :, None]
+    try:
+        y = np.linalg.solve(shifted, rhs)
+    except np.linalg.LinAlgError:
+        shifted[:, diag, diag] += np.finfo(float).eps * max(np.abs(a).max(), np.abs(lam).max())
+        y = np.linalg.solve(shifted, rhs)
+    return ((y[:, :, 0].T * np.where(lam.imag > 0, 2.0, 1.0)) @ v.conj().T).real
+
+
 def _check_observable(a, c):
     observed, _ = observability_staircase(a, c)
     if observed.shape[1] != a.shape[0]:
@@ -121,9 +147,9 @@ def place_spectral(a_jj, c_jj, rho_j: float, seed: int = 0):
     """Gain L with spectral radius of A - L C equal to 0.75 * rho_j.
 
     Eigenstructure assignment on the dual pair: solve the Sylvester equation
-    A^T X - X D = C^T G for a seeded random G and the rotation target D, then
-    L = (G X^-1)^T.  Returns the first gain that is finite with closed-loop
-    spectral radius below rho_j.
+    A^T X - X D = C^T G for a seeded random G and the rotation target D (a
+    normal matrix: `_solve_sylvester`), then L = (G X^-1)^T.  Returns the
+    first gain that is finite with closed-loop spectral radius below rho_j.
     """
     a = np.atleast_2d(np.asarray(a_jj, dtype=float))
     c = np.atleast_2d(np.asarray(c_jj, dtype=float))
@@ -133,8 +159,8 @@ def place_spectral(a_jj, c_jj, rho_j: float, seed: int = 0):
     rng = np.random.default_rng(seed)
     for _ in range(_PLACEMENT_RETRIES):
         g = rng.standard_normal((r, n))
-        x = solve_sylvester(a.T, -d, c.T @ g)
         try:
+            x = _solve_sylvester(a.T, d, c.T @ g)
             l = np.linalg.solve(x.T, g.T)
         except np.linalg.LinAlgError:
             continue
@@ -292,7 +318,10 @@ def compute_bound_constants(ts: TransformedSystem, gains: GainSet,
         # in the last bit.  fmax, as max() did, lets no NaN ratio (both
         # overflowed) win.
         decay = np.array([list(map(gm.__pow__, range(k_cap + 1))) for gm in gamma[js]])
-        beta[js] = np.fmax.reduce(np.linalg.norm(powers, 2, axis=(2, 3)).T / decay, axis=1)
+        # A 1 x 1 power's 2-norm is its absolute value: no SVD needed.
+        norms = (np.abs(powers[:, :, 0, 0]) if nj == 1
+                 else np.linalg.norm(powers, 2, axis=(2, 3)))
+        beta[js] = np.fmax.reduce(norms.T / decay, axis=1)
 
     g, h = np.zeros((n_blocks, n_blocks)), np.zeros((n_blocks, n_blocks))
     pairs = {}      # (n_j, n_q) -> [(j, q, A_jq - L_j C_jq, A_jq)] for q < j

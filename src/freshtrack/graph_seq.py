@@ -5,6 +5,8 @@ the round it is active; self-loops are never stored (a node always has its
 own state).  A round's graph is an N x N bool adjacency, true at [i-1, j-1]
 for the edge (i, j).  A sequence's `adjacency(horizon)` stacks its rounds and
 depends only on the sequence's parameters, so a re-check regenerates it.
+Reachability over a stack of graphs is one breadth-first search over all of
+them at once (`hops`), in numpy alone.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 RANDOM_EXTRA_EDGES = 2   # random edges added to each window of a random sequence
 
@@ -112,45 +112,51 @@ def window_unions(adj: np.ndarray, t: int) -> np.ndarray:
     return adj[:horizon // t * t].reshape(-1, t, n, n).any(axis=1)
 
 
-def block_diagonal(graphs, hub_root=None):
-    """Sparse graph with graph w of a (W, N, N) stack on nodes wN..wN+N-1.
+def hops(graphs: np.ndarray, start: int, reverse: bool = False) -> np.ndarray:
+    """(W, N) hop counts from 1-indexed node ``start`` in each graph of a
+    (W, N, N) bool stack, -1 where a node is unreachable; with ``reverse``,
+    hop counts to ``start``.
 
-    With ``hub_root``, one more node (the last) gets an edge to every
-    graph's copy of that 1-indexed node.
+    One level-synchronous breadth-first search over all graphs at once.
+    Node i of graph w is w N + i.  The edges come from one `np.flatnonzero`,
+    sorted by tail, so each level expands only its frontier's edges.
     """
-    n_windows, n, _ = graphs.shape
-    w, i, j = np.nonzero(graphs)
-    rows, cols, size = w * n + i, w * n + j, n_windows * n
-    if hub_root is not None:
-        rows = np.append(rows, np.full(n_windows, size))
-        cols = np.append(cols, np.arange(n_windows) * n + hub_root - 1)
-        size += 1
-    return sparse.csr_matrix((np.ones(rows.size, dtype=bool), (rows, cols)),
-                             shape=(size, size))
+    n_graphs, n, _ = graphs.shape
+    tail, head = divmod(np.flatnonzero(graphs), n)
+    head += tail - tail % n
+    if reverse:
+        order = np.argsort(head)
+        tail, head = head[order], tail[order]
+    degree = np.bincount(tail, minlength=n_graphs * n)
+    first = np.cumsum(degree) - degree
+    dist = np.full(n_graphs * n, -1)
+    stamp = np.empty_like(dist)
+    frontier = np.arange(n_graphs) * n + start - 1
+    dist[frontier] = 0
+    level = 0
+    while frontier.size:
+        level += 1
+        count = degree[frontier]
+        ends = np.cumsum(count)
+        reached = head[np.arange(ends[-1]) + np.repeat(first[frontier] - ends + count, count)]
+        reached = reached[dist[reached] < 0]
+        dist[reached] = level
+        # One copy of each node: the last write of its position wins.
+        slot = np.arange(reached.size)
+        stamp[reached] = slot
+        frontier = reached[stamp[reached] == slot]
+    return dist.reshape(n_graphs, n)
 
 
 def certify_joint_strong_connectivity(unions: np.ndarray) -> bool:
-    """True iff every window union in the (W, N, N) tensor is strongly connected.
-
-    One strongly-connected-components pass over the block-diagonal graph of
-    all windows: a window passes when all its nodes share one label.
-    """
-    n_windows, n, _ = unions.shape
-    _, labels = connected_components(block_diagonal(unions), directed=True,
-                                     connection="strong")
-    labels = labels.reshape(n_windows, n)
-    return bool(np.all(labels == labels[:, :1]))
+    """True iff every window union in the (W, N, N) tensor is strongly connected:
+    node 1 reaches every node and every node reaches node 1."""
+    return bool((hops(unions, 1) >= 0).all() and (hops(unions, 1, reverse=True) >= 0).all())
 
 
 def certify_jointly_rooted(unions: np.ndarray, root: int) -> bool:
-    """True iff every window union has all nodes reachable from ``root``.
-
-    One breadth-first search from a hub node that feeds every window's copy
-    of ``root`` in the block-diagonal graph: it must reach every node.
-    """
-    graph = block_diagonal(unions, hub_root=root)
-    hub = graph.shape[0] - 1
-    return breadth_first_order(graph, hub, return_predecessors=False).size == hub + 1
+    """True iff every window union has all nodes reachable from ``root``."""
+    return bool((hops(unions, root) >= 0).all())
 
 
 def connectivity_warnings(adj: np.ndarray, t: int, sources) -> list:

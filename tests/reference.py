@@ -22,6 +22,14 @@ one block at a time.  The tests require ``ProtocolKernel.step``'s
 key-encoded minimum and the production constants' batched stacks and norms
 to give the same bits.
 
+``block_diagonal`` lays a (W, N, N) stack of graphs out as one sparse graph
+for scipy's csgraph searches: ``strongly_connected_windows`` (one
+strongly-connected-components pass), ``rooted_windows`` (one breadth-first
+search from a hub feeding every window's root) and ``tree_parent_weights``
+(tree-rooted mixing weights from one unweighted ``shortest_path``).  The
+tests require ``graph_seq.hops`` and the certification and weights built on
+it to give the same results.
+
 ``max_error`` and ``fit_decay_rate`` read a run's convergence rate off its
 error norms.  ``from_transformed_coords`` and ``block_pair_observable``
 check the staircase transform from the outside.  ``make_diagonal_plant`` and
@@ -32,6 +40,8 @@ whose identity has nonzero cross-substate terms.
 import io
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import breadth_first_order, connected_components, shortest_path
 
 from freshtrack.decomposition import TransformedSystem, staircase_transform
 from freshtrack.gain_design import (
@@ -143,6 +153,53 @@ class ArgminKernel(ProtocolKernel):
         resid = np.einsum("rc,rc->r", self._c_rows, z[self._row_owner]) - y
         new_z[self._col_block, self._cols] -= self._l_cols @ resid
         return new_tau, new_z, donors
+
+
+def block_diagonal(graphs, hub_root=None):
+    """Sparse graph with graph w of a (W, N, N) stack on nodes wN..wN+N-1.
+
+    With ``hub_root``, one more node (the last) gets an edge to every
+    graph's copy of that 1-indexed node.
+    """
+    n_windows, n, _ = graphs.shape
+    w, i, j = np.nonzero(graphs)
+    rows, cols, size = w * n + i, w * n + j, n_windows * n
+    if hub_root is not None:
+        rows = np.append(rows, np.full(n_windows, size))
+        cols = np.append(cols, np.arange(n_windows) * n + hub_root - 1)
+        size += 1
+    return sparse.csr_matrix((np.ones(rows.size, dtype=bool), (rows, cols)),
+                             shape=(size, size))
+
+
+def strongly_connected_windows(unions):
+    """True iff every graph of the stack is strongly connected: all nodes of a
+    window share one strongly-connected-component label."""
+    n_windows, n, _ = unions.shape
+    _, labels = connected_components(block_diagonal(unions), directed=True,
+                                     connection="strong")
+    labels = labels.reshape(n_windows, n)
+    return bool(np.all(labels == labels[:, :1]))
+
+
+def rooted_windows(unions, root):
+    """True iff ``root`` reaches every node of every graph of the stack."""
+    graph = block_diagonal(unions, hub_root=root)
+    hub = graph.shape[0] - 1
+    return breadth_first_order(graph, hub, return_predecessors=False).size == hub + 1
+
+
+def tree_parent_weights(adj, root):
+    """``mixing_weights(adj, WeightStrategy("tree_rooted", root))``, the hop
+    distances from one search from a hub one hop before every round's root."""
+    horizon, n, _ = adj.shape
+    dist = shortest_path(block_diagonal(adj, hub_root=root), unweighted=True,
+                         indices=horizon * n)[:-1].reshape(horizon, n) - 1
+    # isfinite matters: inf - 1 == inf would pair up unreachable nodes.
+    is_parent = (adj & np.isfinite(dist)[:, :, None]
+                 & (dist[:, :, None] == dist[:, None, :] - 1))
+    parent = np.where(is_parent.any(axis=1), is_parent.argmax(axis=1), np.arange(n))
+    return np.eye(n)[parent]
 
 
 def _lyapunov_alpha(m):

@@ -2,7 +2,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_discrete_lyapunov
+from scipy.linalg import solve_discrete_lyapunov, solve_sylvester
 
 import reference
 from freshtrack.decomposition import TransformedSystem, staircase_transform
@@ -14,6 +14,8 @@ from freshtrack.gain_design import (
     closed_loop_block,
     compute_bound_constants,
     design_gains,
+    _rotation_target,
+    _solve_sylvester,
     place_deadbeat,
     place_spectral,
 )
@@ -91,6 +93,33 @@ def test_place_spectral_long_blocks_meet_the_lyapunov_envelope(n, r):
         for k in range(201):
             assert np.linalg.norm(power, 2) <= alpha * 0.8 ** k * (1 + 1e-9)
             power = cl @ power
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 32, 64])
+@pytest.mark.parametrize("r", [1, 2])
+def test_sylvester_solve_matches_scipy(n, r):
+    # The long-block sweep's pairs and first G draws, and n = 1, 2, 3.  The
+    # largest difference, 1.6e-11 (n = 64, r = 2, seed 0), comes from a
+    # target 1e-4 away from an eigenvalue of A; the residuals stay at rounding.
+    for seed in range(5):
+        rng = np.random.default_rng([n, r, seed])
+        a = rng.standard_normal((n, n))
+        a *= 0.9 / np.max(np.abs(np.linalg.eigvals(a)))
+        f = rng.standard_normal((r, n)).T @ np.random.default_rng(seed).standard_normal((r, n))
+        d = _rotation_target(0.6, n)
+        x = _solve_sylvester(a.T, d, f)
+        want = solve_sylvester(a.T, -d, f)
+        assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
+        scale = np.linalg.norm(x) * (np.linalg.norm(a) + np.linalg.norm(d)) + np.linalg.norm(f)
+        assert np.linalg.norm(a.T @ x - x @ d - f) <= 1e-15 * scale
+
+
+def test_sylvester_solve_moves_an_exactly_singular_shift_as_scipy_does():
+    # The target 0.75 * 0.4 is A's own eigenvalue: A - lam I is exactly 0.
+    a, d, f = np.array([[0.3]]), _rotation_target(0.75 * 0.39999999999999997, 1), [[-0.58]]
+    assert np.array_equal(_solve_sylvester(a, d, f), solve_sylvester(a, -d, f))
+    l = place_spectral(a, [[-0.45]], 0.39999999999999997)
+    assert abs(0.3 + l[0, 0] * 0.45) < 0.4
 
 
 @pytest.mark.parametrize("plant,rho", [
@@ -316,6 +345,27 @@ def test_beta_lets_no_overflowed_ratio_win():
     assert constants.beta[0] == 1.0
     assert_constants_bit_equal(constants,
                                reference.compute_bound_constants(ts, gains, [1.0, 1.0], 1))
+
+
+@pytest.mark.parametrize("a", [1e-300, -3e-160, 2e-147, 5e146, -1e160, 1e300])
+def test_scalar_block_beta_near_over_and_underflow(a):
+    # A 1 x 1 block's beta takes |a^k|, where LAPACK's SVD scales values
+    # beyond about 1e+-146 and can round them one unit differently, and gives
+    # NaN for an overflowed power where |a^k| is inf (gamma^k has overflowed
+    # first, so the ratio is NaN either way).  Every ratio past k = 0 is
+    # below 1 (gamma = 1.01 max(1, |a|)), so beta is 1 either way.
+    ts = TransformedSystem(t_matrix=np.eye(1), a_bar=np.array([[a]]),
+                           c_bar=(np.array([[1.0]]),), block_dims=(1,))
+    gains = GainSet(gains=(np.array([[a]]),), target_radii=(0.5,))
+    constants = compute_bound_constants(ts, gains, [1.0], t_bar=3)
+    assert constants.beta[0] == 1.0
+    assert_constants_bit_equal(constants,
+                               reference.compute_bound_constants(ts, gains, [1.0], 3))
+    with np.errstate(over="ignore", under="ignore"):
+        powers = a ** np.arange(5.0)
+    powers = np.abs(powers[np.isfinite(powers)])
+    svd = np.linalg.norm(powers[:, None, None], 2, axis=(1, 2))
+    assert np.all(np.abs(svd - powers) <= np.spacing(powers))
 
 
 def test_growth_envelope_beta_gamma():

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import reference
+from freshtrack.baselines import WeightStrategy, mixing_weights
 from freshtrack.graph_seq import (
     RANDOM_EXTRA_EDGES,
     PeriodicGraphSequence,
@@ -11,6 +13,7 @@ from freshtrack.graph_seq import (
     certify_jointly_rooted,
     edge_tensor,
     generate_random_jointly_connected,
+    hops,
     window_unions,
 )
 
@@ -120,6 +123,32 @@ def test_certification_matches_per_window_dfs(adj, t, data):
     root = data.draw(st.integers(1, n))
     assert certify_jointly_rooted(unions, root) == all(len(reach(u, root)) == n
                                                        for u in windows)
+
+
+@settings(max_examples=300)
+@given(n=st.integers(1, 12), n_graphs=st.integers(0, 20), density=st.floats(0, 1),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_hops_searches_equal_scipy_csgraph(n, n_graphs, density, seed, data):
+    # Random stacks from empty (density 0) to complete (density 1).
+    graphs = np.random.default_rng(seed).random((n_graphs, n, n)) < density
+    graphs &= ~np.eye(n, dtype=bool)
+    root = data.draw(st.integers(1, n))
+    assert (certify_joint_strong_connectivity(graphs)
+            == reference.strongly_connected_windows(graphs))
+    assert certify_jointly_rooted(graphs, root) == reference.rooted_windows(graphs, root)
+    assert np.array_equal(mixing_weights(graphs, WeightStrategy("tree_rooted", root)),
+                          reference.tree_parent_weights(graphs, root))
+    for reverse in (False, True):
+        levels = hops(graphs, root, reverse=reverse)
+        assert levels.shape == (n_graphs, n)
+        for g, level in zip(graphs, levels):
+            assert set(np.flatnonzero(level >= 0) + 1) == reach(g.T if reverse else g, root)
+
+
+def test_hops_counts_levels_on_a_chain():
+    chain = edge_tensor(4, [[(1, 2), (2, 3), (3, 4)]])
+    assert hops(chain, 2).tolist() == [[-1, 0, 1, 2]]
+    assert hops(chain, 2, reverse=True).tolist() == [[1, 0, -1, -1]]
 
 
 def test_certify_ring_revealed_one_edge_per_step():
