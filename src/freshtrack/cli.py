@@ -7,7 +7,6 @@ disagreed, 2 invalid config or malformed input files.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import json
 import os
@@ -16,10 +15,9 @@ import tempfile
 import warnings
 
 import numpy as np
-import jsonschema
 
 from .baselines import WeightStrategy, detect_divergence
-from .decomposition import DecompositionError
+from .decomposition import DecompositionError, TransformedSystem
 from .gain_design import BoundConstants, GainDesignError
 from .graph_seq import (
     PeriodicGraphSequence,
@@ -38,10 +36,8 @@ from .sim_engine import (
 )
 from .system_model import ConfigurationError, LtiPlant, simulate_truth
 
-# "numeric": a list of lists of numbers (2) or of numbers (1), checked in one
-# loop by `_numeric` below instead of one schema descent per entry.
-_MATRIX = {"type": "array", "numeric": 2}
-_VECTOR = {"type": "array", "numeric": 1}
+_VECTOR = {"type": "array", "items": {"type": "number"}}
+_MATRIX = {"type": "array", "items": _VECTOR}
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -120,39 +116,48 @@ REPORT_SCHEMA = {
 }
 
 
-def _numeric(validator, depth, instance, schema):
-    """The ``numeric`` keyword: ``depth`` levels of lists around numbers.
+# jsonschema's types, except that a bool is no number and 40.0 is no integer:
+# numpy refuses it as a size.
+_TYPES = dict(object=dict, array=list, string=str, boolean=bool, integer=int, number=(int, float))
+# The keywords that test a value on its own: what fails it, and the message
+# after its repr.  In both schemas a keyword of objects, arrays or numbers
+# comes with the type it applies to, so it meets only values of that type.
+_TESTS = {
+    "type": (lambda v, t: not isinstance(v, _TYPES[t]) or isinstance(v, bool) != (t == "boolean"),
+             "is not of type {!r}"),
+    "enum": (lambda v, e: v not in e, "is not one of {!r}"),
+    "minimum": (lambda v, m: v < m, "is less than the minimum of {!r}"),
+    "exclusiveMinimum": (lambda v, m: v <= m, "is less than or equal to the minimum of {!r}"),
+    "exclusiveMaximum": (lambda v, m: v >= m, "is greater than or equal to the maximum of {!r}"),
+    "minItems": (lambda v, n: len(v) < n, "is too short"),
+    "maxItems": (lambda v, n: len(v) > n, "is too long")}
 
-    One loop over the rows, which takes a row of plain ints and floats whole;
-    yields a single error, at the first row that is not a list or entry that
-    is not a number.
+
+def schema_error(schema, value, path="$"):
+    """The first place where ``value`` breaks ``schema``: a (JSON path,
+    message) pair, worded as jsonschema words it, or None.
+
+    Knows the keywords that CONFIG_SCHEMA and REPORT_SCHEMA use.  The walk
+    goes depth first, through properties in the schema's order and entries
+    in order, so of two bad siblings it names the first.  A row of plain
+    ints and floats passes ``{"type": "number"}`` items in one test instead
+    of one descent per entry.
     """
-    if not isinstance(instance, list):
-        return                                  # left to "type"
-    rows = instance if depth == 2 else [instance]
-    for i, row in enumerate(rows):
-        if not isinstance(row, list):
-            yield jsonschema.ValidationError(f"{row!r} is not of type 'array'", path=[i])
-            return
-        if set(map(type, row)) <= {int, float}:
-            continue
-        for j, x in enumerate(row):
-            if not isinstance(x, (int, float)) or isinstance(x, bool):
-                yield jsonschema.ValidationError(f"{x!r} is not of type 'number'",
-                                                 path=[i, j] if depth == 2 else [j])
-                return
-
-
-# JSON Schema counts 40.0 as an integer, but numpy rejects it as a size.
-_Validator = jsonschema.validators.extend(
-    jsonschema.Draft202012Validator,
-    validators={"numeric": _numeric},
-    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
-        "integer", lambda _, x: isinstance(x, int) and not isinstance(x, bool)))
-
-# Compiled once: jsonschema.validate would check the schema itself on every call.
-_VALIDATOR = _Validator(CONFIG_SCHEMA)
-_REPORT_VALIDATOR = _Validator(REPORT_SCHEMA)
+    for key, (fails, words) in _TESTS.items():
+        if key in schema and fails(value, schema[key]):
+            return path, f"{value!r} {words.format(schema[key])}"
+    props, items = schema.get("properties", {}), schema.get("items")
+    if schema.get("additionalProperties") is False and value.keys() - props:
+        extras = sorted(value.keys() - props, key=str)
+        return path, "Additional properties are not allowed ({} {} unexpected)".format(
+            ", ".join(map(repr, extras)), "was" if len(extras) == 1 else "were")
+    if missing := [key for key in schema.get("required", ()) if key not in value]:
+        return path, f"{missing[0]!r} is a required property"
+    rows = () if items == {"type": "number"} and set(map(type, value)) <= {int, float} else value
+    # (path, schema, value) of each entry or property, walked lazily.
+    children = (((f"{path}[{i}]", items, x) for i, x in enumerate(rows)) if items else
+                ((f"{path}.{key}", sub, value[key]) for key, sub in props.items() if key in value))
+    return next(filter(None, (schema_error(sub, x, where) for where, sub, x in children)), None)
 
 
 class ConfigError(ValueError):
@@ -161,9 +166,8 @@ class ConfigError(ValueError):
 
 def build_scenario(config) -> Scenario:
     """Validate a config dict and materialize the Scenario it describes."""
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(config))
-    if error is not None:
-        raise ConfigError(f"invalid scenario config: {error.message}")
+    if error := schema_error(CONFIG_SCHEMA, config):
+        raise ConfigError(f"invalid scenario config: {error[1]}")
 
     try:
         plant = LtiPlant(config["plant"]["A"], config["plant"]["C"],
@@ -230,7 +234,7 @@ def run_checks(trace: Trace, config):
     wanted = config.get("checks", {})
     results = {}
     if wanted.get("lemmas"):
-        results["lemmas"] = check_lemma_suite(trace)
+        results["lemmas"] = check_lemma_suite(trace, check_delayed=True)
     if wanted.get("envelope"):
         results["envelope"] = (check_envelope(trace) if trace.constants is not None else
                                {"passed": False, "detail": "no envelope constants available"})
@@ -363,6 +367,8 @@ def cmd_run(specs, out_dir=None, seed=None, jobs=1):
 
     results = []
     if jobs > 1 and len(configs) > 1:
+        import concurrent.futures   # here, so that a serial run does not import it
+
         # The pool starts all its workers at the first submit.
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(configs))) as pool:
             futures = [pool.submit(_execute, *c) for c in configs]
@@ -392,12 +398,11 @@ def _load_constants(c, n):
 
 
 def _float_array(value, shape, name, finite=False):
-    """``value`` as a float array of ``shape`` without NaN (null reads as
-    NaN), and without inf when ``finite``."""
+    """``value`` as a float array of ``shape``, without NaN or inf when
+    ``finite``.  The schema walk has already refused null."""
     try:
         a = np.asarray(value, dtype=float)
-        bad = ~np.isfinite(a) if finite else np.isnan(a)
-        ok = a.shape == shape and not bad.any()
+        ok = a.shape == shape and (not finite or np.isfinite(a).all())
     except (TypeError, ValueError):
         ok = False
     if not ok:
@@ -446,14 +451,18 @@ def _load_trace_csv(path, report, scenario: Scenario):
     trace.taus[:], trace.donors[:] = ints.reshape(h1, n_nodes, 2, s).transpose(2, 0, 1, 3)
     trace.z_estimates[:] = rows[:, 2 + 2 * s:].reshape(h1, n_nodes, -1)
 
-    # The errors come from the plant's trajectory, through T for a freshness run.
+    # The errors come from the plant's trajectory, through T for a freshness
+    # run; the delayed identity takes the plant through T as the run did.
     plant, n = scenario.plant, trace.z_estimates.shape[2]
     if plant.n != n:
         raise ValueError(f"scenario.plant has {plant.n} states, the trace {n}")
     truth = simulate_truth(plant, trace.horizon).states
     if freshness:
-        truth = truth @ _float_array(report["transform"]["t_matrix"], (n, n),
-                                     "transform.t_matrix", finite=True)
+        t = _float_array(report["transform"]["t_matrix"], (n, n), "transform.t_matrix",
+                         finite=True)
+        trace.ts = TransformedSystem(t, t.T @ plant.a_matrix @ t,
+                                     tuple(c @ t for c in plant.sensors), trace.block_dims)
+        truth = truth @ t
     trace.err_block, trace.err_total = error_norms(trace.z_estimates, truth, block_dims)
     return trace
 
@@ -462,9 +471,8 @@ def cmd_check(trace_path, report_path):
     try:
         with open(report_path) as f:
             report = json.load(f)
-        error = jsonschema.exceptions.best_match(_REPORT_VALIDATOR.iter_errors(report))
-        if error is not None:
-            raise ValueError(f"invalid report at {error.json_path}: {error.message}")
+        if error := schema_error(REPORT_SCHEMA, report):
+            raise ValueError("invalid report at {}: {}".format(*error))
         config = report["scenario"]
         trace = _load_trace_csv(trace_path, report, build_scenario(config))
     except (OSError, ValueError, KeyError, IndexError) as exc:

@@ -8,10 +8,12 @@ import tracemalloc
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freshtrack import cli
 from freshtrack.cli import (
     CONFIG_SCHEMA,
+    REPORT_SCHEMA,
     ConfigError,
     _load_trace_csv,
     _report_text,
@@ -20,6 +22,7 @@ from freshtrack.cli import (
     cmd_check,
     main,
     run_checks,
+    schema_error,
 )
 from freshtrack.graph_seq import edge_tensor
 from freshtrack.scenarios import (
@@ -29,7 +32,7 @@ from freshtrack.scenarios import (
     canned_scenarios,
     make_multiblock_plant,
 )
-from freshtrack.sim_engine import run_scenario
+from freshtrack.sim_engine import DELAYED_TOL, run_scenario
 from reference import to_csv_string
 
 
@@ -104,6 +107,27 @@ def test_run_exits_2_when_freshness_has_neither_rho_nor_deadbeat(tmp_path, capsy
 
 def test_config_schema_is_valid():
     jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
+    jsonschema.Draft202012Validator.check_schema(REPORT_SCHEMA)
+
+
+def _subschemas(schema):
+    yield schema
+    for sub in (*schema.get("properties", {}).values(), *filter(None, [schema.get("items")])):
+        yield from _subschemas(sub)
+
+
+def test_schemas_use_only_keywords_the_walk_knows():
+    # schema_error tests a keyword of objects, arrays or numbers only after
+    # the type it applies to, so each must come with that type.
+    applies = {"object": {"properties", "required", "additionalProperties"},
+               "array": {"items", "minItems", "maxItems"},
+               "number": {"minimum", "exclusiveMinimum", "exclusiveMaximum"}}
+    for schema in (CONFIG_SCHEMA, REPORT_SCHEMA):
+        for sub in _subschemas(schema):
+            assert set(sub) <= set(cli._TESTS) | applies["object"] | {"items"}, sub
+            for kind, keywords in applies.items():
+                if keywords & set(sub):
+                    assert sub["type"] in ({kind, "integer"} if kind == "number" else {kind})
 
 
 @pytest.mark.parametrize("algorithm", [
@@ -301,20 +325,18 @@ def _drop_scenario(data):
     (_set("block_dims", [1, 0, 0, 0]), "a freshness report needs 3 block_dims, found 4"),
     (_set_constant("c_bar", "x"), "$.constants.c_bar: 'x' is not of type 'array'"),
     (_set_constant("c_bar", [1.0]), "constants.c_bar must be a (3,) array of numbers"),
-    (_set_constant("c_bar", [float("nan")] * 3),
-     "constants.c_bar must be a (3,) array of numbers"),
     (_set_constant("alpha", [[1.0], 2.0, 3.0]),
      "$.constants.alpha[0]: [1.0] is not of type 'number'"),
     (_set_constant("g", [1.0, 2.0, 3.0]), "$.constants.g[0]: 1.0 is not of type 'array'"),
     (_set_constant("h", {"a": 1}), "$.constants.h: {'a': 1} is not of type 'array'"),
-    (_set_first_round([[1.9, 2.2], [2, 3]]), f"{_BAD_EDGE}2.2 is not of type 'integer'"),
-    (_set_first_round([["1", "2"], [2, 3]]), f"{_BAD_EDGE}'2' is not of type 'integer'"),
+    # Of two bad siblings the schema walk names the first.
+    (_set_first_round([[1.9, 2.2], [2, 3]]), f"{_BAD_EDGE}1.9 is not of type 'integer'"),
+    (_set_first_round([["1", "2"], [2, 3]]), f"{_BAD_EDGE}'1' is not of type 'integer'"),
     (_set_first_round([[True, 2], [2, 3]]), f"{_BAD_EDGE}True is not of type 'integer'"),
     (_set_first_round([[1, 2], [2, False]]), f"{_BAD_EDGE}False is not of type 'integer'"),
 ], ids=["horizon_fraction", "horizon_float", "rho_text", "list", "no_scenario",
-        "period_zero", "block_dims_per_node", "c_bar_text", "c_bar_short", "c_bar_nan",
-        "alpha_ragged", "g_vector", "h_object", "edges_fraction", "edges_text",
-        "edges_true", "edges_false"])
+        "period_zero", "block_dims_per_node", "c_bar_text", "c_bar_short", "alpha_ragged",
+        "g_vector", "h_object", "edges_fraction", "edges_text", "edges_true", "edges_false"])
 def test_check_rejects_malformed_report_fields(tmp_path, capsys, tamper, message):
     name = "fig1_freshness_spectral"
     assert main(["run", name, "--out", str(tmp_path)]) == 0
@@ -488,7 +510,7 @@ def test_run_jobs_pool_is_capped_at_the_config_count(tmp_path, monkeypatch, caps
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     names = ["fig1_freshness_deadbeat", "fig1_uniform_baseline"]
     assert main(["run", *names, "--out", str(tmp_path), "--jobs", "500"]) == 0
     assert sizes == [2]
@@ -689,6 +711,106 @@ def test_report_text_parses_like_indented_dump(runs):
         assert len(text.splitlines()) == len(report) + 2, name
 
 
+# The reference walk: stock Draft 2020-12, with an integer that is neither a
+# bool nor a float such as 40.0.
+_REFERENCE = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, x: isinstance(x, int) and not isinstance(x, bool)))
+
+
+@pytest.fixture(scope="module")
+def documents(runs):
+    """(schema, document) of each canned config and of its report's JSON."""
+    docs = []
+    for name, config in canned_scenarios().items():
+        docs += [(CONFIG_SCHEMA, config), (REPORT_SCHEMA, json.loads(_report_text(runs[name][1])))]
+    return docs
+
+
+def _nodes(doc, path=()):
+    """(path, value) of ``doc`` and of everything inside it."""
+    yield path, doc
+    inner = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in inner:
+        yield from _nodes(value, path + (key,))
+
+
+def _parent(doc, path):
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc
+
+
+def _mutate(doc, kind, data):
+    """Apply one mutation of ``kind`` to ``doc`` in place; False if none applies."""
+    nodes = list(_nodes(doc))
+    leaves = [p for p, v in nodes if p and not isinstance(v, (dict, list))]
+    targets = {
+        "swap": leaves,
+        "past_bound": [p for p, v in nodes if p and type(v) in (int, float)],
+        "drop": [p for p, v in nodes if isinstance(v, dict) and v],
+        "add": [p for p, v in nodes if isinstance(v, dict)],
+        "ragged": [p for p, v in nodes
+                   if isinstance(v, list) and v and all(isinstance(r, list) and r for r in v)],
+    }[kind]
+    if not targets:
+        return False
+    # One place in the schema first, so that matrix entries do not crowd out
+    # the scalars; then one of its entries.
+    shapes = {}
+    for p in targets:
+        shapes.setdefault(tuple("*" if isinstance(k, int) else k for k in p), []).append(p)
+    path = data.draw(st.sampled_from(shapes[data.draw(st.sampled_from(sorted(shapes)))]))
+    if kind == "swap":
+        _parent(doc, path)[path[-1]] = data.draw(st.sampled_from([40.0, True, "1.5", None, [], {}]))
+    elif kind == "past_bound":
+        _parent(doc, path)[path[-1]] = data.draw(st.sampled_from([-1, 0, 1, 1.5]))
+    else:
+        node = _parent(doc, path + (None,))
+        if kind == "drop":
+            del node[data.draw(st.sampled_from(sorted(node)))]
+        elif kind == "add":
+            node["unknown_key"] = 1
+        else:
+            node[data.draw(st.integers(0, len(node) - 1))].pop()
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_schema_walk_agrees_with_jsonschema(documents, data):
+    # Mutated canned configs and reports: both walks accept or both refuse,
+    # and after one mutation both name the same place with the same message.
+    schema, doc = data.draw(st.sampled_from(documents))
+    doc = json.loads(json.dumps(doc))
+    kinds = data.draw(st.lists(st.sampled_from(
+        ["swap", "past_bound", "drop", "add", "ragged"]), min_size=1, max_size=3))
+    applied = sum(_mutate(doc, kind, data) for kind in kinds)
+    ours = schema_error(schema, doc)
+    best = jsonschema.exceptions.best_match(_REFERENCE(schema).iter_errors(doc))
+    assert (ours is None) == (best is None), (ours, best)
+    if applied == 1 and best is not None:
+        assert ours == (best.json_path, best.message)
+
+
+@pytest.mark.parametrize("path,value", [
+    (("graph", "T"), 0), (("graph", "T"), 1), (("horizon",), 0),
+    (("seed",), -1), (("seed",), 0),
+    (("algorithm", "rho"), 0), (("algorithm", "rho"), 1e-300),
+    (("algorithm", "rho"), 1), (("algorithm", "rho"), 0.999),
+    (("graph", "params", "edge_lists"), [[[1, 2]], [[1]]]),
+    (("graph", "params", "edge_lists"), [[[1, 2, 3]]]),
+    (("graph", "params", "edge_lists"), [[]]),
+    (("algorithm", "strategy"), "tree"),
+])
+def test_schema_walk_agrees_with_jsonschema_at_the_bounds(path, value):
+    config = json.loads(json.dumps(small_config(algorithm={"type": "freshness", "rho": 0.5})))
+    _parent(config, path)[path[-1]] = value
+    best = jsonschema.exceptions.best_match(_REFERENCE(CONFIG_SCHEMA).iter_errors(config))
+    assert schema_error(CONFIG_SCHEMA, config) == (best and (best.json_path, best.message))
+
+
 def test_edge_scatter_matches_per_round_graphs():
     for name, config in canned_scenarios().items():
         rounds = config["graph"]["params"].get("edge_lists")
@@ -856,9 +978,11 @@ def _deadbeat_lemmas_only(data):
      "invalid scenario config: Additional properties are not allowed"),
     ("fig1_freshness_spectral", _set_constant("c_bar", ["1e300", 0, 0]), 2,
      "$.constants.c_bar[0]: '1e300' is not of type 'number'"),
+    # NaN constants are read as NaN: their envelope fails, unlike the recorded one.
+    ("fig1_freshness_spectral", _set_constant("c_bar", [float("nan")] * 3), 1, "disagrees"),
 ], ids=["rho_lowered", "horizon_shortened", "window_of_one", "graph_seed_changed",
         "edge_lists_changed", "rho_removed", "envelope_on_deadbeat", "unknown_key",
-        "c_bar_text"])
+        "c_bar_text", "c_bar_nan"])
 def test_check_takes_the_run_from_scenario(tmp_path, capsys, name, tamper, code, message):
     # rho, T, the graph and the horizon are read from the report's scenario,
     # through the validator that run uses, so editing them there changes
@@ -868,9 +992,11 @@ def test_check_takes_the_run_from_scenario(tmp_path, capsys, name, tamper, code,
 
 
 def test_cli_runs_and_checks_without_importing_scipy(tmp_path):
-    # scipy is a test dependency only: importing any of it costs a process
-    # about 0.2 s and 26 MB.  A spectral run places gains and certifies its
-    # graph; a tree-rooted baseline takes the BFS levels of every round.
+    # scipy and jsonschema are test dependencies only: importing scipy costs
+    # a process about 0.2 s and 26 MB, and jsonschema 78 ms and 5 MB.  A
+    # serial run needs no concurrent.futures either.  A spectral run places
+    # gains and certifies its graph; a tree-rooted baseline takes the BFS
+    # levels of every round.
     out = str(tmp_path)
     code = f"""
 import sys
@@ -879,10 +1005,65 @@ assert cli.main(["run", "fig1_freshness_spectral", "fig1_tree_baseline", "--out"
 for name in ("fig1_freshness_spectral", "fig1_tree_baseline"):
     path = {out!r} + "/" + name
     assert cli.main(["check", path + "_trace.csv", path + "_report.json"]) == 0
-print(sorted(m for m in sys.modules if m.startswith("scipy")))
+print(sorted(m for m in sys.modules if m.startswith(
+    ("scipy", "jsonschema", "referencing", "rpds", "concurrent.futures"))))
 """
     src = os.path.dirname(os.path.dirname(cli.__file__))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_cli_lemma_runs_check_the_delayed_identity(runs):
+    for name, config in canned_scenarios().items():
+        if config.get("checks", {}).get("lemmas"):
+            entry = runs[name][1]["checks"]["lemmas"]["checks"]["delayed_form"]
+            assert entry["passed"] and entry["max_residual"] <= DELAYED_TOL, name
+
+
+@pytest.mark.parametrize("name", ["fig1_freshness_deadbeat", "fig1_freshness_spectral"])
+def test_check_fails_an_estimate_off_the_delayed_identity(tmp_path, capsys, name):
+    # Node 2's estimate of substate 1 at k = 10, after (N-1)T = 4, moved by a
+    # relative 1e-6.  Indices and donors stay the rule's; the Fig. 1 state
+    # grows as 2^k, so the move is far above the identity's tolerance.
+    assert main(["run", name, "--out", str(tmp_path)]) == 0
+    trace, report = tmp_path / f"{name}_trace.csv", tmp_path / f"{name}_report.json"
+    lines = trace.read_text().splitlines()
+    header = lines[1].split(",")
+    row = next(i for i, line in enumerate(lines) if line.startswith("10,2,"))
+    parts = lines[row].split(",")
+    assert int(parts[header.index("tau1")]) >= 1
+    z = header.index("z0")
+    parts[z] = repr(float(parts[z]) * (1 + 1e-6))
+    lines[row] = ",".join(parts)
+    trace.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["check", str(trace), str(report)]) == 1
+    assert "lemmas: FAIL" in capsys.readouterr().out
+    data = json.loads(report.read_text())
+    loaded = _load_trace_csv(trace, data, build_scenario(data["scenario"]))
+    lemmas = run_checks(loaded, data["scenario"])[0]["lemmas"]["checks"]
+    assert lemmas.pop("delayed_form")["at"] == (2, 1, 10)
+    assert all(entry["passed"] for entry in lemmas.values())
+
+
+def test_check_agrees_with_a_run_whose_envelope_constants_are_not_finite(tmp_path, capsys):
+    # At rho = 0.05 the late substates' c_bar are not finite.  The report
+    # writes them as NaN and Infinity, and check reads them back.
+    plant = make_multiblock_plant((1,) * 8, seed=1)
+    cfg = tmp_path / "nonfinite.json"
+    cfg.write_text(json.dumps({
+        "plant": _plant_config(plant), "graph": {"mode": "random", "T": 3, "params": {"seed": 1}},
+        "algorithm": {"type": "freshness", "rho": 0.05}, "horizon": 320, "seed": 1,
+        "checks": {"lemmas": True, "envelope": True}}))
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == 1
+    report = tmp_path / "nonfinite_report.json"
+    data = json.loads(report.read_text())
+    assert "envelope_constants_not_finite" in data["warnings"]
+    assert not np.all(np.isfinite(data["constants"]["c_bar"]))
+    assert data["checks"]["lemmas"]["passed"] and not data["checks"]["envelope"]["passed"]
+    capsys.readouterr()
+    assert main(["check", str(tmp_path / "nonfinite_trace.csv"), str(report)]) == 1
+    captured = capsys.readouterr()
+    assert "envelope: FAIL" in captured.out and captured.err == ""
