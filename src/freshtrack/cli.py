@@ -413,20 +413,23 @@ def _float_array(value, shape, name, finite=False):
 def _load_trace_csv(path, report, scenario: Scenario):
     """The run's `Trace` from its trace file, ``scenario`` (the report's
     ``scenario`` through `build_scenario`, which also gives the graph and
-    its connectivity code) and the report's other fields."""
+    its connectivity code) and the report's other fields.  A freshness
+    report has one block per node, a baseline report the one block [n]."""
     block_dims, freshness = report["block_dims"], scenario.algorithm == "freshness"
     trace = Trace(scenario.plant.n_nodes, scenario.horizon, scenario.graph.period_t,
                   block_dims, rho=scenario.rho)
-    h1, n_nodes, s = trace.horizon + 1, trace.n_nodes, len(block_dims)
-    if freshness and s != n_nodes:
-        raise ValueError(f"a freshness report needs {n_nodes} block_dims, found {s}")
+    h1, n_nodes, s = trace.horizon + 1, trace.n_nodes, len(trace.substates)
+    blocks = n_nodes if freshness else 1
+    if len(block_dims) != blocks:
+        raise ValueError(f"a {scenario.algorithm} report needs {blocks} block_dims, "
+                         f"found {len(block_dims)}")
     trace.adjacency = scenario.graph.adjacency(trace.horizon)
     if freshness:
         trace.warnings = connectivity_warnings(trace.adjacency, trace.period_t, trace.substates)
     if "constants" in report:
         if scenario.rho is None:      # the envelope's radii come from rho
             raise ValueError("report has constants but its scenario has no rho")
-        trace.constants = _load_constants(report["constants"], s)
+        trace.constants = _load_constants(report["constants"], n_nodes)
 
     with open(path) as f:
         header = f.readline() + f.readline()

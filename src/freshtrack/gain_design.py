@@ -256,7 +256,8 @@ def _lyapunov_alpha(m):
     ||m^K||_F^2 < 1e-8 keeps P - P_K below 1e-8 ||P||.  Each block stops at
     its own K and adds zeros after it; its ||m^K||_F^2 is a vector-vector
     matmul, the dot product that np.vdot takes.  P >= I, and its smallest
-    eigenvalue is taken net of eigvalsh's rounding.
+    eigenvalue is taken net of eigvalsh's rounding.  A block whose sum has
+    not converged after 10,000 terms, or whose powers overflow, is refused.
     """
     n_stack, n = m.shape[:2]
     p = np.zeros_like(m)
@@ -271,7 +272,8 @@ def _lyapunov_alpha(m):
         p += np.where(live[:, None, None], power.transpose(0, 2, 1) @ power, 0.0)
         power = m @ power
     else:
-        raise GainDesignError("closed-loop block does not contract at its envelope radius")
+        raise GainDesignError("a block scaled by its radius does not contract: "
+                              "its Lyapunov sum has not converged")
     eig = np.linalg.eigvalsh(p)
     return np.sqrt(eig[:, -1] / np.fmax(1.0, eig[:, 0] - n * np.finfo(float).eps * eig[:, -1]))
 
@@ -291,14 +293,16 @@ def compute_bound_constants(ts: TransformedSystem, gains: GainSet,
 
     alpha[j] is sqrt(cond(P)) for the P solving (M/rho_j)^T P (M/rho_j) - P
     = -I with M the closed-loop block: ||M^k|| <= alpha[j] * rho_j^k for any
-    M of spectral radius below rho_j, diagonalisable or not.
+    M of spectral radius below rho_j, diagonalisable or not.  beta[j] is the
+    same certificate of A_jj / gamma_j, whose spectral radius is at most
+    1/1.01, so ||A_jj^k|| <= beta[j] * gamma_j^k for every k.  A 1 x 1 block
+    has beta = 1: |a|^k / gamma^k peaks at k = 0.
     """
     if gains.mode == DEADBEAT:
         raise ValueError("bound constants are defined for spectral-mode gains")
     n_blocks = ts.n_nodes
     radii = np.asarray(gains.target_radii, dtype=float)
     ref_times = envelope_schedule(n_blocks, t_bar=t_bar).reference
-    k_cap = 4 * ts.n + 4 * t_bar
     nonempty = [j for j, nj in enumerate(ts.block_dims) if nj]
 
     alpha, beta, gamma = np.ones(n_blocks), np.ones(n_blocks), np.ones(n_blocks)
@@ -310,18 +314,8 @@ def compute_bound_constants(ts: TransformedSystem, gains: GainSet,
             np.stack([closed_loop_block(ts, gains, j + 1) / radii[j] for j in js]))
         a_jj = np.stack([ts.a_block(j + 1, j + 1) for j in js])
         gamma[js] = np.fmax(1.0, np.abs(np.linalg.eigvals(a_jj)).max(axis=1)) * 1.01
-        powers = np.empty((k_cap + 1, len(js), nj, nj))
-        powers[0] = np.eye(nj)
-        for k in range(k_cap):
-            powers[k + 1] = a_jj @ powers[k]
-        # gamma_j ** k one scalar at a time: numpy's vector pow can differ
-        # in the last bit.  fmax, as max() did, lets no NaN ratio (both
-        # overflowed) win.
-        decay = np.array([list(map(gm.__pow__, range(k_cap + 1))) for gm in gamma[js]])
-        # A 1 x 1 power's 2-norm is its absolute value: no SVD needed.
-        norms = (np.abs(powers[:, :, 0, 0]) if nj == 1
-                 else np.linalg.norm(powers, 2, axis=(2, 3)))
-        beta[js] = np.fmax.reduce(norms.T / decay, axis=1)
+        if nj > 1:
+            beta[js] = _lyapunov_alpha(a_jj / gamma[js, None, None])
 
     g, h = np.zeros((n_blocks, n_blocks)), np.zeros((n_blocks, n_blocks))
     pairs = {}      # (n_j, n_q) -> [(j, q, A_jq - L_j C_jq, A_jq)] for q < j

@@ -162,8 +162,11 @@ def certify_jointly_rooted(unions: np.ndarray, root: int) -> bool:
 def connectivity_warnings(adj: np.ndarray, t: int, sources) -> list:
     """[] when every complete T-window union of the (H, N, N) tensor is
     strongly connected; else ["rooted_mode"] when each of the 1-indexed
-    ``sources`` reaches every node in each union, or ["connectivity_uncertified"]."""
+    ``sources`` reaches every node in each union, or ["connectivity_uncertified"].
+    A horizon shorter than one window certifies nothing."""
     unions = window_unions(adj, t)
+    if not len(unions):
+        return ["connectivity_uncertified"]
     if certify_joint_strong_connectivity(unions):
         return []
     rooted = all(certify_jointly_rooted(unions, j) for j in sources)

@@ -5,10 +5,12 @@ rounds, of its information relative to the substate's source node, or -1 when
 the node has never been informed.  Rounds are strictly synchronous: every
 right-hand-side quantity is a start-of-round snapshot.
 
-A run holds the whole network's state as two arrays.  ``tau`` is N x N int:
-``tau[i, j]`` is node i+1's index for substate j+1, with -1 for never informed
-(and staying -1 for zero-dimension substates).  ``z`` is N x n: row i is node
-i+1's estimate of every substate in transformed coordinates.
+A run holds the whole network's state as two arrays.  ``tau`` is N x S int,
+one column per substate, that is per nonempty block in node order (a
+zero-dimension block has no substate and no column): ``tau[i, c]`` is node
+i+1's index for the c-th substate, with -1 for never informed.  ``z`` is
+N x n: row i is node i+1's estimate of every substate in transformed
+coordinates.
 ``ProtocolKernel.step`` advances both by one round in O(N^2 n) array work: a
 minimum over the in-neighbors' keys, each an index and a node id encoded in
 one int64, picks the donors, then one block-lower-triangular product and a
@@ -44,10 +46,14 @@ class ProtocolKernel:
         off = ts.offsets
         n_nodes, n = ts.n_nodes, ts.n
         self.n_nodes = n_nodes
+        # The source of each substate column, and each source's own slot.
         self.sources = np.flatnonzero(np.asarray(ts.block_dims) > 0)
+        self._own = (self.sources, np.arange(self.sources.size))
         self._own_rows = np.arange(n_nodes)[:, None]
         self._ids = np.arange(1, n_nodes + 1)[:, None]
+        # Each state column's block (its source node) and substate column.
         self._col_block = np.repeat(np.arange(n_nodes), ts.block_dims)
+        self._col_slot = np.searchsorted(self.sources, self._col_block)
         self._cols = np.arange(n)
         lower = self._col_block[:, None] > self._col_block[None, :]
         diag = self._col_block[:, None] == self._col_block[None, :]
@@ -97,8 +103,8 @@ class ProtocolKernel:
         n_nodes = self.n_nodes
         own = tau % (_NEVER + 1) * (n_nodes + 1)      # -1 reads as _NEVER
         keys = own + self._ids
-        # sent[i, l, j] is node l+1's key for substate j+1, as node i+1 sees
-        # it: a zero-stride view of keys along i, made directly because
+        # sent[i, l, c] is node l+1's key for substate column c, as node i+1
+        # sees it: a zero-stride view of keys along i, made directly because
         # np.broadcast_to costs about as much as the reduction at N = 10.
         sent = np.ndarray((n_nodes,) + keys.shape, keys.dtype, keys, 0, (0,) + keys.strides)
         best = np.minimum.reduce(sent, axis=1, where=adjacency.T[:, :, None],
@@ -106,10 +112,10 @@ class ProtocolKernel:
         held, donors = np.divmod(np.minimum(best, own), n_nodes + 1)
         new_tau = held + 1
         new_tau[held == _NEVER] = -1
-        new_tau[self.sources, self.sources] = 0
+        new_tau[self._own] = 0
 
         reader = np.where(donors > 0, donors - 1, self._own_rows)
-        base = z[reader[:, self._col_block], self._cols]
+        base = z[reader[:, self._col_slot], self._cols]
         new_z = z @ self._a_lower_t + base @ self._a_diag_t
         resid = np.einsum("rc,rc->r", self._c_rows, z[self._row_owner]) - y
         new_z[self._col_block, self._cols] -= self._l_cols @ resid
@@ -124,9 +130,9 @@ def initial_arrays(ts, z0=None):
     zeros).
     """
     n_nodes = ts.n_nodes
-    tau = np.full((n_nodes, n_nodes), -1, dtype=np.int64)
-    sources = [j for j in range(n_nodes) if ts.block_dims[j] > 0]
-    tau[sources, sources] = 0
+    sources = np.flatnonzero(np.asarray(ts.block_dims) > 0)
+    tau = np.full((n_nodes, sources.size), -1, dtype=np.int64)
+    tau[sources, np.arange(sources.size)] = 0
     if z0 is None:
         return tau, np.zeros((n_nodes, ts.n))
     return tau, np.array(z0, dtype=float).reshape(n_nodes, ts.n)

@@ -9,10 +9,10 @@ against constants computed from the trace itself, at the times of
 A freshness run steps ``ProtocolKernel`` on the (tau, z) arrays and copies
 each round's arrays into the trace; ``error_norms`` derives the error norms
 from them and the plant's trajectory, in a run and in a trace read back.
-Every check is array work over the trace's stacked arrays, with -1 for a
-never-informed index and for an open-loop donor throughout.  One pass
-applies the update rule to every recorded round over its graph; the next
-round must equal what it gives.  The delayed-error identity is one forward
+Every check is array work over the trace's stacked arrays, one column per
+substate, with -1 for a never-informed index and for an open-loop donor
+throughout.  One pass applies the update rule to every recorded round over
+its graph; the next round must equal what it gives.  The delayed-error identity is one forward
 pass of its closed form by Horner's rule along the recorded donors.  Both go
 in chunks of ``CHUNK_ROUNDS`` rounds, so that their buffers do not grow with
 the horizon besides the (H, N, S) residuals.
@@ -66,11 +66,12 @@ class Trace:
     time axis: ``taus[k]`` is the N x S index array (-1 for never informed),
     ``z_estimates[k]`` the N x n estimates, and ``donors[k]`` the donor ids
     adopted in the round that produced the state at time k (-1 for
-    open-loop rounds).  S = len(block_dims) substate slots; the columns of
-    zero-dimension substates stay -1.  ``adjacency[k]`` is the N x N bool
-    graph of round k; ``err_block`` and ``err_total`` come from
-    `error_norms`.  Callers index the arrays directly, slicing the
-    estimate columns with ``block_offsets(block_dims)``.
+    open-loop rounds).  Column c is substate ``substates[c]``, the c-th
+    nonempty block; ``sources[c]`` is its 0-based source node, and S their
+    number.  A zero-dimension block has no column.  ``adjacency[k]`` is the
+    N x N bool graph of round k; ``err_block`` (per substate column) and
+    ``err_total`` come from `error_norms`.  Callers index the arrays
+    directly, slicing the estimate columns with ``block_offsets(block_dims)``.
     """
 
     def __init__(self, n_nodes, horizon, period_t, block_dims, rho=None):
@@ -79,11 +80,11 @@ class Trace:
         self.period_t = period_t
         self.block_dims = tuple(block_dims)
         self.rho = rho
-        self.substates = [j for j in range(1, len(block_dims) + 1) if block_dims[j - 1] > 0]
-        n_state, n_slots = int(sum(block_dims)), len(block_dims)
-        self.taus = -np.ones((horizon + 1, n_nodes, n_slots), dtype=int)
-        self.donors = -np.ones((horizon + 1, n_nodes, n_slots), dtype=int)
-        self.z_estimates = np.zeros((horizon + 1, n_nodes, n_state))
+        self.sources = np.flatnonzero(np.asarray(block_dims) > 0)
+        self.substates = (self.sources + 1).tolist()
+        self.taus = np.full((horizon + 1, n_nodes, self.sources.size), -1)
+        self.donors = np.full_like(self.taus, -1)
+        self.z_estimates = np.zeros((horizon + 1, n_nodes, int(sum(block_dims))))
         self.err_block = self.err_total = None
         self.adjacency = np.zeros((horizon, n_nodes, n_nodes), dtype=bool)
         self.ts = None
@@ -94,8 +95,7 @@ class Trace:
 
     def csv_header(self):
         """The two lines that open `to_csv`'s file: a comment and the column names."""
-        slots = range(1, len(self.block_dims) + 1)
-        cols = [f"{name}{j}" for name in ("tau", "donor") for j in slots]
+        cols = [f"{name}{j}" for name in ("tau", "donor") for j in self.substates]
         cols += [f"z{m}" for m in range(self.z_estimates.shape[2])]
         return ("# tau = -1 encodes omega (never informed); donor = -1 encodes open-loop\n"
                 f"k,node,{','.join(cols)}\n")
@@ -104,12 +104,11 @@ class Trace:
         """Numeric CSV of the protocol's arrays; one row per (k, node), k outer.
 
         A row is k, node, then that node's ``taus[k]`` and ``donors[k]`` rows
-        (one column per slot, zero-dimension slots included) and its
-        ``z_estimates[k]`` row.  The error norms are not written: they follow
-        from the estimates and the plant.  Ints are written with ``str`` and
-        floats with ``repr``, so reading the file back gives the arrays bit
-        for bit.  ``path_or_buf`` is a path (str, bytes or ``os.PathLike``)
-        or an open text file.
+        (one column per substate) and its ``z_estimates[k]`` row.  The error
+        norms are not written: they follow from the estimates and the plant.
+        Ints are written with ``str`` and floats with ``repr``, so reading
+        the file back gives the arrays bit for bit.  ``path_or_buf`` is a
+        path (str, bytes or ``os.PathLike``) or an open text file.
 
         The rows go in chunks of ``CHUNK_ROUNDS`` rounds, one write each.  A
         chunk formats each distinct float bit pattern once (bits, not values,
@@ -117,7 +116,7 @@ class Trace:
         table of ``str`` over the trace's int range, so its buffers do not
         grow with the horizon.
         """
-        n_nodes, n_slots = self.taus.shape[1:]
+        n_nodes, n_subs = self.taus.shape[1:]
         lo = min(-1, self.taus.min(), self.donors.min())
         hi = max(self.horizon, n_nodes, self.taus.max(), self.donors.max())
         table = np.array([str(v) for v in range(lo, hi + 1)], dtype=object)
@@ -126,11 +125,11 @@ class Trace:
             f.write(self.csv_header())
             for k0 in range(0, self.horizon + 1, CHUNK_ROUNDS):
                 k1 = min(k0 + CHUNK_ROUNDS, self.horizon + 1)
-                ints = np.empty((k1 - k0, n_nodes, 2 + 2 * n_slots), dtype=np.int64)
+                ints = np.empty((k1 - k0, n_nodes, 2 + 2 * n_subs), dtype=np.int64)
                 ints[:, :, 0] = np.arange(k0, k1)[:, None]
                 ints[:, :, 1] = np.arange(1, n_nodes + 1)
-                ints[:, :, 2:2 + n_slots] = self.taus[k0:k1]
-                ints[:, :, 2 + n_slots:] = self.donors[k0:k1]
+                ints[:, :, 2:2 + n_subs] = self.taus[k0:k1]
+                ints[:, :, 2 + n_subs:] = self.donors[k0:k1]
                 ints -= lo
                 z = self.z_estimates[k0:k1]
                 bits, where = np.unique(z.view(np.int64).ravel(), return_inverse=True)
@@ -142,14 +141,12 @@ class Trace:
 
 def error_norms(estimates, truth, block_dims):
     """``(err_block, err_total)`` of estimates (H+1, N, n) against the truth
-    (H+1, n): the (H+1, N, S) norms per slot of ``block_dims``, 0 in
-    zero-dimension slots, and the (H+1, N) norms over all columns."""
+    (H+1, n): the (H+1, N, S) norms per nonempty block of ``block_dims``,
+    and the (H+1, N) norms over all columns."""
     sq = estimates - truth[:, None, :]
     np.square(sq, out=sq)       # in place: one (H+1, N, n) temporary, not two
-    off = block_offsets(block_dims)
-    cols = [c for c, d in enumerate(block_dims) if d > 0]
-    err_block = np.zeros(sq.shape[:2] + (len(block_dims),))
-    err_block[:, :, cols] = np.sqrt(np.add.reduceat(sq, [off[c] for c in cols], axis=2))
+    starts = [o for o, d in zip(block_offsets(block_dims), block_dims) if d > 0]
+    err_block = np.sqrt(np.add.reduceat(sq, starts, axis=2))
     return err_block, np.sqrt(np.sum(err_block ** 2, axis=2))
 
 
@@ -192,11 +189,12 @@ def _run_freshness(s: Scenario) -> Trace:
 
     if not s.deadbeat and s.rho is not None:
         schedule = envelope_schedule(n_nodes, s.graph.period_t)
-        subs = np.array(trace.substates) - 1
+        subs = trace.sources
         if schedule.reference[subs[-1]] <= s.horizon:
             # Each source's own error at its substate's reference time.
             ref_norms = np.zeros(n_nodes)
-            ref_norms[subs] = trace.err_block[schedule.reference[subs], subs, subs]
+            ref_norms[subs] = trace.err_block[schedule.reference[subs], subs,
+                                              np.arange(subs.size)]
             trace.constants = compute_bound_constants(ts, gains, ref_norms, schedule.t_bar)
             if not np.all(np.isfinite(trace.constants.c_bar)):
                 trace.warnings.append("envelope_constants_not_finite")
@@ -233,21 +231,14 @@ def _run_baseline(s: Scenario) -> Trace:
 def _first(bad, subs, order=(2, 1, 0), k0=0):
     """(node, substate, k) of the first True of bad[k, node, c], searched in
     the axis ``order`` ((substate, node, k) by default), or None.  Column c
-    is substate subs[c] + 1, and row k is time k + k0."""
+    is substate subs[c] + 1 (``subs`` is a trace's ``sources``), and row k
+    is time k + k0."""
     searched = bad.transpose(order)
     if not searched.any():
         return None
     hit = np.unravel_index(int(np.argmax(searched)), searched.shape)
     k, i, c = np.array(hit)[np.argsort(order)]
     return (int(i) + 1, int(subs[c]) + 1, int(k) + k0)
-
-
-def _substate_axis(trace: Trace):
-    """Index of the nonempty substate slots: a view-making slice when every
-    slot is nonempty, else the index array (which copies)."""
-    if len(trace.substates) == len(trace.block_dims):
-        return slice(None)
-    return np.array(trace.substates) - 1
 
 
 def check_envelope(trace: Trace):
@@ -266,7 +257,7 @@ def check_envelope(trace: Trace):
     if constants is None:
         raise ValueError("trace carries no envelope constants")
     schedule = envelope_schedule(trace.n_nodes, trace.period_t)
-    subs = np.array(trace.substates) - 1
+    subs = trace.sources
     first = int(schedule.start[subs].min())
     if trace.horizon < first:
         return {"passed": False,
@@ -282,8 +273,7 @@ def check_envelope(trace: Trace):
         total = np.hypot.reduce(constants.c_bar) * rho ** ks * slack + 1e-300
     bound, total = (np.nan_to_num(b, nan=-1.0, posinf=-1.0) for b in (bound, total))
     live = ks[:, None] >= schedule.start[subs]
-    over = (~(trace.err_block[:, :, _substate_axis(trace)] <= bound[:, None, :])
-            & live[:, None, :])
+    over = ~(trace.err_block <= bound[:, None, :]) & live[:, None, :]
     live = ks >= schedule.total_start
     # One column, which _first reads as substate 0 through subs = [-1].
     over_total = (~(trace.err_total <= total[:, None]) & live[:, None])[:, :, None]
@@ -315,9 +305,10 @@ def _delayed_residuals(trace: Trace, ts):
     sources and never-informed entries.
     """
     z = trace.z_estimates
-    subs = np.array(trace.substates) - 1
-    sel = _substate_axis(trace)
+    subs = trace.sources
+    # Each state column's block (its source node) and substate column.
     col_block = np.repeat(np.arange(len(ts.block_dims)), ts.block_dims)
+    col_slot = np.searchsorted(subs, col_block)
     cols = np.arange(ts.n)
     starts = np.asarray(ts.offsets)[subs]
     a_lower_t = np.where(col_block[:, None] > col_block[None, :], ts.a_bar, 0.0).T
@@ -330,7 +321,7 @@ def _delayed_residuals(trace: Trace, ts):
         k1 = min(k0 + CHUNK_ROUNDS, trace.horizon + 1)
         donors = trace.donors[k0:k1]
         reader = np.where(donors >= 0, donors - 1, np.arange(trace.n_nodes)[:, None])
-        z_gather = reader[:, :, col_block] * ts.n + cols
+        z_gather = reader[:, :, col_slot] * ts.n + cols
         z_own = z[k0:k1].reshape(k1 - k0, -1)[:, own_cols]
         recons = z[k0 - 1:k1 - 1] @ a_lower_t
         for c in range(k1 - k0):
@@ -347,28 +338,27 @@ def _delayed_residuals(trace: Trace, ts):
         np.sqrt(np.add.reduceat(diff, starts, axis=2), out=res)
         res /= np.maximum(1.0, np.sqrt(np.add.reduceat(np.square(zs), starts, axis=2)))
         res[:, subs, np.arange(subs.size)] = 0.0
-        res[trace.taus[k0:k1][:, :, sel] < 0] = 0.0
+        res[trace.taus[k0:k1] < 0] = 0.0
     return resid
 
 
 def _rule_rounds(trace: Trace):
     """Yield (k0, taus, donors): the rule's (rounds, N, S) indices and donors
-    of the nonempty slots at times k0, k0 + 1, ...  Time 0 is the initial
-    state; time k + 1 is what round k makes of the recorded ``taus[k]`` over
-    ``adjacency[k]`` by the rule ``ProtocolKernel.step`` states (a source
-    holds index 0 and donor -1).  Edge by edge, in chunks of
+    at times k0, k0 + 1, ...  Time 0 is the initial state; time k + 1 is
+    what round k makes of the recorded ``taus[k]`` over ``adjacency[k]`` by
+    the rule ``ProtocolKernel.step`` states (a source holds index 0 and
+    donor -1).  Edge by edge, in chunks of
     ``CHUNK_ROUNDS``: one minimum per receiver finds the freshest usable
     index, and one the smallest id that sends it.
     """
-    subs = np.array(trace.substates) - 1
-    sel = _substate_axis(trace)
+    subs = trace.sources
     own = (slice(None), subs, np.arange(subs.size))   # each source's own slot
     start = np.full((1, trace.n_nodes, subs.size), -1)
     start[own] = 0
     yield 0, start, np.full_like(start, -1)
     for k0 in range(0, trace.horizon, CHUNK_ROUNDS):
         k1 = min(k0 + CHUNK_ROUNDS, trace.horizon)
-        prev = trace.taus[k0:k1][:, :, sel]
+        prev = trace.taus[k0:k1]
         held = np.where(prev >= 0, prev, _NONE)   # never informed: no index
         t, sender, receiver = np.nonzero(trace.adjacency[k0:k1])
         sent = held[t, sender]
@@ -409,9 +399,8 @@ def check_lemma_suite(trace: Trace, check_delayed=False):
         }
         return report
 
-    subs = np.array(trace.substates) - 1
-    sel = _substate_axis(trace)
-    late = trace.taus[trigger_k:, :, sel]           # [k, node, substate]
+    subs = trace.sources
+    late = trace.taus[trigger_k:]                   # [k, node, substate]
     nonsource = np.ones(late.shape[1:], dtype=bool)
     nonsource[subs, np.arange(subs.size)] = False
 
@@ -427,7 +416,7 @@ def check_lemma_suite(trace: Trace, check_delayed=False):
         for name, recorded, expected in (("indices_match_graph", trace.taus, taus),
                                          ("donors_match_graph", trace.donors, donors)):
             faults[name] = faults[name] or _first(
-                recorded[rows][:, :, sel] != expected, subs, order=(0, 2, 1), k0=k0)
+                recorded[rows] != expected, subs, order=(0, 2, 1), k0=k0)
     for name, at in faults.items():
         report["checks"][name] = ({"passed": True} if at is None else
                                   {"passed": False, "counterexample": at})

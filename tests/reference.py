@@ -144,11 +144,11 @@ class ArgminKernel(ProtocolKernel):
         adopted = best != _NO_DONOR
         held = np.where(adopted, best, tau)
         new_tau = np.where(held >= 0, held + 1, -1)
-        new_tau[self.sources, self.sources] = 0
+        new_tau[self._own] = 0
         donors = np.where(adopted, pick + 1, -1)
 
         reader = np.where(adopted, pick, self._own_rows)
-        base = z[reader[:, self._col_block], self._cols]
+        base = z[reader[:, self._col_slot], self._cols]
         new_z = z @ self._a_lower_t + base @ self._a_diag_t
         resid = np.einsum("rc,rc->r", self._c_rows, z[self._row_owner]) - y
         new_z[self._col_block, self._cols] -= self._l_cols @ resid
@@ -220,7 +220,8 @@ def _lyapunov_alpha(m):
         p += power.T @ power
         power = m @ power
     else:
-        raise GainDesignError("closed-loop block does not contract at its envelope radius")
+        raise GainDesignError("a block scaled by its radius does not contract: "
+                              "its Lyapunov sum has not converged")
     eig = np.linalg.eigvalsh(p)
     return np.sqrt(eig[-1] / max(1.0, eig[0] - len(m) * np.finfo(float).eps * eig[-1]))
 
@@ -238,14 +239,14 @@ def compute_bound_constants(ts: TransformedSystem, gains: GainSet,
 
     alpha[j] is sqrt(cond(P)) for the P solving (M/rho_j)^T P (M/rho_j) - P
     = -I with M the closed-loop block: ||M^k|| <= alpha[j] * rho_j^k for any
-    M of spectral radius below rho_j, diagonalisable or not.
+    M of spectral radius below rho_j, diagonalisable or not.  beta[j] is the
+    same certificate of A_jj / gamma_j; a 1 x 1 block's is 1.
     """
     if gains.mode == DEADBEAT:
         raise ValueError("bound constants are defined for spectral-mode gains")
     n_blocks = ts.n_nodes
     radii = np.asarray(gains.target_radii, dtype=float)
     ref_times = envelope_schedule(n_blocks, t_bar=t_bar).reference
-    k_cap = 4 * ts.n + 4 * t_bar
 
     alpha, beta, gamma = np.ones(n_blocks), np.ones(n_blocks), np.ones(n_blocks)
     g, h = np.zeros((n_blocks, n_blocks)), np.zeros((n_blocks, n_blocks))
@@ -256,12 +257,7 @@ def compute_bound_constants(ts: TransformedSystem, gains: GainSet,
         alpha[j] = _lyapunov_alpha(closed_loop_block(ts, gains, j + 1) / rho_j)
         a_jj = ts.a_block(j + 1, j + 1)
         gamma[j] = max(1.0, np.max(np.abs(np.linalg.eigvals(a_jj)))) * 1.01
-        powers = np.empty((k_cap + 1, nj, nj))
-        powers[0] = np.eye(nj)
-        for k in range(k_cap):
-            powers[k + 1] = a_jj @ powers[k]
-        beta[j] = max(norm / gamma[j] ** k for k, norm
-                      in enumerate(np.linalg.norm(powers, 2, axis=(1, 2))))
+        beta[j] = 1.0 if nj == 1 else _lyapunov_alpha(a_jj / gamma[j])
         for q in done:
             a_jq = ts.a_block(j + 1, q + 1)
             g[j, q] = np.linalg.norm(a_jq - gains.gain(j + 1) @ ts.c_block(j + 1, q + 1), 2)
@@ -346,7 +342,8 @@ def check_delayed_form(trace, ts, j, k, i):
     length of the recorded lineage.  This is the paper's statement read
     point by point.
     """
-    tau = int(trace.taus[k, i - 1, j - 1])
+    c = trace.substates.index(j)    # substate j's column in taus and donors
+    tau = int(trace.taus[k, i - 1, c])
     if tau < 0 or (tau == 0 and i == j):
         return 0.0
     if tau > k:
@@ -365,7 +362,7 @@ def check_delayed_form(trace, ts, j, k, i):
             raise ValueError(f"lineage for node {i}, substate {j} at k={k} reaches "
                              f"the source at {t + 1}, after k - tau = {k - tau}")
         lineage[t] = node
-        donor = int(trace.donors[t + 1, node - 1, j - 1])
+        donor = int(trace.donors[t + 1, node - 1, c])
         if donor >= 0:
             node = donor
     if node != j:

@@ -519,7 +519,8 @@ def test_run_jobs_pool_is_capped_at_the_config_count(tmp_path, monkeypatch, caps
 
 def test_check_rejects_baseline_report_with_padded_block_dims(tmp_path, capsys):
     # Baseline reports used to pad block_dims with a zero per extra node.  The
-    # trace then had other columns; such a pair is regenerated by a new run.
+    # trace header names no empty block, so the loader states the rule: a
+    # baseline report's block_dims is the one block [n].
     assert main(["run", "fig1_uniform_baseline", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     report = tmp_path / "fig1_uniform_baseline_report.json"
@@ -529,7 +530,7 @@ def test_check_rejects_baseline_report_with_padded_block_dims(tmp_path, capsys):
     report.write_text(json.dumps(data))
     trace = tmp_path / "fig1_uniform_baseline_trace.csv"
     assert main(["check", str(trace), str(report)]) == 2
-    assert "trace must open with the lines" in capsys.readouterr().err
+    assert "a baseline report needs 1 block_dims, found 3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("params,message", [
@@ -963,7 +964,7 @@ def _deadbeat_lemmas_only(data):
 @pytest.mark.parametrize("name,tamper,code,message", [
     ("fig1_freshness_spectral", _set_scenario("algorithm", "rho", 0.1), 1, "disagrees"),
     ("fig1_freshness_spectral", _set_scenario("horizon", 50), 2,
-     "trace rows x columns are (603, 9), the report's (153, 9)"),
+     "trace rows x columns are (603, 5), the report's (153, 5)"),
     ("random_jsc_theorem1", _set_scenario("graph", "T", 1), 1, "disagrees"),
     ("random_jsc_theorem1", _set_scenario("graph", "params", "seed", 12), 1, "disagrees"),
     ("fig1_freshness_spectral", _set_scenario(

@@ -314,10 +314,9 @@ def test_bound_constants_equal_the_per_block_loop_bit_for_bit(name, t_bar):
 
 
 def test_bound_constants_equal_the_per_block_loop_on_hand_built_blocks():
-    # Block 1 (a Jordan-like 2 x 2) has its largest ||A^k|| / gamma^k at
-    # k = 3, where numpy's vector pow gives 1.01**3 one bit off on some
-    # hosts.  Blocks 1 and 2, one stack, contract at different rates: their
-    # Lyapunov sums stop at different K.
+    # Block 1 is a Jordan-like 2 x 2.  Blocks 1 and 2, one stack, contract
+    # at different rates: their Lyapunov sums, for alpha and for beta, stop
+    # at different K.
     a_bar = np.zeros((5, 5))
     a_bar[:2, :2] = [[0.678, 3.0], [0.0, 0.678]]
     a_bar[2:4, 2:4] = [[0.5, 0.0], [0.0, 0.3]]
@@ -335,8 +334,9 @@ def test_bound_constants_equal_the_per_block_loop_on_hand_built_blocks():
 
 
 def test_beta_lets_no_overflowed_ratio_win():
-    # Block 1's powers overflow from k = 2 on, and so does gamma_1^k: those
-    # ratios are inf / inf = NaN.  beta_1 stays the largest ratio before them.
+    # Block 1's powers overflow from k = 2 on, and so does gamma_1^k.  A
+    # scalar block's |a|^k / gamma^k peaks at k = 0, so its beta is 1 without
+    # taking a power.
     ts = TransformedSystem(t_matrix=np.eye(2), a_bar=np.diag([1e200, 0.5]),
                            c_bar=(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])),
                            block_dims=(1, 1))
@@ -349,11 +349,9 @@ def test_beta_lets_no_overflowed_ratio_win():
 
 @pytest.mark.parametrize("a", [1e-300, -3e-160, 2e-147, 5e146, -1e160, 1e300])
 def test_scalar_block_beta_near_over_and_underflow(a):
-    # A 1 x 1 block's beta takes |a^k|, where LAPACK's SVD scales values
-    # beyond about 1e+-146 and can round them one unit differently, and gives
-    # NaN for an overflowed power where |a^k| is inf (gamma^k has overflowed
-    # first, so the ratio is NaN either way).  Every ratio past k = 0 is
-    # below 1 (gamma = 1.01 max(1, |a|)), so beta is 1 either way.
+    # Every ratio |a|^k / gamma^k past k = 0 is below 1 (gamma = 1.01
+    # max(1, |a|)), so a 1 x 1 block's beta is 1 even where its powers
+    # under- or overflow.
     ts = TransformedSystem(t_matrix=np.eye(1), a_bar=np.array([[a]]),
                            c_bar=(np.array([[1.0]]),), block_dims=(1,))
     gains = GainSet(gains=(np.array([[a]]),), target_radii=(0.5,))
@@ -361,48 +359,61 @@ def test_scalar_block_beta_near_over_and_underflow(a):
     assert constants.beta[0] == 1.0
     assert_constants_bit_equal(constants,
                                reference.compute_bound_constants(ts, gains, [1.0], 3))
-    with np.errstate(over="ignore", under="ignore"):
-        powers = a ** np.arange(5.0)
-    powers = np.abs(powers[np.isfinite(powers)])
-    svd = np.linalg.norm(powers[:, None, None], 2, axis=(1, 2))
-    assert np.all(np.abs(svd - powers) <= np.spacing(powers))
+
+
+def assert_beta_bounds_powers(ts, constants, k_max=2000):
+    """||A_jj^k|| <= beta_j gamma_j^k for k = 0..k_max and every nonempty
+    block, read as ||(A_jj / gamma_j)^k|| <= beta_j so that no power
+    overflows."""
+    for j in range(1, ts.n_nodes + 1):
+        if not ts.block_dims[j - 1]:
+            continue
+        scaled = ts.a_block(j, j) / constants.gamma[j - 1]
+        powers = np.empty((k_max + 1,) + scaled.shape)
+        powers[0] = np.eye(len(scaled))
+        for k in range(k_max):
+            powers[k + 1] = scaled @ powers[k]
+        norms = np.linalg.norm(powers, 2, axis=(1, 2))
+        worst = int(np.argmax(norms))
+        assert norms[worst] <= constants.beta[j - 1] * (1 + 1e-9), (j, worst)
 
 
 def test_growth_envelope_beta_gamma():
     plant = make_multiblock_plant((3, 1), seed=41, spectral_radius=1.3)
     ts = staircase_transform(plant)
     gains = design_gains(ts, rho=0.7, seed=2)
-    t_bar = 2
-    constants = compute_bound_constants(ts, gains, [1.0, 1.0], t_bar)
-    k_cap = 4 * ts.n + 4 * t_bar
-    for j in (1, 2):
-        a_jj = ts.a_block(j, j)
-        power = np.eye(a_jj.shape[0])
-        for k in range(k_cap + 1):
-            bound = constants.beta[j - 1] * constants.gamma[j - 1] ** k
-            assert np.linalg.norm(power, 2) <= bound * (1 + 1e-9)
-            power = a_jj @ power
+    constants = compute_bound_constants(ts, gains, [1.0, 1.0], t_bar=2)
+    assert_beta_bounds_powers(ts, constants)
 
 
-@pytest.mark.parametrize("blocks,radius,t_bar", [
-    ((1,) * 10, 0.3, 18),
-    ((2, 1, 1, 1, 1, 1, 1), 0.9, 18),
-    ((3, 2, 1), 1.3, 4),
-])
-def test_beta_equals_the_one_power_at_a_time_loop(blocks, radius, t_bar):
-    # The batched 2-norms take the same SVDs of the same powers.
-    plant = make_multiblock_plant(blocks, seed=1, spectral_radius=radius)
-    ts = staircase_transform(plant)
+def _jordan_system():
+    """A 2 x 2 Jordan-like block at 0.99 with a 3 above the diagonal, then
+    a scalar block: ||A_11^k|| / gamma^k peaks near k = 50."""
+    a_bar = np.zeros((3, 3))
+    a_bar[:2, :2] = [[0.99, 3.0], [0.0, 0.99]]
+    a_bar[2, 2] = 0.5
+    c_bar = (np.array([[1.0, 0.0, 0.0]]), np.array([[0.0, 0.0, 1.0]]))
+    return TransformedSystem(t_matrix=np.eye(3), a_bar=a_bar, c_bar=c_bar, block_dims=(2, 1))
+
+
+@pytest.mark.parametrize("blocks,radius", [
+    ((1,) * 10, 0.3),
+    ((2, 1, 1, 1, 1, 1, 1), 0.9),
+    ((3, 2, 1), 1.3),
+    ("jordan", None),
+], ids=["1x10-0.3", "2-1x6-0.9", "3-2-1-1.3", "jordan"])
+def test_beta_bounds_every_power(blocks, radius):
+    # beta is a certificate, not the largest ratio up to a cap on k: on the
+    # Jordan block a sup over k <= 4n + 4 t_bar = 16 gives 35.2, while
+    # ||A^50|| / gamma^50 is 55.7.
+    if blocks == "jordan":
+        ts, t_bar = _jordan_system(), 1
+    else:
+        ts = staircase_transform(make_multiblock_plant(blocks, seed=1, spectral_radius=radius))
+        t_bar = 18
     gains = design_gains(ts, rho=0.9, seed=1)
-    constants = compute_bound_constants(ts, gains, [1.0] * len(blocks), t_bar)
-    for j in range(1, len(blocks) + 1):
-        a_jj, gamma = ts.a_block(j, j), constants.gamma[j - 1]
-        power = np.eye(a_jj.shape[0])
-        beta = 0.0
-        for k in range(4 * ts.n + 4 * t_bar + 1):
-            beta = max(beta, np.linalg.norm(power, 2) / gamma ** k)
-            power = a_jj @ power
-        assert constants.beta[j - 1] == beta
+    constants = compute_bound_constants(ts, gains, [1.0] * ts.n_nodes, t_bar)
+    assert_beta_bounds_powers(ts, constants)
 
 
 def test_design_gains_skips_empty_blocks():

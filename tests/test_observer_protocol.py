@@ -166,20 +166,24 @@ def test_round_closed_under_perfection():
                 assert np.linalg.norm(err) < 1e-9
 
 
+def substates(ts):
+    """The 1-indexed nonempty blocks: substate j's column is its place here."""
+    return [j for j in range(1, ts.n_nodes + 1) if ts.block_dims[j - 1] > 0]
+
+
 def reference_round(tau, z, adj, meas, ts, gains):
     """Straight-line reading of the update rules over the (tau, z) arrays,
     kept independent of the production implementation.
 
     ``meas`` lists each node's measurement, node 1 first.  Returns the new
-    (tau, z) and the donors, -1 for open-loop rounds.
+    (tau, z) and the donors, -1 for open-loop rounds.  Column c of tau and
+    the donors is the c-th nonempty block.
     """
     n_nodes = tau.shape[0]
     new_tau, new_z = tau.copy(), z.copy()
     donors = np.full_like(tau, -1)
     for i in range(n_nodes):
-        for j in range(1, n_nodes + 1):
-            if ts.block_dims[j - 1] == 0:
-                continue
+        for c, j in enumerate(substates(ts)):
             cols = ts.block_slice(j)
             a_jj = ts.a_block(j, j)
             cross = np.zeros(a_jj.shape[0])
@@ -193,24 +197,24 @@ def reference_round(tau, z, adj, meas, ts, gains):
                     if ts.block_dims[q - 1] > 0:
                         val = val + (ts.a_block(j, q) - l @ ts.c_block(j, q)) @ z[
                             i, ts.block_slice(q)]
-                new_tau[i, j - 1] = 0
+                new_tau[i, c] = 0
                 new_z[i, cols] = val + l @ np.atleast_1d(meas[i])
                 continue
-            own = tau[i, j - 1]
-            m_set = [l for l in range(n_nodes) if adj[l, i] and tau[l, j - 1] >= 0]
+            own = tau[i, c]
+            m_set = [l for l in range(n_nodes) if adj[l, i] and tau[l, c] >= 0]
             if own < 0:
                 candidates = m_set
             else:
-                candidates = [l for l in m_set if tau[l, j - 1] < own]
+                candidates = [l for l in m_set if tau[l, c] < own]
             if candidates:
-                best = min(tau[l, j - 1] for l in candidates)
-                u = min(l for l in candidates if tau[l, j - 1] == best)
-                new_tau[i, j - 1] = best + 1
+                best = min(tau[l, c] for l in candidates)
+                u = min(l for l in candidates if tau[l, c] == best)
+                new_tau[i, c] = best + 1
                 new_z[i, cols] = a_jj @ z[u, cols] + cross
-                donors[i, j - 1] = u + 1
+                donors[i, c] = u + 1
             else:
                 new_z[i, cols] = a_jj @ z[i, cols] + cross
-                new_tau[i, j - 1] = -1 if own < 0 else own + 1
+                new_tau[i, c] = -1 if own < 0 else own + 1
     return new_tau, new_z, donors
 
 
@@ -222,19 +226,17 @@ def per_node_round(tau, z, adj, meas, ts, gains):
     donors = np.full_like(tau, -1)
     for i in range(n_nodes):
         neighbors = [int(l) for l in np.flatnonzero(adj[:, i])]
-        for j in range(1, n_nodes + 1):
-            if ts.block_dims[j - 1] == 0:
-                continue
+        for c, j in enumerate(substates(ts)):
             cols = ts.block_slice(j)
             if i + 1 == j:
-                new_tau[i, j - 1] = 0
+                new_tau[i, c] = 0
                 new_z[i, cols] = source_step(j, z[i], meas[i], ts, gains)
                 continue
-            u = select_donor(tau[i, j - 1], {l + 1: tau[l, j - 1] for l in neighbors})
-            donor_tau = -1 if u < 0 else tau[u - 1, j - 1]
-            new_tau[i, j - 1], new_z[i, cols] = nonsource_step(
-                j, z[i], tau[i, j - 1], None if u < 0 else z[u - 1], donor_tau, ts)
-            donors[i, j - 1] = u
+            u = select_donor(tau[i, c], {l + 1: tau[l, c] for l in neighbors})
+            donor_tau = -1 if u < 0 else tau[u - 1, c]
+            new_tau[i, c], new_z[i, cols] = nonsource_step(
+                j, z[i], tau[i, c], None if u < 0 else z[u - 1], donor_tau, ts)
+            donors[i, c] = u
     return new_tau, new_z, donors
 
 
@@ -303,9 +305,9 @@ def test_round_matches_reference_on_random_states(blocks, blind, density,
     rng = np.random.default_rng(seed)
     tau, z = initial_arrays(ts, [rng.standard_normal(plant.n) for _ in range(n_nodes)])
     for i in range(n_nodes):
-        for j in range(n_nodes):
-            if ts.block_dims[j] > 0 and i != j and rng.random() >= omega_share:
-                tau[i, j] = tau_base + int(rng.integers(0, 7))
+        for c, j in enumerate(substates(ts)):
+            if i + 1 != j and rng.random() >= omega_share:
+                tau[i, c] = tau_base + int(rng.integers(0, 7))
     traj = simulate_truth(plant, 3)
     kernel, argmin = ProtocolKernel(ts, gains), ArgminKernel(ts, gains)
     ref_tau, ref_z = tau, z
@@ -349,9 +351,7 @@ def test_run_matches_per_node_rules(fig1, kw):
     tau, z = initial_arrays(ts, None if init is None else
                             [to_transformed_coords(x, ts) for x in init])
     tol = estimate_tolerance(gains, float(np.max(np.abs(trace.z_estimates))))
-    empty = [j - 1 for j in range(1, 4) if j not in trace.substates]
-    assert np.all(trace.taus[:, :, empty] == -1)
-    assert np.all(trace.donors[:, :, empty] == -1)
+    assert trace.taus.shape == trace.donors.shape == (31, 3, len(trace.substates))
     for k in range(trace.horizon + 1):
         if k:
             meas = [m[k - 1] for m in traj.measurements]
@@ -359,14 +359,14 @@ def test_run_matches_per_node_rules(fig1, kw):
                                             gains)
         z_truth = to_transformed_coords(traj.states[k], ts)
         for i in range(3):
-            for j in trace.substates:
+            for c, j in enumerate(trace.substates):
                 cols = ts.block_slice(j)
-                assert trace.taus[k, i, j - 1] == tau[i, j - 1]
+                assert trace.taus[k, i, c] == tau[i, c]
                 if k:
-                    assert trace.donors[k, i, j - 1] == donors[i, j - 1]
+                    assert trace.donors[k, i, c] == donors[i, c]
                 assert np.max(np.abs(trace.z_estimates[k, i, cols] - z[i, cols])) <= tol
                 err = np.linalg.norm(z[i, cols] - z_truth[cols])
-                assert abs(trace.err_block[k, i, j - 1] - err) <= 2 * tol
+                assert abs(trace.err_block[k, i, c] - err) <= 2 * tol
 
 
 def _delayed_form_scenario(seed, block_sizes=(2, 1, 1)):

@@ -17,7 +17,12 @@ from freshtrack.graph_seq import (
     edge_tensor,
     generate_random_jointly_connected,
 )
-from freshtrack.scenarios import FIG1_EDGE_LISTS, canned_scenarios, make_multiblock_plant
+from freshtrack.scenarios import (
+    FIG1_EDGE_LISTS,
+    canned_scenarios,
+    make_multiblock_plant,
+    make_random_plant,
+)
 from freshtrack.sim_engine import (
     Scenario,
     Trace,
@@ -102,7 +107,7 @@ def test_error_norms_split_by_block_and_skip_empty_slots():
     truth = np.array([[1.0, 2.0, 3.0]])
     estimates = np.array([[[4.0, 6.0, 3.0], [1.0, 2.0, 1.0]]])
     err_block, err_total = error_norms(estimates, truth, (2, 0, 1))
-    assert err_block.tolist() == [[[5.0, 0.0, 0.0], [0.0, 0.0, 2.0]]]
+    assert err_block.tolist() == [[[5.0, 0.0], [0.0, 2.0]]]
     assert err_total.tolist() == [[5.0, 2.0]]
 
 
@@ -202,7 +207,7 @@ def test_envelope_fails_on_infinite_constants(name):
         trace.constants, c_bar=np.full_like(trace.constants.c_bar, np.inf))
     trace.err_block += 1.0
     trace.err_total += 1.0
-    subs = np.array(trace.substates) - 1
+    subs = trace.sources
     start = envelope_schedule(trace.n_nodes, trace.period_t).start[subs[0]]
     assert check_envelope(trace) == {"passed": False,
                                      "violations": _live_points(trace, subs),
@@ -264,6 +269,15 @@ def test_lemma_suite_rooted_mode_flagged():
     assert report["mode"] == "rooted"
 
 
+def test_horizon_shorter_than_one_window_certifies_no_connectivity():
+    # With no complete T-window there is no union to certify: an edgeless
+    # graph may not pass as connected.
+    plant = make_multiblock_plant((1, 1), seed=1)
+    graph = PeriodicGraphSequence(edge_tensor(2, [[]]), period_t=5)
+    trace = run_scenario(Scenario(plant=plant, graph=graph, rho=0.9, horizon=3))
+    assert trace.warnings == ["connectivity_uncertified", "envelope_horizon_short"]
+
+
 def test_lemma_suite_insufficient_horizon():
     trace = run_scenario(random_scenario(seed=7, horizon=2))
     report = check_lemma_suite(trace)
@@ -300,22 +314,22 @@ def test_trace_csv_round_numbers_stable():
 
 
 def test_trace_csv_format_pinned():
-    # Slot 2 has dimension zero: its tau and donor stay -1.
+    # Block 2 has dimension zero: it is no substate and has no columns.
     trace = Trace(3, 1, 1, (2, 0, 1))
-    trace.taus[:] = [[[0, -1, -1], [-1, -1, -1], [-1, -1, 0]],
-                     [[0, -1, 1], [1, -1, 1], [1, -1, 0]]]
-    trace.donors[1] = [[-1, -1, 3], [1, -1, 3], [1, -1, -1]]
+    trace.taus[:] = [[[0, -1], [-1, -1], [-1, 0]],
+                     [[0, 1], [1, 1], [1, 0]]]
+    trace.donors[1] = [[-1, 3], [1, 3], [1, -1]]
     trace.z_estimates[:] = [[[0.5, -1.25, 3.0], [0.0, 2.0, 0.1], [0.0, 0.0, -0.0]],
                             [[1e-20, 0.3, -2.5], [4.0, 1.5, 7.0], [0.5, -1.25, 1e-300]]]
     assert to_csv_string(trace) == (
         "# tau = -1 encodes omega (never informed); donor = -1 encodes open-loop\n"
-        "k,node,tau1,tau2,tau3,donor1,donor2,donor3,z0,z1,z2\n"
-        "0,1,0,-1,-1,-1,-1,-1,0.5,-1.25,3.0\n"
-        "0,2,-1,-1,-1,-1,-1,-1,0.0,2.0,0.1\n"
-        "0,3,-1,-1,0,-1,-1,-1,0.0,0.0,-0.0\n"
-        "1,1,0,-1,1,-1,-1,3,1e-20,0.3,-2.5\n"
-        "1,2,1,-1,1,1,-1,3,4.0,1.5,7.0\n"
-        "1,3,1,-1,0,1,-1,-1,0.5,-1.25,1e-300\n")
+        "k,node,tau1,tau3,donor1,donor3,z0,z1,z2\n"
+        "0,1,0,-1,-1,-1,0.5,-1.25,3.0\n"
+        "0,2,-1,-1,-1,-1,0.0,2.0,0.1\n"
+        "0,3,-1,0,-1,-1,0.0,0.0,-0.0\n"
+        "1,1,0,1,-1,3,1e-20,0.3,-2.5\n"
+        "1,2,1,1,1,3,4.0,1.5,7.0\n"
+        "1,3,1,0,1,-1,0.5,-1.25,1e-300\n")
 
 
 # Values whose text or bits a writer could confuse: signed zeros, NaN, the
@@ -442,31 +456,31 @@ def reference_lemma_faults(trace):
         if faults[name] is None:
             faults[name] = at
 
-    for j in trace.substates:
+    for c, j in enumerate(trace.substates):
         for i in range(1, n_nodes + 1):
             for k in range(trigger, horizon + 1):
-                tau = trace.taus[k, i - 1, j - 1]
+                tau = trace.taus[k, i - 1, c]
                 if i != j and tau < 0:
                     note("indices_finite", (i, j, k))
                 if i != j and tau > ceiling:
                     note("delay_ceiling", (i, j, k))
     for k in range(horizon + 1):
-        for j in trace.substates:
+        for c, j in enumerate(trace.substates):
             for i in range(1, n_nodes + 1):
                 if i == j or k == 0:
                     # A source keeps index 0; at time 0 no one else is informed.
                     tau, donor = (0 if i == j else -1), -1
                 else:
-                    own = int(trace.taus[k - 1, i - 1, j - 1])
-                    heard = {l: int(trace.taus[k - 1, l - 1, j - 1])
+                    own = int(trace.taus[k - 1, i - 1, c])
+                    heard = {l: int(trace.taus[k - 1, l - 1, c])
                              for l in range(1, n_nodes + 1)
                              if trace.adjacency[k - 1, l - 1, i - 1]}
                     donor = select_donor(own, heard)
                     held = heard[donor] if donor > 0 else own
                     tau = held + 1 if held >= 0 else -1
-                if trace.taus[k, i - 1, j - 1] != tau:
+                if trace.taus[k, i - 1, c] != tau:
                     note("indices_match_graph", (i, j, k))
-                if trace.donors[k, i - 1, j - 1] != donor:
+                if trace.donors[k, i - 1, c] != donor:
                     note("donors_match_graph", (i, j, k))
     return faults
 
@@ -484,12 +498,12 @@ def test_lemma_suite_matches_straight_line_reference(fig1, seed, tampered):
     n_nodes = trace.n_nodes
     ceiling = 2 * (n_nodes - 1) * trace.period_t
     for _ in range(tampered):
-        k, i, j = (int(rng.integers(0, trace.horizon + 1)), int(rng.integers(0, n_nodes)),
-                   int(rng.integers(0, n_nodes)))
+        k, i, c = (int(rng.integers(0, trace.horizon + 1)), int(rng.integers(0, n_nodes)),
+                   int(rng.integers(0, len(trace.substates))))
         if rng.random() < 0.5:
-            trace.taus[k, i, j] = rng.integers(-1, ceiling + 3)
+            trace.taus[k, i, c] = rng.integers(-1, ceiling + 3)
         else:
-            trace.donors[k, i, j] = rng.integers(-1, n_nodes + 1)
+            trace.donors[k, i, c] = rng.integers(-1, n_nodes + 1)
     report = check_lemma_suite(trace)
     found = {name: report["checks"][name].get("counterexample")
              for name in reference_lemma_faults(trace)}
@@ -540,11 +554,11 @@ def test_delayed_check_matches_per_point_closed_form(blocks, blind, coupling, se
     elif tamper == "tau":
         # One index shifted off its lineage's length (or onto -1, by chance).
         k, i = rng.integers(1, trace.horizon + 1), rng.integers(0, plant.n_nodes)
-        j = trace.substates[rng.integers(0, len(trace.substates))] - 1
-        old = trace.taus[k, i, j]
-        trace.taus[k, i, j] = max(-1, old + rng.choice([-2, -1, 1, 2]))
-        if trace.taus[k, i, j] != old:
-            tampered = (i + 1, j + 1, k)
+        c = rng.integers(0, len(trace.substates))
+        old = trace.taus[k, i, c]
+        trace.taus[k, i, c] = max(-1, old + rng.choice([-2, -1, 1, 2]))
+        if trace.taus[k, i, c] != old:
+            tampered = (i + 1, trace.substates[c], k)
     resid = _delayed_residuals(trace, ts)
     # The chunk length moves no bit: chunks of one round, chunks that do
     # and do not divide the horizon, and one chunk longer than it.
@@ -660,11 +674,42 @@ def test_delayed_check_on_empty_horizon():
     assert entry == {"passed": True, "max_residual": 0.0, "at": None}
 
 
+def _blind_middle_plant():
+    """Blocks (2, 0, 1, 1): node 2 has no sensor."""
+    base = make_multiblock_plant((2, 1, 1), seed=4)
+    sensors = [base.sensors[0], np.zeros((0, base.n)), *base.sensors[1:]]
+    return LtiPlant(base.a_matrix, sensors, base.x0)
+
+
 _PINNED = {name: build_scenario(config) for name, config in canned_scenarios().items()}
 _PINNED.update({f"multiblock_{seed}": Scenario(
     plant=make_multiblock_plant((1,) * 10, seed),
     graph=generate_random_jointly_connected(10, 2, seed=seed), rho=0.9, horizon=200)
     for seed in (1, 2, 3)})
+_PINNED.update(
+    # A generic plant: node 3 of 6 sees all 4 states, blocks (0, 0, 4, 0, 0, 0).
+    generic=Scenario(plant=make_random_plant(4, 6, seed=8, spectral_radius=0.9),
+                     graph=generate_random_jointly_connected(6, 2, seed=8), rho=0.9,
+                     horizon=120),
+    blind_middle=Scenario(plant=_blind_middle_plant(),
+                          graph=generate_random_jointly_connected(4, 2, seed=4), rho=0.9,
+                          horizon=120))
+
+
+@pytest.mark.parametrize("name,substates,header", [
+    ("fig1_freshness_spectral", [1], "k,node,tau1,donor1,z0"),
+    ("generic", [3], "k,node,tau3,donor3,z0,z1,z2,z3"),
+    ("blind_middle", [1, 3, 4], "k,node,tau1,tau3,tau4,donor1,donor3,donor4,z0,z1,z2,z3"),
+])
+def test_trace_has_one_column_per_substate(name, substates, header):
+    # A zero-dimension block has no column in the indices, the donors, the
+    # block errors or the trace file.
+    trace = run_scenario(_PINNED[name])
+    assert trace.substates == substates
+    for array in (trace.taus, trace.donors, trace.err_block):
+        assert array.shape[2] == len(substates)
+    assert check_lemma_suite(trace, check_delayed=True)["passed"]
+    assert to_csv_string(trace).splitlines()[1] == header
 
 
 @pytest.mark.parametrize("name", sorted(_PINNED))
@@ -696,7 +741,7 @@ class _ChoiceKernel(ProtocolKernel):
             has = pick[:, j] >= 0
             chosen[pick[has, j], np.flatnonzero(has)] = True
             tau_j, z_j, donors_j = super().step(tau, z, chosen, y)
-            cols = self._col_block == j
+            cols = self._col_slot == j
             new_tau[:, j], donors[:, j] = tau_j[:, j], donors_j[:, j]
             new_z[:, cols] = z_j[:, cols]
         return new_tau, new_z, donors
@@ -711,8 +756,8 @@ class StalestRelayKernel(_ChoiceKernel):
 
     def choose(self, tau, usable):
         pick = _stalest(tau, usable)
-        src = self.sources
-        pick[:, src] = np.where(usable[:, src, src], src, pick[:, src])
+        src, cols = self._own
+        pick[:, cols] = np.where(usable[:, src, cols], src, pick[:, cols])
         return pick
 
 
@@ -728,8 +773,8 @@ class SourceOnlyKernel(_ChoiceKernel):
 
     def choose(self, tau, usable):
         pick = np.full_like(tau, -1)
-        src = self.sources
-        pick[:, src] = np.where(usable[:, src, src], src, -1)
+        src, cols = self._own
+        pick[:, cols] = np.where(usable[:, src, cols], src, -1)
         return pick
 
 
