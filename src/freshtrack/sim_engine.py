@@ -6,16 +6,19 @@ properties, the delayed-error identity, and the exponential error envelopes
 against constants computed from the trace itself, at the times of
 `envelope_schedule`.  A failed check names its first (node, substate, k).
 
-A freshness run steps ``ProtocolKernel`` on the (tau, z) arrays and copies
-each round's arrays into the trace; ``error_norms`` derives the error norms
-from them and the plant's trajectory, in a run and in a trace read back.
+A freshness run fills the trace's arrays in two whole-run passes of
+``ProtocolKernel``: the indices and donors from the graph alone, then the
+estimates along the recorded donors.  ``error_norms`` derives the error
+norms from them and the plant's trajectory, in a run and in a trace read
+back.
 Every check is array work over the trace's stacked arrays, one column per
 substate, with -1 for a never-informed index and for an open-loop donor
 throughout.  One pass applies the update rule to every recorded round over
 its graph; the next round must equal what it gives.  The delayed-error identity is one forward
-pass of its closed form by Horner's rule along the recorded donors.  Both go
-in chunks of ``CHUNK_ROUNDS`` rounds, so that their buffers do not grow with
-the horizon besides the (H, N, S) residuals.
+pass of its closed form by Horner's rule along the recorded donors.  The
+passes, the checks and the error norms go in chunks of ``CHUNK_ROUNDS``
+rounds, so that their buffers do not grow with the horizon besides the
+checks' (H, N, S) residuals.
 """
 
 from __future__ import annotations
@@ -34,11 +37,11 @@ from .observer_protocol import ProtocolKernel, initial_arrays
 from .system_model import LtiPlant, simulate_truth
 
 DELAYED_TOL = 1e-8    # largest relative residual the delayed-error identity passes
-# Rounds per whole-array pass of the rule and delayed-identity checks and of
-# the trace writer.  At N = n = 64 a chunk's (chunk, N, n) float64 buffer is
-# 1 MiB, and its int64 gather indices are as large.  There (H = 400, two
-# runs each) the delayed pass took 0.12 s with 64-round chunks and
-# 0.095-0.10 s with 8-32.
+# Rounds per whole-array pass of the protocol, the error norms, the rule and
+# delayed-identity checks and the trace writer.  At N = n = 64 a chunk's
+# (chunk, N, n) float64 buffer is 1 MiB, and its int64 gather indices are as
+# large.  There (H = 400, two runs each) the delayed pass took 0.12 s with
+# 64-round chunks and 0.095-0.10 s with 8-32.
 CHUNK_ROUNDS = 32
 _NONE = np.iinfo(np.int64).max   # the rule pass's "no index": above every real one
 
@@ -142,12 +145,18 @@ class Trace:
 def error_norms(estimates, truth, block_dims):
     """``(err_block, err_total)`` of estimates (H+1, N, n) against the truth
     (H+1, n): the (H+1, N, S) norms per nonempty block of ``block_dims``,
-    and the (H+1, N) norms over all columns."""
-    sq = estimates - truth[:, None, :]
-    np.square(sq, out=sq)       # in place: one (H+1, N, n) temporary, not two
+    and the (H+1, N) norms over all columns.  They go in chunks of
+    ``CHUNK_ROUNDS`` rounds, so that no temporary grows with the horizon."""
     starts = [o for o, d in zip(block_offsets(block_dims), block_dims) if d > 0]
-    err_block = np.sqrt(np.add.reduceat(sq, starts, axis=2))
-    return err_block, np.sqrt(np.sum(err_block ** 2, axis=2))
+    err_block = np.empty(estimates.shape[:2] + (len(starts),))
+    err_total = np.empty(estimates.shape[:2])
+    for k0 in range(0, len(estimates), CHUNK_ROUNDS):
+        rows = slice(k0, k0 + CHUNK_ROUNDS)
+        sq = estimates[rows] - truth[rows, None, :]
+        np.square(sq, out=sq)
+        block = np.sqrt(np.add.reduceat(sq, starts, axis=2), out=err_block[rows])
+        np.sqrt(np.sum(block ** 2, axis=2), out=err_total[rows])
+    return err_block, err_total
 
 
 def run_scenario(s: Scenario) -> Trace:
@@ -177,13 +186,11 @@ def _run_freshness(s: Scenario) -> Trace:
     z0 = None
     if s.initial_estimates is not None:
         z0 = to_transformed_coords(s.initial_estimates, ts)
-    tau, z = initial_arrays(ts, z0)
+    trace.taus[0], trace.z_estimates[0] = initial_arrays(ts, z0)
     kernel = ProtocolKernel(ts, gains)
-    outputs = kernel.source_outputs(truth.measurements)
-    trace.taus[0], trace.z_estimates[0] = tau, z
-    for k in range(s.horizon):
-        tau, z, donors = kernel.step(tau, z, trace.adjacency[k], outputs[k])
-        trace.taus[k + 1], trace.donors[k + 1], trace.z_estimates[k + 1] = tau, donors, z
+    kernel.index_pass(trace.adjacency, trace.taus, trace.donors, CHUNK_ROUNDS)
+    kernel.estimate_pass(trace.donors, kernel.source_outputs(truth.measurements),
+                         trace.z_estimates, CHUNK_ROUNDS)
 
     trace.err_block, trace.err_total = error_norms(trace.z_estimates, z_truth, ts.block_dims)
 
@@ -346,8 +353,8 @@ def _rule_rounds(trace: Trace):
     """Yield (k0, taus, donors): the rule's (rounds, N, S) indices and donors
     at times k0, k0 + 1, ...  Time 0 is the initial state; time k + 1 is
     what round k makes of the recorded ``taus[k]`` over ``adjacency[k]`` by
-    the rule ``ProtocolKernel.step`` states (a source holds index 0 and
-    donor -1).  Edge by edge, in chunks of
+    the rule ``ProtocolKernel.choose_donors`` states (a source holds index 0
+    and donor -1).  Edge by edge, in chunks of
     ``CHUNK_ROUNDS``: one minimum per receiver finds the freshest usable
     index, and one the smallest id that sends it.
     """

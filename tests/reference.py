@@ -3,8 +3,11 @@
 ``select_donor``, ``source_step`` and ``nonsource_step`` are the per-node
 reading of the observer's update rules, over one node's n-vector and plain
 int indices (-1 for never informed and for an open-loop round).  The tests
-pin ``observer_protocol.ProtocolKernel.step``, which applies them to the
-whole network's arrays at once, to them.
+pin ``observer_protocol.ProtocolKernel``'s two whole-run passes, which apply
+them to the whole network's arrays at once, to them.  ``StepKernel.step``
+applies both rules one round at a time; ``run_steps`` loops it and
+``run_passes`` runs the passes over the same rounds, and the tests require
+the two to give the same bits.
 
 ``check_delayed_form`` reads the delayed-error identity one (node, substate,
 k) at a time with matrix powers and an explicit walk down the donor
@@ -17,10 +20,12 @@ tests require both to give the same bytes.  ``to_csv_string`` is
 ``to_csv``'s text.
 
 ``ArgminKernel`` picks the donors by a masked argmin over the in-neighbors'
-indices, and ``compute_bound_constants`` (with ``_lyapunov_alpha``) takes
-one block at a time.  The tests require ``ProtocolKernel.step``'s
-key-encoded minimum and the production constants' batched stacks and norms
-to give the same bits.
+indices (``tau_of_keys`` decodes the kernel's own keys),
+``compute_bound_constants`` (with ``_lyapunov_alpha``) takes one block at a
+time, and ``error_norms`` squares the whole horizon at once.  The tests
+require ``ProtocolKernel.choose_donors``'s key-encoded minimum, the
+production constants' batched stacks and norms, and the chunked
+``sim_engine.error_norms`` to give the same bits.
 
 ``block_diagonal`` lays a (W, N, N) stack of graphs out as one sparse graph
 for scipy's csgraph searches: ``strongly_connected_windows`` (one
@@ -43,7 +48,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import breadth_first_order, connected_components, shortest_path
 
-from freshtrack.decomposition import TransformedSystem, staircase_transform
+from freshtrack.decomposition import TransformedSystem, block_offsets, staircase_transform
 from freshtrack.gain_design import (
     DEADBEAT,
     BoundConstants,
@@ -52,7 +57,7 @@ from freshtrack.gain_design import (
     closed_loop_block,
     envelope_schedule,
 )
-from freshtrack.observer_protocol import ProtocolKernel
+from freshtrack.observer_protocol import _NEVER, _NOT_SENT, ProtocolKernel
 from freshtrack.system_model import LtiPlant, observability_staircase
 
 LOG_FLOOR = 1e-13     # error norms below this are numerical noise for log fits
@@ -127,32 +132,103 @@ def to_csv_string(trace):
     return buf.getvalue()
 
 
+def tau_of_keys(own, n_nodes):
+    """The indices of the own keys ``ProtocolKernel.choose_donors`` reads:
+    tau * (N + 1), -1 for a key at or above the never-informed one."""
+    tau = own // (n_nodes + 1)
+    tau[tau >= _NEVER] = -1
+    return tau
+
+
+class StepKernel(ProtocolKernel):
+    """``ProtocolKernel`` advanced one round at a time, both rules at once."""
+
+    def step(self, tau, z, adjacency, y):
+        """Advance (tau, z) by one round; return (new tau, new z, donors).
+
+        ``adjacency[l, i]`` is true when node l+1 sends to node i+1 this round;
+        ``y`` is this round's ``source_outputs``; all else is start-of-round
+        state.  For substate j a node adopts the freshest informed in-neighbor
+        (if informed itself, only a strictly fresher one), ties going to the
+        smallest node id: its index + 1 and A_jj z_donor[j].  With no such
+        donor it runs open-loop on A_jj z_i[j], its index + 1 or still -1.
+        The cross terms A_jq z_i[q], q < j, are always the node's own.  Source
+        j keeps index 0 and adds the correction -L_j (C_j z_j - y_j).
+
+        The choice is one minimum of the in-neighbors' keys and the node's
+        own key (see ``_NEVER``); its divmod by N + 1 is the held index and
+        the donor's id, 0 for the node's own.
+        """
+        n_nodes = self.n_nodes
+        own = tau % (_NEVER + 1) * (n_nodes + 1)      # -1 reads as _NEVER
+        keys = own + self._ids
+        # sent[i, l, c] is node l+1's key for substate column c, as node i+1
+        # sees it: a zero-stride view of keys along i, made directly because
+        # np.broadcast_to costs about as much as the reduction at N = 10.
+        sent = np.ndarray((n_nodes,) + keys.shape, keys.dtype, keys, 0, (0,) + keys.strides)
+        best = np.minimum.reduce(sent, axis=1, where=adjacency.T[:, :, None],
+                                 initial=_NOT_SENT)
+        held, donors = np.divmod(np.minimum(best, own), n_nodes + 1)
+        new_tau = held + 1
+        new_tau[held == _NEVER] = -1
+        new_tau[self._own] = 0
+
+        reader = np.where(donors > 0, donors - 1, self._own_rows)
+        base = z[reader[:, self._col_slot], self._cols]
+        new_z = z @ self._a_lower_t + base @ self._a_diag_t
+        resid = np.einsum("rc,rc->r", self._c_rows, z[self._row_owner]) - y
+        new_z[self._col_block, self._cols] -= self._l_cols @ resid
+        donors[donors == 0] = -1
+        return new_tau, new_z, donors
+
+
+def run_steps(tau, z, adjacency, outputs, ts, gains):
+    """``StepKernel.step`` round after round over the (H, N, N) ``adjacency``
+    and (H, r) ``outputs``: the (H+1)-stacked indices, donors and estimates."""
+    kernel = StepKernel(ts, gains)
+    taus, donors, zs = [tau], [np.full_like(tau, -1)], [z]
+    for adj, y in zip(adjacency, outputs):
+        tau, z, held = kernel.step(tau, z, adj, y)
+        taus.append(tau), donors.append(held), zs.append(z)
+    return np.array(taus), np.array(donors), np.array(zs)
+
+
+def run_passes(kernel, tau, z, adjacency, outputs, chunk):
+    """``kernel``'s index and estimate passes from (tau, z), as ``run_steps``."""
+    horizon = len(adjacency)
+    taus = np.repeat(tau[None], horizon + 1, axis=0)
+    donors = np.full_like(taus, -1)
+    zs = np.repeat(z[None], horizon + 1, axis=0)
+    kernel.index_pass(adjacency, taus, donors, chunk)
+    kernel.estimate_pass(donors, outputs, zs, chunk)
+    return taus, donors, zs
+
+
 class ArgminKernel(ProtocolKernel):
     """``ProtocolKernel`` with the donors picked by a masked argmin."""
 
-    def step(self, tau, z, adjacency, y):
-        """``ProtocolKernel.step``, the donors by argmin and min over a masked
-        N x N x N tensor of the in-neighbors' indices."""
+    def choose_donors(self, own, adjacency, out):
+        """``ProtocolKernel.choose_donors``, the donors by argmin and min over
+        a masked N x N x N tensor of the in-neighbors' indices."""
         # A never-informed index reads as _NO_DONOR, above every real one:
         # "usable" is then just "strictly fresher", informed or not.
+        tau = tau_of_keys(own, self.n_nodes)
         ages = np.where(tau >= 0, tau, _NO_DONOR)
         nbr = ages[None, :, :]
         usable = adjacency.T[:, :, None] & (nbr < ages[:, None, :])
         key = np.where(usable, nbr, _NO_DONOR)
         pick = key.argmin(axis=1)
         best = key.min(axis=1)
-        adopted = best != _NO_DONOR
-        held = np.where(adopted, best, tau)
-        new_tau = np.where(held >= 0, held + 1, -1)
-        new_tau[self._own] = 0
-        donors = np.where(adopted, pick + 1, -1)
+        out[...] = np.where(best != _NO_DONOR, best * (self.n_nodes + 1) + pick + 1, own)
 
-        reader = np.where(adopted, pick, self._own_rows)
-        base = z[reader[:, self._col_slot], self._cols]
-        new_z = z @ self._a_lower_t + base @ self._a_diag_t
-        resid = np.einsum("rc,rc->r", self._c_rows, z[self._row_owner]) - y
-        new_z[self._col_block, self._cols] -= self._l_cols @ resid
-        return new_tau, new_z, donors
+
+def error_norms(estimates, truth, block_dims):
+    """``sim_engine.error_norms`` over the whole horizon at once."""
+    sq = estimates - truth[:, None, :]
+    np.square(sq, out=sq)
+    starts = [o for o, d in zip(block_offsets(block_dims), block_dims) if d > 0]
+    err_block = np.sqrt(np.add.reduceat(sq, starts, axis=2))
+    return err_block, np.sqrt(np.sum(err_block ** 2, axis=2))
 
 
 def block_diagonal(graphs, hub_root=None):

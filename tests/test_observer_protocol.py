@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as hst
 
-from freshtrack.decomposition import staircase_transform, to_transformed_coords
+from freshtrack.decomposition import (
+    DecompositionError,
+    staircase_transform,
+    to_transformed_coords,
+)
 from freshtrack.gain_design import design_gains
 from freshtrack.graph_seq import (
     PeriodicGraphSequence,
@@ -17,7 +21,10 @@ from freshtrack.system_model import LtiPlant, simulate_truth
 from reference import (
     ArgminKernel,
     check_delayed_form,
+    couple_substates,
     nonsource_step,
+    run_passes,
+    run_steps,
     select_donor,
     source_step,
 )
@@ -122,8 +129,11 @@ def test_nonsource_step_open_loop_increments_index():
 
 
 def kernel_round(kernel, tau, z, adj, meas):
-    """One kernel round; ``meas`` lists each node's measurement, node 1 first."""
-    return kernel.step(tau, z, adj, kernel.source_outputs(meas))
+    """One round of the kernel's passes; ``meas`` lists each node's
+    measurement, node 1 first.  Returns the new (tau, z) and the donors."""
+    taus, donors, zs = run_passes(kernel, tau, z, adj[None],
+                                  kernel.source_outputs(meas)[None], 1)
+    return taus[1], zs[1], donors[1]
 
 
 def test_round_scalar_example_first_step():
@@ -324,6 +334,53 @@ def test_round_matches_reference_on_random_states(blocks, blind, density,
         ref_tau, ref_z, ref_donors = reference_round(ref_tau, ref_z, adj, meas, ts, gains)
         assert_states_match((tau, z, donors), (ref_tau, ref_z, ref_donors), gains)
         assert_states_match((tau, z, donors), rules, gains)
+
+
+@settings(max_examples=60)
+@given(
+    blocks=hst.lists(hst.integers(1, 3), min_size=1, max_size=10),
+    blind=hst.lists(hst.integers(0, 10), max_size=2),
+    coupling=hst.sampled_from([0.0, 0.5]),
+    density=hst.sampled_from([0.0, 0.2, 0.5, 1.0]),
+    omega_share=hst.sampled_from([0.0, 0.5, 1.0]),
+    tau_base=hst.sampled_from([0, 2**39]),
+    horizon=hst.integers(0, 40),
+    chunk=hst.sampled_from([1, 3, 32]),
+    seed=hst.integers(0, 2**16),
+)
+def test_passes_equal_the_round_by_round_step(blocks, blind, coupling, density,
+                                              omega_share, tau_base, horizon, chunk, seed):
+    # Whole runs of the index and estimate passes against StepKernel.step
+    # looped round by round, from random states (sources included) over
+    # random graphs and outputs: the same bits for every chunk length.
+    base = make_multiblock_plant(tuple(blocks), seed=seed)
+    sensors = list(base.sensors)
+    for pos in blind:
+        sensors.insert(min(pos, len(sensors)), np.zeros((0, base.n)))
+    plant = LtiPlant(base.a_matrix, sensors, base.x0)
+    try:
+        ts = staircase_transform(couple_substates(plant, coupling, seed))
+    except DecompositionError:
+        if not coupling:
+            raise
+        # A few coupled plants are refused; test_decomposition pins that.
+        reject()
+    gains = design_gains(ts, rho=0.7, seed=seed)
+    n_nodes = plant.n_nodes
+    rng = np.random.default_rng(seed)
+    tau, z = initial_arrays(ts, rng.standard_normal((n_nodes, plant.n)))
+    informed = rng.random(tau.shape) >= omega_share
+    tau[informed] = tau_base + rng.integers(0, 7, size=np.count_nonzero(informed))
+    mask = rng.random((horizon, n_nodes, n_nodes)) < density
+    adjacency = mask & ~np.eye(n_nodes, dtype=bool)
+    kernel = ProtocolKernel(ts, gains)
+    n_outputs = sum(len(plant.sensors[j]) for j in kernel.sources)
+    outputs = rng.standard_normal((horizon, n_outputs))
+    expected = run_steps(tau, z, adjacency, outputs, ts, gains)
+    got = run_passes(kernel, tau, z, adjacency, outputs, chunk)
+    assert np.array_equal(got[0], expected[0])
+    assert np.array_equal(got[1], expected[1])
+    assert np.array_equal(got[2].view(np.int64), expected[2].view(np.int64))
 
 
 @pytest.mark.parametrize("fig1,kw", [

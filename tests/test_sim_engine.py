@@ -42,8 +42,10 @@ from reference import (
     max_error,
     reference_csv,
     select_donor,
+    tau_of_keys,
     to_csv_string,
 )
+from reference import error_norms as whole_horizon_error_norms
 
 
 def fig1_graph():
@@ -109,6 +111,27 @@ def test_error_norms_split_by_block_and_skip_empty_slots():
     err_block, err_total = error_norms(estimates, truth, (2, 0, 1))
     assert err_block.tolist() == [[[5.0, 0.0], [0.0, 2.0]]]
     assert err_total.tolist() == [[5.0, 2.0]]
+
+
+@settings(max_examples=40)
+@given(
+    dims=hst.lists(hst.integers(0, 3), min_size=1, max_size=5).filter(any),
+    n_nodes=hst.integers(1, 4),
+    horizon=hst.integers(0, 70),
+    chunk=hst.sampled_from([1, 3, sim_engine.CHUNK_ROUNDS]),
+    seed=hst.integers(0, 2**16),
+)
+def test_error_norms_equal_the_whole_horizon_formula(dims, n_nodes, horizon, chunk, seed):
+    # Chunked norms against one pass over the whole horizon, bit for bit,
+    # over magnitudes from 1e-100 to 1e100.
+    rng = np.random.default_rng(seed)
+    shape = (horizon + 1, n_nodes, sum(dims))
+    estimates = rng.standard_normal(shape) * 10.0 ** rng.integers(-100, 100, shape)
+    truth = rng.standard_normal(shape[::2])
+    with mock.patch.object(sim_engine, "CHUNK_ROUNDS", chunk):
+        norms = error_norms(estimates, truth, dims)
+    for got, expected in zip(norms, whole_horizon_error_norms(estimates, truth, dims)):
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 def test_fit_decay_rate_exact_geometric():
@@ -383,6 +406,31 @@ def test_trace_csv_memory_does_not_grow_with_the_horizon(tmp_path):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
+def test_run_memory_does_not_grow_with_the_horizon():
+    # Beyond the trace's own arrays and two copies of the plant's trajectory
+    # (states and outputs, as simulated and in transformed coordinates), a
+    # run's buffers are per chunk: ten times the rounds may not cost more
+    # than a quarter more peak memory (about 0.2 MB at H = 200).
+    plant = make_multiblock_plant((1,) * 16, seed=1)
+    graph = generate_random_jointly_connected(16, 2, seed=1)
+    run_scenario(Scenario(plant=plant, graph=graph, rho=0.9, horizon=20))
+    peaks = []
+    for horizon in (200, 2000):
+        tracemalloc.start()
+        try:
+            trace = run_scenario(Scenario(plant=plant, graph=graph, rho=0.9,
+                                          horizon=horizon))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        truth = simulate_truth(plant, horizon)
+        kept = (trace.taus, trace.donors, trace.z_estimates, trace.adjacency,
+                trace.err_block, trace.err_total, truth.states, truth.states,
+                *truth.measurements, *truth.measurements)
+        peaks.append(peak - sum(a.nbytes for a in kept))
     assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
@@ -731,20 +779,18 @@ def _usable(tau, adjacency):
 
 class _ChoiceKernel(ProtocolKernel):
     """A faulty kernel that adopts the usable donor ``choose`` names instead
-    of the freshest: the real step over each substate's chosen edges only."""
+    of the freshest: the real choice over each substate's chosen edges only."""
 
-    def step(self, tau, z, adjacency, y):
+    def choose_donors(self, own, adjacency, out):
+        tau = tau_of_keys(own, self.n_nodes)
         pick = self.choose(tau, _usable(tau, adjacency))   # 0-based, -1 for none
-        new_tau, new_z, donors = np.empty_like(tau), np.empty_like(z), np.empty_like(tau)
+        held = np.empty_like(out)
         for j in range(tau.shape[1]):
             chosen = np.zeros_like(adjacency)
             has = pick[:, j] >= 0
             chosen[pick[has, j], np.flatnonzero(has)] = True
-            tau_j, z_j, donors_j = super().step(tau, z, chosen, y)
-            cols = self._col_slot == j
-            new_tau[:, j], donors[:, j] = tau_j[:, j], donors_j[:, j]
-            new_z[:, cols] = z_j[:, cols]
-        return new_tau, new_z, donors
+            super().choose_donors(own, chosen, held)
+            out[:, j] = held[:, j]
 
 
 def _stalest(tau, usable):
@@ -778,20 +824,23 @@ class SourceOnlyKernel(_ChoiceKernel):
         return pick
 
 
+# A held key is index * (N + 1) + donor id, and the next index is the held
+# one + 1; the kernels below shift the held index of the keys they alter.
+
 class OpenLoopKeepsIndexKernel(ProtocolKernel):
     """An informed node that runs open-loop keeps its index."""
 
-    def step(self, tau, z, adjacency, y):
-        new_tau, new_z, donors = super().step(tau, z, adjacency, y)
-        return np.where((donors < 0) & (tau >= 0), tau, new_tau), new_z, donors
+    def choose_donors(self, own, adjacency, out):
+        super().choose_donors(own, adjacency, out)
+        out[(out == own) & (tau_of_keys(own, self.n_nodes) >= 0)] -= self.n_nodes + 1
 
 
 class AdoptionAddsTwoKernel(ProtocolKernel):
     """An adopted index is the donor's + 2."""
 
-    def step(self, tau, z, adjacency, y):
-        new_tau, new_z, donors = super().step(tau, z, adjacency, y)
-        return np.where(donors > 0, new_tau + 1, new_tau), new_z, donors
+    def choose_donors(self, own, adjacency, out):
+        super().choose_donors(own, adjacency, out)
+        out[out % (self.n_nodes + 1) > 0] += self.n_nodes + 1
 
 
 @pytest.mark.parametrize("name", ["random_jsc_theorem1", "random_jsc_corollary1"])
