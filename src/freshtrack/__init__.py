@@ -1,6 +1,6 @@
 """Freshness-index distributed observer for LTI systems on time-varying digraphs."""
 
-from .system_model import LtiPlant, Trajectory, simulate_truth, is_jointly_observable
+from .system_model import LtiPlant, simulate_truth, is_jointly_observable
 from .decomposition import TransformedSystem, staircase_transform, to_transformed_coords
 from .gain_design import (
     GainSet,

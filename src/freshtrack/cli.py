@@ -1,7 +1,8 @@
 """Command-line front end: scenario configs, canned runs, offline re-checks.
 
 Exit codes: 0 all requested checks passed, 1 a check failed or re-check
-disagreed, 2 invalid config or malformed input files.
+disagreed, 2 invalid config (a plant whose state overflows float64 within the
+horizon included) or malformed input files.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ CONFIG_SCHEMA = {
                 "T": {"type": "integer", "minimum": 1},
                 "params": {
                     "type": "object",
+                    "additionalProperties": False,
                     "properties": {
                         "seed": {"type": "integer", "minimum": 0},
                         "n": {"type": "integer", "minimum": 1},
@@ -459,7 +461,7 @@ def _load_trace_csv(path, report, scenario: Scenario):
     plant, n = scenario.plant, trace.z_estimates.shape[2]
     if plant.n != n:
         raise ValueError(f"scenario.plant has {plant.n} states, the trace {n}")
-    truth = simulate_truth(plant, trace.horizon).states
+    truth = simulate_truth(plant, trace.horizon)
     if freshness:
         t = _float_array(report["transform"]["t_matrix"], (n, n), "transform.t_matrix",
                          finite=True)
@@ -526,7 +528,7 @@ def main(argv=None):
         if args.command == "check":
             return cmd_check(args.trace, args.report)
         return cmd_list_scenarios()
-    except (ConfigError, DecompositionError, GainDesignError) as exc:
+    except (ConfigError, ConfigurationError, DecompositionError, GainDesignError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

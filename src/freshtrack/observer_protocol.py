@@ -10,7 +10,9 @@ one column per substate, that is per nonempty block in node order (a
 zero-dimension block has no substate and no column): ``tau[i, c]`` is node
 i+1's index for the c-th substate, with -1 for never informed.  ``z`` is
 N x n: row i is node i+1's estimate of every substate in transformed
-coordinates.
+coordinates.  A run starts with each source's own index at 0 and every
+other at -1, and reads of the plant only the sources' outputs
+y_j(k) = C_j x(k).
 ``ProtocolKernel`` advances a whole run in two passes of O(N^2 n) array
 work per round.  The index pass reads only the graph: round by round, a
 minimum over the in-neighbors' keys, each an index and a node id encoded in
@@ -84,15 +86,6 @@ class ProtocolKernel:
         self._l_cols = np.hstack(l_cols)
         self._row_owner = np.array(owner)
 
-    def source_outputs(self, measurements):
-        """Concatenate the sources' measurements in the order `estimate_pass` reads.
-
-        ``measurements`` is indexed by 0-based node id; each entry is one
-        round's output vector, or a (rounds, r_i) array for a whole run.
-        """
-        return np.concatenate(
-            [np.atleast_1d(measurements[j]) for j in self.sources], axis=-1)
-
     def choose_donors(self, own, adjacency, out):
         """One round's donor choice over the own keys ``own``; write it to ``out``.
 
@@ -155,10 +148,11 @@ class ProtocolKernel:
     def estimate_pass(self, donors, outputs, zs, chunk):
         """Fill ``zs[1:]`` from ``zs[0]`` along the recorded ``donors``, in place.
 
-        ``donors[k + 1]`` is round k's (from `index_pass`) and ``outputs[k]``
-        its ``source_outputs``.  A round is z A_lower^T + B A_diag^T, where
-        each block of B is the donor's row or the node's own, less the
-        sources' corrections.  Each ``chunk`` of rounds takes its flat gather
+        ``donors[k + 1]`` is round k's (from `index_pass`).  ``outputs[k]``
+        is its sources' outputs y_j = C_j x(k) side by side: the sources' rows,
+        in substate order.  A round is z A_lower^T + B A_diag^T, where each
+        block of B is the donor's row or the node's own, less the sources'
+        corrections.  Each ``chunk`` of rounds takes its flat gather
         indices into z from the donors in one array step.
         """
         n = zs.shape[2]
@@ -180,18 +174,3 @@ class ProtocolKernel:
                 owners = z.take(self._row_owner, axis=0)
                 resid = np.einsum("rc,rc->r", self._c_rows, owners) - outputs[k]
                 np.subtract.at(new, (self._col_block, self._cols), self._l_cols @ resid)
-
-
-def initial_arrays(ts, z0=None):
-    """Start-of-run (tau, z): each source's own index is 0, all others -1.
-
-    ``z0`` holds per-node n-vectors in transformed coordinates (default all
-    zeros).
-    """
-    n_nodes = ts.n_nodes
-    sources = np.flatnonzero(np.asarray(ts.block_dims) > 0)
-    tau = np.full((n_nodes, sources.size), -1, dtype=np.int64)
-    tau[sources, np.arange(sources.size)] = 0
-    if z0 is None:
-        return tau, np.zeros((n_nodes, ts.n))
-    return tau, np.array(z0, dtype=float).reshape(n_nodes, ts.n)

@@ -8,9 +8,9 @@ against constants computed from the trace itself, at the times of
 
 A freshness run fills the trace's arrays in two whole-run passes of
 ``ProtocolKernel``: the indices and donors from the graph alone, then the
-estimates along the recorded donors.  ``error_norms`` derives the error
-norms from them and the plant's trajectory, in a run and in a trace read
-back.
+estimates along the recorded donors, fed the sources' outputs of the
+plant's (H+1, n) states.  ``error_norms`` derives the error norms from the
+estimates and those states, in a run and in a trace read back.
 Every check is array work over the trace's stacked arrays, one column per
 substate, with -1 for a never-informed index and for an open-loop donor
 throughout.  One pass applies the update rule to every recorded round over
@@ -33,7 +33,7 @@ from .baselines import WeightStrategy, baseline_round, mixing_weights
 from .decomposition import block_offsets, staircase_transform, to_transformed_coords
 from .gain_design import choose_radii, compute_bound_constants, design_gains, envelope_schedule
 from .graph_seq import GraphSequence, connectivity_warnings
-from .observer_protocol import ProtocolKernel, initial_arrays
+from .observer_protocol import ProtocolKernel
 from .system_model import LtiPlant, simulate_truth
 
 DELAYED_TOL = 1e-8    # largest relative residual the delayed-error identity passes
@@ -174,7 +174,7 @@ def _run_freshness(s: Scenario) -> Trace:
     ts = staircase_transform(plant)
     gains = design_gains(ts, rho=s.rho, deadbeat=s.deadbeat, seed=s.seed)
     truth = simulate_truth(plant, s.horizon)
-    z_truth = to_transformed_coords(truth.states, ts)
+    z_truth = to_transformed_coords(truth, ts)
 
     trace = Trace(n_nodes, s.horizon, s.graph.period_t, ts.block_dims, rho=s.rho)
     trace.ts = ts
@@ -183,14 +183,16 @@ def _run_freshness(s: Scenario) -> Trace:
     trace.adjacency = s.graph.adjacency(s.horizon)
     trace.warnings += connectivity_warnings(trace.adjacency, s.graph.period_t, trace.substates)
 
-    z0 = None
+    # The start: every index -1 but the sources' own, every estimate 0 unless given.
+    trace.taus[0, trace.sources, np.arange(trace.sources.size)] = 0
     if s.initial_estimates is not None:
-        z0 = to_transformed_coords(s.initial_estimates, ts)
-    trace.taus[0], trace.z_estimates[0] = initial_arrays(ts, z0)
+        trace.z_estimates[0] = to_transformed_coords(s.initial_estimates, ts)
+    # The sources' outputs, one product per source: a single stacked
+    # product rounds differently.
+    outputs = np.hstack([truth @ plant.sensors[j].T for j in trace.sources])
     kernel = ProtocolKernel(ts, gains)
     kernel.index_pass(trace.adjacency, trace.taus, trace.donors, CHUNK_ROUNDS)
-    kernel.estimate_pass(trace.donors, kernel.source_outputs(truth.measurements),
-                         trace.z_estimates, CHUNK_ROUNDS)
+    kernel.estimate_pass(trace.donors, outputs, trace.z_estimates, CHUNK_ROUNDS)
 
     trace.err_block, trace.err_total = error_norms(trace.z_estimates, z_truth, ts.block_dims)
 
@@ -229,9 +231,9 @@ def _run_baseline(s: Scenario) -> Trace:
         est[0] = s.initial_estimates
     for k in range(s.horizon):
         est[k + 1] = baseline_round(est[k], weights[k], plant.a_matrix, oracle,
-                                    truth.states[k])
-    est[:, oracle] = truth.states[:, None, :]
-    trace.err_block, trace.err_total = error_norms(est, truth.states, (plant.n,))
+                                    truth[k])
+    est[:, oracle] = truth[:, None, :]
+    trace.err_block, trace.err_total = error_norms(est, truth, (plant.n,))
     return trace
 
 

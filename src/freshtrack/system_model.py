@@ -1,4 +1,5 @@
-"""Discrete-time LTI plant, per-node sensing model, and ground-truth simulation."""
+"""Discrete-time LTI plant, per-node sensing model, and ground-truth simulation:
+one (H+1, n) array of states, to which a node applies its sensor rows."""
 
 from __future__ import annotations
 
@@ -10,7 +11,8 @@ EPS = np.finfo(float).eps
 
 
 class ConfigurationError(ValueError):
-    """Raised when plant matrices have inconsistent dimensions or non-finite entries."""
+    """Raised when plant matrices have inconsistent dimensions or non-finite
+    entries, or when the plant's state leaves float64's range."""
 
 
 def _as_float_array(m, name):
@@ -78,25 +80,25 @@ class LtiPlant:
         return len(self.sensors)
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Ground-truth states and noiseless measurements over a horizon."""
+def simulate_truth(plant: LtiPlant, horizon: int) -> np.ndarray:
+    """The (horizon+1, n) states x[k] = A^k x0 for k = 0..horizon.
 
-    states: np.ndarray          # (horizon+1, n)
-    measurements: tuple         # per node: (horizon+1, r_i)
-
-
-def simulate_truth(plant: LtiPlant, horizon: int) -> Trajectory:
-    """Roll the plant forward, returning states and measurements for k=0..horizon."""
+    A node's outputs are ``states @ c.T`` for its sensor rows ``c``.  A state that
+    leaves float64's range raises `ConfigurationError` naming the first k.
+    """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    n = plant.n
-    states = np.empty((horizon + 1, n))
+    states = np.empty((horizon + 1, plant.n))
     states[0] = plant.x0
-    for k in range(horizon):
-        states[k + 1] = plant.a_matrix @ states[k]
-    meas = tuple(states @ c.T for c in plant.sensors)
-    return Trajectory(states=states, measurements=meas)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(horizon):
+            states[k + 1] = plant.a_matrix @ states[k]
+    bad = ~np.isfinite(states).all(axis=1)
+    if bad.any():
+        raise ConfigurationError(
+            f"the plant's state overflows float64 at k = {int(np.argmax(bad))} "
+            f"of horizon {horizon}")
+    return states
 
 
 # Rank decisions of the staircase.  A step's singular values, relative to

@@ -147,13 +147,14 @@ class StepKernel(ProtocolKernel):
         """Advance (tau, z) by one round; return (new tau, new z, donors).
 
         ``adjacency[l, i]`` is true when node l+1 sends to node i+1 this round;
-        ``y`` is this round's ``source_outputs``; all else is start-of-round
-        state.  For substate j a node adopts the freshest informed in-neighbor
-        (if informed itself, only a strictly fresher one), ties going to the
-        smallest node id: its index + 1 and A_jj z_donor[j].  With no such
-        donor it runs open-loop on A_jj z_i[j], its index + 1 or still -1.
-        The cross terms A_jq z_i[q], q < j, are always the node's own.  Source
-        j keeps index 0 and adds the correction -L_j (C_j z_j - y_j).
+        ``y`` is this round's outputs of the sources, side by side in substate
+        order; all else is start-of-round state.  For substate j a node adopts
+        the freshest informed in-neighbor (if informed itself, only a strictly
+        fresher one), ties going to the smallest node id: its index + 1 and
+        A_jj z_donor[j].  With no such donor it runs open-loop on A_jj z_i[j],
+        its index + 1 or still -1.  The cross terms A_jq z_i[q], q < j, are
+        always the node's own.  Source j keeps index 0 and adds the correction
+        -L_j (C_j z_j - y_j).
 
         The choice is one minimum of the in-neighbors' keys and the node's
         own key (see ``_NEVER``); its divmod by N + 1 is the held index and

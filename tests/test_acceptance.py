@@ -161,7 +161,7 @@ def test_delayed_error_identity_batch():
         ts = trace.ts
         a_11 = ts.a_block(1, 1)
         truth = simulate_truth(plant, trace.horizon)
-        z_truth = [to_transformed_coords(x, ts) for x in truth.states]
+        z_truth = [to_transformed_coords(x, ts) for x in truth]
         cols = ts.block_slice(1)
         for k in range(1, trace.horizon + 1):
             for i in range(2, trace.n_nodes + 1):

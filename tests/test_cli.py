@@ -538,6 +538,8 @@ def test_check_rejects_baseline_report_with_padded_block_dims(tmp_path, capsys):
     ({"seed": 1.5}, "integer"),
     ({"n": 0}, "minimum"),
     ({"edge_lists": [[[1, 2, 3]]]}, "long"),
+    # A mistyped "seed" would leave the config's seed to pick the graph.
+    ({"n": 3, "sed": 99}, "Additional properties are not allowed ('sed' was unexpected)"),
 ])
 def test_run_rejects_bad_graph_params(tmp_path, capsys, params, message):
     cfg = tmp_path / "params.json"
@@ -545,6 +547,17 @@ def test_run_rejects_bad_graph_params(tmp_path, capsys, params, message):
     assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: invalid scenario config") and message in err
+
+
+@pytest.mark.parametrize("name", ["fig1_uniform_baseline", "fig1_freshness_spectral"])
+def test_run_exits_2_when_the_plant_state_overflows(tmp_path, capsys, name):
+    # x(k) = 2^k passes float64's largest value at k = 1024.
+    cfg = tmp_path / "long.json"
+    cfg.write_text(json.dumps(dict(canned_scenarios()[name], horizon=1100)))
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: the plant's state overflows float64 at k = 1024 of horizon 1100\n")
+    assert not (tmp_path / "long_report.json").exists()
 
 
 def test_check_loads_report_with_transform_warnings(tmp_path, capsys):

@@ -14,7 +14,7 @@ from freshtrack.graph_seq import (
     edge_tensor,
     generate_random_jointly_connected,
 )
-from freshtrack.observer_protocol import ProtocolKernel, initial_arrays
+from freshtrack.observer_protocol import ProtocolKernel
 from freshtrack.scenarios import make_multiblock_plant
 from freshtrack.sim_engine import Scenario, run_scenario
 from freshtrack.system_model import LtiPlant, simulate_truth
@@ -40,27 +40,34 @@ def scalar_setup(rho=0.5):
     return plant, ts, gains
 
 
+def start_state(ts, z0=None):
+    """A run's start (tau, z): each source's own index 0, every other -1, and
+    ``z0``'s per-node n-vectors in transformed coordinates (default zeros)."""
+    sources = np.flatnonzero(np.asarray(ts.block_dims) > 0)
+    tau = np.full((ts.n_nodes, sources.size), -1)
+    tau[sources, np.arange(sources.size)] = 0
+    return tau, np.zeros((ts.n_nodes, ts.n)) if z0 is None else np.array(z0, dtype=float)
+
+
 def test_init_states_scalar_example():
     plant = LtiPlant([[2.0]], [[[1.0]], [], []], [1.0])
-    ts = staircase_transform(plant)
-    tau, _ = initial_arrays(ts)
-    assert tau[0, 0] == 0
-    assert tau[1, 0] == -1
-    assert tau[2, 0] == -1
+    graph = PeriodicGraphSequence(edge_tensor(3, [[(1, 2), (2, 3)]]), period_t=1)
+    trace = run_scenario(Scenario(plant=plant, graph=graph, rho=0.5, horizon=1))
+    assert trace.taus[0].tolist() == [[0], [-1], [-1]]
 
 
 def test_init_states_single_node():
     plant = LtiPlant([[0.5]], [[[1.0]]], [1.0])
-    ts = staircase_transform(plant)
-    tau, _ = initial_arrays(ts)
-    assert tau.shape == (1, 1)
-    assert tau[0, 0] == 0
+    graph = PeriodicGraphSequence(edge_tensor(1, [[]]), period_t=1)
+    trace = run_scenario(Scenario(plant=plant, graph=graph, rho=0.5, horizon=1))
+    assert trace.taus[0].tolist() == [[0]]
 
 
 def test_init_states_zero_estimates():
     plant = make_multiblock_plant((1, 1, 1, 1), seed=3)
-    ts = staircase_transform(plant)
-    tau, z = initial_arrays(ts)
+    graph = generate_random_jointly_connected(4, 2, seed=3)
+    trace = run_scenario(Scenario(plant=plant, graph=graph, rho=0.5, horizon=1))
+    ts, tau, z = trace.ts, trace.taus[0], trace.z_estimates[0]
     for i in range(4):
         for j in range(1, 5):
             assert np.allclose(z[i, ts.block_slice(j)], 0.0)
@@ -70,7 +77,7 @@ def test_init_states_zero_estimates():
 def test_source_step_zero_error_fixed_point():
     plant, ts, gains = scalar_setup()
     # Estimate equal to truth: next estimate must be next truth (error stays 0).
-    _, z = initial_arrays(ts, [np.array([5.0]) * ts.t_matrix[0, 0]] * 3)
+    _, z = start_state(ts, [np.array([5.0]) * ts.t_matrix[0, 0]] * 3)
     sign = ts.t_matrix[0, 0]
     y = np.array([5.0])  # C_1 x with x = 5
     new = source_step(1, z[0], y, ts, gains)
@@ -103,7 +110,7 @@ def test_select_donor_tie_breaks_smallest_id():
 
 def test_nonsource_step_adopt():
     plant, ts, gains = scalar_setup()
-    tau, z = initial_arrays(ts, [np.array([7.0]), np.zeros(1), np.zeros(1)])
+    tau, z = start_state(ts, [np.array([7.0]), np.zeros(1), np.zeros(1)])
     donor_est = z[0, ts.block_slice(1)]
     new_tau, est = nonsource_step(1, z[1], tau[1, 0], z[0], tau[0, 0], ts)
     assert new_tau == 1
@@ -112,7 +119,7 @@ def test_nonsource_step_adopt():
 
 def test_nonsource_step_open_loop_untriggered():
     plant, ts, gains = scalar_setup()
-    tau, z = initial_arrays(ts, [np.zeros(1), np.array([3.0]), np.zeros(1)])
+    tau, z = start_state(ts, [np.zeros(1), np.array([3.0]), np.zeros(1)])
     new_tau, est = nonsource_step(1, z[1], tau[1, 0], None, -1, ts)
     assert new_tau == -1
     assert np.allclose(est, 2.0 * z[1, ts.block_slice(1)])
@@ -120,7 +127,7 @@ def test_nonsource_step_open_loop_untriggered():
 
 def test_nonsource_step_open_loop_increments_index():
     plant, ts, gains = scalar_setup()
-    tau, z = initial_arrays(ts)
+    tau, z = start_state(ts)
     tau[1, 0] = 4
     z[1, ts.block_slice(1)] = 1.5
     new_tau, est = nonsource_step(1, z[1], tau[1, 0], None, -1, ts)
@@ -131,8 +138,8 @@ def test_nonsource_step_open_loop_increments_index():
 def kernel_round(kernel, tau, z, adj, meas):
     """One round of the kernel's passes; ``meas`` lists each node's
     measurement, node 1 first.  Returns the new (tau, z) and the donors."""
-    taus, donors, zs = run_passes(kernel, tau, z, adj[None],
-                                  kernel.source_outputs(meas)[None], 1)
+    outputs = np.concatenate([meas[j] for j in kernel.sources])
+    taus, donors, zs = run_passes(kernel, tau, z, adj[None], outputs[None], 1)
     return taus[1], zs[1], donors[1]
 
 
@@ -140,10 +147,11 @@ def test_round_scalar_example_first_step():
     # Round 0 on the 1->2->3 chain: node 2 adopts node 1, node 3 has only an
     # uninformed neighbor and stays never-informed.
     plant, ts, gains = scalar_setup()
-    tau, z = initial_arrays(ts)
+    tau, z = start_state(ts)
     adj = edge_tensor(3, [[(1, 2), (2, 3)]])[0]
-    traj = simulate_truth(plant, 1)
-    meas = [m[0] for m in traj.measurements]
+    states = simulate_truth(plant, 1)
+    ys = [states @ c.T for c in plant.sensors]
+    meas = [m[0] for m in ys]
     tau, z, donors = kernel_round(ProtocolKernel(ts, gains), tau, z, adj, meas)
     assert tau[0, 0] == 0
     assert tau[1, 0] == 1
@@ -157,17 +165,18 @@ def test_round_closed_under_perfection():
     ts = staircase_transform(plant)
     gains = design_gains(ts, rho=0.8, seed=1)
     horizon = 6
-    traj = simulate_truth(plant, horizon)
-    z_truth = [to_transformed_coords(x, ts) for x in traj.states]
+    states = simulate_truth(plant, horizon)
+    ys = [states @ c.T for c in plant.sensors]
+    z_truth = [to_transformed_coords(x, ts) for x in states]
     # Exact estimates, all indices finite.
     subs = [j for j in range(3) if ts.block_dims[j] > 0]
-    tau, z = initial_arrays(ts, [z_truth[0]] * 3)
+    tau, z = start_state(ts, [z_truth[0]] * 3)
     tau[:, subs] = 1
     tau[subs, subs] = 0
     adj = edge_tensor(3, [[(1, 2), (2, 3), (3, 1)]])[0]
     kernel = ProtocolKernel(ts, gains)
     for k in range(horizon):
-        meas = [m[k] for m in traj.measurements]
+        meas = [m[k] for m in ys]
         tau, z, _ = kernel_round(kernel, tau, z, adj, meas)
         for i in range(3):
             for j in subs:
@@ -277,14 +286,15 @@ def test_round_matches_reference_implementation():
     plant = make_multiblock_plant((2, 1, 1, 1), seed=8)
     ts = staircase_transform(plant)
     gains = design_gains(ts, rho=0.7, seed=4)
-    traj = simulate_truth(plant, 12)
+    states = simulate_truth(plant, 12)
+    ys = [states @ c.T for c in plant.sensors]
     kernel = ProtocolKernel(ts, gains)
-    tau, z = initial_arrays(ts, [rng.standard_normal(plant.n) for _ in range(4)])
+    tau, z = start_state(ts, [rng.standard_normal(plant.n) for _ in range(4)])
     ref_tau, ref_z = tau, z
     for k in range(12):
         edges = {(int(i), int(j)) for i, j in rng.integers(1, 5, size=(5, 2)) if i != j}
         adj = edge_tensor(4, [edges])[0]
-        meas = [m[k] for m in traj.measurements]
+        meas = [m[k] for m in ys]
         tau, z, donors = kernel_round(kernel, tau, z, adj, meas)
         ref_tau, ref_z, ref_donors = reference_round(ref_tau, ref_z, adj, meas, ts, gains)
         assert_states_match((tau, z, donors), (ref_tau, ref_z, ref_donors), gains)
@@ -313,18 +323,19 @@ def test_round_matches_reference_on_random_states(blocks, blind, density,
     gains = design_gains(ts, rho=0.7, seed=seed)
     n_nodes = plant.n_nodes
     rng = np.random.default_rng(seed)
-    tau, z = initial_arrays(ts, [rng.standard_normal(plant.n) for _ in range(n_nodes)])
+    tau, z = start_state(ts, [rng.standard_normal(plant.n) for _ in range(n_nodes)])
     for i in range(n_nodes):
         for c, j in enumerate(substates(ts)):
             if i + 1 != j and rng.random() >= omega_share:
                 tau[i, c] = tau_base + int(rng.integers(0, 7))
-    traj = simulate_truth(plant, 3)
+    states = simulate_truth(plant, 3)
+    ys = [states @ c.T for c in plant.sensors]
     kernel, argmin = ProtocolKernel(ts, gains), ArgminKernel(ts, gains)
     ref_tau, ref_z = tau, z
     for k in range(3):
         mask = rng.random((n_nodes, n_nodes)) < density
         adj = mask & ~np.eye(n_nodes, dtype=bool)
-        meas = [m[k] for m in traj.measurements]
+        meas = [m[k] for m in ys]
         # The per-node rules of tests/reference.py, from the same start state.
         rules = per_node_round(tau, z, adj, meas, ts, gains)
         pinned = kernel_round(argmin, tau, z, adj, meas)
@@ -368,7 +379,7 @@ def test_passes_equal_the_round_by_round_step(blocks, blind, coupling, density,
     gains = design_gains(ts, rho=0.7, seed=seed)
     n_nodes = plant.n_nodes
     rng = np.random.default_rng(seed)
-    tau, z = initial_arrays(ts, rng.standard_normal((n_nodes, plant.n)))
+    tau, z = start_state(ts, rng.standard_normal((n_nodes, plant.n)))
     informed = rng.random(tau.shape) >= omega_share
     tau[informed] = tau_base + rng.integers(0, 7, size=np.count_nonzero(informed))
     mask = rng.random((horizon, n_nodes, n_nodes)) < density
@@ -381,6 +392,36 @@ def test_passes_equal_the_round_by_round_step(blocks, blind, coupling, density,
     assert np.array_equal(got[0], expected[0])
     assert np.array_equal(got[1], expected[1])
     assert np.array_equal(got[2].view(np.int64), expected[2].view(np.int64))
+
+
+def assert_run_matches_per_node_rules(plant, graph, horizon, kw):
+    """``run_scenario``'s indices, donors, estimates and error norms equal the
+    per-node rules of tests/reference.py, round by round, from the same start."""
+    trace = run_scenario(Scenario(plant=plant, graph=graph, horizon=horizon, seed=4, **kw))
+    ts, gains, n_nodes = trace.ts, trace.gains, plant.n_nodes
+    states = simulate_truth(plant, trace.horizon)
+    ys = [states @ c.T for c in plant.sensors]
+    init = kw.get("initial_estimates")
+    tau, z = start_state(ts, None if init is None else
+                         [to_transformed_coords(x, ts) for x in init])
+    tol = estimate_tolerance(gains, float(np.max(np.abs(trace.z_estimates))))
+    assert trace.taus.shape == trace.donors.shape == (horizon + 1, n_nodes,
+                                                      len(trace.substates))
+    for k in range(trace.horizon + 1):
+        if k:
+            meas = [m[k - 1] for m in ys]
+            tau, z, donors = per_node_round(tau, z, trace.adjacency[k - 1], meas, ts,
+                                            gains)
+        z_truth = to_transformed_coords(states[k], ts)
+        for i in range(n_nodes):
+            for c, j in enumerate(trace.substates):
+                cols = ts.block_slice(j)
+                assert trace.taus[k, i, c] == tau[i, c]
+                if k:
+                    assert trace.donors[k, i, c] == donors[i, c]
+                assert np.max(np.abs(trace.z_estimates[k, i, cols] - z[i, cols])) <= tol
+                err = np.linalg.norm(z[i, cols] - z_truth[cols])
+                assert abs(trace.err_block[k, i, c] - err) <= 2 * tol
 
 
 @pytest.mark.parametrize("fig1,kw", [
@@ -401,29 +442,22 @@ def test_run_matches_per_node_rules(fig1, kw):
     if kw.get("initial_estimates") == "random":
         rng = np.random.default_rng(33)
         kw = dict(kw, initial_estimates=[rng.standard_normal(plant.n) for _ in range(3)])
-    trace = run_scenario(Scenario(plant=plant, graph=graph, horizon=30, seed=4, **kw))
-    ts, gains = trace.ts, trace.gains
-    traj = simulate_truth(plant, trace.horizon)
-    init = kw.get("initial_estimates")
-    tau, z = initial_arrays(ts, None if init is None else
-                            [to_transformed_coords(x, ts) for x in init])
-    tol = estimate_tolerance(gains, float(np.max(np.abs(trace.z_estimates))))
-    assert trace.taus.shape == trace.donors.shape == (31, 3, len(trace.substates))
-    for k in range(trace.horizon + 1):
-        if k:
-            meas = [m[k - 1] for m in traj.measurements]
-            tau, z, donors = per_node_round(tau, z, trace.adjacency[k - 1], meas, ts,
-                                            gains)
-        z_truth = to_transformed_coords(traj.states[k], ts)
-        for i in range(3):
-            for c, j in enumerate(trace.substates):
-                cols = ts.block_slice(j)
-                assert trace.taus[k, i, c] == tau[i, c]
-                if k:
-                    assert trace.donors[k, i, c] == donors[i, c]
-                assert np.max(np.abs(trace.z_estimates[k, i, cols] - z[i, cols])) <= tol
-                err = np.linalg.norm(z[i, cols] - z_truth[cols])
-                assert abs(trace.err_block[k, i, c] - err) <= 2 * tol
+    assert_run_matches_per_node_rules(plant, graph, 30, kw)
+
+
+@pytest.mark.parametrize("kw", [dict(rho=0.8), dict(deadbeat=True)])
+def test_run_feeds_only_the_sources_outputs(kw):
+    # Node 2 measures x1, which node 1's block already holds, so its block is
+    # empty: its sensor row is no source's, and node 3 is a later source.  A
+    # run that fed node 2's output in node 3's place still passes the lemmas
+    # and, in spectral mode, the envelope.
+    plant = LtiPlant([[0.5, 0.3, 0.0], [0.0, 0.9, 0.0], [0.2, 0.0, 0.8]],
+                     [[[1.0, 0.0, 0.0]], [[2.0, 0.0, 0.0]], [[0.0, 0.0, 1.0]]],
+                     [1.0, -1.0, 0.5])
+    graph = PeriodicGraphSequence(
+        edge_tensor(3, [[(1, 2), (2, 3)], [(3, 1), (1, 3), (3, 2)]]), period_t=2)
+    assert staircase_transform(plant).block_dims == (2, 0, 1)
+    assert_run_matches_per_node_rules(plant, graph, 60, kw)
 
 
 def _delayed_form_scenario(seed, block_sizes=(2, 1, 1)):
@@ -441,7 +475,7 @@ def test_delayed_form_first_substate_closed_form():
     ts = trace.ts
     a_11 = ts.a_block(1, 1)
     truth = simulate_truth(plant, trace.horizon)
-    z_truth = [to_transformed_coords(x, ts) for x in truth.states]
+    z_truth = [to_transformed_coords(x, ts) for x in truth]
     checked = 0
     cols = ts.block_slice(1)
     for k in range(1, trace.horizon + 1):

@@ -89,7 +89,7 @@ def test_single_node_matches_classical_observer():
     e = to_transformed_coords(-plant.x0, ts=trace.ts)
     truth = simulate_truth(plant, 40)
     for k in range(41):
-        z_truth = to_transformed_coords(truth.states[k], trace.ts)
+        z_truth = to_transformed_coords(truth[k], trace.ts)
         err = trace.z_estimates[k, 0] - z_truth
         assert np.linalg.norm(err - e) <= 1e-9 * max(1.0, np.linalg.norm(e))
         e = cl @ e
@@ -410,9 +410,9 @@ def test_trace_csv_memory_does_not_grow_with_the_horizon(tmp_path):
 
 
 def test_run_memory_does_not_grow_with_the_horizon():
-    # Beyond the trace's own arrays and two copies of the plant's trajectory
-    # (states and outputs, as simulated and in transformed coordinates), a
-    # run's buffers are per chunk: ten times the rounds may not cost more
+    # Beyond the trace's own arrays, two copies of the plant's states (as
+    # simulated and in transformed coordinates) and two of the sources'
+    # outputs (per source and side by side), a run's buffers are per chunk: ten times the rounds may not cost more
     # than a quarter more peak memory (about 0.2 MB at H = 200).
     plant = make_multiblock_plant((1,) * 16, seed=1)
     graph = generate_random_jointly_connected(16, 2, seed=1)
@@ -427,9 +427,9 @@ def test_run_memory_does_not_grow_with_the_horizon():
         finally:
             tracemalloc.stop()
         truth = simulate_truth(plant, horizon)
+        outputs = np.hstack([truth @ plant.sensors[j].T for j in trace.sources])
         kept = (trace.taus, trace.donors, trace.z_estimates, trace.adjacency,
-                trace.err_block, trace.err_total, truth.states, truth.states,
-                *truth.measurements, *truth.measurements)
+                trace.err_block, trace.err_total, truth, truth, outputs, outputs)
         peaks.append(peak - sum(a.nbytes for a in kept))
     assert peaks[1] <= 1.25 * peaks[0], peaks
 
