@@ -2,9 +2,11 @@
 
 Spectral mode gives block j an envelope radius rho_j and places its
 closed-loop eigenvalues evenly on the circle of radius 0.75 * rho_j, by a
-Sylvester solve taken in numpy from the target's eigenpairs; a discrete
-Lyapunov certificate turns that margin into the envelope constant
-alpha_j.  Deadbeat mode makes every closed-loop block nilpotent so the
+Sylvester solve taken in numpy from the target's eigenpairs.  After each
+block's own observability certificate, the blocks of one shape go through
+one attempt loop as a stack, each drawing from its own seeded generator;
+a discrete Lyapunov certificate turns the margin into the envelope
+constant alpha_j.  Deadbeat mode makes every closed-loop block nilpotent so the
 observer converges in finitely many steps: an orthogonal back-substitution
 over the steps of the block's deflating observability staircase (Van Dooren,
 "Deadbeat control: a special inverse eigenvalue problem", BIT 24, 1984)
@@ -95,52 +97,110 @@ def envelope_schedule(n_nodes: int, period_t: int | None = None, t_bar: int | No
                             (2 * n_nodes - 1) * t_bar)
 
 
-def _rotation_target(r: float, n: int):
+def _rotation_target(r, n: int):
     """Real n x n matrix with eigenvalues r * exp(2 pi i m / n), m = 0..n-1.
 
     Conjugate pairs sit in 2 x 2 rotation blocks; +r (and -r for even n) on
     the diagonal.  Well-spread targets keep the eigenvectors well conditioned.
+    An array of radii gives a stack of targets, one per radius.
     """
     d = np.zeros((n, n))
-    d[0, 0] = r
+    d[0, 0] = 1.0
     if n % 2 == 0:
-        d[-1, -1] = -r
+        d[-1, -1] = -1.0
     for m in range(1, (n + 1) // 2):
-        cos, sin = r * np.cos(2 * np.pi * m / n), r * np.sin(2 * np.pi * m / n)
+        cos, sin = np.cos(2 * np.pi * m / n), np.sin(2 * np.pi * m / n)
         d[2 * m - 1:2 * m + 1, 2 * m - 1:2 * m + 1] = [[cos, -sin], [sin, cos]]
-    return d
+    return np.multiply.outer(r, d)
 
 
 def _solve_sylvester(a, d, f):
-    """X with A X - X D = F, for a real normal D with distinct eigenvalues.
+    """X with A X - X D = F over a stack of same-size blocks, for real normal
+    D with distinct eigenvalues.
 
     D = V diag(lam) V^H with V unitary, so y = X v solves (A - lam I) y = F v
     for each eigenpair and X = sum y v^H.  A conjugate pair's terms are
-    conjugates: one batched complex solve over the eigenvalues with
+    conjugates: one batched complex solve over blocks x eigenvalues with
     Im lam >= 0 gives X = Re sum w y v^H, w = 2 for a pair, 1 for a real one.
     A shift that is exactly singular (a target eigenvalue that is one of A's)
     moves off by LAPACK trsyl's smin, eps times the largest |a_ik| or |lam|,
-    as scipy's Bartels-Stewart solve does.
+    as scipy's Bartels-Stewart solve does.  numpy refuses a whole stack for
+    one singular item, so only a stack of one is shifted; a larger stack
+    raises ``LinAlgError`` and the caller solves its blocks one at a time.
     """
+    n_stack, n = a.shape[:2]
     lam, v = np.linalg.eig(d)
     upper = lam.imag >= 0
-    lam, v = lam[upper], v[:, upper]
-    diag = np.arange(a.shape[0])
-    shifted = np.repeat(a[None].astype(complex), lam.size, axis=0)
-    shifted[:, diag, diag] -= lam[:, None]
-    rhs = (f @ v).T[:, :, None]
+    lam = lam[upper].reshape(n_stack, -1)
+    v = v.transpose(0, 2, 1)[upper].reshape(n_stack, -1, n).transpose(0, 2, 1)
+    diag = np.arange(n)
+    shifted = np.repeat(a[:, None].astype(complex), lam.shape[1], axis=1)
+    shifted[:, :, diag, diag] -= lam[:, :, None]
+    rhs = (f @ v).transpose(0, 2, 1)[..., None]
     try:
         y = np.linalg.solve(shifted, rhs)
     except np.linalg.LinAlgError:
-        shifted[:, diag, diag] += np.finfo(float).eps * max(np.abs(a).max(), np.abs(lam).max())
+        if n_stack > 1:
+            raise
+        shifted[:, :, diag, diag] += (np.finfo(float).eps
+                                      * max(np.abs(a).max(), np.abs(lam).max()))
         y = np.linalg.solve(shifted, rhs)
-    return ((y[:, :, 0].T * np.where(lam.imag > 0, 2.0, 1.0)) @ v.conj().T).real
+    weight = np.where(lam.imag > 0, 2.0, 1.0)[:, None, :]
+    return ((y[..., 0].transpose(0, 2, 1) * weight) @ v.conj().transpose(0, 2, 1)).real
 
 
 def _check_observable(a, c):
     observed, _ = observability_staircase(a, c)
     if observed.shape[1] != a.shape[0]:
         raise GainDesignError("block pair is not observable; cannot place poles")
+
+
+def _placement_attempt(a, c, d, g, radii):
+    """One attempt over a stack of same-shape pairs: the gains
+    L = (G X^-1)^T and which of them are finite with closed-loop spectral
+    radius below their radius.  A stack that numpy refuses whole goes again
+    as stacks of one; a block whose solve still fails fails the attempt."""
+    try:
+        x = _solve_sylvester(a.transpose(0, 2, 1), d, c.transpose(0, 2, 1) @ g)
+        l = np.linalg.solve(x.transpose(0, 2, 1), g.transpose(0, 2, 1))
+    except np.linalg.LinAlgError:
+        if len(a) == 1:
+            return np.full(a.shape[:2] + c.shape[1:2], np.nan), np.zeros(1, dtype=bool)
+        l, ok = zip(*[_placement_attempt(a[i:i + 1], c[i:i + 1], d[i:i + 1], g[i:i + 1],
+                                         radii[i:i + 1]) for i in range(len(a))])
+        return np.concatenate(l), np.concatenate(ok)
+    ok = np.isfinite(l).all(axis=(1, 2))
+    ok[ok] = np.abs(np.linalg.eigvals(a[ok] - l[ok] @ c[ok])).max(axis=1) < radii[ok]
+    return l, ok
+
+
+def _place_stack(a, c, radii, seeds):
+    """Spectral gains for a stack of same-shape observable pairs (A_b, C_b),
+    block b aimed at radii[b]; None for a block that fails every attempt.
+
+    Each attempt draws every open block's next G from its own
+    ``default_rng(seeds[b])``, so a block's draws do not depend on its
+    stack, and places the open blocks together: one eig of the targets'
+    stack, one complex solve over blocks x eigenvalues, one gain solve and
+    one stacked eigvals for the radius check.  A block that passes is done.
+    """
+    n, r = a.shape[1], c.shape[1]
+    d = _rotation_target(0.75 * radii, n)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    gains = [None] * len(a)
+    open_ = np.arange(len(a))
+    for _ in range(_PLACEMENT_RETRIES):
+        g = np.stack([rngs[b].standard_normal((r, n)) for b in open_])
+        l, ok = _placement_attempt(a[open_], c[open_], d[open_], g, radii[open_])
+        for b, l_b in zip(open_[ok], l[ok]):
+            gains[b] = l_b
+        open_ = open_[~ok]
+        if not open_.size:
+            break
+    return gains
+
+
+_PLACEMENT_FAILED = f"spectral placement failed after {_PLACEMENT_RETRIES} retries"
 
 
 def place_spectral(a_jj, c_jj, rho_j: float, seed: int = 0):
@@ -150,25 +210,16 @@ def place_spectral(a_jj, c_jj, rho_j: float, seed: int = 0):
     A^T X - X D = C^T G for a seeded random G and the rotation target D (a
     normal matrix: `_solve_sylvester`), then L = (G X^-1)^T.  Returns the
     first gain that is finite with closed-loop spectral radius below rho_j.
+    One block is a stack of one for `_place_stack`, the path every spectral
+    block of `design_gains` takes.
     """
     a = np.atleast_2d(np.asarray(a_jj, dtype=float))
     c = np.atleast_2d(np.asarray(c_jj, dtype=float))
     _check_observable(a, c)
-    n, r = a.shape[0], c.shape[0]
-    d = _rotation_target(0.75 * rho_j, n)
-    rng = np.random.default_rng(seed)
-    for _ in range(_PLACEMENT_RETRIES):
-        g = rng.standard_normal((r, n))
-        try:
-            x = _solve_sylvester(a.T, d, c.T @ g)
-            l = np.linalg.solve(x.T, g.T)
-        except np.linalg.LinAlgError:
-            continue
-        if (np.all(np.isfinite(l))
-                and np.max(np.abs(np.linalg.eigvals(a - l @ c))) < rho_j):
-            return l
-    raise GainDesignError(
-        f"spectral placement failed after {_PLACEMENT_RETRIES} retries")
+    gain, = _place_stack(a[None], c[None], np.array([rho_j]), [seed])
+    if gain is None:
+        raise GainDesignError(_PLACEMENT_FAILED)
+    return gain
 
 
 def place_deadbeat(a_jj, c_jj):
@@ -215,28 +266,44 @@ def place_deadbeat(a_jj, c_jj):
 
 def design_gains(ts: TransformedSystem, rho: float | None = None,
                  deadbeat: bool = False, seed: int = 0) -> GainSet:
-    """Synthesize gains for every nonempty block of a transformed system."""
+    """Synthesize gains for every nonempty block of a transformed system.
+
+    Spectral blocks of one shape (n_j, r_j) are placed together by
+    `_place_stack`, block j with seed + j.  A refusal names its 1-indexed
+    block and is that of the first failing block in block order.
+    """
     n_blocks = ts.n_nodes
-    gains = []
-    radii = []
     if deadbeat:
         radii = [DEADBEAT] * n_blocks
     else:
         if rho is None:
             raise ValueError("rho is required for spectral gain design")
         radii = choose_radii(rho, n_blocks)
-    for j in range(1, n_blocks + 1):
-        nj = ts.block_dims[j - 1]
-        rj = ts.c_bar[j - 1].shape[0]
-        if nj == 0:
-            gains.append(np.zeros((0, rj)))
-            continue
-        a_jj = ts.a_block(j, j)
-        c_jj = ts.c_block(j, j)
-        if deadbeat:
-            gains.append(place_deadbeat(a_jj, c_jj))
-        else:
-            gains.append(place_spectral(a_jj, c_jj, radii[j - 1], seed=seed + j))
+    gains = [np.zeros((0, c.shape[0])) for c in ts.c_bar]
+    failed = {}                 # 1-indexed block -> its refusal
+    by_shape = {}               # (n_j, r_j) -> the blocks to place
+    for j in [j for j in range(1, n_blocks + 1) if ts.block_dims[j - 1]]:
+        a_jj, c_jj = ts.a_block(j, j), ts.c_block(j, j)
+        try:
+            if deadbeat:
+                gains[j - 1] = place_deadbeat(a_jj, c_jj)
+            else:
+                _check_observable(a_jj, c_jj)
+                by_shape.setdefault(c_jj.shape[::-1], []).append(j)
+        except GainDesignError as exc:
+            failed[j] = str(exc)
+            break               # no later block can fail first
+    for js in by_shape.values():
+        placed = _place_stack(np.stack([ts.a_block(j, j) for j in js]),
+                              np.stack([ts.c_block(j, j) for j in js]),
+                              np.array([radii[j - 1] for j in js]), [seed + j for j in js])
+        for j, gain in zip(js, placed):
+            if gain is None:
+                failed[j] = _PLACEMENT_FAILED
+            gains[j - 1] = gain
+    if failed:
+        j = min(failed)
+        raise GainDesignError(f"{failed[j]} (block {j})")
     return GainSet(gains=tuple(gains), target_radii=tuple(radii))
 
 

@@ -142,11 +142,25 @@ class Trace:
                 f.write("\n".join(rows) + "\n")
 
 
+def _retake_overflowed(norms, x, starts=None):
+    """Take again by ``np.hypot``, which stays finite up to float64's range,
+    the ``norms`` of x's column blocks (beginning at ``starts``, or the whole
+    last axis) that came out inf from a sum of squares."""
+    x = np.abs(x)       # a one-entry block reduces to its entry
+    safe = (np.hypot.reduce(x, axis=-1) if starts is None
+            else np.hypot.reduceat(x, starts, axis=-1))
+    over = np.isinf(norms)
+    norms[over] = safe[over]
+
+
+@np.errstate(over="ignore")
 def error_norms(estimates, truth, block_dims):
     """``(err_block, err_total)`` of estimates (H+1, N, n) against the truth
     (H+1, n): the (H+1, N, S) norms per nonempty block of ``block_dims``,
     and the (H+1, N) norms over all columns.  They go in chunks of
-    ``CHUNK_ROUNDS`` rounds, so that no temporary grows with the horizon."""
+    ``CHUNK_ROUNDS`` rounds, so that no temporary grows with the horizon.
+    A sum of squares that overflows (entries past about 1.3e154) is taken
+    again by `_retake_overflowed`; every other norm is its plain sqrt."""
     starts = [o for o, d in zip(block_offsets(block_dims), block_dims) if d > 0]
     err_block = np.empty(estimates.shape[:2] + (len(starts),))
     err_total = np.empty(estimates.shape[:2])
@@ -156,6 +170,12 @@ def error_norms(estimates, truth, block_dims):
         np.square(sq, out=sq)
         block = np.sqrt(np.add.reduceat(sq, starts, axis=2), out=err_block[rows])
         np.sqrt(np.sum(block ** 2, axis=2), out=err_total[rows])
+    # Block norms up to 1e150 leave the totals' sums of squares finite.
+    if np.fmax.reduce(err_block, axis=None) > 1e150:
+        for k0 in range(0, len(estimates), CHUNK_ROUNDS):
+            rows = slice(k0, k0 + CHUNK_ROUNDS)
+            _retake_overflowed(err_block[rows], estimates[rows] - truth[rows, None, :], starts)
+            _retake_overflowed(err_total[rows], err_block[rows])
     return err_block, err_total
 
 
@@ -291,6 +311,9 @@ def check_envelope(trace: Trace):
     return {"passed": count == 0, "violations": count, "counterexample": at}
 
 
+# Estimates that are not finite leave their residuals inf or NaN: a failed
+# identity, not a raw warning.
+@np.errstate(over="ignore", invalid="ignore")
 def _delayed_residuals(trace: Trace, ts):
     """Delayed-error identity residuals at every (k, node, substate), k = 1..H.
 
@@ -311,7 +334,8 @@ def _delayed_residuals(trace: Trace, ts):
 
     Returns an (H, N, S) array over the trace's nonempty substates: the
     relative residual ||z_k - R_k|| / max(1, ||z_k||) per block, 0 for
-    sources and never-informed entries.
+    sources and never-informed entries, NaN where ||z_k|| is not finite.
+    A sum of squares that overflows is taken again by `_retake_overflowed`.
     """
     z = trace.z_estimates
     subs = trace.sources
@@ -342,10 +366,16 @@ def _delayed_residuals(trace: Trace, ts):
 
         zs = z[k0:k1]
         diff = np.subtract(recons, zs, out=recons)
-        np.square(diff, out=diff)
-        res = resid[k0 - 1:k1 - 1]
-        np.sqrt(np.add.reduceat(diff, starts, axis=2), out=res)
-        res /= np.maximum(1.0, np.sqrt(np.add.reduceat(np.square(zs), starts, axis=2)))
+        res = np.sqrt(np.add.reduceat(np.square(diff), starts, axis=2),
+                      out=resid[k0 - 1:k1 - 1])
+        z_norm = np.sqrt(np.add.reduceat(np.square(zs), starts, axis=2))
+        if (np.fmax.reduce(res, axis=None) == np.inf
+                or np.fmax.reduce(z_norm, axis=None) == np.inf):
+            _retake_overflowed(res, diff, starts)
+            _retake_overflowed(z_norm, zs, starts)
+            # An estimate whose norm is inf even so is not compared: NaN, not 0.
+            z_norm[np.isinf(z_norm)] = np.nan
+        res /= np.maximum(1.0, z_norm)
         res[:, subs, np.arange(subs.size)] = 0.0
         res[trace.taus[k0:k1] < 0] = 0.0
     return resid

@@ -19,6 +19,13 @@ layout ``sim_engine.Trace.to_csv`` writes in chunked array passes; the
 tests require both to give the same bytes.  ``to_csv_string`` is
 ``to_csv``'s text.
 
+``design_gains`` places one block at a time: ``place_spectral`` tries up
+to 8 seeded G draws through ``solve_sylvester``, one complex solve per
+eigenvalue of the ``rotation_target``.  The tests require
+``gain_design.design_gains``, which places the blocks of one shape as a
+stack in one attempt loop, to give the same gains bit for bit and the same
+refusal, naming the same first failing block.
+
 ``ArgminKernel`` picks the donors by a masked argmin over the in-neighbors'
 indices (``tau_of_keys`` decodes the kernel's own keys),
 ``compute_bound_constants`` (with ``_lyapunov_alpha``) takes one block at a
@@ -54,8 +61,10 @@ from freshtrack.gain_design import (
     BoundConstants,
     GainDesignError,
     GainSet,
+    choose_radii,
     closed_loop_block,
     envelope_schedule,
+    place_deadbeat,
 )
 from freshtrack.observer_protocol import _NEVER, _NOT_SENT, ProtocolKernel
 from freshtrack.system_model import LtiPlant, observability_staircase
@@ -350,6 +359,78 @@ def compute_bound_constants(ts: TransformedSystem, gains: GainSet,
 
     return BoundConstants(alpha=alpha, beta=beta, gamma=gamma, g=g, h=h,
                           c=c, c_bar=c_bar)
+
+
+def rotation_target(r, n):
+    """The real n x n matrix with eigenvalues r * exp(2 pi i m / n)."""
+    d = np.zeros((n, n))
+    d[0, 0] = r
+    if n % 2 == 0:
+        d[-1, -1] = -r
+    for m in range(1, (n + 1) // 2):
+        cos, sin = r * np.cos(2 * np.pi * m / n), r * np.sin(2 * np.pi * m / n)
+        d[2 * m - 1:2 * m + 1, 2 * m - 1:2 * m + 1] = [[cos, -sin], [sin, cos]]
+    return d
+
+
+def solve_sylvester(a, d, f):
+    """X with A X - X D = F for one block: one complex solve per eigenvalue
+    of D with Im lam >= 0, an exactly singular shift moved by LAPACK's smin."""
+    lam, v = np.linalg.eig(d)
+    upper = lam.imag >= 0
+    lam, v = lam[upper], v[:, upper]
+    diag = np.arange(a.shape[0])
+    shifted = np.repeat(a[None].astype(complex), lam.size, axis=0)
+    shifted[:, diag, diag] -= lam[:, None]
+    rhs = (f @ v).T[:, :, None]
+    try:
+        y = np.linalg.solve(shifted, rhs)
+    except np.linalg.LinAlgError:
+        shifted[:, diag, diag] += np.finfo(float).eps * max(np.abs(a).max(), np.abs(lam).max())
+        y = np.linalg.solve(shifted, rhs)
+    return ((y[:, :, 0].T * np.where(lam.imag > 0, 2.0, 1.0)) @ v.conj().T).real
+
+
+def place_spectral(a_jj, c_jj, rho_j, seed=0):
+    """One block's spectral gain: up to 8 seeded G draws, the first finite
+    gain with closed-loop spectral radius below rho_j wins."""
+    a = np.atleast_2d(np.asarray(a_jj, dtype=float))
+    c = np.atleast_2d(np.asarray(c_jj, dtype=float))
+    if observability_staircase(a, c)[0].shape[1] != len(a):
+        raise GainDesignError("block pair is not observable; cannot place poles")
+    n, r = a.shape[0], c.shape[0]
+    d = rotation_target(0.75 * rho_j, n)
+    rng = np.random.default_rng(seed)
+    for _ in range(8):
+        g = rng.standard_normal((r, n))
+        try:
+            x = solve_sylvester(a.T, d, c.T @ g)
+            l = np.linalg.solve(x.T, g.T)
+        except np.linalg.LinAlgError:
+            continue
+        if (np.all(np.isfinite(l))
+                and np.max(np.abs(np.linalg.eigvals(a - l @ c))) < rho_j):
+            return l
+    raise GainDesignError("spectral placement failed after 8 retries")
+
+
+def design_gains(ts, rho=None, deadbeat=False, seed=0):
+    """Gains one block at a time, block j's spectral draws seeded seed + j; the
+    first block that fails raises its refusal with " (block j)" appended."""
+    n_blocks = ts.n_nodes
+    radii = [DEADBEAT] * n_blocks if deadbeat else choose_radii(rho, n_blocks)
+    gains = []
+    for j in range(1, n_blocks + 1):
+        if ts.block_dims[j - 1] == 0:
+            gains.append(np.zeros((0, ts.c_bar[j - 1].shape[0])))
+            continue
+        a_jj, c_jj = ts.a_block(j, j), ts.c_block(j, j)
+        try:
+            gains.append(place_deadbeat(a_jj, c_jj) if deadbeat
+                         else place_spectral(a_jj, c_jj, radii[j - 1], seed=seed + j))
+        except GainDesignError as exc:
+            raise GainDesignError(f"{exc} (block {j})") from None
+    return GainSet(gains=tuple(gains), target_radii=tuple(radii))
 
 
 def max_error(trace):

@@ -560,6 +560,20 @@ def test_run_exits_2_when_the_plant_state_overflows(tmp_path, capsys, name):
     assert not (tmp_path / "long_report.json").exists()
 
 
+@pytest.mark.parametrize("name", ["fig1_freshness_spectral", "fig1_uniform_baseline"])
+def test_run_norms_stay_finite_past_the_square_of_float64s_range(tmp_path, capsys, name):
+    # x(k) = 2^k squares past float64's largest value from k = 512 on; the
+    # error norms and the delayed identity's ||z_k|| stay finite, unwarned.
+    cfg = tmp_path / "h600.json"
+    cfg.write_text(json.dumps(dict(canned_scenarios()[name], horizon=600)))
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "h600_report.json").read_text())
+    assert report["passed"]
+    assert main(["check", str(tmp_path / "h600_trace.csv"),
+                 str(tmp_path / "h600_report.json")]) == 0
+
+
 def test_check_loads_report_with_transform_warnings(tmp_path, capsys):
     # Older reports carried a "warnings" list inside "transform".
     assert main(["run", "fig1_freshness_spectral", "--out", str(tmp_path)]) == 0

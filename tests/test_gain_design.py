@@ -2,10 +2,11 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_discrete_lyapunov, solve_sylvester
 
 import reference
-from freshtrack.decomposition import TransformedSystem, staircase_transform
+from freshtrack.decomposition import TransformedSystem, block_offsets, staircase_transform
 from freshtrack.gain_design import (
     BoundConstants,
     GainDesignError,
@@ -101,25 +102,36 @@ def test_sylvester_solve_matches_scipy(n, r):
     # The long-block sweep's pairs and first G draws, and n = 1, 2, 3.  The
     # largest difference, 1.6e-11 (n = 64, r = 2, seed 0), comes from a
     # target 1e-4 away from an eigenvalue of A; the residuals stay at rounding.
+    # The five pairs go through one stacked solve.
+    a, f = np.empty((2, 5, n, n))
     for seed in range(5):
         rng = np.random.default_rng([n, r, seed])
-        a = rng.standard_normal((n, n))
-        a *= 0.9 / np.max(np.abs(np.linalg.eigvals(a)))
-        f = rng.standard_normal((r, n)).T @ np.random.default_rng(seed).standard_normal((r, n))
-        d = _rotation_target(0.6, n)
-        x = _solve_sylvester(a.T, d, f)
-        want = solve_sylvester(a.T, -d, f)
-        assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
-        scale = np.linalg.norm(x) * (np.linalg.norm(a) + np.linalg.norm(d)) + np.linalg.norm(f)
-        assert np.linalg.norm(a.T @ x - x @ d - f) <= 1e-15 * scale
+        a[seed] = rng.standard_normal((n, n))
+        a[seed] *= 0.9 / np.max(np.abs(np.linalg.eigvals(a[seed])))
+        f[seed] = (rng.standard_normal((r, n)).T
+                   @ np.random.default_rng(seed).standard_normal((r, n)))
+    d = _rotation_target(np.full(5, 0.6), n)
+    x = _solve_sylvester(a.transpose(0, 2, 1), d, f)
+    for seed in range(5):
+        a_t, x_s, d_s, f_s = a[seed].T, x[seed], d[seed], f[seed]
+        want = solve_sylvester(a_t, -d_s, f_s)
+        assert np.linalg.norm(x_s - want) <= 1e-10 * np.linalg.norm(want)
+        scale = (np.linalg.norm(x_s) * (np.linalg.norm(a_t) + np.linalg.norm(d_s))
+                 + np.linalg.norm(f_s))
+        assert np.linalg.norm(a_t @ x_s - x_s @ d_s - f_s) <= 1e-15 * scale
 
 
 def test_sylvester_solve_moves_an_exactly_singular_shift_as_scipy_does():
     # The target 0.75 * 0.4 is A's own eigenvalue: A - lam I is exactly 0.
     a, d, f = np.array([[0.3]]), _rotation_target(0.75 * 0.39999999999999997, 1), [[-0.58]]
-    assert np.array_equal(_solve_sylvester(a, d, f), solve_sylvester(a, -d, f))
+    assert np.array_equal(_solve_sylvester(a[None], d[None], np.array(f)[None])[0],
+                          solve_sylvester(a, -d, f))
     l = place_spectral(a, [[-0.45]], 0.39999999999999997)
     assert abs(0.3 + l[0, 0] * 0.45) < 0.4
+    # Next to a regular block, the stack is refused whole: the caller goes
+    # block by block, so that the regular block is not shifted.
+    with pytest.raises(np.linalg.LinAlgError):
+        _solve_sylvester(np.array([[[0.3]], [[0.5]]]), np.stack([d, d]), np.array([f, f]))
 
 
 @pytest.mark.parametrize("plant,rho", [
@@ -451,3 +463,135 @@ def test_bound_constants_skip_an_empty_block_before_a_nonempty_one():
     tail = h[2, 0] * c_bar1 / (gamma[2] - r[0]) * (gamma[2] / r[0]) ** (2 * t_bar)
     c_bar3 = beta[2] * (c3 * (gamma[2] / r[2]) ** (2 * t_bar) + tail)
     assert (bc.c[2], bc.c_bar[2]) == pytest.approx((c3, c_bar3), rel=1e-14)
+
+
+def stacked_system(pairs, rows=None, seed=0):
+    """A TransformedSystem with diagonal pairs ``pairs`` (an (A_jj, C_jj) per
+    block; None for an empty block, seen by ``rows[j]`` outputs) and random
+    blocks below the diagonal."""
+    dims = tuple(0 if p is None else len(p[0]) for p in pairs)
+    off = block_offsets(dims)
+    n = off[-1]
+    rng = np.random.default_rng(seed)
+    a = np.tril(rng.standard_normal((n, n)))
+    c_bar = []
+    for j, pair in enumerate(pairs):
+        block = slice(off[j], off[j + 1])
+        r = rows[j] if pair is None else len(pair[1])
+        c = rng.standard_normal((r, n))
+        c[:, off[j + 1]:] = 0.0
+        if pair is not None:
+            a[block, block], c[:, block] = pair
+        a[block, off[j + 1]:] = 0.0
+        c_bar.append(c)
+    return TransformedSystem(np.eye(n), a, tuple(c_bar), dims)
+
+
+def assert_designs_match_the_reference(ts, **kwargs):
+    """design_gains gives the per-block loop's gains bit for bit, or its refusal."""
+    try:
+        want = reference.design_gains(ts, **kwargs)
+    except GainDesignError as exc:
+        with pytest.raises(GainDesignError) as got:
+            design_gains(ts, **kwargs)
+        assert str(got.value) == str(exc)
+        return
+    got = design_gains(ts, **kwargs)
+    assert got.target_radii == want.target_radii
+    for g, w in zip(got.gains, want.gains, strict=True):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+@st.composite
+def stacked_systems(draw):
+    """Up to 6 blocks of 0-4 states, each seen by 1-2 outputs, random entries."""
+    dims = draw(st.lists(st.integers(0, 4), min_size=1, max_size=6))
+    rows = draw(st.lists(st.integers(1, 2), min_size=len(dims), max_size=len(dims)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    pairs = [None if d == 0 else (rng.standard_normal((d, d)), rng.standard_normal((r, d)))
+             for d, r in zip(dims, rows)]
+    return stacked_system(pairs, rows, seed=draw(st.integers(0, 2**16)))
+
+
+@settings(max_examples=150)
+@given(ts=stacked_systems(), seed=st.integers(0, 2**16),
+       rho=st.sampled_from([1e-6, 1e-3, 0.3, 0.9]), deadbeat=st.booleans())
+def test_design_gains_matches_the_per_block_loop(ts, seed, rho, deadbeat):
+    assert_designs_match_the_reference(ts, rho=rho, deadbeat=deadbeat, seed=seed)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2, 2), (3, 1, 3, 1, 2), (1, 2, 3, 4)])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_design_gains_matches_the_per_block_loop_on_coupled_plants(dims, seed):
+    ts = staircase_transform(couple_substates(make_multiblock_plant(dims, seed=seed), 0.5, seed))
+    for rho in (0.3, 0.9):
+        assert_designs_match_the_reference(ts, rho=rho, seed=seed)
+    assert_designs_match_the_reference(ts, deadbeat=True)
+
+
+def first_attempt_radius(a, c, rho_j, seed):
+    """Closed-loop spectral radius of the per-block loop's first attempt."""
+    g = np.random.default_rng(seed).standard_normal((len(c), len(a)))
+    x = reference.solve_sylvester(a.T, reference.rotation_target(0.75 * rho_j, len(a)), c.T @ g)
+    l = np.linalg.solve(x.T, g.T)
+    return np.max(np.abs(np.linalg.eigvals(a - l @ c)))
+
+
+def random_pair(seed, n, r):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, n)), rng.standard_normal((r, n))
+
+
+def test_a_block_that_fails_its_first_attempt_retries_alone_in_its_stack():
+    # Two 3 x 2 blocks: block 1's first G misses its radius of 1e-4, block
+    # 2's first G meets its radius.  Block 1 draws again on its own.
+    (a1, c1), (a2, c2) = random_pair(924, 3, 2), random_pair(0, 3, 2)
+    ts = stacked_system([(a1, c1), (a2, c2)])
+    rho, seed = 1.5e-4, 923
+    r1, r2 = choose_radii(rho, 2)
+    assert first_attempt_radius(a1, c1, r1, seed + 1) >= r1
+    assert first_attempt_radius(a2, c2, r2, seed + 2) < r2
+    assert_designs_match_the_reference(ts, rho=rho, seed=seed)
+    gains = design_gains(ts, rho=rho, seed=seed)
+    for j, r_j in enumerate((r1, r2), 1):
+        assert np.max(np.abs(np.linalg.eigvals(closed_loop_block(ts, gains, j)))) < r_j
+
+
+def test_an_exactly_singular_shift_in_a_stack_is_moved_for_its_block_alone():
+    # Block 1's target 0.75 rho_1 is its own A: numpy refuses the stack of
+    # three scalar blocks, and each goes again as a stack of one.
+    rho = 0.6
+    r1 = choose_radii(rho, 3)[0]
+    pairs = [(np.array([[0.75 * r1]]), np.array([[-0.45]])),
+             (np.array([[2.0]]), np.array([[1.0]])), (np.array([[-0.3]]), np.array([[0.7]]))]
+    assert reference.rotation_target(0.75 * r1, 1)[0, 0] == pairs[0][0][0, 0]
+    assert_designs_match_the_reference(stacked_system(pairs), rho=rho, seed=4)
+
+
+def test_design_gains_names_the_first_failing_block():
+    # Block 2 cannot be placed (one output, radius 1e-6: every attempt
+    # misses) and block 3 is not observable; block 2's refusal comes first.
+    unplaceable = random_pair(0, 3, 1)
+    blind = (np.eye(2), np.array([[1.0, 0.0]]))
+    fine = (np.array([[2.0]]), np.array([[1.0]]))
+    rho = 1e-6 / 0.75           # block 2's radius: 0.75 rho
+    ts = stacked_system([fine, unplaceable, blind])
+    with pytest.raises(GainDesignError) as exc:
+        design_gains(ts, rho=rho, seed=0)
+    assert str(exc.value) == "spectral placement failed after 8 retries (block 2)"
+    assert_designs_match_the_reference(ts, rho=rho, seed=0)
+    ts = stacked_system([fine, blind, unplaceable])
+    with pytest.raises(GainDesignError) as exc:
+        design_gains(ts, rho=rho, seed=0)
+    assert str(exc.value) == "block pair is not observable; cannot place poles (block 2)"
+    with pytest.raises(GainDesignError) as exc:
+        design_gains(ts, deadbeat=True)
+    assert str(exc.value) == "block pair is not observable; cannot place poles (block 2)"
+
+
+def test_deadbeat_refusal_names_its_block():
+    clustered = (np.diag(0.5 + 0.1 * np.arange(6) / 6), np.ones((1, 6)))
+    ts = stacked_system([random_pair(1, 2, 1), None, clustered], rows=[1, 2, 1])
+    with pytest.raises(GainDesignError, match=r"^deadbeat gain is not nilpotent: .* \(block 3\)$"):
+        design_gains(ts, deadbeat=True)
+    assert_designs_match_the_reference(ts, deadbeat=True)

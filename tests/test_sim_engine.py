@@ -635,6 +635,63 @@ def test_delayed_check_matches_per_point_closed_form(blocks, blind, coupling, se
     assert entry["max_residual"] == pytest.approx(worst, abs=1e-12)
 
 
+def test_error_norms_stay_finite_past_the_square_of_float64s_range():
+    # Errors of 1e160-1e300 square past float64's range.  Scaled by a power
+    # of two, which is exact, the plain formula gives the norms to rounding.
+    rng = np.random.default_rng(5)
+    dims = (2, 0, 3, 1)
+    estimates = rng.standard_normal((4, 3, 6)) * 10.0 ** rng.integers(160, 300, (4, 3, 6))
+    truth = rng.standard_normal((4, 6))
+    scale = 2.0 ** 700
+    for got, want in zip(error_norms(estimates, truth, dims),
+                         whole_horizon_error_norms(estimates / scale, truth / scale, dims)):
+        assert np.isfinite(got).all()
+        assert np.allclose(got / scale, want, rtol=1e-15, atol=0)
+
+
+def test_delayed_residuals_stay_finite_past_the_square_of_float64s_range():
+    # The identity is linear: estimates scaled by 2^600, whose squares pass
+    # float64's range, give residuals ||z_k - R_k|| / ||z_k|| in place of
+    # ||z_k - R_k|| / max(1, ||z_k||).  One estimate off by 0.5 makes them
+    # nonzero.
+    trace = run_scenario(random_scenario(seed=41))
+    trace.z_estimates[20, 2] += 0.5
+    resid = _delayed_residuals(trace, trace.ts)
+    z_norms = error_norms(trace.z_estimates, np.zeros(trace.z_estimates.shape[::2]),
+                          trace.ts.block_dims)[0][1:]
+    trace.z_estimates *= 2.0 ** 600
+    scaled = _delayed_residuals(trace, trace.ts)
+    assert np.isfinite(scaled).all()
+    assert resid.max() > 0
+    assert np.allclose(scaled * z_norms, resid * np.maximum(1.0, z_norms), rtol=1e-12, atol=0)
+
+
+def test_a_residual_over_an_estimate_that_is_not_finite_is_nan():
+    trace = run_scenario(random_scenario(seed=41))
+    i, c = next((i, c) for i, c in zip(*np.nonzero(trace.taus[30] > 0)))
+    col = trace.ts.offsets[trace.sources[c]]
+    trace.z_estimates[30, i, col] = np.inf
+    resid = _delayed_residuals(trace, trace.ts)
+    assert np.isnan(resid[29, i, c])
+    assert np.isfinite(resid[:29]).all()
+    entry = check_lemma_suite(trace, check_delayed=True)["checks"]["delayed_form"]
+    assert not entry["passed"] and np.isnan(entry["max_residual"])
+    assert entry["at"] == (i + 1, trace.substates[c], 30)
+
+
+def test_a_residual_over_an_estimate_whose_norm_passes_float64s_range_is_nan():
+    # Every estimate is (1.5e308, 1.5e308) on a plant with A = I: the
+    # identity holds to rounding, but ||z_k|| = 2.1e308 is not finite, so
+    # no residual can be read off it.
+    plant = LtiPlant(np.eye(2), [np.eye(2), np.zeros((0, 2)), np.zeros((0, 2))], [1.0, 1.0])
+    graph = generate_random_jointly_connected(3, 2, seed=1)
+    trace = run_scenario(Scenario(plant=plant, graph=graph, rho=0.8, horizon=12))
+    trace.z_estimates[:] = 1.5e308
+    resid = _delayed_residuals(trace, trace.ts)
+    informed = trace.taus[1:] > 0
+    assert informed.sum() >= 20 and np.isnan(resid[informed]).all()
+
+
 def relay_trace(horizon=10):
     """A (2, 1, 1) plant on a 2-cycle: round A is 1->2->3, round B is 3->1 only.
 
