@@ -2,13 +2,14 @@
 
 Spectral mode gives block j an envelope radius rho_j and places its
 closed-loop eigenvalues evenly on the circle of radius 0.75 * rho_j, by a
-Sylvester solve taken in numpy from the target's eigenpairs.  After each
-block's own observability certificate, the blocks of one shape go through
-one attempt loop as a stack, each drawing from its own seeded generator;
-a discrete Lyapunov certificate turns the margin into the envelope
-constant alpha_j.  Deadbeat mode makes every closed-loop block nilpotent so the
-observer converges in finitely many steps: an orthogonal back-substitution
-over the steps of the block's deflating observability staircase (Van Dooren,
+Sylvester solve taken in numpy from the target's eigenpairs.  The blocks
+of one shape go through one attempt loop as a stack, each drawing from its
+own seeded generator; the transform built each pair observable, so only a
+block that fails every attempt is certified.  A discrete Lyapunov
+certificate turns the margin into the envelope constant alpha_j.
+Deadbeat mode makes every closed-loop block nilpotent so the observer
+converges in finitely many steps: an orthogonal back-substitution over the
+steps of the block's deflating observability staircase (Van Dooren,
 "Deadbeat control: a special inverse eigenvalue problem", BIT 24, 1984)
 gives a nilpotency index equal to the number of steps.
 """
@@ -21,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .decomposition import TransformedSystem, block_offsets
-from .system_model import EPS, observability_staircase, staircase_deflation
+from .system_model import EPS, DecompositionError, observability_staircase, staircase_deflation
 
 DEADBEAT = "deadbeat"
 
@@ -203,6 +204,15 @@ def _place_stack(a, c, radii, seeds):
 _PLACEMENT_FAILED = f"spectral placement failed after {_PLACEMENT_RETRIES} retries"
 
 
+def _in_block(j, design, a, c):
+    """design(a, c), whose refusal keeps its class (and so the CLI's exit
+    code) and ends in " (block j)", also where the staircase cannot decide."""
+    try:
+        return design(a, c)
+    except (GainDesignError, DecompositionError) as exc:
+        raise type(exc)(f"{exc} (block {j})") from None
+
+
 def place_spectral(a_jj, c_jj, rho_j: float, seed: int = 0):
     """Gain L with spectral radius of A - L C equal to 0.75 * rho_j.
 
@@ -211,7 +221,7 @@ def place_spectral(a_jj, c_jj, rho_j: float, seed: int = 0):
     normal matrix: `_solve_sylvester`), then L = (G X^-1)^T.  Returns the
     first gain that is finite with closed-loop spectral radius below rho_j.
     One block is a stack of one for `_place_stack`, the path every spectral
-    block of `design_gains` takes.
+    block of `design_gains` takes, but a lone pair is certified first.
     """
     a = np.atleast_2d(np.asarray(a_jj, dtype=float))
     c = np.atleast_2d(np.asarray(c_jj, dtype=float))
@@ -269,8 +279,11 @@ def design_gains(ts: TransformedSystem, rho: float | None = None,
     """Synthesize gains for every nonempty block of a transformed system.
 
     Spectral blocks of one shape (n_j, r_j) are placed together by
-    `_place_stack`, block j with seed + j.  A refusal names its 1-indexed
-    block and is that of the first failing block in block order.
+    `_place_stack`, block j with seed + j, uncertified: `staircase_transform`
+    builds each pair observable.  Only a block that fails every attempt is
+    certified, to say "not observable" where that is the cause.  A refusal
+    names its 1-indexed block and is that of the first failing block in
+    block order.  Deadbeat blocks go one by one through `place_deadbeat`.
     """
     n_blocks = ts.n_nodes
     if deadbeat:
@@ -280,30 +293,24 @@ def design_gains(ts: TransformedSystem, rho: float | None = None,
             raise ValueError("rho is required for spectral gain design")
         radii = choose_radii(rho, n_blocks)
     gains = [np.zeros((0, c.shape[0])) for c in ts.c_bar]
-    failed = {}                 # 1-indexed block -> its refusal
+    nonempty = [j for j in range(1, n_blocks + 1) if ts.block_dims[j - 1]]
     by_shape = {}               # (n_j, r_j) -> the blocks to place
-    for j in [j for j in range(1, n_blocks + 1) if ts.block_dims[j - 1]]:
-        a_jj, c_jj = ts.a_block(j, j), ts.c_block(j, j)
-        try:
-            if deadbeat:
-                gains[j - 1] = place_deadbeat(a_jj, c_jj)
-            else:
-                _check_observable(a_jj, c_jj)
-                by_shape.setdefault(c_jj.shape[::-1], []).append(j)
-        except GainDesignError as exc:
-            failed[j] = str(exc)
-            break               # no later block can fail first
+    for j in nonempty:
+        if deadbeat:
+            gains[j - 1] = _in_block(j, place_deadbeat, ts.a_block(j, j), ts.c_block(j, j))
+        else:
+            by_shape.setdefault(ts.c_block(j, j).shape[::-1], []).append(j)
     for js in by_shape.values():
         placed = _place_stack(np.stack([ts.a_block(j, j) for j in js]),
                               np.stack([ts.c_block(j, j) for j in js]),
                               np.array([radii[j - 1] for j in js]), [seed + j for j in js])
         for j, gain in zip(js, placed):
-            if gain is None:
-                failed[j] = _PLACEMENT_FAILED
             gains[j - 1] = gain
+    failed = [j for j in nonempty if gains[j - 1] is None]
     if failed:
-        j = min(failed)
-        raise GainDesignError(f"{failed[j]} (block {j})")
+        j = failed[0]
+        _in_block(j, _check_observable, ts.a_block(j, j), ts.c_block(j, j))
+        raise GainDesignError(f"{_PLACEMENT_FAILED} (block {j})")
     return GainSet(gains=tuple(gains), target_radii=tuple(radii))
 
 

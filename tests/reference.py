@@ -19,9 +19,10 @@ layout ``sim_engine.Trace.to_csv`` writes in chunked array passes; the
 tests require both to give the same bytes.  ``to_csv_string`` is
 ``to_csv``'s text.
 
-``design_gains`` places one block at a time: ``place_spectral`` tries up
+``design_gains`` places one block at a time: ``spectral_gain`` tries up
 to 8 seeded G draws through ``solve_sylvester``, one complex solve per
-eigenvalue of the ``rotation_target``.  The tests require
+eigenvalue of the ``rotation_target``, and only a block that fails them
+all is certified.  The tests require
 ``gain_design.design_gains``, which places the blocks of one shape as a
 stack in one attempt loop, to give the same gains bit for bit and the same
 refusal, naming the same first failing block.
@@ -67,7 +68,7 @@ from freshtrack.gain_design import (
     place_deadbeat,
 )
 from freshtrack.observer_protocol import _NEVER, _NOT_SENT, ProtocolKernel
-from freshtrack.system_model import LtiPlant, observability_staircase
+from freshtrack.system_model import DecompositionError, LtiPlant, observability_staircase
 
 LOG_FLOOR = 1e-13     # error norms below this are numerical noise for log fits
 
@@ -391,13 +392,10 @@ def solve_sylvester(a, d, f):
     return ((y[:, :, 0].T * np.where(lam.imag > 0, 2.0, 1.0)) @ v.conj().T).real
 
 
-def place_spectral(a_jj, c_jj, rho_j, seed=0):
-    """One block's spectral gain: up to 8 seeded G draws, the first finite
-    gain with closed-loop spectral radius below rho_j wins."""
-    a = np.atleast_2d(np.asarray(a_jj, dtype=float))
-    c = np.atleast_2d(np.asarray(c_jj, dtype=float))
-    if observability_staircase(a, c)[0].shape[1] != len(a):
-        raise GainDesignError("block pair is not observable; cannot place poles")
+def spectral_gain(a, c, rho_j, seed=0):
+    """One block's spectral gain, uncertified: up to 8 seeded G draws, the
+    first finite gain with closed-loop spectral radius below rho_j wins;
+    None if none does."""
     n, r = a.shape[0], c.shape[0]
     d = rotation_target(0.75 * rho_j, n)
     rng = np.random.default_rng(seed)
@@ -411,12 +409,14 @@ def place_spectral(a_jj, c_jj, rho_j, seed=0):
         if (np.all(np.isfinite(l))
                 and np.max(np.abs(np.linalg.eigvals(a - l @ c))) < rho_j):
             return l
-    raise GainDesignError("spectral placement failed after 8 retries")
+    return None
 
 
 def design_gains(ts, rho=None, deadbeat=False, seed=0):
-    """Gains one block at a time, block j's spectral draws seeded seed + j; the
-    first block that fails raises its refusal with " (block j)" appended."""
+    """Gains one block at a time, block j's spectral draws seeded seed + j.
+    A spectral block is certified only when every draw fails.  The first
+    block that fails raises its refusal, of its own class, with " (block j)"
+    appended."""
     n_blocks = ts.n_nodes
     radii = [DEADBEAT] * n_blocks if deadbeat else choose_radii(rho, n_blocks)
     gains = []
@@ -426,10 +426,17 @@ def design_gains(ts, rho=None, deadbeat=False, seed=0):
             continue
         a_jj, c_jj = ts.a_block(j, j), ts.c_block(j, j)
         try:
-            gains.append(place_deadbeat(a_jj, c_jj) if deadbeat
-                         else place_spectral(a_jj, c_jj, radii[j - 1], seed=seed + j))
-        except GainDesignError as exc:
-            raise GainDesignError(f"{exc} (block {j})") from None
+            if deadbeat:
+                gain = place_deadbeat(a_jj, c_jj)
+            else:
+                gain = spectral_gain(a_jj, c_jj, radii[j - 1], seed=seed + j)
+            if gain is None:
+                if observability_staircase(a_jj, c_jj)[0].shape[1] != len(a_jj):
+                    raise GainDesignError("block pair is not observable; cannot place poles")
+                raise GainDesignError("spectral placement failed after 8 retries")
+        except (GainDesignError, DecompositionError) as exc:
+            raise type(exc)(f"{exc} (block {j})") from None
+        gains.append(gain)
     return GainSet(gains=tuple(gains), target_radii=tuple(radii))
 
 

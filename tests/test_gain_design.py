@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_discrete_lyapunov, solve_sylvester
 
 import reference
+from freshtrack import gain_design, system_model
 from freshtrack.decomposition import TransformedSystem, block_offsets, staircase_transform
 from freshtrack.gain_design import (
     BoundConstants,
@@ -21,7 +22,7 @@ from freshtrack.gain_design import (
     place_spectral,
 )
 from freshtrack.scenarios import make_multiblock_plant, make_random_plant
-from freshtrack.system_model import LtiPlant
+from freshtrack.system_model import DecompositionError, LtiPlant
 from krylov import ackermann_deadbeat, krylov_rank
 from reference import couple_substates
 
@@ -568,19 +569,21 @@ def test_an_exactly_singular_shift_in_a_stack_is_moved_for_its_block_alone():
     assert_designs_match_the_reference(stacked_system(pairs), rho=rho, seed=4)
 
 
+FINE = (np.array([[2.0]]), np.array([[1.0]]))
+BLIND = (np.eye(2), np.array([[1.0, 0.0]]))
+
+
 def test_design_gains_names_the_first_failing_block():
     # Block 2 cannot be placed (one output, radius 1e-6: every attempt
     # misses) and block 3 is not observable; block 2's refusal comes first.
     unplaceable = random_pair(0, 3, 1)
-    blind = (np.eye(2), np.array([[1.0, 0.0]]))
-    fine = (np.array([[2.0]]), np.array([[1.0]]))
     rho = 1e-6 / 0.75           # block 2's radius: 0.75 rho
-    ts = stacked_system([fine, unplaceable, blind])
+    ts = stacked_system([FINE, unplaceable, BLIND])
     with pytest.raises(GainDesignError) as exc:
         design_gains(ts, rho=rho, seed=0)
     assert str(exc.value) == "spectral placement failed after 8 retries (block 2)"
     assert_designs_match_the_reference(ts, rho=rho, seed=0)
-    ts = stacked_system([fine, blind, unplaceable])
+    ts = stacked_system([FINE, BLIND, unplaceable])
     with pytest.raises(GainDesignError) as exc:
         design_gains(ts, rho=rho, seed=0)
     assert str(exc.value) == "block pair is not observable; cannot place poles (block 2)"
@@ -595,3 +598,89 @@ def test_deadbeat_refusal_names_its_block():
     with pytest.raises(GainDesignError, match=r"^deadbeat gain is not nilpotent: .* \(block 3\)$"):
         design_gains(ts, deadbeat=True)
     assert_designs_match_the_reference(ts, deadbeat=True)
+
+
+def raising_for(a_bad, staircase):
+    """``staircase``, except that it cannot decide on the pair whose A is ``a_bad``."""
+    def patched(a, c, *args):
+        if a.shape == a_bad.shape and np.array_equal(a, a_bad):
+            raise DecompositionError("staircase rank decision has no clear gap")
+        return staircase(a, c, *args)
+    return patched
+
+
+def test_a_refusal_names_its_block_where_the_staircase_cannot_decide(monkeypatch):
+    # Spectral design certifies only the block that fails placement; deadbeat
+    # design runs the staircase of each block.  Both name block 2 and keep
+    # the staircase's class, so the CLI exits with 2 as for any refusal.
+    ts = stacked_system([FINE, BLIND, random_pair(3, 2, 1)])
+    monkeypatch.setattr(gain_design, "observability_staircase",
+                        raising_for(BLIND[0], gain_design.observability_staircase))
+    with pytest.raises(DecompositionError, match=r"^staircase .* no clear gap \(block 2\)$"):
+        design_gains(ts, rho=0.9)
+    ts = stacked_system([FINE, random_pair(4, 2, 1), FINE])
+    monkeypatch.setattr(gain_design, "staircase_deflation",
+                        raising_for(ts.a_block(2, 2), gain_design.staircase_deflation))
+    with pytest.raises(DecompositionError, match=r"^staircase .* no clear gap \(block 2\)$"):
+        design_gains(ts, deadbeat=True)
+
+
+def count_staircases(monkeypatch):
+    """Counts the calls to `staircase_deflation`, direct or through
+    `observability_staircase`, from now on."""
+    calls = []
+    for module in (system_model, gain_design):
+        def counted(*args, _deflate=module.staircase_deflation):
+            calls.append(args)
+            return _deflate(*args)
+        monkeypatch.setattr(module, "staircase_deflation", counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_spectral_design_of_a_transformed_plant_runs_no_staircase(monkeypatch, seed):
+    ts = staircase_transform(make_multiblock_plant((2,) * 8, seed=seed))
+    calls = count_staircases(monkeypatch)
+    design_gains(ts, rho=0.9)
+    assert calls == []
+
+
+def test_only_a_block_that_fails_placement_is_certified(monkeypatch):
+    ts = stacked_system([FINE, BLIND, random_pair(3, 2, 1)])
+    calls = count_staircases(monkeypatch)
+    with pytest.raises(GainDesignError, match=r"^block pair is not observable.* \(block 2\)$"):
+        design_gains(ts, rho=0.9)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("hidden", [np.diag([0.05, 0.2]), np.array([[0.3, 0.0], [0.5, 0.1]])])
+def test_a_hidden_mode_inside_the_radius_is_refused(hidden):
+    # The mode 0.05 or 0.1 that C = [1, 0] cannot see is inside r_1 = 0.45,
+    # but the Sylvester solution X is exactly singular: every attempt fails
+    # and the certificate names the cause.
+    pair = (hidden, np.array([[1.0, 0.0]]))
+    ts = stacked_system([pair, FINE])
+    with pytest.raises(GainDesignError) as exc:
+        design_gains(ts, rho=0.9)
+    assert str(exc.value) == "block pair is not observable; cannot place poles (block 1)"
+    assert_designs_match_the_reference(ts, rho=0.9)
+    with pytest.raises(GainDesignError, match="^block pair is not observable"):
+        place_spectral(*pair, choose_radii(0.9, 2)[0])
+
+
+def test_a_rotated_hidden_mode_gets_a_gain_that_the_constants_refuse():
+    # Rotated by 0.3 rad, the same unobservable pair leaves X singular only up
+    # to rounding: the first attempt gives |L| ~ 1e16 and a computed closed
+    # loop inside r_1.  Design no longer certifies a placed block, so the
+    # gain stands; place_spectral still refuses the pair, and the envelope
+    # constants refuse the gain, whose powers do not contract.
+    q = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
+    pair = (q.T @ np.diag([0.05, 0.2]) @ q, np.array([[1.0, 0.0]]) @ q)
+    ts = stacked_system([pair, FINE])
+    gains = design_gains(ts, rho=0.9)
+    assert np.max(np.abs(gains.gain(1))) > 1e15
+    assert_designs_match_the_reference(ts, rho=0.9)
+    with pytest.raises(GainDesignError, match="^block pair is not observable"):
+        place_spectral(*pair, choose_radii(0.9, 2)[0])
+    with pytest.raises(GainDesignError, match="does not contract"):
+        compute_bound_constants(ts, gains, [1.0, 1.0], 3)
