@@ -20,22 +20,18 @@ import numpy as np
 from .baselines import WeightStrategy, detect_divergence
 from .decomposition import DecompositionError, TransformedSystem
 from .gain_design import BoundConstants, GainDesignError
-from .graph_seq import (
-    PeriodicGraphSequence,
-    connectivity_warnings,
-    edge_tensor,
-    generate_random_jointly_connected,
-)
+from .graph_seq import PeriodicGraphSequence, edge_tensor, generate_random_jointly_connected
 from .scenarios import canned_scenarios
 from .sim_engine import (
     Scenario,
     Trace,
     check_envelope,
     check_lemma_suite,
-    error_norms,
     run_scenario,
+    scenario_trace,
+    total_errors,
 )
-from .system_model import ConfigurationError, LtiPlant, simulate_truth
+from .system_model import ConfigurationError, LtiPlant
 
 _VECTOR = {"type": "array", "items": {"type": "number"}}
 _MATRIX = {"type": "array", "items": _VECTOR}
@@ -166,6 +162,11 @@ class ConfigError(ValueError):
     pass
 
 
+# The algorithm keys that a freshness run and each baseline strategy read.
+_ALGORITHM_KEYS = {"freshness": {"type", "rho", "deadbeat"}, "uniform": {"type", "strategy"},
+                   "tree_rooted": {"type", "strategy", "root"}}
+
+
 def build_scenario(config) -> Scenario:
     """Validate a config dict and materialize the Scenario it describes."""
     if error := schema_error(CONFIG_SCHEMA, config):
@@ -204,17 +205,17 @@ def build_scenario(config) -> Scenario:
         graph = generate_random_jointly_connected(n, t, int(params.get("seed", seed)))
 
     algo = config["algorithm"]
-    if algo["type"] == "freshness" and "rho" not in algo and not algo.get("deadbeat"):
+    baseline = algo["type"] == "baseline"
+    kind = algo.get("strategy", "uniform") if baseline else "freshness"
+    if ignored := sorted(algo.keys() - _ALGORITHM_KEYS[kind]):
+        raise ConfigError(f'"{ignored[0]}" does not apply to a {kind}{" baseline" * baseline} run')
+    if not baseline and "rho" not in algo and not algo.get("deadbeat"):
         raise ConfigError('a freshness run needs "rho" or "deadbeat": true')
-    strategy = None
-    if algo["type"] == "baseline":
-        kind = algo.get("strategy", "uniform")
-        root = algo.get("root")
-        if kind == "tree_rooted" and (root is None or root > plant.n_nodes):
-            raise ConfigError(f"tree_rooted needs a root in 1..{plant.n_nodes}, got {root}")
-        strategy = WeightStrategy(kind, root if kind == "tree_rooted" else None)
+    root = algo.get("root")
+    if kind == "tree_rooted" and (root is None or root > plant.n_nodes):
+        raise ConfigError(f"tree_rooted needs a root in 1..{plant.n_nodes}, got {root}")
     checks = config.get("checks", {})
-    if algo["type"] == "baseline" and (checks.get("lemmas") or checks.get("envelope")):
+    if baseline and (checks.get("lemmas") or checks.get("envelope")):
         raise ConfigError('the "lemmas" and "envelope" checks need a freshness run')
     if algo.get("deadbeat") and checks.get("envelope"):
         raise ConfigError('the "envelope" check needs a spectral run, not "deadbeat": true')
@@ -222,7 +223,7 @@ def build_scenario(config) -> Scenario:
         plant=plant,
         graph=graph,
         algorithm=algo["type"],
-        strategy=strategy,
+        strategy=WeightStrategy(kind, root) if baseline else None,
         rho=algo.get("rho"),
         deadbeat=algo.get("deadbeat", False),
         horizon=config["horizon"],
@@ -241,28 +242,21 @@ def run_checks(trace: Trace, config):
         results["envelope"] = (check_envelope(trace) if trace.constants is not None else
                                {"passed": False, "detail": "no envelope constants available"})
     if "divergence_threshold" in wanted:
-        k = detect_divergence(trace.err_total, wanted["divergence_threshold"])
-        div = {"first_crossing": k, "diverged": k is not None}
-        if config["algorithm"]["type"] == "baseline":
-            # Divergence is the predicted outcome for the naive baselines.
-            div["passed"] = div["diverged"]
-        else:
-            div["passed"] = not div["diverged"]
-        results["divergence"] = div
+        k = detect_divergence(total_errors(trace), wanted["divergence_threshold"])
+        # Divergence is the predicted outcome for the naive baselines.
+        results["divergence"] = {"first_crossing": k, "diverged": k is not None, "passed": (
+            k is not None) == (config["algorithm"]["type"] == "baseline")}
     if config["algorithm"].get("deadbeat") and config["algorithm"]["type"] == "freshness":
         results["finite_time"] = _finite_time_check(trace)
     return results, all(r["passed"] for r in results.values())
 
 
 def _finite_time_check(trace: Trace):
-    n = int(sum(trace.block_dims))
-    n_nodes = trace.n_nodes
-    bound_k = n + 2 * n_nodes * (n_nodes - 1) * trace.period_t
-    init_max = float(np.max(trace.err_total[0]))
-    tol = 1e-6 * max(1.0, init_max)
+    bound_k = trace.z_estimates.shape[2] + 2 * trace.n_nodes * (trace.n_nodes - 1) * trace.period_t
     if bound_k > trace.horizon:
         return {"passed": False, "detail": f"horizon shorter than bound {bound_k}"}
-    tail = float(np.max(trace.err_total[bound_k:]))
+    tol = 1e-6 * max(1.0, float(np.max(total_errors(trace, stop=1))))
+    tail = float(np.max(total_errors(trace, start=bound_k)))
     return {"passed": tail <= tol, "bound_step": bound_k,
             "max_error_after_bound": tail, "tolerance": tol}
 
@@ -414,20 +408,24 @@ def _float_array(value, shape, name, finite=False):
 
 def _load_trace_csv(path, report, scenario: Scenario):
     """The run's `Trace` from its trace file, ``scenario`` (the report's
-    ``scenario`` through `build_scenario`, which also gives the graph and
-    its connectivity code) and the report's other fields.  A freshness
-    report has one block per node, a baseline report the one block [n]."""
+    ``scenario`` through `build_scenario`) and the report's other fields,
+    set up by `scenario_trace` as in the run, with the report's T.  A
+    freshness report has one block per node, a baseline report the one [n]."""
     block_dims, freshness = report["block_dims"], scenario.algorithm == "freshness"
-    trace = Trace(scenario.plant.n_nodes, scenario.horizon, scenario.graph.period_t,
-                  block_dims, rho=scenario.rho)
-    h1, n_nodes, s = trace.horizon + 1, trace.n_nodes, len(trace.substates)
-    blocks = n_nodes if freshness else 1
+    plant, n = scenario.plant, int(sum(block_dims))
+    blocks = plant.n_nodes if freshness else 1
     if len(block_dims) != blocks:
         raise ValueError(f"a {scenario.algorithm} report needs {blocks} block_dims, "
                          f"found {len(block_dims)}")
-    trace.adjacency = scenario.graph.adjacency(trace.horizon)
-    if freshness:
-        trace.warnings = connectivity_warnings(trace.adjacency, trace.period_t, trace.substates)
+    if plant.n != n:
+        raise ValueError(f"scenario.plant has {plant.n} states, the report's block_dims {n}")
+    ts = None
+    if freshness:   # the delayed identity takes the plant through T as the run did
+        t = _float_array(report["transform"]["t_matrix"], (n, n), "transform.t_matrix",
+                         finite=True)
+        ts = TransformedSystem.of(plant, t, block_dims)
+    trace = scenario_trace(scenario, ts)[0]
+    h1, n_nodes, s = trace.horizon + 1, trace.n_nodes, len(trace.substates)
     if "constants" in report:
         if scenario.rho is None:      # the envelope's radii come from rho
             raise ValueError("report has constants but its scenario has no rho")
@@ -442,7 +440,7 @@ def _load_trace_csv(path, report, scenario: Scenario):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)   # "input contained no data"
             rows = np.loadtxt(f, delimiter=",", comments="#", ndmin=2)
-    shape = (h1 * n_nodes, 2 + 2 * s + trace.z_estimates.shape[2])
+    shape = (h1 * n_nodes, 2 + 2 * s + n)
     if rows.shape != shape:
         raise ValueError(f"trace rows x columns are {rows.shape}, the report's {shape}")
     if not np.array_equal(rows[:, :2], np.indices((h1, n_nodes)).reshape(2, -1).T + [0, 1]):
@@ -455,20 +453,6 @@ def _load_trace_csv(path, report, scenario: Scenario):
         raise ValueError("corrupt trace: tau/donor below -1")
     trace.taus[:], trace.donors[:] = ints.reshape(h1, n_nodes, 2, s).transpose(2, 0, 1, 3)
     trace.z_estimates[:] = rows[:, 2 + 2 * s:].reshape(h1, n_nodes, -1)
-
-    # The errors come from the plant's trajectory, through T for a freshness
-    # run; the delayed identity takes the plant through T as the run did.
-    plant, n = scenario.plant, trace.z_estimates.shape[2]
-    if plant.n != n:
-        raise ValueError(f"scenario.plant has {plant.n} states, the trace {n}")
-    truth = simulate_truth(plant, trace.horizon)
-    if freshness:
-        t = _float_array(report["transform"]["t_matrix"], (n, n), "transform.t_matrix",
-                         finite=True)
-        trace.ts = TransformedSystem(t, t.T @ plant.a_matrix @ t,
-                                     tuple(c @ t for c in plant.sensors), trace.block_dims)
-        truth = truth @ t
-    trace.err_block, trace.err_total = error_norms(trace.z_estimates, truth, block_dims)
     return trace
 
 

@@ -61,6 +61,12 @@ class TransformedSystem:
         """C_jq block: rows of node j's transformed sensor on substate q."""
         return self.c_bar[j - 1][:, self.block_slice(q)]
 
+    @classmethod
+    def of(cls, plant: LtiPlant, t, block_dims):
+        """``plant`` through T = ``t``, whose column blocks are ``block_dims``."""
+        return cls(t, t.T @ plant.a_matrix @ t, tuple(c @ t for c in plant.sensors),
+                   tuple(block_dims))
+
 
 def staircase_transform(plant: LtiPlant) -> TransformedSystem:
     """Build the staircase transform, deflating node by node in index order.
@@ -88,13 +94,7 @@ def staircase_transform(plant: LtiPlant) -> TransformedSystem:
         raise DecompositionError(
             f"plant is not jointly observable: achieved total rank {n - v.shape[1]} of {n}")
 
-    t = np.hstack(blocks)
-    return TransformedSystem(
-        t_matrix=t,
-        a_bar=t.T @ a @ t,
-        c_bar=tuple(c @ t for c in plant.sensors),
-        block_dims=tuple(b.shape[1] for b in blocks),
-    )
+    return TransformedSystem.of(plant, np.hstack(blocks), [b.shape[1] for b in blocks])
 
 
 def to_transformed_coords(x, ts: TransformedSystem):

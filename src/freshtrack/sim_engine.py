@@ -6,19 +6,18 @@ properties, the delayed-error identity, and the exponential error envelopes
 against constants computed from the trace itself, at the times of
 `envelope_schedule`.  A failed check names its first (node, substate, k).
 
-A freshness run fills the trace's arrays in two whole-run passes of
-``ProtocolKernel``: the indices and donors from the graph alone, then the
-estimates along the recorded donors, fed the sources' outputs of the
-plant's (H+1, n) states.  ``error_norms`` derives the error norms from the
-estimates and those states, in a run and in a trace read back.
-Every check is array work over the trace's stacked arrays, one column per
-substate, with -1 for a never-informed index and for an open-loop donor
-throughout.  One pass applies the update rule to every recorded round over
-its graph; the next round must equal what it gives.  The delayed-error identity is one forward
-pass of its closed form by Horner's rule along the recorded donors.  The
-passes, the checks and the error norms go in chunks of ``CHUNK_ROUNDS``
-rounds, so that their buffers do not grow with the horizon besides the
-checks' (H, N, S) residuals.
+`scenario_trace` starts every trace, run or read back.  A freshness run
+fills its arrays in two whole-run passes of ``ProtocolKernel``: the indices
+and donors from the graph alone, then the estimates along the recorded
+donors.  Every check is array work over the trace's arrays, one column per
+substate, with -1 for a never-informed index and for an open-loop donor.
+The error norms are `error_norms` of the estimates against the truth, for
+the rounds a check needs.  One pass applies the update rule to every
+recorded round over its graph; the next round must equal what it gives.
+The delayed-error identity is one forward pass of its closed form by
+Horner's rule along the recorded donors.  These passes go in chunks of
+``CHUNK_ROUNDS`` rounds, so that no buffer but the checks' (H, N, S)
+residuals grows with the horizon.
 """
 
 from __future__ import annotations
@@ -62,7 +61,7 @@ class Scenario:
 
 
 class Trace:
-    """Per-round record of estimates, indices, donors, and error norms.
+    """A run's state and its truth: per-round estimates, indices and donors.
 
     Indices: time-step k in 0..horizon, node ids and substates 1-indexed.
     The arrays stack the protocol kernel's per-round state along a leading
@@ -72,9 +71,10 @@ class Trace:
     open-loop rounds).  Column c is substate ``substates[c]``, the c-th
     nonempty block; ``sources[c]`` is its 0-based source node, and S their
     number.  A zero-dimension block has no column.  ``adjacency[k]`` is the
-    N x N bool graph of round k; ``err_block`` (per substate column) and
-    ``err_total`` come from `error_norms`.  Callers index the arrays
-    directly, slicing the estimate columns with ``block_offsets(block_dims)``.
+    N x N bool graph of round k, and ``truth[k]`` the plant's state in the
+    estimates' coordinates, which `scenario_trace` sets: `error_norms`
+    takes the errors from the two.  Callers index the arrays directly,
+    slicing the estimate columns with ``block_offsets(block_dims)``.
     """
 
     def __init__(self, n_nodes, horizon, period_t, block_dims, rho=None):
@@ -88,11 +88,8 @@ class Trace:
         self.taus = np.full((horizon + 1, n_nodes, self.sources.size), -1)
         self.donors = np.full_like(self.taus, -1)
         self.z_estimates = np.zeros((horizon + 1, n_nodes, int(sum(block_dims))))
-        self.err_block = self.err_total = None
         self.adjacency = np.zeros((horizon, n_nodes, n_nodes), dtype=bool)
-        self.ts = None
-        self.gains = None
-        self.constants = None
+        self.truth = self.ts = self.gains = self.constants = None
         # Codes (README lists them): rooted_mode, connectivity_uncertified, envelope_*.
         self.warnings = []
 
@@ -107,8 +104,7 @@ class Trace:
         """Numeric CSV of the protocol's arrays; one row per (k, node), k outer.
 
         A row is k, node, then that node's ``taus[k]`` and ``donors[k]`` rows
-        (one column per substate) and its ``z_estimates[k]`` row.  The error
-        norms are not written: they follow from the estimates and the plant.
+        (one column per substate) and its ``z_estimates[k]`` row.
         Ints are written with ``str`` and floats with ``repr``, so reading
         the file back gives the arrays bit for bit.  ``path_or_buf`` is a
         path (str, bytes or ``os.PathLike``) or an open text file.
@@ -155,28 +151,54 @@ def _retake_overflowed(norms, x, starts=None):
 
 @np.errstate(over="ignore")
 def error_norms(estimates, truth, block_dims):
-    """``(err_block, err_total)`` of estimates (H+1, N, n) against the truth
-    (H+1, n): the (H+1, N, S) norms per nonempty block of ``block_dims``,
-    and the (H+1, N) norms over all columns.  They go in chunks of
-    ``CHUNK_ROUNDS`` rounds, so that no temporary grows with the horizon.
+    """``(err_block, err_total)`` of estimates (K, N, n) against the truth
+    (K, n) at K rounds: the (K, N, S) norms per nonempty block of
+    ``block_dims``, and the (K, N) norms over all columns.  A norm reads only
+    its (round, node) row, so callers pass the rounds they need in chunks.
     A sum of squares that overflows (entries past about 1.3e154) is taken
     again by `_retake_overflowed`; every other norm is its plain sqrt."""
     starts = [o for o, d in zip(block_offsets(block_dims), block_dims) if d > 0]
-    err_block = np.empty(estimates.shape[:2] + (len(starts),))
-    err_total = np.empty(estimates.shape[:2])
-    for k0 in range(0, len(estimates), CHUNK_ROUNDS):
-        rows = slice(k0, k0 + CHUNK_ROUNDS)
-        sq = estimates[rows] - truth[rows, None, :]
-        np.square(sq, out=sq)
-        block = np.sqrt(np.add.reduceat(sq, starts, axis=2), out=err_block[rows])
-        np.sqrt(np.sum(block ** 2, axis=2), out=err_total[rows])
+    sq = estimates - truth[:, None, :]
+    np.square(sq, out=sq)
+    err_block = np.sqrt(np.add.reduceat(sq, starts, axis=2))
+    err_total = np.sqrt(np.add.reduce(np.square(err_block), axis=2))
     # Block norms up to 1e150 leave the totals' sums of squares finite.
     if np.fmax.reduce(err_block, axis=None) > 1e150:
-        for k0 in range(0, len(estimates), CHUNK_ROUNDS):
-            rows = slice(k0, k0 + CHUNK_ROUNDS)
-            _retake_overflowed(err_block[rows], estimates[rows] - truth[rows, None, :], starts)
-            _retake_overflowed(err_total[rows], err_block[rows])
+        _retake_overflowed(err_block, estimates - truth[:, None, :], starts)
+        _retake_overflowed(err_total, err_block)
     return err_block, err_total
+
+
+def _error_chunks(trace: Trace, start=0, stop=None):
+    """Yield (rows, err_block, err_total): `error_norms` of the trace's rounds
+    from ``start`` to before ``stop`` (H + 1 by default), in slices ``rows``
+    of ``CHUNK_ROUNDS``."""
+    stop = trace.horizon + 1 if stop is None else stop
+    for k0 in range(start, stop, CHUNK_ROUNDS):
+        rows = slice(k0, min(k0 + CHUNK_ROUNDS, stop))
+        yield rows, *error_norms(trace.z_estimates[rows], trace.truth[rows], trace.block_dims)
+
+
+def total_errors(trace: Trace, start=0, stop=None):
+    """The (stop - start, N) total error norms from `_error_chunks`."""
+    return np.concatenate([total for _, _, total in _error_chunks(trace, start, stop)])
+
+
+def scenario_trace(s: Scenario, ts=None):
+    """``(trace, states)``: the `Trace` of ``s`` with its adjacency, codes
+    and truth, and the plant's (H+1, n) states; runs and `check`'s loader
+    start here.  With ``ts``, a freshness run's transform, the trace gets
+    connectivity codes and the states through T as truth; without, the one
+    block [n] and the states.  The trace's arrays are allocated last."""
+    states = simulate_truth(s.plant, s.horizon)
+    block_dims = (s.plant.n,) if ts is None else ts.block_dims
+    adjacency = s.graph.adjacency(s.horizon)
+    codes = ([] if ts is None else
+             connectivity_warnings(adjacency, s.graph.period_t, np.flatnonzero(block_dims) + 1))
+    trace = Trace(s.plant.n_nodes, s.horizon, s.graph.period_t, block_dims, rho=s.rho)
+    trace.adjacency, trace.warnings, trace.ts = adjacency, codes, ts
+    trace.truth = states if ts is None else to_transformed_coords(states, ts)
+    return trace, states
 
 
 def run_scenario(s: Scenario) -> Trace:
@@ -190,40 +212,35 @@ def run_scenario(s: Scenario) -> Trace:
 
 def _run_freshness(s: Scenario) -> Trace:
     plant = s.plant
-    n_nodes = plant.n_nodes
     ts = staircase_transform(plant)
     gains = design_gains(ts, rho=s.rho, deadbeat=s.deadbeat, seed=s.seed)
-    truth = simulate_truth(plant, s.horizon)
-    z_truth = to_transformed_coords(truth, ts)
-
-    trace = Trace(n_nodes, s.horizon, s.graph.period_t, ts.block_dims, rho=s.rho)
-    trace.ts = ts
+    trace, states = scenario_trace(s, ts)
     trace.gains = gains
-
-    trace.adjacency = s.graph.adjacency(s.horizon)
-    trace.warnings += connectivity_warnings(trace.adjacency, s.graph.period_t, trace.substates)
 
     # The start: every index -1 but the sources' own, every estimate 0 unless given.
     trace.taus[0, trace.sources, np.arange(trace.sources.size)] = 0
     if s.initial_estimates is not None:
         trace.z_estimates[0] = to_transformed_coords(s.initial_estimates, ts)
     # The sources' outputs, one product per source: a single stacked
-    # product rounds differently.
-    outputs = np.hstack([truth @ plant.sensors[j].T for j in trace.sources])
+    # product rounds differently.  The states are not needed after them.
+    rows = np.cumsum([0] + [len(plant.sensors[j]) for j in trace.sources])
+    outputs = np.empty((s.horizon + 1, rows[-1]))
+    for c, j in enumerate(trace.sources):
+        outputs[:, rows[c]:rows[c + 1]] = states @ plant.sensors[j].T
+    del states
     kernel = ProtocolKernel(ts, gains)
     kernel.index_pass(trace.adjacency, trace.taus, trace.donors, CHUNK_ROUNDS)
     kernel.estimate_pass(trace.donors, outputs, trace.z_estimates, CHUNK_ROUNDS)
 
-    trace.err_block, trace.err_total = error_norms(trace.z_estimates, z_truth, ts.block_dims)
-
     if not s.deadbeat and s.rho is not None:
-        schedule = envelope_schedule(n_nodes, s.graph.period_t)
+        schedule = envelope_schedule(trace.n_nodes, s.graph.period_t)
         subs = trace.sources
         if schedule.reference[subs[-1]] <= s.horizon:
             # Each source's own error at its substate's reference time.
-            ref_norms = np.zeros(n_nodes)
-            ref_norms[subs] = trace.err_block[schedule.reference[subs], subs,
-                                              np.arange(subs.size)]
+            refs = schedule.reference[subs]
+            ref_norms = np.zeros(trace.n_nodes)
+            ref_norms[subs] = np.diagonal(error_norms(trace.z_estimates[refs, subs][:, None],
+                                                      trace.truth[refs], ts.block_dims)[0][:, 0])
             trace.constants = compute_bound_constants(ts, gains, ref_norms, schedule.t_bar)
             if not np.all(np.isfinite(trace.constants.c_bar)):
                 trace.warnings.append("envelope_constants_not_finite")
@@ -236,24 +253,17 @@ def _run_freshness(s: Scenario) -> Trace:
 
 def _run_baseline(s: Scenario) -> Trace:
     plant = s.plant
-    n_nodes = plant.n_nodes
     if s.strategy is None:
         raise ValueError("baseline scenarios require a weight strategy")
-    truth = simulate_truth(plant, s.horizon)
-
-    # Baseline traces use the original coordinates and a single substate slot.
-    trace = Trace(n_nodes, s.horizon, s.graph.period_t, (plant.n,))
-    trace.adjacency = s.graph.adjacency(s.horizon)
+    trace, truth = scenario_trace(s)
     weights = mixing_weights(trace.adjacency, s.strategy)
-    oracle = np.arange(n_nodes) == 0      # node 1 is the oracle: it knows x(k)
+    oracle = np.arange(plant.n_nodes) == 0      # node 1 is the oracle: it knows x(k)
     est = trace.z_estimates
     if s.initial_estimates is not None:
         est[0] = s.initial_estimates
     for k in range(s.horizon):
-        est[k + 1] = baseline_round(est[k], weights[k], plant.a_matrix, oracle,
-                                    truth[k])
+        est[k + 1] = baseline_round(est[k], weights[k], plant.a_matrix, oracle, truth[k])
     est[:, oracle] = truth[:, None, :]
-    trace.err_block, trace.err_total = error_norms(est, truth, (plant.n,))
     return trace
 
 
@@ -281,6 +291,8 @@ def check_envelope(trace: Trace):
     order, then the total envelope, marked substate 0, in (k, node) order.
     A point whose error is NaN or whose bound is not finite is a violation.
     A horizon that ends before the first start fails with a ``detail``.
+    The norms go a chunk of rounds at a time from the first start on; a
+    column's first violation is in the first chunk that has one.
     """
     constants, rho = trace.constants, trace.rho
     if constants is None:
@@ -292,22 +304,25 @@ def check_envelope(trace: Trace):
         return {"passed": False,
                 "detail": f"insufficient horizon {trace.horizon} < first envelope start {first}"}
     radii = np.asarray(choose_radii(rho, len(trace.block_dims)))
-    slack = 1.0 + 1e-9
     ks = np.arange(trace.horizon + 1)
-    # bound[k, c] for substate subs[c], which counts from its start on.  The
-    # hypot overflows only where the norm does, unlike a sum of squares.  A
-    # bound that is not finite reads as -1, which every error exceeds.
+    # bound[k, c] for substate subs[c], which counts from its start on, and
+    # the total's in a last column, substate 0 through cols.  The hypot
+    # overflows only where the norm does, unlike a sum of squares.  A bound
+    # that is not finite reads as -1, which every error exceeds.
+    cols = np.append(subs, -1)
     with np.errstate(over="ignore", invalid="ignore"):
-        bound = constants.c_bar[subs] * radii[subs] ** ks[:, None] * slack + 1e-300
-        total = np.hypot.reduce(constants.c_bar) * rho ** ks * slack + 1e-300
-    bound, total = (np.nan_to_num(b, nan=-1.0, posinf=-1.0) for b in (bound, total))
-    live = ks[:, None] >= schedule.start[subs]
-    over = ~(trace.err_block <= bound[:, None, :]) & live[:, None, :]
-    live = ks >= schedule.total_start
-    # One column, which _first reads as substate 0 through subs = [-1].
-    over_total = (~(trace.err_total <= total[:, None]) & live[:, None])[:, :, None]
-    count = int(np.count_nonzero(over) + np.count_nonzero(over_total))
-    at = _first(over, subs, (2, 0, 1)) or _first(over_total, np.array([-1]), (0, 1, 2))
+        bound = np.column_stack([constants.c_bar[subs] * radii[subs] ** ks[:, None],
+                                 np.hypot.reduce(constants.c_bar) * rho ** ks])
+        bound = np.nan_to_num(bound * (1.0 + 1e-9) + 1e-300, nan=-1.0, posinf=-1.0)
+    live = ks[:, None] >= np.append(schedule.start[subs], schedule.total_start)
+    count, at = 0, None
+    for rows, err_block, err_total in _error_chunks(trace, first):
+        err = np.concatenate([err_block, err_total[:, :, None]], axis=2)
+        over = ~(err <= bound[rows, None, :]) & live[rows, None, :]
+        count += (found := int(np.count_nonzero(over)))
+        # The lower substate wins, the total last; on a tie the earlier chunk.
+        at = min(filter(None, (at, found and _first(over, cols, (2, 0, 1), rows.start))),
+                 key=lambda a: a[1] or np.inf, default=None)
     return {"passed": count == 0, "violations": count, "counterexample": at}
 
 

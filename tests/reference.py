@@ -32,8 +32,9 @@ indices (``tau_of_keys`` decodes the kernel's own keys),
 ``compute_bound_constants`` (with ``_lyapunov_alpha``) takes one block at a
 time, and ``error_norms`` squares the whole horizon at once.  The tests
 require ``ProtocolKernel.choose_donors``'s key-encoded minimum, the
-production constants' batched stacks and norms, and the chunked
-``sim_engine.error_norms`` to give the same bits.
+production constants' batched stacks and norms, and
+``sim_engine.error_norms``, which the checks take a chunk of rounds at a
+time, to give the same bits.
 
 ``block_diagonal`` lays a (W, N, N) stack of graphs out as one sparse graph
 for scipy's csgraph searches: ``strongly_connected_windows`` (one
@@ -441,8 +442,9 @@ def design_gains(ts, rho=None, deadbeat=False, seed=0):
 
 
 def max_error(trace):
-    """Max-over-nodes total error norm per time-step."""
-    return np.max(trace.err_total, axis=1)
+    """Max-over-nodes total error norm per time-step, over the whole horizon
+    at once."""
+    return np.max(error_norms(trace.z_estimates, trace.truth, trace.block_dims)[1], axis=1)
 
 
 def fit_decay_rate(trace, k_start):

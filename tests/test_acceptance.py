@@ -32,6 +32,7 @@ from freshtrack.sim_engine import (
     check_envelope,
     check_lemma_suite,
     run_scenario,
+    total_errors,
 )
 from freshtrack.system_model import LtiPlant, simulate_truth
 from krylov import krylov_rank
@@ -87,15 +88,15 @@ def test_deadbeat_finite_time_bounds():
     # Scalar three-node scenario: exact convergence within 25 steps.
     s = Scenario(plant=fig1_plant(), graph=fig1_graph(), deadbeat=True, horizon=60)
     trace = run_scenario(s)
-    ok &= bool(np.max(trace.err_total[25:]) <= 1e-9)
+    ok &= bool(np.max(total_errors(trace, start=25)) <= 1e-9)
 
     # Random n=5, N=4, T=3 strongly connected scenario: bound 5 + 2*4*3*3 = 77.
     plant, graph = random_jsc_setup()
     assert certify_joint_strong_connectivity(window_unions(graph.adjacency(90), 3))
     s = Scenario(plant=plant, graph=graph, deadbeat=True, horizon=90, seed=7)
     trace = run_scenario(s)
-    initial = float(np.max(trace.err_total[0]))
-    ok &= bool(np.max(trace.err_total[77:]) <= 1e-6 * initial)
+    initial = float(np.max(total_errors(trace, stop=1)))
+    ok &= bool(np.max(total_errors(trace, start=77)) <= 1e-6 * initial)
 
     elapsed = time.perf_counter() - start
     ok &= elapsed < 5.0

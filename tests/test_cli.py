@@ -94,6 +94,27 @@ def test_run_refuses_checks_that_do_not_apply(tmp_path, capsys, algorithm, check
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name,key,value,algorithm", [
+    ("fig1_uniform_baseline", "deadbeat", True, "uniform baseline"),
+    ("fig1_uniform_baseline", "rho", 0.5, "uniform baseline"),
+    ("fig1_uniform_baseline", "root", 1, "uniform baseline"),
+    ("fig1_tree_baseline", "deadbeat", False, "tree_rooted baseline"),
+    ("fig1_freshness_spectral", "strategy", "uniform", "freshness"),
+    ("fig1_freshness_deadbeat", "root", 1, "freshness"),
+])
+def test_run_refuses_algorithm_keys_that_the_algorithm_ignores(tmp_path, capsys, name, key,
+                                                              value, algorithm):
+    # A key that the chosen algorithm does not read would be ignored: the
+    # run would not be the one the config describes.
+    config = json.loads(json.dumps(canned_scenarios()[name]))
+    config["algorithm"][key] = value
+    cfg = tmp_path / f"{name}.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f'error: "{key}" does not apply to a {algorithm} run\n'
+    assert not list(tmp_path.glob("*_report.json"))
+
+
 @pytest.mark.parametrize("algorithm", [
     {"type": "freshness"},
     {"type": "freshness", "deadbeat": False},
@@ -688,7 +709,7 @@ def test_trace_csv_reads_back_bit_equal(tmp_path, runs, name):
     path = str(tmp_path / "trace.csv")
     trace.to_csv(path)
     loaded = _load_back(path, report)
-    for attr in ("taus", "donors", "z_estimates", "err_block", "err_total", "adjacency"):
+    for attr in ("taus", "donors", "z_estimates", "truth", "adjacency"):
         assert np.array_equal(getattr(loaded, attr), getattr(trace, attr)), attr
 
 

@@ -31,6 +31,7 @@ from freshtrack.sim_engine import (
     check_lemma_suite,
     error_norms,
     run_scenario,
+    total_errors,
 )
 from freshtrack.observer_protocol import ProtocolKernel
 from freshtrack.system_model import DecompositionError, LtiPlant, simulate_truth
@@ -70,7 +71,7 @@ def test_truth_initialized_estimates_stay_exact():
     s = Scenario(plant=plant, graph=graph, rho=0.8, horizon=30,
                  initial_estimates=[plant.x0] * 3)
     trace = run_scenario(s)
-    assert np.max(trace.err_total) < 1e-9
+    assert np.max(total_errors(trace)) < 1e-9
 
 
 def test_single_node_matches_classical_observer():
@@ -98,10 +99,11 @@ def test_single_node_matches_classical_observer():
 
 def test_error_norms_are_pythagorean():
     trace = run_scenario(random_scenario(seed=41))
+    err_block, err_total = error_norms(trace.z_estimates, trace.truth, trace.block_dims)
     for k in range(trace.horizon + 1):
         for i in range(1, trace.n_nodes + 1):
-            total = trace.err_total[k, i - 1]
-            blocks = np.sqrt(np.sum(trace.err_block[k, i - 1] ** 2))
+            total = err_total[k, i - 1]
+            blocks = np.sqrt(np.sum(err_block[k, i - 1] ** 2))
             assert total == pytest.approx(blocks, rel=1e-10, abs=1e-12)
 
 
@@ -115,35 +117,51 @@ def test_error_norms_split_by_block_and_skip_empty_slots():
 
 @settings(max_examples=40)
 @given(
-    dims=hst.lists(hst.integers(0, 3), min_size=1, max_size=5).filter(any),
+    dims=hst.lists(hst.integers(0, 3), min_size=1, max_size=12).filter(any),
     n_nodes=hst.integers(1, 4),
-    horizon=hst.integers(0, 70),
+    horizon=hst.integers(1, 70),
     chunk=hst.sampled_from([1, 3, sim_engine.CHUNK_ROUNDS]),
-    seed=hst.integers(0, 2**16),
+    data=hst.data(),
 )
-def test_error_norms_equal_the_whole_horizon_formula(dims, n_nodes, horizon, chunk, seed):
-    # Chunked norms against one pass over the whole horizon, bit for bit,
-    # over magnitudes from 1e-100 to 1e100.
-    rng = np.random.default_rng(seed)
-    shape = (horizon + 1, n_nodes, sum(dims))
-    estimates = rng.standard_normal(shape) * 10.0 ** rng.integers(-100, 100, shape)
-    truth = rng.standard_normal(shape[::2])
+def test_error_norms_equal_the_whole_horizon_formula(dims, n_nodes, horizon, chunk, data):
+    # The norms of any run of rounds, a chunk at a time, against one pass
+    # over the whole horizon, bit for bit, over magnitudes from 1e-100 to
+    # 1e100 and past the square of float64's range.
+    rng = np.random.default_rng(data.draw(hst.integers(0, 2**16)))
+    trace = Trace(n_nodes, horizon, 1, dims)
+    shape = trace.z_estimates.shape
+    trace.z_estimates[:] = rng.standard_normal(shape) * 10.0 ** rng.integers(-100, 100, shape)
+    trace.z_estimates[rng.random(shape) < 0.05] = 1e200
+    trace.truth = rng.standard_normal(shape[::2])
+    start = data.draw(hst.integers(0, horizon))
+    stop = data.draw(hst.integers(start + 1, horizon + 1))
+    whole = error_norms(trace.z_estimates, trace.truth, dims)
     with mock.patch.object(sim_engine, "CHUNK_ROUNDS", chunk):
-        norms = error_norms(estimates, truth, dims)
-    for got, expected in zip(norms, whole_horizon_error_norms(estimates, truth, dims)):
-        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        chunks = list(sim_engine._error_chunks(trace, start, stop))
+        totals = total_errors(trace, start, stop)
+    assert [rows.start for rows, _, _ in chunks] == list(range(start, stop, chunk))
+    for got, expected in ((np.concatenate([b for _, b, _ in chunks]), whole[0]),
+                          (np.concatenate([t for _, _, t in chunks]), whole[1]),
+                          (totals, whole[1])):
+        assert np.array_equal(got.view(np.int64), expected[start:stop].view(np.int64))
+    # Where no sum of squares overflows, the plain formula's bits.
+    with np.errstate(over="ignore"):
+        plain = whole_horizon_error_norms(trace.z_estimates, trace.truth, dims)
+    rows = np.isfinite(plain[1])
+    for got, expected in zip(whole, plain):
+        assert np.array_equal(got[rows].view(np.int64), expected[rows].view(np.int64))
 
 
 def test_fit_decay_rate_exact_geometric():
     trace = Trace(2, 50, 1, (1, 1))
-    ks = np.arange(51)
-    trace.err_total = np.outer(3.0 * 0.5 ** ks, np.ones(2))
+    trace.truth = np.zeros((51, 2))
+    trace.z_estimates[:, :, 0] = (3.0 * 0.5 ** np.arange(51))[:, None]
     assert fit_decay_rate(trace, 0) == pytest.approx(0.5, abs=1e-9)
 
 
 def test_fit_decay_rate_requires_points_above_floor():
     trace = Trace(1, 50, 1, (1,))
-    trace.err_total = np.full((51, 1), 1e-15)
+    trace.truth = np.full((51, 1), 1e-15)
     with pytest.raises(ValueError, match="usable points"):
         fit_decay_rate(trace, 0)
 
@@ -153,7 +171,7 @@ def test_baseline_divergence_rate_above_one():
                  strategy=WeightStrategy("uniform"), horizon=60)
     trace = run_scenario(s)
     assert fit_decay_rate(trace, 5) > 1.0
-    first_crossing = detect_divergence(trace.err_total, 1e6)
+    first_crossing = detect_divergence(total_errors(trace), 1e6)
     assert first_crossing is not None
     assert first_crossing <= 60
 
@@ -177,20 +195,31 @@ def test_spectral_runs_on_long_blocks_pass_lemmas_and_envelope(shape):
         assert check_envelope(trace)["passed"]
 
 
+def _move_estimate(trace, points, by):
+    """Move node i's estimate of substate j at time k off by ``by`` in the
+    block's first column, for each (i, j, k) of ``points``."""
+    for i, j, k in points:
+        trace.z_estimates[k, i - 1, trace.ts.offsets[j - 1]] += by
+
+
 def test_envelope_detects_injected_fault():
+    # The fault raises node 2's substate error past its bound, and its total
+    # error too, but not past the looser total bound.
     trace = run_scenario(random_scenario(seed=7))
     t_bar = (trace.n_nodes - 1) * trace.period_t
     j = trace.substates[-1]
     k = (2 * j - 1) * t_bar + 3
     bound = trace.constants.c_bar[j - 1] * trace.gains.target_radii[j - 1] ** k
-    trace.err_block[k, 1, j - 1] = 2.0 * bound + 1.0
+    _move_estimate(trace, [(2, j, k)], 2.0 * bound + 1.0)
     assert check_envelope(trace) == {"passed": False, "violations": 1,
                                      "counterexample": (2, j, k)}
 
 
-@pytest.mark.parametrize("field", ["c_bar", "err_block", "err_total"])
+@pytest.mark.parametrize("field", ["c_bar", "estimate", "truth"])
 def test_envelope_fails_on_nan(field):
-    # NaN compares False both ways: a NaN bound or error is a violation.
+    # NaN compares False both ways: a NaN bound or error is a violation.  A
+    # NaN estimate makes its substate's and its total error NaN, a NaN truth
+    # those of every node.
     trace = run_scenario(build_scenario(canned_scenarios()["random_jsc_theorem1"]))
     assert check_envelope(trace)["passed"]
     k, n_nodes = trace.horizon, trace.n_nodes
@@ -202,12 +231,12 @@ def test_envelope_fails_on_nan(field):
         schedule = envelope_schedule(n_nodes, trace.period_t)
         count = n_nodes * (2 * k + 2 - schedule.start[2] - schedule.total_start)
         expected = (count, (1, 3, schedule.start[2]))
-    elif field == "err_block":
-        trace.err_block[k, 1, 2] = np.nan
-        expected = (1, (2, 3, k))
+    elif field == "estimate":
+        _move_estimate(trace, [(2, 3, k)], np.nan)
+        expected = (2, (2, 3, k))
     else:
-        trace.err_total[k, 1] = np.nan
-        expected = (1, (2, 0, k))
+        trace.truth[k, trace.ts.offsets[2]] = np.nan
+        expected = (2 * n_nodes, (1, 3, k))
     report = check_envelope(trace)
     assert not report["passed"]
     assert (report["violations"], report["counterexample"]) == expected
@@ -228,8 +257,7 @@ def test_envelope_fails_on_infinite_constants(name):
     assert check_envelope(trace)["passed"]
     trace.constants = dataclasses.replace(
         trace.constants, c_bar=np.full_like(trace.constants.c_bar, np.inf))
-    trace.err_block += 1.0
-    trace.err_total += 1.0
+    trace.z_estimates += 1.0
     subs = trace.sources
     start = envelope_schedule(trace.n_nodes, trace.period_t).start[subs[0]]
     assert check_envelope(trace) == {"passed": False,
@@ -410,10 +438,10 @@ def test_trace_csv_memory_does_not_grow_with_the_horizon(tmp_path):
 
 
 def test_run_memory_does_not_grow_with_the_horizon():
-    # Beyond the trace's own arrays, two copies of the plant's states (as
-    # simulated and in transformed coordinates) and two of the sources'
-    # outputs (per source and side by side), a run's buffers are per chunk: ten times the rounds may not cost more
-    # than a quarter more peak memory (about 0.2 MB at H = 200).
+    # Beyond the trace's own arrays, its truth included, and the sources'
+    # outputs, which the estimate pass reads, a run's buffers are per chunk:
+    # ten times the rounds may not cost more than a quarter more peak memory
+    # (about 0.4 MB at H = 200).
     plant = make_multiblock_plant((1,) * 16, seed=1)
     graph = generate_random_jointly_connected(16, 2, seed=1)
     run_scenario(Scenario(plant=plant, graph=graph, rho=0.9, horizon=20))
@@ -426,10 +454,10 @@ def test_run_memory_does_not_grow_with_the_horizon():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        truth = simulate_truth(plant, horizon)
-        outputs = np.hstack([truth @ plant.sensors[j].T for j in trace.sources])
-        kept = (trace.taus, trace.donors, trace.z_estimates, trace.adjacency,
-                trace.err_block, trace.err_total, truth, truth, outputs, outputs)
+        states = simulate_truth(plant, horizon)
+        outputs = np.hstack([states @ plant.sensors[j].T for j in trace.sources])
+        kept = (trace.taus, trace.donors, trace.z_estimates, trace.adjacency, trace.truth,
+                outputs)
         peaks.append(peak - sum(a.nbytes for a in kept))
     assert peaks[1] <= 1.25 * peaks[0], peaks
 
@@ -468,26 +496,58 @@ def test_lemma_suite_reports_first_source_pinned_violation():
     assert report["checks"]["donors_match_graph"]["passed"]
 
 
-def test_envelope_violations_keep_their_order():
+def _walk_envelope_violations(points, expected):
+    """Fault ``points`` of a run with errors of 1e6, then require the
+    ``expected`` counterexamples in turn, mending each after it is seen.
+    Each fault from k = 20 on fails the total envelope at its (node, k)
+    too, and mending the counterexample's estimate mends both."""
     trace = run_scenario(random_scenario(seed=7))
     t_bar = (trace.n_nodes - 1) * trace.period_t
     assert (2 * trace.n_nodes - 1) * t_bar == 20
-    for i, j, k in [(1, 3, 25), (2, 1, 30), (1, 1, 30), (1, 1, 2)]:
-        trace.err_block[k, i - 1, j - 1] = 1e6
-    for i, k in [(3, 40), (1, 40), (2, 35), (2, 19)]:
-        trace.err_total[k, i - 1] = 1e6
-    # Substates in (substate, k, node) order, then the total in (k, node)
-    # order; k = 2 and k = 19 fall before their envelopes start.  Mending
-    # each counterexample in turn walks the violations in that order.
-    expected = [(1, 1, 30), (2, 1, 30), (1, 3, 25), (2, 0, 35), (1, 0, 40), (3, 0, 40)]
-    for m, (i, j, k) in enumerate(expected):
-        assert check_envelope(trace) == {"passed": False, "violations": len(expected) - m,
+    clean = trace.z_estimates.copy()
+    _move_estimate(trace, points, 1e6)
+    live = [(i, j, k) for i, j, k in points if k >= (2 * j - 1) * t_bar]
+    count = len(live) + sum(k >= 20 for _, _, k in live)
+    for i, j, k in expected:
+        assert check_envelope(trace) == {"passed": False, "violations": count,
                                          "counterexample": (i, j, k)}
-        if j:
-            trace.err_block[k, i - 1, j - 1] = 0.0
-        else:
-            trace.err_total[k, i - 1] = 0.0
+        trace.z_estimates[k, i - 1] = clean[k, i - 1]
+        count -= 1 + (k >= 20)
     assert check_envelope(trace)["passed"]
+
+
+def test_envelope_violations_keep_their_order():
+    # Substates in (substate, k, node) order; k = 2 falls before substate
+    # 1's envelope starts.  With the run's constants every total violation
+    # comes with a substate one at its (node, k), so a total counterexample
+    # needs a constant that only the total reads (the test below).
+    _walk_envelope_violations([(1, 3, 25), (2, 1, 30), (1, 1, 30), (1, 1, 2)],
+                              [(1, 1, 30), (2, 1, 30), (1, 3, 25)])
+
+
+def test_envelope_violations_keep_their_order_across_chunks():
+    # The envelopes' chunks of rounds start at k = 4: substate 3 fails in
+    # the first, substate 1 only in the second, and comes first even so.
+    assert sim_engine.CHUNK_ROUNDS == 32
+    _walk_envelope_violations([(1, 3, 25), (3, 1, 40), (2, 2, 50)],
+                              [(3, 1, 40), (2, 2, 50), (1, 3, 25)])
+
+
+def test_envelope_reports_a_total_violation_after_the_substates():
+    # Fig. 1's blocks (1, 0, 0): an empty block's c_bar enters only the
+    # total envelope's bound.  NaN there fails every live total point, none
+    # of the substate's, and the first is the total's first (k, node).
+    trace = run_scenario(build_scenario(canned_scenarios()["fig1_freshness_spectral"]))
+    assert trace.block_dims == (1, 0, 0) and check_envelope(trace)["passed"]
+    c_bar = trace.constants.c_bar.copy()
+    c_bar[1] = np.nan
+    trace.constants = dataclasses.replace(trace.constants, c_bar=c_bar)
+    start = envelope_schedule(trace.n_nodes, trace.period_t).total_start
+    assert check_envelope(trace) == {
+        "passed": False, "violations": trace.n_nodes * (trace.horizon + 1 - start),
+        "counterexample": (1, 0, start)}
+    trace.z_estimates[150, 1] *= 2.0         # off by the state, 2^150
+    assert check_envelope(trace)["counterexample"] == (2, 1, 150)
 
 
 def reference_lemma_faults(trace):
@@ -811,7 +871,8 @@ def test_trace_has_one_column_per_substate(name, substates, header):
     # block errors or the trace file.
     trace = run_scenario(_PINNED[name])
     assert trace.substates == substates
-    for array in (trace.taus, trace.donors, trace.err_block):
+    err_block = error_norms(trace.z_estimates, trace.truth, trace.block_dims)[0]
+    for array in (trace.taus, trace.donors, err_block):
         assert array.shape[2] == len(substates)
     assert check_lemma_suite(trace, check_delayed=True)["passed"]
     assert to_csv_string(trace).splitlines()[1] == header
