@@ -2,7 +2,8 @@
 
 Exit codes: 0 all requested checks passed, 1 a check failed or re-check
 disagreed, 2 invalid config (a plant whose state overflows float64 within the
-horizon included) or malformed input files.
+horizon included), two configs that would write the same files, or malformed
+input files.
 """
 
 from __future__ import annotations
@@ -261,24 +262,17 @@ def _finite_time_check(trace: Trace):
             "max_error_after_bound": tail, "tolerance": tol}
 
 
-def _jsonable(obj):
-    """Plain JSON values of results, arrays and dataclasses (field by field)."""
+def _plain(obj):
+    """``json.dumps``' ``default``: a dataclass field by field, a numpy
+    array or scalar as its plain values."""
     if dataclasses.is_dataclass(obj):
-        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    return obj.tolist()
 
 
 def _report_text(report):
     """One top-level field per line, each value through the C JSON encoder."""
-    return "{\n" + ",\n".join(f"  {json.dumps(k)}: {json.dumps(v)}"
+    return "{\n" + ",\n".join(f"  {json.dumps(k)}: {json.dumps(v, default=_plain)}"
                                for k, v in report.items()) + "\n}\n"
 
 
@@ -290,12 +284,12 @@ def build_report(trace: Trace, config, results, passed):
         "horizon": trace.horizon,
         "block_dims": list(trace.block_dims),
         "warnings": list(trace.warnings),
-        "checks": _jsonable(results),
+        "checks": results,
     }
     for key, value in (("transform", trace.ts), ("gains", trace.gains),
                        ("constants", trace.constants)):
         if value is not None:
-            report[key] = _jsonable(value)
+            report[key] = value
     return report
 
 
@@ -352,13 +346,18 @@ def _write_run(out_dir, name, trace, report):
 
 
 def cmd_run(specs, out_dir=None, seed=None, jobs=1):
-    configs = []
+    configs, writers = [], {}
     for spec in specs:
         name, config = _resolve_config(spec)
         if seed is not None:
             config = dict(config, seed=seed)
         target = (out_dir or os.environ.get("FRESHTRACK_OUT")
                   or config.get("output_dir") or ".")
+        # Two runs into one file: the later would overwrite the earlier.
+        path = os.path.join(target, f"{name}_trace.csv")
+        if (key := os.path.abspath(path)) in writers:
+            raise ConfigError(f"{writers[key]} and {spec} would both write {path}")
+        writers[key] = spec
         configs.append((name, config, target))
 
     results = []
@@ -469,8 +468,8 @@ def cmd_check(trace_path, report_path):
         return 2
 
     results, passed = run_checks(trace, config)
-    recorded = report.get("checks", {})
-    agree = _jsonable(results) == recorded
+    # Compared as text: NaN equals NaN there, unlike in a dict comparison.
+    agree = json.dumps(results, default=_plain) == json.dumps(report.get("checks", {}))
     for name, res in results.items():
         print(f"{name}: {'PASS' if res.get('passed') else 'FAIL'}")
     if not agree:

@@ -16,8 +16,8 @@ the rounds a check needs.  One pass applies the update rule to every
 recorded round over its graph; the next round must equal what it gives.
 The delayed-error identity is one forward pass of its closed form by
 Horner's rule along the recorded donors.  These passes go in chunks of
-``CHUNK_ROUNDS`` rounds, so that no buffer but the checks' (H, N, S)
-residuals grows with the horizon.
+``CHUNK_ROUNDS`` rounds, so that no buffer grows with the horizon but the
+trace's own arrays.  Every per-substate norm is `_block_norms`.
 """
 
 from __future__ import annotations
@@ -138,35 +138,34 @@ class Trace:
                 f.write("\n".join(rows) + "\n")
 
 
-def _retake_overflowed(norms, x, starts=None):
-    """Take again by ``np.hypot``, which stays finite up to float64's range,
-    the ``norms`` of x's column blocks (beginning at ``starts``, or the whole
-    last axis) that came out inf from a sum of squares."""
-    x = np.abs(x)       # a one-entry block reduces to its entry
-    safe = (np.hypot.reduce(x, axis=-1) if starts is None
-            else np.hypot.reduceat(x, starts, axis=-1))
-    over = np.isinf(norms)
-    norms[over] = safe[over]
-
-
 @np.errstate(over="ignore")
+def _block_norms(x, starts=None):
+    """The 2-norms of x's column blocks beginning at ``starts``, or of its
+    whole last axis.  Each is the sqrt of a sum of squares, which overflows
+    once an entry passes about 1.3e154; only the norms that come out inf
+    are taken again by ``np.hypot``, which stays finite up to float64's
+    range."""
+    sq = np.square(x)
+    norms = np.sqrt(np.add.reduce(sq, axis=-1) if starts is None
+                    else np.add.reduceat(sq, starts, axis=-1))
+    if np.fmax.reduce(norms, axis=None) == np.inf:
+        x = np.abs(x)       # a one-entry block reduces to its entry
+        safe = (np.hypot.reduce(x, axis=-1) if starts is None
+                else np.hypot.reduceat(x, starts, axis=-1))
+        over = np.isinf(norms)
+        norms[over] = safe[over]
+    return norms
+
+
 def error_norms(estimates, truth, block_dims):
     """``(err_block, err_total)`` of estimates (K, N, n) against the truth
-    (K, n) at K rounds: the (K, N, S) norms per nonempty block of
-    ``block_dims``, and the (K, N) norms over all columns.  A norm reads only
-    its (round, node) row, so callers pass the rounds they need in chunks.
-    A sum of squares that overflows (entries past about 1.3e154) is taken
-    again by `_retake_overflowed`; every other norm is its plain sqrt."""
+    (K, n) at K rounds: the (K, N, S) `_block_norms` per nonempty block of
+    ``block_dims``, and the (K, N) norms over all columns, taken from the
+    block norms.  A norm reads only its (round, node) row, so callers pass
+    the rounds they need in chunks."""
     starts = [o for o, d in zip(block_offsets(block_dims), block_dims) if d > 0]
-    sq = estimates - truth[:, None, :]
-    np.square(sq, out=sq)
-    err_block = np.sqrt(np.add.reduceat(sq, starts, axis=2))
-    err_total = np.sqrt(np.add.reduce(np.square(err_block), axis=2))
-    # Block norms up to 1e150 leave the totals' sums of squares finite.
-    if np.fmax.reduce(err_block, axis=None) > 1e150:
-        _retake_overflowed(err_block, estimates - truth[:, None, :], starts)
-        _retake_overflowed(err_total, err_block)
-    return err_block, err_total
+    err_block = _block_norms(estimates - truth[:, None, :], starts)
+    return err_block, _block_norms(err_block)
 
 
 def _error_chunks(trace: Trace, start=0, stop=None):
@@ -236,11 +235,13 @@ def _run_freshness(s: Scenario) -> Trace:
         schedule = envelope_schedule(trace.n_nodes, s.graph.period_t)
         subs = trace.sources
         if schedule.reference[subs[-1]] <= s.horizon:
-            # Each source's own error at its substate's reference time.
-            refs = schedule.reference[subs]
+            # Each source's own error at its substate's reference time: column
+            # m of err is its block's source node's, at that node's time.
+            node = np.repeat(np.arange(trace.n_nodes), ts.block_dims)
+            at, cols = schedule.reference[node], np.arange(ts.n)
+            err = trace.z_estimates[at, node, cols] - trace.truth[at, cols]
             ref_norms = np.zeros(trace.n_nodes)
-            ref_norms[subs] = np.diagonal(error_norms(trace.z_estimates[refs, subs][:, None],
-                                                      trace.truth[refs], ts.block_dims)[0][:, 0])
+            ref_norms[subs] = _block_norms(err, np.asarray(ts.offsets)[subs])
             trace.constants = compute_bound_constants(ts, gains, ref_norms, schedule.t_bar)
             if not np.all(np.isfinite(trace.constants.c_bar)):
                 trace.warnings.append("envelope_constants_not_finite")
@@ -326,11 +327,10 @@ def check_envelope(trace: Trace):
     return {"passed": count == 0, "violations": count, "counterexample": at}
 
 
-# Estimates that are not finite leave their residuals inf or NaN: a failed
-# identity, not a raw warning.
-@np.errstate(over="ignore", invalid="ignore")
 def _delayed_residuals(trace: Trace, ts):
-    """Delayed-error identity residuals at every (k, node, substate), k = 1..H.
+    """Yield (k0, resid): the delayed-error identity's residuals at every
+    (k, node, substate) for the times k = k0, k0 + 1, ... of a chunk, k0
+    from 1 to H.
 
     The identity says that an informed node's estimate of substate j at time
     k is A_jj^tau z_{k-tau}[j, j] plus A_jj^(k-t-1) A_jq z_t[v_t, q] summed
@@ -347,10 +347,10 @@ def _delayed_residuals(trace: Trace, ts):
     recursion runs; the products, readers and norms are whole-chunk array
     work, so the buffers are O(CHUNK_ROUNDS * N * n) whatever the horizon.
 
-    Returns an (H, N, S) array over the trace's nonempty substates: the
-    relative residual ||z_k - R_k|| / max(1, ||z_k||) per block, 0 for
-    sources and never-informed entries, NaN where ||z_k|| is not finite.
-    A sum of squares that overflows is taken again by `_retake_overflowed`.
+    A chunk's resid is a (rounds, N, S) array over the trace's nonempty
+    substates: the relative residual ||z_k - R_k|| / max(1, ||z_k||) per
+    block (`_block_norms`), 0 for sources and never-informed entries, NaN
+    where ||z_k|| is not finite.
     """
     z = trace.z_estimates
     subs = trace.sources
@@ -364,36 +364,33 @@ def _delayed_residuals(trace: Trace, ts):
     # Flat positions of the sources' own blocks in an N x n estimate array.
     own_cols = col_block * ts.n + cols
     recon = z[0]
-    resid = np.zeros((trace.horizon, trace.n_nodes, subs.size))
     for k0 in range(1, trace.horizon + 1, CHUNK_ROUNDS):
         k1 = min(k0 + CHUNK_ROUNDS, trace.horizon + 1)
-        donors = trace.donors[k0:k1]
-        reader = np.where(donors >= 0, donors - 1, np.arange(trace.n_nodes)[:, None])
-        z_gather = reader[:, :, col_slot] * ts.n + cols
-        z_own = z[k0:k1].reshape(k1 - k0, -1)[:, own_cols]
-        recons = z[k0 - 1:k1 - 1] @ a_lower_t
-        for c in range(k1 - k0):
-            recons[c] += recon.take(z_gather[c]) @ a_diag_t
-            recon = recons[c]
-            recon.put(own_cols, z_own[c])
-        # The residual pass below overwrites recons: carry a copy.
-        recon = recon.copy()
+        # Estimates that are not finite leave their residuals inf or NaN: a
+        # failed identity, not a raw warning.  The yield stays outside, so
+        # that the caller's own numerics keep their warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            donors = trace.donors[k0:k1]
+            reader = np.where(donors >= 0, donors - 1, np.arange(trace.n_nodes)[:, None])
+            z_gather = reader[:, :, col_slot] * ts.n + cols
+            z_own = z[k0:k1].reshape(k1 - k0, -1)[:, own_cols]
+            recons = z[k0 - 1:k1 - 1] @ a_lower_t
+            for c in range(k1 - k0):
+                recons[c] += recon.take(z_gather[c]) @ a_diag_t
+                recon = recons[c]
+                recon.put(own_cols, z_own[c])
+            # The residual pass below overwrites recons: carry a copy.
+            recon = recon.copy()
 
-        zs = z[k0:k1]
-        diff = np.subtract(recons, zs, out=recons)
-        res = np.sqrt(np.add.reduceat(np.square(diff), starts, axis=2),
-                      out=resid[k0 - 1:k1 - 1])
-        z_norm = np.sqrt(np.add.reduceat(np.square(zs), starts, axis=2))
-        if (np.fmax.reduce(res, axis=None) == np.inf
-                or np.fmax.reduce(z_norm, axis=None) == np.inf):
-            _retake_overflowed(res, diff, starts)
-            _retake_overflowed(z_norm, zs, starts)
+            zs = z[k0:k1]
+            res = _block_norms(np.subtract(recons, zs, out=recons), starts)
+            z_norm = _block_norms(zs, starts)
             # An estimate whose norm is inf even so is not compared: NaN, not 0.
             z_norm[np.isinf(z_norm)] = np.nan
-        res /= np.maximum(1.0, z_norm)
+            res /= np.maximum(1.0, z_norm)
         res[:, subs, np.arange(subs.size)] = 0.0
         res[trace.taus[k0:k1] < 0] = 0.0
-    return resid
+        yield k0, res
 
 
 def _rule_rounds(trace: Trace):
@@ -477,10 +474,13 @@ def check_lemma_suite(trace: Trace, check_delayed=False):
     report["passed"] = all(at is None for at in faults.values())
 
     if check_delayed:
-        resid = _delayed_residuals(trace, trace.ts)
-        worst = float(np.max(resid, initial=0.0))    # NaN if any residual is NaN
-        worst_at = None if worst == 0.0 else _first(
-            np.isnan(resid) | (resid == worst), subs, order=(0, 2, 1), k0=1)
+        worst, worst_at = 0.0, None
+        for k0, resid in _delayed_residuals(trace, trace.ts):
+            top = float(np.max(resid, initial=0.0))    # NaN if any residual is NaN
+            # A NaN beats any number; on a tie the earlier chunk keeps its point.
+            if not (np.isnan(worst) or top <= worst):
+                worst, worst_at = top, _first(np.isnan(resid) | (resid == top), subs,
+                                              order=(0, 2, 1), k0=k0)
         entry = {"passed": worst <= DELAYED_TOL, "max_residual": worst,
                  "at": worst_at}
         report["checks"]["delayed_form"] = entry

@@ -8,8 +8,8 @@ writes for the given seeds (its library configs too, taken through the
 CLI), generated once with OLD_TREE's package.  Each config goes through
 ``freshtrack run`` and then ``freshtrack check``, one subprocess each, with
 that tree's ``src`` first on ``PYTHONPATH``.  A config matches when the two
-trees give the same exit codes, the same stdout and output files of equal
-SHA-256.  Prints every config that differs and exits 1 if any does.
+trees give the same exit codes, the same stdout and stderr (each side's
+output directory masked) and output files of equal SHA-256.  Prints every config that differs and exits 1 if any does.
 """
 
 from __future__ import annotations
@@ -44,23 +44,24 @@ def workload_specs(tree, seeds, work_dir):
 
 def _freshtrack(tree, args):
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
-    done = subprocess.run([sys.executable, "-m", "freshtrack.cli", *args], env=env,
+    return subprocess.run([sys.executable, "-m", "freshtrack.cli", *args], env=env,
                           capture_output=True, text=True)
-    return done.returncode, done.stdout
 
 
 def outcome(tree, spec, out_dir):
-    """Exit codes, stdout and output-file digests of ``run`` then ``check``."""
+    """Exit codes, stdout, stderr and output-file digests of ``run`` then
+    ``check``; stderr reads ``<out>`` for ``out_dir``."""
     os.makedirs(out_dir)
-    run_rc, run_out = _freshtrack(tree, ["run", spec, "--out", out_dir])
     stem = os.path.join(out_dir, os.path.splitext(os.path.basename(spec))[0])
-    check_rc, check_out = _freshtrack(tree, ["check", f"{stem}_trace.csv",
-                                             f"{stem}_report.json"])
+    done = [_freshtrack(tree, ["run", spec, "--out", out_dir]),
+            _freshtrack(tree, ["check", f"{stem}_trace.csv", f"{stem}_report.json"])]
     files = {}
     for name in sorted(os.listdir(out_dir)):
         with open(os.path.join(out_dir, name), "rb") as f:
             files[name] = hashlib.sha256(f.read()).hexdigest()
-    return {"exit codes": (run_rc, check_rc), "stdout": (run_out, check_out),
+    return {"exit codes": tuple(d.returncode for d in done),
+            "stdout": tuple(d.stdout for d in done),
+            "stderr": tuple(d.stderr.replace(out_dir, "<out>") for d in done),
             "files": files}
 
 

@@ -511,6 +511,26 @@ def test_run_jobs_matches_serial_run(tmp_path, capsys):
             assert (tmp_path / "pooled" / f"{name}{suffix}").read_bytes() == serial
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_run_refuses_two_configs_that_write_the_same_files(tmp_path, capsys, jobs):
+    # a/x.json and b/x.json are different runs that would both write x_trace.csv
+    # and x_report.json into one directory: the later would overwrite the earlier.
+    for sub, name in (("a", "fig1_freshness_spectral"), ("b", "fig1_uniform_baseline")):
+        (tmp_path / sub).mkdir()
+        (tmp_path / sub / "x.json").write_text(json.dumps(canned_scenarios()[name]))
+    specs = [str(tmp_path / "a" / "x.json"), str(tmp_path / "b" / "x.json")]
+    out = tmp_path / "out"
+    assert main(["run", *specs, "--out", str(out), "--jobs", jobs]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        f"error: {specs[0]} and {specs[1]} would both write {out / 'x_trace.csv'}\n")
+    assert not out.exists()
+    # One spec twice is the same refusal; apart, the two run.
+    assert main(["run", specs[0], specs[0], "--out", str(out)]) == 2
+    assert main(["run", specs[0], "--out", str(out / "a")]) == 0
+    assert main(["run", specs[1], "--out", str(out / "b")]) == 0
+
+
 def test_run_jobs_pool_is_capped_at_the_config_count(tmp_path, monkeypatch, capsys):
     # The pool starts all its workers at the first submit: --jobs 500 on two
     # configs must ask for two.  The fake pool runs the calls inline.
@@ -756,7 +776,8 @@ def test_run_file_write_memory_does_not_grow_with_the_horizon(tmp_path):
 def test_report_text_parses_like_indented_dump(runs):
     for name, (_, report) in runs.items():
         text = _report_text(report)
-        assert json.loads(text) == json.loads(json.dumps(report, indent=2)), name
+        assert json.loads(text) == json.loads(
+            json.dumps(report, indent=2, default=cli._plain)), name
         assert len(text.splitlines()) == len(report) + 2, name
 
 
@@ -1095,6 +1116,27 @@ def test_check_fails_an_estimate_off_the_delayed_identity(tmp_path, capsys, name
     lemmas = run_checks(loaded, data["scenario"])[0]["lemmas"]["checks"]
     assert lemmas.pop("delayed_form")["at"] == (2, 1, 10)
     assert all(entry["passed"] for entry in lemmas.values())
+
+
+def test_check_agrees_with_a_report_that_holds_a_nan(tmp_path, capsys):
+    # Every estimate is near 1.5e308: ||z_k|| passes float64's range, so the
+    # run records the delayed identity's max_residual as NaN.  The re-check
+    # gives the same NaN, which agrees with the report.
+    cfg = tmp_path / "nan.json"
+    cfg.write_text(json.dumps({
+        "plant": {"A": [[1.0, 0.0], [0.0, 1.0]], "C": [[[1.0, 0.0], [0.0, 1.0]], [], []],
+                  "x0": [1.5e308, 1.5e308]},
+        "graph": {"mode": "random", "T": 2, "params": {"seed": 1}},
+        "algorithm": {"type": "freshness", "rho": 0.8}, "horizon": 12,
+        "checks": {"lemmas": True}}))
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == 1
+    report = tmp_path / "nan_report.json"
+    entry = json.loads(report.read_text())["checks"]["lemmas"]["checks"]["delayed_form"]
+    assert not entry["passed"] and np.isnan(entry["max_residual"])
+    capsys.readouterr()
+    assert main(["check", str(tmp_path / "nan_trace.csv"), str(report)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "lemmas: FAIL\n" and captured.err == ""
 
 
 def test_check_agrees_with_a_run_whose_envelope_constants_are_not_finite(tmp_path, capsys):

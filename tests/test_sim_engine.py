@@ -57,6 +57,14 @@ def fig1_plant():
     return LtiPlant([[2.0]], [[[1.0]], [], []], [1.0])
 
 
+def delayed_residuals(trace):
+    """`_delayed_residuals`' chunks as one (H, N, S) array; each chunk
+    starts where the one before it ends."""
+    starts, chunks = zip(*_delayed_residuals(trace, trace.ts))
+    assert starts == tuple(range(1, trace.horizon + 1, sim_engine.CHUNK_ROUNDS))
+    return np.concatenate(chunks)
+
+
 def random_scenario(seed=7, **kw):
     plant = make_multiblock_plant((2, 1, 1), seed=seed)
     graph = generate_random_jointly_connected(3, 2, seed=seed + 1)
@@ -462,6 +470,25 @@ def test_run_memory_does_not_grow_with_the_horizon():
     assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
+def test_delayed_check_memory_grows_by_less_than_a_float_per_point():
+    # The delayed identity's residuals go a chunk at a time.  Only the lemma's
+    # bool masks over (k, node, substate) grow with the horizon, 1 byte a
+    # point each; a float residual array would be 8 (about 3.7 MB here).
+    plant = make_multiblock_plant((1,) * 16, seed=1)
+    graph = generate_random_jointly_connected(16, 2, seed=1)
+    peaks = []
+    for horizon in (200, 2000):
+        trace = run_scenario(Scenario(plant=plant, graph=graph, rho=0.9, horizon=horizon))
+        tracemalloc.start()
+        try:
+            assert check_lemma_suite(trace, check_delayed=True)["passed"]
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    points = 1800 * trace.n_nodes * len(trace.substates)
+    assert peaks[1] - peaks[0] <= 2 * points, peaks
+
+
 def test_lemma_suite_reports_first_source_preferred_violation():
     trace = run_scenario(random_scenario(seed=7))
     # (k, j, i): source j sends to node i in round k, so i must adopt j.
@@ -667,14 +694,17 @@ def test_delayed_check_matches_per_point_closed_form(blocks, blind, coupling, se
         trace.taus[k, i, c] = max(-1, old + rng.choice([-2, -1, 1, 2]))
         if trace.taus[k, i, c] != old:
             tampered = (i + 1, trace.substates[c], k)
-    resid = _delayed_residuals(trace, ts)
-    # The chunk length moves no bit: chunks of one round, chunks that do
-    # and do not divide the horizon, and one chunk longer than it.
+    resid = delayed_residuals(trace)
+    checks = check_lemma_suite(trace, check_delayed=True)["checks"]
+    # The chunk length moves no bit and no point: chunks of one round,
+    # chunks that do and do not divide the horizon, and one chunk longer
+    # than it.
     for chunk in (1, 3, 5, trace.horizon + 1):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sim_engine, "CHUNK_ROUNDS", chunk)
-            assert np.array_equal(_delayed_residuals(trace, ts), resid)
-    checks = check_lemma_suite(trace, check_delayed=True)["checks"]
+            assert np.array_equal(delayed_residuals(trace), resid)
+            entry = check_lemma_suite(trace, check_delayed=True)["checks"]["delayed_form"]
+            assert entry == checks["delayed_form"]
     # The rule check finds a shifted index where the index lemma may not.
     assert checks["indices_match_graph"].get("counterexample") == tampered
     refs = []
@@ -693,6 +723,10 @@ def test_delayed_check_matches_per_point_closed_form(blocks, blind, coupling, se
     entry = checks["delayed_form"]
     assert entry["passed"] == (worst <= 1e-8)
     assert entry["max_residual"] == pytest.approx(worst, abs=1e-12)
+    # The point is the first worst residual in (k, substate, node) order.
+    k, c, i = min((k, c, i) for k, i, c in np.argwhere(resid == entry["max_residual"]))
+    assert entry["at"] == (None if entry["max_residual"] == 0 else
+                           (i + 1, trace.substates[c], k + 1))
 
 
 def test_error_norms_stay_finite_past_the_square_of_float64s_range():
@@ -716,11 +750,11 @@ def test_delayed_residuals_stay_finite_past_the_square_of_float64s_range():
     # nonzero.
     trace = run_scenario(random_scenario(seed=41))
     trace.z_estimates[20, 2] += 0.5
-    resid = _delayed_residuals(trace, trace.ts)
+    resid = delayed_residuals(trace)
     z_norms = error_norms(trace.z_estimates, np.zeros(trace.z_estimates.shape[::2]),
                           trace.ts.block_dims)[0][1:]
     trace.z_estimates *= 2.0 ** 600
-    scaled = _delayed_residuals(trace, trace.ts)
+    scaled = delayed_residuals(trace)
     assert np.isfinite(scaled).all()
     assert resid.max() > 0
     assert np.allclose(scaled * z_norms, resid * np.maximum(1.0, z_norms), rtol=1e-12, atol=0)
@@ -731,7 +765,7 @@ def test_a_residual_over_an_estimate_that_is_not_finite_is_nan():
     i, c = next((i, c) for i, c in zip(*np.nonzero(trace.taus[30] > 0)))
     col = trace.ts.offsets[trace.sources[c]]
     trace.z_estimates[30, i, col] = np.inf
-    resid = _delayed_residuals(trace, trace.ts)
+    resid = delayed_residuals(trace)
     assert np.isnan(resid[29, i, c])
     assert np.isfinite(resid[:29]).all()
     entry = check_lemma_suite(trace, check_delayed=True)["checks"]["delayed_form"]
@@ -747,9 +781,47 @@ def test_a_residual_over_an_estimate_whose_norm_passes_float64s_range_is_nan():
     graph = generate_random_jointly_connected(3, 2, seed=1)
     trace = run_scenario(Scenario(plant=plant, graph=graph, rho=0.8, horizon=12))
     trace.z_estimates[:] = 1.5e308
-    resid = _delayed_residuals(trace, trace.ts)
+    resid = delayed_residuals(trace)
     informed = trace.taus[1:] > 0
     assert informed.sum() >= 20 and np.isnan(resid[informed]).all()
+
+
+def identity_plant_trace():
+    """A = I on one 2-state source block, every estimate 0.  A = I leaves no
+    cross terms and carries every lineage's start, the source's 0, so an
+    informed estimate z of node i's substate at time k has residual
+    ||z|| / max(1, ||z||), exactly 1.0 for ||z|| = 2."""
+    plant = LtiPlant(np.eye(2), [np.eye(2), np.zeros((0, 2)), np.zeros((0, 2))], [1.0, 1.0])
+    graph = generate_random_jointly_connected(3, 2, seed=1)
+    trace = run_scenario(Scenario(plant=plant, graph=graph, rho=0.8, horizon=12))
+    trace.z_estimates[:] = 0.0
+    # (k, node) of the informed non-sources at two times in two chunks of 4.
+    return trace, [(k, int(np.flatnonzero(trace.taus[k, :, 0] > 0)[-1])) for k in (5, 10)]
+
+
+def test_a_nan_in_a_later_chunk_beats_a_larger_residual_in_an_earlier_one():
+    trace, ((k, i), (k_nan, i_nan)) = identity_plant_trace()
+    trace.z_estimates[k, i] = (2.0, 0.0)
+    trace.z_estimates[k_nan, i_nan] = (np.inf, 0.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim_engine, "CHUNK_ROUNDS", 4)
+        resid = delayed_residuals(trace)
+        entry = check_lemma_suite(trace, check_delayed=True)["checks"]["delayed_form"]
+    assert resid[k - 1, i, 0] == 1.0 and np.nanmax(resid[k_nan - 1:]) < 1.0
+    assert not entry["passed"] and np.isnan(entry["max_residual"])
+    assert entry["at"] == (i_nan + 1, 1, k_nan)
+
+
+def test_an_equal_worst_residual_in_a_later_chunk_keeps_the_earlier_point():
+    trace, ((k, i), (k_tie, i_tie)) = identity_plant_trace()
+    trace.z_estimates[k, i] = (2.0, 0.0)
+    trace.z_estimates[k_tie, i_tie] = (0.0, -2.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim_engine, "CHUNK_ROUNDS", 4)
+        resid = delayed_residuals(trace)
+        entry = check_lemma_suite(trace, check_delayed=True)["checks"]["delayed_form"]
+    assert np.count_nonzero(resid) == 2 and resid[k_tie - 1, i_tie, 0] == 1.0
+    assert entry == {"passed": False, "max_residual": 1.0, "at": (i + 1, 1, k)}
 
 
 def relay_trace(horizon=10):
