@@ -22,7 +22,7 @@ from .baselines import WeightStrategy, detect_divergence
 from .decomposition import DecompositionError, TransformedSystem
 from .gain_design import BoundConstants, GainDesignError
 from .graph_seq import PeriodicGraphSequence, edge_tensor, generate_random_jointly_connected
-from .scenarios import canned_scenarios
+from .scenarios import canned_scenario, canned_scenarios
 from .sim_engine import (
     Scenario,
     Trace,
@@ -313,9 +313,9 @@ def _atomic_write(path, write):
 
 
 def _resolve_config(spec):
-    canned = canned_scenarios()
-    if spec in canned:
-        return spec, canned[spec]
+    config = canned_scenario(spec)     # a canned name wins over a file of that name
+    if config is not None:
+        return spec, config
     if not os.path.exists(spec):
         raise ConfigError(f"no such config file or canned scenario: {spec}")
     try:

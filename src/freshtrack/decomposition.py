@@ -85,7 +85,8 @@ def staircase_transform(plant: LtiPlant) -> TransformedSystem:
     rounding = EPS
     for sensor in plant.sensors:
         # Rows of C_j V that earlier nodes already see are rounding residue
-        # of V; they are judged against ||C_j|| and V's rounding estimate.
+        # of V; they are judged against ||C_j|| and V's rounding estimate,
+        # whose Krylov condition numbers are taken only if a decision needs them.
         observed, unobserved, rounding, _ = staircase_deflation(
             v.T @ a @ v, sensor @ v, np.linalg.norm(sensor), rounding)
         blocks.append(v @ observed)

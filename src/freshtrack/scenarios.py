@@ -96,17 +96,11 @@ def _plant_config(plant: LtiPlant):
 
 
 @functools.cache
-def _random_jsc_plant():
-    # LtiPlant is frozen with read-only arrays, so one build serves every call.
-    return make_multiblock_plant((2, 1, 1, 1), seed=2024, spectral_radius=0.3)
-
-
-def canned_scenarios():
-    """Name -> config dict for every built-in scenario, stable-sorted by name.
-
-    Every call returns fresh dicts and lists: a caller may edit them.
-    """
-    random_plant = _plant_config(_random_jsc_plant())
+def _canned():
+    """Name -> config of every built-in scenario, sorted by name.  Built once
+    and shared: hand out only deep copies."""
+    random_plant = _plant_config(
+        make_multiblock_plant((2, 1, 1, 1), seed=2024, spectral_radius=0.3))
     random_graph = {"mode": "random", "T": 3, "params": {"n": 4, "seed": 11}}
     init = [[0.0] * 5 for _ in range(4)]
     scenarios = {
@@ -161,4 +155,18 @@ def canned_scenarios():
             "checks": {"lemmas": True},
         },
     }
-    return copy.deepcopy(dict(sorted(scenarios.items())))
+    return dict(sorted(scenarios.items()))
+
+
+def canned_scenarios():
+    """Name -> config dict for every built-in scenario, stable-sorted by name.
+
+    Every call returns fresh dicts and lists: a caller may edit them.
+    """
+    return copy.deepcopy(_canned())
+
+
+def canned_scenario(name):
+    """A fresh config of the built-in scenario ``name``, or None if there is none."""
+    config = _canned().get(name)
+    return None if config is None else copy.deepcopy(config)

@@ -451,23 +451,27 @@ def check_lemma_suite(trace: Trace, check_delayed=False):
         return report
 
     subs = trace.sources
-    late = trace.taus[trigger_k:]                   # [k, node, substate]
-    nonsource = np.ones(late.shape[1:], dtype=bool)
+    nonsource = np.ones(trace.taus.shape[1:], dtype=bool)
     nonsource[subs, np.arange(subs.size)] = False
 
-    faults = {
-        "indices_finite": _first((late < 0) & nonsource, subs, k0=trigger_k),
-        "delay_ceiling": _first((late > 2 * trigger_k) & nonsource, subs, k0=trigger_k),
-        "indices_match_graph": None,
-        "donors_match_graph": None,
-    }
-    # Rounds come in time order: the first chunk that differs holds the first.
+    faults = dict.fromkeys(("indices_finite", "delay_ceiling",
+                            "indices_match_graph", "donors_match_graph"))
+    # Rounds come in time order: the first chunk that differs holds the first
+    # (k, substate, node).  The bounds from (N-1)T on keep, over the chunks,
+    # the first in (substate, node, k) order.
     for k0, taus, donors in _rule_rounds(trace):
         rows = slice(k0, k0 + len(taus))
         for name, recorded, expected in (("indices_match_graph", trace.taus, taus),
                                          ("donors_match_graph", trace.donors, donors)):
             faults[name] = faults[name] or _first(
                 recorded[rows] != expected, subs, order=(0, 2, 1), k0=k0)
+        late_k0 = max(k0, trigger_k)
+        late = trace.taus[late_k0:rows.stop]            # [k, node, substate]
+        for name, bad in (("indices_finite", late < 0), ("delay_ceiling", late > 2 * trigger_k)):
+            at = _first(bad & nonsource, subs, k0=late_k0)
+            kept = faults[name]
+            if at and (kept is None or (at[1], at[0]) < (kept[1], kept[0])):
+                faults[name] = at
     for name, at in faults.items():
         report["checks"][name] = ({"passed": True} if at is None else
                                   {"passed": False, "counterexample": at})

@@ -4,6 +4,7 @@ one (H+1, n) array of states, to which a node applies its sensor rows."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -112,9 +113,19 @@ def simulate_truth(plant: LtiPlant, horizon: int) -> np.ndarray:
 # times above.  Between the two factors below there is no clear gap.
 # Values above SEEN_FLOOR always count: on long generic chains the estimate
 # saturates while the values stay large (single-output n = 64: all > 1.4e-3).
+# Most decisions need neither ||A|| nor the condition number itself:
+# ||A||_F / sqrt(n) <= ||A|| <= ||A||_F, and the condition number is at
+# least 1, so a value above SEEN_FLOOR ||A||_F is a direction and one below
+# min(SEEN_FLOOR, RESIDUE_FACTOR rounding) ||A||_F / sqrt(n), with eps for
+# each condition number, is residue.  Only a value these bounds leave open
+# takes the exact inputs, and then the rule itself decides.
 RESIDUE_FACTOR = 100.0
 DIRECTION_FACTOR = 1e3
 SEEN_FLOOR = 1e-3
+# A Frobenius norm in this range squares its entries without over- or
+# underflow, so up to _SLACK it bounds the computed 2-norm as the exact one.
+_FRO_RANGE = (1e-140, 1e140)
+_SLACK = 1e-6
 
 
 class DecompositionError(ValueError):
@@ -134,33 +145,127 @@ def _staircase_rank(rel, rounding):
     return int(np.sum(direction))
 
 
+class Rounding:
+    """A rounding estimate whose Krylov condition numbers are taken on demand.
+
+    The estimate is a sum, in order, of known terms and of terms owed: eps
+    times a condition number, given by a function.  ``lo`` is the same sum
+    with eps for each owed term, a lower bound since each condition number
+    is at least 1; ``float()`` takes what is owed and gives the estimate.
+    """
+
+    __slots__ = ("lo", "_value", "_prev", "_term")
+
+    def __init__(self, value, prev=None, term=None):
+        self._value, self._prev, self._term = value, prev, term
+        self.lo = value if prev is None else prev.lo + (EPS if callable(term) else term)
+
+    @classmethod
+    def of(cls, value):
+        return value if isinstance(value, cls) else cls(value)
+
+    def plus(self, term):
+        """This estimate plus ``term``, a float or a function owing one."""
+        return Rounding(None, self, term)
+
+    def __float__(self):
+        chain, node = [], self
+        while node._value is None:
+            chain.append(node)
+            node = node._prev
+        value = node._value
+        for node in reversed(chain):
+            value = value + (node._term() if callable(node._term) else node._term)
+            node._value, node._prev, node._term = value, None, None
+        return float(value)
+
+
+class _KrylovBlocks:
+    """The unit-scaled Krylov blocks C, CA, ... of a pair, built as needed."""
+
+    def __init__(self, a, c):
+        self.a, self.blocks, self.power = a, [], c
+
+    def condition(self, steps, seen):
+        """eps times the condition number of the first ``steps`` blocks on
+        the ``seen`` directions they span."""
+        while len(self.blocks) < steps:
+            self.blocks.append(self.power / (np.linalg.norm(self.power) or 1.0))
+            self.power = self.blocks[-1] @ self.a
+        k = np.linalg.svd(np.vstack(self.blocks[:steps]), compute_uv=False)
+        return EPS * k[0] / k[seen - 1]
+
+
+class _Scale:
+    """The reference of a step's singular values: ``value``, or ||a||_2 (1
+    where that is 0).  Until ||a||_2 is needed, ``lo`` and ``hi`` bound it
+    by ||a||_F."""
+
+    def __init__(self, value=None, a=None):
+        self.value, self.a = value, a
+        fro = np.nan if a is None else np.linalg.norm(a)
+        if _FRO_RANGE[0] <= fro <= _FRO_RANGE[1]:
+            self.lo = fro / np.sqrt(a.shape[0]) * (1 - _SLACK)
+            self.hi = fro * (1 + _SLACK)
+        else:
+            self.exact()
+
+    def exact(self):
+        if self.value is None:
+            self.value = np.linalg.norm(self.a, 2) or 1.0
+        self.lo = self.hi = self.value
+
+
+def _step_rank(rows, scale, rounding):
+    """Rank and right singular vectors of one step's rows, ``vt`` None where
+    the rows' Frobenius norm shows them residue without an SVD.  Bounds
+    decide what they can; the exact scale, then the exact rounding and
+    `_staircase_rank`, decide the rest."""
+    floor = min(SEEN_FLOOR, RESIDUE_FACTOR * rounding.lo)
+    fro = np.linalg.norm(rows)
+    if _FRO_RANGE[0] <= fro <= _FRO_RANGE[1] and fro * (1 + _SLACK) / scale.lo <= floor:
+        return 0, None
+    _, sv, vt = np.linalg.svd(rows)
+    while True:
+        direction, residue = sv / scale.hi > SEEN_FLOOR, sv / scale.lo <= floor
+        if np.all(direction | residue):
+            return int(np.sum(direction)), vt
+        if scale.value is not None:
+            return _staircase_rank(sv / scale.value, float(rounding)), vt
+        scale.exact()
+
+
 def staircase_deflation(a, c, c_scale, rounding):
     """Deflating staircase of (A, C); see `observability_staircase`.
 
     ``c_scale`` is the reference of the first step's singular values and
-    ``rounding`` the error the caller has already accumulated in (A, C).
-    Returns the two bases, the rounding estimate after the deflation and the
-    widths of the steps: ``observed`` is the steps' bases side by side.
+    ``rounding`` (a float or a `Rounding`) the error the caller has already
+    accumulated in (A, C).  Returns the two bases, the `Rounding` after the
+    deflation and the widths of the steps: ``observed`` is the steps' bases
+    side by side.
+
+    Each rank decision is that of `_staircase_rank` on the exact inputs, bit
+    for bit, but takes them only where bounds leave it open (see
+    ``RESIDUE_FACTOR``): ||A||_2 at most once, and each Krylov condition
+    number only when a decision, or the caller, asks for the estimate.  A
+    step whose rows are residue by their Frobenius norm takes no SVD.
     """
     n = a.shape[0]
     seen, rest = [np.zeros((n, 0))], np.eye(n)
-    rows, scale = c, c_scale
-    krylov, power = [], c
-    rounding = inherited = rounding + n * EPS
+    rows, scale = c, _Scale(c_scale or 1.0)
+    krylov = _KrylovBlocks(a, c)
+    rounding = inherited = Rounding.of(rounding).plus(n * EPS)
     while rest.shape[1] and rows.size:
-        _, sv, vt = np.linalg.svd(rows)
-        rank = _staircase_rank(sv / (scale or 1.0), rounding)
+        rank, vt = _step_rank(rows, scale, rounding)
         if rank == 0:
             break
         seen.append(rest @ vt[:rank].T)
         rest = rest @ vt[rank:].T
         rows = seen[-1].T @ a @ rest
-        if len(seen) == 2:      # later steps are relative to ||A||, one SVD of A
-            scale = np.linalg.norm(a, 2)
-        krylov.append(power / (np.linalg.norm(power) or 1.0))
-        power = krylov[-1] @ a
-        k = np.linalg.svd(np.vstack(krylov), compute_uv=False)
-        rounding = inherited + EPS * k[0] / k[n - rest.shape[1] - 1]
+        if len(seen) == 2:      # later steps are relative to ||A||
+            scale = _Scale(a=a)
+        rounding = inherited.plus(
+            partial(krylov.condition, len(seen) - 1, n - rest.shape[1]))
     return np.hstack(seen), rest, rounding, tuple(s.shape[1] for s in seen[1:])
 
 

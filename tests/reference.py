@@ -44,6 +44,13 @@ search from a hub feeding every window's root) and ``tree_parent_weights``
 tests require ``graph_seq.hops`` and the certification and weights built on
 it to give the same results.
 
+``staircase_deflation`` takes every input of every rank decision exactly:
+||A||_2 after the first step and the Krylov condition number after every
+step, each by an SVD.  The tests require
+``system_model.staircase_deflation``, which takes them only where bounds
+leave a decision open, to give the same bases, widths, resolved rounding
+and refusals bit for bit.
+
 ``max_error`` and ``fit_decay_rate`` read a run's convergence rate off its
 error norms.  ``from_transformed_coords`` and ``block_pair_observable``
 check the staircase transform from the outside.  ``make_diagonal_plant`` and
@@ -69,7 +76,13 @@ from freshtrack.gain_design import (
     place_deadbeat,
 )
 from freshtrack.observer_protocol import _NEVER, _NOT_SENT, ProtocolKernel
-from freshtrack.system_model import DecompositionError, LtiPlant, observability_staircase
+from freshtrack.system_model import (
+    EPS,
+    DecompositionError,
+    LtiPlant,
+    _staircase_rank,
+    observability_staircase,
+)
 
 LOG_FLOOR = 1e-13     # error norms below this are numerical noise for log fits
 
@@ -439,6 +452,31 @@ def design_gains(ts, rho=None, deadbeat=False, seed=0):
             raise type(exc)(f"{exc} (block {j})") from None
         gains.append(gain)
     return GainSet(gains=tuple(gains), target_radii=tuple(radii))
+
+
+def staircase_deflation(a, c, c_scale, rounding):
+    """Deflating staircase of (A, C) with every rank decision on its exact
+    inputs; returns the two bases, the rounding estimate and the widths."""
+    n = a.shape[0]
+    seen, rest = [np.zeros((n, 0))], np.eye(n)
+    rows, scale = c, c_scale
+    krylov, power = [], c
+    rounding = inherited = rounding + n * EPS
+    while rest.shape[1] and rows.size:
+        _, sv, vt = np.linalg.svd(rows)
+        rank = _staircase_rank(sv / (scale or 1.0), rounding)
+        if rank == 0:
+            break
+        seen.append(rest @ vt[:rank].T)
+        rest = rest @ vt[rank:].T
+        rows = seen[-1].T @ a @ rest
+        if len(seen) == 2:      # later steps are relative to ||A||, one SVD of A
+            scale = np.linalg.norm(a, 2)
+        krylov.append(power / (np.linalg.norm(power) or 1.0))
+        power = krylov[-1] @ a
+        k = np.linalg.svd(np.vstack(krylov), compute_uv=False)
+        rounding = inherited + EPS * k[0] / k[n - rest.shape[1] - 1]
+    return np.hstack(seen), rest, rounding, tuple(s.shape[1] for s in seen[1:])
 
 
 def max_error(trace):

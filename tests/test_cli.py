@@ -29,6 +29,7 @@ from freshtrack.scenarios import (
     FIG1_GRAPH,
     FIG1_PLANT,
     _plant_config,
+    canned_scenario,
     canned_scenarios,
     make_multiblock_plant,
 )
@@ -912,6 +913,31 @@ def test_canned_scenarios_return_fresh_configs():
     for config in canned_scenarios().values():
         assert config["plant"]["A"][0][0] != 99.0
         assert config["graph"]["T"] != 99
+
+
+def test_canned_scenario_is_a_fresh_copy_of_one_scenario():
+    for name, config in canned_scenarios().items():
+        one = canned_scenario(name)
+        assert one == config
+        one["plant"]["A"][0][0] = 99.0
+        assert canned_scenario(name) == config
+    assert canned_scenario("no_such_scenario") is None
+
+
+def test_run_takes_a_canned_name_over_a_file_and_builds_no_other(
+        tmp_path, monkeypatch, capsys):
+    # A file named like a canned scenario is not read; a config file path
+    # builds no canned scenario at all.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fig1_freshness_deadbeat").write_text("not json")
+    (tmp_path / "small.json").write_text(json.dumps(small_config()))
+    monkeypatch.setattr(cli, "canned_scenarios", None)
+    assert main(["run", "fig1_freshness_deadbeat", "small.json", "--out", "out"]) == 0
+    assert sorted(os.listdir("out")) == [
+        "fig1_freshness_deadbeat_report.json", "fig1_freshness_deadbeat_trace.csv",
+        "small_report.json", "small_trace.csv"]
+    assert main(["run", "no_such_file.json"]) == 2
+    assert "no such config file or canned scenario: no_such_file.json" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tamper", ["missing", "duplicated", "swapped"])

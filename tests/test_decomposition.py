@@ -192,6 +192,28 @@ def test_single_output_block_of_24_is_recovered():
     assert staircase_transform(make_multiblock_plant((24,), seed=1)).block_dims == (24,)
 
 
+def test_staircase_takes_an_svd_only_where_a_step_finds_a_direction(monkeypatch):
+    # design_wide's plant: each node's two steps find a direction, and a
+    # third, where one comes, is residue by its Frobenius norm.  Bounds
+    # decide every rank, so neither ||A||_2 nor a Krylov condition number
+    # is taken.
+    plant = make_multiblock_plant((2,) * 32, seed=1)
+    calls = []
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls.append((name, args[1:], kwargs))
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, call)
+
+    counted("svd", np.linalg.svd)
+    counted("norm", np.linalg.norm)
+    assert staircase_transform(plant).block_dims == (2,) * 32
+    svds = [kwargs for name, _, kwargs in calls if name == "svd"]
+    assert len(svds) == 64 and all(kwargs.get("compute_uv", True) for kwargs in svds)
+    assert all(args in ((), (None,)) for name, args, _ in calls if name == "norm")
+
+
 def test_staircase_of_64_scalar_blocks():
     ts = staircase_transform(make_multiblock_plant((1,) * 64, seed=1))
     assert ts.block_dims == (1,) * 64

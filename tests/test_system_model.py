@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
 
+from freshtrack.scenarios import make_multiblock_plant
 from freshtrack.system_model import (
+    EPS,
     ConfigurationError,
     DecompositionError,
     LtiPlant,
     is_jointly_observable,
     observability_staircase,
     simulate_truth,
+    staircase_deflation,
 )
 from krylov import krylov_rank
+import reference
+from reference import couple_substates
 
 
 def scalar_three_node_plant():
@@ -172,3 +177,76 @@ def test_single_output_pairs_are_observable_beyond_toy_size(n, radius):
         a *= radius / np.max(np.abs(np.linalg.eigvals(a)))
         plant = LtiPlant(a, [rng.standard_normal((1, n))], np.zeros(n))
         assert is_jointly_observable(plant)
+
+
+def staircase_outcome(deflate, plant):
+    """Each node's deflation by ``deflate``, run as `staircase_transform`
+    runs it: its bases' shapes and bytes, widths and resolved rounding, or
+    the refusal's type and message.  The roundings are resolved last node
+    first, so one resolution takes all that the chain owes."""
+    a, v, rounding, steps = plant.a_matrix, np.eye(plant.n), EPS, []
+    try:
+        for sensor in plant.sensors:
+            observed, unobserved, rounding, widths = deflate(
+                v.T @ a @ v, sensor @ v, np.linalg.norm(sensor), rounding)
+            steps.append((observed, unobserved, widths, rounding))
+            v = v @ unobserved
+    except DecompositionError as exc:
+        return type(exc), str(exc)
+    return [((o.shape, o.tobytes()), (u.shape, u.tobytes()), w, float(r).hex())
+            for o, u, w, r in reversed(steps)]
+
+
+def assert_staircase_matches_the_reference(plant):
+    """The bounds-first deflation against the exact reference, bit for bit;
+    returns the reference's outcome."""
+    expected = staircase_outcome(reference.staircase_deflation, plant)
+    assert staircase_outcome(staircase_deflation, plant) == expected
+    return expected
+
+
+@pytest.mark.parametrize("draw", range(16))
+def test_bounds_first_staircase_matches_the_exact_one_on_hidden_layouts(draw):
+    rng = np.random.default_rng(draw)
+    sizes = rng.integers(1, 5, int(rng.integers(1, 25)))
+    sizes = tuple(int(s) for s in sizes[np.cumsum(sizes) <= 64])
+    rows = [int(r) for r in rng.integers(1, 3, len(sizes))] if draw % 4 == 0 else None
+    plant = make_multiblock_plant(sizes, seed=draw, row_dims=rows)
+    widths = [w for _, _, w, _ in reversed(assert_staircase_matches_the_reference(plant))]
+    assert [sum(w) for w in widths] == list(sizes)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 198, 212])
+def test_bounds_first_staircase_matches_the_exact_one_on_coupled_plants(seed):
+    # Seeds 198 and 212 are refused for want of a clear gap, with one message.
+    plant = couple_substates(make_multiblock_plant((3, 3, 3, 3), seed=seed), 0.5, seed)
+    outcome = assert_staircase_matches_the_reference(plant)
+    assert (outcome[0] is DecompositionError) == (seed in (198, 212))
+
+
+@pytest.mark.parametrize("k,seed", [(24, 0), (32, 1), (40, 2), (48, 0), (48, 2), (48, 3)])
+def test_bounds_first_staircase_matches_the_exact_one_on_single_output_pairs(k, seed):
+    # Seeds 2 and 3 fold the two 48-blocks into one: the value that folds
+    # them is left open by the Frobenius bounds and decided on ||A|| itself.
+    plant = make_multiblock_plant((k, k), seed=seed)
+    dims = [len(w) for _, _, w, _ in reversed(assert_staircase_matches_the_reference(plant))]
+    assert dims == ([2 * k, 0] if (k, seed) in ((48, 2), (48, 3)) else [k, k])
+
+
+@pytest.mark.parametrize("coupling", [1e-14, 4.3e-14, 4.6e-14, 1e-13, 1e-11])
+def test_bounds_first_staircase_matches_the_exact_one_on_the_clear_gap_cases(coupling):
+    # ||A||_F / sqrt(2) is within 1e-13 of ||A||: couplings of 4.3e-14 and
+    # 4.6e-14 put the second value just below and just above the residue
+    # bound of 100 times the rounding estimate.
+    a = np.array([[0.5, coupling], [0.0, 0.5]])
+    assert_staircase_matches_the_reference(LtiPlant(a, [[[1.0, 0.0]]], np.zeros(2)))
+
+
+@pytest.mark.parametrize("plant", [
+    LtiPlant(np.zeros((3, 3)), [[[1.0, 2.0, 0.0]]], np.zeros(3)),   # a zero A
+    LtiPlant([[0.5]], [[[1.0]], [[2.0]]], [1.0]),       # node 2 faces a 0-dimension A
+    LtiPlant(np.eye(2), [np.zeros((0, 2)), np.eye(2)], np.zeros(2)),    # a node without rows
+    scalar_three_node_plant(),
+])
+def test_bounds_first_staircase_matches_the_exact_one_on_degenerate_plants(plant):
+    assert_staircase_matches_the_reference(plant)
