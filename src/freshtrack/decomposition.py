@@ -27,13 +27,16 @@ class TransformedSystem:
     """Similarity transform T and the block lower-triangular pair it produces.
 
     a_bar = T^T A T, c_bar[i] = C_i T.  Column blocks of T are mutually
-    orthonormal, so T is orthogonal and T^-1 = T^T.
+    orthonormal, so T is orthogonal and T^-1 = T^T.  From `of`, a_bar is
+    exactly 0.0 above its diagonal blocks and c_bar[i] past block i, and
+    ``residue`` is how far the computed products were from that form.
     """
 
     t_matrix: np.ndarray
     a_bar: np.ndarray
     c_bar: tuple
     block_dims: tuple
+    residue: float = 0.0
 
     @property
     def n(self):
@@ -63,9 +66,43 @@ class TransformedSystem:
 
     @classmethod
     def of(cls, plant: LtiPlant, t, block_dims):
-        """``plant`` through T = ``t``, whose column blocks are ``block_dims``."""
-        return cls(t, t.T @ plant.a_matrix @ t, tuple(c @ t for c in plant.sensors),
-                   tuple(block_dims))
+        """``plant`` through T = ``t``, whose column blocks are ``block_dims``,
+        in staircase form: T^T A T with 0.0 above its diagonal blocks, and
+        each C_i T with 0.0 past block i.  Every other entry is the product's.
+
+        ``residue`` is ||entries set to 0.0||_F / ||[A; C_1; ...; C_N]||_F
+        (1 where that norm is 0): rounding level for the plant's staircase,
+        far above it for a T that mixes blocks.
+        """
+        n, n_nodes = len(t), len(block_dims)
+        rows = block_offsets(len(c) for c in plant.sensors)
+        # [T^T A T; C_1 T; ...; C_N T], each product on its own: one stacked
+        # product rounds differently.  A row's owner is its block (rows of
+        # T^T A T) or its node (rows of C_i T); its entries in the columns
+        # of later blocks are dropped.
+        stacked = np.empty((n + rows[-1], n))
+        np.matmul(t.T @ plant.a_matrix, t, out=stacked[:n])
+        for c, r0, r1 in zip(plant.sensors, rows, rows[1:]):
+            np.matmul(c, t, out=stacked[n + r0:n + r1])
+        owner = np.repeat(np.arange(2 * n_nodes) % n_nodes,
+                          (*block_dims, *(len(c) for c in plant.sensors)))
+        drop = owner[:, None] < owner[:n]
+        residue = _relative_norm(stacked[drop], np.vstack((plant.a_matrix, *plant.sensors)))
+        stacked[drop] = 0.0
+        c_bar = tuple(stacked[n + r0:n + r1] for r0, r1 in zip(rows, rows[1:]))
+        return cls(t, stacked[:n], c_bar, tuple(block_dims), residue)
+
+
+def _relative_norm(part, whole):
+    """||part|| / ||whole||, 1 for a zero ``whole``; both are scaled by
+    max |whole| first, so that no square overflows."""
+    scale = np.abs(whole).max()
+    if scale == 0.0:
+        return 1.0
+    whole = whole.ravel() / scale
+    with np.errstate(over="ignore"):    # a report's T whose products are huge: inf
+        part = part / scale
+        return float(np.sqrt(part @ part / (whole @ whole)))
 
 
 def staircase_transform(plant: LtiPlant) -> TransformedSystem:

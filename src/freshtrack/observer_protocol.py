@@ -70,13 +70,12 @@ class ProtocolKernel:
         diag = self._col_block[:, None] == self._col_block[None, :]
         self._a_lower_t = np.where(lower, ts.a_bar, 0.0).T.copy()
         self._a_diag_t = np.where(diag, ts.a_bar, 0.0).T.copy()
-        # Source j's correction L_j (C_j[:, :end_j] z_j - y_j), for every
-        # source at once: stacked sensor rows with the columns past block j
-        # zeroed, and the gains scattered into the rows of their own blocks.
+        # Source j's correction L_j (C_j z_j - y_j), for every source at
+        # once: stacked sensor rows, 0.0 past block j in the staircase form,
+        # and the gains scattered into the rows of their own blocks.
         c_rows, l_cols, owner = [], [], []
         for j in self.sources:
-            c_j = ts.c_bar[j].copy()
-            c_j[:, off[j + 1]:] = 0.0
+            c_j = ts.c_bar[j]
             l_pad = np.zeros((n, c_j.shape[0]))
             l_pad[off[j]:off[j + 1]] = gains.gain(j + 1)
             c_rows.append(c_j)

@@ -9,13 +9,15 @@ CLI), generated once with OLD_TREE's package.  Each config goes through
 ``freshtrack run`` and then ``freshtrack check``, one subprocess each, with
 that tree's ``src`` first on ``PYTHONPATH``.  A config matches when the two
 trees give the same exit codes, the same stdout and stderr (each side's
-output directory masked) and output files of equal SHA-256.  Prints every config that differs and exits 1 if any does.
+output directory masked) and byte-equal output files.  Prints every config
+that differs with the parts that differ, a report by the JSON fields that
+differ (``transform.a_bar``), and exits 1 if any config does.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -49,8 +51,8 @@ def _freshtrack(tree, args):
 
 
 def outcome(tree, spec, out_dir):
-    """Exit codes, stdout, stderr and output-file digests of ``run`` then
-    ``check``; stderr reads ``<out>`` for ``out_dir``."""
+    """Exit codes, stdout, stderr and output files (name to bytes) of ``run``
+    then ``check``; stderr reads ``<out>`` for ``out_dir``."""
     os.makedirs(out_dir)
     stem = os.path.join(out_dir, os.path.splitext(os.path.basename(spec))[0])
     done = [_freshtrack(tree, ["run", spec, "--out", out_dir]),
@@ -58,21 +60,61 @@ def outcome(tree, spec, out_dir):
     files = {}
     for name in sorted(os.listdir(out_dir)):
         with open(os.path.join(out_dir, name), "rb") as f:
-            files[name] = hashlib.sha256(f.read()).hexdigest()
+            files[name] = f.read()
     return {"exit codes": tuple(d.returncode for d in done),
             "stdout": tuple(d.stdout for d in done),
             "stderr": tuple(d.stderr.replace(out_dir, "<out>") for d in done),
             "files": files}
 
 
+_ABSENT = object()
+
+
+def report_fields(old, new, path=""):
+    """The dotted paths of the JSON values that differ between two parsed
+    reports, descending through objects only: an array differs as a whole."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        return [field for key in sorted(old.keys() | new.keys())
+                for field in report_fields(old.get(key, _ABSENT), new.get(key, _ABSENT),
+                                           f"{path}{key}.")]
+    return [] if old == new else [path[:-1]]
+
+
+def _report(data):
+    """A report's JSON, NaN and infinities read as their names so that they
+    compare equal; None for a report that is not JSON."""
+    try:
+        return json.loads(data, parse_constant=str)
+    except ValueError:
+        return None
+
+
+def differences(old, new):
+    """The parts of two outcomes that differ: "exit codes", "stdout",
+    "stderr", and each output file by name, a report that both sides wrote
+    as JSON as "<name>: <field>" for each field that differs."""
+    parts = [part for part in ("exit codes", "stdout", "stderr") if old[part] != new[part]]
+    for name in sorted(old["files"].keys() | new["files"].keys()):
+        data = old["files"].get(name), new["files"].get(name)
+        if data[0] == data[1]:
+            continue
+        fields = []
+        if name.endswith("_report.json") and None not in data:
+            reports = [_report(d) for d in data]
+            if None not in reports:
+                fields = report_fields(*reports)
+        parts += [f"{name}: {field}" for field in fields if field] or [name]
+    return parts
+
+
 def compare(old, new, specs, work_dir):
     """The labels of ``specs`` whose outcome differs between the trees, each
-    with the parts that differ."""
+    with the parts that differ (`differences`)."""
     differing = []
     for m, (label, spec) in enumerate(specs):
         got = [outcome(tree, spec, os.path.join(work_dir, side, str(m)))
                for side, tree in (("old", old), ("new", new))]
-        parts = [part for part in got[0] if got[0][part] != got[1][part]]
+        parts = differences(*got)
         if parts:
             differing.append((label, parts))
     return differing

@@ -526,13 +526,16 @@ def couple_substates(plant, scale, seed):
     """The plant with random A_jq (q < j) blocks added in staircase coordinates.
 
     make_multiblock_plant's blocks are uncoupled, which leaves the
-    cross-substate terms of the delayed-error identity at zero.
+    cross-substate terms of the delayed-error identity at zero.  The
+    coupling goes onto the unmasked T^T A T, rounding residue above the
+    blocks included, so that the draws stay those the tests pin.
     """
     ts = staircase_transform(plant)
+    t = ts.t_matrix
     block = np.repeat(np.arange(len(ts.block_dims)), ts.block_dims)
     lower = block[:, None] > block[None, :]
     coupling = scale * np.random.default_rng(seed).standard_normal(lower.shape) * lower
-    a = ts.t_matrix @ (ts.a_bar + coupling) @ np.linalg.inv(ts.t_matrix)
+    a = t @ (t.T @ plant.a_matrix @ t + coupling) @ np.linalg.inv(t)
     return LtiPlant(a, plant.sensors, plant.x0)
 
 

@@ -3,13 +3,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
+from freshtrack.cli import build_scenario
 from freshtrack.decomposition import (
     DecompositionError,
+    TransformedSystem,
     staircase_transform,
     to_transformed_coords,
 )
 from freshtrack.system_model import LtiPlant, is_jointly_observable
-from freshtrack.scenarios import make_multiblock_plant, make_random_plant
+from freshtrack.scenarios import canned_scenarios, make_multiblock_plant, make_random_plant
 from reference import block_pair_observable, couple_substates, from_transformed_coords
 
 
@@ -176,6 +178,64 @@ def test_coupled_multiblock_plant_keeps_its_blocks(sizes, seed):
     off = ts.offsets
     for j in range(1, len(sizes)):
         assert np.linalg.norm(ts.a_bar[off[j]:off[j + 1], :off[j]]) > 1e-3
+
+
+def _staircase_plants():
+    """The canned scenarios' plants and a coupled one, by name."""
+    plants = {name: build_scenario(config).plant for name, config in canned_scenarios().items()}
+    plants["coupled"] = couple_substates(make_multiblock_plant((3, 2, 1, 3), seed=5), 0.5, 5)
+    return plants
+
+
+@pytest.mark.parametrize("name", sorted(canned_scenarios()) + ["coupled"])
+def test_transform_writes_exact_staircase_zeros(name):
+    # Ā is T^T A T and C̄_i is C_i T bit for bit, except for exact 0.0 above
+    # Ā's diagonal blocks and in C̄_i past block i.  residue is the norm of
+    # what the zeros replaced, relative to ||[A; C_1; ...; C_N]||.
+    plant = _staircase_plants()[name]
+    ts = staircase_transform(plant)
+    t = ts.t_matrix
+    block = np.repeat(np.arange(len(ts.block_dims)), ts.block_dims)
+    above = block[:, None] < block[None, :]
+    products = [t.T @ plant.a_matrix @ t] + [c @ t for c in plant.sensors]
+    zeroed = [above] + [np.broadcast_to(block > i, c.shape) for i, c in enumerate(ts.c_bar)]
+    dropped = []
+    for got, product, mask in zip((ts.a_bar,) + ts.c_bar, products, zeroed):
+        assert np.array_equal(got[~mask], product[~mask])
+        assert np.all(got[mask] == 0.0) and not np.any(np.signbit(got[mask]))
+        dropped.append(product[mask])
+    whole = np.concatenate([plant.a_matrix.ravel()] + [c.ravel() for c in plant.sensors])
+    expected = np.linalg.norm(np.concatenate(dropped)) / np.linalg.norm(whole)
+    assert ts.residue == pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert ts.residue <= 1e-13
+
+
+def test_residue_exposes_a_t_that_mixes_two_blocks():
+    # A rotation within a block keeps T a staircase basis, and the residue at
+    # rounding level; one across two blocks leaves Ā's upper blocks and C̄_1
+    # past block 1 far from zero.
+    plant = _staircase_plants()["coupled"]
+    ts = staircase_transform(plant)
+    turn = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
+    for cols, low in (([0, 1], True), ([0, 3], False)):
+        t = ts.t_matrix.copy()
+        t[:, cols] = t[:, cols] @ turn
+        residue = TransformedSystem.of(plant, t, ts.block_dims).residue
+        assert residue <= 1e-13 if low else residue >= 1e-2
+
+
+def test_residue_takes_no_square_that_overflows():
+    # ||A||^2 overflows here; the residue is ||a_12|| / ||A|| all the same.
+    # A zero plant has no scale to compare with: its residue is 1.
+    sensors = [[[1.0, 0.0]], [[0.0, 1.0]]]
+    big = LtiPlant([[1e200, 1e200], [0.0, 0.5]], sensors, [1.0, 1.0])
+    assert TransformedSystem.of(big, np.eye(2), (1, 1)).residue == pytest.approx(0.5 ** 0.5)
+    zero = LtiPlant(np.zeros((2, 2)), [np.zeros((1, 2))] * 2, [1.0, 1.0])
+    assert TransformedSystem.of(zero, np.eye(2), (1, 1)).residue == 1.0
+    # A report's T is any finite matrix: products near the top of the float
+    # range give an inf residue, not an overflow.
+    small = LtiPlant([[0.5, 1.0], [0.0, 0.5]], sensors, [1.0, 1.0])
+    assert TransformedSystem.of(small, 1e150 * np.eye(2), (1, 1)).residue == np.inf
 
 
 @pytest.mark.xfail(raises=DecompositionError, strict=True,

@@ -24,10 +24,19 @@ def _copy_with(tmp_path, old, new):
 
 def test_parity_names_a_config_whose_report_differs(tmp_path):
     # A copy whose reports end in one more blank line differs in its report
-    # file only; stdout and the exit codes stay the same.
+    # file only, and in no JSON field; stdout and the exit codes stay the same.
     other = _copy_with(tmp_path, '+ "\\n}\\n"', '+ "\\n}\\n\\n"')
     assert parity.compare(parity.ROOT, other, _CANNED[:1], str(tmp_path / "work")) == [
-        ("fig1_freshness_spectral", ["files"])]
+        ("fig1_freshness_spectral", ["fig1_freshness_spectral_report.json"])]
+
+
+def test_parity_names_the_report_fields_that_differ(tmp_path):
+    # A copy that reports another transform residue differs in that one
+    # field of the report, named down to the transform's own.
+    other = _copy_with(tmp_path, '("transform", trace.ts)',
+                       '("transform", trace.ts and dataclasses.replace(trace.ts, residue=0.5))')
+    assert parity.compare(parity.ROOT, other, _CANNED[:1], str(tmp_path / "work")) == [
+        ("fig1_freshness_spectral", ["fig1_freshness_spectral_report.json: transform.residue"])]
 
 
 def test_parity_names_a_config_whose_error_message_differs(tmp_path):

@@ -11,7 +11,8 @@ from hypothesis.extra.numpy import arrays
 from freshtrack import cli, sim_engine
 from freshtrack.baselines import WeightStrategy, detect_divergence
 from freshtrack.cli import build_scenario
-from freshtrack.gain_design import closed_loop_block, envelope_schedule
+from freshtrack.decomposition import TransformedSystem
+from freshtrack.gain_design import choose_radii, closed_loop_block, envelope_schedule
 from freshtrack.graph_seq import (
     PeriodicGraphSequence,
     edge_tensor,
@@ -587,6 +588,66 @@ def test_envelope_reports_a_total_violation_after_the_substates():
     assert check_envelope(trace)["counterexample"] == (2, 1, 150)
 
 
+def _envelope_points(trace):
+    """(sub, total): the (H+1, N, S) points past a substate's envelope and
+    the (H+1, N) points past the total's, by the bounds `check_envelope`
+    states, for finite constants."""
+    schedule = envelope_schedule(trace.n_nodes, trace.period_t)
+    subs, c_bar = trace.sources, trace.constants.c_bar
+    radii = np.asarray(choose_radii(trace.rho, len(trace.block_dims)))
+    ks = np.arange(trace.horizon + 1)[:, None]
+    err_block, err_total = whole_horizon_error_norms(trace.z_estimates, trace.truth,
+                                                     trace.block_dims)
+    sub_bound = c_bar[subs] * radii[subs] ** ks * (1 + 1e-9) + 1e-300
+    total_bound = np.hypot.reduce(c_bar) * trace.rho ** ks * (1 + 1e-9) + 1e-300
+    sub = (err_block > sub_bound[:, None, :]) & (ks >= schedule.start[subs])[:, None, :]
+    total = (err_total > total_bound) & (ks >= schedule.total_start)
+    return sub, total
+
+
+_TAMPERED_ENVELOPE_RUNS = {
+    # Fig. 1's graph and blocks (1, 0, 0) on a stable plant, whose estimates
+    # keep a move of their bounds' size to the horizon.
+    "empty_blocks": lambda: Scenario(plant=LtiPlant([[0.5]], [[[1.0]], [], []], [1.0]),
+                                     graph=fig1_graph(), rho=0.6, horizon=60),
+    "random_jsc_theorem1": lambda: build_scenario(canned_scenarios()["random_jsc_theorem1"]),
+}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", sorted(_TAMPERED_ENVELOPE_RUNS))
+def test_total_envelope_fails_only_where_a_substate_does(name, seed):
+    # ||e||^2 = sum_j ||e_j||^2 and r_j < rho: with finite constants, every
+    # total violation has a substate violation at its (node, k), so the
+    # total envelope catches no fault of its own.  Estimates are moved near
+    # their substate's or the total's bound, where both are live, and the
+    # constants, an empty block's too, scaled at random.
+    # Only a c_bar that is not finite gives a total-only violation.
+    trace = run_scenario(_TAMPERED_ENVELOPE_RUNS[name]())
+    rng = np.random.default_rng(seed)
+    c_bar = trace.constants.c_bar * 10.0 ** rng.uniform(-1, 1, trace.constants.c_bar.shape)
+    trace.constants = dataclasses.replace(trace.constants, c_bar=c_bar)
+    radii = choose_radii(trace.rho, len(trace.block_dims))
+    start = envelope_schedule(trace.n_nodes, trace.period_t).total_start
+    for m in range(40):
+        i = int(rng.integers(1, trace.n_nodes + 1))
+        j = int(rng.choice(trace.substates))
+        k = int(rng.integers(start, trace.horizon + 1))
+        bound = (np.hypot.reduce(c_bar) * trace.rho ** k if m % 2
+                 else c_bar[j - 1] * radii[j - 1] ** k)
+        _move_estimate(trace, [(i, j, k)], rng.choice([-1.0, 1.0]) * bound * 10.0 ** rng.uniform(-1, 1))
+    sub, total = _envelope_points(trace)
+    assert np.count_nonzero(sub) + np.count_nonzero(total) == check_envelope(trace)["violations"]
+    assert total.any()
+    assert not np.any(total & ~sub.any(axis=2))
+    if name == "empty_blocks":
+        # An inf c_bar of an empty block fails every live total point, and
+        # the substate's violations stay as they were.
+        trace.constants = dataclasses.replace(trace.constants, c_bar=np.append(c_bar[:2], np.inf))
+        live = trace.n_nodes * (trace.horizon + 1 - start)
+        assert check_envelope(trace)["violations"] == np.count_nonzero(sub) + live
+
+
 def reference_lemma_faults(trace):
     """First counterexample of each lemma check, by straight-line loops: over
     (substate, node, k) for the index lemma, and over (k, substate, node) for
@@ -1068,3 +1129,56 @@ def test_lemma_suite_fails_faulty_kernels(monkeypatch, kernel):
     assert not report["passed"]
     assert not (report["checks"]["indices_match_graph"]["passed"]
                 and report["checks"]["donors_match_graph"]["passed"])
+
+
+def _raw_products(cls, plant, t, block_dims):
+    """`TransformedSystem.of` without the staircase zeros: the bare products."""
+    return cls(t, t.T @ plant.a_matrix @ t, tuple(c @ t for c in plant.sensors),
+               tuple(block_dims))
+
+
+class _ZeroingKernel(ProtocolKernel):
+    """The kernel as it was before the transform wrote the zeros: it zeroes
+    each source's sensor rows past its block itself."""
+
+    def __init__(self, ts, gains):
+        cols = np.arange(ts.n)
+        c_bar = tuple(np.where(cols < ts.offsets[j + 1], c, 0.0) for j, c in enumerate(ts.c_bar))
+        super().__init__(dataclasses.replace(ts, c_bar=c_bar), gains)
+
+
+def _scenarios_for_the_staircase_zeros():
+    canned = {name: build_scenario(config) for name, config in canned_scenarios().items()}
+    plant = couple_substates(make_multiblock_plant((2, 1, 2), seed=4), 0.5, seed=4)
+    return dict(canned, coupled=random_scenario(plant=plant, horizon=40))
+
+
+@pytest.mark.parametrize("name", sorted(canned_scenarios()) + ["coupled"])
+def test_staircase_zeros_change_no_bit_of_a_run(monkeypatch, name):
+    # Every consumer of the transform reads only Ā's blocks on and below the
+    # diagonal and C̄_i's blocks up to i, once the kernel zeroes C̄_i past
+    # block i, as it did before the transform wrote those zeros itself.
+    s = _scenarios_for_the_staircase_zeros()[name]
+    runs = [run_scenario(s)]
+    monkeypatch.setattr(TransformedSystem, "of", classmethod(_raw_products))
+    monkeypatch.setattr(sim_engine, "ProtocolKernel", _ZeroingKernel)
+    runs.append(run_scenario(s))
+    new, raw = runs
+    for attr in ("taus", "donors", "z_estimates"):
+        assert np.array_equal(getattr(new, attr), getattr(raw, attr)), attr
+    if new.ts is None:      # a baseline run has no transform
+        return
+    # The coupled plant's products do carry residue where the zeros go.
+    assert name != "coupled" or new.ts.residue > 0.0
+    for field in ("gains", "target_radii"):
+        assert all(map(np.array_equal, getattr(new.gains, field), getattr(raw.gains, field)))
+    verdicts = [[check_lemma_suite(t, check_delayed=True)] for t in runs]
+    if new.constants is None:       # a deadbeat run has no envelope
+        assert raw.constants is None
+    else:
+        for field in dataclasses.fields(new.constants):
+            assert np.array_equal(getattr(new.constants, field.name),
+                                  getattr(raw.constants, field.name), equal_nan=True), field.name
+        for t, checks in zip(runs, verdicts):
+            checks.append(check_envelope(t))
+    assert repr(verdicts[0]) == repr(verdicts[1])
