@@ -30,6 +30,8 @@ class TransformedSystem:
     orthonormal, so T is orthogonal and T^-1 = T^T.  From `of`, a_bar is
     exactly 0.0 above its diagonal blocks and c_bar[i] past block i, and
     ``residue`` is how far the computed products were from that form.
+    `ProtocolKernel` relies on the zeros in c_bar: a system built directly
+    for it must have them too.
     """
 
     t_matrix: np.ndarray

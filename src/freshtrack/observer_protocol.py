@@ -46,7 +46,10 @@ class ProtocolKernel:
     """The synchronous protocol rounds over the array state, for a fixed system.
 
     The block layout, the strictly-lower and block-diagonal parts of a_bar,
-    and every source's gain and sensor rows are laid out once here.
+    and every source's gain and sensor rows are laid out once here.  ``ts``
+    is in staircase form, as `TransformedSystem.of` gives it: each source's
+    correction reads its c_bar row whole, so c_bar[j] must be 0.0 past
+    block j.
     """
 
     def __init__(self, ts, gains):

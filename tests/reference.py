@@ -522,6 +522,14 @@ def make_diagonal_plant(n_nodes, seed):
     return LtiPlant(a, sensors, x0)
 
 
+def raw_products(plant, t, block_dims):
+    """`TransformedSystem.of` without the staircase zeros: T^T A T and each
+    C_i T as computed, rounding above the blocks included.  The invariance
+    tests read their upper blocks, which `of` writes as 0.0."""
+    return TransformedSystem(t, t.T @ plant.a_matrix @ t, tuple(c @ t for c in plant.sensors),
+                             tuple(block_dims))
+
+
 def couple_substates(plant, scale, seed):
     """The plant with random A_jq (q < j) blocks added in staircase coordinates.
 
@@ -535,7 +543,7 @@ def couple_substates(plant, scale, seed):
     block = np.repeat(np.arange(len(ts.block_dims)), ts.block_dims)
     lower = block[:, None] > block[None, :]
     coupling = scale * np.random.default_rng(seed).standard_normal(lower.shape) * lower
-    a = t @ (t.T @ plant.a_matrix @ t + coupling) @ np.linalg.inv(t)
+    a = t @ (raw_products(plant, t, ts.block_dims).a_bar + coupling) @ np.linalg.inv(t)
     return LtiPlant(a, plant.sensors, plant.x0)
 
 

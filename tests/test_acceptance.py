@@ -42,6 +42,7 @@ from reference import (
     fit_decay_rate,
     make_diagonal_plant,
     max_error,
+    raw_products,
 )
 
 
@@ -191,10 +192,14 @@ def test_staircase_decomposition_batch():
         ok &= bool(np.linalg.norm(ts.t_matrix @ ts.a_bar - a @ ts.t_matrix)
                    <= 1e-9 * scale)
         ok &= sum(ts.block_dims) == n
+        # The transform writes 0.0 above the blocks: the bare products, and
+        # the residue of what it dropped, show whether T is a staircase.
+        raw = raw_products(plant, ts.t_matrix, ts.block_dims)
+        ok &= ts.residue <= 1e-9
         for j in range(1, n_nodes + 1):
             for q in range(j + 1, n_nodes + 1):
-                ok &= bool(np.linalg.norm(ts.a_block(j, q)) <= 1e-9 * scale)
-                ok &= bool(np.linalg.norm(ts.c_block(j, q)) <= 1e-9 * scale)
+                ok &= bool(np.linalg.norm(raw.a_block(j, q)) <= 1e-9 * scale)
+                ok &= bool(np.linalg.norm(raw.c_block(j, q)) <= 1e-9 * scale)
             if ts.block_dims[j - 1] > 0:
                 ok &= block_pair_observable(ts, j)
     report("staircase decomposition invariants on 100 random plants", ok)

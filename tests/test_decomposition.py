@@ -12,7 +12,12 @@ from freshtrack.decomposition import (
 )
 from freshtrack.system_model import LtiPlant, is_jointly_observable
 from freshtrack.scenarios import canned_scenarios, make_multiblock_plant, make_random_plant
-from reference import block_pair_observable, couple_substates, from_transformed_coords
+from reference import (
+    block_pair_observable,
+    couple_substates,
+    from_transformed_coords,
+    raw_products,
+)
 
 
 def assert_staircase_invariants(plant, ts):
@@ -20,11 +25,15 @@ def assert_staircase_invariants(plant, ts):
     scale = max(np.linalg.norm(a), 1e-300)
     assert np.linalg.norm(ts.t_matrix @ ts.a_bar - a @ ts.t_matrix) <= 1e-9 * scale
     assert sum(ts.block_dims) == plant.n
+    # The transform writes 0.0 above the blocks: the bare products, and the
+    # residue of what it dropped, show whether T is a staircase.
+    raw = raw_products(plant, ts.t_matrix, ts.block_dims)
+    assert ts.residue <= 1e-9
     n_nodes = plant.n_nodes
     for j in range(1, n_nodes + 1):
         for q in range(j + 1, n_nodes + 1):
-            assert np.linalg.norm(ts.a_block(j, q)) <= 1e-9 * scale
-            assert np.linalg.norm(ts.c_block(j, q)) <= 1e-9 * scale
+            assert np.linalg.norm(raw.a_block(j, q)) <= 1e-9 * scale
+            assert np.linalg.norm(raw.c_block(j, q)) <= 1e-9 * scale
         if ts.block_dims[j - 1] > 0:
             assert block_pair_observable(ts, j)
 
@@ -144,10 +153,12 @@ def test_staircase_recovers_hidden_blocks(layout, seed):
     t = ts.t_matrix
     assert np.linalg.norm(t.T @ t - np.eye(n)) <= 1e-12 * n
     tol = 1e-9 * np.linalg.norm(plant.a_matrix)
+    raw = raw_products(plant, t, ts.block_dims)
+    assert ts.residue <= 1e-9
     off = ts.offsets
     for j in range(len(sizes)):
-        assert np.linalg.norm(ts.a_bar[off[j]:off[j + 1], off[j + 1]:]) <= tol
-        assert np.linalg.norm(ts.c_bar[j][:, off[j + 1]:]) <= tol
+        assert np.linalg.norm(raw.a_bar[off[j]:off[j + 1], off[j + 1]:]) <= tol
+        assert np.linalg.norm(raw.c_bar[j][:, off[j + 1]:]) <= tol
 
 
 @pytest.mark.parametrize("sizes,seed", [((8, 8), 3), ((16, 16), 0), ((12, 4), 0)])

@@ -42,6 +42,7 @@ from reference import (
     couple_substates,
     fit_decay_rate,
     max_error,
+    raw_products,
     reference_csv,
     select_donor,
     tau_of_keys,
@@ -1131,12 +1132,6 @@ def test_lemma_suite_fails_faulty_kernels(monkeypatch, kernel):
                 and report["checks"]["donors_match_graph"]["passed"])
 
 
-def _raw_products(cls, plant, t, block_dims):
-    """`TransformedSystem.of` without the staircase zeros: the bare products."""
-    return cls(t, t.T @ plant.a_matrix @ t, tuple(c @ t for c in plant.sensors),
-               tuple(block_dims))
-
-
 class _ZeroingKernel(ProtocolKernel):
     """The kernel as it was before the transform wrote the zeros: it zeroes
     each source's sensor rows past its block itself."""
@@ -1160,7 +1155,7 @@ def test_staircase_zeros_change_no_bit_of_a_run(monkeypatch, name):
     # block i, as it did before the transform wrote those zeros itself.
     s = _scenarios_for_the_staircase_zeros()[name]
     runs = [run_scenario(s)]
-    monkeypatch.setattr(TransformedSystem, "of", classmethod(_raw_products))
+    monkeypatch.setattr(TransformedSystem, "of", staticmethod(raw_products))
     monkeypatch.setattr(sim_engine, "ProtocolKernel", _ZeroingKernel)
     runs.append(run_scenario(s))
     new, raw = runs
