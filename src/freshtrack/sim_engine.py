@@ -15,9 +15,12 @@ The error norms are `error_norms` of the estimates against the truth, for
 the rounds a check needs.  One pass applies the update rule to every
 recorded round over its graph; the next round must equal what it gives.
 The delayed-error identity is one forward pass of its closed form by
-Horner's rule along the recorded donors.  These passes go in chunks of
-``CHUNK_ROUNDS`` rounds, so that no buffer grows with the horizon but the
-trace's own arrays.  Every per-substate norm is `_block_norms`.
+Horner's rule along the recorded donors.  These passes, the error norms
+included, go in chunks of `check_chunk_rounds`: ``CHUNK_ROUNDS`` rounds, or
+as many as fill ``CHECK_POINTS`` (k, node, state) points, so that a small
+plant's check takes few chunks and no buffer grows with the horizon but the
+trace's own arrays.  The protocol's passes and the trace writer go in chunks
+of ``CHUNK_ROUNDS``.  Every per-substate norm is `_block_norms`.
 """
 
 from __future__ import annotations
@@ -36,13 +39,27 @@ from .observer_protocol import ProtocolKernel
 from .system_model import LtiPlant, simulate_truth
 
 DELAYED_TOL = 1e-8    # largest relative residual the delayed-error identity passes
-# Rounds per whole-array pass of the protocol, the error norms, the rule and
-# delayed-identity checks and the trace writer.  At N = n = 64 a chunk's
-# (chunk, N, n) float64 buffer is 1 MiB, and its int64 gather indices are as
-# large.  There (H = 400, two runs each) the delayed pass took 0.12 s with
-# 64-round chunks and 0.095-0.10 s with 8-32.
+# Rounds per whole-array pass of the protocol and the trace writer, and the
+# fewest per chunk of a check pass.  At N = n = 64 a chunk's (chunk, N, n)
+# float64 buffer is 1 MiB, and its int64 gather indices are as large.  There
+# (H = 400, two runs each) the delayed pass took 0.12 s with 64-round chunks
+# and 0.095-0.10 s with 8-32.  The writer slows past about 80 rounds, and
+# the protocol's passes gain nothing from longer chunks.
 CHUNK_ROUNDS = 32
+# (k, node, state) points per chunk of a check pass past CHUNK_ROUNDS: a
+# (rounds, N, n) float64 buffer of at most 128 KiB.
+CHECK_POINTS = 2 ** 14
 _NONE = np.iinfo(np.int64).max   # the rule pass's "no index": above every real one
+
+
+def check_chunk_rounds(n_nodes, n):
+    """Rounds per chunk of the check passes (`_rule_rounds`,
+    `_delayed_residuals`, `_error_chunks`) over N nodes and n states:
+    ``CHUNK_ROUNDS``, or as many as ``CHECK_POINTS`` (k, node, state) points
+    fill.  Each chunk costs a few dozen numpy calls of set-up, which on a
+    small plant outweigh its array work; the chunking moves no bit.
+    """
+    return max(CHUNK_ROUNDS, CHECK_POINTS // (n_nodes * n))
 
 
 @dataclass
@@ -171,10 +188,11 @@ def error_norms(estimates, truth, block_dims):
 def _error_chunks(trace: Trace, start=0, stop=None):
     """Yield (rows, err_block, err_total): `error_norms` of the trace's rounds
     from ``start`` to before ``stop`` (H + 1 by default), in slices ``rows``
-    of ``CHUNK_ROUNDS``."""
+    of `check_chunk_rounds`."""
     stop = trace.horizon + 1 if stop is None else stop
-    for k0 in range(start, stop, CHUNK_ROUNDS):
-        rows = slice(k0, min(k0 + CHUNK_ROUNDS, stop))
+    chunk = check_chunk_rounds(*trace.z_estimates.shape[1:])
+    for k0 in range(start, stop, chunk):
+        rows = slice(k0, min(k0 + chunk, stop))
         yield rows, *error_norms(trace.z_estimates[rows], trace.truth[rows], trace.block_dims)
 
 
@@ -292,8 +310,9 @@ def check_envelope(trace: Trace):
     order, then the total envelope, marked substate 0, in (k, node) order.
     A point whose error is NaN or whose bound is not finite is a violation.
     A horizon that ends before the first start fails with a ``detail``.
-    The norms go a chunk of rounds at a time from the first start on; a
-    column's first violation is in the first chunk that has one.
+    The norms, bounds and live masks go a chunk of `_error_chunks` at a
+    time from the first start on; a column's first violation is in the
+    first chunk that has one.
     """
     constants, rho = trace.constants, trace.rho
     if constants is None:
@@ -304,26 +323,30 @@ def check_envelope(trace: Trace):
     if trace.horizon < first:
         return {"passed": False,
                 "detail": f"insufficient horizon {trace.horizon} < first envelope start {first}"}
-    radii = np.asarray(choose_radii(rho, len(trace.block_dims)))
-    ks = np.arange(trace.horizon + 1)
+    radii = np.asarray(choose_radii(rho, len(trace.block_dims)))[subs]
+    starts = np.append(schedule.start[subs], schedule.total_start)
     # bound[k, c] for substate subs[c], which counts from its start on, and
     # the total's in a last column, substate 0 through cols.  The hypot
     # overflows only where the norm does, unlike a sum of squares.  A bound
     # that is not finite reads as -1, which every error exceeds.
     cols = np.append(subs, -1)
+    c_bar = constants.c_bar[subs]
     with np.errstate(over="ignore", invalid="ignore"):
-        bound = np.column_stack([constants.c_bar[subs] * radii[subs] ** ks[:, None],
-                                 np.hypot.reduce(constants.c_bar) * rho ** ks])
-        bound = np.nan_to_num(bound * (1.0 + 1e-9) + 1e-300, nan=-1.0, posinf=-1.0)
-    live = ks[:, None] >= np.append(schedule.start[subs], schedule.total_start)
+        c_total = np.hypot.reduce(constants.c_bar)
     count, at = 0, None
     for rows, err_block, err_total in _error_chunks(trace, first):
+        ks = np.arange(rows.start, rows.stop)
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = np.column_stack([c_bar * radii ** ks[:, None], c_total * rho ** ks])
+            bound = np.nan_to_num(bound * (1.0 + 1e-9) + 1e-300, nan=-1.0, posinf=-1.0)
         err = np.concatenate([err_block, err_total[:, :, None]], axis=2)
-        over = ~(err <= bound[rows, None, :]) & live[rows, None, :]
+        over = ~(err <= bound[:, None, :]) & (ks[:, None] >= starts)[:, None, :]
         count += (found := int(np.count_nonzero(over)))
         # The lower substate wins, the total last; on a tie the earlier chunk.
         at = min(filter(None, (at, found and _first(over, cols, (2, 0, 1), rows.start))),
                  key=lambda a: a[1] or np.inf, default=None)
+        # Free this chunk's buffers before the next chunk's norms are taken.
+        del err_block, err_total, err, over, bound
     return {"passed": count == 0, "violations": count, "counterexample": at}
 
 
@@ -343,9 +366,10 @@ def _delayed_residuals(trace: Trace, ts):
     recorded estimates, as in the identity.  It calls no protocol kernel;
     that tau is the lineage's age follows from `check_lemma_suite`'s rule.
 
-    The rounds go in chunks of ``CHUNK_ROUNDS``.  Per round only the
+    The rounds go in chunks of `check_chunk_rounds`.  Per round only the
     recursion runs; the products, readers and norms are whole-chunk array
-    work, so the buffers are O(CHUNK_ROUNDS * N * n) whatever the horizon.
+    work, so the buffers are O(max(CHECK_POINTS, CHUNK_ROUNDS * N * n))
+    whatever the horizon.
 
     A chunk's resid is a (rounds, N, S) array over the trace's nonempty
     substates: the relative residual ||z_k - R_k|| / max(1, ||z_k||) per
@@ -364,8 +388,9 @@ def _delayed_residuals(trace: Trace, ts):
     # Flat positions of the sources' own blocks in an N x n estimate array.
     own_cols = col_block * ts.n + cols
     recon = z[0]
-    for k0 in range(1, trace.horizon + 1, CHUNK_ROUNDS):
-        k1 = min(k0 + CHUNK_ROUNDS, trace.horizon + 1)
+    chunk = check_chunk_rounds(*z.shape[1:])
+    for k0 in range(1, trace.horizon + 1, chunk):
+        k1 = min(k0 + chunk, trace.horizon + 1)
         # Estimates that are not finite leave their residuals inf or NaN: a
         # failed identity, not a raw warning.  The yield stays outside, so
         # that the caller's own numerics keep their warnings.
@@ -398,20 +423,23 @@ def _rule_rounds(trace: Trace):
     at times k0, k0 + 1, ...  Time 0 is the initial state; time k + 1 is
     what round k makes of the recorded ``taus[k]`` over ``adjacency[k]`` by
     the rule ``ProtocolKernel.choose_donors`` states (a source holds index 0
-    and donor -1).  Edge by edge, in chunks of
-    ``CHUNK_ROUNDS``: one minimum per receiver finds the freshest usable
-    index, and one the smallest id that sends it.
+    and donor -1).  Edge by edge, in chunks of `check_chunk_rounds`: one
+    minimum per receiver finds the freshest usable index, and one the
+    smallest id that sends it.  The edges come in (round, sender, receiver)
+    order from one `np.flatnonzero` of the chunk's adjacency.
     """
-    subs = trace.sources
+    n_nodes, subs = trace.n_nodes, trace.sources
     own = (slice(None), subs, np.arange(subs.size))   # each source's own slot
-    start = np.full((1, trace.n_nodes, subs.size), -1)
+    start = np.full((1, n_nodes, subs.size), -1)
     start[own] = 0
     yield 0, start, np.full_like(start, -1)
-    for k0 in range(0, trace.horizon, CHUNK_ROUNDS):
-        k1 = min(k0 + CHUNK_ROUNDS, trace.horizon)
+    chunk = check_chunk_rounds(*trace.z_estimates.shape[1:])
+    for k0 in range(0, trace.horizon, chunk):
+        k1 = min(k0 + chunk, trace.horizon)
         prev = trace.taus[k0:k1]
         held = np.where(prev >= 0, prev, _NONE)   # never informed: no index
-        t, sender, receiver = np.nonzero(trace.adjacency[k0:k1])
+        t, edge = divmod(np.flatnonzero(trace.adjacency[k0:k1]), n_nodes * n_nodes)
+        sender, receiver = divmod(edge, n_nodes)
         sent = held[t, sender]
         sent[sent >= held[t, receiver]] = _NONE   # usable only if strictly fresher
         best, donor = np.full((2,) + prev.shape, _NONE)

@@ -59,11 +59,17 @@ def fig1_plant():
     return LtiPlant([[2.0]], [[[1.0]], [], []], [1.0])
 
 
+def forced_chunk(chunk):
+    """Every check pass takes chunks of ``chunk`` rounds while this holds."""
+    return mock.patch.object(sim_engine, "check_chunk_rounds", lambda n_nodes, n: chunk)
+
+
 def delayed_residuals(trace):
     """`_delayed_residuals`' chunks as one (H, N, S) array; each chunk
     starts where the one before it ends."""
     starts, chunks = zip(*_delayed_residuals(trace, trace.ts))
-    assert starts == tuple(range(1, trace.horizon + 1, sim_engine.CHUNK_ROUNDS))
+    chunk = sim_engine.check_chunk_rounds(*trace.z_estimates.shape[1:])
+    assert starts == tuple(range(1, trace.horizon + 1, chunk))
     return np.concatenate(chunks)
 
 
@@ -146,7 +152,7 @@ def test_error_norms_equal_the_whole_horizon_formula(dims, n_nodes, horizon, chu
     start = data.draw(hst.integers(0, horizon))
     stop = data.draw(hst.integers(start + 1, horizon + 1))
     whole = error_norms(trace.z_estimates, trace.truth, dims)
-    with mock.patch.object(sim_engine, "CHUNK_ROUNDS", chunk):
+    with forced_chunk(chunk):
         chunks = list(sim_engine._error_chunks(trace, start, stop))
         totals = total_errors(trace, start, stop)
     assert [rows.start for rows, _, _ in chunks] == list(range(start, stop, chunk))
@@ -472,21 +478,28 @@ def test_run_memory_does_not_grow_with_the_horizon():
     assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
-def lemma_suite_growth(check_delayed):
-    """Bytes a (k, node, substate) point that `check_lemma_suite` adds to its
-    tracemalloc peak from H = 200 to H = 2000, at N = 16 and T = 2."""
-    plant = make_multiblock_plant((1,) * 16, seed=1)
-    graph = generate_random_jointly_connected(16, 2, seed=1)
+def check_growth(check, n_nodes, horizons):
+    """Bytes a (k, node, substate) point that ``check`` adds to its
+    tracemalloc peak from the first of ``horizons`` to the second, on a
+    passing run with N = ``n_nodes`` one-state blocks and T = 2."""
+    plant = make_multiblock_plant((1,) * n_nodes, seed=1)
+    graph = generate_random_jointly_connected(n_nodes, 2, seed=1)
     peaks = []
-    for horizon in (200, 2000):
+    for horizon in horizons:
         trace = run_scenario(Scenario(plant=plant, graph=graph, rho=0.9, horizon=horizon))
         tracemalloc.start()
         try:
-            assert check_lemma_suite(trace, check_delayed=check_delayed)["passed"]
+            assert check(trace)["passed"]
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    return (peaks[1] - peaks[0]) / (1800 * trace.n_nodes * len(trace.substates))
+    return (peaks[1] - peaks[0]) / ((horizons[1] - horizons[0]) * n_nodes * n_nodes)
+
+
+def lemma_suite_growth(check_delayed):
+    """`check_growth` of `check_lemma_suite` from H = 200 to H = 2000 at N = 16."""
+    return check_growth(lambda trace: check_lemma_suite(trace, check_delayed=check_delayed),
+                        16, (200, 2000))
 
 
 def test_delayed_check_memory_grows_by_less_than_a_float_per_point():
@@ -499,6 +512,33 @@ def test_lemma_suite_memory_does_not_grow_with_the_horizon():
     # The index bounds go a chunk at a time with the rule's rounds; their
     # whole-horizon bool masks added 1 byte a point (0.45 MB here).
     assert lemma_suite_growth(check_delayed=False) < 0.1
+
+
+def test_envelope_memory_does_not_grow_with_the_horizon():
+    # The envelopes' bounds and live masks go a chunk at a time with the
+    # error norms; whole-horizon ones added 4 bytes a point (0.93 MB here).
+    assert check_growth(check_envelope, 8, (400, 4000)) < 0.1
+
+
+def test_check_chunks_fill_a_points_budget_past_the_floor():
+    chunk_rounds = sim_engine.check_chunk_rounds
+    assert chunk_rounds(64, 64) == sim_engine.CHUNK_ROUNDS == 32
+    assert chunk_rounds(16, 16) == 64
+    for n_nodes in range(1, 80):
+        for n in range(1, 80):
+            rounds = chunk_rounds(n_nodes, n)
+            assert rounds >= sim_engine.CHUNK_ROUNDS
+            if rounds > sim_engine.CHUNK_ROUNDS:
+                # The most rounds that CHECK_POINTS (k, node, state) points hold.
+                points = n_nodes * n
+                assert rounds * points <= sim_engine.CHECK_POINTS < (rounds + 1) * points
+    # Fig. 1's check passes take its whole horizon in one chunk.
+    trace = run_scenario(build_scenario(canned_scenarios()["fig1_freshness_spectral"]))
+    assert chunk_rounds(*trace.z_estimates.shape[1:]) > trace.horizon
+    assert [k0 for k0, _, _ in sim_engine._rule_rounds(trace)] == [0, 1]
+    assert [k0 for k0, _ in _delayed_residuals(trace, trace.ts)] == [1]
+    assert [rows for rows, _, _ in sim_engine._error_chunks(trace)] == [
+        slice(0, trace.horizon + 1)]
 
 
 def test_lemma_suite_reports_first_source_preferred_violation():
@@ -565,11 +605,11 @@ def test_envelope_violations_keep_their_order():
 
 
 def test_envelope_violations_keep_their_order_across_chunks():
-    # The envelopes' chunks of rounds start at k = 4: substate 3 fails in
-    # the first, substate 1 only in the second, and comes first even so.
-    assert sim_engine.CHUNK_ROUNDS == 32
-    _walk_envelope_violations([(1, 3, 25), (3, 1, 40), (2, 2, 50)],
-                              [(3, 1, 40), (2, 2, 50), (1, 3, 25)])
+    # The envelopes' chunks of 32 rounds start at k = 4: substate 3 fails
+    # in the first, substate 1 only in the second, and comes first even so.
+    with forced_chunk(32):
+        _walk_envelope_violations([(1, 3, 25), (3, 1, 40), (2, 2, 50)],
+                                  [(3, 1, 40), (2, 2, 50), (1, 3, 25)])
 
 
 def test_envelope_reports_a_total_violation_after_the_substates():
@@ -718,8 +758,7 @@ def test_lemma_suite_matches_straight_line_reference(fig1, seed, tampered):
     assert report["passed"] == all(v is None for v in found.values())
     # The chunk length moves no counterexample.
     for chunk in (1, 4):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sim_engine, "CHUNK_ROUNDS", chunk)
+        with forced_chunk(chunk):
             assert check_lemma_suite(trace) == report
 
 
@@ -772,8 +811,7 @@ def test_delayed_check_matches_per_point_closed_form(blocks, blind, coupling, se
     # chunks that do and do not divide the horizon, and one chunk longer
     # than it.
     for chunk in (1, 3, 5, trace.horizon + 1):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sim_engine, "CHUNK_ROUNDS", chunk)
+        with forced_chunk(chunk):
             assert np.array_equal(delayed_residuals(trace), resid)
             entry = check_lemma_suite(trace, check_delayed=True)["checks"]["delayed_form"]
             assert entry == checks["delayed_form"]
@@ -875,8 +913,7 @@ def test_a_nan_in_a_later_chunk_beats_a_larger_residual_in_an_earlier_one():
     trace, ((k, i), (k_nan, i_nan)) = identity_plant_trace()
     trace.z_estimates[k, i] = (2.0, 0.0)
     trace.z_estimates[k_nan, i_nan] = (np.inf, 0.0)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sim_engine, "CHUNK_ROUNDS", 4)
+    with forced_chunk(4):
         resid = delayed_residuals(trace)
         entry = check_lemma_suite(trace, check_delayed=True)["checks"]["delayed_form"]
     assert resid[k - 1, i, 0] == 1.0 and np.nanmax(resid[k_nan - 1:]) < 1.0
@@ -888,8 +925,7 @@ def test_an_equal_worst_residual_in_a_later_chunk_keeps_the_earlier_point():
     trace, ((k, i), (k_tie, i_tie)) = identity_plant_trace()
     trace.z_estimates[k, i] = (2.0, 0.0)
     trace.z_estimates[k_tie, i_tie] = (0.0, -2.0)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sim_engine, "CHUNK_ROUNDS", 4)
+    with forced_chunk(4):
         resid = delayed_residuals(trace)
         entry = check_lemma_suite(trace, check_delayed=True)["checks"]["delayed_form"]
     assert np.count_nonzero(resid) == 2 and resid[k_tie - 1, i_tie, 0] == 1.0
