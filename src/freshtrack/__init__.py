@@ -7,7 +7,6 @@ from .gain_design import (
     BoundConstants,
     choose_radii,
     envelope_schedule,
-    place_spectral,
     place_deadbeat,
     design_gains,
     compute_bound_constants,
@@ -20,7 +19,8 @@ from .graph_seq import (
     certify_jointly_rooted,
     generate_random_jointly_connected,
 )
-from .baselines import WeightStrategy, baseline_round, detect_divergence, mixing_weights
-from .sim_engine import Scenario, Trace, run_scenario, check_envelope, check_lemma_suite
+from .baselines import WeightStrategy, baseline_round, mixing_weights
+from .sim_engine import (Scenario, Trace, run_scenario, check_divergence, check_envelope,
+                         check_finite_time, check_lemma_suite)
 
 __version__ = "0.1.0"

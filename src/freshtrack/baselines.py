@@ -67,13 +67,3 @@ def baseline_round(estimates, weights, a_matrix, oracle, truth_k):
     new[oracle] = a @ truth_k
     return new
 
-
-def detect_divergence(error_norms, threshold):
-    """First time-step where the max-node error norm crosses the threshold.
-
-    ``error_norms`` is a (horizon+1, n_nodes) array.  Returns None if the
-    threshold is never reached.
-    """
-    maxed = np.max(np.asarray(error_norms), axis=1)
-    hits = np.nonzero(maxed >= threshold)[0]
-    return int(hits[0]) if hits.size else None

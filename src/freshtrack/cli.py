@@ -1,5 +1,8 @@
 """Command-line front end: scenario configs, canned runs, offline re-checks.
 
+It parses arguments, validates configs and reports, maps a config's
+``checks`` to `sim_engine`'s checks (`run_checks`) and writes the files;
+`sim_engine` owns the trace file, its writer and reader, and every verdict.
 Exit codes: 0 all requested checks passed, 1 a check failed or re-check
 disagreed, 2 invalid config (a plant whose state overflows float64 within the
 horizon included), two configs that would write the same files, or malformed
@@ -14,11 +17,10 @@ import json
 import os
 import sys
 import tempfile
-import warnings
 
 import numpy as np
 
-from .baselines import WeightStrategy, detect_divergence
+from .baselines import WeightStrategy
 from .decomposition import DecompositionError, TransformedSystem
 from .gain_design import BoundConstants, GainDesignError
 from .graph_seq import PeriodicGraphSequence, edge_tensor, generate_random_jointly_connected
@@ -26,11 +28,12 @@ from .scenarios import canned_scenario, canned_scenarios
 from .sim_engine import (
     Scenario,
     Trace,
+    check_divergence,
     check_envelope,
+    check_finite_time,
     check_lemma_suite,
     run_scenario,
     scenario_trace,
-    total_errors,
 )
 from .system_model import ConfigurationError, LtiPlant
 
@@ -235,31 +238,17 @@ def build_scenario(config) -> Scenario:
 
 def run_checks(trace: Trace, config):
     """Execute the checks requested in a config against a fresh trace."""
-    wanted = config.get("checks", {})
-    results = {}
-    if wanted.get("lemmas"):
-        results["lemmas"] = check_lemma_suite(trace, check_delayed=True)
-    if wanted.get("envelope"):
-        results["envelope"] = (check_envelope(trace) if trace.constants is not None else
-                               {"passed": False, "detail": "no envelope constants available"})
-    if "divergence_threshold" in wanted:
-        k = detect_divergence(total_errors(trace), wanted["divergence_threshold"])
-        # Divergence is the predicted outcome for the naive baselines.
-        results["divergence"] = {"first_crossing": k, "diverged": k is not None, "passed": (
-            k is not None) == (config["algorithm"]["type"] == "baseline")}
-    if config["algorithm"].get("deadbeat") and config["algorithm"]["type"] == "freshness":
-        results["finite_time"] = _finite_time_check(trace)
+    wanted, algo = config.get("checks", {}), config["algorithm"]
+    baseline = algo["type"] == "baseline"
+    # Each check's result key, whether the config asks for it, and the check.
+    table = (("lemmas", wanted.get("lemmas"), lambda: check_lemma_suite(trace, check_delayed=True)),
+             ("envelope", wanted.get("envelope"), lambda: check_envelope(trace)),
+             ("divergence", "divergence_threshold" in wanted,
+              lambda: check_divergence(trace, wanted["divergence_threshold"], baseline)),
+             ("finite_time", algo.get("deadbeat") and not baseline,
+              lambda: check_finite_time(trace)))
+    results = {name: check() for name, asked, check in table if asked}
     return results, all(r["passed"] for r in results.values())
-
-
-def _finite_time_check(trace: Trace):
-    bound_k = trace.z_estimates.shape[2] + 2 * trace.n_nodes * (trace.n_nodes - 1) * trace.period_t
-    if bound_k > trace.horizon:
-        return {"passed": False, "detail": f"horizon shorter than bound {bound_k}"}
-    tol = 1e-6 * max(1.0, float(np.max(total_errors(trace, stop=1))))
-    tail = float(np.max(total_errors(trace, start=bound_k)))
-    return {"passed": tail <= tol, "bound_step": bound_k,
-            "max_error_after_bound": tail, "tolerance": tol}
 
 
 def _plain(obj):
@@ -329,6 +318,10 @@ def _resolve_config(spec):
     return name, config
 
 
+def _trace_path(out_dir, name):
+    return os.path.join(out_dir, f"{name}_trace.csv")
+
+
 def _execute(name, config, out_dir):
     scenario = build_scenario(config)
     trace = run_scenario(scenario)
@@ -340,7 +333,7 @@ def _execute(name, config, out_dir):
 
 def _write_run(out_dir, name, trace, report):
     """The run's two files; the trace streams into its temp file chunk by chunk."""
-    _atomic_write(os.path.join(out_dir, f"{name}_trace.csv"), trace.to_csv)
+    _atomic_write(_trace_path(out_dir, name), trace.to_csv)
     text = _report_text(report)
     _atomic_write(os.path.join(out_dir, f"{name}_report.json"), lambda f: f.write(text))
 
@@ -354,7 +347,7 @@ def cmd_run(specs, out_dir=None, seed=None, jobs=1):
         target = (out_dir or os.environ.get("FRESHTRACK_OUT")
                   or config.get("output_dir") or ".")
         # Two runs into one file: the later would overwrite the earlier.
-        path = os.path.join(target, f"{name}_trace.csv")
+        path = _trace_path(target, name)
         if (key := os.path.abspath(path)) in writers:
             raise ConfigError(f"{writers[key]} and {spec} would both write {path}")
         writers[key] = spec
@@ -424,34 +417,11 @@ def _load_trace_csv(path, report, scenario: Scenario):
                          finite=True)
         ts = TransformedSystem.of(plant, t, block_dims)
     trace = scenario_trace(scenario, ts)[0]
-    h1, n_nodes, s = trace.horizon + 1, trace.n_nodes, len(trace.substates)
     if "constants" in report:
         if scenario.rho is None:      # the envelope's radii come from rho
             raise ValueError("report has constants but its scenario has no rho")
-        trace.constants = _load_constants(report["constants"], n_nodes)
-
-    with open(path) as f:
-        header = f.readline() + f.readline()
-        if header != trace.csv_header():
-            raise ValueError(f"trace must open with the lines {trace.csv_header()!r} "
-                             "for the report's block_dims")
-        # One comment character keeps loadtxt on numpy's C parser.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)   # "input contained no data"
-            rows = np.loadtxt(f, delimiter=",", comments="#", ndmin=2)
-    shape = (h1 * n_nodes, 2 + 2 * s + n)
-    if rows.shape != shape:
-        raise ValueError(f"trace rows x columns are {rows.shape}, the report's {shape}")
-    if not np.array_equal(rows[:, :2], np.indices((h1, n_nodes)).reshape(2, -1).T + [0, 1]):
-        raise ValueError("trace rows must be (k, node) for k = 0..H, node = 1..N, in order")
-    with np.errstate(invalid="ignore"):
-        ints = rows[:, 2:2 + 2 * s].astype(int)
-    if not np.array_equal(ints, rows[:, 2:2 + 2 * s]):
-        raise ValueError("trace tau/donor columns must be integers")
-    if np.any(ints < -1):
-        raise ValueError("corrupt trace: tau/donor below -1")
-    trace.taus[:], trace.donors[:] = ints.reshape(h1, n_nodes, 2, s).transpose(2, 0, 1, 3)
-    trace.z_estimates[:] = rows[:, 2 + 2 * s:].reshape(h1, n_nodes, -1)
+        trace.constants = _load_constants(report["constants"], trace.n_nodes)
+    trace.read_csv(path)
     return trace
 
 

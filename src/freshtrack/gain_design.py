@@ -201,9 +201,6 @@ def _place_stack(a, c, radii, seeds):
     return gains
 
 
-_PLACEMENT_FAILED = f"spectral placement failed after {_PLACEMENT_RETRIES} retries"
-
-
 def _in_block(j, design, a, c):
     """design(a, c), whose refusal keeps its class (and so the CLI's exit
     code) and ends in " (block j)", also where the staircase cannot decide."""
@@ -211,25 +208,6 @@ def _in_block(j, design, a, c):
         return design(a, c)
     except (GainDesignError, DecompositionError) as exc:
         raise type(exc)(f"{exc} (block {j})") from None
-
-
-def place_spectral(a_jj, c_jj, rho_j: float, seed: int = 0):
-    """Gain L with spectral radius of A - L C equal to 0.75 * rho_j.
-
-    Eigenstructure assignment on the dual pair: solve the Sylvester equation
-    A^T X - X D = C^T G for a seeded random G and the rotation target D (a
-    normal matrix: `_solve_sylvester`), then L = (G X^-1)^T.  Returns the
-    first gain that is finite with closed-loop spectral radius below rho_j.
-    One block is a stack of one for `_place_stack`, the path every spectral
-    block of `design_gains` takes, but a lone pair is certified first.
-    """
-    a = np.atleast_2d(np.asarray(a_jj, dtype=float))
-    c = np.atleast_2d(np.asarray(c_jj, dtype=float))
-    _check_observable(a, c)
-    gain, = _place_stack(a[None], c[None], np.array([rho_j]), [seed])
-    if gain is None:
-        raise GainDesignError(_PLACEMENT_FAILED)
-    return gain
 
 
 def place_deadbeat(a_jj, c_jj):
@@ -310,7 +288,8 @@ def design_gains(ts: TransformedSystem, rho: float | None = None,
     if failed:
         j = failed[0]
         _in_block(j, _check_observable, ts.a_block(j, j), ts.c_block(j, j))
-        raise GainDesignError(f"{_PLACEMENT_FAILED} (block {j})")
+        raise GainDesignError(
+            f"spectral placement failed after {_PLACEMENT_RETRIES} retries (block {j})")
     return GainSet(gains=tuple(gains), target_radii=tuple(radii))
 
 

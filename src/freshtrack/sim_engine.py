@@ -1,10 +1,12 @@
-"""End-to-end scenario execution, trace capture, and convergence checks.
+"""End-to-end scenario execution, the trace file, and every check of a run.
 
 Runs either the freshness-index observer or a consensus baseline over a graph
-sequence, records a full per-round trace, and verifies the structural index
-properties, the delayed-error identity, and the exponential error envelopes
-against constants computed from the trace itself, at the times of
-`envelope_schedule`.  A failed check names its first (node, substate, k).
+sequence, records a full per-round trace, writes and reads its file
+(`Trace.to_csv`, `Trace.read_csv`), and owns every verdict on it: the index
+lemma and the delayed-error identity, the exponential error envelopes against
+constants computed from the trace itself at the times of `envelope_schedule`,
+a deadbeat run's finite time and a baseline's divergence, the four
+``check_*`` functions.  A failed check names its first (node, substate, k).
 
 `scenario_trace` starts every trace, run or read back.  A freshness run
 fills its arrays in two whole-run passes of ``ProtocolKernel``: the indices
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,6 +156,34 @@ class Trace:
                 cells = np.concatenate([table[ints], reprs[where].reshape(z.shape)], axis=2)
                 rows = map(",".join, cells.reshape(-1, cells.shape[2]).tolist())
                 f.write("\n".join(rows) + "\n")
+
+    def read_csv(self, path):
+        """Fill ``taus``, ``donors`` and ``z_estimates`` bit for bit from the
+        `to_csv` file at ``path``.  ValueError where the file breaks
+        `csv_header`, the (k, node) row order or integer tau/donor cells >= -1."""
+        h1, n_nodes, s = self.horizon + 1, self.n_nodes, len(self.substates)
+        with open(path) as f:
+            header = f.readline() + f.readline()
+            if header != self.csv_header():
+                raise ValueError(f"trace must open with the lines {self.csv_header()!r} "
+                                 "for the report's block_dims")
+            # One comment character keeps loadtxt on numpy's C parser.
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)   # "input contained no data"
+                rows = np.loadtxt(f, delimiter=",", comments="#", ndmin=2)
+        shape = (h1 * n_nodes, 2 + 2 * s + self.z_estimates.shape[2])
+        if rows.shape != shape:
+            raise ValueError(f"trace rows x columns are {rows.shape}, the report's {shape}")
+        if not np.array_equal(rows[:, :2], np.indices((h1, n_nodes)).reshape(2, -1).T + [0, 1]):
+            raise ValueError("trace rows must be (k, node) for k = 0..H, node = 1..N, in order")
+        with np.errstate(invalid="ignore"):
+            ints = rows[:, 2:2 + 2 * s].astype(int)
+        if not np.array_equal(ints, rows[:, 2:2 + 2 * s]):
+            raise ValueError("trace tau/donor columns must be integers")
+        if np.any(ints < -1):
+            raise ValueError("corrupt trace: tau/donor below -1")
+        self.taus[:], self.donors[:] = ints.reshape(h1, n_nodes, 2, s).transpose(2, 0, 1, 3)
+        self.z_estimates[:] = rows[:, 2 + 2 * s:].reshape(h1, n_nodes, -1)
 
 
 @np.errstate(over="ignore")
@@ -309,14 +340,15 @@ def check_envelope(trace: Trace):
     them, or None.  Substate envelopes are searched in (substate, k, node)
     order, then the total envelope, marked substate 0, in (k, node) order.
     A point whose error is NaN or whose bound is not finite is a violation.
-    A horizon that ends before the first start fails with a ``detail``.
+    A trace without constants, or whose horizon ends before the first
+    start, fails with a ``detail``.
     The norms, bounds and live masks go a chunk of `_error_chunks` at a
     time from the first start on; a column's first violation is in the
     first chunk that has one.
     """
     constants, rho = trace.constants, trace.rho
     if constants is None:
-        raise ValueError("trace carries no envelope constants")
+        return {"passed": False, "detail": "no envelope constants available"}
     schedule = envelope_schedule(trace.n_nodes, trace.period_t)
     subs = trace.sources
     first = int(schedule.start[subs].min())
@@ -350,7 +382,7 @@ def check_envelope(trace: Trace):
     return {"passed": count == 0, "violations": count, "counterexample": at}
 
 
-def _delayed_residuals(trace: Trace, ts):
+def _delayed_residuals(trace: Trace):
     """Yield (k0, resid): the delayed-error identity's residuals at every
     (k, node, substate) for the times k = k0, k0 + 1, ... of a chunk, k0
     from 1 to H.
@@ -376,7 +408,7 @@ def _delayed_residuals(trace: Trace, ts):
     block (`_block_norms`), 0 for sources and never-informed entries, NaN
     where ||z_k|| is not finite.
     """
-    z = trace.z_estimates
+    z, ts = trace.z_estimates, trace.ts
     subs = trace.sources
     # Each state column's block (its source node) and substate column.
     col_block = np.repeat(np.arange(len(ts.block_dims)), ts.block_dims)
@@ -507,7 +539,7 @@ def check_lemma_suite(trace: Trace, check_delayed=False):
 
     if check_delayed:
         worst, worst_at = 0.0, None
-        for k0, resid in _delayed_residuals(trace, trace.ts):
+        for k0, resid in _delayed_residuals(trace):
             top = float(np.max(resid, initial=0.0))    # NaN if any residual is NaN
             # A NaN beats any number; on a tie the earlier chunk keeps its point.
             if not (np.isnan(worst) or top <= worst):
@@ -520,3 +552,26 @@ def check_lemma_suite(trace: Trace, check_delayed=False):
             report["passed"] = False
 
     return report
+
+
+def check_finite_time(trace: Trace):
+    """A deadbeat run's finite time: from k = n + 2N(N-1)T on, every total
+    error norm is at most 1e-6 * max(1, the largest at k = 0), and none NaN.
+    A horizon that ends before that bound fails with a ``detail``."""
+    bound_k = trace.z_estimates.shape[2] + 2 * trace.n_nodes * (trace.n_nodes - 1) * trace.period_t
+    if bound_k > trace.horizon:
+        return {"passed": False, "detail": f"horizon shorter than bound {bound_k}"}
+    tol = 1e-6 * max(1.0, float(np.max(total_errors(trace, stop=1))))
+    tail = float(np.max(total_errors(trace, start=bound_k)))
+    return {"passed": tail <= tol, "bound_step": bound_k,
+            "max_error_after_bound": tail, "tolerance": tol}
+
+
+def check_divergence(trace: Trace, threshold, expected):
+    """The first k at which some node's total error norm reaches
+    ``threshold`` (a NaN norm never does), or None.  Passes when the error
+    crosses exactly when ``expected``: divergence is the predicted outcome
+    for the naive baselines."""
+    hits = np.flatnonzero(np.max(total_errors(trace), axis=1) >= threshold)
+    k = int(hits[0]) if hits.size else None
+    return {"first_crossing": k, "diverged": k is not None, "passed": (k is not None) == expected}

@@ -13,7 +13,7 @@ from scipy.linalg import solve_discrete_lyapunov
 from freshtrack.baselines import WeightStrategy
 from freshtrack.cli import _execute
 from freshtrack.decomposition import staircase_transform, to_transformed_coords
-from freshtrack.gain_design import place_deadbeat, place_spectral
+from freshtrack.gain_design import _place_stack, place_deadbeat
 from freshtrack.graph_seq import (
     PeriodicGraphSequence,
     certify_joint_strong_connectivity,
@@ -218,7 +218,7 @@ def test_gain_placement_batch():
                 break
         rho = float(rng.uniform(0.3, 0.95))
 
-        l_s = place_spectral(a, c, rho, seed=trial)
+        l_s = _place_stack(a[None], c[None], np.array([rho]), [trial])[0]
         cl = a - l_s @ c
         eigvals = np.linalg.eigvals(cl)
         targets = 0.75 * rho * np.exp(2j * np.pi * np.arange(n) / n)

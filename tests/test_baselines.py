@@ -6,12 +6,11 @@ from hypothesis import strategies as st
 from freshtrack.baselines import (
     WeightStrategy,
     baseline_round,
-    detect_divergence,
     mixing_weights,
 )
 from freshtrack.graph_seq import PeriodicGraphSequence, edge_tensor
 from freshtrack.scenarios import FIG1_EDGE_LISTS
-from freshtrack.sim_engine import Scenario, run_scenario, total_errors
+from freshtrack.sim_engine import Scenario, check_divergence, run_scenario
 from freshtrack.system_model import LtiPlant
 from reference import max_error
 
@@ -145,18 +144,6 @@ def test_oracle_clamped_before_mixing():
     assert new[1] == pytest.approx([7.0])
 
 
-def test_detect_divergence_first_crossing():
-    errs = np.array([[0.0, 1.0], [0.0, 5.0], [0.0, 50.0], [0.0, 20.0]])
-    assert detect_divergence(errs, 10.0) == 2
-    assert detect_divergence(errs, 5.0) == 1
-    assert detect_divergence(errs, 1000.0) is None
-
-
-def test_detect_divergence_exact_threshold_counts():
-    errs = np.array([[1.0], [10.0]])
-    assert detect_divergence(errs, 10.0) == 1
-
-
 @pytest.mark.parametrize("strategy", [
     WeightStrategy("uniform"),
     WeightStrategy("tree_rooted", root=1),
@@ -173,7 +160,7 @@ def test_alternating_graph_baseline_grows_monotonically(strategy):
     maxed = max_error(trace)
     window_maxes = [np.max(maxed[k:k + 10]) for k in range(10, 91, 10)]
     assert all(w2 > w1 for w1, w2 in zip(window_maxes, window_maxes[1:]))
-    assert detect_divergence(total_errors(trace), 1e6) is not None
+    assert check_divergence(trace, 1e6, True)["diverged"]
 
 
 @settings(max_examples=200)

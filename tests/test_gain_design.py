@@ -16,15 +16,23 @@ from freshtrack.gain_design import (
     closed_loop_block,
     compute_bound_constants,
     design_gains,
+    _check_observable,
+    _place_stack,
     _rotation_target,
     _solve_sylvester,
     place_deadbeat,
-    place_spectral,
 )
 from freshtrack.scenarios import make_multiblock_plant, make_random_plant
 from freshtrack.system_model import DecompositionError, LtiPlant
 from krylov import ackermann_deadbeat, krylov_rank
 from reference import couple_substates
+
+
+def place_one(a, c, rho, seed=0):
+    """The spectral gain of one pair aimed at ``rho``, uncertified as
+    `design_gains` places a block: a stack of one for `_place_stack`."""
+    a, c = np.atleast_2d(a).astype(float), np.atleast_2d(c).astype(float)
+    return _place_stack(a[None], c[None], np.array([rho]), [seed])[0]
 
 
 def random_observable_pair(rng, n, r):
@@ -56,19 +64,19 @@ def test_choose_radii_bounds():
 
 def test_place_spectral_scalar():
     # The closed loop sits at 0.75 * rho_j = 0.375.
-    l = place_spectral([[2.0]], [[1.0]], 0.5)
+    l = place_one([[2.0]], [[1.0]], 0.5)
     assert np.allclose(l, [[1.625]])
 
 
 def test_place_spectral_scalar_small_radius_approaches_deadbeat():
-    l = place_spectral([[2.0]], [[1.0]], 1e-9)
+    l = place_one([[2.0]], [[1.0]], 1e-9)
     assert np.allclose(l, [[2.0]], atol=1e-8)
 
 
 def test_place_spectral_random_single_output():
     rng = np.random.default_rng(17)
     a, c = random_observable_pair(rng, 3, 1)
-    l = place_spectral(a, c, 0.8, seed=2)
+    l = place_one(a, c, 0.8, seed=2)
     eigvals = np.linalg.eigvals(a - l @ c)
     for target in 0.6 * np.exp(2j * np.pi * np.arange(3) / 3):
         assert np.min(np.abs(eigvals - target)) < 1e-6
@@ -85,7 +93,7 @@ def test_place_spectral_long_blocks_meet_the_lyapunov_envelope(n, r):
         a = rng.standard_normal((n, n))
         a *= 0.9 / np.max(np.abs(np.linalg.eigvals(a)))
         c = rng.standard_normal((r, n))
-        l = place_spectral(a, c, 0.8, seed=seed)
+        l = place_one(a, c, 0.8, seed=seed)
         cl = a - l @ c
         assert np.max(np.abs(np.linalg.eigvals(cl))) < 0.8
         ts = TransformedSystem(np.eye(n), a, (c,), (n,))
@@ -127,7 +135,7 @@ def test_sylvester_solve_moves_an_exactly_singular_shift_as_scipy_does():
     a, d, f = np.array([[0.3]]), _rotation_target(0.75 * 0.39999999999999997, 1), [[-0.58]]
     assert np.array_equal(_solve_sylvester(a[None], d[None], np.array(f)[None])[0],
                           solve_sylvester(a, -d, f))
-    l = place_spectral(a, [[-0.45]], 0.39999999999999997)
+    l = place_one(a, [[-0.45]], 0.39999999999999997)
     assert abs(0.3 + l[0, 0] * 0.45) < 0.4
     # Next to a regular block, the stack is refused whole: the caller goes
     # block by block, so that the regular block is not shifted.
@@ -147,14 +155,14 @@ def test_spectral_gains_stay_moderate_on_small_plants(plant, rho):
 def test_place_spectral_deterministic():
     rng = np.random.default_rng(23)
     a, c = random_observable_pair(rng, 4, 2)
-    l1 = place_spectral(a, c, 0.7, seed=5)
-    l2 = place_spectral(a, c, 0.7, seed=5)
+    l1 = place_one(a, c, 0.7, seed=5)
+    l2 = place_one(a, c, 0.7, seed=5)
     assert np.array_equal(l1, l2)
 
 
 def test_place_spectral_rejects_unobservable():
-    with pytest.raises(GainDesignError):
-        place_spectral(np.eye(2), [[1.0, 0.0]], 0.5)
+    with pytest.raises(GainDesignError, match=r"^block pair is not observable.* \(block 1\)$"):
+        design_gains(stacked_system([BLIND]), rho=0.5)
 
 
 def test_place_deadbeat_scalar():
@@ -338,7 +346,7 @@ def test_bound_constants_equal_the_per_block_loop_on_hand_built_blocks():
     c_bar = (np.array([[1.0, 0.0, 0.0, 0.0, 0.0]]), np.array([[0.5, 0.0, 1.0, 1.0, 0.0]]),
              np.array([[0.0, 0.3, 0.0, 0.0, 1.0]]))
     ts = TransformedSystem(t_matrix=np.eye(5), a_bar=a_bar, c_bar=c_bar, block_dims=(2, 2, 1))
-    gains = GainSet(gains=(place_spectral(a_bar[:2, :2], c_bar[0][:, :2], 0.5),
+    gains = GainSet(gains=(place_one(a_bar[:2, :2], c_bar[0][:, :2], 0.5),
                            np.zeros((2, 1)), np.array([[0.38]])),
                     target_radii=(0.5, 0.9, 0.6))
     e0 = [1.0, 0.5, 2.0]
@@ -665,14 +673,14 @@ def test_a_hidden_mode_inside_the_radius_is_refused(hidden):
     assert str(exc.value) == "block pair is not observable; cannot place poles (block 1)"
     assert_designs_match_the_reference(ts, rho=0.9)
     with pytest.raises(GainDesignError, match="^block pair is not observable"):
-        place_spectral(*pair, choose_radii(0.9, 2)[0])
+        _check_observable(*pair)
 
 
 def test_a_rotated_hidden_mode_gets_a_gain_that_the_constants_refuse():
     # Rotated by 0.3 rad, the same unobservable pair leaves X singular only up
     # to rounding: the first attempt gives |L| ~ 1e16 and a computed closed
     # loop inside r_1.  Design no longer certifies a placed block, so the
-    # gain stands; place_spectral still refuses the pair, and the envelope
+    # gain stands; the certificate still refuses the pair, and the envelope
     # constants refuse the gain, whose powers do not contract.
     q = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
     pair = (q.T @ np.diag([0.05, 0.2]) @ q, np.array([[1.0, 0.0]]) @ q)
@@ -681,6 +689,6 @@ def test_a_rotated_hidden_mode_gets_a_gain_that_the_constants_refuse():
     assert np.max(np.abs(gains.gain(1))) > 1e15
     assert_designs_match_the_reference(ts, rho=0.9)
     with pytest.raises(GainDesignError, match="^block pair is not observable"):
-        place_spectral(*pair, choose_radii(0.9, 2)[0])
+        _check_observable(*pair)
     with pytest.raises(GainDesignError, match="does not contract"):
         compute_bound_constants(ts, gains, [1.0, 1.0], 3)

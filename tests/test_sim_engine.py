@@ -9,7 +9,7 @@ from hypothesis import strategies as hst
 from hypothesis.extra.numpy import arrays
 
 from freshtrack import cli, sim_engine
-from freshtrack.baselines import WeightStrategy, detect_divergence
+from freshtrack.baselines import WeightStrategy
 from freshtrack.cli import build_scenario
 from freshtrack.decomposition import TransformedSystem
 from freshtrack.gain_design import choose_radii, closed_loop_block, envelope_schedule
@@ -28,7 +28,9 @@ from freshtrack.sim_engine import (
     Scenario,
     Trace,
     _delayed_residuals,
+    check_divergence,
     check_envelope,
+    check_finite_time,
     check_lemma_suite,
     error_norms,
     run_scenario,
@@ -67,7 +69,7 @@ def forced_chunk(chunk):
 def delayed_residuals(trace):
     """`_delayed_residuals`' chunks as one (H, N, S) array; each chunk
     starts where the one before it ends."""
-    starts, chunks = zip(*_delayed_residuals(trace, trace.ts))
+    starts, chunks = zip(*_delayed_residuals(trace))
     chunk = sim_engine.check_chunk_rounds(*trace.z_estimates.shape[1:])
     assert starts == tuple(range(1, trace.horizon + 1, chunk))
     return np.concatenate(chunks)
@@ -187,9 +189,8 @@ def test_baseline_divergence_rate_above_one():
                  strategy=WeightStrategy("uniform"), horizon=60)
     trace = run_scenario(s)
     assert fit_decay_rate(trace, 5) > 1.0
-    first_crossing = detect_divergence(total_errors(trace), 1e6)
-    assert first_crossing is not None
-    assert first_crossing <= 60
+    result = check_divergence(trace, 1e6, True)
+    assert result["passed"] and result["first_crossing"] <= 60
 
 
 def test_freshness_run_converges_and_certifies_envelope():
@@ -312,8 +313,55 @@ def test_envelope_horizon_partial_warns(horizon, partial):
 
 def test_envelope_requires_constants():
     trace = Trace(2, 10, 1, (1, 1), rho=0.5)
-    with pytest.raises(ValueError, match="constants"):
-        check_envelope(trace)
+    assert check_envelope(trace) == {"passed": False, "detail": "no envelope constants available"}
+
+
+def trace_with_errors(errs):
+    """A one-state trace with T = 1 whose (H+1, N) total error norms are
+    ``errs`` (nonnegative or NaN)."""
+    errs = np.asarray(errs, dtype=float)
+    trace = Trace(errs.shape[1], len(errs) - 1, 1, (1,))
+    trace.truth = np.zeros((len(errs), 1))
+    trace.z_estimates[:, :, 0] = errs
+    return trace
+
+
+def test_check_divergence_first_crossing():
+    trace = trace_with_errors([[0.0, 1.0], [0.0, 5.0], [0.0, 50.0], [0.0, 20.0]])
+    assert check_divergence(trace, 10.0, True) == {"first_crossing": 2, "diverged": True,
+                                                   "passed": True}
+    assert check_divergence(trace, 5.0, False) == {"first_crossing": 1, "diverged": True,
+                                                   "passed": False}
+    assert check_divergence(trace, 1000.0, True) == {"first_crossing": None, "diverged": False,
+                                                     "passed": False}
+    assert check_divergence(trace, 1000.0, False)["passed"]
+
+
+def test_check_divergence_exact_threshold_counts():
+    assert check_divergence(trace_with_errors([[1.0], [10.0]]), 10.0, True)["first_crossing"] == 1
+
+
+def test_check_divergence_never_counts_a_nan_row():
+    trace = trace_with_errors([[1.0, 0.0], [np.nan, np.nan], [0.0, 20.0]])
+    assert check_divergence(trace, 10.0, True)["first_crossing"] == 2
+    assert check_divergence(trace_with_errors([[1.0], [np.nan]]), 5.0, False)["passed"]
+
+
+def test_check_finite_time_needs_the_horizon_past_its_bound():
+    # n = 1, N = 2 and T = 1: the bound is n + 2N(N-1)T = 5.
+    assert check_finite_time(trace_with_errors(np.zeros((5, 2)))) == {
+        "passed": False, "detail": "horizon shorter than bound 5"}
+    errs = np.zeros((7, 2))
+    errs[0] = 2.0
+    assert check_finite_time(trace_with_errors(errs)) == {
+        "passed": True, "bound_step": 5, "max_error_after_bound": 0.0, "tolerance": 2e-6}
+
+
+def test_check_finite_time_fails_on_a_nan_tail():
+    errs = np.zeros((7, 2))
+    errs[6, 1] = np.nan
+    result = check_finite_time(trace_with_errors(errs))
+    assert not result["passed"] and np.isnan(result["max_error_after_bound"])
 
 
 def test_lemma_suite_passes_on_strong_scenario():
@@ -430,6 +478,26 @@ def test_trace_csv_matches_the_per_row_writer(trace, chunk):
         assert to_csv_string(trace) == reference_csv(trace)
 
 
+@settings(max_examples=150)
+@given(trace=csv_traces())
+def test_trace_csv_reads_back_any_contents(tmp_path_factory, trace):
+    # Ints of at least -1 and every float come back bit for bit, any NaN as
+    # a NaN; a file with an int below -1 is refused.
+    path = tmp_path_factory.getbasetemp() / "any_trace.csv"
+    trace.to_csv(path)
+    back = Trace(trace.n_nodes, trace.horizon, 1, trace.block_dims)
+    if min(trace.taus.min(), trace.donors.min()) < -1:
+        with pytest.raises(ValueError, match="^corrupt trace: tau/donor below -1$"):
+            back.read_csv(path)
+        return
+    back.read_csv(path)
+    assert np.array_equal(back.taus, trace.taus) and np.array_equal(back.donors, trace.donors)
+    nan = np.isnan(trace.z_estimates)
+    assert np.array_equal(np.isnan(back.z_estimates), nan)
+    assert np.array_equal(back.z_estimates[~nan].view(np.int64),
+                          trace.z_estimates[~nan].view(np.int64))
+
+
 def test_trace_csv_matches_the_per_row_writer_on_runs():
     for config in canned_scenarios().values():
         trace = run_scenario(build_scenario(config))
@@ -536,7 +604,7 @@ def test_check_chunks_fill_a_points_budget_past_the_floor():
     trace = run_scenario(build_scenario(canned_scenarios()["fig1_freshness_spectral"]))
     assert chunk_rounds(*trace.z_estimates.shape[1:]) > trace.horizon
     assert [k0 for k0, _, _ in sim_engine._rule_rounds(trace)] == [0, 1]
-    assert [k0 for k0, _ in _delayed_residuals(trace, trace.ts)] == [1]
+    assert [k0 for k0, _ in _delayed_residuals(trace)] == [1]
     assert [rows for rows, _, _ in sim_engine._error_chunks(trace)] == [
         slice(0, trace.horizon + 1)]
 
