@@ -226,7 +226,6 @@ def build_scenario(config) -> Scenario:
     return Scenario(
         plant=plant,
         graph=graph,
-        algorithm=algo["type"],
         strategy=WeightStrategy(kind, root) if baseline else None,
         rho=algo.get("rho"),
         deadbeat=algo.get("deadbeat", False),
@@ -245,8 +244,7 @@ def run_checks(trace: Trace, config):
              ("envelope", wanted.get("envelope"), lambda: check_envelope(trace)),
              ("divergence", "divergence_threshold" in wanted,
               lambda: check_divergence(trace, wanted["divergence_threshold"], baseline)),
-             ("finite_time", algo.get("deadbeat") and not baseline,
-              lambda: check_finite_time(trace)))
+             ("finite_time", algo.get("deadbeat"), lambda: check_finite_time(trace)))
     results = {name: check() for name, asked, check in table if asked}
     return results, all(r["passed"] for r in results.values())
 
@@ -338,7 +336,7 @@ def _write_run(out_dir, name, trace, report):
     _atomic_write(os.path.join(out_dir, f"{name}_report.json"), lambda f: f.write(text))
 
 
-def cmd_run(specs, out_dir=None, seed=None, jobs=1):
+def cmd_run(specs, out_dir=None, seed=None):
     configs, writers = [], {}
     for spec in specs:
         name, config = _resolve_config(spec)
@@ -353,22 +351,10 @@ def cmd_run(specs, out_dir=None, seed=None, jobs=1):
         writers[key] = spec
         configs.append((name, config, target))
 
-    results = []
-    if jobs > 1 and len(configs) > 1:
-        import concurrent.futures   # here, so that a serial run does not import it
-
-        # The pool starts all its workers at the first submit.
-        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(configs))) as pool:
-            futures = [pool.submit(_execute, *c) for c in configs]
-            results = [f.result() for f in futures]
-    else:
-        results = [_execute(*c) for c in configs]
-
-    all_passed = True
+    results = [_execute(*c) for c in configs]
     for name, passed in results:
         print(f"{name}: {'PASS' if passed else 'FAIL'}")
-        all_passed &= passed
-    return 0 if all_passed else 1
+    return 0 if all(passed for _, passed in results) else 1
 
 
 def cmd_list_scenarios():
@@ -403,12 +389,12 @@ def _load_trace_csv(path, report, scenario: Scenario):
     ``scenario`` through `build_scenario`) and the report's other fields,
     set up by `scenario_trace` as in the run, with the report's T.  A
     freshness report has one block per node, a baseline report the one [n]."""
-    block_dims, freshness = report["block_dims"], scenario.algorithm == "freshness"
+    block_dims, freshness = report["block_dims"], scenario.strategy is None
     plant, n = scenario.plant, int(sum(block_dims))
     blocks = plant.n_nodes if freshness else 1
     if len(block_dims) != blocks:
-        raise ValueError(f"a {scenario.algorithm} report needs {blocks} block_dims, "
-                         f"found {len(block_dims)}")
+        raise ValueError(f"a {'freshness' if freshness else 'baseline'} report needs "
+                         f"{blocks} block_dims, found {len(block_dims)}")
     if plant.n != n:
         raise ValueError(f"scenario.plant has {plant.n} states, the report's block_dims {n}")
     ts = None
@@ -459,7 +445,6 @@ def _make_parser():
                        help="config file paths or canned scenario names")
     p_run.add_argument("--out", default=None, help="output directory")
     p_run.add_argument("--seed", type=int, default=None, help="override seed")
-    p_run.add_argument("--jobs", type=int, default=1, help="worker pool size")
 
     p_check = sub.add_parser("check", help="re-run checks offline from a trace")
     p_check.add_argument("trace")
@@ -476,8 +461,7 @@ def main(argv=None):
     args = _PARSER.parse_args(argv)
     try:
         if args.command == "run":
-            return cmd_run(args.configs, out_dir=args.out, seed=args.seed,
-                           jobs=args.jobs)
+            return cmd_run(args.configs, out_dir=args.out, seed=args.seed)
         if args.command == "check":
             return cmd_check(args.trace, args.report)
         return cmd_list_scenarios()

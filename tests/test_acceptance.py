@@ -70,8 +70,7 @@ def test_baseline_divergence_reproduction():
     ok = True
     start = time.perf_counter()
     for strategy in (WeightStrategy("uniform"), WeightStrategy("tree_rooted", root=1)):
-        s = Scenario(plant=fig1_plant(), graph=fig1_graph(), algorithm="baseline",
-                     strategy=strategy, horizon=100)
+        s = Scenario(plant=fig1_plant(), graph=fig1_graph(), strategy=strategy, horizon=100)
         trace = run_scenario(s)
         maxed = max_error(trace)
         ok &= bool(np.max(maxed) >= 1e6)

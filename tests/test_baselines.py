@@ -153,8 +153,7 @@ def test_alternating_graph_baseline_grows_monotonically(strategy):
     # cannot keep up and the worst-node error blows up steadily.
     plant = LtiPlant([[2.0]], [[[1.0]], [], []], [1.0])
     graph = PeriodicGraphSequence(edge_tensor(3, FIG1_EDGE_LISTS), period_t=2)
-    s = Scenario(plant=plant, graph=graph, algorithm="baseline",
-                 strategy=strategy, horizon=100,
+    s = Scenario(plant=plant, graph=graph, strategy=strategy, horizon=100,
                  initial_estimates=[[0.0], [0.0], [0.0]])
     trace = run_scenario(s)
     maxed = max_error(trace)

@@ -1,4 +1,3 @@
-import concurrent.futures
 import json
 import os
 import subprocess
@@ -184,6 +183,13 @@ def test_run_rejects_edge_outside_nodes(tmp_path, capsys):
     assert "outside node range" in capsys.readouterr().err
 
 
+def test_run_rejects_periodic_graph_without_edge_lists(tmp_path, capsys):
+    cfg = tmp_path / "periodic.json"
+    cfg.write_text(json.dumps(small_config(graph={"mode": "periodic", "T": 2})))
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: periodic graph requires params.edge_lists\n"
+
+
 def test_list_contains_canned_scenarios(capsys):
     assert main(["list"]) == 0
     printed = capsys.readouterr().out.split()
@@ -210,6 +216,22 @@ def test_run_exits_2_on_unusable_paths(tmp_path, capsys, case):
         out.write_text("")
     assert main(["run", str(cfg), "--out", str(out)]) == 2
     assert str(out if case == "out_is_a_file" else cfg) in capsys.readouterr().err
+
+
+def test_run_exits_2_on_a_config_that_is_not_json(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text("{")
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: config is not valid JSON: ")
+
+
+def test_atomic_write_leaves_no_temp_file_when_the_writer_raises(tmp_path):
+    def half_write(f):
+        f.write("k,node\n")
+        raise RuntimeError("writer failed")
+    with pytest.raises(RuntimeError, match="writer failed"):
+        cli._atomic_write(str(tmp_path / "x_trace.csv"), half_write)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_envelope_that_compares_no_point_fails(tmp_path, capsys):
@@ -427,7 +449,8 @@ def test_check_rejects_report_edge_outside_nodes(tmp_path, capsys, node):
     assert "outside node range" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("tamper", ["no_rows", "short_row", "long_row", "fraction"])
+@pytest.mark.parametrize("tamper", ["no_rows", "short_row", "long_row", "fraction",
+                                    "fractional_tau"])
 def test_check_rejects_malformed_trace_rows(tmp_path, capsys, tamper):
     trace, report = _run_small(tmp_path, capsys)
     lines = trace.read_text().splitlines()
@@ -437,11 +460,17 @@ def test_check_rejects_malformed_trace_rows(tmp_path, capsys, tamper):
         lines[7] = lines[7][:lines[7].rindex(",")]
     elif tamper == "long_row":
         lines[7] += ",1.0"
-    else:
+    elif tamper == "fraction":
         lines[7] = "2.5" + lines[7][lines[7].index(","):]
+    else:               # the first tau cell: rows and columns stay well-formed
+        k, node, _, rest = lines[2].split(",", 3)
+        lines[2] = ",".join((k, node, "0.5", rest))
     trace.write_text("\n".join(lines) + "\n")
     assert main(["check", str(trace), str(report)]) == 2
-    assert "malformed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "malformed" in err
+    if tamper == "fractional_tau":
+        assert err == "error: malformed trace or report: trace tau/donor columns must be integers\n"
 
 
 def test_check_takes_the_graph_from_scenario_not_a_report_copy(tmp_path, capsys):
@@ -499,21 +528,7 @@ def test_run_rejects_plant_not_jointly_observable(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
-def test_run_jobs_matches_serial_run(tmp_path, capsys):
-    names = ["fig1_freshness_deadbeat", "fig1_uniform_baseline"]
-    codes = [main(["run", *names, "--out", str(tmp_path / d), "--jobs", jobs])
-             for d, jobs in (("serial", "1"), ("pooled", "2"))]
-    out = capsys.readouterr().out.splitlines()
-    assert codes == [0, 0]
-    assert out[:2] == out[2:]
-    for name in names:
-        for suffix in ("_trace.csv", "_report.json"):
-            serial = (tmp_path / "serial" / f"{name}{suffix}").read_bytes()
-            assert (tmp_path / "pooled" / f"{name}{suffix}").read_bytes() == serial
-
-
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_run_refuses_two_configs_that_write_the_same_files(tmp_path, capsys, jobs):
+def test_run_refuses_two_configs_that_write_the_same_files(tmp_path, capsys):
     # a/x.json and b/x.json are different runs that would both write x_trace.csv
     # and x_report.json into one directory: the later would overwrite the earlier.
     for sub, name in (("a", "fig1_freshness_spectral"), ("b", "fig1_uniform_baseline")):
@@ -521,7 +536,7 @@ def test_run_refuses_two_configs_that_write_the_same_files(tmp_path, capsys, job
         (tmp_path / sub / "x.json").write_text(json.dumps(canned_scenarios()[name]))
     specs = [str(tmp_path / "a" / "x.json"), str(tmp_path / "b" / "x.json")]
     out = tmp_path / "out"
-    assert main(["run", *specs, "--out", str(out), "--jobs", jobs]) == 2
+    assert main(["run", *specs, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == (
         f"error: {specs[0]} and {specs[1]} would both write {out / 'x_trace.csv'}\n")
@@ -530,33 +545,6 @@ def test_run_refuses_two_configs_that_write_the_same_files(tmp_path, capsys, job
     assert main(["run", specs[0], specs[0], "--out", str(out)]) == 2
     assert main(["run", specs[0], "--out", str(out / "a")]) == 0
     assert main(["run", specs[1], "--out", str(out / "b")]) == 0
-
-
-def test_run_jobs_pool_is_capped_at_the_config_count(tmp_path, monkeypatch, capsys):
-    # The pool starts all its workers at the first submit: --jobs 500 on two
-    # configs must ask for two.  The fake pool runs the calls inline.
-    sizes = []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            future = concurrent.futures.Future()
-            future.set_result(fn(*args))
-            return future
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    names = ["fig1_freshness_deadbeat", "fig1_uniform_baseline"]
-    assert main(["run", *names, "--out", str(tmp_path), "--jobs", "500"]) == 0
-    assert sizes == [2]
-    assert capsys.readouterr().out.splitlines() == [f"{n}: PASS" for n in names]
 
 
 def test_check_rejects_baseline_report_with_padded_block_dims(tmp_path, capsys):
@@ -1010,10 +998,12 @@ _BAD_SHAPE = "transform.t_matrix must be a finite (1, 1) array"
     (None, "$.transform.t_matrix: None is not of type 'array'"),
     ([[1.0, 0.0]], _BAD_SHAPE),
     ([[1.0], [0.0]], _BAD_SHAPE),
+    # The schema walk accepts a short row; numpy refuses the ragged array.
+    ([[1.0, 0.0], [0.0]], _BAD_SHAPE),
     ([["x"]], "$.transform.t_matrix[0][0]: 'x' is not of type 'number'"),
     ([[float("nan")]], _BAD_SHAPE),
     ([[float("inf")]], _BAD_SHAPE),
-], ids=["null", "wide", "tall", "text", "nan", "inf"])
+], ids=["null", "wide", "tall", "ragged", "text", "nan", "inf"])
 def test_check_rejects_bad_t_matrix(tmp_path, capsys, value, message):
     def set_t(data):
         data["transform"]["t_matrix"] = value
@@ -1090,7 +1080,7 @@ def test_check_takes_the_run_from_scenario(tmp_path, capsys, name, tamper, code,
 def test_cli_runs_and_checks_without_importing_scipy(tmp_path):
     # scipy and jsonschema are test dependencies only: importing scipy costs
     # a process about 0.2 s and 26 MB, and jsonschema 78 ms and 5 MB.  A
-    # serial run needs no concurrent.futures either.  A spectral run places
+    # run needs no concurrent.futures either.  A spectral run places
     # gains and certifies its graph; a tree-rooted baseline takes the BFS
     # levels of every round.
     out = str(tmp_path)
