@@ -166,9 +166,9 @@ class ConfigError(ValueError):
     pass
 
 
-# The algorithm keys that a freshness run and each baseline strategy read.
-_ALGORITHM_KEYS = {"freshness": {"type", "rho", "deadbeat"}, "uniform": {"type", "strategy"},
-                   "tree_rooted": {"type", "strategy", "root"}}
+# The algorithm keys that a spectral or deadbeat run and each baseline strategy read.
+_ALGORITHM_KEYS = {"freshness": {"type", "rho", "deadbeat"}, "deadbeat": {"type", "deadbeat"},
+                   "uniform": {"type", "strategy"}, "tree_rooted": {"type", "strategy", "root"}}
 
 
 def build_scenario(config) -> Scenario:
@@ -210,10 +210,11 @@ def build_scenario(config) -> Scenario:
 
     algo = config["algorithm"]
     baseline = algo["type"] == "baseline"
-    kind = algo.get("strategy", "uniform") if baseline else "freshness"
+    kind = (algo.get("strategy", "uniform") if baseline else
+            "deadbeat" if algo.get("deadbeat") else "freshness")
     if ignored := sorted(algo.keys() - _ALGORITHM_KEYS[kind]):
         raise ConfigError(f'"{ignored[0]}" does not apply to a {kind}{" baseline" * baseline} run')
-    if not baseline and "rho" not in algo and not algo.get("deadbeat"):
+    if kind == "freshness" and "rho" not in algo:
         raise ConfigError('a freshness run needs "rho" or "deadbeat": true')
     root = algo.get("root")
     if kind == "tree_rooted" and (root is None or root > plant.n_nodes):
@@ -221,30 +222,29 @@ def build_scenario(config) -> Scenario:
     checks = config.get("checks", {})
     if baseline and (checks.get("lemmas") or checks.get("envelope")):
         raise ConfigError('the "lemmas" and "envelope" checks need a freshness run')
-    if algo.get("deadbeat") and checks.get("envelope"):
+    if kind == "deadbeat" and checks.get("envelope"):
         raise ConfigError('the "envelope" check needs a spectral run, not "deadbeat": true')
     return Scenario(
         plant=plant,
         graph=graph,
         strategy=WeightStrategy(kind, root) if baseline else None,
         rho=algo.get("rho"),
-        deadbeat=algo.get("deadbeat", False),
         horizon=config["horizon"],
         seed=seed,
         initial_estimates=init,
     )
 
 
-def run_checks(trace: Trace, config):
-    """Execute the checks requested in a config against a fresh trace."""
-    wanted, algo = config.get("checks", {}), config["algorithm"]
-    baseline = algo["type"] == "baseline"
+def run_checks(trace: Trace, scenario: Scenario, wanted):
+    """Execute the checks ``wanted``, a config's ``checks``, against a trace of ``scenario``."""
+    baseline = scenario.strategy is not None
     # Each check's result key, whether the config asks for it, and the check.
     table = (("lemmas", wanted.get("lemmas"), lambda: check_lemma_suite(trace, check_delayed=True)),
              ("envelope", wanted.get("envelope"), lambda: check_envelope(trace)),
              ("divergence", "divergence_threshold" in wanted,
               lambda: check_divergence(trace, wanted["divergence_threshold"], baseline)),
-             ("finite_time", algo.get("deadbeat"), lambda: check_finite_time(trace)))
+             ("finite_time", not baseline and scenario.rho is None,
+              lambda: check_finite_time(trace)))
     results = {name: check() for name, asked, check in table if asked}
     return results, all(r["passed"] for r in results.values())
 
@@ -323,7 +323,7 @@ def _trace_path(out_dir, name):
 def _execute(name, config, out_dir):
     scenario = build_scenario(config)
     trace = run_scenario(scenario)
-    results, passed = run_checks(trace, config)
+    results, passed = run_checks(trace, scenario, config.get("checks", {}))
     report = build_report(trace, config, results, passed)
     _write_run(out_dir, name, trace, report)
     return name, passed
@@ -418,12 +418,13 @@ def cmd_check(trace_path, report_path):
         if error := schema_error(REPORT_SCHEMA, report):
             raise ValueError("invalid report at {}: {}".format(*error))
         config = report["scenario"]
-        trace = _load_trace_csv(trace_path, report, build_scenario(config))
+        scenario = build_scenario(config)
+        trace = _load_trace_csv(trace_path, report, scenario)
     except (OSError, ValueError, KeyError, IndexError) as exc:
         print(f"error: malformed trace or report: {exc}", file=sys.stderr)
         return 2
 
-    results, passed = run_checks(trace, config)
+    results, passed = run_checks(trace, scenario, config.get("checks", {}))
     # Compared as text: NaN equals NaN there, unlike in a dict comparison.
     agree = json.dumps(results, default=_plain) == json.dumps(report.get("checks", {}))
     for name, res in results.items():

@@ -252,9 +252,10 @@ def place_deadbeat(a_jj, c_jj):
     return gain
 
 
-def design_gains(ts: TransformedSystem, rho: float | None = None,
-                 deadbeat: bool = False, seed: int = 0) -> GainSet:
-    """Synthesize gains for every nonempty block of a transformed system.
+def design_gains(ts: TransformedSystem, rho: float | None = None, seed: int = 0) -> GainSet:
+    """Synthesize gains for every nonempty block of a transformed system:
+    spectral gains at the radii of `choose_radii` (rho), or deadbeat gains
+    when ``rho`` is None.
 
     Spectral blocks of one shape (n_j, r_j) are placed together by
     `_place_stack`, block j with seed + j, uncertified: `staircase_transform`
@@ -264,17 +265,12 @@ def design_gains(ts: TransformedSystem, rho: float | None = None,
     block order.  Deadbeat blocks go one by one through `place_deadbeat`.
     """
     n_blocks = ts.n_nodes
-    if deadbeat:
-        radii = [DEADBEAT] * n_blocks
-    else:
-        if rho is None:
-            raise ValueError("rho is required for spectral gain design")
-        radii = choose_radii(rho, n_blocks)
+    radii = [DEADBEAT] * n_blocks if rho is None else choose_radii(rho, n_blocks)
     gains = [np.zeros((0, c.shape[0])) for c in ts.c_bar]
     nonempty = [j for j in range(1, n_blocks + 1) if ts.block_dims[j - 1]]
     by_shape = {}               # (n_j, r_j) -> the blocks to place
     for j in nonempty:
-        if deadbeat:
+        if rho is None:
             gains[j - 1] = _in_block(j, place_deadbeat, ts.a_block(j, j), ts.c_block(j, j))
         else:
             by_shape.setdefault(ts.c_block(j, j).shape[::-1], []).append(j)

@@ -122,6 +122,8 @@ def hops(graphs: np.ndarray, start: int, reverse: bool = False) -> np.ndarray:
     sorted by tail, so each level expands only its frontier's edges.
     """
     n_graphs, n, _ = graphs.shape
+    if not 1 <= start <= n:
+        raise ValueError(f"start node {start} outside node range 1..{n}")
     tail, head = divmod(np.flatnonzero(graphs), n)
     head += tail - tail % n
     if reverse:

@@ -72,8 +72,7 @@ class Scenario:
     plant: LtiPlant
     graph: GraphSequence
     strategy: WeightStrategy | None = None  # set: a baseline run; None: freshness
-    rho: float | None = None
-    deadbeat: bool = False
+    rho: float | None = None                 # None: deadbeat gains
     horizon: int = 100
     seed: int = 0
     initial_estimates: list | None = None   # per-node n-vectors, original coords
@@ -251,13 +250,15 @@ def scenario_trace(s: Scenario, ts=None):
 def run_scenario(s: Scenario) -> Trace:
     """Execute a scenario deterministically and return its trace: the
     baseline of ``s.strategy`` when it is set, else the freshness observer."""
+    if s.strategy is not None and s.rho is not None:
+        raise ValueError("a baseline scenario takes no rho")
     return _run_freshness(s) if s.strategy is None else _run_baseline(s)
 
 
 def _run_freshness(s: Scenario) -> Trace:
     plant = s.plant
     ts = staircase_transform(plant)
-    gains = design_gains(ts, rho=s.rho, deadbeat=s.deadbeat, seed=s.seed)
+    gains = design_gains(ts, rho=s.rho, seed=s.seed)
     trace, states = scenario_trace(s, ts)
     trace.gains = gains
 
@@ -276,17 +277,16 @@ def _run_freshness(s: Scenario) -> Trace:
     kernel.index_pass(trace.adjacency, trace.taus, trace.donors, CHUNK_ROUNDS)
     kernel.estimate_pass(trace.donors, outputs, trace.z_estimates, CHUNK_ROUNDS)
 
-    if not s.deadbeat:     # design_gains has refused a spectral run without rho
+    if s.rho is not None:      # spectral gains: the envelope's constants
         schedule = envelope_schedule(trace.n_nodes, s.graph.period_t)
         subs = trace.sources
         if schedule.reference[subs[-1]] <= s.horizon:
-            # Each source's own error at its substate's reference time: column
-            # m of err is its block's source node's, at that node's time.
-            node = np.repeat(np.arange(trace.n_nodes), ts.block_dims)
-            at, cols = schedule.reference[node], np.arange(ts.n)
-            err = trace.z_estimates[at, node, cols] - trace.truth[at, cols]
+            # Row c of err_block is round reference[subs[c]]: source c's own error there.
+            rounds, c = schedule.reference[subs], np.arange(subs.size)
+            err_block = error_norms(trace.z_estimates[rounds], trace.truth[rounds],
+                                    ts.block_dims)[0]
             ref_norms = np.zeros(trace.n_nodes)
-            ref_norms[subs] = _block_norms(err, np.asarray(ts.offsets)[subs])
+            ref_norms[subs] = err_block[c, subs, c]
             trace.constants = compute_bound_constants(ts, gains, ref_norms, schedule.t_bar)
             if not np.all(np.isfinite(trace.constants.c_bar)):
                 trace.warnings.append("envelope_constants_not_finite")

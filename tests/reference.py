@@ -426,13 +426,13 @@ def spectral_gain(a, c, rho_j, seed=0):
     return None
 
 
-def design_gains(ts, rho=None, deadbeat=False, seed=0):
+def design_gains(ts, rho=None, seed=0):
     """Gains one block at a time, block j's spectral draws seeded seed + j.
-    A spectral block is certified only when every draw fails.  The first
-    block that fails raises its refusal, of its own class, with " (block j)"
-    appended."""
+    Deadbeat when ``rho`` is None.  A spectral block is certified only when
+    every draw fails.  The first block that fails raises its refusal, of its
+    own class, with " (block j)" appended."""
     n_blocks = ts.n_nodes
-    radii = [DEADBEAT] * n_blocks if deadbeat else choose_radii(rho, n_blocks)
+    radii = [DEADBEAT] * n_blocks if rho is None else choose_radii(rho, n_blocks)
     gains = []
     for j in range(1, n_blocks + 1):
         if ts.block_dims[j - 1] == 0:
@@ -440,7 +440,7 @@ def design_gains(ts, rho=None, deadbeat=False, seed=0):
             continue
         a_jj, c_jj = ts.a_block(j, j), ts.c_block(j, j)
         try:
-            if deadbeat:
+            if rho is None:
                 gain = place_deadbeat(a_jj, c_jj)
             else:
                 gain = spectral_gain(a_jj, c_jj, radii[j - 1], seed=seed + j)

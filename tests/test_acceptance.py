@@ -4,7 +4,9 @@ Each test exercises one headline capability at its stated tolerance and prints
 a single pass/fail line so the suite doubles as a human-readable scorecard.
 """
 
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,14 +88,14 @@ def test_deadbeat_finite_time_bounds():
     ok = True
 
     # Scalar three-node scenario: exact convergence within 25 steps.
-    s = Scenario(plant=fig1_plant(), graph=fig1_graph(), deadbeat=True, horizon=60)
+    s = Scenario(plant=fig1_plant(), graph=fig1_graph(), horizon=60)
     trace = run_scenario(s)
     ok &= bool(np.max(total_errors(trace, start=25)) <= 1e-9)
 
     # Random n=5, N=4, T=3 strongly connected scenario: bound 5 + 2*4*3*3 = 77.
     plant, graph = random_jsc_setup()
     assert certify_joint_strong_connectivity(window_unions(graph.adjacency(90), 3))
-    s = Scenario(plant=plant, graph=graph, deadbeat=True, horizon=90, seed=7)
+    s = Scenario(plant=plant, graph=graph, horizon=90, seed=7)
     trace = run_scenario(s)
     initial = float(np.max(total_errors(trace, stop=1)))
     ok &= bool(np.max(total_errors(trace, start=77)) <= 1e-6 * initial)
@@ -248,3 +250,14 @@ def test_deterministic_trace_output(tmp_path):
         b2 = (d2 / f"{name}_trace.csv").read_bytes()
         ok &= b1 == b2
     report("byte-identical traces for repeated seeded runs", ok)
+
+
+def test_readme_python_examples_run(tmp_path, monkeypatch, capsys):
+    # Every fenced Python block of the README, run as a reader would paste it.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+    assert blocks
+    monkeypatch.chdir(tmp_path)
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "0.0 True\nTrue\n"

@@ -100,7 +100,8 @@ def test_run_refuses_checks_that_do_not_apply(tmp_path, capsys, algorithm, check
     ("fig1_uniform_baseline", "root", 1, "uniform baseline"),
     ("fig1_tree_baseline", "deadbeat", False, "tree_rooted baseline"),
     ("fig1_freshness_spectral", "strategy", "uniform", "freshness"),
-    ("fig1_freshness_deadbeat", "root", 1, "freshness"),
+    ("fig1_freshness_deadbeat", "root", 1, "deadbeat"),
+    ("fig1_freshness_deadbeat", "rho", 0.6, "deadbeat"),
 ])
 def test_run_refuses_algorithm_keys_that_the_algorithm_ignores(tmp_path, capsys, name, key,
                                                               value, algorithm):
@@ -699,8 +700,9 @@ def runs():
                    design_wide=_bench_config([2] * 32, 1, 1))
     out = {}
     for name, config in configs.items():
-        trace = run_scenario(build_scenario(config))
-        results, passed = run_checks(trace, config)
+        scenario = build_scenario(config)
+        trace = run_scenario(scenario)
+        results, passed = run_checks(trace, scenario, config.get("checks", {}))
         out[name] = trace, build_report(trace, config, results, passed)
     return out
 
@@ -751,8 +753,9 @@ def test_run_file_write_memory_does_not_grow_with_the_horizon(tmp_path):
                   "graph": {"mode": "random", "T": 2, "params": {"seed": 1}},
                   "algorithm": {"type": "freshness", "rho": 0.9},
                   "horizon": horizon, "seed": 0}
-        trace = run_scenario(build_scenario(config))
-        report = build_report(trace, config, *run_checks(trace, config))
+        scenario = build_scenario(config)
+        trace = run_scenario(scenario)
+        report = build_report(trace, config, *run_checks(trace, scenario, {}))
         tracemalloc.start()
         try:
             cli._write_run(str(tmp_path), "run", trace, report)
@@ -1128,8 +1131,10 @@ def test_check_fails_an_estimate_off_the_delayed_identity(tmp_path, capsys, name
     assert main(["check", str(trace), str(report)]) == 1
     assert "lemmas: FAIL" in capsys.readouterr().out
     data = json.loads(report.read_text())
-    loaded = _load_trace_csv(trace, data, build_scenario(data["scenario"]))
-    lemmas = run_checks(loaded, data["scenario"])[0]["lemmas"]["checks"]
+    scenario = build_scenario(data["scenario"])
+    loaded = _load_trace_csv(trace, data, scenario)
+    results = run_checks(loaded, scenario, data["scenario"].get("checks", {}))[0]
+    lemmas = results["lemmas"]["checks"]
     assert lemmas.pop("delayed_form")["at"] == (2, 1, 10)
     assert all(entry["passed"] for entry in lemmas.values())
 

@@ -55,6 +55,9 @@ def test_choose_radii_three_blocks():
 
 
 def test_choose_radii_bounds():
+    for rho in (0.0, 1.0):
+        with pytest.raises(ValueError, match=f"rho must lie in \\(0, 1\\), got {rho}"):
+            choose_radii(rho, 2)
     for rho in (0.1, 0.5, 0.99):
         for n in (1, 2, 6):
             radii = choose_radii(rho, n)
@@ -287,6 +290,9 @@ def test_bound_constants_refuse_a_block_that_does_not_contract():
     gains = GainSet(gains=(np.zeros((1, 1)),), target_radii=(0.5,))
     with pytest.raises(GainDesignError, match="does not contract"):
         compute_bound_constants(ts, gains, [1.0], t_bar=0)
+    # Deadbeat gains have no radius to contract at.
+    with pytest.raises(ValueError, match="defined for spectral-mode gains"):
+        compute_bound_constants(ts, design_gains(ts), [1.0], t_bar=0)
 
 
 def test_bound_constants_refuse_a_non_contracting_block_among_contracting_ones():
@@ -440,7 +446,7 @@ def test_beta_bounds_every_power(blocks, radius):
 def test_design_gains_skips_empty_blocks():
     plant = LtiPlant([[2.0]], [[[1.0]], [], []], [1.0])
     ts = staircase_transform(plant)
-    gains = design_gains(ts, deadbeat=True)
+    gains = design_gains(ts)
     assert gains.gain(1).shape == (1, 1)
     assert gains.gain(2).shape == (0, 0)
     assert gains.gain(3).shape == (0, 0)
@@ -526,7 +532,7 @@ def stacked_systems(draw):
 @given(ts=stacked_systems(), seed=st.integers(0, 2**16),
        rho=st.sampled_from([1e-6, 1e-3, 0.3, 0.9]), deadbeat=st.booleans())
 def test_design_gains_matches_the_per_block_loop(ts, seed, rho, deadbeat):
-    assert_designs_match_the_reference(ts, rho=rho, deadbeat=deadbeat, seed=seed)
+    assert_designs_match_the_reference(ts, rho=None if deadbeat else rho, seed=seed)
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 2, 2), (3, 1, 3, 1, 2), (1, 2, 3, 4)])
@@ -535,7 +541,7 @@ def test_design_gains_matches_the_per_block_loop_on_coupled_plants(dims, seed):
     ts = staircase_transform(couple_substates(make_multiblock_plant(dims, seed=seed), 0.5, seed))
     for rho in (0.3, 0.9):
         assert_designs_match_the_reference(ts, rho=rho, seed=seed)
-    assert_designs_match_the_reference(ts, deadbeat=True)
+    assert_designs_match_the_reference(ts)
 
 
 def first_attempt_radius(a, c, rho_j, seed):
@@ -596,7 +602,7 @@ def test_design_gains_names_the_first_failing_block():
         design_gains(ts, rho=rho, seed=0)
     assert str(exc.value) == "block pair is not observable; cannot place poles (block 2)"
     with pytest.raises(GainDesignError) as exc:
-        design_gains(ts, deadbeat=True)
+        design_gains(ts)
     assert str(exc.value) == "block pair is not observable; cannot place poles (block 2)"
 
 
@@ -604,8 +610,8 @@ def test_deadbeat_refusal_names_its_block():
     clustered = (np.diag(0.5 + 0.1 * np.arange(6) / 6), np.ones((1, 6)))
     ts = stacked_system([random_pair(1, 2, 1), None, clustered], rows=[1, 2, 1])
     with pytest.raises(GainDesignError, match=r"^deadbeat gain is not nilpotent: .* \(block 3\)$"):
-        design_gains(ts, deadbeat=True)
-    assert_designs_match_the_reference(ts, deadbeat=True)
+        design_gains(ts)
+    assert_designs_match_the_reference(ts)
 
 
 def raising_for(a_bad, staircase):
@@ -630,7 +636,7 @@ def test_a_refusal_names_its_block_where_the_staircase_cannot_decide(monkeypatch
     monkeypatch.setattr(gain_design, "staircase_deflation",
                         raising_for(ts.a_block(2, 2), gain_design.staircase_deflation))
     with pytest.raises(DecompositionError, match=r"^staircase .* no clear gap \(block 2\)$"):
-        design_gains(ts, deadbeat=True)
+        design_gains(ts)
 
 
 def count_staircases(monkeypatch):

@@ -151,6 +151,16 @@ def test_hops_counts_levels_on_a_chain():
     assert hops(chain, 2, reverse=True).tolist() == [[1, 0, -1, -1]]
 
 
+@pytest.mark.parametrize("start", [0, 4])
+def test_hops_refuses_a_start_outside_the_node_range(start):
+    # Start 0 would wrap to the previous graph's node 3, and start 4 past the stack.
+    graphs = generate_random_jointly_connected(3, 2, seed=1).adjacency(6)
+    with pytest.raises(ValueError, match=f"start node {start} outside node range 1..3"):
+        hops(graphs, start)
+    with pytest.raises(ValueError, match=f"start node {start} outside node range 1..3"):
+        mixing_weights(graphs, WeightStrategy("tree_rooted", start))
+
+
 def test_certify_ring_revealed_one_edge_per_step():
     n = 4
     ring = [(i, i % n + 1) for i in range(1, n + 1)]
@@ -263,6 +273,11 @@ def test_no_self_loops_stored():
 def test_periodic_sequence_refuses_an_empty_cycle():
     with pytest.raises(ValueError, match="at least one graph"):
         PeriodicGraphSequence(edge_tensor(3, []), period_t=1)
+
+
+def test_periodic_sequence_refuses_a_period_below_one():
+    with pytest.raises(ValueError, match="period T must be >= 1, got 0"):
+        PeriodicGraphSequence(FIG1.adjacency(2), period_t=0)
 
 
 def test_edge_outside_node_range_rejected():

@@ -427,7 +427,7 @@ def assert_run_matches_per_node_rules(plant, graph, horizon, kw):
 
 @pytest.mark.parametrize("fig1,kw", [
     (False, dict(rho=0.8)),
-    (False, dict(deadbeat=True)),
+    (False, dict(rho=None)),
     (False, dict(rho=0.6, initial_estimates="random")),
     (True, dict(rho=0.6)),
 ])
@@ -446,7 +446,7 @@ def test_run_matches_per_node_rules(fig1, kw):
     assert_run_matches_per_node_rules(plant, graph, 30, kw)
 
 
-@pytest.mark.parametrize("kw", [dict(rho=0.8), dict(deadbeat=True)])
+@pytest.mark.parametrize("kw", [dict(rho=0.8), dict(rho=None)])
 def test_run_feeds_only_the_sources_outputs(kw):
     # Node 2 measures x1, which node 1's block already holds, so its block is
     # empty: its sensor row is no source's, and node 3 is a later source.  A

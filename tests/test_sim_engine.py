@@ -193,6 +193,14 @@ def test_baseline_divergence_rate_above_one():
     assert result["passed"] and result["first_crossing"] <= 60
 
 
+def test_baseline_scenario_refuses_rho():
+    # The baseline reads no gains: a rho beside a strategy would be ignored.
+    s = Scenario(plant=fig1_plant(), graph=fig1_graph(), strategy=WeightStrategy("uniform"),
+                 rho=0.6, horizon=10)
+    with pytest.raises(ValueError, match="a baseline scenario takes no rho"):
+        run_scenario(s)
+
+
 def test_freshness_run_converges_and_certifies_envelope():
     trace = run_scenario(random_scenario(seed=7))
     assert max_error(trace)[-1] < 1e-6

@@ -55,6 +55,8 @@ def test_simulate_truth_is_deterministic():
 
 
 def test_simulate_truth_refuses_an_overflowing_state():
+    with pytest.raises(ValueError, match="horizon must be >= 1, got 0"):
+        simulate_truth(scalar_three_node_plant(), 0)
     # 2^1024 is past float64's largest value.
     with pytest.raises(ConfigurationError, match=r"overflows float64 at k = 1024 "):
         simulate_truth(scalar_three_node_plant(), 1100)
@@ -66,6 +68,10 @@ def test_dimension_mismatch_rejected():
         LtiPlant([[1.0, 0.0], [0.0, 1.0]], [np.eye(2)], [1.0])
     with pytest.raises(ConfigurationError):
         LtiPlant([[1.0]], [[[1.0, 2.0]]], [1.0])
+    with pytest.raises(ConfigurationError, match=r"must be square, got shape \(1, 2\)"):
+        LtiPlant([[2.0, 1.0]], [[[1.0, 0.0]]], [1.0, 1.0])
+    with pytest.raises(ConfigurationError, match="at least one sensor node is required"):
+        LtiPlant([[1.0]], [], [1.0])
 
 
 def test_joint_observability_scalar_example():
