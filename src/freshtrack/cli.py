@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -141,9 +142,11 @@ def schema_error(schema, value, path="$"):
 
     Knows the keywords that CONFIG_SCHEMA and REPORT_SCHEMA use.  The walk
     goes depth first, through properties in the schema's order and entries
-    in order, so of two bad siblings it names the first.  A row of plain
-    ints and floats passes ``{"type": "number"}`` items in one test instead
-    of one descent per entry.
+    in order, so of two bad siblings it names the first.  An array of plain
+    numbers, of rows of them or of matrices (a vector, a matrix, ``plant.C``,
+    ``block_dims``) passes in one type test over all its leaves
+    (`_passes_whole`); only an array that fails it is walked entry by entry,
+    so the error found is the walk's all the same.
     """
     for key, (fails, words) in _TESTS.items():
         if key in schema and fails(value, schema[key]):
@@ -155,11 +158,34 @@ def schema_error(schema, value, path="$"):
             ", ".join(map(repr, extras)), "was" if len(extras) == 1 else "were")
     if missing := [key for key in schema.get("required", ()) if key not in value]:
         return path, f"{missing[0]!r} is a required property"
-    rows = () if items == {"type": "number"} and set(map(type, value)) <= {int, float} else value
+    if items and _passes_whole(items, value):
+        return None
     # (path, schema, value) of each entry or property, walked lazily.
-    children = (((f"{path}[{i}]", items, x) for i, x in enumerate(rows)) if items else
+    children = (((f"{path}[{i}]", items, x) for i, x in enumerate(value)) if items else
                 ((f"{path}.{key}", sub, value[key]) for key, sub in props.items() if key in value))
     return next(filter(None, (schema_error(sub, x, where) for where, sub, x in children)), None)
+
+
+# The leaf types that pass {"type": "number"} and {"type": "integer"} at once.
+_PLAIN = {"number": {int, float}, "integer": {int}}
+
+
+def _passes_whole(items, values):
+    """True when each of ``values`` passes ``items`` by one type test over
+    all the leaves: ``items`` nests bare arrays (``type`` and ``items``
+    alone) down to numbers or integers (``type`` and at most ``minimum``),
+    each level holds plain lists, and each leaf is a plain int, or a float
+    where numbers are asked, at or above the minimum.  False says only that
+    the walk must look entry by entry."""
+    while items.keys() == {"type", "items"} and items["type"] == "array":
+        if set(map(type, values)) - {list}:
+            return False
+        values = list(itertools.chain.from_iterable(values))
+        items = items["items"]
+    low = items.get("minimum")
+    return (items.keys() <= {"type", "minimum"} and items.get("type") in _PLAIN
+            and set(map(type, values)) <= _PLAIN[items["type"]]
+            and (low is None or min(values, default=low) >= low))
 
 
 class ConfigError(ValueError):
@@ -169,6 +195,8 @@ class ConfigError(ValueError):
 # The algorithm keys that a spectral or deadbeat run and each baseline strategy read.
 _ALGORITHM_KEYS = {"freshness": {"type", "rho", "deadbeat"}, "deadbeat": {"type", "deadbeat"},
                    "uniform": {"type", "strategy"}, "tree_rooted": {"type", "strategy", "root"}}
+# The graph params that each graph mode reads.
+_GRAPH_KEYS = {"periodic": {"edge_lists"}, "random": {"n", "seed"}}
 
 
 def build_scenario(config) -> Scenario:
@@ -194,6 +222,8 @@ def build_scenario(config) -> Scenario:
     gspec = config["graph"]
     t = gspec["T"]
     params = gspec.get("params", {})
+    if ignored := sorted(params.keys() - _GRAPH_KEYS[gspec["mode"]]):
+        raise ConfigError(f'"{ignored[0]}" does not apply to a {gspec["mode"]} graph')
     if gspec["mode"] == "periodic":
         edge_lists = params.get("edge_lists")
         if not edge_lists:
@@ -273,7 +303,9 @@ def build_report(trace: Trace, config, results, passed):
         "warnings": list(trace.warnings),
         "checks": results,
     }
-    for key, value in (("transform", trace.ts), ("gains", trace.gains),
+    ts = trace.ts       # its residue is taken here, the one place that reads it
+    transform = ts and {**_plain(ts), "residue": ts.residue}
+    for key, value in (("transform", transform), ("gains", trace.gains),
                        ("constants", trace.constants)):
         if value is not None:
             report[key] = value

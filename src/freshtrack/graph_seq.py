@@ -16,6 +16,10 @@ import itertools
 import numpy as np
 
 RANDOM_EXTRA_EDGES = 2   # random edges added to each window of a random sequence
+# Points per chunk of a check pass: (window, node) points of a connectivity
+# certification here, (k, node, state) points of `sim_engine`'s check passes,
+# whose (rounds, N, n) float64 buffer is then at most 128 KiB.
+CHECK_POINTS = 2 ** 14
 
 
 def edge_tensor(n_nodes, rounds):
@@ -112,48 +116,55 @@ def window_unions(adj: np.ndarray, t: int) -> np.ndarray:
     return adj[:horizon // t * t].reshape(-1, t, n, n).any(axis=1)
 
 
+def _edges(graphs):
+    """(tail, head) of every edge of a (W, N, N) bool stack, from one
+    `np.flatnonzero`; node i of graph w is w N + i."""
+    n = graphs.shape[1]
+    tail, head = divmod(np.flatnonzero(graphs), n)
+    head += tail - tail % n
+    return tail, head
+
+
+def _search(tail, head, n_graphs, n, start):
+    """(W, N) hop counts from node ``start`` of each graph along the edges
+    tail -> head, -1 where a node is unreachable.  One level-synchronous
+    breadth-first search over all graphs at once: the frontier is the bool
+    mask of the nodes at the current level, and one gather of it along the
+    tails gives the heads it reaches."""
+    dist = np.full(n_graphs * n, -1)
+    dist[start - 1::n] = 0
+    level = 0
+    while True:
+        reached = head[(dist == level)[tail]]
+        reached = reached[dist[reached] < 0]
+        if not reached.size:
+            return dist.reshape(n_graphs, n)
+        level += 1
+        dist[reached] = level
+
+
 def hops(graphs: np.ndarray, start: int, reverse: bool = False) -> np.ndarray:
     """(W, N) hop counts from 1-indexed node ``start`` in each graph of a
     (W, N, N) bool stack, -1 where a node is unreachable; with ``reverse``,
-    hop counts to ``start``.
-
-    One level-synchronous breadth-first search over all graphs at once.
-    Node i of graph w is w N + i.  The edges come from one `np.flatnonzero`,
-    sorted by tail, so each level expands only its frontier's edges.
+    hop counts to ``start``.  One breadth-first search over all graphs at once.
     """
     n_graphs, n, _ = graphs.shape
     if not 1 <= start <= n:
         raise ValueError(f"start node {start} outside node range 1..{n}")
-    tail, head = divmod(np.flatnonzero(graphs), n)
-    head += tail - tail % n
-    if reverse:
-        order = np.argsort(head)
-        tail, head = head[order], tail[order]
-    degree = np.bincount(tail, minlength=n_graphs * n)
-    first = np.cumsum(degree) - degree
-    dist = np.full(n_graphs * n, -1)
-    stamp = np.empty_like(dist)
-    frontier = np.arange(n_graphs) * n + start - 1
-    dist[frontier] = 0
-    level = 0
-    while frontier.size:
-        level += 1
-        count = degree[frontier]
-        ends = np.cumsum(count)
-        reached = head[np.arange(ends[-1]) + np.repeat(first[frontier] - ends + count, count)]
-        reached = reached[dist[reached] < 0]
-        dist[reached] = level
-        # One copy of each node: the last write of its position wins.
-        slot = np.arange(reached.size)
-        stamp[reached] = slot
-        frontier = reached[stamp[reached] == slot]
-    return dist.reshape(n_graphs, n)
+    tail, head = _edges(graphs)
+    return _search(*((head, tail) if reverse else (tail, head)), n_graphs, n, start)
 
 
 def certify_joint_strong_connectivity(unions: np.ndarray) -> bool:
     """True iff every window union in the (W, N, N) tensor is strongly connected:
-    node 1 reaches every node and every node reaches node 1."""
-    return bool((hops(unions, 1) >= 0).all() and (hops(unions, 1, reverse=True) >= 0).all())
+    node 1 reaches every node and every node reaches node 1.  One search
+    from node 1 covers both: graphs W..2W-1 are the unions' reverses."""
+    n_windows, n, _ = unions.shape
+    tail, head = _edges(unions)
+    size = n_windows * n
+    both = _search(np.concatenate((tail, head + size)), np.concatenate((head, tail + size)),
+                   2 * n_windows, n, 1)
+    return bool((both >= 0).all())
 
 
 def certify_jointly_rooted(unions: np.ndarray, root: int) -> bool:
@@ -165,11 +176,21 @@ def connectivity_warnings(adj: np.ndarray, t: int, sources) -> list:
     """[] when every complete T-window union of the (H, N, N) tensor is
     strongly connected; else ["rooted_mode"] when each of the 1-indexed
     ``sources`` reaches every node in each union, or ["connectivity_uncertified"].
-    A horizon shorter than one window certifies nothing."""
-    unions = window_unions(adj, t)
-    if not len(unions):
+    A horizon shorter than one window certifies nothing.  The unions and
+    their searches go a chunk of windows at a time, as many as
+    ``CHECK_POINTS`` (window, node) points fill, so that no buffer grows
+    with the horizon."""
+    horizon, n, _ = adj.shape
+    if horizon < t:
         return ["connectivity_uncertified"]
-    if certify_joint_strong_connectivity(unions):
-        return []
-    rooted = all(certify_jointly_rooted(unions, j) for j in sources)
-    return ["rooted_mode" if rooted else "connectivity_uncertified"]
+    rounds = t * max(1, CHECK_POINTS // n)
+    codes = []
+    for k0 in range(0, horizon // t * t, rounds):
+        unions = window_unions(adj[k0:k0 + rounds], t)
+        if certify_joint_strong_connectivity(unions):
+            continue
+        # A strongly connected window is rooted at every source.
+        if not all(certify_jointly_rooted(unions, j) for j in sources):
+            return ["connectivity_uncertified"]
+        codes = ["rooted_mode"]
+    return codes

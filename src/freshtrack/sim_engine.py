@@ -37,7 +37,7 @@ import numpy as np
 from .baselines import WeightStrategy, baseline_round, mixing_weights
 from .decomposition import block_offsets, staircase_transform, to_transformed_coords
 from .gain_design import choose_radii, compute_bound_constants, design_gains, envelope_schedule
-from .graph_seq import GraphSequence, connectivity_warnings
+from .graph_seq import CHECK_POINTS, GraphSequence, connectivity_warnings
 from .observer_protocol import ProtocolKernel
 from .system_model import LtiPlant, simulate_truth
 
@@ -49,9 +49,6 @@ DELAYED_TOL = 1e-8    # largest relative residual the delayed-error identity pas
 # and 0.095-0.10 s with 8-32.  The writer slows past about 80 rounds, and
 # the protocol's passes gain nothing from longer chunks.
 CHUNK_ROUNDS = 32
-# (k, node, state) points per chunk of a check pass past CHUNK_ROUNDS: a
-# (rounds, N, n) float64 buffer of at most 128 KiB.
-CHECK_POINTS = 2 ** 14
 _NONE = np.iinfo(np.int64).max   # the rule pass's "no index": above every real one
 
 

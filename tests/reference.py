@@ -290,6 +290,13 @@ def rooted_windows(unions, root):
     return breadth_first_order(graph, hub, return_predecessors=False).size == hub + 1
 
 
+def hop_counts(graph, start):
+    """Unweighted shortest-path lengths from 1-indexed ``start`` in one
+    N x N bool graph, -1 where a node is unreachable: `hops`' reference."""
+    dist = shortest_path(graph, unweighted=True, indices=start - 1)
+    return np.where(np.isinf(dist), -1, dist).astype(int)
+
+
 def tree_parent_weights(adj, root):
     """``mixing_weights(adj, WeightStrategy("tree_rooted", root))``, the hop
     distances from one search from a hub one hop before every round's root."""

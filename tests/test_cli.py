@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freshtrack import cli
+from freshtrack import cli, decomposition
 from freshtrack.cli import (
     CONFIG_SCHEMA,
     REPORT_SCHEMA,
@@ -113,6 +113,24 @@ def test_run_refuses_algorithm_keys_that_the_algorithm_ignores(tmp_path, capsys,
     cfg.write_text(json.dumps(config))
     assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f'error: "{key}" does not apply to a {algorithm} run\n'
+    assert not list(tmp_path.glob("*_report.json"))
+
+
+@pytest.mark.parametrize("name,key,value,mode", [
+    ("random_jsc_theorem1", "edge_lists", [[[1, 2]]], "random"),
+    ("fig1_freshness_spectral", "seed", 5, "periodic"),
+    ("fig1_freshness_spectral", "n", 99, "periodic"),
+])
+def test_run_refuses_graph_params_that_the_mode_ignores(tmp_path, capsys, name, key, value,
+                                                        mode):
+    # A periodic graph reads only its edge lists, a random one only n and
+    # seed: any other key would leave the graph as it is.
+    config = json.loads(json.dumps(canned_scenarios()[name]))
+    config["graph"]["params"][key] = value
+    cfg = tmp_path / f"{name}.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f'error: "{key}" does not apply to a {mode} graph\n'
     assert not list(tmp_path.glob("*_report.json"))
 
 
@@ -707,6 +725,21 @@ def runs():
     return out
 
 
+def test_check_takes_no_transform_residue(tmp_path, monkeypatch):
+    # Only the run's report reads a transform's residue; check rebuilds the
+    # transform from the report's T and never takes it.
+    assert main(["run", "fig1_freshness_spectral", "--out", str(tmp_path)]) == 0
+    path = tmp_path / "fig1_freshness_spectral_report.json"
+    report = json.loads(path.read_text())
+    assert list(report["transform"]) == ["t_matrix", "a_bar", "c_bar", "block_dims", "residue"]
+
+    def refuse(*_):
+        raise AssertionError("check took a residue")
+    monkeypatch.setattr(decomposition, "_relative_norm", refuse)
+    trace = tmp_path / "fig1_freshness_spectral_trace.csv"
+    assert main(["check", str(trace), str(path)]) == 0
+
+
 def _load_back(path, report):
     """The trace at ``path`` read as `check` reads it, with ``report`` taken
     through its JSON text."""
@@ -871,6 +904,41 @@ def test_schema_walk_agrees_with_jsonschema_at_the_bounds(path, value):
     _parent(config, path)[path[-1]] = value
     best = jsonschema.exceptions.best_match(_REFERENCE(CONFIG_SCHEMA).iter_errors(config))
     assert schema_error(CONFIG_SCHEMA, config) == (best and (best.json_path, best.message))
+
+
+# Places deep inside a design_wide-sized report (n = 64, 32 two-row
+# sensors) and the schema that `check` walks there.
+_WIDE_PLACES = {
+    "A": (CONFIG_SCHEMA, ("scenario", "plant", "A", 63, 40)),
+    "C": (CONFIG_SCHEMA, ("scenario", "plant", "C", 31, 1, 63)),
+    "t_matrix": (REPORT_SCHEMA, ("transform", "t_matrix", 62, 0)),
+    "block_dims": (REPORT_SCHEMA, ("block_dims", 30)),
+}
+
+
+@pytest.mark.parametrize("place,bad", [
+    *((place, bad) for place in _WIDE_PLACES for bad in (True, "1.5", None, [], "short row")),
+    ("block_dims", -1), ("block_dims", False), ("block_dims", 2.0), ("A", -1),
+])
+def test_schema_walk_agrees_with_jsonschema_on_a_wide_report(runs, place, bad):
+    # The walk passes a whole matrix, stack of matrices or integer row in one
+    # type test; one bad leaf deep inside must still be named as jsonschema
+    # names it, and a short row (which the schemas allow) pass.
+    report = json.loads(_report_text(runs["design_wide"][1]))
+    sensors = report["scenario"]["plant"]["C"]
+    report["scenario"]["plant"]["C"] = [c + [r[::-1] for r in c] for c in sensors]  # two rows
+    assert len(sensors) == len(report["block_dims"]) == 32
+    schema, path = _WIDE_PLACES[place]
+    doc = report["scenario"] if schema is CONFIG_SCHEMA else report
+    path = path[1:] if schema is CONFIG_SCHEMA else path
+    assert schema_error(schema, doc) is None
+    if bad == "short row":
+        _parent(doc, path).pop()
+    else:
+        _parent(doc, path)[path[-1]] = bad
+    best = jsonschema.exceptions.best_match(_REFERENCE(schema).iter_errors(doc))
+    assert (best is None) == (bad == "short row" or bad == -1 and place != "block_dims")
+    assert schema_error(schema, doc) == (best and (best.json_path, best.message))
 
 
 def test_edge_scatter_matches_per_round_graphs():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from freshtrack.graph_seq import (
     PeriodicGraphSequence,
     certify_joint_strong_connectivity,
     certify_jointly_rooted,
+    connectivity_warnings,
     edge_tensor,
     generate_random_jointly_connected,
     hops,
@@ -142,7 +145,10 @@ def test_hops_searches_equal_scipy_csgraph(n, n_graphs, density, seed, data):
         levels = hops(graphs, root, reverse=reverse)
         assert levels.shape == (n_graphs, n)
         for g, level in zip(graphs, levels):
-            assert set(np.flatnonzero(level >= 0) + 1) == reach(g.T if reverse else g, root)
+            g = g.T if reverse else g
+            assert set(np.flatnonzero(level >= 0) + 1) == reach(g, root)
+            # The hop counts too, so that a level shifted by one cannot pass.
+            assert level.tolist() == reference.hop_counts(g, root).tolist()
 
 
 def test_hops_counts_levels_on_a_chain():
@@ -159,6 +165,40 @@ def test_hops_refuses_a_start_outside_the_node_range(start):
         hops(graphs, start)
     with pytest.raises(ValueError, match=f"start node {start} outside node range 1..3"):
         mixing_weights(graphs, WeightStrategy("tree_rooted", start))
+
+
+def test_connectivity_warnings_decide_windows_past_the_first_chunk():
+    # N = 16 takes CHECK_POINTS // 16 = 1024 windows a chunk at T = 1.  A
+    # star from node 1 in one window of the second or third chunk is rooted
+    # at node 1 only; the verdict equals one over all windows at once.
+    adj = generate_random_jointly_connected(16, 1, seed=3).adjacency(2100)
+    star = edge_tensor(16, [[(1, j) for j in range(2, 17)]])[0]
+    for window in (1023, 1024, 2099):
+        broken = adj.copy()
+        broken[window] = star
+        for sources, codes in (([1], ["rooted_mode"]), ([1, 2], ["connectivity_uncertified"])):
+            assert connectivity_warnings(broken, 1, sources) == codes
+            assert not reference.strongly_connected_windows(broken)
+            assert all(reference.rooted_windows(broken, j) for j in sources) == (
+                codes == ["rooted_mode"])
+    assert connectivity_warnings(adj, 1, [1, 2]) == []
+    assert connectivity_warnings(adj[:0], 1, [1]) == ["connectivity_uncertified"]
+
+
+def test_connectivity_warnings_memory_does_not_grow_with_the_horizon():
+    # The unions and searches go a chunk of windows at a time; over all
+    # windows at once they took about 2.5 bytes a (k, i, j) point here.
+    seq = generate_random_jointly_connected(16, 2, seed=1)
+    peaks = []
+    for horizon in (4096, 40960):
+        adj = seq.adjacency(horizon)
+        tracemalloc.start()
+        try:
+            assert connectivity_warnings(adj, 2, range(1, 17)) == []
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / ((40960 - 4096) * 16 * 16) < 0.01, peaks
 
 
 def test_certify_ring_revealed_one_edge_per_step():
