@@ -303,9 +303,7 @@ def build_report(trace: Trace, config, results, passed):
         "warnings": list(trace.warnings),
         "checks": results,
     }
-    ts = trace.ts       # its residue is taken here, the one place that reads it
-    transform = ts and {**_plain(ts), "residue": ts.residue}
-    for key, value in (("transform", transform), ("gains", trace.gains),
+    for key, value in (("transform", trace.ts), ("gains", trace.gains),
                        ("constants", trace.constants)):
         if value is not None:
             report[key] = value

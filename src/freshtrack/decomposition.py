@@ -38,20 +38,7 @@ class TransformedSystem:
     a_bar: np.ndarray
     c_bar: tuple
     block_dims: tuple
-    # (entries `of` set to 0.0, the plant), for `residue`; a system built
-    # directly dropped nothing.
-    _dropped = None
-
-    @cached_property
-    def residue(self):
-        """||entries `of` set to 0.0||_F / ||[A; C_1; ...; C_N]||_F (1 where
-        that norm is 0): rounding level for the plant's staircase, far above
-        it for a T that mixes blocks; 0.0 for a system built directly.  Taken
-        when first read: the run's report reads it, and `check` does not."""
-        if self._dropped is None:
-            return 0.0
-        part, plant = self._dropped
-        return _relative_norm(part, np.vstack((plant.a_matrix, *plant.sensors)))
+    residue: float = 0.0
 
     @property
     def n(self):
@@ -84,6 +71,10 @@ class TransformedSystem:
         """``plant`` through T = ``t``, whose column blocks are ``block_dims``,
         in staircase form: T^T A T with 0.0 above its diagonal blocks, and
         each C_i T with 0.0 past block i.  Every other entry is the product's.
+
+        ``residue`` is ||entries set to 0.0||_F / ||[A; C_1; ...; C_N]||_F
+        (1 where that norm is 0): rounding level for the plant's staircase,
+        far above it for a T that mixes blocks.
         """
         n, n_nodes = len(t), len(block_dims)
         rows = block_offsets(len(c) for c in plant.sensors)
@@ -98,12 +89,10 @@ class TransformedSystem:
         owner = np.repeat(np.arange(2 * n_nodes) % n_nodes,
                           (*block_dims, *(len(c) for c in plant.sensors)))
         drop = owner[:, None] < owner[:n]
-        dropped = stacked[drop]
+        residue = _relative_norm(stacked[drop], np.vstack((plant.a_matrix, *plant.sensors)))
         stacked[drop] = 0.0
         c_bar = tuple(stacked[n + r0:n + r1] for r0, r1 in zip(rows, rows[1:]))
-        ts = cls(t, stacked[:n], c_bar, tuple(block_dims))
-        object.__setattr__(ts, "_dropped", (dropped, plant))
-        return ts
+        return cls(t, stacked[:n], c_bar, tuple(block_dims), residue)
 
 
 def _relative_norm(part, whole):

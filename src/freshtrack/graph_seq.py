@@ -143,16 +143,14 @@ def _search(tail, head, n_graphs, n, start):
         dist[reached] = level
 
 
-def hops(graphs: np.ndarray, start: int, reverse: bool = False) -> np.ndarray:
+def hops(graphs: np.ndarray, start: int) -> np.ndarray:
     """(W, N) hop counts from 1-indexed node ``start`` in each graph of a
-    (W, N, N) bool stack, -1 where a node is unreachable; with ``reverse``,
-    hop counts to ``start``.  One breadth-first search over all graphs at once.
-    """
+    (W, N, N) bool stack, -1 where a node is unreachable.  One breadth-first
+    search over all graphs at once."""
     n_graphs, n, _ = graphs.shape
     if not 1 <= start <= n:
         raise ValueError(f"start node {start} outside node range 1..{n}")
-    tail, head = _edges(graphs)
-    return _search(*((head, tail) if reverse else (tail, head)), n_graphs, n, start)
+    return _search(*_edges(graphs), n_graphs, n, start)
 
 
 def certify_joint_strong_connectivity(unions: np.ndarray) -> bool:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freshtrack import cli, decomposition
+from freshtrack import cli
 from freshtrack.cli import (
     CONFIG_SCHEMA,
     REPORT_SCHEMA,
@@ -723,21 +723,6 @@ def runs():
         results, passed = run_checks(trace, scenario, config.get("checks", {}))
         out[name] = trace, build_report(trace, config, results, passed)
     return out
-
-
-def test_check_takes_no_transform_residue(tmp_path, monkeypatch):
-    # Only the run's report reads a transform's residue; check rebuilds the
-    # transform from the report's T and never takes it.
-    assert main(["run", "fig1_freshness_spectral", "--out", str(tmp_path)]) == 0
-    path = tmp_path / "fig1_freshness_spectral_report.json"
-    report = json.loads(path.read_text())
-    assert list(report["transform"]) == ["t_matrix", "a_bar", "c_bar", "block_dims", "residue"]
-
-    def refuse(*_):
-        raise AssertionError("check took a residue")
-    monkeypatch.setattr(decomposition, "_relative_norm", refuse)
-    trace = tmp_path / "fig1_freshness_spectral_trace.csv"
-    assert main(["check", str(trace), str(path)]) == 0
 
 
 def _load_back(path, report):

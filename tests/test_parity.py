@@ -33,7 +33,8 @@ def test_parity_names_a_config_whose_report_differs(tmp_path):
 def test_parity_names_the_report_fields_that_differ(tmp_path):
     # A copy that reports another transform residue differs in that one
     # field of the report, named down to the transform's own.
-    other = _copy_with(tmp_path, '"residue": ts.residue', '"residue": 0.5')
+    other = _copy_with(tmp_path, '("transform", trace.ts)',
+                       '("transform", trace.ts and dataclasses.replace(trace.ts, residue=0.5))')
     assert parity.compare(parity.ROOT, other, _CANNED[:1], str(tmp_path / "work")) == [
         ("fig1_freshness_spectral", ["fig1_freshness_spectral_report.json: transform.residue"])]
 
