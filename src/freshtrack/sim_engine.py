@@ -21,14 +21,17 @@ Horner's rule along the recorded donors.  These passes, the error norms
 included, go in chunks of `check_chunk_rounds`: ``CHUNK_ROUNDS`` rounds, or
 as many as fill ``CHECK_POINTS`` (k, node, state) points, so that a small
 plant's check takes few chunks and no buffer grows with the horizon but the
-trace's own arrays.  The protocol's passes and the trace writer go in chunks
-of ``CHUNK_ROUNDS``.  Every per-substate norm is `_block_norms`.
+trace's own arrays.  The trace reader goes in chunks of `check_chunk_rounds`
+rounds too, the protocol's passes and the trace writer in chunks of
+``CHUNK_ROUNDS``.  Every per-substate norm is `_block_norms`.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import os
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -54,7 +57,8 @@ _NONE = np.iinfo(np.int64).max   # the rule pass's "no index": above every real 
 
 def check_chunk_rounds(n_nodes, n):
     """Rounds per chunk of the check passes (`_rule_rounds`,
-    `_delayed_residuals`, `_error_chunks`) over N nodes and n states:
+    `_delayed_residuals`, `_error_chunks`) and of `Trace.read_csv` over N
+    nodes and n states:
     ``CHUNK_ROUNDS``, or as many as ``CHECK_POINTS`` (k, node, state) points
     fill.  Each chunk costs a few dozen numpy calls of set-up, which on a
     small plant outweigh its array work; the chunking moves no bit.
@@ -155,30 +159,95 @@ class Trace:
     def read_csv(self, path):
         """Fill ``taus``, ``donors`` and ``z_estimates`` bit for bit from the
         `to_csv` file at ``path``.  ValueError where the file breaks
-        `csv_header`, the (k, node) row order or integer tau/donor cells >= -1."""
-        h1, n_nodes, s = self.horizon + 1, self.n_nodes, len(self.substates)
+        `csv_header`, the (k, node) row order or integer tau/donor cells >= -1.
+
+        The rows go in chunks of `check_chunk_rounds` rounds, each taken from
+        the file as lines and parsed by one `np.loadtxt` into int64 k, node,
+        tau and donor cells and float64 estimates, then written into the
+        trace's arrays, so that no buffer grows with the horizon.  A chunk
+        the typed parse refuses is parsed again as float64, so that a
+        ragged or non-numeric row gets loadtxt's own message, its row
+        counted from the file's first.  The other faults are refused once
+        the whole file is read, in one order: the rows x columns over the
+        file, then the row order, then cells that are not integers (an
+        integral float such as ``2.0`` among them), then cells below -1.
+        On a refusal the arrays may hold some of the file's rows.
+        """
+        n_nodes, s, n = self.n_nodes, len(self.substates), self.z_estimates.shape[2]
+        total, width = (self.horizon + 1) * n_nodes, 2 + 2 * s + n
+        typed = np.dtype([("ints", np.int64, (2 + 2 * s,)), ("z", np.float64, (n,))])
+        taus, donors = self.taus.reshape(-1, s), self.donors.reshape(-1, s)
+        z_estimates = self.z_estimates.reshape(-1, n)
+        chunk_lines = check_chunk_rounds(n_nodes, n) * n_nodes
+        rows, cols, faults = 0, None, set()     # cols: the first row's width
         with open(path) as f:
             header = f.readline() + f.readline()
             if header != self.csv_header():
                 raise ValueError(f"trace must open with the lines {self.csv_header()!r} "
                                  "for the report's block_dims")
-            # One comment character keeps loadtxt on numpy's C parser.
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)   # "input contained no data"
-                rows = np.loadtxt(f, delimiter=",", comments="#", ndmin=2)
-        shape = (h1 * n_nodes, 2 + 2 * s + self.z_estimates.shape[2])
-        if rows.shape != shape:
-            raise ValueError(f"trace rows x columns are {rows.shape}, the report's {shape}")
-        if not np.array_equal(rows[:, :2], np.indices((h1, n_nodes)).reshape(2, -1).T + [0, 1]):
-            raise ValueError("trace rows must be (k, node) for k = 0..H, node = 1..N, in order")
-        with np.errstate(invalid="ignore"):
-            ints = rows[:, 2:2 + 2 * s].astype(int)
-        if not np.array_equal(ints, rows[:, 2:2 + 2 * s]):
-            raise ValueError("trace tau/donor columns must be integers")
-        if np.any(ints < -1):
-            raise ValueError("corrupt trace: tau/donor below -1")
-        self.taus[:], self.donors[:] = ints.reshape(h1, n_nodes, 2, s).transpose(2, 0, 1, 3)
-        self.z_estimates[:] = rows[:, 2 + 2 * s:].reshape(h1, n_nodes, -1)
+            while lines := list(itertools.islice(f, chunk_lines)):
+                chunk = None
+                if cols in (None, width):
+                    with contextlib.suppress(ValueError, DeprecationWarning):
+                        chunk = _loadtxt(lines, typed, ndmin=1)
+                if chunk is not None:
+                    ints = chunk["ints"]
+                    if np.any(ints[:, 2:] < -1):
+                        faults.add("below")
+                else:      # not integers, or not `width` columns of numbers
+                    ints = _float_rows(lines, rows, cols)
+                    faults.add("integers")
+                m = len(ints)
+                if m:
+                    cols = cols or (width if chunk is not None else ints.shape[1])
+                    if cols != width or rows + m > total:
+                        faults.add("shape")
+                    else:
+                        k, node = divmod(np.arange(rows, rows + m), n_nodes)
+                        if not (np.array_equal(ints[:, 0], k)
+                                and np.array_equal(ints[:, 1], node + 1)):
+                            faults.add("order")
+                        if chunk is not None:
+                            taus[rows:rows + m] = ints[:, 2:2 + s]
+                            donors[rows:rows + m] = ints[:, 2 + s:]
+                            z_estimates[rows:rows + m] = chunk["z"]
+                rows += m
+                del lines, chunk, ints      # before the next chunk's lines are read
+        if rows != total:
+            faults.add("shape")
+        for fault, message in (     # loadtxt's shape of no rows is (0, 1)
+                ("shape", f"trace rows x columns are {(rows, cols or 1)}, "
+                          f"the report's {(total, width)}"),
+                ("order", "trace rows must be (k, node) for k = 0..H, node = 1..N, in order"),
+                ("integers", "trace tau/donor columns must be integers"),
+                ("below", "corrupt trace: tau/donor below -1")):
+            if fault in faults:
+                raise ValueError(message)
+
+
+def _loadtxt(lines, dtype, ndmin):
+    """`np.loadtxt` of CSV ``lines``; a deprecation, such as an older
+    numpy's int parse of ``2.0``, raises.  One comment character keeps
+    loadtxt on numpy's C parser."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)   # "input contained no data"
+        warnings.simplefilter("error", DeprecationWarning)
+        return np.loadtxt(lines, dtype=dtype, delimiter=",", comments="#", ndmin=ndmin)
+
+
+def _float_rows(lines, rows, cols):
+    """The (m, C) float64 rows of CSV ``lines`` that follow ``rows`` rows of
+    ``cols`` columns.  A ragged or non-numeric row raises loadtxt's own
+    message, with its row counted as in a parse of the whole file: the
+    lines go after one row of ``cols`` zeros, which loadtxt counts as the
+    row before them."""
+    if not rows:
+        return _loadtxt(lines, float, ndmin=2)
+    try:
+        return _loadtxt([",".join(["0"] * cols) + "\n"] + lines, float, ndmin=2)[1:]
+    except ValueError as exc:
+        raise ValueError(re.sub(r"(?<=at row )\d+", lambda at: str(int(at[0]) + rows - 1),
+                                str(exc), count=1)) from None
 
 
 @np.errstate(over="ignore")

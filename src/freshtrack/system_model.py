@@ -3,6 +3,8 @@ one (H+1, n) array of states, to which a node applies its sensor rows."""
 
 from __future__ import annotations
 
+import bisect
+import itertools
 from dataclasses import dataclass
 from functools import partial
 
@@ -24,10 +26,10 @@ def _as_float_array(m, name):
 
 
 def _as_matrix(m, name, cols=None):
-    a = np.atleast_2d(_as_float_array(m, name))
+    a = _as_float_array(m, name)
     if cols is not None and a.size == 0:
-        a = a.reshape(0, cols)
-    return a
+        return a.reshape(0, cols)
+    return a if a.ndim >= 2 else a.reshape(1, -1)
 
 
 @dataclass(frozen=True)
@@ -56,16 +58,21 @@ class LtiPlant:
                 raise ConfigurationError(f"{name} has NaN or inf entries")
         if len(sensors) < 1:
             raise ConfigurationError("at least one sensor node is required")
-        cs = []
-        for i, c in enumerate(sensors):
-            cm = _as_matrix(c, f"sensor {i + 1}", cols=n)
+        cs = [_as_matrix(c, f"sensor {i + 1}", cols=n) for i, c in enumerate(sensors)]
+        for i, cm in enumerate(cs):
             if cm.shape[1] != n:
                 raise ConfigurationError(
                     f"sensor {i + 1} has {cm.shape[1]} columns, expected {n}")
-            if not np.all(np.isfinite(cm)):
-                raise ConfigurationError(f"sensor {i + 1} has NaN or inf entries")
-            cm.flags.writeable = False
-            cs.append(cm)
+        # One finiteness test over every sensor's rows, stacked; the plant's
+        # sensors are read-only views of the stack.
+        rows = list(itertools.accumulate((len(cm) for cm in cs), initial=0))
+        stacked = np.concatenate(cs)
+        finite = np.isfinite(stacked).all(axis=1)
+        if not finite.all():
+            first = bisect.bisect_right(rows, int(np.argmin(finite))) - 1
+            raise ConfigurationError(f"sensor {first + 1} has NaN or inf entries")
+        stacked.flags.writeable = False
+        cs = [stacked[r0:r1] for r0, r1 in zip(rows, rows[1:])]
         a.flags.writeable = False
         x.flags.writeable = False
         object.__setattr__(self, "a_matrix", a)

@@ -469,7 +469,8 @@ def test_check_rejects_report_edge_outside_nodes(tmp_path, capsys, node):
 
 
 @pytest.mark.parametrize("tamper", ["no_rows", "short_row", "long_row", "fraction",
-                                    "fractional_tau"])
+                                    "fractional_tau", "integral_float_tau",
+                                    "exponent_tau"])
 def test_check_rejects_malformed_trace_rows(tmp_path, capsys, tamper):
     trace, report = _run_small(tmp_path, capsys)
     lines = trace.read_text().splitlines()
@@ -481,14 +482,15 @@ def test_check_rejects_malformed_trace_rows(tmp_path, capsys, tamper):
         lines[7] += ",1.0"
     elif tamper == "fraction":
         lines[7] = "2.5" + lines[7][lines[7].index(","):]
-    else:               # the first tau cell: rows and columns stay well-formed
+    else:               # the first tau cell, 0: rows and columns stay well-formed
         k, node, _, rest = lines[2].split(",", 3)
-        lines[2] = ",".join((k, node, "0.5", rest))
+        cell = {"fractional_tau": "0.5", "integral_float_tau": "0.0", "exponent_tau": "0e3"}
+        lines[2] = ",".join((k, node, cell[tamper], rest))
     trace.write_text("\n".join(lines) + "\n")
     assert main(["check", str(trace), str(report)]) == 2
     err = capsys.readouterr().err
     assert "malformed" in err
-    if tamper == "fractional_tau":
+    if tamper.endswith("_tau"):       # an integral float too: tau cells are ints
         assert err == "error: malformed trace or report: trace tau/donor columns must be integers\n"
 
 

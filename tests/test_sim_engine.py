@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import tracemalloc
 from unittest import mock
@@ -524,6 +525,60 @@ def test_trace_csv_memory_does_not_grow_with_the_horizon(tmp_path):
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
+def test_trace_csv_read_memory_does_not_grow_with_the_horizon(tmp_path):
+    # Beyond the trace's own arrays, which exist before the read, the
+    # reader's buffers are one chunk of lines and its parse: eight times
+    # the rounds may cost no more peak memory (about 1.5 MB here).  A
+    # whole-file parse held every cell as a float (18 MB at H = 1600).
+    plant = make_multiblock_plant((1,) * 16, seed=1)
+    graph = generate_random_jointly_connected(16, 2, seed=1)
+    peaks = []
+    for horizon in (200, 1600):
+        trace = run_scenario(Scenario(plant=plant, graph=graph, rho=0.9, horizon=horizon))
+        trace.to_csv(tmp_path / "trace.csv")
+        back = Trace(trace.n_nodes, horizon, trace.period_t, trace.block_dims)
+        tracemalloc.start()
+        try:
+            back.read_csv(tmp_path / "trace.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.z_estimates, trace.z_estimates)
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("tamper", ["order", "short_row", "text_cell", "extra_rows"])
+def test_check_refuses_a_later_chunk_as_one_chunk(tmp_path, capsys, tamper):
+    # A fault past the first chunk of the trace's rows gives the exit code
+    # and message, its row number included, that one chunk of the whole
+    # file gives.
+    assert cli.main(["run", "fig1_freshness_spectral", "--out", str(tmp_path)]) == 0
+    stem = str(tmp_path / "fig1_freshness_spectral")
+    trace = f"{stem}_trace.csv"
+    with open(trace) as f:
+        lines = f.readlines()
+    row = 2 + 3 * 40 + 1        # node 2 in round 40 of 200
+    cells = lines[row].split(",")
+    if tamper == "order":
+        lines[row], lines[row + 1] = lines[row + 1], lines[row]
+    elif tamper == "short_row":
+        lines[row] = ",".join(cells[:-1]) + "\n"
+    elif tamper == "text_cell":
+        lines[row] = ",".join(cells[:2] + ["x"] + cells[3:])
+    else:
+        lines += lines[-3:]
+    with open(trace, "w") as f:
+        f.writelines(lines)
+    capsys.readouterr()
+    outcomes = []
+    for chunk in (None, 1, 3):
+        with forced_chunk(chunk) if chunk else contextlib.nullcontext():
+            code = cli.main(["check", trace, f"{stem}_report.json"])
+        outcomes.append((code, capsys.readouterr().err))
+    assert outcomes[0][0] == 2 and "malformed" in outcomes[0][1]
+    assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
 
 
 def test_run_memory_does_not_grow_with_the_horizon():
